@@ -156,7 +156,6 @@ def body_map(robot_ankle_suffix=""):
             "robot": ["l_hip_yaw", "l_knee", "l_ankle"],
         },
         "pairs": pairs,
-        "fingertips": [],
     }
 
 

@@ -28,9 +28,12 @@ SEED_ENV = "RETARGET_KIT_SEED"
 
 def _seed(args):
     env = os.environ.get(SEED_ENV)
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise ValidationError(f"{SEED_ENV} must be an integer, got {env!r}") from None
 
 
 def _require_kind(motion, kind, flag):

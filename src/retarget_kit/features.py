@@ -3,8 +3,9 @@
 Layout, in order: root yaw angular velocity (1), root linear velocity on
 the XZ plane in the heading frame (2), root height (1), non-root joint
 positions (3j), velocities (3j) and rotations in 6D form (6j) in root
-space, and four binary foot-contact flags from heel/toe marker speeds.
-Total dimension D = 8 + 12j for j non-root joints. Velocities use forward
+space, and one binary foot-contact flag per contact marker from its speed
+(heel and toe of each foot by default). Total dimension D = 4 + 12j + c
+for j non-root joints and c contact markers. Velocities use forward
 differences between consecutive frames, so a T-frame input yields T - 1
 feature frames.
 """
@@ -14,15 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MissingContactMarkers, ValidationError
-from .skeleton import fk
+from .skeleton import fk, resolve_marker
 
 DEFAULT_CONTACT_MARKERS = ("l_heel", "l_toe", "r_heel", "r_toe")
 DEFAULT_CONTACT_THRESHOLD = 1e-3  # on squared marker speed
 
 
-def feature_dimension(skeleton):
+def feature_dimension(skeleton, contact_markers=DEFAULT_CONTACT_MARKERS):
     j = len(skeleton.joints) - 1
-    return 8 + 12 * j
+    return 4 + 12 * j + len(contact_markers)
 
 
 def _yaw(rotation_matrix):
@@ -52,7 +53,6 @@ def build_pose_features(
 
     results = [fk(skeleton, p) for p in poses]
     t_total = len(poses)
-    nj = len(skeleton.joints) - 1  # non-root joints
 
     yaws = np.array([_yaw(r.rotations[0]) for r in results])
     root_pos = np.array([r.positions[0] for r in results])
@@ -61,9 +61,8 @@ def build_pose_features(
     local_pos = np.array(
         [(r.positions[1:] - r.positions[0]) @ r.rotations[0] for r in results]
     )
-    contact_pos = np.array(
-        [[r.markers[m] for m in contact_markers] for r in results]
-    )
+    markers = [resolve_marker(skeleton, m) for m in contact_markers]
+    contact_pos = np.array([[r.point(j, offset) for j, offset in markers] for r in results])
 
     rows = []
     for t in range(t_total - 1):
@@ -95,6 +94,4 @@ def build_pose_features(
                 ]
             )
         )
-    out = np.array(rows)
-    assert out.shape == (t_total - 1, 4 + 12 * nj + len(contact_markers))
-    return out
+    return np.array(rows)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaVersionError, ValidationError
 from .metrics import FeatureMatrix
-from .retarget import CorrespondencePair, CorrespondenceSet, FingertipPair, leg_scale
+from .retarget import CorrespondencePair, CorrespondenceSet, leg_scale
 from .rotations import Rotation
 from .skeleton import (
     DofChannel,
@@ -348,14 +348,6 @@ def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(path, loc, f"bad pair record: {e}") from None
-    fingertips = tuple(
-        FingertipPair(
-            human=node["human"],
-            robot=node["robot"],
-            weight=float(node.get("weight", 1.0)),
-        )
-        for node in obj.get("fingertips", [])
-    )
     scale = obj.get("scale")
     if scale is None:
         chains = obj.get("scale_chains")
@@ -370,7 +362,7 @@ def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
                 "scale is null and no scale_chains/skeletons available to derive it",
             )
     try:
-        return CorrespondenceSet(tuple(pairs), fingertips, float(scale))
+        return CorrespondenceSet(tuple(pairs), float(scale))
     except ValidationError as e:
         raise ParseError(path, "/", str(e)) from None
 
@@ -390,10 +382,6 @@ def save_correspondence(corr, path):
                     "orientation_weight": p.orientation_weight,
                 }
                 for p in corr.pairs
-            ],
-            "fingertips": [
-                {"human": p.human, "robot": p.robot, "weight": p.weight}
-                for p in corr.fingertips
             ],
         },
     )
@@ -489,9 +477,17 @@ def save_codebook(codebook, path, binary_sidecar=False):
 def load_tokens(path):
     obj = _read_json(path)
     _check_header(obj, path, "tokens")
-    indices = np.asarray(obj.get("indices", []), dtype=int)
+    indices = obj.get("indices", [])
+    # bool is an int subclass, and a fractional index must not be truncated
+    if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+        raise ParseError(path, "/indices", "expected a list of integer token indices")
     factor = obj.get("downsample_factor")
-    return TokenSequence(indices, None if factor is None else int(factor))
+    if factor is not None and type(factor) is not int:
+        raise ParseError(path, "/downsample_factor", f"expected an integer, got {factor!r}")
+    try:
+        return TokenSequence(np.asarray(indices, dtype=int), factor)
+    except OverflowError as e:
+        raise ParseError(path, "/indices", str(e)) from None
 
 
 def save_tokens(tokens, path):

@@ -12,15 +12,11 @@ from the scaled human root and is not optimized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    NonFiniteObjective,
-    UnresolvableCorrespondence,
-    ValidationError,
-)
+from .errors import NonFiniteObjective, ValidationError
 from .rotations import Rotation
 from .skeleton import (
     JointTrajectory,
@@ -30,7 +26,16 @@ from .skeleton import (
     _rodrigues_matrix,
     check_limits,
     fk,
+    limited_dofs,
+    resolve_marker,
 )
+
+LIMIT_MARGIN = 0.05  # the limit barrier starts this far inside each limit, radians
+FD_STEP = 1e-6  # central finite-difference step of the Jacobian
+DAMPING_INIT = 1e-3
+DAMPING_INCREASE = 10.0  # damping factor after a rejected step
+DAMPING_DECREASE = 3.0  # damping divisor after an accepted step
+DAMPING_MAX = 1e12  # give up on the iteration beyond this damping
 
 
 @dataclass(frozen=True)
@@ -42,23 +47,14 @@ class CorrespondencePair:
 
 
 @dataclass(frozen=True)
-class FingertipPair:
-    human: str
-    robot: str
-    weight: float = 1.0
-
-
-@dataclass(frozen=True)
 class CorrespondenceSet:
     """Marker pairing plus the uniform human-to-robot length scale."""
 
     pairs: tuple
-    fingertips: tuple = ()
     scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        object.__setattr__(self, "fingertips", tuple(self.fingertips))
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise ValidationError(f"scale must be finite and positive, got {self.scale}")
         for p in self.pairs:
@@ -76,17 +72,11 @@ class CorrespondenceSet:
 @dataclass(frozen=True)
 class RetargetOptions:
     limit_weight: float = 10.0
-    limit_margin: float = 0.05  # barrier starts this far inside each limit, radians
     smoothness_weight: float = 0.1
     reference_weight: float = 1e-3
     max_iterations: int = 100
     gradient_tol: float = 1e-6
-    fd_step: float = 1e-6
     warm_start: bool = True
-    damping_init: float = 1e-3
-    damping_increase: float = 10.0
-    damping_decrease: float = 3.0
-    damping_max: float = 1e12
 
     def __post_init__(self):
         for name in ("limit_weight", "smoothness_weight", "reference_weight"):
@@ -108,19 +98,6 @@ class RetargetReport:
     carried_forward: bool = False
 
 
-def resolve_marker(skeleton, name):
-    """Marker name, falling back to a joint name with zero offset."""
-    m = skeleton.markers.get(name)
-    if m is not None:
-        return skeleton.index[m.joint], m.offset
-    i = skeleton.index.get(name)
-    if i is None:
-        raise UnresolvableCorrespondence(
-            f"'{name}' is neither a marker nor a joint of skeleton '{skeleton.name}'"
-        )
-    return i, np.zeros(3)
-
-
 def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
     """Uniform scale: robot chain length over human chain length."""
 
@@ -137,11 +114,6 @@ def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
     return r / h
 
 
-def _log_map(m):
-    """Axis-angle 3-vector of a rotation matrix (via the quaternion view)."""
-    return Rotation(m).as_rotvec()
-
-
 def _gauss_newton(residual_fn, x0, opts):
     """Damped Gauss-Newton with central-difference Jacobians.
 
@@ -155,7 +127,7 @@ def _gauss_newton(residual_fn, x0, opts):
     if not np.isfinite(f):
         raise NonFiniteObjective(f"objective at start point is {f}")
     trace = [f]
-    mu = opts.damping_init
+    mu = DAMPING_INIT
     converged = False
     n = len(x)
     iterations = 0
@@ -163,7 +135,7 @@ def _gauss_newton(residual_fn, x0, opts):
     for _ in range(opts.max_iterations):
         iterations += 1
         jac = np.empty((len(r), n))
-        h = opts.fd_step
+        h = FD_STEP
         for i in range(n):
             xp = x.copy()
             xp[i] += h
@@ -177,11 +149,11 @@ def _gauss_newton(residual_fn, x0, opts):
         jtj = jac.T @ jac
         jtr = jac.T @ r
         accepted = False
-        while mu <= opts.damping_max:
+        while mu <= DAMPING_MAX:
             try:
                 step = np.linalg.solve(jtj + mu * eye, jtr)
             except np.linalg.LinAlgError:
-                mu *= opts.damping_increase
+                mu *= DAMPING_INCREASE
                 continue
             x_new = x - step
             r_new = residual_fn(x_new)
@@ -189,31 +161,25 @@ def _gauss_newton(residual_fn, x0, opts):
             if np.isfinite(f_new) and f_new <= f:
                 x, r, f = x_new, r_new, f_new
                 trace.append(f)
-                mu = max(mu / opts.damping_decrease, 1e-12)
+                mu = max(mu / DAMPING_DECREASE, 1e-12)
                 accepted = True
                 break
-            mu *= opts.damping_increase
+            mu *= DAMPING_INCREASE
         if not accepted:
             break  # no descent direction at any damping: local minimum
     return x, trace, iterations, converged
 
 
 def _limit_residuals(skeleton, values, opts):
-    """One-sided quadratic barrier starting `limit_margin` inside each limit."""
+    """One-sided quadratic barrier starting LIMIT_MARGIN inside each limit."""
     if opts.limit_weight == 0:
         return np.zeros(0)
     w = np.sqrt(opts.limit_weight)
     out = []
-    for i, joint in enumerate(skeleton.joints):
-        if not joint.limits:
-            continue
-        vals = values[skeleton.dof_slices[i]]
-        if joint.dof == "spherical":
-            vals = _intrinsic_xyz_euler(_local_matrix(joint, vals))
-        for k, (lo, hi) in enumerate(joint.limits):
-            margin = min(opts.limit_margin, 0.25 * (hi - lo))
-            out.append(w * max(0.0, vals[k] - (hi - margin)))
-            out.append(w * max(0.0, (lo + margin) - vals[k]))
+    for _, _, v, lo, hi in limited_dofs(skeleton, values):
+        margin = min(LIMIT_MARGIN, 0.25 * (hi - lo))
+        out.append(w * max(0.0, v - (hi - margin)))
+        out.append(w * max(0.0, (lo + margin) - v))
     return np.array(out)
 
 
@@ -241,22 +207,75 @@ def _project_to_limits(skeleton, values):
                     @ _rodrigues_matrix(np.array([0, 1.0, 0]), clipped[1])
                     @ _rodrigues_matrix(np.array([0, 0, 1.0]), clipped[2])
                 )
-                out[sl] = _log_map(m)
+                out[sl] = Rotation(m).as_rotvec()
     return out
 
 
-def _targets(human_skeleton, human_pose, corr):
-    res = fk(human_skeleton, human_pose)
-    pos_targets = {}
-    rot_targets = {}
-    for pair in corr.pairs:
-        j, offset = resolve_marker(human_skeleton, pair.human)
-        world = res.positions[j] + res.rotations[j] @ offset
-        pos_targets[pair.human] = corr.scale * world
-        rot_targets[pair.human] = res.rotations[j]
-    root_position = corr.scale * res.positions[0]
-    root_orientation = Rotation(res.rotations[0])
-    return pos_targets, rot_targets, root_position, root_orientation
+def _term_errors(res, marker, point, frame):
+    """Marker position error, and its rotation-vector frame error unless frame is None."""
+    j, offset = marker
+    position = res.point(j, offset) - point
+    if frame is None:
+        return position, None
+    return position, Rotation(res.rotations[j].T @ frame).as_rotvec()
+
+
+def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to=None):
+    """Minimize the retarget objective over joint values with the root held fixed.
+
+    A term is (CorrespondencePair, robot marker from resolve_marker, world
+    target point, world target frame or None); the pair gives the weights.
+    Rows, in order: each term's weighted position and orientation errors,
+    the limit barrier, smoothness toward `smooth_to`, and the zero-posture
+    reference. The answer is projected into the joint limits; returns
+    (Pose, RetargetReport).
+    """
+    w_ref = np.sqrt(opts.reference_weight) if opts.reference_weight > 0 else 0.0
+    w_smooth = (
+        np.sqrt(opts.smoothness_weight)
+        if (opts.smoothness_weight > 0 and smooth_to is not None)
+        else 0.0
+    )
+
+    def residual(values):
+        res = fk(skeleton, Pose(root_position, root_orientation, values))
+        parts = []
+        for pair, marker, point, frame in terms:
+            position, orientation = _term_errors(res, marker, point, frame)
+            if pair.position_weight > 0:
+                parts.append(np.sqrt(pair.position_weight) * position)
+            if orientation is not None:
+                parts.append(np.sqrt(pair.orientation_weight) * orientation)
+        parts.append(_limit_residuals(skeleton, values, opts))
+        if w_smooth:
+            parts.append(w_smooth * (values - smooth_to))
+        if w_ref:
+            parts.append(w_ref * values)
+        return np.concatenate(parts)
+
+    x, trace, iterations, converged = _gauss_newton(residual, x0, opts)
+    x = _project_to_limits(skeleton, x)
+    pose = Pose(root_position, root_orientation, x)
+
+    res = fk(skeleton, pose)
+    pos_residuals = {}
+    rot_residuals = {}
+    for pair, marker, point, frame in terms:
+        position, orientation = _term_errors(res, marker, point, frame)
+        pos_residuals[pair.robot] = float(np.linalg.norm(position))
+        if orientation is not None:
+            rot_residuals[pair.robot] = float(np.linalg.norm(orientation))
+    r = residual(x)
+    report = RetargetReport(
+        objective=float(r @ r),
+        iterations=iterations,
+        converged=converged,
+        position_residuals=pos_residuals,
+        orientation_residuals=rot_residuals,
+        limit_violation_count=len(check_limits(skeleton, pose)),
+        objective_trace=trace,
+    )
+    return pose, report
 
 
 def retarget_frame(
@@ -270,76 +289,31 @@ def retarget_frame(
 ):
     """Solve one frame; returns (robot Pose, RetargetReport).
 
-    The returned pose is hard-projected into the joint limits after the
-    solve, so its limit-violation count is always zero.
+    Targets are the scaled human marker positions and frames. The returned
+    pose is hard-projected into the joint limits after the solve, so its
+    limit-violation count is always zero.
     """
-    pos_targets, rot_targets, root_position, root_orientation = _targets(
-        human_skeleton, human_pose, corr
-    )
-    robot_refs = {
-        pair.robot: resolve_marker(robot_skeleton, pair.robot) for pair in corr.pairs
-    }
+    res = fk(human_skeleton, human_pose)
+    terms = []
+    for pair in corr.pairs:
+        j, offset = resolve_marker(human_skeleton, pair.human)
+        point = corr.scale * res.point(j, offset)
+        frame = res.rotations[j] if pair.orientation_weight > 0 else None
+        terms.append((pair, resolve_marker(robot_skeleton, pair.robot), point, frame))
     x0 = (
         warm_start.joint_values
         if warm_start is not None
         else np.zeros(robot_skeleton.total_dof)
     )
-
-    w_ref = np.sqrt(opts.reference_weight) if opts.reference_weight > 0 else 0.0
-    w_smooth = (
-        np.sqrt(opts.smoothness_weight)
-        if (opts.smoothness_weight > 0 and smooth_to is not None)
-        else 0.0
+    return _solve(
+        robot_skeleton,
+        corr.scale * res.positions[0],
+        Rotation(res.rotations[0]),
+        terms,
+        x0,
+        opts,
+        smooth_to,
     )
-
-    def residual(values):
-        res = fk(robot_skeleton, Pose(root_position, root_orientation, values))
-        parts = []
-        for pair in corr.pairs:
-            j, offset = robot_refs[pair.robot]
-            if pair.position_weight > 0:
-                world = res.positions[j] + res.rotations[j] @ offset
-                parts.append(
-                    np.sqrt(pair.position_weight) * (world - pos_targets[pair.human])
-                )
-            if pair.orientation_weight > 0:
-                err = res.rotations[j].T @ rot_targets[pair.human]
-                parts.append(np.sqrt(pair.orientation_weight) * _log_map(err))
-        parts.append(_limit_residuals(robot_skeleton, values, opts))
-        if w_smooth:
-            parts.append(w_smooth * (values - smooth_to))
-        if w_ref:
-            parts.append(w_ref * values)
-        return np.concatenate(parts)
-
-    x, trace, iterations, converged = _gauss_newton(residual, x0, opts)
-    x = _project_to_limits(robot_skeleton, x)
-    pose = Pose(root_position, root_orientation, x)
-
-    res = fk(robot_skeleton, pose)
-    pos_residuals = {}
-    rot_residuals = {}
-    for pair in corr.pairs:
-        j, offset = robot_refs[pair.robot]
-        world = res.positions[j] + res.rotations[j] @ offset
-        pos_residuals[pair.robot] = float(
-            np.linalg.norm(world - pos_targets[pair.human])
-        )
-        if pair.orientation_weight > 0:
-            rot_residuals[pair.robot] = float(
-                np.linalg.norm(_log_map(res.rotations[j].T @ rot_targets[pair.human]))
-            )
-    r = residual(x)
-    report = RetargetReport(
-        objective=float(r @ r),
-        iterations=iterations,
-        converged=converged,
-        position_residuals=pos_residuals,
-        orientation_residuals=rot_residuals,
-        limit_violation_count=len(check_limits(robot_skeleton, pose)),
-        objective_trace=trace,
-    )
-    return pose, report
 
 
 def retarget_sequence(
@@ -401,12 +375,16 @@ def retarget_hand(
 ):
     """Solve hand joint angles so fingertip markers reach the given points.
 
-    The wrist (hand-skeleton root) transform is held fixed; only fingertip
-    position terms and the joint-limit regularizer enter the objective.
+    `fingertip_pairs` are CorrespondencePairs naming the robot markers, one
+    per target point, weighted by `position_weight`. The wrist (hand-skeleton
+    root) transform is held fixed; only fingertip position terms and the
+    joint-limit regularizer enter the objective.
     """
     fingertip_pairs = tuple(fingertip_pairs)
     if not fingertip_pairs:
         raise ValidationError("need at least one fingertip pair")
+    if any(p.orientation_weight > 0 for p in fingertip_pairs):
+        raise ValidationError("fingertip targets are points: pairs take no orientation weight")
     targets = [np.asarray(t, dtype=float).reshape(3) for t in fingertip_targets]
     if len(targets) != len(fingertip_pairs):
         raise ValidationError(
@@ -416,17 +394,16 @@ def retarget_hand(
         np.zeros(3) if wrist_position is None else np.asarray(wrist_position, float)
     )
     root_orientation = wrist_orientation or Rotation.identity()
-    refs = [resolve_marker(hand_skeleton, p.robot) for p in fingertip_pairs]
-
-    def residual(values):
-        res = fk(hand_skeleton, Pose(root_position, root_orientation, values))
-        parts = []
-        for (j, offset), pair, target in zip(refs, fingertip_pairs, targets):
-            world = res.positions[j] + res.rotations[j] @ offset
-            parts.append(np.sqrt(pair.weight) * (world - target))
-        parts.append(_limit_residuals(hand_skeleton, values, opts))
-        return np.concatenate(parts)
-
-    x, _, _, _ = _gauss_newton(residual, np.zeros(hand_skeleton.total_dof), opts)
-    x = _project_to_limits(hand_skeleton, x)
-    return Pose(root_position, root_orientation, x)
+    terms = [
+        (p, resolve_marker(hand_skeleton, p.robot), target, None)
+        for p, target in zip(fingertip_pairs, targets)
+    ]
+    pose, _ = _solve(
+        hand_skeleton,
+        root_position,
+        root_orientation,
+        terms,
+        np.zeros(hand_skeleton.total_dof),
+        replace(opts, reference_weight=0.0),
+    )
+    return pose

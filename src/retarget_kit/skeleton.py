@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import MissingDefault, PoseMismatch, ValidationError
+from .errors import MissingDefault, PoseMismatch, UnresolvableCorrespondence, ValidationError
 from .rotations import Rotation, _rodrigues_matrix
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
@@ -45,7 +45,12 @@ class Joint:
             if abs(n - 1.0) > 1e-6:
                 raise ValidationError(f"joint '{self.name}': revolute axis norm {n} != 1")
             object.__setattr__(self, "axis", ax / n)
-        lim = tuple((float(lo), float(hi)) for lo, hi in self.limits)
+        try:
+            lim = tuple((float(lo), float(hi)) for lo, hi in self.limits)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"joint '{self.name}': limits must be [min, max] pairs of numbers"
+            ) from None
         if lim and len(lim) != DOF_COUNTS[self.dof]:
             raise ValidationError(
                 f"joint '{self.name}': {len(lim)} limit pairs for {DOF_COUNTS[self.dof]} DoF"
@@ -170,13 +175,23 @@ class JointTrajectory:
 class FkResult:
     positions: np.ndarray  # (J, 3) world
     rotations: np.ndarray  # (J, 3, 3) world
-    markers: dict
 
-    def position(self, skeleton, name):
-        return self.positions[skeleton.index[name]]
+    def point(self, joint_index, offset):
+        """World position of a point fixed at `offset` in a joint's frame."""
+        return self.positions[joint_index] + self.rotations[joint_index] @ offset
 
-    def rotation(self, skeleton, name):
-        return Rotation(self.rotations[skeleton.index[name]])
+
+def resolve_marker(skeleton, name):
+    """(joint index, local offset) of a marker, falling back to a joint name."""
+    m = skeleton.markers.get(name)
+    if m is not None:
+        return skeleton.index[m.joint], m.offset
+    i = skeleton.index.get(name)
+    if i is None:
+        raise UnresolvableCorrespondence(
+            f"'{name}' is neither a marker nor a joint of skeleton '{skeleton.name}'"
+        )
+    return i, np.zeros(3)
 
 
 def _local_matrix(joint, values):
@@ -191,7 +206,7 @@ def _local_matrix(joint, values):
 
 
 def fk(skeleton, pose):
-    """World transforms of all joints and markers for one pose.
+    """World transforms of all joints for one pose.
 
     Child transform = parent o translate(rest offset) o joint rotation;
     the root transform is (root_position, root_orientation) composed with
@@ -213,11 +228,7 @@ def fk(skeleton, pose):
         else:
             pos[i] = pos[p] + rot[p] @ joint.offset
             rot[i] = rot[p] @ local
-    markers = {
-        m.name: pos[skeleton.index[m.joint]] + rot[skeleton.index[m.joint]] @ m.offset
-        for m in skeleton.markers.values()
-    }
-    return FkResult(pos, rot, markers)
+    return FkResult(pos, rot)
 
 
 def _intrinsic_xyz_euler(m):
@@ -240,6 +251,22 @@ class LimitViolation:
     amount: float  # signed exceedance, radians
 
 
+def limited_dofs(skeleton, values):
+    """Yield (joint, k, value, lo, hi) for every limited DoF of a joint-value vector.
+
+    Spherical joints yield their intrinsic XYZ Euler angles, the values
+    their limits are stated on.
+    """
+    for i, joint in enumerate(skeleton.joints):
+        if not joint.limits:
+            continue
+        vals = values[skeleton.dof_slices[i]]
+        if joint.dof == "spherical":
+            vals = _intrinsic_xyz_euler(_local_matrix(joint, vals))
+        for k, (lo, hi) in enumerate(joint.limits):
+            yield joint, k, vals[k], lo, hi
+
+
 def check_limits(skeleton, pose):
     """Signed limit exceedances; empty list iff every DoF is inside [min, max]."""
     if len(pose.joint_values) != skeleton.total_dof:
@@ -247,18 +274,11 @@ def check_limits(skeleton, pose):
             f"pose has {len(pose.joint_values)} values, skeleton needs {skeleton.total_dof}"
         )
     out = []
-    for i, joint in enumerate(skeleton.joints):
-        if not joint.limits:
-            continue
-        values = pose.joint_values[skeleton.dof_slices[i]]
-        if joint.dof == "spherical":
-            values = _intrinsic_xyz_euler(_local_matrix(joint, values))
-        for k, (lo, hi) in enumerate(joint.limits):
-            v = values[k]
-            if v > hi:
-                out.append(LimitViolation(joint.name, k, float(v - hi)))
-            elif v < lo:
-                out.append(LimitViolation(joint.name, k, float(v - lo)))
+    for joint, k, v, lo, hi in limited_dofs(skeleton, pose.joint_values):
+        if v > hi:
+            out.append(LimitViolation(joint.name, k, float(v - hi)))
+        elif v < lo:
+            out.append(LimitViolation(joint.name, k, float(v - lo)))
     return out
 
 

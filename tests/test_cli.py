@@ -197,6 +197,32 @@ class TestQuantizeAndFeatures:
         assert report["dimension"] == 8 + 12 * 2
 
 
+def bad_limit_arity(workdir, monkeypatch):
+    skel = json.loads((workdir / "skel.skel").read_text())
+    skel["joints"][1]["limits"] = [[-1.0, 0.0, 1.0]] * 3
+    (workdir / "bad.skel").write_text(json.dumps(skel))
+    argv = ["fk", "--skel", workdir / "bad.skel", "--motion", workdir / "traj.motion",
+            "--out", workdir / "x.motion"]
+    return argv, "limits must be [min, max] pairs"
+
+
+def bad_seed_env(workdir, monkeypatch):
+    save_feature_matrix(FeatureMatrix(np.eye(8)), workdir / "a.mat")
+    monkeypatch.setenv("RETARGET_KIT_SEED", "1.5")
+    argv = ["metrics", "gen", "--reference", workdir / "a.mat", "--generated", workdir / "a.mat"]
+    return argv, "RETARGET_KIT_SEED must be an integer"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("bad_input", [bad_limit_arity, bad_seed_env])
+    def test_bad_input_exits_2(self, workdir, monkeypatch, capsys, bad_input):
+        argv, message = bad_input(workdir, monkeypatch)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         out = subprocess.run(

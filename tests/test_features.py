@@ -130,13 +130,9 @@ class TestContacts:
 
     def test_custom_marker_names(self):
         skel = make_legged()
-        out = build_pose_features(
-            skel,
-            [pose_at(skel)] * 2,
-            30.0,
-            contact_markers=("l_toe", "r_toe"),
-        )
-        assert out.shape[1] == 4 + 12 * 2 + 2
+        markers = ("l_toe", "r_toe")
+        out = build_pose_features(skel, [pose_at(skel)] * 2, 30.0, contact_markers=markers)
+        assert out.shape[1] == feature_dimension(skel, markers) == 4 + 12 * 2 + 2
 
 
 class TestValidation:

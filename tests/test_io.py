@@ -10,7 +10,6 @@ from retarget_kit import (
     DofChannel,
     DofConfig,
     FeatureMatrix,
-    FingertipPair,
     JointTrajectory,
     Pose,
     TokenSequence,
@@ -175,7 +174,6 @@ class TestCorrespondenceIo:
     def test_round_trip(self, tmp_path):
         corr = CorrespondenceSet(
             (CorrespondencePair("l_wrist", "wrist", 1.0, 0.5),),
-            (FingertipPair("l_index", "index_tip", 2.0),),
             scale=0.83,
         )
         p = tmp_path / "c.map"
@@ -183,7 +181,7 @@ class TestCorrespondenceIo:
         back = load_correspondence(p)
         assert back.scale == 0.83
         assert back.pairs[0].orientation_weight == 0.5
-        assert back.fingertips[0].weight == 2.0
+        assert "fingertips" not in json.loads(p.read_text())
 
     def test_null_scale_derived_from_chains(self, tmp_path):
         human = Skeleton(
@@ -279,6 +277,15 @@ class TestCodebookIo:
         back = load_tokens(p)
         assert np.array_equal(back.indices, t.indices)
         assert back.downsample_factor == 4
+
+    @pytest.mark.parametrize(
+        "indices", [["a"], [1.5], [1.0], [True], [[1, 2]], 3, [2**70]]
+    )
+    def test_tokens_reject_non_integer_indices(self, tmp_path, indices):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"format": "tokens", "version": 1, "indices": indices}))
+        with pytest.raises(ParseError):
+            load_tokens(p)
 
 
 class TestFeatureMatrixIo:

@@ -4,7 +4,6 @@ import pytest
 from retarget_kit import (
     CorrespondencePair,
     CorrespondenceSet,
-    FingertipPair,
     Pose,
     Rotation,
     RetargetOptions,
@@ -18,7 +17,8 @@ from retarget_kit.errors import (
     UnresolvableCorrespondence,
     ValidationError,
 )
-from retarget_kit.skeleton import Joint, Marker, Skeleton, fk
+from retarget_kit.retarget import _limit_residuals
+from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, limited_dofs, resolve_marker
 
 from conftest import make_humanlike, twist_free_pose
 
@@ -91,6 +91,29 @@ class TestRetargetFrame:
         )
         assert out.joint_values[0] == 0.5
         assert report.limit_violation_count == 0
+
+    def test_spherical_barrier_covers_violations(self):
+        limits = ((-0.3, 0.3), (-0.2, 0.2), (-0.1, 0.1))
+        skel = Skeleton(
+            [
+                Joint("root", None, [0, 0, 0]),
+                Joint("s", "root", [0, 1, 0], dof="spherical", limits=limits),
+                Joint("tip", "s", [0, 1, 0]),
+            ]
+        )
+        # intrinsic XYZ Euler angles (0.5, -0.4, 0.3): every DoF past its limit
+        m = (
+            Rotation.from_axis_angle([1, 0, 0], 0.5).matrix
+            @ Rotation.from_axis_angle([0, 1, 0], -0.4).matrix
+            @ Rotation.from_axis_angle([0, 0, 1], 0.3).matrix
+        )
+        values = Rotation.from_matrix(m).as_rotvec()
+        violations = check_limits(skel, Pose(np.zeros(3), Rotation.identity(), values))
+        assert len(violations) == 3
+        rows = _limit_residuals(skel, values, RetargetOptions()).reshape(-1, 2)
+        dofs = [(joint.name, k) for joint, k, *_ in limited_dofs(skel, values)]
+        for v in violations:
+            assert rows[dofs.index((v.joint, v.dof_index))].max() > 0
 
     def test_monotone_objective(self, humanlike, rng):
         pose = twist_free_pose(humanlike, rng)
@@ -208,20 +231,27 @@ def make_finger():
     return Skeleton(joints, [Marker("tip", "f_b", [0.04, 0, 0])])
 
 
+TIP_PAIR = CorrespondencePair("h_tip", "tip")
+
+
+def tip_position(hand, pose):
+    return fk(hand, pose).point(*resolve_marker(hand, "tip"))
+
+
 class TestRetargetHand:
     def test_zero_pose_fingertips(self):
         hand = make_finger()
-        tip = fk(hand, hand.zero_pose()).markers["tip"]
-        pose = retarget_hand([tip], hand, [FingertipPair("h_tip", "tip")])
+        tip = tip_position(hand, hand.zero_pose())
+        pose = retarget_hand([tip], hand, [TIP_PAIR])
         assert np.max(np.abs(pose.joint_values)) < 1e-6
 
     def test_round_trip_random_pose(self, rng):
         hand = make_finger()
         for _ in range(10):
             q = rng.uniform(-1.0, 1.0, size=2)
-            target = fk(hand, Pose(np.zeros(3), Rotation.identity(), q)).markers["tip"]
-            pose = retarget_hand([target], hand, [FingertipPair("h_tip", "tip")])
-            tip = fk(hand, pose).markers["tip"]
+            target = tip_position(hand, Pose(np.zeros(3), Rotation.identity(), q))
+            pose = retarget_hand([target], hand, [TIP_PAIR])
+            tip = tip_position(hand, pose)
             assert np.linalg.norm(tip - target) < 1e-3
             assert check_limits(hand, pose) == []
 
@@ -229,9 +259,9 @@ class TestRetargetHand:
         hand = make_finger()
         target = np.array([0.2, 0.0, 0.0])  # reach is 0.03 + 0.08 = 0.11
         pose = retarget_hand(
-            [target], hand, [FingertipPair("h_tip", "tip")], RetargetOptions(limit_weight=0.0)
+            [target], hand, [TIP_PAIR], RetargetOptions(limit_weight=0.0)
         )
-        tip = fk(hand, pose).markers["tip"]
+        tip = tip_position(hand, pose)
         residual = np.linalg.norm(tip - target)
         assert residual == pytest.approx(0.09, rel=0.05)
         assert check_limits(hand, pose) == []
@@ -241,17 +271,23 @@ class TestRetargetHand:
         wrist_pos = np.array([0.1, 0.2, 0.3])
         wrist_rot = Rotation.from_axis_angle([0, 1, 0], 0.7)
         q = rng.uniform(-1.0, 1.0, size=2)
-        target = fk(hand, Pose(wrist_pos, wrist_rot, q)).markers["tip"]
+        target = tip_position(hand, Pose(wrist_pos, wrist_rot, q))
         pose = retarget_hand(
             [target],
             hand,
-            [FingertipPair("h_tip", "tip")],
+            [TIP_PAIR],
             wrist_position=wrist_pos,
             wrist_orientation=wrist_rot,
         )
         assert np.allclose(pose.root_position, wrist_pos)
-        assert np.linalg.norm(fk(hand, pose).markers["tip"] - target) < 1e-3
+        assert np.linalg.norm(tip_position(hand, pose) - target) < 1e-3
 
     def test_no_pairs_raises(self):
         with pytest.raises(ValidationError):
             retarget_hand([], make_finger(), [])
+
+    def test_orientation_weight_rejected(self):
+        hand = make_finger()
+        pair = CorrespondencePair("h_tip", "tip", 1.0, 0.5)
+        with pytest.raises(ValidationError, match="orientation"):
+            retarget_hand([tip_position(hand, hand.zero_pose())], hand, [pair])

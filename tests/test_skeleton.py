@@ -14,7 +14,7 @@ from retarget_kit import (
     remap_dofs,
 )
 from retarget_kit.errors import MissingDefault, PoseMismatch, ValidationError
-from retarget_kit.skeleton import Marker, _intrinsic_xyz_euler
+from retarget_kit.skeleton import Marker, _intrinsic_xyz_euler, resolve_marker
 
 from conftest import make_chain, make_random_tree, random_rotation
 
@@ -127,7 +127,8 @@ class TestFk:
             [Marker("tip", "a", [0, 0.5, 0])],
         )
         res = fk(skel, skel.zero_pose())
-        assert np.allclose(res.markers["tip"], [0, 1.5, 0])
+        assert np.allclose(res.point(*resolve_marker(skel, "tip")), [0, 1.5, 0])
+        assert np.allclose(res.point(*resolve_marker(skel, "a")), [0, 1, 0])
 
 
 class TestLimits:
