@@ -41,6 +41,15 @@ def _require_kind(motion, kind, flag):
         raise ValidationError(f"{flag}: expected a {kind} motion, got {motion.kind}")
 
 
+def _require_skeleton(motion, skel, flag):
+    """A motion naming a skeleton must be paired with that skeleton; unnamed ones pass."""
+    if motion.skeleton is not None and skel.name is not None and motion.skeleton != skel.name:
+        raise ValidationError(
+            f"{flag} is a motion of skeleton '{motion.skeleton}', "
+            f"but the paired skeleton is '{skel.name}'"
+        )
+
+
 # --- subcommands -------------------------------------------------------
 
 
@@ -48,6 +57,7 @@ def cmd_fk(args):
     skel = io.load_skeleton(args.skel)
     motion = io.load_motion(args.motion)
     _require_kind(motion, "trajectory", "--motion")
+    _require_skeleton(motion, skel, "--motion")
     frames = np.array([fk(skel, p).positions for p in motion.trajectory.poses])
     labels = [j.name for j in skel.joints]
     io.save_motion(
@@ -62,6 +72,7 @@ def cmd_ik(args):
     skel = io.load_skeleton(args.skel)
     motion = io.load_motion(args.motion)
     _require_kind(motion, "keypoints", "--motion")
+    _require_skeleton(motion, skel, "--motion")
     frames = [KeypointFrame(p, motion.labels) for p in motion.keypoints]
     poses = reconstruct_sequence(
         skel, frames, hemisphere_continuity=not args.no_continuity
@@ -78,6 +89,7 @@ def cmd_retarget(args):
     robot_skel = io.load_skeleton(args.robot_skel)
     motion = io.load_motion(args.human)
     _require_kind(motion, "trajectory", "--human")
+    _require_skeleton(motion, human_skel, "--human")
     corr = io.load_correspondence(args.map, human_skel, robot_skel)
     opts = RetargetOptions(
         limit_weight=args.limit_weight,
@@ -109,6 +121,9 @@ def cmd_retarget(args):
                         "objective": r.objective,
                         "iterations": r.iterations,
                         "converged": r.converged,
+                        "termination": r.termination,
+                        "residual_evals": r.residual_evals,
+                        "jacobian_evals": r.jacobian_evals,
                         "position_residuals": r.position_residuals,
                         "orientation_residuals": r.orientation_residuals,
                     }
@@ -204,6 +219,7 @@ def cmd_features(args):
     skel = io.load_skeleton(args.skel)
     motion = io.load_motion(args.motion)
     _require_kind(motion, "trajectory", "--motion")
+    _require_skeleton(motion, skel, "--motion")
     values = features_mod.build_pose_features(
         skel,
         motion.trajectory.poses,

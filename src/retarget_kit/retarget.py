@@ -4,10 +4,10 @@ Each frame minimizes a weighted least-squares objective over the robot
 joint values: position terms pull corresponding markers toward the scaled
 human targets, orientation terms penalize the geodesic frame error, and
 regularizers cover joint limits, frame-to-frame smoothness, and a
-reference posture. The solver is damped Gauss-Newton with central
-finite-difference Jacobians and backtracking on the damping parameter;
-accepted steps never increase the objective. The root transform is taken
-from the scaled human root and is not optimized.
+reference posture. The solver is damped Gauss-Newton with analytic
+Jacobians (one forward-kinematics pass per iteration) and backtracking on
+the damping parameter; accepted steps never increase the objective. The
+root transform is taken from the scaled human root and is not optimized.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteObjective, ValidationError
-from .rotations import Rotation
+from .rotations import Rotation, _right_jacobian, _right_jacobian_inv
 from .skeleton import (
     JointTrajectory,
     Pose,
@@ -31,7 +31,7 @@ from .skeleton import (
 )
 
 LIMIT_MARGIN = 0.05  # the limit barrier starts this far inside each limit, radians
-FD_STEP = 1e-6  # central finite-difference step of the Jacobian
+EULER_STEP = 1e-6  # central-difference step of the Euler-angle map of limited spherical joints
 DAMPING_INIT = 1e-3
 DAMPING_INCREASE = 10.0  # damping factor after a rejected step
 DAMPING_DECREASE = 3.0  # damping divisor after an accepted step
@@ -86,16 +86,39 @@ class RetargetOptions:
             raise ValidationError("max_iterations must be >= 1")
 
 
+TERMINATIONS = ("converged", "stalled", "max_iterations", "carried_forward")
+
+
 @dataclass
 class RetargetReport:
+    """How one frame's solve went.
+
+    `objective` is the objective at the returned pose, after projection
+    into the joint limits; `objective_trace` holds the solver's accepted
+    iterates, before projection. `termination` is one of TERMINATIONS:
+    the gradient fell below tolerance, no damping gave descent, the
+    iteration cap was hit, or the frame failed numerically and repeats the
+    previous solution. `residual_evals` and `jacobian_evals` count the
+    evaluations the solve made.
+    """
+
     objective: float
     iterations: int
-    converged: bool
+    termination: str
+    residual_evals: int
+    jacobian_evals: int
     position_residuals: dict
     orientation_residuals: dict
     limit_violation_count: int
     objective_trace: list
-    carried_forward: bool = False
+
+    @property
+    def converged(self):
+        return self.termination == "converged"
+
+    @property
+    def carried_forward(self):
+        return self.termination == "carried_forward"
 
 
 def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
@@ -114,12 +137,13 @@ def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
     return r / h
 
 
-def _gauss_newton(residual_fn, x0, opts):
-    """Damped Gauss-Newton with central-difference Jacobians.
+def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
+    """Damped Gauss-Newton on the residual and its Jacobian.
 
-    Returns (x, objective_trace, iterations, converged). Accepted steps are
-    monotone nonincreasing in the objective; `converged` means the gradient
-    infinity-norm dropped below tolerance.
+    Returns (x, objective_trace, iterations, termination). Accepted steps
+    are monotone nonincreasing in the objective; termination is
+    "converged" once the gradient infinity-norm drops below tolerance,
+    "stalled" when no damping gives descent, else "max_iterations".
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
@@ -128,26 +152,17 @@ def _gauss_newton(residual_fn, x0, opts):
         raise NonFiniteObjective(f"objective at start point is {f}")
     trace = [f]
     mu = DAMPING_INIT
-    converged = False
-    n = len(x)
+    termination = "max_iterations"
     iterations = 0
-    eye = np.eye(n)
+    eye = np.eye(len(x))
     for _ in range(opts.max_iterations):
         iterations += 1
-        jac = np.empty((len(r), n))
-        h = FD_STEP
-        for i in range(n):
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            jac[:, i] = (residual_fn(xp) - residual_fn(xm)) / (2.0 * h)
-        g = 2.0 * (jac.T @ r)
-        if np.max(np.abs(g)) < opts.gradient_tol:
-            converged = True
+        jac = jacobian_fn(x)
+        jtr = jac.T @ r
+        if np.max(np.abs(2.0 * jtr)) < opts.gradient_tol:
+            termination = "converged"
             break
         jtj = jac.T @ jac
-        jtr = jac.T @ r
         accepted = False
         while mu <= DAMPING_MAX:
             try:
@@ -166,21 +181,68 @@ def _gauss_newton(residual_fn, x0, opts):
                 break
             mu *= DAMPING_INCREASE
         if not accepted:
-            break  # no descent direction at any damping: local minimum
-    return x, trace, iterations, converged
+            termination = "stalled"
+            break
+    return x, trace, iterations, termination
+
+
+def _barrier_bounds(lo, hi):
+    """Where the limit barrier starts: LIMIT_MARGIN inside each limit, less on narrow ranges."""
+    margin = min(LIMIT_MARGIN, 0.25 * (hi - lo))
+    return lo + margin, hi - margin
 
 
 def _limit_residuals(skeleton, values, opts):
-    """One-sided quadratic barrier starting LIMIT_MARGIN inside each limit."""
+    """One-sided quadratic barrier starting inside each limit, two rows per limited DoF."""
     if opts.limit_weight == 0:
         return np.zeros(0)
     w = np.sqrt(opts.limit_weight)
     out = []
     for _, _, v, lo, hi in limited_dofs(skeleton, values):
-        margin = min(LIMIT_MARGIN, 0.25 * (hi - lo))
-        out.append(w * max(0.0, v - (hi - margin)))
-        out.append(w * max(0.0, (lo + margin) - v))
+        lo, hi = _barrier_bounds(lo, hi)
+        out.append(w * max(0.0, v - hi))
+        out.append(w * max(0.0, lo - v))
     return np.array(out)
+
+
+def _limited_value_gradient(skeleton, joint, k, values):
+    """Gradient over all joint values of the k-th limited value of `joint`.
+
+    A revolute value is its own joint value. A spherical joint's limited
+    values are Euler angles of its rotation vector; that map is cheap and
+    calls no forward kinematics, so it is central-differenced.
+    """
+    sl = skeleton.dof_slices[skeleton.index[joint.name]]
+    grad = np.zeros(len(values))
+    if joint.dof == "revolute":
+        grad[sl] = 1.0
+        return grad
+    v = values[sl]
+    for m in range(3):
+        h = np.zeros(3)
+        h[m] = EULER_STEP
+        up = _intrinsic_xyz_euler(_local_matrix(joint, v + h))[k]
+        down = _intrinsic_xyz_euler(_local_matrix(joint, v - h))[k]
+        grad[sl.start + m] = (up - down) / (2.0 * EULER_STEP)
+    return grad
+
+
+def _limit_jacobian(skeleton, values, opts):
+    """Jacobian of `_limit_residuals`: +-sqrt(limit_weight) times the gradient on active rows."""
+    n = len(values)
+    if opts.limit_weight == 0:
+        return np.zeros((0, n))
+    w = np.sqrt(opts.limit_weight)
+    rows = []
+    for joint, k, v, lo, hi in limited_dofs(skeleton, values):
+        lo, hi = _barrier_bounds(lo, hi)
+        upper, lower = np.zeros(n), np.zeros(n)
+        if v > hi:
+            upper = w * _limited_value_gradient(skeleton, joint, k, values)
+        elif v < lo:
+            lower = -w * _limited_value_gradient(skeleton, joint, k, values)
+        rows += [upper, lower]
+    return np.array(rows).reshape(-1, n)
 
 
 def _project_to_limits(skeleton, values):
@@ -220,6 +282,72 @@ def _term_errors(res, marker, point, frame):
     return position, Rotation(res.rotations[j].T @ frame).as_rotvec()
 
 
+def _term_jacobian(skeleton, terms):
+    """Rows of the term residuals' Jacobian, as a function of (FkResult, values).
+
+    Joint k's DoF turn joint k and everything below it at world angular
+    rates, one 3-vector per column: R_k axis for a revolute DoF, the
+    columns of R_k J_r(phi) for a spherical rotation vector phi. A marker x
+    on joint k or below then moves at rate x (x - p_k), and an orientation
+    error e = log(R_j^T R_t) at -J_r^{-1}(e) R_t^T rate. Columns of joints
+    that are not on the marker joint's path to the root are zero; that mask
+    and the row layout are fixed per solve and built here once.
+    """
+    n = skeleton.total_dof
+    col_joint = np.repeat(
+        np.arange(len(skeleton.joints)), [j.dof_count for j in skeleton.joints]
+    )
+    revolute = np.array(
+        [i for i, j in enumerate(skeleton.joints) if j.dof == "revolute"], dtype=int
+    )
+    rev_col = np.array([skeleton.dof_slices[i].start for i in revolute], dtype=int)
+    rev_axis = np.array([skeleton.joints[i].axis for i in revolute]).reshape(-1, 3)
+    spherical = [
+        (i, skeleton.dof_slices[i])
+        for i, j in enumerate(skeleton.joints)
+        if j.dof == "spherical"
+    ]
+    marker_joint = np.array([marker[0] for _, marker, _, _ in terms], dtype=int)
+    marker_offset = np.array([marker[1] for _, marker, _, _ in terms])
+    mask = np.zeros((len(terms), n))
+    for t, j in enumerate(marker_joint):
+        while j >= 0:
+            mask[t, col_joint == j] = 1.0
+            j = skeleton.parent_index[j]
+    position_scale = mask * np.array([np.sqrt(p.position_weight) for p, *_ in terms])[:, None]
+    orientation = []
+    keep = []  # rows of the (term, 6) stack that the residual has, in its order
+    for t, (pair, _, _, frame) in enumerate(terms):
+        if pair.position_weight > 0:
+            keep += [6 * t, 6 * t + 1, 6 * t + 2]
+        if frame is not None:
+            keep += [6 * t + 3, 6 * t + 4, 6 * t + 5]
+            orientation.append((t, np.sqrt(pair.orientation_weight), frame))
+    keep = np.array(keep, dtype=int)
+
+    def rows(res, values):
+        rates = np.empty((n, 3))
+        rates[rev_col] = np.einsum("cij,cj->ci", res.rotations[revolute], rev_axis)
+        for i, sl in spherical:
+            rates[sl] = (res.rotations[i] @ _right_jacobian(values[sl])).T
+        markers = res.positions[marker_joint] + np.einsum(
+            "tij,tj->ti", res.rotations[marker_joint], marker_offset
+        )
+        lever = markers[:, None, :] - res.positions[col_joint]  # (term, column, 3)
+        out = np.zeros((len(terms), 6, n))
+        w0, w1, w2 = rates.T
+        out[:, 0] = w1 * lever[..., 2] - w2 * lever[..., 1]
+        out[:, 1] = w2 * lever[..., 0] - w0 * lever[..., 2]
+        out[:, 2] = w0 * lever[..., 1] - w1 * lever[..., 0]
+        out[:, :3] *= position_scale[:, None, :]
+        for t, w, frame in orientation:
+            e = Rotation(res.rotations[marker_joint[t]].T @ frame).as_rotvec()
+            out[t, 3:] = (-w * _right_jacobian_inv(e) @ frame.T) @ (rates.T * mask[t])
+        return out.reshape(-1, n)[keep]
+
+    return rows
+
+
 def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to=None):
     """Minimize the retarget objective over joint values with the root held fixed.
 
@@ -236,8 +364,12 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
         if (opts.smoothness_weight > 0 and smooth_to is not None)
         else 0.0
     )
+    term_rows = _term_jacobian(skeleton, terms)
+    eye = np.eye(skeleton.total_dof)
+    evals = {"residual": 0, "jacobian": 0}
 
     def residual(values):
+        evals["residual"] += 1
         res = fk(skeleton, Pose(root_position, root_orientation, values))
         parts = []
         for pair, marker, point, frame in terms:
@@ -253,7 +385,17 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
             parts.append(w_ref * values)
         return np.concatenate(parts)
 
-    x, trace, iterations, converged = _gauss_newton(residual, x0, opts)
+    def jacobian(values):
+        evals["jacobian"] += 1
+        res = fk(skeleton, Pose(root_position, root_orientation, values))
+        parts = [term_rows(res, values), _limit_jacobian(skeleton, values, opts)]
+        if w_smooth:
+            parts.append(w_smooth * eye)
+        if w_ref:
+            parts.append(w_ref * eye)
+        return np.concatenate(parts)
+
+    x, trace, iterations, termination = _gauss_newton(residual, jacobian, x0, opts)
     x = _project_to_limits(skeleton, x)
     pose = Pose(root_position, root_orientation, x)
 
@@ -269,7 +411,9 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
     report = RetargetReport(
         objective=float(r @ r),
         iterations=iterations,
-        converged=converged,
+        termination=termination,
+        residual_evals=evals["residual"],
+        jacobian_evals=evals["jacobian"],
         position_residuals=pos_residuals,
         orientation_residuals=rot_residuals,
         limit_violation_count=len(check_limits(skeleton, pose)),
@@ -352,12 +496,13 @@ def retarget_sequence(
             report = RetargetReport(
                 objective=float("nan"),
                 iterations=0,
-                converged=False,
+                termination="carried_forward",
+                residual_evals=1,  # the non-finite start point
+                jacobian_evals=0,
                 position_residuals={},
                 orientation_residuals={},
                 limit_violation_count=0,
                 objective_trace=[],
-                carried_forward=True,
             )
         poses.append(pose)
         reports.append(report)

@@ -39,6 +39,36 @@ def _rodrigues_matrix(axis, angle):
     return _EYE3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def _right_jacobian(phi):
+    """J_r(phi), with Exp(phi + d) ~ Exp(phi) Exp(J_r(phi) d) for small d.
+
+    Right Jacobian of SO(3) per Sola, Deray & Atchuthan, "A micro Lie
+    theory for state estimation in robotics" (arXiv:1812.01537); a series
+    replaces the closed form near phi = 0.
+    """
+    theta = np.linalg.norm(phi)
+    k = _hat(phi)
+    if theta < 1e-4:
+        a = 0.5 - theta * theta / 24.0
+        b = 1.0 / 6.0 - theta * theta / 120.0
+    else:
+        a = (1.0 - np.cos(theta)) / (theta * theta)
+        b = (theta - np.sin(theta)) / theta**3
+    return _EYE3 - a * k + b * (k @ k)
+
+
+def _right_jacobian_inv(phi):
+    """Inverse of `_right_jacobian`; finite for every angle up to pi."""
+    theta = np.linalg.norm(phi)
+    k = _hat(phi)
+    if theta < 1e-4:
+        c = 1.0 / 12.0 + theta * theta / 720.0
+    else:
+        # (1 + cos t) / (2 t sin t) written with tan(t/2) stays finite at t = pi.
+        c = 1.0 / (theta * theta) - 1.0 / (2.0 * theta * np.tan(0.5 * theta))
+    return _EYE3 + 0.5 * k + c * (k @ k)
+
+
 @dataclass(frozen=True)
 class Rotation:
     """One orientation in SO(3), canonically stored as a 3x3 matrix.

@@ -21,6 +21,7 @@ from retarget_kit import (
     trajectory_motion,
 )
 from retarget_kit.cli import main
+from retarget_kit.retarget import TERMINATIONS
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
 from conftest import make_humanlike, twist_free_pose
@@ -95,16 +96,22 @@ class TestRetarget:
         assert report["max_position_residual"] < 1e-6
         assert report["limit_violations"] == 0
         assert report["carried_forward"] == 0
+        for frame in report["per_frame"]:
+            assert frame["termination"] in TERMINATIONS
+            assert frame["jacobian_evals"] == frame["iterations"]
+            assert frame["residual_evals"] > frame["iterations"]
 
     def test_rerun_byte_identical(self, workdir):
-        argv = ["retarget", "--human", workdir / "traj.motion",
-                "--human-skel", workdir / "skel.skel", "--robot-skel", workdir / "skel.skel",
-                "--map", workdir / "self.map", "--out", workdir / "a.motion"]
-        assert run(argv) == 0
-        first = (workdir / "a.motion").read_bytes()
-        argv[-1] = workdir / "b.motion"
-        assert run(argv) == 0
-        assert first == (workdir / "b.motion").read_bytes()
+        def argv(name):
+            return ["retarget", "--human", workdir / "traj.motion",
+                    "--human-skel", workdir / "skel.skel", "--robot-skel", workdir / "skel.skel",
+                    "--map", workdir / "self.map", "--out", workdir / f"{name}.motion",
+                    "--report", workdir / f"{name}.json"]
+
+        assert run(argv("a")) == 0
+        assert run(argv("b")) == 0
+        for suffix in ("motion", "json"):
+            assert (workdir / f"a.{suffix}").read_bytes() == (workdir / f"b.{suffix}").read_bytes()
 
 
 class TestMetrics:
@@ -213,14 +220,66 @@ def bad_seed_env(workdir, monkeypatch):
     return argv, "RETARGET_KIT_SEED must be an integer"
 
 
+def named_argv(command, workdir, motion_name, skel_name):
+    """argv of `command` on copies of its motion and of skel.skel with these names.
+
+    The skeleton copy also gets the foot contact markers `features` needs.
+    """
+    motion = "traj.motion"
+    if command == "ik":
+        motion = "kp.motion"
+        assert run(["fk", "--skel", workdir / "skel.skel", "--motion", workdir / "traj.motion",
+                    "--out", workdir / motion]) == 0
+    obj = json.loads((workdir / motion).read_text())
+    obj["skeleton"] = motion_name
+    motion = workdir / f"named_{motion}"
+    motion.write_text(json.dumps(obj))
+    obj = json.loads((workdir / "skel.skel").read_text())
+    obj["name"] = skel_name
+    obj["markers"] += [
+        {"name": name, "joint": "c1_2", "offset": [0.0, 0.0, 0.0]}
+        for name in ("l_heel", "l_toe", "r_heel", "r_toe")
+    ]
+    skel = workdir / "named.skel"
+    skel.write_text(json.dumps(obj))
+    if command == "retarget":
+        return ["retarget", "--human", motion, "--human-skel", skel,
+                "--robot-skel", workdir / "skel.skel", "--map", workdir / "self.map",
+                "--out", workdir / "x.motion"]
+    suffix = "mat" if command == "features" else "motion"
+    return [command, "--skel", skel, "--motion", motion, "--out", workdir / f"x.{suffix}"]
+
+
+def skeleton_name_mismatch(command):
+    def bad_input(workdir, monkeypatch):
+        flag = "--human" if command == "retarget" else "--motion"
+        argv = named_argv(command, workdir, "walker", "runner")
+        return argv, f"{flag} is a motion of skeleton 'walker', but the paired skeleton is 'runner'"
+
+    bad_input.__name__ = f"skeleton_name_mismatch_{command}"
+    return bad_input
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("bad_input", [bad_limit_arity, bad_seed_env])
+    @pytest.mark.parametrize(
+        "bad_input",
+        [bad_limit_arity, bad_seed_env]
+        + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")],
+        ids=lambda f: f.__name__,
+    )
     def test_bad_input_exits_2(self, workdir, monkeypatch, capsys, bad_input):
         argv, message = bad_input(workdir, monkeypatch)
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fk", "ik", "features", "retarget"])
+    @pytest.mark.parametrize(
+        "motion_name, skel_name", [("walker", None), (None, "runner"), ("walker", "walker")]
+    )
+    def test_unnamed_or_matching_skeleton_runs(self, workdir, command, motion_name, skel_name):
+        assert run(named_argv(command, workdir, motion_name, skel_name)) == 0
 
 
 class TestEntryPoint:

@@ -17,7 +17,7 @@ from retarget_kit.errors import (
     UnresolvableCorrespondence,
     ValidationError,
 )
-from retarget_kit.retarget import _limit_residuals
+from retarget_kit.retarget import _gauss_newton, _limit_residuals
 from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, limited_dofs, resolve_marker
 
 from conftest import make_humanlike, twist_free_pose
@@ -206,6 +206,57 @@ class TestRetargetSequence:
     def test_empty_raises(self, humanlike):
         with pytest.raises(ValidationError):
             retarget_sequence(humanlike, [], humanlike, identity_corr(humanlike))
+
+
+class TestTermination:
+    def test_converged(self, humanlike, rng):
+        pose = twist_free_pose(humanlike, rng)
+        _, report = retarget_frame(
+            humanlike, pose, humanlike, identity_corr(humanlike), EXACT_OPTS
+        )
+        assert report.termination == "converged" and report.converged
+        assert report.jacobian_evals == report.iterations
+        # the start point, every accepted iterate, and the projected answer
+        assert report.residual_evals >= len(report.objective_trace) + 1
+
+    def test_max_iterations(self, humanlike, rng):
+        pose = twist_free_pose(humanlike, rng)
+        _, report = retarget_frame(
+            humanlike, pose, humanlike, identity_corr(humanlike),
+            RetargetOptions(max_iterations=1),
+        )
+        assert report.termination == "max_iterations" and not report.converged
+        assert report.iterations == report.jacobian_evals == 1
+        assert len(report.objective_trace) == 2
+
+    def test_carried_forward(self, humanlike, rng):
+        good = twist_free_pose(humanlike, rng)
+        values = good.joint_values.copy()
+        values[0] = 1e200  # non-finite targets below the root
+        bad = Pose(good.root_position, good.root_orientation, values)
+        with np.errstate(all="ignore"):
+            traj, reports = retarget_sequence(
+                humanlike, [good, bad], humanlike, identity_corr(humanlike)
+            )
+        assert [r.termination for r in reports] == ["converged", "carried_forward"]
+        assert reports[1].carried_forward and not reports[0].carried_forward
+        assert reports[1].jacobian_evals == reports[1].iterations == 0
+        assert np.array_equal(traj.poses[1].joint_values, traj.poses[0].joint_values)
+
+    def test_stalled(self):
+        # A Jacobian pointing uphill: no damping gives descent.
+        def residual(x):
+            return x.copy()
+
+        def jacobian(x):
+            return -np.eye(len(x))
+
+        x, trace, iterations, termination = _gauss_newton(
+            residual, jacobian, np.array([1.0, -2.0]), RetargetOptions()
+        )
+        assert termination == "stalled"
+        assert iterations == 1 and trace == [5.0]
+        assert np.array_equal(x, [1.0, -2.0])
 
 
 def make_finger():
