@@ -5,14 +5,16 @@ joint values: position terms pull corresponding markers toward the scaled
 human targets, orientation terms penalize the geodesic frame error, and
 regularizers cover joint limits, frame-to-frame smoothness, and a
 reference posture. The solver is damped Gauss-Newton with analytic
-Jacobians (one forward-kinematics pass per iteration) and backtracking on
-the damping parameter; accepted steps never increase the objective. The
+Jacobians and backtracking on the damping parameter; accepted steps never
+increase the objective. Each distinct pose costs one forward-kinematics
+pass, shared by its residual, its Jacobian and the report. The
 root transform is taken from the scaled human root and is not optimized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .skeleton import (
     _rodrigues_matrix,
     check_limits,
     fk,
-    limited_dofs,
     resolve_marker,
 )
 
@@ -79,11 +80,18 @@ class RetargetOptions:
     warm_start: bool = True
 
     def __post_init__(self):
-        for name in ("limit_weight", "smoothness_weight", "reference_weight"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        for name in ("limit_weight", "smoothness_weight", "reference_weight", "gradient_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and np.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not (
+            isinstance(self.max_iterations, Integral)
+            and not isinstance(self.max_iterations, bool)
+            and self.max_iterations >= 1
+        ):
+            raise ValidationError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
+            )
 
 
 TERMINATIONS = ("converged", "stalled", "max_iterations", "carried_forward")
@@ -192,57 +200,83 @@ def _barrier_bounds(lo, hi):
     return lo + margin, hi - margin
 
 
-def _limit_residuals(skeleton, values, opts):
-    """One-sided quadratic barrier starting inside each limit, two rows per limited DoF."""
-    if opts.limit_weight == 0:
-        return np.zeros(0)
-    w = np.sqrt(opts.limit_weight)
-    out = []
-    for _, _, v, lo, hi in limited_dofs(skeleton, values):
-        lo, hi = _barrier_bounds(lo, hi)
-        out.append(w * max(0.0, v - hi))
-        out.append(w * max(0.0, lo - v))
-    return np.array(out)
+def _euler_gradient(joint, k, values):
+    """Gradient of the k-th intrinsic XYZ Euler angle of a spherical joint's rotation vector.
 
-
-def _limited_value_gradient(skeleton, joint, k, values):
-    """Gradient over all joint values of the k-th limited value of `joint`.
-
-    A revolute value is its own joint value. A spherical joint's limited
-    values are Euler angles of its rotation vector; that map is cheap and
-    calls no forward kinematics, so it is central-differenced.
+    That map is cheap and calls no forward kinematics, so it is
+    central-differenced.
     """
-    sl = skeleton.dof_slices[skeleton.index[joint.name]]
-    grad = np.zeros(len(values))
-    if joint.dof == "revolute":
-        grad[sl] = 1.0
-        return grad
-    v = values[sl]
+    grad = np.zeros(3)
     for m in range(3):
         h = np.zeros(3)
         h[m] = EULER_STEP
-        up = _intrinsic_xyz_euler(_local_matrix(joint, v + h))[k]
-        down = _intrinsic_xyz_euler(_local_matrix(joint, v - h))[k]
-        grad[sl.start + m] = (up - down) / (2.0 * EULER_STEP)
+        up = _intrinsic_xyz_euler(_local_matrix(joint, values + h))[k]
+        down = _intrinsic_xyz_euler(_local_matrix(joint, values - h))[k]
+        grad[m] = (up - down) / (2.0 * EULER_STEP)
     return grad
 
 
-def _limit_jacobian(skeleton, values, opts):
-    """Jacobian of `_limit_residuals`: +-sqrt(limit_weight) times the gradient on active rows."""
-    n = len(values)
-    if opts.limit_weight == 0:
-        return np.zeros((0, n))
-    w = np.sqrt(opts.limit_weight)
-    rows = []
-    for joint, k, v, lo, hi in limited_dofs(skeleton, values):
-        lo, hi = _barrier_bounds(lo, hi)
-        upper, lower = np.zeros(n), np.zeros(n)
-        if v > hi:
-            upper = w * _limited_value_gradient(skeleton, joint, k, values)
-        elif v < lo:
-            lower = -w * _limited_value_gradient(skeleton, joint, k, values)
-        rows += [upper, lower]
-    return np.array(rows).reshape(-1, n)
+class _LimitBarrier:
+    """One-sided quadratic barrier starting inside each limit, two rows per limited DoF.
+
+    The rows of a limited value v are sqrt(limit_weight) * max(0, v - hi)
+    and sqrt(limit_weight) * max(0, lo - v), with (lo, hi) from
+    `_barrier_bounds`; their Jacobian is +-sqrt(limit_weight) times the
+    gradient of v on active rows. The layout is built once per solve:
+    revolute rows are then vector operations over the joint values, and
+    Euler-limited spherical joints are evaluated joint by joint.
+    """
+
+    def __init__(self, skeleton, opts):
+        self.w = np.sqrt(opts.limit_weight)
+        revolute = []  # (first row, value column, barrier lo, barrier hi)
+        self.spherical = []  # (first row, joint, value slice, barrier bounds per Euler angle)
+        self.n_rows = 0
+        for joint, sl in zip(skeleton.joints, skeleton.dof_slices):
+            if not joint.limits or opts.limit_weight == 0:
+                continue
+            bounds = [_barrier_bounds(lo, hi) for lo, hi in joint.limits]
+            if joint.dof == "revolute":
+                revolute.append((self.n_rows, sl.start, *bounds[0]))
+            else:
+                self.spherical.append((self.n_rows, joint, sl, bounds))
+            self.n_rows += 2 * len(bounds)
+        revolute = np.array(revolute, dtype=float).reshape(-1, 4)
+        self.row, self.col = revolute[:, 0].astype(int), revolute[:, 1].astype(int)
+        self.lo, self.hi = revolute[:, 2], revolute[:, 3]
+
+    def residual(self, values):
+        out = np.empty(self.n_rows)
+        v = values[self.col]
+        above, below = v - self.hi, self.lo - v
+        # np.where(d > 0, d, 0) is max(0, d) row by row, NaN included
+        out[self.row] = self.w * np.where(above > 0.0, above, 0.0)
+        out[self.row + 1] = self.w * np.where(below > 0.0, below, 0.0)
+        for row, joint, sl, bounds in self.spherical:
+            euler = _intrinsic_xyz_euler(_local_matrix(joint, values[sl]))
+            for k, (lo, hi) in enumerate(bounds):
+                out[row + 2 * k] = self.w * max(0.0, euler[k] - hi)
+                out[row + 2 * k + 1] = self.w * max(0.0, lo - euler[k])
+        return out
+
+    def jacobian(self, values):
+        # A lower row is -w times a gradient, so it reads -0.0 off its joint's
+        # columns; the sign of a zero can reach the step and the motion written.
+        out = np.zeros((self.n_rows, len(values)))
+        v = values[self.col]
+        upper, lower = v > self.hi, v < self.lo
+        out[self.row[upper], self.col[upper]] = self.w
+        out[self.row[lower] + 1] = -0.0
+        out[self.row[lower] + 1, self.col[lower]] = -self.w
+        for row, joint, sl, bounds in self.spherical:
+            euler = _intrinsic_xyz_euler(_local_matrix(joint, values[sl]))
+            for k, (lo, hi) in enumerate(bounds):
+                if euler[k] > hi:
+                    out[row + 2 * k, sl] = self.w * _euler_gradient(joint, k, values[sl])
+                elif euler[k] < lo:
+                    out[row + 2 * k + 1] = -0.0
+                    out[row + 2 * k + 1, sl] = -self.w * _euler_gradient(joint, k, values[sl])
+        return out
 
 
 def _project_to_limits(skeleton, values):
@@ -273,17 +307,55 @@ def _project_to_limits(skeleton, values):
     return out
 
 
-def _term_errors(res, marker, point, frame):
-    """Marker position error, and its rotation-vector frame error unless frame is None."""
-    j, offset = marker
-    position = res.point(j, offset) - point
-    if frame is None:
-        return position, None
-    return position, Rotation(res.rotations[j].T @ frame).as_rotvec()
+class _Terms:
+    """A solve's terms as arrays, and the row layout of their residual.
+
+    Per term: the robot marker's joint and local offset, the world target
+    point, and the square root of its position weight. `framed` lists
+    (term, square root of the orientation weight, world target frame) for
+    the terms with a frame. Each term owns six rows of a (term, 6) stack,
+    three position and three orientation rows; `keep` selects, in order,
+    the rows the residual has: position rows of terms with position weight,
+    orientation rows of framed terms.
+    """
+
+    def __init__(self, terms):
+        keep = []
+        framed = []
+        for t, (pair, _, _, frame) in enumerate(terms):
+            if pair.position_weight > 0:
+                keep += [6 * t, 6 * t + 1, 6 * t + 2]
+            if frame is not None:
+                keep += [6 * t + 3, 6 * t + 4, 6 * t + 5]
+                framed.append((t, np.sqrt(pair.orientation_weight), frame))
+        self.joint = np.array([marker[0] for _, marker, _, _ in terms], dtype=int)
+        self.offset = np.array([marker[1] for _, marker, _, _ in terms]).reshape(-1, 3)
+        self.point = np.array([point for _, _, point, _ in terms]).reshape(-1, 3)
+        self.position_scale = np.sqrt([pair.position_weight for pair, *_ in terms])
+        self.framed = tuple(framed)
+        self.keep = np.array(keep, dtype=int)
+
+    def errors(self, res):
+        """(term, 3) marker position errors, and the rotation-vector error of each framed term."""
+        rot = res.rotations[self.joint]
+        position = res.positions[self.joint] + (rot @ self.offset[:, :, None])[..., 0]
+        orientation = [
+            Rotation(rot[t].T @ frame).as_rotvec() for t, _, frame in self.framed
+        ]
+        return position - self.point, orientation
+
+    def residual(self, position, orientation):
+        """The weighted term rows, in order, from `errors`."""
+        out = np.zeros((len(self.joint), 6))
+        out[:, :3] = self.position_scale[:, None] * position
+        for (t, w, _), e in zip(self.framed, orientation):
+            out[t, 3:] = w * e
+        return out.reshape(-1)[self.keep]
 
 
 def _term_jacobian(skeleton, terms):
-    """Rows of the term residuals' Jacobian, as a function of (FkResult, values).
+    """Rows of the term residuals' Jacobian, as a function of (FkResult,
+    orientation errors from `_Terms.errors`, values).
 
     Joint k's DoF turn joint k and everything below it at world angular
     rates, one 3-vector per column: R_k axis for a revolute DoF, the
@@ -291,7 +363,7 @@ def _term_jacobian(skeleton, terms):
     on joint k or below then moves at rate x (x - p_k), and an orientation
     error e = log(R_j^T R_t) at -J_r^{-1}(e) R_t^T rate. Columns of joints
     that are not on the marker joint's path to the root are zero; that mask
-    and the row layout are fixed per solve and built here once.
+    is fixed per solve and built here once. `terms` is a `_Terms`.
     """
     n = skeleton.total_dof
     col_joint = np.repeat(
@@ -307,25 +379,15 @@ def _term_jacobian(skeleton, terms):
         for i, j in enumerate(skeleton.joints)
         if j.dof == "spherical"
     ]
-    marker_joint = np.array([marker[0] for _, marker, _, _ in terms], dtype=int)
-    marker_offset = np.array([marker[1] for _, marker, _, _ in terms])
-    mask = np.zeros((len(terms), n))
+    marker_joint, marker_offset = terms.joint, terms.offset
+    mask = np.zeros((len(marker_joint), n))
     for t, j in enumerate(marker_joint):
         while j >= 0:
             mask[t, col_joint == j] = 1.0
             j = skeleton.parent_index[j]
-    position_scale = mask * np.array([np.sqrt(p.position_weight) for p, *_ in terms])[:, None]
-    orientation = []
-    keep = []  # rows of the (term, 6) stack that the residual has, in its order
-    for t, (pair, _, _, frame) in enumerate(terms):
-        if pair.position_weight > 0:
-            keep += [6 * t, 6 * t + 1, 6 * t + 2]
-        if frame is not None:
-            keep += [6 * t + 3, 6 * t + 4, 6 * t + 5]
-            orientation.append((t, np.sqrt(pair.orientation_weight), frame))
-    keep = np.array(keep, dtype=int)
+    position_scale = mask * terms.position_scale[:, None]
 
-    def rows(res, values):
+    def rows(res, orientation, values):
         rates = np.empty((n, 3))
         rates[rev_col] = np.einsum("cij,cj->ci", res.rotations[revolute], rev_axis)
         for i, sl in spherical:
@@ -334,16 +396,15 @@ def _term_jacobian(skeleton, terms):
             "tij,tj->ti", res.rotations[marker_joint], marker_offset
         )
         lever = markers[:, None, :] - res.positions[col_joint]  # (term, column, 3)
-        out = np.zeros((len(terms), 6, n))
+        out = np.zeros((len(marker_joint), 6, n))
         w0, w1, w2 = rates.T
         out[:, 0] = w1 * lever[..., 2] - w2 * lever[..., 1]
         out[:, 1] = w2 * lever[..., 0] - w0 * lever[..., 2]
         out[:, 2] = w0 * lever[..., 1] - w1 * lever[..., 0]
         out[:, :3] *= position_scale[:, None, :]
-        for t, w, frame in orientation:
-            e = Rotation(res.rotations[marker_joint[t]].T @ frame).as_rotvec()
+        for (t, w, frame), e in zip(terms.framed, orientation):
             out[t, 3:] = (-w * _right_jacobian_inv(e) @ frame.T) @ (rates.T * mask[t])
-        return out.reshape(-1, n)[keep]
+        return out.reshape(-1, n)[terms.keep]
 
     return rows
 
@@ -358,27 +419,32 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
     reference. The answer is projected into the joint limits; returns
     (Pose, RetargetReport).
     """
+    if skeleton.total_dof == 0:
+        raise ValidationError(f"skeleton '{skeleton.name}' has no degrees of freedom to solve")
     w_ref = np.sqrt(opts.reference_weight) if opts.reference_weight > 0 else 0.0
     w_smooth = (
         np.sqrt(opts.smoothness_weight)
         if (opts.smoothness_weight > 0 and smooth_to is not None)
         else 0.0
     )
-    term_rows = _term_jacobian(skeleton, terms)
+    layout = _Terms(terms)
+    term_rows = _term_jacobian(skeleton, layout)
+    barrier = _LimitBarrier(skeleton, opts)
     eye = np.eye(skeleton.total_dof)
     evals = {"residual": 0, "jacobian": 0}
+    last = {}  # one slot: joint-value bytes -> (FkResult, term errors) of the last pose
+
+    def evaluate(values):
+        key = values.tobytes()
+        if key not in last:
+            last.clear()
+            res = fk(skeleton, Pose(root_position, root_orientation, values))
+            last[key] = res, layout.errors(res)
+        return last[key]
 
     def residual(values):
         evals["residual"] += 1
-        res = fk(skeleton, Pose(root_position, root_orientation, values))
-        parts = []
-        for pair, marker, point, frame in terms:
-            position, orientation = _term_errors(res, marker, point, frame)
-            if pair.position_weight > 0:
-                parts.append(np.sqrt(pair.position_weight) * position)
-            if orientation is not None:
-                parts.append(np.sqrt(pair.orientation_weight) * orientation)
-        parts.append(_limit_residuals(skeleton, values, opts))
+        parts = [layout.residual(*evaluate(values)[1]), barrier.residual(values)]
         if w_smooth:
             parts.append(w_smooth * (values - smooth_to))
         if w_ref:
@@ -387,8 +453,8 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
 
     def jacobian(values):
         evals["jacobian"] += 1
-        res = fk(skeleton, Pose(root_position, root_orientation, values))
-        parts = [term_rows(res, values), _limit_jacobian(skeleton, values, opts)]
+        res, (_, orientation) = evaluate(values)
+        parts = [term_rows(res, orientation, values), barrier.jacobian(values)]
         if w_smooth:
             parts.append(w_smooth * eye)
         if w_ref:
@@ -399,14 +465,14 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
     x = _project_to_limits(skeleton, x)
     pose = Pose(root_position, root_orientation, x)
 
-    res = fk(skeleton, pose)
-    pos_residuals = {}
-    rot_residuals = {}
-    for pair, marker, point, frame in terms:
-        position, orientation = _term_errors(res, marker, point, frame)
-        pos_residuals[pair.robot] = float(np.linalg.norm(position))
-        if orientation is not None:
-            rot_residuals[pair.robot] = float(np.linalg.norm(orientation))
+    _, (position, orientation) = evaluate(x)
+    pos_residuals = {
+        pair.robot: float(np.linalg.norm(e)) for (pair, *_), e in zip(terms, position)
+    }
+    rot_residuals = {
+        terms[t][0].robot: float(np.linalg.norm(e))
+        for (t, _, _), e in zip(layout.framed, orientation)
+    }
     r = residual(x)
     report = RetargetReport(
         objective=float(r @ r),

@@ -39,6 +39,20 @@ def _rodrigues_matrix(axis, angle):
     return _EYE3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def _hat_stack(v):
+    """`_hat` of each row of an (n, 3) array."""
+    k = np.zeros((len(v), 3, 3))
+    k[:, 0, 1], k[:, 0, 2] = -v[:, 2], v[:, 1]
+    k[:, 1, 0], k[:, 1, 2] = v[:, 2], -v[:, 0]
+    k[:, 2, 0], k[:, 2, 1] = -v[:, 1], v[:, 0]
+    return k
+
+
+def _rodrigues_stack(sin, cos, k, kk):
+    """Stacked I + sin(t) K + (1 - cos(t)) K^2, as `_rodrigues_matrix` computes it."""
+    return _EYE3 + sin[:, None, None] * k + (1.0 - cos)[:, None, None] * kk
+
+
 def _right_jacobian(phi):
     """J_r(phi), with Exp(phi + d) ~ Exp(phi) Exp(J_r(phi) d) for small d.
 

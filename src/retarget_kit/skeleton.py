@@ -8,7 +8,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import MissingDefault, PoseMismatch, UnresolvableCorrespondence, ValidationError
-from .rotations import Rotation, _rodrigues_matrix
+from .rotations import Rotation, _hat_stack, _rodrigues_matrix, _rodrigues_stack
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
 
@@ -113,6 +113,7 @@ class Skeleton:
             start += j.dof_count
         self.dof_slices = tuple(slices)
         self.total_dof = start
+        self._fk_plan = _FkPlan(joints, self.parent_index, self.dof_slices)
         mk = {}
         for m in markers:
             if m.joint not in seen:
@@ -194,6 +195,36 @@ def resolve_marker(skeleton, name):
     return i, np.zeros(3)
 
 
+class _FkPlan:
+    """What `fk` needs of a skeleton, as index arrays built once per skeleton.
+
+    Revolute joints come with their value columns and K = hat(axis) and
+    K @ K per axis, spherical joints with their (S, 3) value columns.
+    `levels` holds (joints, parents, offsets as column vectors) per tree
+    depth below the root.
+    """
+
+    def __init__(self, joints, parent_index, dof_slices):
+        kind = np.array([j.dof for j in joints])
+        start = np.array([sl.start for sl in dof_slices])
+        self.revolute = np.flatnonzero(kind == "revolute")
+        self.revolute_col = start[self.revolute]
+        self.k = _hat_stack(np.array([joints[i].axis for i in self.revolute]).reshape(-1, 3))
+        self.kk = self.k @ self.k
+        self.spherical = np.flatnonzero(kind == "spherical")
+        self.spherical_cols = start[self.spherical, None] + np.arange(3)
+        depth = [0] * len(joints)
+        for i, p in enumerate(parent_index[1:], start=1):
+            depth[i] = depth[p] + 1
+        depth, parents = np.array(depth), np.array(parent_index)
+        offsets = np.array([j.offset for j in joints])
+        self.levels = tuple(
+            (idx, parents[idx], offsets[idx, :, None])
+            for idx in (np.flatnonzero(depth == d) for d in range(1, depth.max() + 1))
+        )
+        self.identity = np.tile(_EYE3, (len(joints), 1, 1))
+
+
 def _local_matrix(joint, values):
     if joint.dof == "fixed":
         return _EYE3
@@ -211,23 +242,40 @@ def fk(skeleton, pose):
     Child transform = parent o translate(rest offset) o joint rotation;
     the root transform is (root_position, root_orientation) composed with
     the root joint's own rotation if it has DoF.
+
+    The tree is evaluated in level order from an index plan that
+    `Skeleton.__init__` builds once: the local rotations of all revolute
+    joints come from one broadcast Rodrigues, those of all spherical joints
+    from another, and then each tree depth is composed at once onto its
+    parents' world transforms. Every entry goes through the same float
+    operations as a joint-by-joint walk of the tree, so the results are bit
+    for bit those of that walk.
     """
-    if len(pose.joint_values) != skeleton.total_dof:
+    values = pose.joint_values
+    if len(values) != skeleton.total_dof:
         raise PoseMismatch(
-            f"pose has {len(pose.joint_values)} values, skeleton needs {skeleton.total_dof}"
+            f"pose has {len(values)} values, skeleton needs {skeleton.total_dof}"
         )
-    nj = len(skeleton.joints)
-    pos = np.empty((nj, 3))
-    rot = np.empty((nj, 3, 3))
-    for i, joint in enumerate(skeleton.joints):
-        local = _local_matrix(joint, pose.joint_values[skeleton.dof_slices[i]])
-        p = skeleton.parent_index[i]
-        if p < 0:
-            pos[i] = pose.root_position
-            rot[i] = pose.root_orientation.matrix @ local
-        else:
-            pos[i] = pos[p] + rot[p] @ joint.offset
-            rot[i] = rot[p] @ local
+    plan = skeleton._fk_plan
+    local = plan.identity.copy()
+    theta = values[plan.revolute_col]
+    local[plan.revolute] = _rodrigues_stack(np.sin(theta), np.cos(theta), plan.k, plan.kk)
+    if len(plan.spherical):
+        # The same float operations as _local_matrix, one rotation vector per row.
+        v = values[plan.spherical_cols]
+        angle = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])  # np.linalg.norm's dot
+        turned = angle >= 1e-12
+        k = _hat_stack(v / np.where(turned, angle, 1.0)[:, None])
+        rodrigues = _rodrigues_stack(np.sin(angle), np.cos(angle), k, k @ k)
+        local[plan.spherical] = np.where(turned[:, None, None], rodrigues, _EYE3)
+    pos = np.empty((len(local), 3))
+    rot = np.empty((len(local), 3, 3))
+    pos[0] = pose.root_position
+    rot[0] = pose.root_orientation.matrix @ local[0]
+    for idx, par, offset in plan.levels:
+        parent_rot = rot[par]
+        pos[idx] = pos[par] + (parent_rot @ offset)[..., 0]
+        rot[idx] = parent_rot @ local[idx]
     return FkResult(pos, rot)
 
 

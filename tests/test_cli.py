@@ -260,11 +260,49 @@ def skeleton_name_mismatch(command):
     return bad_input
 
 
+def retarget_argv(workdir, *extra, robot="skel.skel"):
+    return ["retarget", "--human", workdir / "traj.motion", "--human-skel", workdir / "skel.skel",
+            "--robot-skel", workdir / robot, "--map", workdir / "self.map",
+            "--out", workdir / "x.motion", *extra]
+
+
+def zero_dof_robot(workdir, monkeypatch):
+    skel = json.loads((workdir / "skel.skel").read_text())
+    skel["name"] = "statue"
+    for joint in skel["joints"]:
+        joint["dof"] = "fixed"
+        joint.pop("limits", None)
+    (workdir / "statue.skel").write_text(json.dumps(skel))
+    return (retarget_argv(workdir, robot="statue.skel"),
+            "skeleton 'statue' has no degrees of freedom to solve")
+
+
+def bad_solver_option(flag, value):
+    def bad_input(workdir, monkeypatch):
+        name = flag[2:].replace("-", "_")
+        return (retarget_argv(workdir, flag, value),
+                f"{name} must be a finite number >= 0, got {float(value)!r}")
+
+    bad_input.__name__ = f"bad_option_{flag[2:].replace('-', '_')}_{value}"
+    return bad_input
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "bad_input",
         [bad_limit_arity, bad_seed_env]
-        + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")],
+        + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")]
+        + [zero_dof_robot]
+        + [
+            bad_solver_option(flag, value)
+            for flag, value in (
+                ("--limit-weight", "nan"),
+                ("--smoothness-weight", "inf"),
+                ("--gradient-tol", "nan"),
+                ("--reference-weight", "nan"),
+                ("--limit-weight", "-1"),
+            )
+        ],
         ids=lambda f: f.__name__,
     )
     def test_bad_input_exits_2(self, workdir, monkeypatch, capsys, bad_input):

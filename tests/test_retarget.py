@@ -8,16 +8,19 @@ from retarget_kit import (
     Rotation,
     RetargetOptions,
     check_limits,
+    load_example_correspondence,
+    load_example_skeleton,
     retarget_frame,
     retarget_hand,
     retarget_sequence,
 )
+from retarget_kit import retarget
 from retarget_kit.errors import (
     NonFiniteObjective,
     UnresolvableCorrespondence,
     ValidationError,
 )
-from retarget_kit.retarget import _gauss_newton, _limit_residuals
+from retarget_kit.retarget import _LimitBarrier, _gauss_newton
 from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, limited_dofs, resolve_marker
 
 from conftest import make_humanlike, twist_free_pose
@@ -110,7 +113,7 @@ class TestRetargetFrame:
         values = Rotation.from_matrix(m).as_rotvec()
         violations = check_limits(skel, Pose(np.zeros(3), Rotation.identity(), values))
         assert len(violations) == 3
-        rows = _limit_residuals(skel, values, RetargetOptions()).reshape(-1, 2)
+        rows = _LimitBarrier(skel, RetargetOptions()).residual(values).reshape(-1, 2)
         dofs = [(joint.name, k) for joint, k, *_ in limited_dofs(skel, values)]
         for v in violations:
             assert rows[dofs.index((v.joint, v.dof_index))].max() > 0
@@ -167,6 +170,61 @@ class TestRetargetFrame:
     def test_needs_position_pair(self):
         with pytest.raises(ValidationError):
             CorrespondenceSet((CorrespondencePair("a", "b", 0.0, 1.0),), scale=1.0)
+
+    def test_zero_dof_robot(self, humanlike, rng):
+        fixed = [Joint(j.name, j.parent, j.offset) for j in humanlike.joints]
+        statue = Skeleton(fixed, name="statue")
+        with pytest.raises(ValidationError, match="'statue' has no degrees of freedom"):
+            retarget_frame(
+                humanlike, twist_free_pose(humanlike, rng), statue, identity_corr(humanlike)
+            )
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "field", ["limit_weight", "smoothness_weight", "reference_weight", "gradient_tol"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "1"])
+    def test_weights_and_tolerance_finite_nonnegative(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a finite number >= 0"):
+            RetargetOptions(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 3.0, True, "10"])
+    def test_max_iterations_integer_at_least_one(self, value):
+        with pytest.raises(ValidationError, match="max_iterations must be an integer >= 1"):
+            RetargetOptions(max_iterations=value)
+
+    def test_numpy_scalars_accepted(self):
+        opts = RetargetOptions(limit_weight=np.float64(2.0), max_iterations=np.int64(5))
+        assert opts.max_iterations == 5
+
+
+@pytest.mark.parametrize(
+    "robot_name, map_name", [("h1_like_19", "human_to_h1"), ("g1_like_21", "human_to_g1")]
+)
+def test_one_fk_per_distinct_pose(monkeypatch, rng, robot_name, map_name):
+    human = load_example_skeleton("human_24")
+    robot = load_example_skeleton(robot_name)
+    corr = load_example_correspondence(map_name, human, robot)
+    pose = twist_free_pose(human, rng, max_angle=0.4)
+    smooth_to = rng.normal(size=robot.total_dof) * 0.1
+    _, plain = retarget_frame(human, pose, robot, corr, smooth_to=smooth_to)
+
+    seen = []
+    real_fk = retarget.fk
+
+    def recorder(skeleton, p):
+        if skeleton is robot:
+            seen.append(p.joint_values.tobytes())
+        return real_fk(skeleton, p)
+
+    monkeypatch.setattr(retarget, "fk", recorder)
+    _, report = retarget_frame(human, pose, robot, corr, smooth_to=smooth_to)
+    assert len(seen) == len(set(seen))
+    assert len(seen) <= report.residual_evals
+    assert report.iterations == plain.iterations > 1
+    assert report.termination == plain.termination
+    assert report.objective_trace == plain.objective_trace
 
 
 class TestRetargetSequence:
@@ -336,6 +394,12 @@ class TestRetargetHand:
     def test_no_pairs_raises(self):
         with pytest.raises(ValidationError):
             retarget_hand([], make_finger(), [])
+
+    def test_zero_dof_hand(self):
+        hand = Skeleton([Joint("palm", None, [0, 0, 0]), Joint("f", "palm", [0.05, 0, 0])],
+                        [Marker("tip", "f", [0.04, 0, 0])], name="mitten")
+        with pytest.raises(ValidationError, match="'mitten' has no degrees of freedom"):
+            retarget_hand([np.array([0.09, 0.0, 0.0])], hand, [TIP_PAIR])
 
     def test_orientation_weight_rejected(self):
         hand = make_finger()

@@ -11,9 +11,11 @@ from retarget_kit import (
     Skeleton,
     check_limits,
     fk,
+    load_example_skeleton,
     remap_dofs,
 )
 from retarget_kit.errors import MissingDefault, PoseMismatch, ValidationError
+from retarget_kit.rotations import _rodrigues_matrix
 from retarget_kit.skeleton import Marker, _intrinsic_xyz_euler, resolve_marker
 
 from conftest import make_chain, make_random_tree, random_rotation
@@ -42,6 +44,50 @@ def naive_fk(skeleton, pose):
         return parent_pos + parent_rot @ joint.offset, parent_rot @ local(joint, values)
 
     return [world(i) for i in range(len(skeleton.joints))]
+
+
+def joint_walk_fk(skeleton, pose):
+    """Joint-by-joint forward kinematics, the float operations `fk` must reproduce exactly."""
+
+    def local(joint, values):
+        if joint.dof == "fixed":
+            return np.eye(3)
+        if joint.dof == "revolute":
+            return _rodrigues_matrix(joint.axis, values[0])
+        angle = np.linalg.norm(values)
+        if angle < 1e-12:
+            return np.eye(3)
+        return _rodrigues_matrix(values / angle, angle)
+
+    nj = len(skeleton.joints)
+    pos = np.empty((nj, 3))
+    rot = np.empty((nj, 3, 3))
+    for i, joint in enumerate(skeleton.joints):
+        m = local(joint, pose.joint_values[skeleton.dof_slices[i]])
+        p = skeleton.parent_index[i]
+        if p < 0:
+            pos[i] = pose.root_position
+            rot[i] = pose.root_orientation.matrix @ m
+        else:
+            pos[i] = pos[p] + rot[p] @ joint.offset
+            rot[i] = rot[p] @ m
+    return pos, rot
+
+
+def assert_matches_naive(skeleton, pose):
+    res = fk(skeleton, pose)
+    for i, (p, r) in enumerate(naive_fk(skeleton, pose)):
+        assert np.linalg.norm(res.positions[i] - p) <= 1e-9
+        assert np.linalg.norm(res.rotations[i] - r) <= 1e-9
+
+
+def random_pose(skeleton, rng, scale=1.0):
+    return Pose(
+        rng.normal(size=3), random_rotation(rng), scale * rng.normal(size=skeleton.total_dof)
+    )
+
+
+BUNDLED = ("human_24", "h1_like_19", "g1_like_21")
 
 
 class TestSkeletonValidation:
@@ -91,15 +137,63 @@ class TestFk:
     def test_matches_naive_oracle(self, rng):
         for _ in range(10):
             skel = make_random_tree(rng, 8)
-            pose = Pose(
-                rng.normal(size=3),
-                random_rotation(rng),
-                rng.normal(size=skel.total_dof),
-            )
+            assert_matches_naive(skel, random_pose(skel, rng))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_match_naive_oracle(self, rng, name):
+        skel = load_example_skeleton(name)
+        for _ in range(5):
+            assert_matches_naive(skel, random_pose(skel, rng))
+
+    @pytest.mark.parametrize("dof", ["revolute", "spherical"])
+    def test_root_with_dof(self, rng, dof):
+        axis = [0.6, 0.0, 0.8] if dof == "revolute" else None
+        skel = Skeleton(
+            [
+                Joint("root", None, [0, 0, 0], dof=dof, axis=axis),
+                Joint("a", "root", [0, 0.4, 0], dof="spherical"),
+                Joint("b", "root", [0.3, 0, 0], dof="revolute", axis=[0, 1, 0]),
+                Joint("c", "a", [0, 0, 0.2]),
+            ]
+        )
+        for _ in range(5):
+            assert_matches_naive(skel, random_pose(skel, rng))
+
+    def test_spherical_at_and_below_identity_guard(self, rng):
+        skel = make_chain([[0, 0.3, 0]] * 3, dof="spherical")
+        turn = rng.normal(size=3)
+        for first in (np.zeros(3), np.full(3, 1e-13), np.array([1e-14, 0.0, 0.0])):
+            pose = Pose(rng.normal(size=3), random_rotation(rng), np.r_[first, turn, first])
+            assert_matches_naive(skel, pose)
             res = fk(skel, pose)
-            for i, (p, r) in enumerate(naive_fk(skel, pose)):
-                assert np.linalg.norm(res.positions[i] - p) <= 1e-9
-                assert np.linalg.norm(res.rotations[i] - r) <= 1e-9
+            assert np.array_equal(res.rotations[1], res.rotations[0])
+            assert np.array_equal(res.rotations[3], res.rotations[2])
+
+    @pytest.mark.parametrize("dof", ["fixed", "revolute", "spherical"])
+    def test_one_joint(self, rng, dof):
+        axis = [0, 0, 1] if dof == "revolute" else None
+        skel = Skeleton([Joint("only", None, [0, 0, 0], dof=dof, axis=axis)])
+        pose = random_pose(skel, rng)
+        assert_matches_naive(skel, pose)
+        assert fk(skel, pose).positions.shape == (1, 3)
+
+    def test_deep_chain(self, rng):
+        offsets = rng.normal(size=(40, 3)) * 0.1
+        for dof in ("revolute", "spherical"):
+            skel = make_chain(offsets, dof=dof)
+            assert_matches_naive(skel, random_pose(skel, rng, scale=0.5))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bitwise_equal_to_joint_walk(self, rng, name):
+        # Motion files are byte-identical to those of a joint-by-joint walk only if fk is.
+        skel = load_example_skeleton(name)
+        for scale in (1e-13, 1e-6, 1.0, 3.0):
+            for _ in range(10):
+                pose = random_pose(skel, rng, scale)
+                res = fk(skel, pose)
+                pos, rot = joint_walk_fk(skel, pose)
+                assert np.array_equal(res.positions, pos)
+                assert np.array_equal(res.rotations, rot)
 
     def test_length_preserved(self, rng):
         skel = make_random_tree(rng, 10)
