@@ -123,15 +123,18 @@ def _matrix_node(arr, path, key, binary_sidecar):
 def _atomic_write(path, obj):
     path = Path(path)
     text = json.dumps(obj, indent=1) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
+    finally:
+        if tmp is not None:
             os.unlink(tmp)
-        raise
 
 
 def save_report(report, path):

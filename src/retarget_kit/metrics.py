@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -170,6 +171,11 @@ def fid(a, b):
     return max(value, 0.0)
 
 
+def _check_pair_count(name, count):
+    if not (isinstance(count, Integral) and not isinstance(count, bool) and count >= 1):
+        raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
+
+
 def _disjoint_pairs(n, pair_count, rng):
     perm = rng.permutation(n)
     return perm[: 2 * pair_count : 2], perm[1 : 2 * pair_count : 2]
@@ -177,6 +183,7 @@ def _disjoint_pairs(n, pair_count, rng):
 
 def diversity(features, pair_count, seed=DEFAULT_SEED):
     """Mean Euclidean distance over `pair_count` disjoint seeded random pairs."""
+    _check_pair_count("pair_count", pair_count)
     x = _values(features)
     if x.shape[0] < 2 * pair_count:
         raise TooFewSamples(
@@ -188,6 +195,7 @@ def diversity(features, pair_count, seed=DEFAULT_SEED):
 
 def multimodality(features, pairs_per_group, seed=DEFAULT_SEED, labels=None):
     """Mean over groups of mean within-group pairwise distance (seeded pairing)."""
+    _check_pair_count("pairs_per_group", pairs_per_group)
     x = _values(features)
     if labels is None:
         labels = features.labels if isinstance(features, FeatureMatrix) else None

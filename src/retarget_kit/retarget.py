@@ -19,13 +19,11 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import NonFiniteObjective, ValidationError
-from .rotations import Rotation, _right_jacobian, _right_jacobian_inv
+from .rotations import Rotation, _right_jacobian, _right_jacobian_inv, _rodrigues_matrix
 from .skeleton import (
     JointTrajectory,
     Pose,
     _intrinsic_xyz_euler,
-    _local_matrix,
-    _rodrigues_matrix,
     check_limits,
     fk,
     resolve_marker,
@@ -194,121 +192,90 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
     return x, trace, iterations, termination
 
 
-def _barrier_bounds(lo, hi):
-    """Where the limit barrier starts: LIMIT_MARGIN inside each limit, less on narrow ranges."""
-    margin = min(LIMIT_MARGIN, 0.25 * (hi - lo))
-    return lo + margin, hi - margin
-
-
-def _euler_gradient(joint, k, values):
-    """Gradient of the k-th intrinsic XYZ Euler angle of a spherical joint's rotation vector.
+def _euler_jacobian(values):
+    """(3, 3) Jacobian of the intrinsic XYZ Euler angles of a rotation vector.
 
     That map is cheap and calls no forward kinematics, so it is
     central-differenced.
     """
-    grad = np.zeros(3)
+    jac = np.empty((3, 3))
     for m in range(3):
         h = np.zeros(3)
         h[m] = EULER_STEP
-        up = _intrinsic_xyz_euler(_local_matrix(joint, values + h))[k]
-        down = _intrinsic_xyz_euler(_local_matrix(joint, values - h))[k]
-        grad[m] = (up - down) / (2.0 * EULER_STEP)
-    return grad
+        up = _intrinsic_xyz_euler(Rotation.from_rotvec(values + h).matrix)
+        down = _intrinsic_xyz_euler(Rotation.from_rotvec(values - h).matrix)
+        jac[:, m] = (up - down) / (2.0 * EULER_STEP)
+    return jac
 
 
 class _LimitBarrier:
     """One-sided quadratic barrier starting inside each limit, two rows per limited DoF.
 
-    The rows of a limited value v are sqrt(limit_weight) * max(0, v - hi)
-    and sqrt(limit_weight) * max(0, lo - v), with (lo, hi) from
-    `_barrier_bounds`; their Jacobian is +-sqrt(limit_weight) times the
-    gradient of v on active rows. The layout is built once per solve:
-    revolute rows are then vector operations over the joint values, and
-    Euler-limited spherical joints are evaluated joint by joint.
+    For each value v of the skeleton plan's `limited_values`, the rows are
+    w * max(0, v - hi') and w * max(0, lo' - v), with (lo', hi')
+    LIMIT_MARGIN inside the limits, less on narrow ranges, and w the square
+    root of the limit weight. Their Jacobian rows are +-w times the
+    gradient of v on active rows.
     """
 
-    def __init__(self, skeleton, opts):
-        self.w = np.sqrt(opts.limit_weight)
-        revolute = []  # (first row, value column, barrier lo, barrier hi)
-        self.spherical = []  # (first row, joint, value slice, barrier bounds per Euler angle)
-        self.n_rows = 0
-        for joint, sl in zip(skeleton.joints, skeleton.dof_slices):
-            if not joint.limits or opts.limit_weight == 0:
-                continue
-            bounds = [_barrier_bounds(lo, hi) for lo, hi in joint.limits]
-            if joint.dof == "revolute":
-                revolute.append((self.n_rows, sl.start, *bounds[0]))
-            else:
-                self.spherical.append((self.n_rows, joint, sl, bounds))
-            self.n_rows += 2 * len(bounds)
-        revolute = np.array(revolute, dtype=float).reshape(-1, 4)
-        self.row, self.col = revolute[:, 0].astype(int), revolute[:, 1].astype(int)
-        self.lo, self.hi = revolute[:, 2], revolute[:, 3]
+    def __init__(self, skeleton, w):
+        self.plan = skeleton._plan
+        self.w = w
+        margin = np.minimum(LIMIT_MARGIN, 0.25 * (self.plan.hi - self.plan.lo))
+        self.lo, self.hi = self.plan.lo + margin, self.plan.hi - margin
 
     def residual(self, values):
-        out = np.empty(self.n_rows)
-        v = values[self.col]
-        above, below = v - self.hi, self.lo - v
+        v = self.plan.limited_values(values)
+        rows = np.stack([v - self.hi, self.lo - v], axis=1)
         # np.where(d > 0, d, 0) is max(0, d) row by row, NaN included
-        out[self.row] = self.w * np.where(above > 0.0, above, 0.0)
-        out[self.row + 1] = self.w * np.where(below > 0.0, below, 0.0)
-        for row, joint, sl, bounds in self.spherical:
-            euler = _intrinsic_xyz_euler(_local_matrix(joint, values[sl]))
-            for k, (lo, hi) in enumerate(bounds):
-                out[row + 2 * k] = self.w * max(0.0, euler[k] - hi)
-                out[row + 2 * k + 1] = self.w * max(0.0, lo - euler[k])
-        return out
+        return (self.w * np.where(rows > 0.0, rows, 0.0)).reshape(-1)
 
     def jacobian(self, values):
-        # A lower row is -w times a gradient, so it reads -0.0 off its joint's
-        # columns; the sign of a zero can reach the step and the motion written.
-        out = np.zeros((self.n_rows, len(values)))
-        v = values[self.col]
+        plan = self.plan
+        v = plan.limited_values(values)
         upper, lower = v > self.hi, v < self.lo
-        out[self.row[upper], self.col[upper]] = self.w
-        out[self.row[lower] + 1] = -0.0
-        out[self.row[lower] + 1, self.col[lower]] = -self.w
-        for row, joint, sl, bounds in self.spherical:
-            euler = _intrinsic_xyz_euler(_local_matrix(joint, values[sl]))
-            for k, (lo, hi) in enumerate(bounds):
-                if euler[k] > hi:
-                    out[row + 2 * k, sl] = self.w * _euler_gradient(joint, k, values[sl])
-                elif euler[k] < lo:
-                    out[row + 2 * k + 1] = -0.0
-                    out[row + 2 * k + 1, sl] = -self.w * _euler_gradient(joint, k, values[sl])
-        return out
+        grad = np.zeros((len(v), len(values)))
+        grad[np.arange(len(v)), plan.limit_col] = 1.0
+        for first, sl in plan.euler:
+            if np.any((upper | lower)[first : first + 3]):
+                grad[first : first + 3, sl] = _euler_jacobian(values[sl])
+        # A lower row is -w times a gradient, so it reads -0.0 off the columns v does
+        # not depend on; the sign of a zero can reach the step and the motion written.
+        out = np.zeros((len(v), 2, len(values)))
+        out[upper, 0] = self.w * grad[upper]
+        out[lower, 1] = -self.w * grad[lower]
+        return out.reshape(-1, len(values))
 
 
 def _project_to_limits(skeleton, values):
+    """Clip every limited value of the skeleton plan's `limited_values` into its limits.
+
+    Spherical rotation vectors are first folded onto the principal branch
+    (norm <= pi); the solver may wander off it by multiples of 2*pi. An
+    Euler-limited spherical joint is rebuilt from its clipped Euler angles
+    only if they are not `np.allclose` to its own, so it may stay up to
+    1e-8 + 1e-5 * |angle| past a limit.
+    """
+    plan = skeleton._plan
     out = values.copy()
-    for i, joint in enumerate(skeleton.joints):
-        sl = skeleton.dof_slices[i]
-        # Fold spherical rotation vectors onto the principal branch
-        # (norm <= pi); the solver may wander off it by multiples of 2*pi.
-        if joint.dof == "spherical" and np.linalg.norm(out[sl]) > np.pi:
-            out[sl] = Rotation.from_rotvec(out[sl]).as_rotvec()
-        if not joint.limits:
-            continue
-        if joint.dof == "revolute":
-            lo, hi = joint.limits[0]
-            out[sl] = np.clip(out[sl], lo, hi)
-        elif joint.dof == "spherical":
-            euler = _intrinsic_xyz_euler(_local_matrix(joint, out[sl]))
-            clipped = np.array(
-                [np.clip(euler[k], lo, hi) for k, (lo, hi) in enumerate(joint.limits)]
-            )
-            if not np.allclose(clipped, euler):
-                m = (
-                    _rodrigues_matrix(np.array([1.0, 0, 0]), clipped[0])
-                    @ _rodrigues_matrix(np.array([0, 1.0, 0]), clipped[1])
-                    @ _rodrigues_matrix(np.array([0, 0, 1.0]), clipped[2])
-                )
-                out[sl] = Rotation(m).as_rotvec()
+    for cols in plan.spherical_cols:
+        if np.linalg.norm(out[cols]) > np.pi:
+            out[cols] = Rotation.from_rotvec(out[cols]).as_rotvec()
+    v = plan.limited_values(out)
+    clipped = np.clip(v, plan.lo, plan.hi)
+    revolute = plan.limited_revolute
+    out[plan.limit_col[revolute]] = clipped[revolute]
+    x, y, z = np.eye(3)
+    for first, sl in plan.euler:
+        a, b, c = euler = clipped[first : first + 3]
+        if not np.allclose(euler, v[first : first + 3]):
+            m = _rodrigues_matrix(x, a) @ _rodrigues_matrix(y, b) @ _rodrigues_matrix(z, c)
+            out[sl] = Rotation(m).as_rotvec()
     return out
 
 
 class _Terms:
-    """A solve's terms as arrays, and the row layout of their residual.
+    """A solve's terms as arrays, the row layout of their residual, and its Jacobian.
 
     Per term: the robot marker's joint and local offset, the world target
     point, and the square root of its position weight. `framed` lists
@@ -316,10 +283,11 @@ class _Terms:
     the terms with a frame. Each term owns six rows of a (term, 6) stack,
     three position and three orientation rows; `keep` selects, in order,
     the rows the residual has: position rows of terms with position weight,
-    orientation rows of framed terms.
+    orientation rows of framed terms. `mask` is 1.0 on the columns that
+    move each term's marker joint, from the skeleton plan's `moves`.
     """
 
-    def __init__(self, terms):
+    def __init__(self, skeleton, terms):
         keep = []
         framed = []
         for t, (pair, _, _, frame) in enumerate(terms):
@@ -328,12 +296,15 @@ class _Terms:
             if frame is not None:
                 keep += [6 * t + 3, 6 * t + 4, 6 * t + 5]
                 framed.append((t, np.sqrt(pair.orientation_weight), frame))
+        self.plan = skeleton._plan
         self.joint = np.array([marker[0] for _, marker, _, _ in terms], dtype=int)
         self.offset = np.array([marker[1] for _, marker, _, _ in terms]).reshape(-1, 3)
         self.point = np.array([point for _, _, point, _ in terms]).reshape(-1, 3)
         self.position_scale = np.sqrt([pair.position_weight for pair, *_ in terms])
         self.framed = tuple(framed)
         self.keep = np.array(keep, dtype=int)
+        self.mask = self.plan.moves[self.joint]
+        self.position_mask = self.mask * self.position_scale[:, None]
 
     def errors(self, res):
         """(term, 3) marker position errors, and the rotation-vector error of each framed term."""
@@ -352,61 +323,33 @@ class _Terms:
             out[t, 3:] = w * e
         return out.reshape(-1)[self.keep]
 
+    def jacobian(self, res, orientation, values):
+        """Rows of the residual's Jacobian, from the FkResult and orientation errors at values.
 
-def _term_jacobian(skeleton, terms):
-    """Rows of the term residuals' Jacobian, as a function of (FkResult,
-    orientation errors from `_Terms.errors`, values).
-
-    Joint k's DoF turn joint k and everything below it at world angular
-    rates, one 3-vector per column: R_k axis for a revolute DoF, the
-    columns of R_k J_r(phi) for a spherical rotation vector phi. A marker x
-    on joint k or below then moves at rate x (x - p_k), and an orientation
-    error e = log(R_j^T R_t) at -J_r^{-1}(e) R_t^T rate. Columns of joints
-    that are not on the marker joint's path to the root are zero; that mask
-    is fixed per solve and built here once. `terms` is a `_Terms`.
-    """
-    n = skeleton.total_dof
-    col_joint = np.repeat(
-        np.arange(len(skeleton.joints)), [j.dof_count for j in skeleton.joints]
-    )
-    revolute = np.array(
-        [i for i, j in enumerate(skeleton.joints) if j.dof == "revolute"], dtype=int
-    )
-    rev_col = np.array([skeleton.dof_slices[i].start for i in revolute], dtype=int)
-    rev_axis = np.array([skeleton.joints[i].axis for i in revolute]).reshape(-1, 3)
-    spherical = [
-        (i, skeleton.dof_slices[i])
-        for i, j in enumerate(skeleton.joints)
-        if j.dof == "spherical"
-    ]
-    marker_joint, marker_offset = terms.joint, terms.offset
-    mask = np.zeros((len(marker_joint), n))
-    for t, j in enumerate(marker_joint):
-        while j >= 0:
-            mask[t, col_joint == j] = 1.0
-            j = skeleton.parent_index[j]
-    position_scale = mask * terms.position_scale[:, None]
-
-    def rows(res, orientation, values):
+        Joint k's DoF turn joint k and everything below it at world angular
+        rates, one 3-vector per column: R_k axis for a revolute DoF, the
+        columns of R_k J_r(phi) for a spherical rotation vector phi. A
+        marker x on joint k or below then moves at rate x (x - p_k), and an
+        orientation error e = log(R_j^T R_t) at -J_r^{-1}(e) R_t^T rate.
+        """
+        plan, n = self.plan, len(values)
         rates = np.empty((n, 3))
-        rates[rev_col] = np.einsum("cij,cj->ci", res.rotations[revolute], rev_axis)
-        for i, sl in spherical:
-            rates[sl] = (res.rotations[i] @ _right_jacobian(values[sl])).T
-        markers = res.positions[marker_joint] + np.einsum(
-            "tij,tj->ti", res.rotations[marker_joint], marker_offset
+        rates[plan.revolute_col] = np.einsum("cij,cj->ci", res.rotations[plan.revolute], plan.axes)
+        for i, cols in zip(plan.spherical, plan.spherical_cols):
+            rates[cols] = (res.rotations[i] @ _right_jacobian(values[cols])).T
+        markers = res.positions[self.joint] + np.einsum(
+            "tij,tj->ti", res.rotations[self.joint], self.offset
         )
-        lever = markers[:, None, :] - res.positions[col_joint]  # (term, column, 3)
-        out = np.zeros((len(marker_joint), 6, n))
+        lever = markers[:, None, :] - res.positions[plan.col_joint]  # (term, column, 3)
+        out = np.zeros((len(self.joint), 6, n))
         w0, w1, w2 = rates.T
         out[:, 0] = w1 * lever[..., 2] - w2 * lever[..., 1]
         out[:, 1] = w2 * lever[..., 0] - w0 * lever[..., 2]
         out[:, 2] = w0 * lever[..., 1] - w1 * lever[..., 0]
-        out[:, :3] *= position_scale[:, None, :]
-        for (t, w, frame), e in zip(terms.framed, orientation):
-            out[t, 3:] = (-w * _right_jacobian_inv(e) @ frame.T) @ (rates.T * mask[t])
-        return out.reshape(-1, n)[terms.keep]
-
-    return rows
+        out[:, :3] *= self.position_mask[:, None, :]
+        for (t, w, frame), e in zip(self.framed, orientation):
+            out[t, 3:] = (-w * _right_jacobian_inv(e) @ frame.T) @ (rates.T * self.mask[t])
+        return out.reshape(-1, n)[self.keep]
 
 
 def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to=None):
@@ -427,9 +370,10 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
         if (opts.smoothness_weight > 0 and smooth_to is not None)
         else 0.0
     )
-    layout = _Terms(terms)
-    term_rows = _term_jacobian(skeleton, layout)
-    barrier = _LimitBarrier(skeleton, opts)
+    layout = _Terms(skeleton, terms)
+    barrier = (
+        _LimitBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
+    )
     eye = np.eye(skeleton.total_dof)
     evals = {"residual": 0, "jacobian": 0}
     last = {}  # one slot: joint-value bytes -> (FkResult, term errors) of the last pose
@@ -444,7 +388,9 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
 
     def residual(values):
         evals["residual"] += 1
-        parts = [layout.residual(*evaluate(values)[1]), barrier.residual(values)]
+        parts = [layout.residual(*evaluate(values)[1])]
+        if barrier:
+            parts.append(barrier.residual(values))
         if w_smooth:
             parts.append(w_smooth * (values - smooth_to))
         if w_ref:
@@ -454,7 +400,9 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
     def jacobian(values):
         evals["jacobian"] += 1
         res, (_, orientation) = evaluate(values)
-        parts = [term_rows(res, orientation, values), barrier.jacobian(values)]
+        parts = [layout.jacobian(res, orientation, values)]
+        if barrier:
+            parts.append(barrier.jacobian(values))
         if w_smooth:
             parts.append(w_smooth * eye)
         if w_ref:
@@ -500,8 +448,10 @@ def retarget_frame(
     """Solve one frame; returns (robot Pose, RetargetReport).
 
     Targets are the scaled human marker positions and frames. The returned
-    pose is hard-projected into the joint limits after the solve, so its
-    limit-violation count is always zero.
+    pose is hard-projected into the joint limits after the solve: revolute
+    values end inside them, but an Euler-limited spherical joint may stay up
+    to 1e-8 + 1e-5 * |angle| past a limit (see `_project_to_limits`) and
+    count in the report's `limit_violation_count`.
     """
     res = fk(human_skeleton, human_pose)
     terms = []

@@ -8,7 +8,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import MissingDefault, PoseMismatch, UnresolvableCorrespondence, ValidationError
-from .rotations import Rotation, _hat_stack, _rodrigues_matrix, _rodrigues_stack
+from .rotations import Rotation, _hat_stack, _rodrigues_stack
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
 
@@ -113,7 +113,7 @@ class Skeleton:
             start += j.dof_count
         self.dof_slices = tuple(slices)
         self.total_dof = start
-        self._fk_plan = _FkPlan(joints, self.parent_index, self.dof_slices)
+        self._plan = _SkeletonPlan(joints, self.parent_index, self.dof_slices)
         mk = {}
         for m in markers:
             if m.joint not in seen:
@@ -195,13 +195,17 @@ def resolve_marker(skeleton, name):
     return i, np.zeros(3)
 
 
-class _FkPlan:
-    """What `fk` needs of a skeleton, as index arrays built once per skeleton.
+class _SkeletonPlan:
+    """A skeleton's structure as index arrays, built once per skeleton.
 
-    Revolute joints come with their value columns and K = hat(axis) and
-    K @ K per axis, spherical joints with their (S, 3) value columns.
-    `levels` holds (joints, parents, offsets as column vectors) per tree
-    depth below the root.
+    It is all that `fk`, `check_limits` and the retarget solver know of the
+    tree. Revolute joints come with their value columns, axes, K = hat(axis)
+    and K @ K, spherical joints with their (S, 3) value columns. `levels`
+    holds (joints, parents, offsets as column vectors) per tree depth below
+    the root. `col_joint` maps value columns to joints; row j of `moves` is
+    1.0 on the columns that turn joint j. The limited DoFs, in joint order,
+    have a joint, DoF index, value column and `lo`/`hi`; `euler` holds
+    (first limited DoF, value slice) per limited spherical joint.
     """
 
     def __init__(self, joints, parent_index, dof_slices):
@@ -209,7 +213,8 @@ class _FkPlan:
         start = np.array([sl.start for sl in dof_slices])
         self.revolute = np.flatnonzero(kind == "revolute")
         self.revolute_col = start[self.revolute]
-        self.k = _hat_stack(np.array([joints[i].axis for i in self.revolute]).reshape(-1, 3))
+        self.axes = np.array([joints[i].axis for i in self.revolute]).reshape(-1, 3)
+        self.k = _hat_stack(self.axes)
         self.kk = self.k @ self.k
         self.spherical = np.flatnonzero(kind == "spherical")
         self.spherical_cols = start[self.spherical, None] + np.arange(3)
@@ -223,17 +228,33 @@ class _FkPlan:
             for idx in (np.flatnonzero(depth == d) for d in range(1, depth.max() + 1))
         )
         self.identity = np.tile(_EYE3, (len(joints), 1, 1))
+        self.col_joint = np.repeat(np.arange(len(joints)), [j.dof_count for j in joints])
+        self.moves = np.zeros((len(joints), len(self.col_joint)))
+        for i, (p, sl) in enumerate(zip(parent_index, dof_slices)):
+            if p >= 0:
+                self.moves[i] = self.moves[p]
+            self.moves[i, sl] = 1.0
+        limited = np.array(
+            [(i, k, lo, hi) for i, j in enumerate(joints) for k, (lo, hi) in enumerate(j.limits)],
+            dtype=float,
+        ).reshape(-1, 4)
+        self.limit_joint, self.limit_dof = limited[:, :2].T.astype(int)
+        self.limit_col = start[self.limit_joint] + self.limit_dof
+        self.lo, self.hi = limited[:, 2].copy(), limited[:, 3].copy()
+        limit_kind = kind[self.limit_joint]
+        self.limited_revolute = np.flatnonzero(limit_kind == "revolute")
+        self.euler = tuple(
+            (first, dof_slices[self.limit_joint[first]])
+            for first in np.flatnonzero((limit_kind == "spherical") & (self.limit_dof == 0))
+        )
 
-
-def _local_matrix(joint, values):
-    if joint.dof == "fixed":
-        return _EYE3
-    if joint.dof == "revolute":
-        return _rodrigues_matrix(joint.axis, values[0])
-    angle = np.linalg.norm(values)
-    if angle < 1e-12:
-        return _EYE3
-    return _rodrigues_matrix(values / angle, angle)
+    def limited_values(self, values):
+        """The values the limits are stated on, one per limited DoF: revolute
+        angles, and the intrinsic XYZ Euler angles of spherical joints."""
+        out = values[self.limit_col]
+        for first, sl in self.euler:
+            out[first : first + 3] = _intrinsic_xyz_euler(Rotation.from_rotvec(values[sl]).matrix)
+        return out
 
 
 def fk(skeleton, pose):
@@ -256,12 +277,12 @@ def fk(skeleton, pose):
         raise PoseMismatch(
             f"pose has {len(values)} values, skeleton needs {skeleton.total_dof}"
         )
-    plan = skeleton._fk_plan
+    plan = skeleton._plan
     local = plan.identity.copy()
     theta = values[plan.revolute_col]
     local[plan.revolute] = _rodrigues_stack(np.sin(theta), np.cos(theta), plan.k, plan.kk)
     if len(plan.spherical):
-        # The same float operations as _local_matrix, one rotation vector per row.
+        # The same float operations as Rotation.from_rotvec, one rotation vector per row.
         v = values[plan.spherical_cols]
         angle = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])  # np.linalg.norm's dot
         turned = angle >= 1e-12
@@ -299,35 +320,20 @@ class LimitViolation:
     amount: float  # signed exceedance, radians
 
 
-def limited_dofs(skeleton, values):
-    """Yield (joint, k, value, lo, hi) for every limited DoF of a joint-value vector.
-
-    Spherical joints yield their intrinsic XYZ Euler angles, the values
-    their limits are stated on.
-    """
-    for i, joint in enumerate(skeleton.joints):
-        if not joint.limits:
-            continue
-        vals = values[skeleton.dof_slices[i]]
-        if joint.dof == "spherical":
-            vals = _intrinsic_xyz_euler(_local_matrix(joint, vals))
-        for k, (lo, hi) in enumerate(joint.limits):
-            yield joint, k, vals[k], lo, hi
-
-
 def check_limits(skeleton, pose):
     """Signed limit exceedances; empty list iff every DoF is inside [min, max]."""
     if len(pose.joint_values) != skeleton.total_dof:
         raise PoseMismatch(
             f"pose has {len(pose.joint_values)} values, skeleton needs {skeleton.total_dof}"
         )
-    out = []
-    for joint, k, v, lo, hi in limited_dofs(skeleton, pose.joint_values):
-        if v > hi:
-            out.append(LimitViolation(joint.name, k, float(v - hi)))
-        elif v < lo:
-            out.append(LimitViolation(joint.name, k, float(v - lo)))
-    return out
+    plan = skeleton._plan
+    v = plan.limited_values(pose.joint_values)
+    amount = v - np.where(v > plan.hi, plan.hi, plan.lo)
+    return [
+        LimitViolation(skeleton.joints[j].name, int(k), float(amount[i]))
+        for i, (j, k) in enumerate(zip(plan.limit_joint, plan.limit_dof))
+        if v[i] > plan.hi[i] or v[i] < plan.lo[i]
+    ]
 
 
 @dataclass(frozen=True)

@@ -287,12 +287,39 @@ def bad_solver_option(flag, value):
     return bad_input
 
 
+def unwritable_output(flag, target, reason):
+    def bad_input(workdir, monkeypatch):
+        assert run(["fk", "--skel", workdir / "skel.skel", "--motion", workdir / "traj.motion",
+                    "--out", workdir / "kp.motion"]) == 0
+        (workdir / "a_dir").mkdir()
+        argv = ["ik", "--skel", workdir / "skel.skel", "--motion", workdir / "kp.motion",
+                "--out", workdir / "rec.motion", "--report", workdir / "ik.json"]
+        argv[argv.index(flag) + 1] = workdir / target
+        return argv, f"cannot write {workdir / target}: {reason}"
+
+    bad_input.__name__ = f"unwritable_{flag[2:]}_{target.split('/')[0]}"
+    return bad_input
+
+
+def bad_pairs(workdir, monkeypatch):
+    features = FeatureMatrix(np.random.default_rng(0).normal(size=(16, 2)))
+    save_feature_matrix(features, workdir / "a.mat")
+    argv = ["metrics", "gen", "--reference", workdir / "a.mat", "--generated", workdir / "a.mat",
+            "--pairs", -1]
+    return argv, "pair_count must be an integer >= 1, got -1"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "bad_input",
-        [bad_limit_arity, bad_seed_env]
+        [bad_limit_arity, bad_seed_env, bad_pairs]
         + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")]
         + [zero_dof_robot]
+        + [
+            unwritable_output("--out", "missing/rec.motion", "No such file or directory"),
+            unwritable_output("--report", "missing/ik.json", "No such file or directory"),
+            unwritable_output("--out", "a_dir", "Is a directory"),
+        ]
         + [
             bad_solver_option(flag, value)
             for flag, value in (
@@ -311,6 +338,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert not list(workdir.rglob("*.tmp"))
 
     @pytest.mark.parametrize("command", ["fk", "ik", "features", "retarget"])
     @pytest.mark.parametrize(

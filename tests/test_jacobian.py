@@ -156,6 +156,8 @@ def test_revolute_barrier_at_both_limits(monkeypatch, rng):
     w = np.sqrt(RetargetOptions().limit_weight)
     barrier = jac[3:7]  # rows: a upper, a lower, b upper, b lower
     assert np.array_equal(barrier, [[w, 0], [0, 0], [0, 0], [0, -w]])
+    # An active lower row is -w times a gradient: -0.0 off its own column.
+    assert np.array_equal(np.signbit(barrier), [[0, 0], [0, 0], [0, 0], [1, 1]])
 
 
 def test_euler_limited_spherical_past_limits(monkeypatch, rng):
@@ -181,6 +183,15 @@ def test_euler_limited_spherical_past_limits(monkeypatch, rng):
         residual_fn, jacobian_fn, Rotation.from_matrix(m).as_rotvec()
     )
     assert np.all(np.any(jac[3:9].reshape(3, 2, 3) != 0, axis=(1, 2)))
+    # (0.5, 0.1, 0): only the first angle is past its barrier, the other rows stay zero
+    m = (
+        Rotation.from_axis_angle([1, 0, 0], 0.5).matrix
+        @ Rotation.from_axis_angle([0, 1, 0], 0.1).matrix
+    )
+    jac = assert_matches_oracle(
+        residual_fn, jacobian_fn, Rotation.from_matrix(m).as_rotvec()
+    )
+    assert np.array_equal(np.any(jac[3:9].reshape(3, 2, 3) != 0, axis=(1, 2)), [1, 0, 0])
 
 
 @pytest.mark.parametrize("angle", [1e-5, np.pi - 1e-3])

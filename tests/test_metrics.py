@@ -179,6 +179,14 @@ class TestDiversity:
         with pytest.raises(TooFewSamples):
             diversity(rng.normal(size=(9, 2)), 5)
 
+    @pytest.mark.parametrize("count", [0, -1, -2, 2.5, True, None])
+    def test_pair_count_must_be_positive_integer(self, rng, count):
+        x = rng.normal(size=(12, 2))
+        with pytest.raises(ValidationError, match="must be an integer >= 1"):
+            diversity(x, count)
+        with pytest.raises(ValidationError, match="must be an integer >= 1"):
+            multimodality(FeatureMatrix(x, ["a"] * 6 + ["b"] * 6), count)
+
 
 class TestMultimodality:
     def test_constant_groups(self):

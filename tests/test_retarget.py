@@ -20,8 +20,8 @@ from retarget_kit.errors import (
     UnresolvableCorrespondence,
     ValidationError,
 )
-from retarget_kit.retarget import _LimitBarrier, _gauss_newton
-from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, limited_dofs, resolve_marker
+from retarget_kit.retarget import _LimitBarrier, _gauss_newton, _project_to_limits
+from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, resolve_marker
 
 from conftest import make_humanlike, twist_free_pose
 
@@ -113,10 +113,35 @@ class TestRetargetFrame:
         values = Rotation.from_matrix(m).as_rotvec()
         violations = check_limits(skel, Pose(np.zeros(3), Rotation.identity(), values))
         assert len(violations) == 3
-        rows = _LimitBarrier(skel, RetargetOptions()).residual(values).reshape(-1, 2)
-        dofs = [(joint.name, k) for joint, k, *_ in limited_dofs(skel, values)]
+        w = np.sqrt(RetargetOptions().limit_weight)
+        rows = _LimitBarrier(skel, w).residual(values).reshape(-1, 2)
+        plan = skel._plan
+        dofs = [(skel.joints[j].name, k) for j, k in zip(plan.limit_joint, plan.limit_dof)]
         for v in violations:
             assert rows[dofs.index((v.joint, v.dof_index))].max() > 0
+
+    def test_projection_leaves_spherical_within_allclose_of_limit(self):
+        # The projection rebuilds an Euler-limited spherical joint only when its
+        # Euler angles are not np.allclose to their clipped values, so a joint
+        # this close past a limit is left where it is and counts as a violation.
+        skel = Skeleton(
+            [
+                Joint("root", None, [0, 0, 0]),
+                Joint("s", "root", [0, 1, 0], dof="spherical", limits=((-1.0, 1.0),) * 3),
+            ]
+        )
+        past = 4e-6
+        values = Rotation.from_axis_angle([1, 0, 0], 1.0 + past).as_rotvec()
+        projected = _project_to_limits(skel, values)
+        assert np.array_equal(projected, values)
+        (v,) = check_limits(skel, Pose(np.zeros(3), Rotation.identity(), projected))
+        assert (v.joint, v.dof_index) == ("s", 0)
+        assert v.amount == pytest.approx(past, rel=1e-6)
+        assert v.amount <= 1e-8 + 1e-5 * (1.0 + past)
+        # Farther past the limit, the joint is rebuilt inside it.
+        values = Rotation.from_axis_angle([1, 0, 0], 1.01).as_rotvec()
+        projected = Pose(np.zeros(3), Rotation.identity(), _project_to_limits(skel, values))
+        assert all(abs(v.amount) < 1e-12 for v in check_limits(skel, projected))
 
     def test_monotone_objective(self, humanlike, rng):
         pose = twist_free_pose(humanlike, rng)
@@ -163,7 +188,7 @@ class TestRetargetFrame:
         bad = Pose(pose.root_position, pose.root_orientation, pose.joint_values)
         bad.joint_values[0] = 1e200  # overflows FK products into inf
         corr = identity_corr(humanlike)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises((NonFiniteObjective, ValidationError)):
                 retarget_frame(humanlike, bad, humanlike, corr)
 

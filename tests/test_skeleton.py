@@ -15,8 +15,9 @@ from retarget_kit import (
     remap_dofs,
 )
 from retarget_kit.errors import MissingDefault, PoseMismatch, ValidationError
+from retarget_kit.retarget import _project_to_limits
 from retarget_kit.rotations import _rodrigues_matrix
-from retarget_kit.skeleton import Marker, _intrinsic_xyz_euler, resolve_marker
+from retarget_kit.skeleton import LimitViolation, Marker, _intrinsic_xyz_euler, resolve_marker
 
 from conftest import make_chain, make_random_tree, random_rotation
 
@@ -46,24 +47,25 @@ def naive_fk(skeleton, pose):
     return [world(i) for i in range(len(skeleton.joints))]
 
 
+def joint_walk_local(joint, values):
+    """One joint's local rotation, from its own values."""
+    if joint.dof == "fixed":
+        return np.eye(3)
+    if joint.dof == "revolute":
+        return _rodrigues_matrix(joint.axis, values[0])
+    angle = np.linalg.norm(values)
+    if angle < 1e-12:
+        return np.eye(3)
+    return _rodrigues_matrix(values / angle, angle)
+
+
 def joint_walk_fk(skeleton, pose):
     """Joint-by-joint forward kinematics, the float operations `fk` must reproduce exactly."""
-
-    def local(joint, values):
-        if joint.dof == "fixed":
-            return np.eye(3)
-        if joint.dof == "revolute":
-            return _rodrigues_matrix(joint.axis, values[0])
-        angle = np.linalg.norm(values)
-        if angle < 1e-12:
-            return np.eye(3)
-        return _rodrigues_matrix(values / angle, angle)
-
     nj = len(skeleton.joints)
     pos = np.empty((nj, 3))
     rot = np.empty((nj, 3, 3))
     for i, joint in enumerate(skeleton.joints):
-        m = local(joint, pose.joint_values[skeleton.dof_slices[i]])
+        m = joint_walk_local(joint, pose.joint_values[skeleton.dof_slices[i]])
         p = skeleton.parent_index[i]
         if p < 0:
             pos[i] = pose.root_position
@@ -72,6 +74,81 @@ def joint_walk_fk(skeleton, pose):
             pos[i] = pos[p] + rot[p] @ joint.offset
             rot[i] = rot[p] @ m
     return pos, rot
+
+
+def joint_walk_limited_dofs(skeleton, values):
+    """Yield (joint, k, value, lo, hi) per limited DoF, walking the joints one by one.
+
+    Spherical joints yield their intrinsic XYZ Euler angles. This walk and
+    the two below are what `check_limits` and the retarget limit projection
+    must reproduce exactly.
+    """
+    for i, joint in enumerate(skeleton.joints):
+        if not joint.limits:
+            continue
+        vals = values[skeleton.dof_slices[i]]
+        if joint.dof == "spherical":
+            vals = _intrinsic_xyz_euler(joint_walk_local(joint, vals))
+        for k, (lo, hi) in enumerate(joint.limits):
+            yield joint, k, vals[k], lo, hi
+
+
+def joint_walk_check_limits(skeleton, values):
+    out = []
+    for joint, k, v, lo, hi in joint_walk_limited_dofs(skeleton, values):
+        if v > hi:
+            out.append(LimitViolation(joint.name, k, float(v - hi)))
+        elif v < lo:
+            out.append(LimitViolation(joint.name, k, float(v - lo)))
+    return out
+
+
+def joint_walk_projection(skeleton, values):
+    out = values.copy()
+    for i, joint in enumerate(skeleton.joints):
+        sl = skeleton.dof_slices[i]
+        if joint.dof == "spherical" and np.linalg.norm(out[sl]) > np.pi:
+            out[sl] = Rotation.from_rotvec(out[sl]).as_rotvec()
+        if not joint.limits:
+            continue
+        if joint.dof == "revolute":
+            lo, hi = joint.limits[0]
+            out[sl] = np.clip(out[sl], lo, hi)
+        elif joint.dof == "spherical":
+            euler = _intrinsic_xyz_euler(joint_walk_local(joint, out[sl]))
+            clipped = np.array(
+                [np.clip(euler[k], lo, hi) for k, (lo, hi) in enumerate(joint.limits)]
+            )
+            if not np.allclose(clipped, euler):
+                m = (
+                    _rodrigues_matrix(np.array([1.0, 0, 0]), clipped[0])
+                    @ _rodrigues_matrix(np.array([0, 1.0, 0]), clipped[1])
+                    @ _rodrigues_matrix(np.array([0, 0, 1.0]), clipped[2])
+                )
+                out[sl] = Rotation(m).as_rotvec()
+    return out
+
+
+def mixed_limits_skeleton():
+    """Revolute and spherical joints, each with and without limits."""
+    return Skeleton(
+        [
+            Joint("root", None, [0, 0, 0], dof="spherical", limits=((-0.5, 0.5),) * 3),
+            Joint("a", "root", [0, 0.3, 0], dof="revolute", axis=[0, 0, 1], limits=((-0.4, 0.3),)),
+            Joint(
+                "s", "a", [0, 0.3, 0], dof="spherical",
+                limits=((-0.3, 0.3), (-0.2, 0.25), (0, 0.1)),
+            ),
+            Joint("free", "s", [0.1, 0.2, 0], dof="spherical"),
+            Joint("b", "free", [0, 0.3, 0], dof="revolute", axis=[1, 0, 0]),
+            Joint("c", "root", [0.2, 0, 0], dof="revolute", axis=[0, 1, 0], limits=((-1.0, 2.0),)),
+            Joint(
+                "t", "c", [0, 0, 0.2], dof="spherical",
+                limits=((-2, 2), (-0.05, 0.05), (-0.9, 0.9)),
+            ),
+            Joint("tip", "t", [0, 0.2, 0]),
+        ]
+    )
 
 
 def assert_matches_naive(skeleton, pose):
@@ -247,6 +324,20 @@ class TestLimits:
             ours = _intrinsic_xyz_euler(m)
             ref = ScipyRotation.from_matrix(m).as_euler("XYZ")
             assert np.allclose(ours, ref, atol=1e-9)
+
+    @pytest.mark.parametrize("name", BUNDLED + ("mixed",))
+    def test_limit_map_equals_joint_walk(self, rng, name):
+        # check_limits and the retarget projection read one shared limit map;
+        # both must give exactly what the joint-by-joint walks give.
+        skel = mixed_limits_skeleton() if name == "mixed" else load_example_skeleton(name)
+        for scale in (0.1, 0.5, 1.0, 3.0):
+            for _ in range(10):
+                values = scale * rng.normal(size=skel.total_dof)
+                pose = Pose(np.zeros(3), Rotation.identity(), values)
+                assert check_limits(skel, pose) == joint_walk_check_limits(skel, values)
+                assert np.array_equal(
+                    _project_to_limits(skel, values), joint_walk_projection(skel, values)
+                )
 
     def test_spherical_limits_random_vs_scan(self, rng):
         limits = ((-0.5, 0.5), (-0.4, 0.4), (-0.3, 0.3))
