@@ -66,9 +66,7 @@ def main():
 
     # project to keypoints, then reconstruct joint angles from them
     labels = tuple(j.name for j in human.joints)
-    frames = [
-        KeypointFrame(fk(human, p).positions, labels) for p in truth.poses
-    ]
+    frames = [KeypointFrame(kp, labels) for kp in fk(human, truth.poses).positions]
     recon = reconstruct_sequence(human, frames)
     rec_traj = JointTrajectory(fps=args.fps, poses=recon, skeleton=human.name)
     pair = TrajectoryPair(truth.values(), rec_traj.values(), args.fps)

@@ -58,7 +58,7 @@ def cmd_fk(args):
     motion = io.load_motion(args.motion)
     _require_kind(motion, "trajectory", "--motion")
     _require_skeleton(motion, skel, "--motion")
-    frames = np.array([fk(skel, p).positions for p in motion.trajectory.poses])
+    frames = fk(skel, motion.trajectory.poses).positions
     labels = [j.name for j in skel.joints]
     io.save_motion(
         io.keypoint_motion(frames, labels, motion.fps, skeleton=skel.name), args.out

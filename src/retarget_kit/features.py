@@ -1,4 +1,4 @@
-"""Per-frame pose feature vectors for motion modeling.
+"""Pose feature vectors for motion modeling, one row per pair of consecutive frames.
 
 Layout, in order: root yaw angular velocity (1), root linear velocity on
 the XZ plane in the heading frame (2), root height (1), non-root joint
@@ -27,8 +27,8 @@ def feature_dimension(skeleton, contact_markers=DEFAULT_CONTACT_MARKERS):
 
 
 def _yaw(rotation_matrix):
-    """Heading angle about the vertical Y axis."""
-    return np.arctan2(rotation_matrix[0, 2], rotation_matrix[2, 2])
+    """Heading angle about the vertical Y axis, of each (..., 3, 3) matrix."""
+    return np.arctan2(rotation_matrix[..., 0, 2], rotation_matrix[..., 2, 2])
 
 
 def _wrap_angle(a):
@@ -51,47 +51,27 @@ def build_pose_features(
     if missing:
         raise MissingContactMarkers(f"skeleton lacks contact markers {missing}")
 
-    results = [fk(skeleton, p) for p in poses]
-    t_total = len(poses)
-
-    yaws = np.array([_yaw(r.rotations[0]) for r in results])
-    root_pos = np.array([r.positions[0] for r in results])
-    root_rot = np.array([r.rotations[0] for r in results])
+    res = fk(skeleton, poses)
+    root_pos, root_rot = res.positions[:, 0], res.rotations[:, 0]
+    yaws = _yaw(root_rot)
     # Non-root joint positions expressed in the root frame.
-    local_pos = np.array(
-        [(r.positions[1:] - r.positions[0]) @ r.rotations[0] for r in results]
-    )
+    local_pos = (res.positions[:, 1:] - root_pos[:, None]) @ root_rot
     markers = [resolve_marker(skeleton, m) for m in contact_markers]
-    contact_pos = np.array([[r.point(j, offset) for j, offset in markers] for r in results])
+    contact_pos = np.stack([res.point(j, offset) for j, offset in markers], axis=1)
 
-    rows = []
-    for t in range(t_total - 1):
-        yaw_rate = _wrap_angle(yaws[t + 1] - yaws[t]) * fps
-        v_world = (root_pos[t + 1] - root_pos[t]) * fps
-        c, s = np.cos(yaws[t]), np.sin(yaws[t])
-        # World velocity in the heading (yaw-only) frame; keep x and z.
-        vx = c * v_world[0] - s * v_world[2]
-        vz = s * v_world[0] + c * v_world[2]
-        joint_vel = (local_pos[t + 1] - local_pos[t]) * fps
-        rot6d = np.concatenate(
-            [
-                np.concatenate([m[:, 0], m[:, 1]])
-                for m in (root_rot[t].T @ results[t].rotations[1:])
-            ]
-        )
-        marker_speed2 = np.sum(
-            ((contact_pos[t + 1] - contact_pos[t]) * fps) ** 2, axis=1
-        )
-        contacts = (marker_speed2 < contact_threshold).astype(float)
-        rows.append(
-            np.concatenate(
-                [
-                    [yaw_rate, vx, vz, root_pos[t, 1]],
-                    local_pos[t].reshape(-1),
-                    joint_vel.reshape(-1),
-                    rot6d,
-                    contacts,
-                ]
-            )
-        )
-    return np.array(rows)
+    # Row t of every block below is feature frame t, from frames t and t + 1.
+    yaw_rate = _wrap_angle(yaws[1:] - yaws[:-1]) * fps
+    v_world = (root_pos[1:] - root_pos[:-1]) * fps
+    c, s = np.cos(yaws[:-1]), np.sin(yaws[:-1])
+    # World velocity in the heading (yaw-only) frame; keep x and z.
+    vx = c * v_world[:, 0] - s * v_world[:, 2]
+    vz = s * v_world[:, 0] + c * v_world[:, 2]
+    joint_vel = (local_pos[1:] - local_pos[:-1]) * fps
+    rel = np.swapaxes(root_rot[:-1], 1, 2)[:, None] @ res.rotations[:-1, 1:]
+    rot6d = np.concatenate([rel[..., :, 0], rel[..., :, 1]], axis=-1)
+    marker_speed2 = np.sum(((contact_pos[1:] - contact_pos[:-1]) * fps) ** 2, axis=2)
+    contacts = (marker_speed2 < contact_threshold).astype(float)
+    rows = len(poses) - 1
+    blocks = [local_pos[:-1], joint_vel, rot6d]
+    root = np.stack([yaw_rate, vx, vz, root_pos[:-1, 1]], axis=1)
+    return np.concatenate([root] + [b.reshape(rows, -1) for b in blocks] + [contacts], axis=1)

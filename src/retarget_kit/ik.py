@@ -1,4 +1,4 @@
-"""Hierarchical pose reconstruction from 3D keypoints.
+"""Hierarchical pose reconstruction from 3D keypoints, all frames at once.
 
 Works root-outward: each joint's local rotation is solved in its parent's
 accumulated frame, from its child bone directions. Single-child joints use
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoseMismatch, ValidationError
-from .rotations import Rotation, procrustes, rodrigues_align
+from .errors import DegenerateBone, PoseMismatch, RankDeficient, ValidationError
+from .rotations import Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
 from .skeleton import Pose
 
 
@@ -39,96 +39,131 @@ class KeypointFrame:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-def _keypoints_in_joint_order(skeleton, frame):
-    row = {label: i for i, label in enumerate(frame.labels)}
-    if len(frame.labels) != len(skeleton.joints):
-        raise PoseMismatch(
-            f"{len(frame.labels)} keypoints for {len(skeleton.joints)} joints"
-        )
+def _joint_order(skeleton, labels):
+    """Keypoint row of each skeleton joint, for one label tuple."""
+    row = {label: i for i, label in enumerate(labels)}
+    if len(labels) != len(skeleton.joints):
+        raise PoseMismatch(f"{len(labels)} keypoints for {len(skeleton.joints)} joints")
     try:
-        order = [row[j.name] for j in skeleton.joints]
+        return [row[j.name] for j in skeleton.joints]
     except KeyError as e:
         raise PoseMismatch(f"keypoint frame missing joint {e}") from None
-    return frame.positions[order]
 
 
-def reconstruct_frame(skeleton, frame):
-    """Recover a pose whose FK reproduces every observed bone direction."""
-    kp = _keypoints_in_joint_order(skeleton, frame)
-    nj = len(skeleton.joints)
-    children = [[] for _ in range(nj)]
+def _reconstruct(skeleton, kp):
+    """Root orientations (T, 3, 3) and joint values (T, DoF) of (T, J, 3)
+    keypoints in joint order: the joints in skeleton order, each solved for
+    all frames by one stacked bone alignment or Procrustes solve."""
+    children = [[] for _ in skeleton.joints]
     for i, p in enumerate(skeleton.parent_index):
         if p >= 0:
             children[p].append(i)
-
-    world = np.tile(np.eye(3), (nj, 1, 1))
-    values = np.zeros(skeleton.total_dof)
-    root_orientation = Rotation.identity()
     for i, joint in enumerate(skeleton.joints):
-        ch = children[i]
-        p = skeleton.parent_index[i]
-        parent_world = world[p] if p >= 0 else np.eye(3)
+        if skeleton.parent_index[i] >= 0 and children[i] and joint.dof != "spherical":
+            raise ValidationError(
+                f"joint '{joint.name}' has dof '{joint.dof}'; "
+                "keypoint reconstruction needs spherical joints"
+            )
+    n = len(kp)
+    world = np.empty((n, len(skeleton.joints), 3, 3))
+    root = identity = np.tile(np.eye(3), (n, 1, 1))
+    values = np.zeros((n, skeleton.total_dof))
+    for i, joint in enumerate(skeleton.joints):
+        ch, p = children[i], skeleton.parent_index[i]
+        parent_world = world[:, p] if p >= 0 else identity
         if not ch:
-            world[i] = parent_world  # leaf: rotation unobservable, keep identity
+            world[:, i] = parent_world  # leaf: rotation unobservable, keep identity
             continue
-        templates = np.column_stack([skeleton.joints[c].offset for c in ch])
-        observed = np.column_stack([parent_world.T @ (kp[c] - kp[i]) for c in ch])
-        if len(ch) == 1:
-            local = rodrigues_align(templates[:, 0], observed[:, 0])
-        else:
-            local = procrustes(templates, observed)
-        world[i] = parent_world @ local.matrix
+        # (n, 3, m): each child bone in the parent's frame, one matrix-vector product each
+        bones = (kp[:, ch] - kp[:, i, None])[..., None]
+        observed = (np.swapaxes(parent_world, 1, 2)[:, None] @ bones)[..., 0]
+        observed = np.ascontiguousarray(np.swapaxes(observed, 1, 2))
+        try:
+            if len(ch) == 1:
+                offset = skeleton.joints[ch[0]].offset
+                local = _align_stack(np.broadcast_to(offset, (n, 3)), observed[:, :, 0])
+            else:
+                templates = np.column_stack([skeleton.joints[c].offset for c in ch])
+                local = _procrustes_stack(templates, observed)
+        except (DegenerateBone, RankDeficient) as e:
+            names = ", ".join(f"'{skeleton.joints[c].name}'" for c in ch)
+            raise type(e)(f"joint '{joint.name}' → {names}: {e}") from None
+        world[:, i] = parent_world @ local
         if p < 0:
-            root_orientation = local
+            root = local
         else:
-            if joint.dof != "spherical":
-                raise ValidationError(
-                    f"joint '{joint.name}' has dof '{joint.dof}'; "
-                    "keypoint reconstruction needs spherical joints"
-                )
-            values[skeleton.dof_slices[i]] = local.as_rotvec()
-    return Pose(kp[0], root_orientation, values)
+            values[:, skeleton.dof_slices[i]] = _rotvec_stack(local)
+    return root, values
+
+
+def reconstruct_frame(skeleton, frame):
+    """Recover a pose whose FK reproduces every observed bone direction.
+
+    The T = 1 case of `reconstruct_sequence` without the continuity pass.
+    """
+    kp = frame.positions[_joint_order(skeleton, frame.labels)]
+    root, values = _reconstruct(skeleton, kp[None])
+    return Pose(kp[0], Rotation(root[0]), values[0])
 
 
 def _rotvec_quat(v):
-    """Quaternion of a raw axis-angle vector, without hemisphere folding."""
-    angle = np.linalg.norm(v)
-    if angle < 1e-12:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    half = angle / 2.0
-    return np.concatenate([[np.cos(half)], np.sin(half) / angle * v])
+    """Quaternions of raw (..., 3) axis-angle vectors, without hemisphere folding."""
+    v = np.asarray(v, dtype=float)
+    angle = _norm(v)
+    turned = angle >= 1e-12
+    q = np.zeros(v.shape[:-1] + (4,))
+    q[..., 0] = 1.0
+    a = angle[turned]
+    q[turned] = np.column_stack([np.cos(a / 2.0), (np.sin(a / 2.0) / a)[:, None] * v[turned]])
+    return q
 
 
-def _flip_rotvec(v):
-    """Same rotation, opposite quaternion hemisphere: angle 2pi - |v| about -v."""
-    angle = np.linalg.norm(v)
-    if angle < 1e-12:
-        return v
-    return (angle - 2.0 * np.pi) / angle * v
+def _hemisphere_continuity(skeleton, values):
+    """Re-express non-root spherical joint vectors in place so consecutive
+    frames keep dot(q_t, q_{t+1}) >= 0, as a frame-by-frame pass would."""
+    plan = skeleton._plan
+    cols = plan.spherical_cols[plan.spherical > 0]
+    v = values[:, cols]  # (T, S, 3)
+    q = _rotvec_quat(v)
+    raw = _dot(q[:-1], q[1:])  # (T - 1, S)
+    # Frame t flips iff its raw quaternion points away from frame t - 1's
+    # quaternion as flipped; a dot of exactly 0 flips neither way.
+    flip = np.zeros((len(v), len(cols)), dtype=bool)
+    for t, d in enumerate(raw, start=1):
+        flip[t] = np.where(flip[t - 1], d > 0, d < 0)
+    angle = _norm(v)
+    flip &= angle >= 1e-12
+    v[flip] *= ((angle[flip] - 2.0 * np.pi) / angle[flip])[:, None]
+    values[:, cols] = v
 
 
 def reconstruct_sequence(skeleton, frames, *, hemisphere_continuity=True):
-    """Per-frame reconstruction plus an optional quaternion-continuity pass.
+    """Poses of T keypoint frames, plus an optional quaternion-continuity pass.
 
-    The continuity pass re-expresses spherical joint axis-angle vectors so
-    consecutive frames stay on the same quaternion hemisphere
-    (dot(q_t, q_{t+1}) >= 0), which may push angles above pi.
+    `frames` holds T KeypointFrames, each with one labelled position per
+    skeleton joint; the result is a list of T Poses. All frames are solved
+    at once from one (T, J, 3) keypoint array, bit for bit as T calls of
+    `reconstruct_frame` would solve them. The continuity pass re-expresses
+    spherical joint axis-angle vectors so consecutive frames stay on the
+    same quaternion hemisphere (dot(q_t, q_{t+1}) >= 0), which may push
+    angles above pi. A degenerate bone or rank-deficient joint is reported
+    at the earliest frame, and within it the first joint in skeleton order.
     """
     if not frames:
         raise ValidationError("empty keypoint sequence")
-    poses = [reconstruct_frame(skeleton, f) for f in frames]
-    if not hemisphere_continuity or len(poses) < 2:
-        return poses
-    for i, joint in enumerate(skeleton.joints):
-        if joint.dof != "spherical" or skeleton.parent_index[i] < 0:
-            continue
-        sl = skeleton.dof_slices[i]
-        prev = _rotvec_quat(poses[0].joint_values[sl])
-        for pose in poses[1:]:
-            v = pose.joint_values[sl]
-            q = _rotvec_quat(v)
-            if np.dot(prev, q) < 0:
-                v[...] = _flip_rotvec(v)
-                q = -q
-            prev = q
-    return poses
+    labels = dict.fromkeys(f.labels for f in frames)
+    orders = {key: _joint_order(skeleton, key) for key in labels}
+    rows = np.array([orders[f.labels] for f in frames])
+    kp = np.array([f.positions for f in frames])[np.arange(len(frames))[:, None], rows]
+    try:
+        root, values = _reconstruct(skeleton, kp)
+    except (DegenerateBone, RankDeficient):
+        for t, frame in enumerate(frames):
+            try:
+                reconstruct_frame(skeleton, frame)
+            except (DegenerateBone, RankDeficient) as e:
+                raise type(e)(f"frame {t}, {e}") from None
+        raise
+    if hemisphere_continuity and len(frames) > 1:
+        _hemisphere_continuity(skeleton, values)
+    return [Pose(kp[t, 0], Rotation(root[t]), values[t]) for t in range(len(frames))]

@@ -243,7 +243,10 @@ def load_motion(path):
         raise ParseError(path, "/fps", f"fps must be positive, got {fps!r}")
     kind = obj.get("kind")
     if kind == "keypoints":
-        labels = tuple(obj.get("labels", []))
+        labels = obj.get("labels", [])
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ParseError(path, "/labels", "expected a list of joint names")
+        labels = tuple(labels)
         frames = _finite_array(obj.get("frames"), path, "/frames")
         if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[1] != len(labels):
             raise ParseError(
@@ -259,8 +262,12 @@ def load_motion(path):
             keypoints=frames,
         )
     if kind == "trajectory":
+        frames = obj.get("frames")
+        if not isinstance(frames, list) or not frames:
+            reason = f"expected a non-empty list of frames, got {frames!r:.40}"
+            raise ParseError(path, "/frames", reason)
         poses = []
-        for i, node in enumerate(obj.get("frames", [])):
+        for i, node in enumerate(frames):
             loc = f"/frames/{i}"
             try:
                 poses.append(

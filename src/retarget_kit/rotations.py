@@ -40,17 +40,69 @@ def _rodrigues_matrix(axis, angle):
 
 
 def _hat_stack(v):
-    """`_hat` of each row of an (n, 3) array."""
-    k = np.zeros((len(v), 3, 3))
-    k[:, 0, 1], k[:, 0, 2] = -v[:, 2], v[:, 1]
-    k[:, 1, 0], k[:, 1, 2] = v[:, 2], -v[:, 0]
-    k[:, 2, 0], k[:, 2, 1] = -v[:, 1], v[:, 0]
+    """`_hat` of each 3-vector of an (..., 3) array."""
+    k = np.zeros(v.shape + (3,))
+    k[..., 0, 1], k[..., 0, 2] = -v[..., 2], v[..., 1]
+    k[..., 1, 0], k[..., 1, 2] = v[..., 2], -v[..., 0]
+    k[..., 2, 0], k[..., 2, 1] = -v[..., 1], v[..., 0]
     return k
 
 
 def _rodrigues_stack(sin, cos, k, kk):
     """Stacked I + sin(t) K + (1 - cos(t)) K^2, as `_rodrigues_matrix` computes it."""
-    return _EYE3 + sin[:, None, None] * k + (1.0 - cos)[:, None, None] * kk
+    return _EYE3 + sin[..., None, None] * k + (1.0 - cos)[..., None, None] * kk
+
+
+# The stacked forms below repeat their one-item counterparts' float operations
+# item by item, each branch on its own rows. A (1, k) @ (k, 1) matmul sums as
+# `np.dot` and `np.linalg.norm` do; a reduction along an axis would not.
+
+
+def _dot(a, b):
+    """`np.dot` of matching k-vectors of two (..., k) arrays."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(v):
+    """`np.linalg.norm` of each k-vector of an (..., k) array."""
+    return np.sqrt(_dot(v, v))
+
+
+_CYCLIC = ((1, 2), (2, 0), (0, 1))
+
+
+def _quat_stack(m):
+    """`Rotation.as_quat` of each matrix of an (n, 3, 3) stack."""
+    trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+    # Branch 3 is a positive trace; branch i < 3 is the largest diagonal entry i.
+    branch = np.where(trace > 0, 3, np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1))
+    q = np.empty((len(m), 4))
+    for b in range(4):
+        rows = branch == b
+        r = m[rows]
+        if b == 3:
+            s = np.sqrt(trace[rows] + 1.0) * 2.0
+            parts = [0.25 * s] + [(r[:, k, j] - r[:, j, k]) / s for j, k in _CYCLIC]
+        else:
+            (j, k), (lo, hi) = _CYCLIC[b], sorted(_CYCLIC[b])
+            s = np.sqrt(1.0 + r[:, b, b] - r[:, lo, lo] - r[:, hi, hi]) * 2.0
+            parts = [(r[:, k, j] - r[:, j, k]) / s] + [
+                0.25 * s if c == b else (r[:, c, b] + r[:, b, c]) / s for c in range(3)
+            ]
+        q[rows] = np.stack(parts, axis=1)
+    q /= _norm(q)[:, None]
+    return np.where(q[:, :1] < 0, -q, q)
+
+
+def _rotvec_stack(m):
+    """`Rotation.as_rotvec` of each matrix of an (n, 3, 3) stack."""
+    q = _quat_stack(m)
+    s = _norm(q[:, 1:])
+    turned = s >= 1e-16
+    out = np.zeros((len(m), 3))
+    qt, st = q[turned], s[turned]
+    out[turned] = qt[:, 1:] / st[:, None] * (2.0 * np.arctan2(st, qt[:, 0]))[:, None]
+    return out
 
 
 def _right_jacobian(phi):
@@ -231,8 +283,36 @@ class Rotation:
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=float)
 
-    def is_close(self, other, *, tol=ORTHONORMAL_TOL):
-        return bool(np.linalg.norm(self.matrix - other.matrix) <= tol)
+
+def _align_stack(t, p, tol=DEGENERATE_NORM):
+    """`rodrigues_align` of each row pair of two (n, 3) arrays, as (n, 3, 3) matrices.
+
+    Raises DegenerateBone for the first pair with a bone shorter than tol.
+    """
+    nt, np_ = _norm(t), _norm(p)
+    short = (nt <= tol) | (np_ <= tol)
+    if short.any():
+        i = np.argmax(short)
+        raise DegenerateBone(f"bone norms {nt[i]:.3e}, {np_[i]:.3e} below {tol:.0e}")
+    t_hat, p_hat = t / nt[:, None], p / np_[:, None]
+    c = np.clip(_dot(t_hat, p_hat), -1.0, 1.0)
+    cross = np.cross(t_hat, p_hat)
+    s = _norm(cross)
+    out = np.empty((len(t), 3, 3))
+    turned = s >= tol
+    out[~turned & (c > 0)] = _EYE3
+    # Antiparallel: deterministic fallback axis orthogonal to t.
+    half_turn = ~turned & ~(c > 0)
+    th = t_hat[half_turn]
+    e = _EYE3[np.argmin(np.abs(th), axis=1)]
+    axis = e - _dot(th, e)[:, None] * th
+    axis /= _norm(axis)[:, None]
+    k, pi = _hat_stack(axis), np.full(len(th), np.pi)
+    out[half_turn] = _rodrigues_stack(np.sin(pi), np.cos(pi), k, k @ k)
+    angle = np.arccos(c[turned])
+    k = _hat_stack(cross[turned] / s[turned, None])
+    out[turned] = _rodrigues_stack(np.sin(angle), np.cos(angle), k, k @ k)
+    return out
 
 
 def rodrigues_align(template_bone, observed_bone, *, degenerate_tol=DEGENERATE_NORM):
@@ -241,26 +321,23 @@ def rodrigues_align(template_bone, observed_bone, *, degenerate_tol=DEGENERATE_N
     Antiparallel inputs fall back to a half-turn about the coordinate axis
     least aligned with the template, orthogonalized against it.
     """
-    t = np.asarray(template_bone, dtype=float)
-    p = np.asarray(observed_bone, dtype=float)
-    nt, np_ = np.linalg.norm(t), np.linalg.norm(p)
-    if nt <= degenerate_tol or np_ <= degenerate_tol:
-        raise DegenerateBone(f"bone norms {nt:.3e}, {np_:.3e} below {degenerate_tol:.0e}")
-    t_hat, p_hat = t / nt, p / np_
-    c = float(np.clip(np.dot(t_hat, p_hat), -1.0, 1.0))
-    cross = np.cross(t_hat, p_hat)
-    s = np.linalg.norm(cross)
-    if s < degenerate_tol:
-        if c > 0:
-            return Rotation.identity()
-        # Antiparallel: deterministic fallback axis orthogonal to t.
-        e = _EYE3[int(np.argmin(np.abs(t_hat)))]
-        axis = e - np.dot(t_hat, e) * t_hat
-        axis /= np.linalg.norm(axis)
-        return Rotation(_rodrigues_matrix(axis, np.pi))
-    axis = cross / s
-    angle = np.arccos(c)
-    return Rotation(_rodrigues_matrix(axis, angle))
+    t = np.asarray(template_bone, dtype=float).reshape(1, 3)
+    p = np.asarray(observed_bone, dtype=float).reshape(1, 3)
+    return Rotation(_align_stack(t, p, degenerate_tol)[0])
+
+
+def _procrustes_stack(t, p, rank_tol=RANK_TOL):
+    """`procrustes` of one 3 x m template column set against an (n, 3, m) stack.
+
+    Raises RankDeficient for the first item whose cross-covariance has rank < 2.
+    """
+    u, s, vt = np.linalg.svd(p @ t.T)
+    low = s[:, 1] <= rank_tol * np.maximum(s[:, 0], 1.0)
+    if low.any():
+        raise RankDeficient(f"cross-covariance rank < 2 (singular values {s[np.argmax(low)]})")
+    d = np.ones((len(p), 1, 3))
+    d[:, 0, 2] = np.linalg.det(u @ vt)
+    return (u * d) @ vt
 
 
 def procrustes(template_cols, observed_cols, *, rank_tol=RANK_TOL):
@@ -276,12 +353,7 @@ def procrustes(template_cols, observed_cols, *, rank_tol=RANK_TOL):
         raise RankDeficient(f"expected matching 3xm inputs, got {t.shape} and {p.shape}")
     if t.shape[1] < 2:
         raise RankDeficient("need at least 2 correspondence columns")
-    m = p @ t.T
-    u, s, vt = np.linalg.svd(m)
-    if s[1] <= rank_tol * max(s[0], 1.0):
-        raise RankDeficient(f"cross-covariance rank < 2 (singular values {s})")
-    d = np.linalg.det(u @ vt)
-    return Rotation((u * np.array([1.0, 1.0, d])) @ vt)
+    return Rotation(_procrustes_stack(t, p[None], rank_tol)[0])
 
 
 def geodesic_distance(a, b):

@@ -8,7 +8,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import MissingDefault, PoseMismatch, UnresolvableCorrespondence, ValidationError
-from .rotations import Rotation, _hat_stack, _rodrigues_stack
+from .rotations import Rotation, _hat_stack, _norm, _rodrigues_stack
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
 
@@ -123,16 +123,8 @@ class Skeleton:
             mk[m.name] = m
         self.markers = MappingProxyType(mk)
 
-    @property
-    def root(self):
-        return self.joints[0]
-
     def joint(self, name):
         return self.joints[self.index[name]]
-
-    def children(self, name):
-        i = self.index[name]
-        return [j.name for j, p in zip(self.joints, self.parent_index) if p == i]
 
     def zero_pose(self):
         return Pose(np.zeros(3), Rotation.identity(), np.zeros(self.total_dof))
@@ -174,12 +166,13 @@ class JointTrajectory:
 
 @dataclass
 class FkResult:
-    positions: np.ndarray  # (J, 3) world
-    rotations: np.ndarray  # (J, 3, 3) world
+    positions: np.ndarray  # (J, 3) world, or (T, J, 3) for T poses
+    rotations: np.ndarray  # (J, 3, 3) world, or (T, J, 3, 3) for T poses
 
     def point(self, joint_index, offset):
-        """World position of a point fixed at `offset` in a joint's frame."""
-        return self.positions[joint_index] + self.rotations[joint_index] @ offset
+        """World position of a point fixed at `offset` in a joint's frame, per pose."""
+        rot = self.rotations[..., joint_index, :, :]
+        return self.positions[..., joint_index, :] + rot @ offset
 
 
 def resolve_marker(skeleton, name):
@@ -202,10 +195,12 @@ class _SkeletonPlan:
     tree. Revolute joints come with their value columns, axes, K = hat(axis)
     and K @ K, spherical joints with their (S, 3) value columns. `levels`
     holds (joints, parents, offsets as column vectors) per tree depth below
-    the root. `col_joint` maps value columns to joints; row j of `moves` is
-    1.0 on the columns that turn joint j. The limited DoFs, in joint order,
-    have a joint, DoF index, value column and `lo`/`hi`; `euler` holds
-    (first limited DoF, value slice) per limited spherical joint.
+    the root. K, K @ K, the offsets and `identity` carry a length-1 frame
+    axis after the joint axis, as `fk`'s buffers do. `col_joint` maps value
+    columns to joints; row j of `moves` is 1.0 on the columns that turn
+    joint j. The limited DoFs, in joint order, have a joint, DoF index,
+    value column and `lo`/`hi`; `euler` holds (first limited DoF, value
+    slice) per limited spherical joint.
     """
 
     def __init__(self, joints, parent_index, dof_slices):
@@ -214,7 +209,7 @@ class _SkeletonPlan:
         self.revolute = np.flatnonzero(kind == "revolute")
         self.revolute_col = start[self.revolute]
         self.axes = np.array([joints[i].axis for i in self.revolute]).reshape(-1, 3)
-        self.k = _hat_stack(self.axes)
+        self.k = _hat_stack(self.axes)[:, None]
         self.kk = self.k @ self.k
         self.spherical = np.flatnonzero(kind == "spherical")
         self.spherical_cols = start[self.spherical, None] + np.arange(3)
@@ -224,10 +219,10 @@ class _SkeletonPlan:
         depth, parents = np.array(depth), np.array(parent_index)
         offsets = np.array([j.offset for j in joints])
         self.levels = tuple(
-            (idx, parents[idx], offsets[idx, :, None])
+            (idx, parents[idx], offsets[idx, None, :, None])
             for idx in (np.flatnonzero(depth == d) for d in range(1, depth.max() + 1))
         )
-        self.identity = np.tile(_EYE3, (len(joints), 1, 1))
+        self.identity = np.tile(_EYE3, (len(joints), 1, 1, 1))
         self.col_joint = np.repeat(np.arange(len(joints)), [j.dof_count for j in joints])
         self.moves = np.zeros((len(joints), len(self.col_joint)))
         for i, (p, sl) in enumerate(zip(parent_index, dof_slices)):
@@ -258,46 +253,60 @@ class _SkeletonPlan:
 
 
 def fk(skeleton, pose):
-    """World transforms of all joints for one pose.
+    """World transforms of all joints for one Pose, or for a sequence of T poses.
 
-    Child transform = parent o translate(rest offset) o joint rotation;
-    the root transform is (root_position, root_orientation) composed with
-    the root joint's own rotation if it has DoF.
+    One Pose gives (J, 3) positions and (J, 3, 3) rotations; T poses give
+    (T, J, 3) and (T, J, 3, 3), frame by frame the floats of one call per
+    pose. Child transform = parent o translate(rest offset) o joint
+    rotation; the root transform is (root_position, root_orientation)
+    composed with the root joint's own rotation if it has DoF.
 
-    The tree is evaluated in level order from an index plan that
-    `Skeleton.__init__` builds once: the local rotations of all revolute
-    joints come from one broadcast Rodrigues, those of all spherical joints
-    from another, and then each tree depth is composed at once onto its
-    parents' world transforms. Every entry goes through the same float
-    operations as a joint-by-joint walk of the tree, so the results are bit
-    for bit those of that walk.
+    All frames are evaluated at once in level order, from an index plan that
+    `Skeleton.__init__` builds once: one broadcast Rodrigues for all revolute
+    joints, one for all spherical joints, then each tree depth composed onto
+    its parents. Every entry goes through the float operations of a
+    joint-by-joint walk of the tree, so the results are bit for bit its own.
     """
-    values = pose.joint_values
-    if len(values) != skeleton.total_dof:
-        raise PoseMismatch(
-            f"pose has {len(values)} values, skeleton needs {skeleton.total_dof}"
-        )
+    single = isinstance(pose, Pose)
+    poses = (pose,) if single else pose
+    for p in poses:
+        if len(p.joint_values) != skeleton.total_dof:
+            raise PoseMismatch(
+                f"pose has {len(p.joint_values)} values, skeleton needs {skeleton.total_dof}"
+            )
+    if single:
+        root_pos, root_rot = pose.root_position[None], pose.root_orientation.matrix[None]
+        values = pose.joint_values[None]
+    else:
+        n = len(poses)
+        root_pos = np.array([p.root_position for p in poses]).reshape(n, 3)
+        root_rot = np.array([p.root_orientation.matrix for p in poses]).reshape(n, 3, 3)
+        values = np.array([p.joint_values for p in poses]).reshape(n, skeleton.total_dof)
+    # Joint-major (J, T, ...) buffers: each tree level gathers its parents along axis 0.
     plan = skeleton._plan
-    local = plan.identity.copy()
-    theta = values[plan.revolute_col]
+    local = np.empty((len(plan.identity), len(values), 3, 3))
+    local[...] = plan.identity
+    theta = values.T[plan.revolute_col]
     local[plan.revolute] = _rodrigues_stack(np.sin(theta), np.cos(theta), plan.k, plan.kk)
     if len(plan.spherical):
         # The same float operations as Rotation.from_rotvec, one rotation vector per row.
-        v = values[plan.spherical_cols]
-        angle = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])  # np.linalg.norm's dot
+        v = values[:, plan.spherical_cols].swapaxes(0, 1)
+        angle = _norm(v)
         turned = angle >= 1e-12
-        k = _hat_stack(v / np.where(turned, angle, 1.0)[:, None])
+        k = _hat_stack(v / np.where(turned, angle, 1.0)[..., None])
         rodrigues = _rodrigues_stack(np.sin(angle), np.cos(angle), k, k @ k)
-        local[plan.spherical] = np.where(turned[:, None, None], rodrigues, _EYE3)
-    pos = np.empty((len(local), 3))
-    rot = np.empty((len(local), 3, 3))
-    pos[0] = pose.root_position
-    rot[0] = pose.root_orientation.matrix @ local[0]
+        local[plan.spherical] = np.where(turned[..., None, None], rodrigues, _EYE3)
+    pos = np.empty(local.shape[:3])
+    rot = np.empty(local.shape)
+    pos[0] = root_pos
+    rot[0] = root_rot @ local[0]
     for idx, par, offset in plan.levels:
         parent_rot = rot[par]
         pos[idx] = pos[par] + (parent_rot @ offset)[..., 0]
         rot[idx] = parent_rot @ local[idx]
-    return FkResult(pos, rot)
+    if single:
+        return FkResult(pos[:, 0], rot[:, 0])
+    return FkResult(pos.swapaxes(0, 1), rot.swapaxes(0, 1))
 
 
 def _intrinsic_xyz_euler(m):

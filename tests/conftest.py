@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from retarget_kit import Rotation, rodrigues_align
+from retarget_kit.errors import DegenerateBone, RankDeficient
+from retarget_kit.rotations import _rodrigues_matrix
 from retarget_kit.skeleton import Joint, Marker, Pose, Skeleton
+
+# The same bounded examples on every run, locally and in CI: a property test
+# either passes or fails, it does not come and go with the draw.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_rotation(rng):
@@ -88,6 +96,36 @@ def twist_free_pose(skeleton, rng, max_angle=0.6):
         elif len(ch) > 1:
             values[skeleton.dof_slices[i]] = rng.normal(size=3) * max_angle
     return Pose(rng.normal(size=3), random_rotation(rng), values)
+
+
+# One-pair bone alignment and Procrustes as written before they became the
+# n = 1 case of their stacked forms: the float operations those must keep.
+
+
+def scalar_rodrigues_align(t, p, tol=1e-8):
+    nt, np_ = np.linalg.norm(t), np.linalg.norm(p)
+    if nt <= tol or np_ <= tol:
+        raise DegenerateBone(f"bone norms {nt:.3e}, {np_:.3e} below {tol:.0e}")
+    t_hat, p_hat = t / nt, p / np_
+    c = float(np.clip(np.dot(t_hat, p_hat), -1.0, 1.0))
+    cross = np.cross(t_hat, p_hat)
+    s = np.linalg.norm(cross)
+    if s < tol:
+        if c > 0:
+            return Rotation.identity()
+        e = np.eye(3)[int(np.argmin(np.abs(t_hat)))]
+        axis = e - np.dot(t_hat, e) * t_hat
+        axis /= np.linalg.norm(axis)
+        return Rotation(_rodrigues_matrix(axis, np.pi))
+    return Rotation(_rodrigues_matrix(cross / s, np.arccos(c)))
+
+
+def scalar_procrustes(t, p, rank_tol=1e-9):
+    u, s, vt = np.linalg.svd(p @ t.T)
+    if s[1] <= rank_tol * max(s[0], 1.0):
+        raise RankDeficient(f"cross-covariance rank < 2 (singular values {s})")
+    d = np.linalg.det(u @ vt)
+    return Rotation((u * np.array([1.0, 1.0, d])) @ vt)
 
 
 @pytest.fixture

@@ -309,12 +309,82 @@ def bad_pairs(workdir, monkeypatch):
     return argv, "pair_count must be an integer >= 1, got -1"
 
 
+def rendered_keypoints(workdir):
+    """The keypoint motion of traj.motion, as a JSON tree."""
+    assert run(["fk", "--skel", workdir / "skel.skel", "--motion", workdir / "traj.motion",
+                "--out", workdir / "kp.motion"]) == 0
+    return json.loads((workdir / "kp.motion").read_text())
+
+
+def collapsed_keypoints(frame_index, joints, onto, message):
+    """ik on keypoints where `joints` sit on `onto` in one frame: zero-length bones."""
+
+    def bad_input(workdir, monkeypatch):
+        obj = rendered_keypoints(workdir)
+        frame = obj["frames"][frame_index]
+        for joint in joints:
+            frame[obj["labels"].index(joint)] = frame[obj["labels"].index(onto)]
+        (workdir / "bad.motion").write_text(json.dumps(obj))
+        return ["ik", "--skel", workdir / "skel.skel", "--motion", workdir / "bad.motion",
+                "--out", workdir / "x.motion"], message
+
+    bad_input.__name__ = f"collapsed_{'_'.join(joints)}_frame_{frame_index}"
+    return bad_input
+
+
+MISSING = object()
+
+
+def bad_motion_field(name, command, field, value, message):
+    """`command` on a motion file whose `field` is replaced by `value` (or deleted)."""
+
+    def bad_input(workdir, monkeypatch):
+        if command == "ik":
+            obj = rendered_keypoints(workdir)
+        else:
+            obj = json.loads((workdir / "traj.motion").read_text())
+        if value is MISSING:
+            del obj[field]
+        else:
+            obj[field] = value
+        (workdir / "bad.motion").write_text(json.dumps(obj))
+        suffix = "mat" if command == "features" else "motion"
+        return [command, "--skel", workdir / "skel.skel", "--motion", workdir / "bad.motion",
+                "--out", workdir / f"x.{suffix}"], f"bad.motion: /{field}: {message}"
+
+    bad_input.__name__ = name
+    return bad_input
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "bad_input",
         [bad_limit_arity, bad_seed_env, bad_pairs]
         + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")]
         + [zero_dof_robot]
+        + [
+            collapsed_keypoints(
+                2, ["c1_1"], "c1_0", "frame 2, joint 'c1_0' → 'c1_1': bone norms"
+            ),
+            collapsed_keypoints(
+                1, ["c0_0", "c1_0", "c2_0"], "root",
+                "frame 1, joint 'root' → 'c0_0', 'c1_0', 'c2_0': cross-covariance rank < 2",
+            ),
+        ]
+        + [
+            bad_motion_field("fk_frames_not_a_list", "fk", "frames", 5,
+                             "expected a non-empty list of frames, got 5"),
+            bad_motion_field("features_frames_not_a_list", "features", "frames", 5,
+                             "expected a non-empty list of frames, got 5"),
+            bad_motion_field("fk_frames_empty", "fk", "frames", [],
+                             "expected a non-empty list of frames, got []"),
+            bad_motion_field("fk_frames_missing", "fk", "frames", MISSING,
+                             "expected a non-empty list of frames, got None"),
+            bad_motion_field("ik_labels_not_a_list", "ik", "labels", 5,
+                             "expected a list of joint names"),
+            bad_motion_field("ik_labels_not_strings", "ik", "labels", [["root"]] * 10,
+                             "expected a list of joint names"),
+        ]
         + [
             unwritable_output("--out", "missing/rec.motion", "No such file or directory"),
             unwritable_output("--report", "missing/ik.json", "No such file or directory"),

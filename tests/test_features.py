@@ -1,9 +1,51 @@
 import numpy as np
 import pytest
 
-from retarget_kit import Pose, Rotation, build_pose_features, feature_dimension
+from retarget_kit import (
+    Pose,
+    Rotation,
+    build_pose_features,
+    feature_dimension,
+    load_example_skeleton,
+)
 from retarget_kit.errors import MissingContactMarkers, ValidationError
-from retarget_kit.skeleton import Joint, Marker, Skeleton
+from retarget_kit.features import _wrap_angle
+from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, resolve_marker
+
+from conftest import random_rotation
+
+
+def row_by_row_features(skeleton, poses, fps, contact_threshold=1e-3,
+                        contact_markers=("l_heel", "l_toe", "r_heel", "r_toe")):
+    """One fk call per pose and one feature row per loop pass: the float
+    operations the batched `build_pose_features` must reproduce exactly."""
+    results = [fk(skeleton, p) for p in poses]
+    yaws = np.array([np.arctan2(r.rotations[0][0, 2], r.rotations[0][2, 2]) for r in results])
+    root_pos = np.array([r.positions[0] for r in results])
+    root_rot = np.array([r.rotations[0] for r in results])
+    local_pos = np.array([(r.positions[1:] - r.positions[0]) @ r.rotations[0] for r in results])
+    markers = [resolve_marker(skeleton, m) for m in contact_markers]
+    contact_pos = np.array([[r.point(j, offset) for j, offset in markers] for r in results])
+    rows = []
+    for t in range(len(poses) - 1):
+        yaw_rate = _wrap_angle(yaws[t + 1] - yaws[t]) * fps
+        v_world = (root_pos[t + 1] - root_pos[t]) * fps
+        c, s = np.cos(yaws[t]), np.sin(yaws[t])
+        vx = c * v_world[0] - s * v_world[2]
+        vz = s * v_world[0] + c * v_world[2]
+        joint_vel = (local_pos[t + 1] - local_pos[t]) * fps
+        rot6d = np.concatenate(
+            [np.concatenate([m[:, 0], m[:, 1]]) for m in (root_rot[t].T @ results[t].rotations[1:])]
+        )
+        marker_speed2 = np.sum(((contact_pos[t + 1] - contact_pos[t]) * fps) ** 2, axis=1)
+        contacts = (marker_speed2 < contact_threshold).astype(float)
+        rows.append(
+            np.concatenate(
+                [[yaw_rate, vx, vz, root_pos[t, 1]], local_pos[t].reshape(-1),
+                 joint_vel.reshape(-1), rot6d, contacts]
+            )
+        )
+    return np.array(rows)
 
 
 def make_legged(n_extra=0):
@@ -145,3 +187,21 @@ class TestValidation:
         skel = make_legged()
         with pytest.raises(ValidationError):
             build_pose_features(skel, [pose_at(skel)] * 2, 0.0)
+
+
+class TestBatchedMatchesRowByRow:
+    @pytest.mark.parametrize("name", ["human_24", "legged"])
+    def test_bit_for_bit(self, rng, name):
+        skel = load_example_skeleton(name) if name == "human_24" else make_legged(5)
+        poses = [
+            Pose(rng.normal(size=3), random_rotation(rng), rng.normal(size=skel.total_dof) * 0.5)
+            for _ in range(30)
+        ]
+        # Slow stretches so that some contact flags are set, and a yaw across the branch cut.
+        poses += [Pose(poses[-1].root_position + 1e-4 * t, poses[-1].root_orientation,
+                       poses[-1].joint_values) for t in range(5)]
+        poses += [pose_at(skel, yaw=np.pi - 0.01), pose_at(skel, yaw=-np.pi + 0.01)]
+        for threshold in (1e-3, 10.0):
+            got = build_pose_features(skel, poses, 30.0, contact_threshold=threshold)
+            assert np.array_equal(got, row_by_row_features(skel, poses, 30.0, threshold))
+        assert got[:, -4:].any() and not got[:, -4:].all()

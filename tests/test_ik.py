@@ -6,14 +6,104 @@ from retarget_kit import (
     Pose,
     Rotation,
     geodesic_distance,
+    load_example_skeleton,
     reconstruct_frame,
     reconstruct_sequence,
 )
+from retarget_kit import ik
 from retarget_kit.errors import DegenerateBone, RankDeficient, ValidationError
 from retarget_kit.ik import _rotvec_quat
 from retarget_kit.skeleton import Joint, Skeleton, fk
 
-from conftest import make_humanlike, random_rotation, twist_free_pose
+from conftest import (
+    make_humanlike,
+    make_random_tree,
+    random_rotation,
+    scalar_procrustes,
+    scalar_rodrigues_align,
+    twist_free_pose,
+)
+
+
+# --- frame-by-frame reference --------------------------------------------
+# The per-joint, per-frame reconstruction and continuity loop that the
+# batched code replaced. Its float operations are what every batched output
+# must reproduce bit for bit.
+
+
+def frame_walk_reconstruct(skeleton, frame):
+    row = {label: i for i, label in enumerate(frame.labels)}
+    kp = frame.positions[[row[j.name] for j in skeleton.joints]]
+    nj = len(skeleton.joints)
+    children = [[c for c in range(nj) if skeleton.parent_index[c] == i] for i in range(nj)]
+    world = np.tile(np.eye(3), (nj, 1, 1))
+    values = np.zeros(skeleton.total_dof)
+    root_orientation = Rotation.identity()
+    for i, joint in enumerate(skeleton.joints):
+        ch = children[i]
+        p = skeleton.parent_index[i]
+        parent_world = world[p] if p >= 0 else np.eye(3)
+        if not ch:
+            world[i] = parent_world
+            continue
+        templates = np.column_stack([skeleton.joints[c].offset for c in ch])
+        observed = np.column_stack([parent_world.T @ (kp[c] - kp[i]) for c in ch])
+        if len(ch) == 1:
+            local = scalar_rodrigues_align(templates[:, 0], observed[:, 0])
+        else:
+            local = scalar_procrustes(templates, observed)
+        world[i] = parent_world @ local.matrix
+        if p < 0:
+            root_orientation = local
+        else:
+            values[skeleton.dof_slices[i]] = local.as_rotvec()
+    return Pose(kp[0], root_orientation, values)
+
+
+def scalar_rotvec_quat(v):
+    angle = np.linalg.norm(v)
+    if angle < 1e-12:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    half = angle / 2.0
+    return np.concatenate([[np.cos(half)], np.sin(half) / angle * v])
+
+
+def scalar_flip_rotvec(v):
+    angle = np.linalg.norm(v)
+    if angle < 1e-12:
+        return v
+    return (angle - 2.0 * np.pi) / angle * v
+
+
+def frame_walk_continuity(skeleton, values, quat=scalar_rotvec_quat):
+    """The frame-by-frame hemisphere pass over (T, DoF) values, in place."""
+    for i, joint in enumerate(skeleton.joints):
+        if joint.dof != "spherical" or skeleton.parent_index[i] < 0:
+            continue
+        sl = skeleton.dof_slices[i]
+        prev = quat(values[0, sl])
+        for v in values[1:, sl]:
+            q = quat(v)
+            if np.dot(prev, q) < 0:
+                v[...] = scalar_flip_rotvec(v)
+                q = -q
+            prev = q
+
+
+def frame_walk_sequence(skeleton, frames, continuity=True):
+    poses = [frame_walk_reconstruct(skeleton, f) for f in frames]
+    values = np.array([p.joint_values for p in poses])
+    if continuity:
+        frame_walk_continuity(skeleton, values)
+    return [Pose(p.root_position, p.root_orientation, v) for p, v in zip(poses, values)]
+
+
+def assert_poses_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.root_position, b.root_position)
+        assert np.array_equal(a.root_orientation.matrix, b.root_orientation.matrix)
+        assert np.array_equal(a.joint_values, b.joint_values)
 
 
 def keypoints_of(skeleton, pose):
@@ -182,3 +272,213 @@ class TestReconstructSequence:
         rec = reconstruct_frame(skel, frame)
         res = fk(skel, rec)
         assert np.max(np.linalg.norm(res.positions - frame.positions, axis=1)) <= 1e-6
+
+
+def labels_of(skeleton):
+    return tuple(j.name for j in skeleton.joints)
+
+
+def random_frames(skeleton, rng, n, scale, noise=0.01):
+    """Noisy keypoints of random poses; large scales reach every quaternion branch."""
+    frames = []
+    for _ in range(n):
+        values = scale * rng.normal(size=skeleton.total_dof)
+        pose = Pose(rng.normal(size=3), random_rotation(rng), values)
+        pos = fk(skeleton, pose).positions
+        frames.append(KeypointFrame(pos + noise * rng.normal(size=pos.shape), labels_of(skeleton)))
+    return frames
+
+
+def swinging_frames(skeleton, rng, n, amplitude):
+    """Smooth joint motion swinging through pi, so the continuity pass flips hemispheres."""
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=skeleton.total_dof)
+    root = random_rotation(rng)
+    return [
+        KeypointFrame(
+            fk(skeleton, Pose(np.zeros(3), root, amplitude * np.sin(0.2 * t + phase))).positions,
+            labels_of(skeleton),
+        )
+        for t in range(n)
+    ]
+
+
+def oracle_skeleton(name, rng):
+    if name == "human_24":
+        return load_example_skeleton(name)
+    if name == "humanlike":
+        return make_humanlike(n_chains=4, chain_len=3)
+    return make_random_tree(rng, 14)
+
+
+def stick():
+    """root -> a -> b -> c -> d, every bone of the rest pose along +y but the last."""
+    return Skeleton(
+        [
+            Joint("root", None, [0, 0, 0]),
+            Joint("a", "root", [0, 1, 0], dof="spherical"),
+            Joint("b", "a", [0, 1, 0], dof="spherical"),
+            Joint("c", "b", [0, 1, 0], dof="spherical"),
+            Joint("d", "c", [1, 0, 0], dof="spherical"),
+        ]
+    )
+
+
+class TestBatchedMatchesFrameWalk:
+    @pytest.mark.parametrize("continuity", [True, False])
+    @pytest.mark.parametrize("name", ["human_24", "humanlike", "random_tree"])
+    def test_sequence(self, rng, name, continuity):
+        skel = oracle_skeleton(name, rng)
+        frames = swinging_frames(skel, rng, 40, 2.8) + random_frames(skel, rng, 30, 1.5)
+        got = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity)
+        assert_poses_equal(got, frame_walk_sequence(skel, frames, continuity))
+
+    @pytest.mark.parametrize("name", ["human_24", "humanlike", "random_tree"])
+    def test_single_frame(self, rng, name):
+        skel = oracle_skeleton(name, rng)
+        for frame in random_frames(skel, rng, 10, 2.0):
+            want = frame_walk_reconstruct(skel, frame)
+            assert_poses_equal([reconstruct_frame(skel, frame)], [want])
+
+    def test_frames_with_their_own_label_order(self, rng):
+        skel = make_humanlike()
+        frames = random_frames(skel, rng, 6, 1.0)
+        for k in (1, 4):
+            perm = rng.permutation(len(skel.joints))
+            labels = tuple(frames[k].labels[i] for i in perm)
+            frames[k] = KeypointFrame(frames[k].positions[perm], labels)
+        assert_poses_equal(reconstruct_sequence(skel, frames), frame_walk_sequence(skel, frames))
+
+    def test_exactly_parallel_and_antiparallel_bones(self, rng):
+        skel = stick()
+        labels = labels_of(skel)
+        crafted = [
+            # root and a see their bones exactly parallel; b sees its bone exactly reversed
+            [[0, 0, 0], [0, 1, 0], [0, 2, 0], [0, 1, 0], [0, 1, 1]],
+            # the root's own bone reversed, the rest straight on from there
+            [[0, 0, 0], [0, -1, 0], [0, -2, 0], [0, -3, 0], [0.5, -3, 0]],
+            # the rest pose: every bone parallel, every rotation the identity
+            [[0, 0, 0], [0, 1, 0], [0, 2, 0], [0, 3, 0], [1, 3, 0]],
+            # an exactly reversed bone that is not along a coordinate axis
+            [[0, 0, 0], [0, 1, 0], [0.6, 1.8, 0], [0, 1, 0], [0, 0, 0.3]],
+        ]
+        frames = [KeypointFrame(np.array(kp, dtype=float), labels) for kp in crafted]
+        frames += random_frames(skel, rng, 4, 1.0, noise=0.0)
+        frames = frames + frames[::-1]
+        for continuity in (True, False):
+            got = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity)
+            assert_poses_equal(got, frame_walk_sequence(skel, frames, continuity))
+        rec = reconstruct_frame(skel, frames[0])
+        assert np.array_equal(rec.root_orientation.matrix, np.eye(3))
+        assert np.array_equal(rec.joint_values[:3], np.zeros(3))  # joint a: bone a -> b parallel
+        assert np.linalg.norm(rec.joint_values[3:6]) == pytest.approx(np.pi)  # b: reversed
+
+
+class TestContinuityPass:
+    def test_matches_frame_walk_on_crafted_vectors(self, rng):
+        skel = make_humanlike(n_chains=2, chain_len=3)
+        crafted = [
+            np.zeros(3),
+            np.array([1e-13, -2e-13, 0.0]),  # shorter than 1e-12: quaternion (1, 0, 0, 0)
+            np.array([0.0, 0.0, 5e-13]),
+            np.array([np.pi, 0.0, 0.0]),
+            np.array([0.0, -np.pi, 0.0]),
+            np.array([np.nextafter(np.pi, 0.0), 0.0, 0.0]),
+            np.array([0.0, 0.0, np.nextafter(np.pi, 4.0)]),
+            np.array([-np.pi + 1e-9, 0.0, 0.0]),
+            np.array([2.0, 2.0, 1.0]),  # longer than pi
+            np.array([-0.1, 0.2, 0.3]),
+        ]
+        picks = rng.integers(len(crafted), size=(60, skel.total_dof // 3))
+        values = np.array([np.concatenate([crafted[k] for k in row]) for row in picks])
+        values[20:40] += 1e-3 * rng.normal(size=values[20:40].shape)
+        got, want = values.copy(), values.copy()
+        ik._hemisphere_continuity(skel, got)
+        frame_walk_continuity(skel, want)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, values)  # some vectors were flipped
+
+    def test_raw_dot_of_exactly_zero_flips_neither_way(self, monkeypatch):
+        # cos and sin give no rotation vectors with exactly orthogonal quaternions,
+        # so stand-in quaternions (v, 1/2) make the exact dots: v = (-1, 0, 0)
+        # against (1/4, 0, 0) gives -1/4 + 1/4 = 0, with the previous frame flipped.
+        def quat(v):
+            v = np.asarray(v, dtype=float)
+            return np.concatenate([v, np.full(v.shape[:-1] + (1,), 0.5)], axis=-1)
+
+        skel = stick()
+        x = [0.5, -1.0, 0.25, 0.25, -2.0, 0.0, -0.25, 1.0, -0.25]
+        values = np.zeros((len(x), skel.total_dof))
+        values[:, 0] = x  # joint a
+        values[:, 3] = x[::-1]  # joint b
+        raw = [np.dot(quat([a, 0, 0]), quat([b, 0, 0])) for a, b in zip(x, x[1:])]
+        assert 0.0 in raw and min(raw) < 0
+        monkeypatch.setattr(ik, "_rotvec_quat", quat)
+        got, want = values.copy(), values.copy()
+        ik._hemisphere_continuity(skel, got)
+        frame_walk_continuity(skel, want, quat=quat)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, values)
+
+
+def humanlike_frames(skel, rng, n):
+    return [
+        KeypointFrame(fk(skel, twist_free_pose(skel, rng)).positions, labels_of(skel))
+        for _ in range(n)
+    ]
+
+
+def collapse(frame, skel, joint, onto):
+    """The frame with one joint's keypoint moved onto another's: a zero-length bone."""
+    pos = frame.positions.copy()
+    pos[skel.index[joint]] = pos[skel.index[onto]]
+    return KeypointFrame(pos, frame.labels)
+
+
+class TestErrorsNameFrameAndJoint:
+    def test_degenerate_bone(self, rng):
+        skel = make_humanlike()
+        frames = humanlike_frames(skel, rng, 10)
+        frames[7] = collapse(frames[7], skel, "c1_1", "c1_0")
+        with pytest.raises(DegenerateBone, match=r"^frame 7, joint 'c1_0' → 'c1_1': bone norms"):
+            reconstruct_sequence(skel, frames)
+
+    def test_earliest_frame_then_first_joint(self, rng):
+        skel = make_humanlike()
+        frames = humanlike_frames(skel, rng, 8)
+        # The batched walk meets joint c0_0 (frame 5) first; a frame walk meets frame 3.
+        frames[5] = collapse(frames[5], skel, "c0_1", "c0_0")
+        frames[3] = collapse(frames[3], skel, "c2_2", "c2_1")
+        frames[3] = collapse(frames[3], skel, "c1_1", "c1_0")
+        with pytest.raises(DegenerateBone, match=r"^frame 3, joint 'c1_0' → 'c1_1': "):
+            reconstruct_sequence(skel, frames)
+
+    def test_rank_deficient(self, rng):
+        skel = make_humanlike()
+        frames = humanlike_frames(skel, rng, 4)
+        for child in ("c0_0", "c1_0", "c2_0"):
+            frames[2] = collapse(frames[2], skel, child, "root")
+        with pytest.raises(
+            RankDeficient,
+            match=r"^frame 2, joint 'root' → 'c0_0', 'c1_0', 'c2_0': cross-covariance rank < 2",
+        ):
+            reconstruct_sequence(skel, frames)
+
+    def test_single_frame_names_the_joint(self, rng):
+        skel = make_humanlike()
+        frame = collapse(humanlike_frames(skel, rng, 1)[0], skel, "c0_2", "c0_1")
+        with pytest.raises(DegenerateBone, match=r"^joint 'c0_1' → 'c0_2': bone norms"):
+            reconstruct_frame(skel, frame)
+
+    def test_spherical_joints_checked_before_any_work(self):
+        skel = Skeleton(
+            [
+                Joint("root", None, [0, 0, 0]),
+                Joint("a", "root", [0, 1, 0], dof="spherical"),
+                Joint("b", "a", [0, 1, 0], dof="revolute", axis=[0, 0, 1]),
+                Joint("c", "b", [0, 1, 0], dof="spherical"),
+            ]
+        )
+        # The root's bone is degenerate, but the skeleton is checked first.
+        frame = KeypointFrame(np.zeros((4, 3)), labels_of(skel))
+        with pytest.raises(ValidationError, match="joint 'b' has dof 'revolute'"):
+            reconstruct_sequence(skel, [frame])

@@ -6,8 +6,9 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from retarget_kit import Rotation, geodesic_distance, procrustes, rodrigues_align
 from retarget_kit.errors import DegenerateBone, DegenerateFrame, RankDeficient
+from retarget_kit.rotations import _align_stack, _procrustes_stack, _quat_stack, _rotvec_stack
 
-from conftest import random_rotation
+from conftest import random_rotation, scalar_procrustes, scalar_rodrigues_align
 
 rotvecs = st.tuples(
     st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)
@@ -220,3 +221,74 @@ class TestGeodesic:
             assert geodesic_distance(a, c) <= (
                 geodesic_distance(a, b) + geodesic_distance(b, c) + 1e-9
             )
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def branch_matrices(rng):
+    """Rotations reaching every branch of `as_quat`: a positive trace, and a
+    trace <= 0 with each diagonal entry the largest, ties included."""
+    ms = [np.eye(3)] + [np.diag(d) for d in ([1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
+    near_pi = (np.nextafter(np.pi, 0.0), np.pi - 1e-9, np.pi - 1e-6, np.pi)
+    for axis in np.eye(3):
+        for angle in (0.3, 2.0, 2.5) + near_pi:
+            ms.append(Rotation.from_axis_angle(axis, angle).matrix)
+    for axis in ([1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, -1, 0]):
+        ms += [Rotation.from_axis_angle(unit(axis), angle).matrix for angle in near_pi]
+    ms += [random_rotation(rng).matrix for _ in range(200)]
+    ms += [Rotation.from_rotvec(unit(rng.normal(size=3)) * rng.uniform(np.pi - 1e-6, np.pi)).matrix
+           for _ in range(100)]
+    return np.array(ms)
+
+
+class TestStackedViews:
+    def test_every_branch_is_reached(self, rng):
+        ms = branch_matrices(rng)
+        trace = np.trace(ms, axis1=1, axis2=2)
+        largest = np.argmax(np.diagonal(ms, axis1=1, axis2=2), axis=1)
+        assert (trace > 0).any()
+        assert set(largest[trace <= 0]) == {0, 1, 2}
+
+    def test_quat_and_rotvec_match_scalar_views(self, rng):
+        ms = branch_matrices(rng)
+        quats, rotvecs = _quat_stack(ms), _rotvec_stack(ms)
+        for m, q, v in zip(ms, quats, rotvecs):
+            assert np.array_equal(q, Rotation(m).as_quat())
+            assert np.array_equal(v, Rotation(m).as_rotvec())
+
+    def test_align_matches_scalar(self, rng):
+        t = rng.normal(size=(300, 3))
+        p = rng.normal(size=(300, 3))
+        p[:40] = 2.5 * t[:40]  # exactly parallel
+        p[40:80] = -0.5 * t[40:80]  # exactly antiparallel
+        t[80:90], p[80:90] = [1.0, 1.0, 0.5], [-2.0, -2.0, -1.0]  # reversed, tied fallback axis
+        p[90:120] = t[90:120] + 1e-9 * rng.normal(size=(30, 3))  # nearly parallel
+        got = _align_stack(t, p)
+        for ti, pi, m in zip(t, p, got):
+            want = scalar_rodrigues_align(ti, pi).matrix
+            assert np.array_equal(m, want)
+            assert np.array_equal(rodrigues_align(ti, pi).matrix, want)
+
+    def test_procrustes_matches_scalar(self, rng):
+        template = rng.normal(size=(3, 4))
+        observed = np.array([random_rotation(rng).matrix @ template for _ in range(100)])
+        observed[:50] += 0.1 * rng.normal(size=(50, 3, 4))
+        observed[50:60] = -observed[50:60]  # reflections: determinant correction
+        got = _procrustes_stack(template, observed)
+        for p, m in zip(observed, got):
+            want = scalar_procrustes(template, p).matrix
+            assert np.array_equal(m, want)
+            assert np.array_equal(procrustes(template, p).matrix, want)
+
+    def test_stacked_errors_name_the_first_bad_item(self):
+        t = np.array([[0.0, 1.0, 0.0]] * 3)
+        p = np.array([[0.0, 1.0, 0.0], [0.0, 3e-9, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateBone, match="bone norms 1.000e[+]00, 3.000e-09"):
+            _align_stack(t, p)
+        template = np.eye(3)[:, :2]
+        observed = np.array([template, np.zeros((3, 2))])
+        with pytest.raises(RankDeficient, match=r"singular values \[0. 0. 0.\]"):
+            _procrustes_stack(template, observed)

@@ -272,6 +272,52 @@ class TestFk:
                 assert np.array_equal(res.positions, pos)
                 assert np.array_equal(res.rotations, rot)
 
+    @pytest.mark.parametrize("name", BUNDLED + ("revolute_chain", "spherical_tree", "mixed_root"))
+    def test_stacked_equals_per_pose(self, rng, name):
+        # fk over T poses is, frame by frame, the per-pose fk (and so the joint walk).
+        if name in BUNDLED:
+            skel = load_example_skeleton(name)
+        elif name == "revolute_chain":
+            skel = make_chain(rng.normal(size=(12, 3)) * 0.2, axis=(0.6, 0.0, 0.8))
+        elif name == "spherical_tree":
+            skel = make_random_tree(rng, 15)
+        else:
+            skel = Skeleton(
+                [
+                    Joint("root", None, [0, 0, 0], dof="spherical"),
+                    Joint("a", "root", [0, 0.4, 0], dof="revolute", axis=[0, 1, 0]),
+                    Joint("b", "a", [0.3, 0, 0]),
+                    Joint("c", "root", [0, 0, 0.2], dof="spherical"),
+                ]
+            )
+        scales = (0.0, 1e-13, 1e-6, 1.0, 3.0)
+        poses = [random_pose(skel, rng, scale) for scale in scales for _ in range(4)]
+        res = fk(skel, poses)
+        assert res.positions.shape == (len(poses), len(skel.joints), 3)
+        assert res.rotations.shape == (len(poses), len(skel.joints), 3, 3)
+        for t, pose in enumerate(poses):
+            one = fk(skel, pose)
+            pos, rot = joint_walk_fk(skel, pose)
+            assert np.array_equal(res.positions[t], one.positions)
+            assert np.array_equal(res.rotations[t], one.rotations)
+            assert np.array_equal(one.positions, pos)
+            assert np.array_equal(one.rotations, rot)
+
+    def test_stacked_marker_points(self, rng):
+        skel = load_example_skeleton("human_24")
+        poses = [random_pose(skel, rng) for _ in range(5)]
+        res = fk(skel, poses)
+        for name, marker in skel.markers.items():
+            j = skel.index[marker.joint]
+            points = res.point(j, marker.offset)
+            assert np.array_equal(points, [fk(skel, p).point(j, marker.offset) for p in poses])
+
+    def test_stacked_pose_mismatch(self, rng):
+        skel = make_chain([[0, 1, 0]])
+        poses = [skel.zero_pose(), Pose(np.zeros(3), Rotation.identity(), [0.0, 0.0])]
+        with pytest.raises(PoseMismatch, match="pose has 2 values, skeleton needs 1"):
+            fk(skel, poses)
+
     def test_length_preserved(self, rng):
         skel = make_random_tree(rng, 10)
         for _ in range(20):
