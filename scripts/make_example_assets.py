@@ -164,8 +164,8 @@ def main():
     io.save_skeleton(human_24(), DATA_DIR / "human_24.skel")
     io.save_skeleton(h1_like_19(), DATA_DIR / "h1_like_19.skel")
     io.save_skeleton(g1_like_21(), DATA_DIR / "g1_like_21.skel")
-    io._atomic_write(DATA_DIR / "human_to_h1.map", body_map())
-    io._atomic_write(DATA_DIR / "human_to_g1.map", body_map())
+    io._save(DATA_DIR / "human_to_h1.map", body_map())
+    io._save(DATA_DIR / "human_to_g1.map", body_map())
     print(f"wrote assets to {DATA_DIR}")
 
 

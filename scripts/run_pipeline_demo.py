@@ -4,6 +4,9 @@
 Builds a short synthetic human motion on the bundled 24-joint skeleton,
 projects it to keypoints, reconstructs joint angles, retargets onto both
 bundled robots, and prints tracking metrics plus feature/codebook stats.
+Writes one file of every artifact layout to --out-dir: keypoint and
+trajectory motions, a pose-feature matrix, codebooks inline and with
+binary sidecars, token sequences and a report.
 """
 
 import argparse
@@ -14,6 +17,7 @@ import numpy as np
 
 from retarget_kit import (
     Codebook,
+    FeatureMatrix,
     JointTrajectory,
     KeypointFrame,
     Pose,
@@ -21,14 +25,20 @@ from retarget_kit import (
     TrajectoryPair,
     accel_err,
     assign,
+    build_pose_features,
     ema_update,
     fk,
+    keypoint_motion,
     load_example_correspondence,
     load_example_skeleton,
     mpjpe,
     reconstruct_sequence,
     retarget_sequence,
+    save_codebook,
+    save_feature_matrix,
     save_motion,
+    save_report,
+    save_tokens,
     trajectory_motion,
     vel_err,
 )
@@ -66,7 +76,12 @@ def main():
 
     # project to keypoints, then reconstruct joint angles from them
     labels = tuple(j.name for j in human.joints)
-    frames = [KeypointFrame(kp, labels) for kp in fk(human, truth.poses).positions]
+    keypoints = fk(human, truth.poses).positions
+    save_motion(
+        keypoint_motion(keypoints, labels, args.fps, skeleton=human.name),
+        out_dir / "keypoints.motion",
+    )
+    frames = [KeypointFrame(kp, labels) for kp in keypoints]
     recon = reconstruct_sequence(human, frames)
     rec_traj = JointTrajectory(fps=args.fps, poses=recon, skeleton=human.name)
     pair = TrajectoryPair(truth.values(), rec_traj.values(), args.fps)
@@ -75,6 +90,9 @@ def main():
         f"VEL {vel_err(pair):.4f} rad/s, ACCEL {accel_err(pair):.3f} rad/s^2"
     )
     save_motion(trajectory_motion(rec_traj), out_dir / "reconstructed.motion")
+    features = build_pose_features(human, recon, args.fps)
+    save_feature_matrix(FeatureMatrix(features), out_dir / "features.mat")
+    summary = {"frames": args.frames, "feature_dimension": features.shape[1], "robots": {}}
 
     for robot_name, map_name in (
         ("h1_like_19", "human_to_h1"),
@@ -100,7 +118,17 @@ def main():
         cb = ema_update(cb, values, tokens)
         used = len(np.unique(tokens.indices))
         print(f"  quantized {len(tokens)} frames into {used}/8 codebook entries")
+        save_tokens(tokens, out_dir / f"{robot_name}.tokens.json")
+        save_codebook(cb, out_dir / f"{robot_name}.codebook.json")
+        save_codebook(cb, out_dir / f"{robot_name}.sidecar.codebook.json", binary_sidecar=True)
+        summary["robots"][robot_name] = {
+            "scale": corr.scale,
+            "max_position_residual": max_pos,
+            "objectives": [r.objective for r in reports],
+            "codes_used": used,
+        }
 
+    save_report(summary, out_dir / "demo.report.json")
     print(f"outputs written to {out_dir}")
 
 

@@ -50,6 +50,16 @@ def _require_skeleton(motion, skel, flag):
         )
 
 
+def _finite_rows(compute, what):
+    """compute() without float warnings; a non-finite row is a numeric failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = compute()
+    bad = np.flatnonzero(~np.isfinite(rows.reshape(len(rows), -1)).all(axis=1))
+    if len(bad):
+        raise NumericError(f"{what} {bad[0]} is not finite")
+    return rows
+
+
 # --- subcommands -------------------------------------------------------
 
 
@@ -58,7 +68,9 @@ def cmd_fk(args):
     motion = io.load_motion(args.motion)
     _require_kind(motion, "trajectory", "--motion")
     _require_skeleton(motion, skel, "--motion")
-    frames = fk(skel, motion.trajectory.poses).positions
+    frames = _finite_rows(
+        lambda: fk(skel, motion.trajectory.poses).positions, "fk: keypoint frame"
+    )
     labels = [j.name for j in skel.joints]
     io.save_motion(
         io.keypoint_motion(frames, labels, motion.fps, skeleton=skel.name), args.out
@@ -220,11 +232,14 @@ def cmd_features(args):
     motion = io.load_motion(args.motion)
     _require_kind(motion, "trajectory", "--motion")
     _require_skeleton(motion, skel, "--motion")
-    values = features_mod.build_pose_features(
-        skel,
-        motion.trajectory.poses,
-        motion.fps,
-        contact_threshold=args.contact_threshold,
+    values = _finite_rows(
+        lambda: features_mod.build_pose_features(
+            skel,
+            motion.trajectory.poses,
+            motion.fps,
+            contact_threshold=args.contact_threshold,
+        ),
+        "features: feature row",
     )
     io.save_feature_matrix(metrics.FeatureMatrix(values), args.out)
     if args.report:

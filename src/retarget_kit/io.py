@@ -3,15 +3,23 @@
 All files are UTF-8 JSON trees with explicit "format" and "version" keys.
 Numbers are written with shortest round-trip decimal formatting, key order
 is fixed by construction, and writes are atomic (temp file + rename), so
-repeated saves of the same data are byte-identical. Large matrices may be
-stored as a sidecar flat binary of little-endian float64, referenced as
-{"binary": <relative path>, "shape": [rows, cols]}.
+repeated saves of the same data are byte-identical.
+
+One writer, `_dump`, renders every file as json.dumps(tree, indent=1)
+would, byte for byte. Savers hand it numeric np.ndarrays, which it renders
+whole (one repr pass, joined by shape); it refuses arrays holding NaN or
+infinity, which every loader rejects. Large matrices may be stored as a
+sidecar flat binary of little-endian float64, referenced as
+{"binary": <relative path>, "shape": [rows, cols]} and written atomically
+too. A trajectory is loaded as one array per frame key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,7 +82,7 @@ def _check_header(obj, path, expected_format):
 def _finite_array(node, path, location, shape=None):
     try:
         arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(path, location, f"not a numeric array: {e}") from None
     if not np.all(np.isfinite(arr)):
         raise ParseError(path, location, "contains NaN or infinity")
@@ -108,26 +116,88 @@ def _matrix(node, path, location, base_dir):
     return arr
 
 
+def _finite_floats(arr):
+    """arr as a float array; a saver refuses what its loader would reject."""
+    arr = np.asarray(arr, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"array of shape {arr.shape} contains NaN or infinity")
+    return arr
+
+
+def _array(arr, depth):
+    """A numeric array laid out as json.dumps(arr.tolist(), indent=1) lays it out.
+
+    Every value is rendered in one pass, then joined axis by axis, innermost
+    first, with the separators of the nesting level that axis sits at.
+    """
+    if arr.dtype.kind == "f":
+        _finite_floats(arr)
+    elif arr.dtype.kind not in "iu":
+        raise TypeError(f"cannot write an array of dtype {arr.dtype}")
+    items = list(map(repr, arr.ravel().tolist()))
+    for axis in reversed(range(arr.ndim)):
+        n = arr.shape[axis]
+        if n == 0:
+            items = ["[]"] * math.prod(arr.shape[:axis])
+            continue
+        inner = "\n" + " " * (depth + axis + 1)
+        head, sep, tail = "[" + inner, "," + inner, "\n" + " " * (depth + axis) + "]"
+        items = [head + sep.join(items[i : i + n]) + tail for i in range(0, len(items), n)]
+    return items[0]
+
+
+def _dump(node, depth):
+    """json.dumps(node, indent=1) at nesting level `depth`, byte for byte.
+
+    Numeric np.ndarrays are rendered whole by `_array`; keys, strings,
+    numbers, bools and None go through json.dumps as leaves.
+    """
+    if isinstance(node, np.ndarray):
+        return _array(node, depth)
+    if isinstance(node, dict):
+        if any(not isinstance(k, str) for k in node):
+            raise TypeError("object keys must be strings")
+        items = [json.dumps(k) + ": " + _dump(v, depth + 1) for k, v in node.items()]
+        brackets = "{}"
+    elif isinstance(node, (list, tuple)):
+        items = [_dump(v, depth + 1) for v in node]
+        brackets = "[]"
+    else:
+        return json.dumps(node)
+    if not items:
+        return brackets
+    inner = "\n" + " " * (depth + 1)
+    return (
+        brackets[0] + inner + ("," + inner).join(items)
+        + "\n" + " " * depth + brackets[1]
+    )
+
+
 def _floats(arr):
-    return [float(v) for v in np.asarray(arr).reshape(-1)]
+    return np.asarray(arr, dtype=float).reshape(-1)
 
 
 def _matrix_node(arr, path, key, binary_sidecar):
     if not binary_sidecar:
-        return [[float(v) for v in row] for row in np.asarray(arr)]
+        return np.asarray(arr, dtype=float)
     rel = f"{Path(path).name}.{key}.bin"
-    np.asarray(arr, dtype="<f8").tofile(Path(path).parent / rel)
-    return {"binary": rel, "shape": list(np.asarray(arr).shape)}
+    bin_path = Path(path).parent / rel
+    try:
+        data = _finite_floats(arr).astype("<f8").tobytes()
+    except ValidationError as e:
+        raise ValidationError(f"cannot write {bin_path}: {e}") from None
+    _atomic_write(bin_path, data)
+    return {"binary": rel, "shape": list(np.shape(arr))}
 
 
-def _atomic_write(path, obj):
+def _atomic_write(path, data):
+    """Write bytes through a temp file in the target directory, then rename."""
     path = Path(path)
-    text = json.dumps(obj, indent=1) + "\n"
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
         tmp = None
     except OSError as e:
@@ -137,9 +207,17 @@ def _atomic_write(path, obj):
             os.unlink(tmp)
 
 
+def _save(path, obj):
+    try:
+        text = _dump(obj, 0)
+    except ValidationError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from None
+    _atomic_write(path, (text + "\n").encode("ascii"))
+
+
 def save_report(report, path):
     """Write a machine-readable report tree."""
-    _atomic_write(path, {"format": "report", "version": FORMAT_VERSION, **report})
+    _save(path, {"format": "report", "version": FORMAT_VERSION, **report})
 
 
 # --- skeleton ----------------------------------------------------------
@@ -208,7 +286,7 @@ def save_skeleton(skeleton, path):
         {"name": m.name, "joint": m.joint, "offset": _floats(m.offset)}
         for m in skeleton.markers.values()
     ]
-    _atomic_write(
+    _save(
         path,
         {
             "format": "skeleton",
@@ -235,12 +313,55 @@ class Motion:
     trajectory: JointTrajectory | None = None
 
 
+def _trajectory_columns(frames, path):
+    """(T, 3) root positions, (T, 4) quaternions and (T, DoF) joint values.
+
+    One array per key. When one of them fails, the frames are checked in
+    order, so the error names the first bad frame.
+    """
+    try:
+        positions, quats, values = (
+            np.asarray([node[key] for node in frames], dtype=float)
+            for key in ("root_position", "root_orientation", "joint_values")
+        )
+        columns = positions, quats, values
+        if (
+            positions.shape[1:] == (3,)
+            and quats.shape[1:] == (4,)
+            and values.ndim == 2
+            and all(np.all(np.isfinite(c)) for c in columns)
+        ):
+            return columns
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    dof = None
+    for i, node in enumerate(frames):
+        loc = f"/frames/{i}"
+        try:
+            _finite_array(node["root_position"], path, loc, (3,))
+            _finite_array(node["root_orientation"], path, loc, (4,))
+            values = _finite_array(node["joint_values"], path, loc)
+        except (KeyError, TypeError) as e:
+            raise ParseError(path, loc, f"bad trajectory frame: {e}") from None
+        if values.ndim != 1:
+            reason = f"joint_values must be a flat list, got shape {values.shape}"
+            raise ParseError(path, loc, reason)
+        if dof is not None and len(values) != dof:
+            raise ParseError(path, loc, f"{len(values)} joint values, frame 0 has {dof}")
+        dof = len(values)
+    raise ParseError(path, "/frames", "inconsistent trajectory frames")
+
+
 def load_motion(path):
     obj = _read_json(path)
     _check_header(obj, path, "motion")
     fps = obj.get("fps")
-    if not isinstance(fps, (int, float)) or not np.isfinite(fps) or fps <= 0:
-        raise ParseError(path, "/fps", f"fps must be positive, got {fps!r}")
+    # bool is an int subclass, and an int past the float range has no float
+    if type(fps) not in (int, float) or not 0 < fps <= sys.float_info.max:
+        raise ParseError(path, "/fps", f"fps must be positive, got {fps!r:.40}")
+    skeleton = obj.get("skeleton")
+    if skeleton is not None and not isinstance(skeleton, str):
+        raise ParseError(path, "/skeleton", f"expected a skeleton name, got {skeleton!r:.40}")
     kind = obj.get("kind")
     if kind == "keypoints":
         labels = obj.get("labels", [])
@@ -257,7 +378,7 @@ def load_motion(path):
         return Motion(
             fps=float(fps),
             kind=kind,
-            skeleton=obj.get("skeleton"),
+            skeleton=skeleton,
             labels=labels,
             keypoints=frames,
         )
@@ -266,28 +387,12 @@ def load_motion(path):
         if not isinstance(frames, list) or not frames:
             reason = f"expected a non-empty list of frames, got {frames!r:.40}"
             raise ParseError(path, "/frames", reason)
-        poses = []
-        for i, node in enumerate(frames):
-            loc = f"/frames/{i}"
-            try:
-                poses.append(
-                    Pose(
-                        _finite_array(node["root_position"], path, loc, (3,)),
-                        Rotation.from_quat(
-                            _finite_array(node["root_orientation"], path, loc, (4,))
-                        ),
-                        _finite_array(node["joint_values"], path, loc),
-                    )
-                )
-            except (KeyError, TypeError) as e:
-                raise ParseError(path, loc, f"bad trajectory frame: {e}") from None
-        lengths = {len(p.joint_values) for p in poses}
-        if len(lengths) > 1:
-            raise ParseError(path, "/frames", f"inconsistent DoF counts {sorted(lengths)}")
-        traj = JointTrajectory(fps=float(fps), poses=poses, skeleton=obj.get("skeleton"))
-        return Motion(
-            fps=float(fps), kind=kind, skeleton=obj.get("skeleton"), trajectory=traj
-        )
+        positions, quats, values = _trajectory_columns(frames, path)
+        poses = [
+            Pose(p, Rotation.from_quat(q), v) for p, q, v in zip(positions, quats, values)
+        ]
+        traj = JointTrajectory(fps=float(fps), poses=poses, skeleton=skeleton)
+        return Motion(fps=float(fps), kind=kind, skeleton=skeleton, trajectory=traj)
     raise ParseError(path, "/kind", f"unknown motion kind {kind!r}")
 
 
@@ -301,9 +406,7 @@ def save_motion(motion, path):
     }
     if motion.kind == "keypoints":
         obj["labels"] = list(motion.labels)
-        obj["frames"] = [
-            [[float(v) for v in p] for p in frame] for frame in motion.keypoints
-        ]
+        obj["frames"] = np.asarray(motion.keypoints, dtype=float)
     elif motion.kind == "trajectory":
         obj["frames"] = [
             {
@@ -315,7 +418,7 @@ def save_motion(motion, path):
         ]
     else:
         raise ValidationError(f"unknown motion kind {motion.kind!r}")
-    _atomic_write(path, obj)
+    _save(path, obj)
 
 
 def trajectory_motion(trajectory):
@@ -378,7 +481,7 @@ def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
 
 
 def save_correspondence(corr, path):
-    _atomic_write(
+    _save(
         path,
         {
             "format": "correspondence",
@@ -425,7 +528,7 @@ def load_dof_config(path):
 
 
 def save_dof_config(config, path):
-    _atomic_write(
+    _save(
         path,
         {
             "format": "dofconfig",
@@ -469,7 +572,7 @@ def load_codebook(path):
 
 
 def save_codebook(codebook, path, binary_sidecar=False):
-    _atomic_write(
+    _save(
         path,
         {
             "format": "codebook",
@@ -501,13 +604,13 @@ def load_tokens(path):
 
 
 def save_tokens(tokens, path):
-    _atomic_write(
+    _save(
         path,
         {
             "format": "tokens",
             "version": FORMAT_VERSION,
             "downsample_factor": tokens.downsample_factor,
-            "indices": [int(i) for i in tokens.indices],
+            "indices": tokens.indices,
         },
     )
 
@@ -527,7 +630,7 @@ def load_feature_matrix(path):
 
 
 def save_feature_matrix(features, path, binary_sidecar=False):
-    _atomic_write(
+    _save(
         path,
         {
             "format": "features",

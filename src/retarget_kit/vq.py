@@ -90,10 +90,18 @@ def _check_latents(codebook, latents):
 
 
 def assign(codebook, latents, downsample_factor=None):
-    """Nearest codebook entry per latent; ties break to the lowest index."""
+    """Nearest codebook entry per latent; ties break to the lowest index.
+
+    The distances are filled one entry at a time, so the largest temporary
+    is (T, D), not (T, K, D). Each row is still summed over its D contiguous
+    values in numpy's pairwise order, so the distances are bit for bit those
+    of the broadcast form.
+    """
     latents = _check_latents(codebook, latents)
-    diff = latents[:, None, :] - codebook.entries[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
+    d2 = np.empty((latents.shape[0], codebook.size))
+    for k, entry in enumerate(codebook.entries):
+        diff = latents - entry
+        d2[:, k] = np.sum(diff * diff, axis=1)
     return TokenSequence(np.argmin(d2, axis=1), downsample_factor)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,14 @@ class TestExitCodes:
                              "expected a list of joint names"),
             bad_motion_field("ik_labels_not_strings", "ik", "labels", [["root"]] * 10,
                              "expected a list of joint names"),
+            bad_motion_field("fk_fps_bool", "fk", "fps", True,
+                             "fps must be positive, got True"),
+            bad_motion_field("ik_fps_bool", "ik", "fps", True,
+                             "fps must be positive, got True"),
+            bad_motion_field("fk_skeleton_not_a_string", "fk", "skeleton", 5,
+                             "expected a skeleton name, got 5"),
+            bad_motion_field("ik_skeleton_not_a_string", "ik", "skeleton", ["walker"],
+                             "expected a skeleton name, got ['walker']"),
         ]
         + [
             unwritable_output("--out", "missing/rec.motion", "No such file or directory"),
@@ -409,6 +418,30 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
         assert not list(workdir.rglob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "command, suffix, message",
+        [("fk", "motion", "fk: keypoint frame 2 is not finite"),
+         ("features", "mat", "features: feature row 1 is not finite")],
+    )
+    def test_overflowing_joint_values_exit_3(self, workdir, capsys, command, suffix, message):
+        obj = json.loads((workdir / "traj.motion").read_text())
+        for frame in obj["frames"][2:]:
+            frame["joint_values"] = [1e300] * len(frame["joint_values"])
+        (workdir / "huge.motion").write_text(json.dumps(obj))
+        skel = "skel.skel"
+        if command == "features":
+            skel = "named.skel"
+            named_argv(command, workdir, None, None)  # writes named.skel with contact markers
+        out = workdir / f"out.{suffix}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--skel", workdir / skel, "--motion", workdir / "huge.motion",
+                        "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists() and not list(workdir.rglob("*.tmp"))
 
     @pytest.mark.parametrize("command", ["fk", "ik", "features", "retarget"])
     @pytest.mark.parametrize(

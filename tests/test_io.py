@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from retarget_kit import (
     Codebook,
@@ -12,6 +15,7 @@ from retarget_kit import (
     FeatureMatrix,
     JointTrajectory,
     Pose,
+    Rotation,
     TokenSequence,
     keypoint_motion,
     load_codebook,
@@ -32,7 +36,8 @@ from retarget_kit import (
     save_tokens,
     trajectory_motion,
 )
-from retarget_kit.errors import ParseError, SchemaVersionError
+from retarget_kit.errors import ParseError, SchemaVersionError, ValidationError
+from retarget_kit.io import _dump, save_report
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
 from conftest import make_humanlike, random_rotation, twist_free_pose
@@ -42,6 +47,108 @@ def rewrite(path, mutate):
     obj = json.loads(path.read_text())
     mutate(obj)
     path.write_text(json.dumps(obj))
+
+
+def as_lists(node):
+    """The tree json.dumps can take: every ndarray replaced by its tolist()."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {k: as_lists(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return type(node)(as_lists(v) for v in node)
+    return node
+
+
+def assert_matches_json(obj):
+    assert _dump(obj, 0) == json.dumps(as_lists(obj), indent=1)
+
+
+def no_tmp_files(directory):
+    return not list(directory.rglob("*.tmp"))
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e-7, 1e-5, 1e-4, 0.1, 1.0, -3.0, 2.0**53, 1e16, 1e22, 123456789012345678.0,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, SHAPES, elements=FINITE | st.sampled_from(EDGE_FLOATS)),
+    hnp.arrays(np.int64, SHAPES),
+)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), ARRAYS
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestArrayWriter:
+    """The one writer reproduces json.dumps(indent=1) byte for byte."""
+
+    @given(TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_random_trees(self, obj):
+        assert_matches_json(obj)
+
+    @given(ARRAYS)
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_at_depth(self, arr):
+        assert_matches_json({"a": [arr, {"b": arr}], "c": (arr,)})
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    def test_float_edge_values(self, value):
+        arr = np.full((2, 3), value)
+        arr[0, 1] = -value
+        assert_matches_json({"leaf": value, "row": arr[0], "matrix": arr, "cube": arr[None]})
+
+    def test_int_extremes_and_zero_size(self):
+        big = np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max])
+        assert_matches_json([big, np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 0, 1), int)])
+
+    def test_string_and_constant_leaves(self):
+        assert_matches_json(
+            {"é": "日本語 \u2028 \U0001f600", "none": None, "flags": [True, False], "": ""}
+        )
+
+    def test_report_floats_written_as_before(self, tmp_path):
+        report = {"objective": float("nan"), "bounds": [float("inf"), -float("inf"), 0.5]}
+        save_report(report, tmp_path / "r.json")
+        expected = {"format": "report", "version": 1, **report}
+        assert (tmp_path / "r.json").read_text() == json.dumps(expected, indent=1) + "\n"
+
+    def test_non_finite_array_refused(self, tmp_path):
+        frames = np.zeros((2, 1, 3))
+        frames[1, 0, 2] = np.nan
+        p = tmp_path / "m.motion"
+        with pytest.raises(ValidationError, match="cannot write .*NaN or infinity"):
+            save_motion(keypoint_motion(frames, ["a"], 30.0), p)
+        assert not p.exists() and no_tmp_files(tmp_path)
+
+    @pytest.mark.parametrize("binary_sidecar", [False, True])
+    def test_non_finite_codebook_refused(self, tmp_path, binary_sidecar):
+        cb = Codebook.initialize(np.eye(3))
+        cb = Codebook(cb.entries, cb.ema_counts, cb.ema_sums + np.inf, usage=np.ones(3))
+        p = tmp_path / "cb.json"
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            save_codebook(cb, p, binary_sidecar=binary_sidecar)
+        assert not p.exists() and no_tmp_files(tmp_path)
+
+    def test_rejects_non_string_keys_and_dtypes(self):
+        with pytest.raises(TypeError):
+            _dump({1: 2}, 0)
+        with pytest.raises(TypeError):
+            _dump(np.array([True]), 0)
 
 
 class TestSkeletonIo:
@@ -160,6 +267,19 @@ class TestMotionIo:
         with pytest.raises(ParseError):
             load_motion(p)
 
+    @pytest.mark.parametrize(
+        "field, value, location",
+        [("fps", True, "/fps"), ("fps", 10**400, "/fps"), ("skeleton", 5, "/skeleton"),
+         ("skeleton", ["human"], "/skeleton")],
+    )
+    def test_header_types(self, tmp_path, rng, field, value, location):
+        p = tmp_path / "m.motion"
+        save_motion(keypoint_motion(rng.normal(size=(2, 1, 3)), ["a"], 30.0), p)
+        rewrite(p, lambda o: o.update({field: value}))
+        with pytest.raises(ParseError) as e:
+            load_motion(p)
+        assert e.value.location == location
+
     def test_keypoint_shape_check(self, tmp_path):
         p = tmp_path / "m.motion"
         p.write_text(
@@ -168,6 +288,67 @@ class TestMotionIo:
         )
         with pytest.raises(ParseError):
             load_motion(p)
+
+
+class TestTrajectoryLoader:
+    """One array per key; errors still name the first bad frame."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, rng):
+        skel = make_humanlike()
+        poses = [twist_free_pose(skel, rng) for _ in range(8)]
+        p = tmp_path / "m.motion"
+        save_motion(trajectory_motion(JointTrajectory(30.0, poses, skeleton="h")), p)
+        return p, poses
+
+    def test_matches_frame_by_frame_parse(self, saved):
+        p, poses = saved
+        frames = json.loads(p.read_text())["frames"]
+        back = load_motion(p).trajectory.poses
+        assert len(back) == len(frames) == len(poses)
+        for a, f, b in zip(back, frames, poses):
+            assert np.array_equal(a.root_position, f["root_position"])
+            assert np.array_equal(a.joint_values, f["joint_values"])
+            rot = Rotation.from_quat(np.asarray(f["root_orientation"], dtype=float))
+            assert np.array_equal(a.root_orientation.matrix, rot.matrix)
+            assert np.array_equal(a.joint_values, b.joint_values)
+
+    @pytest.mark.parametrize(
+        "frame, mutate, reason",
+        [
+            (5, lambda f: f.pop("joint_values"), "bad trajectory frame: 'joint_values'"),
+            (0, lambda f: f.pop("root_position"), "bad trajectory frame: 'root_position'"),
+            (3, lambda f: f["joint_values"].pop(), "joint values, frame 0 has"),
+            (6, lambda f: f["joint_values"].append(0.0), "joint values, frame 0 has"),
+            (4, lambda f: f["joint_values"].__setitem__(2, None), "contains NaN or infinity"),
+            (7, lambda f: f["root_orientation"].__setitem__(0, None), "contains NaN or infinity"),
+            (2, lambda f: f["root_orientation"].pop(), "expected shape (4,)"),
+            (1, lambda f: f.update(joint_values=[[0.0]]), "must be a flat list"),
+            (6, lambda f: f.update(root_position="abc"), "not a numeric array"),
+            (3, lambda f: f.update(joint_values=[10**400]), "not a numeric array"),
+        ],
+    )
+    def test_error_names_first_bad_frame(self, saved, frame, mutate, reason):
+        p, _ = saved
+
+        def edit(obj):
+            mutate(obj["frames"][frame])
+            later = obj["frames"][-1]
+            if frame < len(obj["frames"]) - 1:
+                later["joint_values"][0] = None  # a later bad frame must not be named
+
+        rewrite(p, edit)
+        with pytest.raises(ParseError) as e:
+            load_motion(p)
+        assert e.value.location == f"/frames/{frame}"
+        assert reason in e.value.reason
+
+    def test_frame_not_an_object(self, saved):
+        p, _ = saved
+        rewrite(p, lambda o: o["frames"].__setitem__(2, [1, 2, 3]))
+        with pytest.raises(ParseError) as e:
+            load_motion(p)
+        assert e.value.location == "/frames/2"
 
 
 class TestCorrespondenceIo:
@@ -269,6 +450,19 @@ class TestCodebookIo:
         (tmp_path / "cb.json.entries.bin").write_bytes(b"\x00" * 8)
         with pytest.raises(ParseError):
             load_codebook(p)
+
+    def test_sidecar_to_missing_directory(self, tmp_path, rng):
+        cb = Codebook.initialize(rng.normal(size=(4, 2)))
+        with pytest.raises(ValidationError, match="cannot write .*cb.json.entries.bin"):
+            save_codebook(cb, tmp_path / "missing" / "cb.json", binary_sidecar=True)
+
+    def test_sidecar_written_atomically(self, tmp_path, rng):
+        cb = Codebook.initialize(rng.normal(size=(4, 2)))
+        (tmp_path / "cb.json.ema_sums.bin").mkdir()  # the rename onto it fails
+        with pytest.raises(ValidationError, match="cannot write .*cb.json.ema_sums.bin"):
+            save_codebook(cb, tmp_path / "cb.json", binary_sidecar=True)
+        assert no_tmp_files(tmp_path)
+        assert not (tmp_path / "cb.json").exists()
 
     def test_tokens_round_trip(self, tmp_path):
         t = TokenSequence([3, 1, 4, 1, 5], downsample_factor=4)

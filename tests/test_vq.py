@@ -20,6 +20,13 @@ def linear_scan_assign(entries, latents):
     return np.array(out)
 
 
+def broadcast_assign(entries, latents):
+    """Oracle: every (T, K) distance from one (T, K, D) broadcast difference."""
+    diff = latents[:, None, :] - entries[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    return d2, np.argmin(d2, axis=1)
+
+
 @pytest.fixture
 def codebook(rng):
     return Codebook.initialize(rng.normal(size=(16, 4)))
@@ -81,6 +88,52 @@ class TestAssign:
         idx = assign(cb, latents).indices
         d2 = np.sum((latents[:, None] - cb.entries[None]) ** 2, axis=2)
         assert np.all(np.take_along_axis(d2, idx[:, None], 1)[:, 0] <= d2.min(axis=1) + 1e-12)
+
+
+class TestAssignMatchesBroadcast:
+    """The entry-at-a-time distances are bit for bit the broadcast ones."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 40),
+        st.integers(1, 12),
+        st.sampled_from([1, 2, 7, 128, 129, 284]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_inputs(self, seed, rows, size, dim):
+        r = np.random.default_rng(seed)
+        entries = r.normal(size=(size, dim)) * r.uniform(0.1, 100.0)
+        latents = r.normal(size=(rows, dim)) * r.uniform(0.1, 100.0)
+        _, expected = broadcast_assign(entries, latents)
+        tokens = assign(Codebook.initialize(entries), latents)
+        assert np.array_equal(tokens.indices, expected)
+
+    @pytest.mark.parametrize("dim", [3, 284])
+    def test_rounding_decides_near_ties(self, rng, dim):
+        # Every entry is a permutation of one vector and every latent has
+        # equal coordinates, so all distances of a row are equal in exact
+        # arithmetic: the winner is decided by how the sum rounds, and any
+        # other summation order picks other winners.
+        v = rng.normal(size=dim)
+        entries = np.array([rng.permutation(v) for _ in range(64)])
+        latents = np.outer(rng.normal(size=40), np.ones(dim))
+        _, expected = broadcast_assign(entries, latents)
+        tokens = assign(Codebook.initialize(entries), latents)
+        assert np.array_equal(tokens.indices, expected)
+
+    def test_exactly_tied_rows(self, rng):
+        # Duplicated entries and latents equidistant from mirrored entries.
+        base = rng.normal(size=(4, 6))
+        entries = np.vstack([base, -base, base])
+        latents = np.vstack([np.zeros((3, 6)), base, -base])
+        _, expected = broadcast_assign(entries, latents)
+        tokens = assign(Codebook.initialize(entries), latents)
+        assert np.array_equal(tokens.indices, expected)
+        assert np.array_equal(tokens.indices[3:7], np.arange(4))
+        assert np.array_equal(tokens.indices[7:], np.arange(4, 8))
+
+    def test_empty_batch(self, codebook):
+        assert len(assign(codebook, np.zeros((0, 4)))) == 0
 
 
 class TestEmaUpdate:
