@@ -6,7 +6,9 @@ projects it to keypoints, reconstructs joint angles, retargets onto both
 bundled robots, and prints tracking metrics plus feature/codebook stats.
 Writes one file of every artifact layout to --out-dir: keypoint and
 trajectory motions, a pose-feature matrix, codebooks inline and with
-binary sidecars, token sequences and a report.
+binary sidecars, token sequences and a report. One more motion comes from a
+cold-started retarget onto g1_like_21, every frame solved from the zero
+posture, so the solver's longest path is written out too.
 """
 
 import argparse
@@ -21,6 +23,7 @@ from retarget_kit import (
     JointTrajectory,
     KeypointFrame,
     Pose,
+    RetargetOptions,
     Rotation,
     TrajectoryPair,
     accel_err,
@@ -127,6 +130,23 @@ def main():
             "objectives": [r.objective for r in reports],
             "codes_used": used,
         }
+
+    robot = load_example_skeleton("g1_like_21")
+    corr = load_example_correspondence("human_to_g1", human, robot)
+    traj, reports = retarget_sequence(
+        human, recon, robot, corr, RetargetOptions(warm_start=False), fps=args.fps
+    )
+    print(
+        f"cold-started retarget -> {robot.name}: "
+        f"{sum(r.iterations for r in reports) / len(reports):.1f} iterations a frame, "
+        f"{sum(r.converged for r in reports)}/{len(reports)} converged"
+    )
+    save_motion(trajectory_motion(traj), out_dir / f"{robot.name}.cold.motion")
+    summary["cold_start"] = {
+        "robot": robot.name,
+        "objectives": [r.objective for r in reports],
+        "terminations": [r.termination for r in reports],
+    }
 
     save_report(summary, out_dir / "demo.report.json")
     print(f"outputs written to {out_dir}")

@@ -19,7 +19,7 @@ from . import features as features_mod
 from . import io, metrics
 from .errors import NumericError, ValidationError
 from .ik import KeypointFrame, reconstruct_sequence
-from .retarget import RetargetOptions, retarget_sequence
+from .retarget import TERMINATIONS, RetargetOptions, retarget_sequence
 from .skeleton import fk
 from .vq import assign
 
@@ -128,12 +128,17 @@ def cmd_retarget(args):
                 "max_position_residual": max_pos,
                 "carried_forward": sum(r.carried_forward for r in reports),
                 "limit_violations": sum(r.limit_violation_count for r in reports),
+                "terminations": {
+                    name: sum(r.termination == name for r in reports) for name in TERMINATIONS
+                },
+                "non_converged": [i for i, r in enumerate(reports) if not r.converged],
                 "per_frame": [
                     {
                         "objective": r.objective,
                         "iterations": r.iterations,
                         "converged": r.converged,
                         "termination": r.termination,
+                        "damping": r.damping,
                         "residual_evals": r.residual_evals,
                         "jacobian_evals": r.jacobian_evals,
                         "position_residuals": r.position_residuals,

@@ -4,11 +4,14 @@ Each frame minimizes a weighted least-squares objective over the robot
 joint values: position terms pull corresponding markers toward the scaled
 human targets, orientation terms penalize the geodesic frame error, and
 regularizers cover joint limits, frame-to-frame smoothness, and a
-reference posture. The solver is damped Gauss-Newton with analytic
-Jacobians and backtracking on the damping parameter; accepted steps never
-increase the objective. Each distinct pose costs one forward-kinematics
-pass, shared by its residual, its Jacobian and the report. The
-root transform is taken from the scaled human root and is not optimized.
+reference posture. The solver is damped Gauss-Newton (Levenberg-Marquardt)
+with analytic Jacobians and Nielsen's gain-ratio update of the damping;
+accepted steps never increase the objective. It stops when the gradient
+vanishes or when an accepted step lowers the objective by less than
+RELATIVE_DECREASE_TOL of its value. Each distinct pose costs one
+forward-kinematics pass, shared by its residual, its Jacobian and the
+report. The root transform is taken from the scaled human root and is not
+optimized.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .skeleton import (
 
 LIMIT_MARGIN = 0.05  # the limit barrier starts this far inside each limit, radians
 EULER_STEP = 1e-6  # central-difference step of the Euler-angle map of limited spherical joints
-DAMPING_INIT = 1e-3
-DAMPING_INCREASE = 10.0  # damping factor after a rejected step
-DAMPING_DECREASE = 3.0  # damping divisor after an accepted step
+DAMPING_TAU = 1e-3  # initial damping, relative to the largest diagonal entry of J^T J
+DAMPING_MIN = 1e-12  # damping floor: a zero J^T J or a long run of shrinks never leaves it 0
 DAMPING_MAX = 1e12  # give up on the iteration beyond this damping
+RELATIVE_DECREASE_TOL = 1e-5  # stop once an accepted step lowers the objective by less
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class RetargetOptions:
             )
 
 
-TERMINATIONS = ("converged", "stalled", "max_iterations", "carried_forward")
+TERMINATIONS = ("converged", "small_decrease", "stalled", "max_iterations", "carried_forward")
 
 
 @dataclass
@@ -102,10 +105,13 @@ class RetargetReport:
     `objective` is the objective at the returned pose, after projection
     into the joint limits; `objective_trace` holds the solver's accepted
     iterates, before projection. `termination` is one of TERMINATIONS:
-    the gradient fell below tolerance, no damping gave descent, the
-    iteration cap was hit, or the frame failed numerically and repeats the
-    previous solution. `residual_evals` and `jacobian_evals` count the
-    evaluations the solve made.
+    the gradient fell below tolerance, an accepted step lowered the
+    objective by less than RELATIVE_DECREASE_TOL of it, no damping gave
+    descent, the iteration cap was hit, or the frame failed numerically
+    and repeats the previous solution. `converged` is true for the first
+    two, the solver's convergence criteria. `residual_evals` and
+    `jacobian_evals` count the evaluations the solve made; `damping` is
+    the solver's final damping (NaN for a carried-forward frame).
     """
 
     objective: float
@@ -117,10 +123,11 @@ class RetargetReport:
     orientation_residuals: dict
     limit_violation_count: int
     objective_trace: list
+    damping: float
 
     @property
     def converged(self):
-        return self.termination == "converged"
+        return self.termination in ("converged", "small_decrease")
 
     @property
     def carried_forward(self):
@@ -144,12 +151,19 @@ def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
 
 
 def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
-    """Damped Gauss-Newton on the residual and its Jacobian.
+    """Damped Gauss-Newton on the residual and its Jacobian, with Nielsen's damping update.
 
-    Returns (x, objective_trace, iterations, termination). Accepted steps
-    are monotone nonincreasing in the objective; termination is
-    "converged" once the gradient infinity-norm drops below tolerance,
-    "stalled" when no damping gives descent, else "max_iterations".
+    Returns (x, objective_trace, iterations, termination, damping). The
+    damping mu starts at DAMPING_TAU * max diag(J^T J). A step is accepted
+    when it does not increase the objective f = r^T r; mu then scales by
+    max(1/3, 1 - (2 rho - 1)^3), with rho the actual over the predicted
+    decrease, and the rejection factor nu resets to 2. A rejected step
+    multiplies mu by nu and doubles nu (H. B. Nielsen, "Damping parameter in
+    Marquardt's method", IMM-REP-1999-05). Accepted steps are monotone
+    nonincreasing in the objective; termination is "converged" once the
+    gradient infinity-norm drops below tolerance, "small_decrease" after an
+    accepted step lowers f by at most RELATIVE_DECREASE_TOL * f, "stalled"
+    when mu exceeds DAMPING_MAX without descent, else "max_iterations".
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
@@ -157,7 +171,7 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
     if not np.isfinite(f):
         raise NonFiniteObjective(f"objective at start point is {f}")
     trace = [f]
-    mu = DAMPING_INIT
+    mu = None
     termination = "max_iterations"
     iterations = 0
     eye = np.eye(len(x))
@@ -165,31 +179,42 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
         iterations += 1
         jac = jacobian_fn(x)
         jtr = jac.T @ r
+        jtj = jac.T @ jac
+        if mu is None:
+            mu = max(DAMPING_TAU * float(np.max(np.diag(jtj))), DAMPING_MIN)
         if np.max(np.abs(2.0 * jtr)) < opts.gradient_tol:
             termination = "converged"
             break
-        jtj = jac.T @ jac
-        accepted = False
+        nu = 2.0
         while mu <= DAMPING_MAX:
             try:
                 step = np.linalg.solve(jtj + mu * eye, jtr)
             except np.linalg.LinAlgError:
-                mu *= DAMPING_INCREASE
+                mu *= nu
+                nu *= 2.0
                 continue
             x_new = x - step
             r_new = residual_fn(x_new)
             f_new = float(r_new @ r_new)
             if np.isfinite(f_new) and f_new <= f:
+                # predicted decrease ||r||^2 - ||r - J step||^2; > 0 unless the step is 0
+                predicted = float(step @ (mu * step + jtr))
+                rho = (f - f_new) / predicted if predicted > 0.0 else 0.0
+                # any rho >= 1 gives the 1/3 floor; clipping it keeps the cube from overflowing
+                shrink = max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+                mu = max(mu * shrink, DAMPING_MIN)
+                if f - f_new <= RELATIVE_DECREASE_TOL * f:
+                    termination = "small_decrease"
                 x, r, f = x_new, r_new, f_new
                 trace.append(f)
-                mu = max(mu / DAMPING_DECREASE, 1e-12)
-                accepted = True
                 break
-            mu *= DAMPING_INCREASE
-        if not accepted:
+            mu *= nu
+            nu *= 2.0
+        else:  # no damping up to DAMPING_MAX gave descent
             termination = "stalled"
+        if termination != "max_iterations":
             break
-    return x, trace, iterations, termination
+    return x, trace, iterations, termination, mu
 
 
 def _euler_jacobian(values):
@@ -409,7 +434,7 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
             parts.append(w_ref * eye)
         return np.concatenate(parts)
 
-    x, trace, iterations, termination = _gauss_newton(residual, jacobian, x0, opts)
+    x, trace, iterations, termination, damping = _gauss_newton(residual, jacobian, x0, opts)
     x = _project_to_limits(skeleton, x)
     pose = Pose(root_position, root_orientation, x)
 
@@ -432,6 +457,7 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
         orientation_residuals=rot_residuals,
         limit_violation_count=len(check_limits(skeleton, pose)),
         objective_trace=trace,
+        damping=damping,
     )
     return pose, report
 
@@ -519,6 +545,7 @@ def retarget_sequence(
                 orientation_residuals={},
                 limit_violation_count=0,
                 objective_trace=[],
+                damping=float("nan"),
             )
         poses.append(pose)
         reports.append(report)

@@ -36,14 +36,21 @@ class Codebook:
         sums = np.asarray(self.ema_sums, dtype=float)
         if counts.shape != (entries.shape[0],) or sums.shape != entries.shape:
             raise DimensionMismatch("EMA accumulator shapes do not match entries")
-        if np.any(counts < 0):
-            raise ValidationError("ema_counts must be >= 0")
         usage = self.usage
         usage = np.zeros(entries.shape[0]) if usage is None else np.asarray(usage, float)
+        usage = usage.reshape(-1)
+        if usage.shape != counts.shape:
+            raise DimensionMismatch(f"{usage.size} usage counters for {counts.size} entries")
+        # save_codebook refuses non-finite arrays, so a codebook that holds one could not be saved
+        for name, arr in (("ema_counts", counts), ("ema_sums", sums), ("usage", usage)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"codebook {name} contains NaN or infinity")
+        if np.any(counts < 0):
+            raise ValidationError("ema_counts must be >= 0")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ema_counts", counts)
         object.__setattr__(self, "ema_sums", sums)
-        object.__setattr__(self, "usage", usage.reshape(-1))
+        object.__setattr__(self, "usage", usage)
 
     @classmethod
     def initialize(cls, entries, decay=DEFAULT_DECAY, epsilon=DEFAULT_EPSILON):

@@ -101,6 +101,39 @@ class TestRetarget:
             assert frame["termination"] in TERMINATIONS
             assert frame["jacobian_evals"] == frame["iterations"]
             assert frame["residual_evals"] > frame["iterations"]
+            assert 0 < frame["damping"] < np.inf
+
+    @pytest.mark.parametrize("max_iterations", [1, 100])
+    def test_report_summary(self, workdir, max_iterations):
+        assert run(
+            ["retarget", "--human", workdir / "traj.motion",
+             "--human-skel", workdir / "skel.skel", "--robot-skel", workdir / "skel.skel",
+             "--map", workdir / "self.map", "--out", workdir / "robot.motion",
+             "--report", workdir / "rt.json", "--max-iterations", max_iterations]
+        ) == 0
+        report = json.loads((workdir / "rt.json").read_text())
+        frames = report["per_frame"]
+        assert list(report["terminations"]) == list(TERMINATIONS)
+        assert report["terminations"] == {
+            name: sum(f["termination"] == name for f in frames) for name in TERMINATIONS
+        }
+        assert report["non_converged"] == [i for i, f in enumerate(frames) if not f["converged"]]
+        if max_iterations == 1:
+            assert report["non_converged"] == [0, 1, 2, 3]
+        else:
+            assert report["non_converged"] == []
+
+    def test_report_leaves_motion_unchanged(self, workdir):
+        def argv(name, *extra):
+            return ["retarget", "--human", workdir / "traj.motion",
+                    "--human-skel", workdir / "skel.skel", "--robot-skel", workdir / "skel.skel",
+                    "--map", workdir / "self.map", "--out", workdir / f"{name}.motion",
+                    "--no-warm-start", *extra]
+
+        assert run(argv("plain")) == 0
+        assert run(argv("reported", "--report", workdir / "reported.json")) == 0
+        plain = (workdir / "plain.motion").read_bytes()
+        assert plain == (workdir / "reported.motion").read_bytes()
 
     def test_rerun_byte_identical(self, workdir):
         def argv(name):

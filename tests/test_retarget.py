@@ -321,10 +321,21 @@ class TestTermination:
             traj, reports = retarget_sequence(
                 humanlike, [good, bad], humanlike, identity_corr(humanlike)
             )
-        assert [r.termination for r in reports] == ["converged", "carried_forward"]
+        assert reports[0].converged and reports[1].termination == "carried_forward"
         assert reports[1].carried_forward and not reports[0].carried_forward
         assert reports[1].jacobian_evals == reports[1].iterations == 0
         assert np.array_equal(traj.poses[1].joint_values, traj.poses[0].joint_values)
+
+    def test_small_decrease(self, humanlike, rng):
+        # The regularizers keep the optimum off zero, so the decrease test stops the solve
+        # before the gradient test does.
+        pose = twist_free_pose(humanlike, rng)
+        _, report = retarget_frame(humanlike, pose, humanlike, identity_corr(humanlike))
+        assert report.termination == "small_decrease" and report.converged
+        trace = report.objective_trace
+        drops = [a - b for a, b in zip(trace, trace[1:])]
+        assert drops[-1] <= retarget.RELATIVE_DECREASE_TOL * trace[-2]
+        assert all(d > retarget.RELATIVE_DECREASE_TOL * f for d, f in zip(drops[:-1], trace))
 
     def test_stalled(self):
         # A Jacobian pointing uphill: no damping gives descent.
@@ -334,12 +345,110 @@ class TestTermination:
         def jacobian(x):
             return -np.eye(len(x))
 
-        x, trace, iterations, termination = _gauss_newton(
+        x, trace, iterations, termination, damping = _gauss_newton(
             residual, jacobian, np.array([1.0, -2.0]), RetargetOptions()
         )
         assert termination == "stalled"
         assert iterations == 1 and trace == [5.0]
         assert np.array_equal(x, [1.0, -2.0])
+        assert damping > retarget.DAMPING_MAX
+
+
+class TestNielsenDamping:
+    """r(x) = A x - b solved with a scripted Jacobian, the damping read off each linear solve."""
+
+    B = np.array([1.0, 2.0])
+
+    def run(self, monkeypatch, jac, max_iterations, rejected=(), slope=None):
+        """Solve from 0 with A = `slope`, else `jac`; residual calls numbered in `rejected`
+        (0 is the start point) return a point far uphill."""
+        slope = jac if slope is None else slope
+        calls = []
+        damping = []
+        real_solve = np.linalg.solve
+
+        def residual(x):
+            calls.append(x)
+            return np.full(2, 1e3) if len(calls) - 1 in rejected else slope @ x - self.B
+
+        def solve(a, b):
+            damping.append(a[0, 0] - (jac.T @ jac)[0, 0])
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        _, trace, iterations, termination, mu = _gauss_newton(
+            residual, lambda x: jac, np.zeros(2), RetargetOptions(max_iterations=max_iterations)
+        )
+        return damping, mu, trace, termination
+
+    def test_initial_damping_and_full_gain_shrink(self, monkeypatch):
+        # The residual is linear in x and the Jacobian exact: the gain ratio is 1,
+        # and 1 - (2 rho - 1)^3 = 0 falls back to the 1/3 floor.
+        jac = np.diag([1.0, 3.0])
+        damping, mu, _, termination = self.run(monkeypatch, jac, max_iterations=1)
+        assert damping == [pytest.approx(retarget.DAMPING_TAU * 9.0, rel=1e-9)]
+        assert mu == pytest.approx(damping[0] / 3.0, rel=1e-9)
+        assert termination == "max_iterations"
+
+    def test_partial_gain_shrink(self, monkeypatch):
+        # A Jacobian twice the true slope: the model overpredicts the decrease.
+        damping, mu, trace, _ = self.run(
+            monkeypatch, 2.0 * np.eye(2), max_iterations=1, slope=np.eye(2)
+        )
+        mu0 = retarget.DAMPING_TAU * 4.0
+        alpha = 2.0 / (4.0 + mu0)  # the step is alpha * r
+        rho = (2.0 - alpha) / (mu0 * alpha + 2.0)
+        assert rho == pytest.approx((trace[0] - trace[1]) / (alpha * (mu0 * alpha + 2.0) * 5.0))
+        factor = 1.0 - (2.0 * rho - 1.0) ** 3
+        assert 1.0 / 3.0 < factor < 1.0
+        assert damping == [pytest.approx(mu0, rel=1e-9)]
+        assert mu == pytest.approx(mu0 * factor, rel=1e-9)
+
+    def test_consecutive_rejections_double_the_factor(self, monkeypatch):
+        damping, _, trace, _ = self.run(
+            monkeypatch, np.eye(2), max_iterations=2, rejected=(1, 2, 3, 5)
+        )
+        assert len(damping) == 6 and len(trace) == 3
+        ratios = [b / a for a, b in zip(damping, damping[1:])]
+        # x2, x4, x8 within the first iteration; nu is back at 2 after the accepted step
+        assert ratios[:3] == [pytest.approx(r, rel=1e-9) for r in (2.0, 4.0, 8.0)]
+        assert ratios[3] == pytest.approx(1.0 / 3.0, rel=1e-9)
+        assert ratios[4] == pytest.approx(2.0, rel=1e-9)
+
+    def test_zero_jacobian_with_zero_tolerance(self):
+        # J = 0, as for a lone marker on the unsolved root: the gradient test with tolerance
+        # 0 never fires, but the damping floor still gives a (zero) step and the solve ends.
+        _, trace, iterations, termination, damping = _gauss_newton(
+            lambda x: np.ones(2), lambda x: np.zeros((2, len(x))), np.zeros(3),
+            RetargetOptions(gradient_tol=0.0),
+        )
+        assert (termination, iterations, trace) == ("small_decrease", 1, [2.0, 2.0])
+        assert 0 < damping < np.inf
+
+    def test_uphill_stalls(self, monkeypatch):
+        damping, mu, trace, termination = self.run(
+            monkeypatch, -np.eye(2), max_iterations=5, slope=np.eye(2)
+        )
+        assert termination == "stalled" and trace == [5.0]
+        assert damping[-1] <= retarget.DAMPING_MAX < mu
+        ratios = [b / a for a, b in zip(damping, damping[1:])]
+        assert ratios == [pytest.approx(2.0 ** (k + 1), rel=1e-6) for k in range(len(ratios))]
+
+
+def test_decrease_stop_keeps_objective(monkeypatch):
+    """Cold solves onto g1_like_21 end within 1% of the objective of the gradient-only solve."""
+    human = load_example_skeleton("human_24")
+    robot = load_example_skeleton("g1_like_21")
+    corr = load_example_correspondence("human_to_g1", human, robot)
+    rng = np.random.default_rng(20261018)
+    poses = [twist_free_pose(human, rng, max_angle=1.0) for _ in range(4)]
+    opts = RetargetOptions(warm_start=False)
+    _, fast = retarget_sequence(human, poses, robot, corr, opts)
+    monkeypatch.setattr(retarget, "RELATIVE_DECREASE_TOL", 0.0)
+    _, oracle = retarget_sequence(human, poses, robot, corr, opts)
+    assert sum(r.iterations for r in fast) < sum(r.iterations for r in oracle)
+    for a, b in zip(fast, oracle):
+        assert a.objective == pytest.approx(b.objective, rel=0.01)
 
 
 def make_finger():

@@ -49,6 +49,22 @@ class TestCodebook:
         with pytest.raises(ValidationError):
             Codebook.initialize(np.full((2, 2), np.nan))
 
+    @pytest.mark.parametrize("field", ["ema_counts", "ema_sums", "usage"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_state(self, field, bad):
+        cb = Codebook.initialize(np.eye(3))
+        state = {"ema_counts": cb.ema_counts, "ema_sums": cb.ema_sums, "usage": cb.usage}
+        state[field] = state[field].copy()
+        state[field].flat[1] = bad
+        with pytest.raises(ValidationError, match=f"{field} contains NaN or infinity"):
+            Codebook(cb.entries, **state)
+
+    @pytest.mark.parametrize("usage", [np.zeros(2), np.zeros(4), np.zeros((3, 2))])
+    def test_rejects_usage_of_wrong_length(self, usage):
+        cb = Codebook.initialize(np.eye(3))
+        with pytest.raises(ValidationError, match="usage counters for 3 entries"):
+            Codebook(cb.entries, cb.ema_counts, cb.ema_sums, usage=usage)
+
     def test_rejects_bad_decay(self):
         with pytest.raises(ValidationError):
             Codebook.initialize(np.zeros((2, 2)), decay=1.5)
