@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -132,6 +133,9 @@ def cmd_retarget(args):
                     name: sum(r.termination == name for r in reports) for name in TERMINATIONS
                 },
                 "non_converged": [i for i, r in enumerate(reports) if not r.converged],
+                "iterations_histogram": {
+                    str(k): n for k, n in sorted(Counter(r.iterations for r in reports).items())
+                },
                 "per_frame": [
                     {
                         "objective": r.objective,
@@ -139,6 +143,7 @@ def cmd_retarget(args):
                         "converged": r.converged,
                         "termination": r.termination,
                         "damping": r.damping,
+                        "projection_displacement": r.projection_displacement,
                         "residual_evals": r.residual_evals,
                         "jacobian_evals": r.jacobian_evals,
                         "position_residuals": r.position_residuals,
@@ -196,15 +201,10 @@ def cmd_metrics_gen(args):
     if args.text:
         text = io.load_feature_matrix(args.text)
         rows.append(("MM-Dist", metrics.mm_dist(text, b), n))
-        for k in (1, 2, 3):
-            if k < args.pool:
-                rows.append(
-                    (
-                        f"R Top-{k}",
-                        metrics.r_precision(text, b, pool_size=args.pool, top_k=k, seed=seed),
-                        n,
-                    )
-                )
+        top = [k for k in (1, 2, 3) if k < args.pool]
+        if top:
+            ranks = metrics.retrieval_ranks(text, b, pool_size=args.pool, seed=seed)
+            rows += [(f"R Top-{k}", metrics.top_k_share(ranks, k), n) for k in top]
     for name, value, count in rows:
         print(f"{name:16s} {value:.9g} n={count}")
     if args.report:

@@ -39,7 +39,7 @@ from .skeleton import (
     Pose,
     Skeleton,
 )
-from .vq import Codebook, TokenSequence
+from .vq import Codebook, TokenSequence, _check_epsilon
 
 FORMAT_VERSION = 1
 
@@ -556,6 +556,11 @@ def load_codebook(path):
     _check_header(obj, path, "codebook")
     base = Path(path).parent
     entries = _matrix(obj.get("entries"), path, "/entries", base)
+    epsilon = obj.get("epsilon", 1e-5)
+    try:
+        _check_epsilon(epsilon)
+    except ValidationError as e:
+        raise ParseError(path, "/epsilon", str(e)) from None
     try:
         return Codebook(
             entries=entries,
@@ -564,7 +569,7 @@ def load_codebook(path):
             ),
             ema_sums=_matrix(obj.get("ema_sums"), path, "/ema_sums", base),
             decay=float(obj.get("decay", 0.99)),
-            epsilon=float(obj.get("epsilon", 1e-5)),
+            epsilon=float(epsilon),
             usage=_finite_array(obj.get("usage"), path, "/usage", (entries.shape[0],)),
         )
     except ValidationError as e:

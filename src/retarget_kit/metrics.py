@@ -223,28 +223,41 @@ def mm_dist(text_features, motion_features):
     return float(np.mean(np.linalg.norm(t - m, axis=1)))
 
 
-def r_precision(text_features, motion_features, pool_size=32, top_k=1, seed=DEFAULT_SEED):
-    """Retrieval accuracy: does the true motion rank in the top k of its pool?
+def retrieval_ranks(text_features, motion_features, pool_size=32, seed=DEFAULT_SEED):
+    """Rank of each text's matched motion in its retrieval pool, 1 being the closest.
 
     Each text anchors a pool of its matched motion plus pool_size - 1
-    seeded random distractors; ranking is by Euclidean distance.
+    seeded random distractors; ranking is by Euclidean distance, and
+    distractors tied with the match do not rank above it.
     """
+    _check_pair_count("pool_size", pool_size)
     t, m = _values(text_features), _values(motion_features)
     if t.shape != m.shape:
         raise DimensionMismatch(f"shapes {t.shape} and {m.shape} differ")
     n = t.shape[0]
     if pool_size > n:
         raise PoolTooLarge(f"pool size {pool_size} exceeds {n} samples")
-    if not 1 <= top_k < pool_size:
-        raise ValidationError(f"top_k must be in [1, {pool_size - 1}], got {top_k}")
     rng = np.random.default_rng(seed)
     others = np.arange(n)
-    successes = 0
+    ranks = np.empty(n, dtype=int)
     for i in range(n):
         distractors = rng.choice(np.delete(others, i), size=pool_size - 1, replace=False)
         d_true = np.linalg.norm(t[i] - m[i])
         d_pool = np.linalg.norm(t[i] - m[distractors], axis=1)
-        rank = 1 + int(np.sum(d_pool < d_true))
-        if rank <= top_k:
-            successes += 1
-    return successes / n
+        ranks[i] = 1 + int(np.sum(d_pool < d_true))
+    return ranks
+
+
+def top_k_share(ranks, top_k):
+    """Share of the `retrieval_ranks` at most top_k: the R-precision of those pools."""
+    return int(np.sum(np.asarray(ranks) <= top_k)) / len(ranks)
+
+
+def r_precision(text_features, motion_features, pool_size=32, top_k=1, seed=DEFAULT_SEED):
+    """Retrieval accuracy: does the true motion rank in the top k of its pool?
+
+    The share of `retrieval_ranks` at most top_k.
+    """
+    if not 1 <= top_k < pool_size:
+        raise ValidationError(f"top_k must be in [1, {pool_size - 1}], got {top_k}")
+    return top_k_share(retrieval_ranks(text_features, motion_features, pool_size, seed), top_k)

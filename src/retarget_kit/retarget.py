@@ -22,7 +22,13 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import NonFiniteObjective, ValidationError
-from .rotations import Rotation, _right_jacobian, _right_jacobian_inv, _rodrigues_matrix
+from .rotations import (
+    Rotation,
+    _log_floats,
+    _right_jacobian,
+    _right_jacobian_inv,
+    _rodrigues_matrix,
+)
 from .skeleton import (
     JointTrajectory,
     Pose,
@@ -38,6 +44,10 @@ DAMPING_TAU = 1e-3  # initial damping, relative to the largest diagonal entry of
 DAMPING_MIN = 1e-12  # damping floor: a zero J^T J or a long run of shrinks never leaves it 0
 DAMPING_MAX = 1e12  # give up on the iteration beyond this damping
 RELATIVE_DECREASE_TOL = 1e-5  # stop once an accepted step lowers the objective by less
+
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,9 @@ class RetargetReport:
     and repeats the previous solution. `converged` is true for the first
     two, the solver's convergence criteria. `residual_evals` and
     `jacobian_evals` count the evaluations the solve made; `damping` is
-    the solver's final damping (NaN for a carried-forward frame).
+    the solver's final damping and `projection_displacement` the norm of
+    the change the limit projection made to the solver's answer (both NaN
+    for a carried-forward frame).
     """
 
     objective: float
@@ -124,6 +136,7 @@ class RetargetReport:
     limit_violation_count: int
     objective_trace: list
     damping: float
+    projection_displacement: float
 
     @property
     def converged(self):
@@ -240,35 +253,42 @@ class _LimitBarrier:
     w * max(0, v - hi') and w * max(0, lo' - v), with (lo', hi')
     LIMIT_MARGIN inside the limits, less on narrow ranges, and w the square
     root of the limit weight. Their Jacobian rows are +-w times the
-    gradient of v on active rows.
+    gradient of v on active rows. Those gradients are built once: a revolute
+    value is its own column; only an Euler-limited spherical joint with an
+    active row has its gradient differenced at each call.
     """
 
     def __init__(self, skeleton, w):
-        self.plan = skeleton._plan
+        plan = self.plan = skeleton._plan
         self.w = w
-        margin = np.minimum(LIMIT_MARGIN, 0.25 * (self.plan.hi - self.plan.lo))
-        self.lo, self.hi = self.plan.lo + margin, self.plan.hi - margin
+        margin = np.minimum(LIMIT_MARGIN, 0.25 * (plan.hi - plan.lo))
+        # (v - hi', lo' - v) as v * (1, -1) + (-hi', lo'), the same floats
+        self.sign = np.array([1.0, -1.0])
+        self.shift = np.stack([-(plan.hi - margin), plan.lo + margin], axis=1)
+        grad = np.zeros((len(plan.lo), len(plan.col_joint)))
+        grad[np.arange(len(plan.lo)), plan.limit_col] = 1.0
+        # A lower row is -w times a gradient, so it reads -0.0 off the columns v does
+        # not depend on; the sign of a zero can reach the step and the motion written.
+        self.rows = np.stack([w * grad, -w * grad], axis=1)
+
+    def _excess(self, values):
+        """(limited DoF, 2) signed distances past the upper and lower barrier starts."""
+        return self.plan.limited_values(values)[:, None] * self.sign + self.shift
 
     def residual(self, values):
-        v = self.plan.limited_values(values)
-        rows = np.stack([v - self.hi, self.lo - v], axis=1)
+        rows = self._excess(values)
         # np.where(d > 0, d, 0) is max(0, d) row by row, NaN included
         return (self.w * np.where(rows > 0.0, rows, 0.0)).reshape(-1)
 
     def jacobian(self, values):
-        plan = self.plan
-        v = plan.limited_values(values)
-        upper, lower = v > self.hi, v < self.lo
-        grad = np.zeros((len(v), len(values)))
-        grad[np.arange(len(v)), plan.limit_col] = 1.0
-        for first, sl in plan.euler:
-            if np.any((upper | lower)[first : first + 3]):
-                grad[first : first + 3, sl] = _euler_jacobian(values[sl])
-        # A lower row is -w times a gradient, so it reads -0.0 off the columns v does
-        # not depend on; the sign of a zero can reach the step and the motion written.
-        out = np.zeros((len(v), 2, len(values)))
-        out[upper, 0] = self.w * grad[upper]
-        out[lower, 1] = -self.w * grad[lower]
+        active = self._excess(values) > 0.0
+        out = np.where(active[..., None], self.rows, 0.0)
+        for first, sl in self.plan.euler:
+            rows = slice(first, first + 3)
+            if active[rows].any():
+                grad = _euler_jacobian(values[sl])
+                block = np.stack([self.w * grad, -self.w * grad], axis=1)
+                out[rows, :, sl] = np.where(active[rows, :, None], block, 0.0)
         return out.reshape(-1, len(values))
 
 
@@ -303,78 +323,73 @@ class _Terms:
     """A solve's terms as arrays, the row layout of their residual, and its Jacobian.
 
     Per term: the robot marker's joint and local offset, the world target
-    point, and the square root of its position weight. `framed` lists
-    (term, square root of the orientation weight, world target frame) for
-    the terms with a frame. Each term owns six rows of a (term, 6) stack,
-    three position and three orientation rows; `keep` selects, in order,
-    the rows the residual has: position rows of terms with position weight,
-    orientation rows of framed terms. `mask` is 1.0 on the columns that
+    point, and the square root of its position weight. The framed terms
+    have their indices, the square roots of their orientation weights and
+    their world target frames. The rows are stacked as the x, y and z
+    position rows of all terms, one block per axis, then three orientation
+    rows per framed term; `rows` selects from that stack, in residual
+    order, each term's position rows if it has position weight and its
+    orientation rows if it has a frame. `mask` is 1.0 on the columns that
     move each term's marker joint, from the skeleton plan's `moves`.
     """
 
     def __init__(self, skeleton, terms):
-        keep = []
-        framed = []
+        n, rows = len(terms), []
+        framed = [t for t, (*_, frame) in enumerate(terms) if frame is not None]
         for t, (pair, _, _, frame) in enumerate(terms):
             if pair.position_weight > 0:
-                keep += [6 * t, 6 * t + 1, 6 * t + 2]
+                rows += [t, n + t, 2 * n + t]
             if frame is not None:
-                keep += [6 * t + 3, 6 * t + 4, 6 * t + 5]
-                framed.append((t, np.sqrt(pair.orientation_weight), frame))
+                f = 3 * (n + framed.index(t))
+                rows += [f, f + 1, f + 2]
         self.plan = skeleton._plan
         self.joint = np.array([marker[0] for _, marker, _, _ in terms], dtype=int)
-        self.offset = np.array([marker[1] for _, marker, _, _ in terms]).reshape(-1, 3)
+        self.offset = np.array([marker[1] for _, marker, _, _ in terms]).reshape(-1, 3, 1)
         self.point = np.array([point for _, _, point, _ in terms]).reshape(-1, 3)
-        self.position_scale = np.sqrt([pair.position_weight for pair, *_ in terms])
-        self.framed = tuple(framed)
-        self.keep = np.array(keep, dtype=int)
+        self.position_scale = np.sqrt([pair.position_weight for pair, *_ in terms])[:, None]
+        self.framed = np.array(framed, dtype=int)
+        self.frame_scale = np.sqrt([terms[t][0].orientation_weight for t in framed])[:, None]
+        self.frames = np.array([terms[t][3] for t in framed]).reshape(-1, 3, 3)
+        self.rows = np.array(rows, dtype=int)
         self.mask = self.plan.moves[self.joint]
-        self.position_mask = self.mask * self.position_scale[:, None]
+        self.position_mask = self.mask * self.position_scale
 
     def errors(self, res):
-        """(term, 3) marker position errors, and the rotation-vector error of each framed term."""
+        """(term, 3) world marker points, and the (framed, 3) rotation-vector errors."""
         rot = res.rotations[self.joint]
-        position = res.positions[self.joint] + (rot @ self.offset[:, :, None])[..., 0]
-        orientation = [
-            Rotation(rot[t].T @ frame).as_rotvec() for t, _, frame in self.framed
-        ]
-        return position - self.point, orientation
+        markers = res.positions[self.joint] + (rot @ self.offset)[..., 0]
+        relative = rot[self.framed].swapaxes(1, 2) @ self.frames
+        orientation = np.array([_log_floats(m) for m in relative.tolist()]).reshape(-1, 3)
+        return markers, orientation
 
-    def residual(self, position, orientation):
+    def residual(self, markers, orientation):
         """The weighted term rows, in order, from `errors`."""
-        out = np.zeros((len(self.joint), 6))
-        out[:, :3] = self.position_scale[:, None] * position
-        for (t, w, _), e in zip(self.framed, orientation):
-            out[t, 3:] = w * e
-        return out.reshape(-1)[self.keep]
+        position = self.position_scale * (markers - self.point)
+        orientation = self.frame_scale * orientation
+        return np.concatenate([position.T.reshape(-1), orientation.reshape(-1)])[self.rows]
 
-    def jacobian(self, res, orientation, values):
-        """Rows of the residual's Jacobian, from the FkResult and orientation errors at values.
+    def jacobian(self, res, markers, orientation, values):
+        """Rows of the residual's Jacobian, from the FkResult and `errors` at values.
 
         Joint k's DoF turn joint k and everything below it at world angular
-        rates, one 3-vector per column: R_k axis for a revolute DoF, the
-        columns of R_k J_r(phi) for a spherical rotation vector phi. A
-        marker x on joint k or below then moves at rate x (x - p_k), and an
-        orientation error e = log(R_j^T R_t) at -J_r^{-1}(e) R_t^T rate.
+        rates w, one 3-vector per column: R_k axis for a revolute DoF, the
+        columns of R_k J_r(phi) for a spherical rotation vector phi. A marker
+        x on joint k or below then moves at w x (x - p_k) = p_k x w - x x w,
+        both cross products from one Levi-Civita contraction with the rates,
+        and an orientation error e = log(R_j^T R_t) at -J_r^{-1}(e) R_t^T w.
         """
         plan, n = self.plan, len(values)
         rates = np.empty((n, 3))
-        rates[plan.revolute_col] = np.einsum("cij,cj->ci", res.rotations[plan.revolute], plan.axes)
-        for i, cols in zip(plan.spherical, plan.spherical_cols):
-            rates[cols] = (res.rotations[i] @ _right_jacobian(values[cols])).T
-        markers = res.positions[self.joint] + np.einsum(
-            "tij,tj->ti", res.rotations[self.joint], self.offset
-        )
-        lever = markers[:, None, :] - res.positions[plan.col_joint]  # (term, column, 3)
-        out = np.zeros((len(self.joint), 6, n))
-        w0, w1, w2 = rates.T
-        out[:, 0] = w1 * lever[..., 2] - w2 * lever[..., 1]
-        out[:, 1] = w2 * lever[..., 0] - w0 * lever[..., 2]
-        out[:, 2] = w0 * lever[..., 1] - w1 * lever[..., 0]
-        out[:, :3] *= self.position_mask[:, None, :]
-        for (t, w, frame), e in zip(self.framed, orientation):
-            out[t, 3:] = (-w * _right_jacobian_inv(e) @ frame.T) @ (rates.T * self.mask[t])
-        return out.reshape(-1, n)[self.keep]
+        rates[plan.revolute_col] = (res.rotations[plan.revolute] @ plan.axes[..., None])[..., 0]
+        if len(plan.spherical):
+            turn = res.rotations[plan.spherical] @ _right_jacobian(values[plan.spherical_cols])
+            rates[plan.spherical_cols] = turn.swapaxes(1, 2)
+        cross = _LEVI_CIVITA @ rates.T  # (a x w_c)_i = sum_j a_j cross[i, j, c]
+        joint_side = (cross * res.positions[plan.col_joint].T).sum(axis=1)
+        position = (joint_side[:, None] - markers @ cross) * self.position_mask
+        scaled = -self.frame_scale[..., None] * _right_jacobian_inv(orientation)
+        frame = (scaled @ self.frames.swapaxes(1, 2)) @ (rates.T * self.mask[self.framed, None])
+        return np.concatenate([position.reshape(-1, n), frame.reshape(-1, n)])[self.rows]
 
 
 def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to=None):
@@ -399,21 +414,22 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
     barrier = (
         _LimitBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
     )
-    eye = np.eye(skeleton.total_dof)
+    # the regularizers' Jacobian rows do not depend on the pose
+    fixed_rows = [w * np.eye(skeleton.total_dof) for w in (w_smooth, w_ref) if w]
     evals = {"residual": 0, "jacobian": 0}
-    last = {}  # one slot: joint-value bytes -> (FkResult, term errors) of the last pose
+    last = {}  # one slot: joint-value bytes -> (FkResult, markers, orientation errors)
 
     def evaluate(values):
         key = values.tobytes()
         if key not in last:
             last.clear()
             res = fk(skeleton, Pose(root_position, root_orientation, values))
-            last[key] = res, layout.errors(res)
+            last[key] = (res, *layout.errors(res))
         return last[key]
 
     def residual(values):
         evals["residual"] += 1
-        parts = [layout.residual(*evaluate(values)[1])]
+        parts = [layout.residual(*evaluate(values)[1:])]
         if barrier:
             parts.append(barrier.residual(values))
         if w_smooth:
@@ -424,27 +440,22 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
 
     def jacobian(values):
         evals["jacobian"] += 1
-        res, (_, orientation) = evaluate(values)
-        parts = [layout.jacobian(res, orientation, values)]
+        parts = [layout.jacobian(*evaluate(values), values)]
         if barrier:
             parts.append(barrier.jacobian(values))
-        if w_smooth:
-            parts.append(w_smooth * eye)
-        if w_ref:
-            parts.append(w_ref * eye)
-        return np.concatenate(parts)
+        return np.concatenate(parts + fixed_rows)
 
-    x, trace, iterations, termination, damping = _gauss_newton(residual, jacobian, x0, opts)
-    x = _project_to_limits(skeleton, x)
+    solved, trace, iterations, termination, damping = _gauss_newton(residual, jacobian, x0, opts)
+    x = _project_to_limits(skeleton, solved)
     pose = Pose(root_position, root_orientation, x)
 
-    _, (position, orientation) = evaluate(x)
+    _, markers, orientation = evaluate(x)
     pos_residuals = {
-        pair.robot: float(np.linalg.norm(e)) for (pair, *_), e in zip(terms, position)
+        pair.robot: float(np.linalg.norm(e))
+        for (pair, *_), e in zip(terms, markers - layout.point)
     }
     rot_residuals = {
-        terms[t][0].robot: float(np.linalg.norm(e))
-        for (t, _, _), e in zip(layout.framed, orientation)
+        terms[t][0].robot: float(np.linalg.norm(e)) for t, e in zip(layout.framed, orientation)
     }
     r = residual(x)
     report = RetargetReport(
@@ -458,6 +469,7 @@ def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to
         limit_violation_count=len(check_limits(skeleton, pose)),
         objective_trace=trace,
         damping=damping,
+        projection_displacement=float(np.linalg.norm(x - solved)),
     )
     return pose, report
 
@@ -546,6 +558,7 @@ def retarget_sequence(
                 limit_violation_count=0,
                 objective_trace=[],
                 damping=float("nan"),
+                projection_displacement=float("nan"),
             )
         poses.append(pose)
         reports.append(report)

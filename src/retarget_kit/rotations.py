@@ -8,6 +8,7 @@ operations are pure and all values immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,34 +106,75 @@ def _rotvec_stack(m):
     return out
 
 
-def _right_jacobian(phi):
-    """J_r(phi), with Exp(phi + d) ~ Exp(phi) Exp(J_r(phi) d) for small d.
+# The two right Jacobians below take their per-row coefficients on Python floats: at
+# the few rows a solve has (its framed terms, its spherical joints) that costs less
+# than numpy's per-call overhead on both branches of an np.where.
 
-    Right Jacobian of SO(3) per Sola, Deray & Atchuthan, "A micro Lie
-    theory for state estimation in robotics" (arXiv:1812.01537); a series
-    replaces the closed form near phi = 0.
+
+def _right_jacobian(phi):
+    """J_r of each rotation vector of an (n, 3) stack, as (n, 3, 3) matrices.
+
+    Exp(phi + d) ~ Exp(phi) Exp(J_r(phi) d) for small d: the right Jacobian
+    of SO(3) per Sola, Deray & Atchuthan, "A micro Lie theory for state
+    estimation in robotics" (arXiv:1812.01537); a series replaces the closed
+    form below an angle of 1e-4.
     """
-    theta = np.linalg.norm(phi)
-    k = _hat(phi)
-    if theta < 1e-4:
-        a = 0.5 - theta * theta / 24.0
-        b = 1.0 / 6.0 - theta * theta / 120.0
-    else:
-        a = (1.0 - np.cos(theta)) / (theta * theta)
-        b = (theta - np.sin(theta)) / theta**3
+    ab = [
+        (0.5 - t * t / 24.0, 1.0 / 6.0 - t * t / 120.0)
+        if t < 1e-4
+        else ((1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / (t * t * t))
+        for t in _norm(phi).tolist()
+    ]
+    a, b = np.array(ab).reshape(-1, 2).T[..., None, None]
+    k = _hat_stack(phi)
     return _EYE3 - a * k + b * (k @ k)
 
 
 def _right_jacobian_inv(phi):
-    """Inverse of `_right_jacobian`; finite for every angle up to pi."""
-    theta = np.linalg.norm(phi)
-    k = _hat(phi)
-    if theta < 1e-4:
-        c = 1.0 / 12.0 + theta * theta / 720.0
+    """Inverse of each `_right_jacobian` of an (n, 3) stack; finite for every angle up to pi."""
+    # (1 + cos t) / (2 t sin t) written with tan(t/2) stays finite at t = pi.
+    c = [
+        1.0 / 12.0 + t * t / 720.0
+        if t < 1e-4
+        else 1.0 / (t * t) - 1.0 / (2.0 * t * math.tan(0.5 * t))
+        for t in _norm(phi).tolist()
+    ]
+    k = _hat_stack(phi)
+    return _EYE3 + 0.5 * k + np.array(c).reshape(-1, 1, 1) * (k @ k)
+
+
+def _log_floats(m):
+    """`Rotation(m).as_rotvec()` of a 3x3 matrix given as nested lists of floats.
+
+    It takes the branches and float operations of `Rotation.as_quat` and
+    `as_axis_angle` on Python floats, which costs a third of the array
+    version for one matrix. The two norms are summed left to right, where
+    `np.linalg.norm` sums in BLAS order, so a result may differ from
+    `as_rotvec` in its last bits.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    trace = m00 + m11 + m22
+    if trace > 0:
+        s = math.sqrt(trace + 1.0) * 2.0
+        w, x, y, z = 0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s
+    elif m00 >= m11 and m00 >= m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        w, x, y, z = (m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s
+    elif m11 >= m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        w, x, y, z = (m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s
     else:
-        # (1 + cos t) / (2 t sin t) written with tan(t/2) stays finite at t = pi.
-        c = 1.0 / (theta * theta) - 1.0 / (2.0 * theta * np.tan(0.5 * theta))
-    return _EYE3 + 0.5 * k + c * (k @ k)
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        w, x, y, z = (m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-16:
+        return 0.0, 0.0, 0.0
+    angle = 2.0 * math.atan2(s, w)
+    return x / s * angle, y / s * angle, z / s * angle
 
 
 @dataclass(frozen=True)

@@ -193,14 +193,20 @@ class _SkeletonPlan:
 
     It is all that `fk`, `check_limits` and the retarget solver know of the
     tree. Revolute joints come with their value columns, axes, K = hat(axis)
-    and K @ K, spherical joints with their (S, 3) value columns. `levels`
-    holds (joints, parents, offsets as column vectors) per tree depth below
-    the root. K, K @ K, the offsets and `identity` carry a length-1 frame
-    axis after the joint axis, as `fk`'s buffers do. `col_joint` maps value
-    columns to joints; row j of `moves` is 1.0 on the columns that turn
-    joint j. The limited DoFs, in joint order, have a joint, DoF index,
-    value column and `lo`/`hi`; `euler` holds (first limited DoF, value
-    slice) per limited spherical joint.
+    and K @ K, spherical joints with their (S, 3) value columns. `order`
+    lists the joints in level order: the root, then each tree depth in turn,
+    children grouped by the order of their parents; `rank` is its inverse,
+    and `in_level_order` says whether the joints are listed that way.
+    `levels` holds (slice of the depth, its parents, offsets as column
+    vectors) per depth below the root, in level-order positions; the
+    parents are a slice whenever they are a contiguous run or a single
+    joint, else an index array. K, K @ K and the offsets carry a length-1
+    frame axis after the joint axis, as `fk`'s buffers do; `fixed_rank`,
+    `revolute_rank` and `spherical_rank` place each kind of joint in them.
+    `col_joint` maps value columns to joints; row j of `moves` is 1.0 on the
+    columns that turn joint j. The limited DoFs, in joint order, have a
+    joint, DoF index, value column and `lo`/`hi`; `euler` holds (first
+    limited DoF, value slice) per limited spherical joint.
     """
 
     def __init__(self, joints, parent_index, dof_slices):
@@ -216,13 +222,30 @@ class _SkeletonPlan:
         depth = [0] * len(joints)
         for i, p in enumerate(parent_index[1:], start=1):
             depth[i] = depth[p] + 1
-        depth, parents = np.array(depth), np.array(parent_index)
+        order = [0]
+        for d in range(1, max(depth) + 1):
+            order += sorted(
+                (i for i in range(len(joints)) if depth[i] == d),
+                key=lambda i: (order.index(parent_index[i]), i),
+            )
+        self.order = np.array(order)
+        self.rank = np.argsort(self.order)
+        self.in_level_order = bool(np.all(self.order == np.arange(len(joints))))
         offsets = np.array([j.offset for j in joints])
-        self.levels = tuple(
-            (idx, parents[idx], offsets[idx, None, :, None])
-            for idx in (np.flatnonzero(depth == d) for d in range(1, depth.max() + 1))
-        )
-        self.identity = np.tile(_EYE3, (len(joints), 1, 1, 1))
+        levels, first = [], 1
+        for d in range(1, max(depth) + 1):
+            idx = self.order[first : first + depth.count(d)]
+            par = self.rank[[parent_index[i] for i in idx]]
+            if np.all(par == par[0]):
+                par = slice(par[0], par[0] + 1)
+            elif np.all(np.diff(par) == 1):
+                par = slice(par[0], par[-1] + 1)
+            levels.append((slice(first, first + len(idx)), par, offsets[idx, None, :, None]))
+            first += len(idx)
+        self.levels = tuple(levels)
+        self.fixed_rank = self.rank[kind == "fixed"]
+        self.revolute_rank = self.rank[self.revolute]
+        self.spherical_rank = self.rank[self.spherical]
         self.col_joint = np.repeat(np.arange(len(joints)), [j.dof_count for j in joints])
         self.moves = np.zeros((len(joints), len(self.col_joint)))
         for i, (p, sl) in enumerate(zip(parent_index, dof_slices)):
@@ -264,7 +287,8 @@ def fk(skeleton, pose):
     All frames are evaluated at once in level order, from an index plan that
     `Skeleton.__init__` builds once: one broadcast Rodrigues for all revolute
     joints, one for all spherical joints, then each tree depth composed onto
-    its parents. Every entry goes through the float operations of a
+    its parents, written into its own contiguous slice of buffers allocated
+    once per call. Every entry goes through the float operations of a
     joint-by-joint walk of the tree, so the results are bit for bit its own.
     """
     single = isinstance(pose, Pose)
@@ -282,12 +306,13 @@ def fk(skeleton, pose):
         root_pos = np.array([p.root_position for p in poses]).reshape(n, 3)
         root_rot = np.array([p.root_orientation.matrix for p in poses]).reshape(n, 3, 3)
         values = np.array([p.joint_values for p in poses]).reshape(n, skeleton.total_dof)
-    # Joint-major (J, T, ...) buffers: each tree level gathers its parents along axis 0.
+    # Joint-major (J, T, ...) buffers in level order: each depth is one slice.
     plan = skeleton._plan
-    local = np.empty((len(plan.identity), len(values), 3, 3))
-    local[...] = plan.identity
+    shape = (len(plan.order), len(values))
+    local = np.empty(shape + (3, 3))
+    local[plan.fixed_rank] = _EYE3
     theta = values.T[plan.revolute_col]
-    local[plan.revolute] = _rodrigues_stack(np.sin(theta), np.cos(theta), plan.k, plan.kk)
+    local[plan.revolute_rank] = _rodrigues_stack(np.sin(theta), np.cos(theta), plan.k, plan.kk)
     if len(plan.spherical):
         # The same float operations as Rotation.from_rotvec, one rotation vector per row.
         v = values[:, plan.spherical_cols].swapaxes(0, 1)
@@ -295,15 +320,17 @@ def fk(skeleton, pose):
         turned = angle >= 1e-12
         k = _hat_stack(v / np.where(turned, angle, 1.0)[..., None])
         rodrigues = _rodrigues_stack(np.sin(angle), np.cos(angle), k, k @ k)
-        local[plan.spherical] = np.where(turned[..., None, None], rodrigues, _EYE3)
-    pos = np.empty(local.shape[:3])
-    rot = np.empty(local.shape)
+        local[plan.spherical_rank] = np.where(turned[..., None, None], rodrigues, _EYE3)
+    pos = np.empty(shape + (3,))
+    rot = np.empty(shape + (3, 3))
     pos[0] = root_pos
-    rot[0] = root_rot @ local[0]
-    for idx, par, offset in plan.levels:
+    np.matmul(root_rot, local[0], out=rot[0])
+    for sl, par, offset in plan.levels:
         parent_rot = rot[par]
-        pos[idx] = pos[par] + (parent_rot @ offset)[..., 0]
-        rot[idx] = parent_rot @ local[idx]
+        np.add(pos[par], (parent_rot @ offset)[..., 0], out=pos[sl])
+        np.matmul(parent_rot, local[sl], out=rot[sl])
+    if not plan.in_level_order:
+        pos, rot = pos[plan.rank], rot[plan.rank]
     if single:
         return FkResult(pos[:, 0], rot[:, 0])
     return FkResult(pos.swapaxes(0, 1), rot.swapaxes(0, 1))

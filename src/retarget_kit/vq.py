@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -11,6 +12,17 @@ from .errors import DimensionMismatch, ValidationError
 DEFAULT_DECAY = 0.99
 DEFAULT_EPSILON = 1e-5
 DEFAULT_USAGE_THRESHOLD = 1.0
+
+
+def _check_epsilon(epsilon):
+    """The Laplace smoothing of `ema_update` must be a finite number >= 0.
+
+    Zero is allowed: `ema_update` then keeps the entries of empty clusters.
+    """
+    if isinstance(epsilon, bool) or not (
+        isinstance(epsilon, Real) and np.isfinite(epsilon) and epsilon >= 0
+    ):
+        raise ValidationError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +44,7 @@ class Codebook:
             raise ValidationError("codebook entries contain non-finite values")
         if not 0.0 <= self.decay <= 1.0:
             raise ValidationError(f"decay must be in [0, 1], got {self.decay}")
+        _check_epsilon(self.epsilon)
         counts = np.asarray(self.ema_counts, dtype=float).reshape(-1)
         sums = np.asarray(self.ema_sums, dtype=float)
         if counts.shape != (entries.shape[0],) or sums.shape != entries.shape:

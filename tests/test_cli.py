@@ -123,6 +123,23 @@ class TestRetarget:
         else:
             assert report["non_converged"] == []
 
+    def test_report_projection_and_histogram(self, workdir):
+        argv = ["retarget", "--human", workdir / "traj.motion",
+                "--human-skel", workdir / "skel.skel", "--robot-skel", workdir / "skel.skel",
+                "--map", workdir / "self.map", "--out", workdir / "robot.motion",
+                "--report", workdir / "rt.json"]
+        assert run(argv) == 0
+        text = (workdir / "rt.json").read_text()
+        report = json.loads(text)
+        frames = report["per_frame"]
+        assert all(f["projection_displacement"] >= 0.0 for f in frames)
+        iterations = sorted(f["iterations"] for f in frames)
+        histogram = report["iterations_histogram"]
+        assert [int(k) for k in histogram] == sorted(set(iterations))
+        assert histogram == {str(k): iterations.count(k) for k in sorted(set(iterations))}
+        assert run(argv) == 0
+        assert (workdir / "rt.json").read_text() == text
+
     def test_report_leaves_motion_unchanged(self, workdir):
         def argv(name, *extra):
             return ["retarget", "--human", workdir / "traj.motion",
@@ -195,6 +212,29 @@ class TestMetrics:
 
 
 class TestQuantizeAndFeatures:
+    @pytest.mark.parametrize("text", ["-1.0", "1e999", "-1e999", "NaN", '"0.1"', "true"])
+    def test_assign_rejects_bad_stored_epsilon(self, tmp_path, rng, capsys, text):
+        # A hand-edited codebook: the loader refuses it, and the command exits 2.
+        save_codebook(Codebook.initialize(rng.normal(size=(4, 3))), tmp_path / "cb.json")
+        stored = json.loads((tmp_path / "cb.json").read_text())["epsilon"]
+        edited = (tmp_path / "cb.json").read_text().replace(
+            f'"epsilon": {json.dumps(stored)}', f'"epsilon": {text}'
+        )
+        assert f'"epsilon": {text}' in edited
+        (tmp_path / "cb.json").write_text(edited)
+        save_feature_matrix(FeatureMatrix(rng.normal(size=(5, 3))), tmp_path / "z.mat")
+        capsys.readouterr()
+        code = run(
+            ["quantize", "assign", "--codebook", tmp_path / "cb.json",
+             "--latents", tmp_path / "z.mat", "--out", tmp_path / "tok.json"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if text != "NaN":  # NaN is refused by the JSON reader itself
+            assert "/epsilon: epsilon must be a finite number >= 0" in err
+        assert not (tmp_path / "tok.json").exists()
+
     def test_quantize_assign(self, tmp_path, rng):
         cb = Codebook.initialize(rng.normal(size=(16, 4)))
         save_codebook(cb, tmp_path / "cb.json")

@@ -12,7 +12,9 @@ from retarget_kit import (
     mpjpe,
     multimodality,
     r_precision,
+    retrieval_ranks,
     success_rate,
+    top_k_share,
     vel_err,
 )
 from retarget_kit.errors import (
@@ -215,7 +217,35 @@ class TestMultimodality:
             multimodality(rng.normal(size=(8, 2)), 2)
 
 
+def r_precision_loop(text, motion, pool_size, top_k, seed):
+    """Oracle: one pool draw and one distance pass per (text, top_k), as R-precision
+    was computed before the ranks were shared across top_k."""
+    n = text.shape[0]
+    rng = np.random.default_rng(seed)
+    others = np.arange(n)
+    successes = 0
+    for i in range(n):
+        distractors = rng.choice(np.delete(others, i), size=pool_size - 1, replace=False)
+        d_true = np.linalg.norm(text[i] - motion[i])
+        d_pool = np.linalg.norm(text[i] - motion[distractors], axis=1)
+        if 1 + int(np.sum(d_pool < d_true)) <= top_k:
+            successes += 1
+    return successes / n
+
+
 class TestRetrieval:
+    @pytest.mark.parametrize("pool_size", [2, 8, 32])
+    def test_ranks_match_loop_oracle(self, rng, pool_size):
+        t = rng.normal(size=(120, 5))
+        m = t + rng.normal(size=(120, 5))
+        ranks = retrieval_ranks(t, m, pool_size=pool_size, seed=3)
+        assert ranks.shape == (120,) and ranks.min() >= 1 and ranks.max() <= pool_size
+        for k in range(1, min(pool_size, 4)):
+            expected = r_precision_loop(t, m, pool_size, k, seed=3)
+            assert top_k_share(ranks, k) == expected
+            assert r_precision(t, m, pool_size=pool_size, top_k=k, seed=3) == expected
+
+
     def test_mm_dist_exact(self):
         t = np.zeros((4, 3))
         m = np.zeros((4, 3))
@@ -241,6 +271,12 @@ class TestRetrieval:
         m = t + 0.5 * rng.normal(size=(200, 4))
         vals = [r_precision(t, m, pool_size=16, top_k=k) for k in (1, 2, 3)]
         assert vals[0] <= vals[1] <= vals[2]
+
+    @pytest.mark.parametrize("pool_size", [0, -3, 2.0, True])
+    def test_ranks_need_a_positive_integer_pool(self, rng, pool_size):
+        x = rng.normal(size=(10, 2))
+        with pytest.raises(ValidationError, match="pool_size must be an integer >= 1"):
+            retrieval_ranks(x, x, pool_size=pool_size)
 
     def test_pool_too_large(self, rng):
         x = rng.normal(size=(10, 2))

@@ -354,6 +354,63 @@ class TestTermination:
         assert damping > retarget.DAMPING_MAX
 
 
+class TestProjectionDisplacement:
+    @staticmethod
+    def elbow(limit):
+        """A one-DoF arm; the robot's elbow is limited to [-limit, limit]."""
+        limits = () if limit is None else ((-limit, limit),)
+        return Skeleton(
+            [
+                Joint("root", None, [0, 0, 0]),
+                Joint("a", "root", [0, 1, 0], dof="revolute", axis=[0, 0, 1], limits=limits),
+                Joint("b", "a", [0, 1, 0]),
+            ]
+        )
+
+    def solve(self, monkeypatch, limit, bend):
+        solved = []
+        real = retarget._gauss_newton
+
+        def spy(*args):
+            out = real(*args)
+            solved.append(out[0])
+            return out
+
+        monkeypatch.setattr(retarget, "_gauss_newton", spy)
+        corr = CorrespondenceSet((CorrespondencePair("b", "b", 1.0),), scale=1.0)
+        human_pose = Pose(np.zeros(3), Rotation.identity(), [bend])
+        out, report = retarget_frame(
+            self.elbow(None), human_pose, self.elbow(limit), corr,
+            RetargetOptions(reference_weight=0.0),
+        )
+        return solved[0], out, report
+
+    def test_clipped_solve(self, monkeypatch):
+        # The barrier starts 0.05 inside the 0.5 rad limit and does not hold the solve
+        # back from a 1.2 rad target, so the projection clips it.
+        solved, out, report = self.solve(monkeypatch, 0.5, 1.2)
+        assert solved[0] > 0.5 and out.joint_values[0] == 0.5
+        assert report.projection_displacement > 0.0
+        assert report.projection_displacement == float(np.linalg.norm(out.joint_values - solved))
+
+    def test_nothing_clipped(self, monkeypatch):
+        solved, out, report = self.solve(monkeypatch, 2.0, 0.3)
+        assert np.array_equal(solved, out.joint_values)
+        assert report.projection_displacement == 0.0
+
+    def test_carried_forward_is_nan(self, humanlike, rng):
+        good = twist_free_pose(humanlike, rng)
+        values = good.joint_values.copy()
+        values[0] = 1e200
+        bad = Pose(good.root_position, good.root_orientation, values)
+        with np.errstate(all="ignore"):
+            _, reports = retarget_sequence(
+                humanlike, [good, bad], humanlike, identity_corr(humanlike)
+            )
+        assert reports[0].projection_displacement >= 0.0
+        assert np.isnan(reports[1].projection_displacement)
+
+
 class TestNielsenDamping:
     """r(x) = A x - b solved with a scripted Jacobian, the damping read off each linear solve."""
 

@@ -65,6 +65,17 @@ class TestCodebook:
         with pytest.raises(ValidationError, match="usage counters for 3 entries"):
             Codebook(cb.entries, cb.ema_counts, cb.ema_sums, usage=usage)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_bad_epsilon(self, epsilon):
+        cb = Codebook.initialize(np.eye(3))
+        with pytest.raises(ValidationError, match="epsilon must be a finite number >= 0"):
+            Codebook(cb.entries, cb.ema_counts, cb.ema_sums, epsilon=epsilon)
+        with pytest.raises(ValidationError, match="epsilon must be a finite number >= 0"):
+            Codebook.initialize(np.eye(3), epsilon=epsilon)
+
+    def test_zero_epsilon_allowed(self):
+        assert Codebook.initialize(np.eye(3), epsilon=0.0).epsilon == 0.0
+
     def test_rejects_bad_decay(self):
         with pytest.raises(ValidationError):
             Codebook.initialize(np.zeros((2, 2)), decay=1.5)
