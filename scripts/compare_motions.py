@@ -30,11 +30,7 @@ def trajectory_arrays(path):
     motion = load_motion(path)
     if motion.kind != "trajectory":
         raise ValidationError(f"{path}: expected a trajectory motion, got {motion.kind}")
-    poses = motion.trajectory.poses
-    return (
-        np.array([p.joint_values for p in poses]).reshape(len(poses), -1),
-        np.array([p.root_position for p in poses]).reshape(len(poses), 3),
-    )
+    return motion.trajectory.joint_values, motion.trajectory.root_positions
 
 
 def report_frames(path, frames):

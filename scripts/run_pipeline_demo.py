@@ -21,7 +21,6 @@ from retarget_kit import (
     Codebook,
     FeatureMatrix,
     JointTrajectory,
-    KeypointFrame,
     Pose,
     RetargetOptions,
     Rotation,
@@ -79,20 +78,18 @@ def main():
 
     # project to keypoints, then reconstruct joint angles from them
     labels = tuple(j.name for j in human.joints)
-    keypoints = fk(human, truth.poses).positions
+    keypoints = fk(human, truth).positions
     save_motion(
         keypoint_motion(keypoints, labels, args.fps, skeleton=human.name),
         out_dir / "keypoints.motion",
     )
-    frames = [KeypointFrame(kp, labels) for kp in keypoints]
-    recon = reconstruct_sequence(human, frames)
-    rec_traj = JointTrajectory(fps=args.fps, poses=recon, skeleton=human.name)
-    pair = TrajectoryPair(truth.values(), rec_traj.values(), args.fps)
+    recon = reconstruct_sequence(human, keypoints, labels, fps=args.fps)
+    pair = TrajectoryPair(truth.values(), recon.values(), args.fps)
     print(
         f"keypoint reconstruction: MPJPE {mpjpe(pair) * 1000:.3f} mrad, "
         f"VEL {vel_err(pair):.4f} rad/s, ACCEL {accel_err(pair):.3f} rad/s^2"
     )
-    save_motion(trajectory_motion(rec_traj), out_dir / "reconstructed.motion")
+    save_motion(trajectory_motion(recon), out_dir / "reconstructed.motion")
     features = build_pose_features(human, recon, args.fps)
     save_feature_matrix(FeatureMatrix(features), out_dir / "features.mat")
     summary = {"frames": args.frames, "feature_dimension": features.shape[1], "robots": {}}
@@ -104,7 +101,7 @@ def main():
         robot = load_example_skeleton(robot_name)
         corr = load_example_correspondence(map_name, human, robot)
         traj, reports = retarget_sequence(
-            human, recon, robot, corr, fps=args.fps
+            human, recon.poses, robot, corr, fps=args.fps
         )
         max_pos = max(max(r.position_residuals.values()) for r in reports)
         print(
@@ -134,7 +131,7 @@ def main():
     robot = load_example_skeleton("g1_like_21")
     corr = load_example_correspondence("human_to_g1", human, robot)
     traj, reports = retarget_sequence(
-        human, recon, robot, corr, RetargetOptions(warm_start=False), fps=args.fps
+        human, recon.poses, robot, corr, RetargetOptions(warm_start=False), fps=args.fps
     )
     print(
         f"cold-started retarget -> {robot.name}: "

@@ -19,7 +19,7 @@ import numpy as np
 from . import features as features_mod
 from . import io, metrics
 from .errors import NumericError, ValidationError
-from .ik import KeypointFrame, reconstruct_sequence
+from .ik import reconstruct_sequence
 from .retarget import TERMINATIONS, RetargetOptions, retarget_sequence
 from .skeleton import fk
 from .vq import assign
@@ -69,9 +69,7 @@ def cmd_fk(args):
     motion = io.load_motion(args.motion)
     _require_kind(motion, "trajectory", "--motion")
     _require_skeleton(motion, skel, "--motion")
-    frames = _finite_rows(
-        lambda: fk(skel, motion.trajectory.poses).positions, "fk: keypoint frame"
-    )
+    frames = _finite_rows(lambda: fk(skel, motion.trajectory).positions, "fk: keypoint frame")
     labels = [j.name for j in skel.joints]
     io.save_motion(
         io.keypoint_motion(frames, labels, motion.fps, skeleton=skel.name), args.out
@@ -86,14 +84,13 @@ def cmd_ik(args):
     motion = io.load_motion(args.motion)
     _require_kind(motion, "keypoints", "--motion")
     _require_skeleton(motion, skel, "--motion")
-    frames = [KeypointFrame(p, motion.labels) for p in motion.keypoints]
-    poses = reconstruct_sequence(
-        skel, frames, hemisphere_continuity=not args.no_continuity
+    traj = reconstruct_sequence(
+        skel, motion.keypoints, motion.labels, fps=motion.fps,
+        hemisphere_continuity=not args.no_continuity,
     )
-    traj = io.JointTrajectory(fps=motion.fps, poses=poses, skeleton=skel.name)
     io.save_motion(io.trajectory_motion(traj), args.out)
     if args.report:
-        io.save_report({"command": "ik", "frames": len(poses)}, args.report)
+        io.save_report({"command": "ik", "frames": len(traj)}, args.report)
     return 0
 
 
@@ -162,7 +159,7 @@ def cmd_metrics_track(args):
     exe = io.load_motion(args.exec)
     _require_kind(ref, "trajectory", "--ref")
     _require_kind(exe, "trajectory", "--exec")
-    heights = np.array([p.root_position[1] for p in exe.trajectory.poses])
+    heights = exe.trajectory.root_positions[:, 1]
     pair = metrics.TrajectoryPair(
         ref.trajectory.values(), exe.trajectory.values(), ref.fps, heights
     )
@@ -240,7 +237,7 @@ def cmd_features(args):
     values = _finite_rows(
         lambda: features_mod.build_pose_features(
             skel,
-            motion.trajectory.poses,
+            motion.trajectory,
             motion.fps,
             contact_threshold=args.contact_threshold,
         ),

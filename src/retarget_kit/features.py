@@ -42,7 +42,7 @@ def build_pose_features(
     contact_threshold=DEFAULT_CONTACT_THRESHOLD,
     contact_markers=DEFAULT_CONTACT_MARKERS,
 ):
-    """(T-1) x D feature matrix for a pose sequence at the given frame rate."""
+    """(T-1) x D feature matrix of a JointTrajectory or T Poses at the given frame rate."""
     if len(poses) < 2:
         raise ValidationError("need at least 2 frames to build pose features")
     if fps <= 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateBone, PoseMismatch, RankDeficient, ValidationError
 from .rotations import Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
-from .skeleton import Pose
+from .skeleton import JointTrajectory, Pose
 
 
 @dataclass(frozen=True)
@@ -137,33 +137,48 @@ def _hemisphere_continuity(skeleton, values):
     values[:, cols] = v
 
 
-def reconstruct_sequence(skeleton, frames, *, hemisphere_continuity=True):
-    """Poses of T keypoint frames, plus an optional quaternion-continuity pass.
+def reconstruct_sequence(
+    skeleton, frames, labels=None, *, fps=30.0, hemisphere_continuity=True
+):
+    """The JointTrajectory of T keypoint frames, with an optional quaternion-continuity pass.
 
-    `frames` holds T KeypointFrames, each with one labelled position per
-    skeleton joint; the result is a list of T Poses. All frames are solved
-    at once from one (T, J, 3) keypoint array, bit for bit as T calls of
-    `reconstruct_frame` would solve them. The continuity pass re-expresses
-    spherical joint axis-angle vectors so consecutive frames stay on the
-    same quaternion hemisphere (dot(q_t, q_{t+1}) >= 0), which may push
-    angles above pi. A degenerate bone or rank-deficient joint is reported
-    at the earliest frame, and within it the first joint in skeleton order.
+    `frames` is either a (T, N, 3) keypoint array with its N `labels`, or T
+    KeypointFrames, each labelled on its own; either way every skeleton joint
+    needs one labelled position. All frames are solved at once from one
+    (T, J, 3) keypoint array, bit for bit as T calls of `reconstruct_frame`
+    would solve them. The continuity pass re-expresses spherical joint
+    axis-angle vectors so consecutive frames stay on the same quaternion
+    hemisphere (dot(q_t, q_{t+1}) >= 0), which may push angles above pi. A
+    degenerate bone or rank-deficient joint is reported at the earliest
+    frame, and within it the first joint in skeleton order.
     """
-    if not frames:
-        raise ValidationError("empty keypoint sequence")
-    labels = dict.fromkeys(f.labels for f in frames)
-    orders = {key: _joint_order(skeleton, key) for key in labels}
-    rows = np.array([orders[f.labels] for f in frames])
-    kp = np.array([f.positions for f in frames])[np.arange(len(frames))[:, None], rows]
+    if labels is None:
+        if not frames:
+            raise ValidationError("empty keypoint sequence")
+        first_seen = dict.fromkeys(f.labels for f in frames)
+        orders = {key: _joint_order(skeleton, key) for key in first_seen}
+        rows = np.array([orders[f.labels] for f in frames])
+        kp = np.array([f.positions for f in frames])[np.arange(len(frames))[:, None], rows]
+    else:
+        kp = np.asarray(frames, dtype=float)
+        if kp.ndim != 3 or kp.shape[1:] != (len(labels), 3):
+            raise ValidationError(
+                f"expected (T, {len(labels)}, 3) keypoints for {len(labels)} labels, got {kp.shape}"
+            )
+        if not len(kp):
+            raise ValidationError("empty keypoint sequence")
+        if not np.all(np.isfinite(kp)):
+            raise ValidationError("keypoint positions contain non-finite entries")
+        kp = kp[:, _joint_order(skeleton, tuple(labels))]
     try:
         root, values = _reconstruct(skeleton, kp)
     except (DegenerateBone, RankDeficient):
-        for t, frame in enumerate(frames):
+        for t in range(len(kp)):
             try:
-                reconstruct_frame(skeleton, frame)
+                _reconstruct(skeleton, kp[t : t + 1])
             except (DegenerateBone, RankDeficient) as e:
                 raise type(e)(f"frame {t}, {e}") from None
         raise
-    if hemisphere_continuity and len(frames) > 1:
+    if hemisphere_continuity and len(kp) > 1:
         _hemisphere_continuity(skeleton, values)
-    return [Pose(kp[t, 0], Rotation(root[t]), values[t]) for t in range(len(frames))]
+    return JointTrajectory.from_arrays(fps, kp[:, 0], root, values, skeleton.name)

@@ -11,7 +11,8 @@ whole (one repr pass, joined by shape); it refuses arrays holding NaN or
 infinity, which every loader rejects. Large matrices may be stored as a
 sidecar flat binary of little-endian float64, referenced as
 {"binary": <relative path>, "shape": [rows, cols]} and written atomically
-too. A trajectory is loaded as one array per frame key.
+too. A trajectory is loaded as one array per frame key and saved as one
+rendered column per key.
 """
 
 from __future__ import annotations
@@ -26,20 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaVersionError, ValidationError
+from .errors import DegenerateFrame, ParseError, SchemaVersionError, ValidationError
 from .metrics import FeatureMatrix
 from .retarget import CorrespondencePair, CorrespondenceSet, leg_scale
-from .rotations import Rotation
-from .skeleton import (
-    DofChannel,
-    DofConfig,
-    Joint,
-    JointTrajectory,
-    Marker,
-    Pose,
-    Skeleton,
-)
-from .vq import Codebook, TokenSequence, _check_epsilon
+from .rotations import _matrix_stack, _quat_stack
+from .skeleton import DofChannel, DofConfig, Joint, JointTrajectory, Marker, Skeleton
+from .vq import DEFAULT_DECAY, DEFAULT_EPSILON, Codebook, TokenSequence, _check_decay, _check_epsilon
 
 FORMAT_VERSION = 1
 
@@ -124,18 +117,21 @@ def _finite_floats(arr):
     return arr
 
 
-def _array(arr, depth):
+def _array(arr, depth, rows=False):
     """A numeric array laid out as json.dumps(arr.tolist(), indent=1) lays it out.
 
     Every value is rendered in one pass, then joined axis by axis, innermost
-    first, with the separators of the nesting level that axis sits at.
+    first, with the separators of the nesting level that axis sits at. With
+    rows=True the first axis is not joined: the result is the list of
+    `_array(arr[i], depth)` for each i.
     """
     if arr.dtype.kind == "f":
         _finite_floats(arr)
     elif arr.dtype.kind not in "iu":
         raise TypeError(f"cannot write an array of dtype {arr.dtype}")
     items = list(map(repr, arr.ravel().tolist()))
-    for axis in reversed(range(arr.ndim)):
+    depth -= rows
+    for axis in reversed(range(rows, arr.ndim)):
         n = arr.shape[axis]
         if n == 0:
             items = ["[]"] * math.prod(arr.shape[:axis])
@@ -143,7 +139,11 @@ def _array(arr, depth):
         inner = "\n" + " " * (depth + axis + 1)
         head, sep, tail = "[" + inner, "," + inner, "\n" + " " * (depth + axis) + "]"
         items = [head + sep.join(items[i : i + n]) + tail for i in range(0, len(items), n)]
-    return items[0]
+    return items if rows else items[0]
+
+
+class _Rendered(str):
+    """Text that `_dump` writes as it is, laid out for the nesting level it goes to."""
 
 
 def _dump(node, depth):
@@ -152,6 +152,8 @@ def _dump(node, depth):
     Numeric np.ndarrays are rendered whole by `_array`; keys, strings,
     numbers, bools and None go through json.dumps as leaves.
     """
+    if isinstance(node, _Rendered):
+        return node
     if isinstance(node, np.ndarray):
         return _array(node, depth)
     if isinstance(node, dict):
@@ -388,10 +390,11 @@ def load_motion(path):
             reason = f"expected a non-empty list of frames, got {frames!r:.40}"
             raise ParseError(path, "/frames", reason)
         positions, quats, values = _trajectory_columns(frames, path)
-        poses = [
-            Pose(p, Rotation.from_quat(q), v) for p, q, v in zip(positions, quats, values)
-        ]
-        traj = JointTrajectory(fps=float(fps), poses=poses, skeleton=skeleton)
+        try:
+            rotations = _matrix_stack(quats)
+        except DegenerateFrame as e:
+            raise ParseError(path, f"/frames/{e.row}/root_orientation", str(e)) from None
+        traj = JointTrajectory.from_arrays(float(fps), positions, rotations, values, skeleton)
         return Motion(fps=float(fps), kind=kind, skeleton=skeleton, trajectory=traj)
     raise ParseError(path, "/kind", f"unknown motion kind {kind!r}")
 
@@ -408,13 +411,13 @@ def save_motion(motion, path):
         obj["labels"] = list(motion.labels)
         obj["frames"] = np.asarray(motion.keypoints, dtype=float)
     elif motion.kind == "trajectory":
+        # Each column is rendered in one pass, as rows laid out for their frame's object.
+        traj = motion.trajectory
+        columns = (traj.root_positions, _quat_stack(traj.root_rotations), traj.joint_values)
+        keys = ("root_position", "root_orientation", "joint_values")
         obj["frames"] = [
-            {
-                "root_position": _floats(p.root_position),
-                "root_orientation": _floats(p.root_orientation.as_quat()),
-                "joint_values": _floats(p.joint_values),
-            }
-            for p in motion.trajectory.poses
+            dict(zip(keys, map(_Rendered, row)))
+            for row in zip(*(_array(c, 3, rows=True) for c in columns))
         ]
     else:
         raise ValidationError(f"unknown motion kind {motion.kind!r}")
@@ -556,11 +559,13 @@ def load_codebook(path):
     _check_header(obj, path, "codebook")
     base = Path(path).parent
     entries = _matrix(obj.get("entries"), path, "/entries", base)
-    epsilon = obj.get("epsilon", 1e-5)
-    try:
-        _check_epsilon(epsilon)
-    except ValidationError as e:
-        raise ParseError(path, "/epsilon", str(e)) from None
+    epsilon = obj.get("epsilon", DEFAULT_EPSILON)
+    decay = obj.get("decay", DEFAULT_DECAY)
+    for key, check, value in (("epsilon", _check_epsilon, epsilon), ("decay", _check_decay, decay)):
+        try:
+            check(value)
+        except ValidationError as e:
+            raise ParseError(path, f"/{key}", str(e)) from None
     try:
         return Codebook(
             entries=entries,
@@ -568,7 +573,7 @@ def load_codebook(path):
                 obj.get("ema_counts"), path, "/ema_counts", (entries.shape[0],)
             ),
             ema_sums=_matrix(obj.get("ema_sums"), path, "/ema_sums", base),
-            decay=float(obj.get("decay", 0.99)),
+            decay=float(decay),
             epsilon=float(epsilon),
             usage=_finite_array(obj.get("usage"), path, "/usage", (entries.shape[0],)),
         )

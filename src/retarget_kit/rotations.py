@@ -95,6 +95,27 @@ def _quat_stack(m):
     return np.where(q[:, :1] < 0, -q, q)
 
 
+def _matrix_stack(q):
+    """`Rotation.from_quat` of each (w, x, y, z) row of an (n, 4) array, as (n, 3, 3).
+
+    Raises DegenerateFrame for the first row with a norm below
+    DEGENERATE_NORM; the error's `row` attribute holds its index.
+    """
+    n = _norm(q)
+    zero = n < DEGENERATE_NORM
+    if zero.any():
+        error = DegenerateFrame("zero quaternion")
+        error.row = int(np.argmax(zero))
+        raise error
+    w, x, y, z = (q / n[:, None]).T
+    m = [
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]
+    return np.stack(m, axis=1).reshape(-1, 3, 3)
+
+
 def _rotvec_stack(m):
     """`Rotation.as_rotvec` of each matrix of an (n, 3, 3) stack."""
     q = _quat_stack(m)
@@ -210,20 +231,7 @@ class Rotation:
     @classmethod
     def from_quat(cls, q):
         """Unit quaternion (w, x, y, z); small norm drift is renormalized."""
-        q = np.asarray(q, dtype=float)
-        n = np.linalg.norm(q)
-        if n < DEGENERATE_NORM:
-            raise DegenerateFrame("zero quaternion")
-        w, x, y, z = q / n
-        return cls(
-            np.array(
-                [
-                    [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                    [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                    [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-                ]
-            )
-        )
+        return cls(_matrix_stack(np.asarray(q, dtype=float).reshape(1, 4))[0])
 
     @classmethod
     def from_axis_angle(cls, axis, angle):

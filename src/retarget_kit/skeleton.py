@@ -152,16 +152,69 @@ class Pose:
             raise ValidationError("pose contains non-finite entries")
 
 
-@dataclass
-class JointTrajectory:
-    """A pose per frame at a fixed frame rate."""
+def _stack_poses(poses, dof, expected):
+    """(T, 3) root positions, (T, 3, 3) root rotations and (T, dof) joint values of T Poses."""
+    for p in poses:
+        if len(p.joint_values) != dof:
+            raise PoseMismatch(f"pose has {len(p.joint_values)} values, {expected} {dof}")
+    n = len(poses)
+    return (
+        np.array([p.root_position for p in poses]).reshape(n, 3),
+        np.array([p.root_orientation.matrix for p in poses]).reshape(n, 3, 3),
+        np.array([p.joint_values for p in poses]).reshape(n, dof),
+    )
 
-    fps: float
-    poses: list
-    skeleton: str | None = None
+
+class JointTrajectory:
+    """T frames at a fixed frame rate, held as three arrays validated once.
+
+    `root_positions` (T, 3), `root_rotations` (T, 3, 3) and `joint_values`
+    (T, DoF) are read-only copies, never views of the caller's arrays.
+    `JointTrajectory(fps, poses, skeleton)` stacks a sequence of Poses,
+    `from_arrays` takes the three arrays; `poses` is derived from the rows.
+    """
+
+    def __init__(self, fps, poses, skeleton=None):
+        poses = tuple(poses)
+        dof = len(poses[0].joint_values) if poses else 0
+        self._set(fps, skeleton, *_stack_poses(poses, dof, "frame 0 has"))
+
+    @classmethod
+    def from_arrays(cls, fps, root_positions, root_rotations, joint_values, skeleton=None):
+        trajectory = cls.__new__(cls)
+        trajectory._set(fps, skeleton, root_positions, root_rotations, joint_values)
+        return trajectory
+
+    def _set(self, fps, skeleton, root_positions, root_rotations, joint_values):
+        arrays = [np.array(a, dtype=float) for a in (root_positions, root_rotations, joint_values)]
+        positions, rotations, values = arrays
+        n = len(values) if values.ndim == 2 else -1
+        if positions.shape != (n, 3) or rotations.shape != (n, 3, 3):
+            raise ValidationError(
+                f"trajectory arrays of shapes {positions.shape}, {rotations.shape} and "
+                f"{values.shape} are not (T, 3), (T, 3, 3) and (T, DoF)"
+            )
+        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(values))):
+            raise ValidationError("trajectory contains non-finite root positions or joint values")
+        for a in arrays:
+            a.flags.writeable = False
+        self.fps, self.skeleton = fps, skeleton
+        self.root_positions, self.root_rotations, self.joint_values = arrays
+
+    def __len__(self):
+        return len(self.joint_values)
+
+    @property
+    def poses(self):
+        """The frames as a tuple of Poses, built from the rows on each access."""
+        return tuple(
+            Pose(p, Rotation(r), v)
+            for p, r, v in zip(self.root_positions, self.root_rotations, self.joint_values)
+        )
 
     def values(self):
-        return np.array([p.joint_values for p in self.poses])
+        """The (T, DoF) joint values."""
+        return self.joint_values
 
 
 @dataclass
@@ -276,9 +329,10 @@ class _SkeletonPlan:
 
 
 def fk(skeleton, pose):
-    """World transforms of all joints for one Pose, or for a sequence of T poses.
+    """World transforms of all joints for one Pose, a JointTrajectory or T Poses.
 
-    One Pose gives (J, 3) positions and (J, 3, 3) rotations; T poses give
+    One Pose gives (J, 3) positions and (J, 3, 3) rotations; a T-frame
+    trajectory (its arrays read as they are) or a sequence of T Poses gives
     (T, J, 3) and (T, J, 3, 3), frame by frame the floats of one call per
     pose. Child transform = parent o translate(rest offset) o joint
     rotation; the root transform is (root_position, root_orientation)
@@ -292,20 +346,17 @@ def fk(skeleton, pose):
     joint-by-joint walk of the tree, so the results are bit for bit its own.
     """
     single = isinstance(pose, Pose)
-    poses = (pose,) if single else pose
-    for p in poses:
-        if len(p.joint_values) != skeleton.total_dof:
-            raise PoseMismatch(
-                f"pose has {len(p.joint_values)} values, skeleton needs {skeleton.total_dof}"
-            )
     if single:
         root_pos, root_rot = pose.root_position[None], pose.root_orientation.matrix[None]
         values = pose.joint_values[None]
+    elif isinstance(pose, JointTrajectory):
+        root_pos, root_rot, values = pose.root_positions, pose.root_rotations, pose.joint_values
     else:
-        n = len(poses)
-        root_pos = np.array([p.root_position for p in poses]).reshape(n, 3)
-        root_rot = np.array([p.root_orientation.matrix for p in poses]).reshape(n, 3, 3)
-        values = np.array([p.joint_values for p in poses]).reshape(n, skeleton.total_dof)
+        root_pos, root_rot, values = _stack_poses(pose, skeleton.total_dof, "skeleton needs")
+    if values.shape[1] != skeleton.total_dof:
+        raise PoseMismatch(
+            f"pose has {values.shape[1]} values, skeleton needs {skeleton.total_dof}"
+        )
     # Joint-major (J, T, ...) buffers in level order: each depth is one slice.
     plan = skeleton._plan
     shape = (len(plan.order), len(values))

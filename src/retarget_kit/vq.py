@@ -25,6 +25,12 @@ def _check_epsilon(epsilon):
         raise ValidationError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
 
+def _check_decay(decay):
+    """The EMA decay of `ema_update` must be a real number in [0, 1], not a bool."""
+    if isinstance(decay, bool) or not (isinstance(decay, Real) and 0.0 <= decay <= 1.0):
+        raise ValidationError(f"decay must be a number in [0, 1], got {decay!r:.40}")
+
+
 @dataclass(frozen=True)
 class Codebook:
     """K x d quantization entries with EMA accumulators and usage counters."""
@@ -42,8 +48,7 @@ class Codebook:
             raise ValidationError(f"entries must be a nonempty KxD matrix, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValidationError("codebook entries contain non-finite values")
-        if not 0.0 <= self.decay <= 1.0:
-            raise ValidationError(f"decay must be in [0, 1], got {self.decay}")
+        _check_decay(self.decay)
         _check_epsilon(self.epsilon)
         counts = np.asarray(self.ema_counts, dtype=float).reshape(-1)
         sums = np.asarray(self.ema_sums, dtype=float)

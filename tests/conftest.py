@@ -120,6 +120,18 @@ def scalar_rodrigues_align(t, p, tol=1e-8):
     return Rotation(_rodrigues_matrix(cross / s, np.arccos(c)))
 
 
+def scalar_from_quat(q):
+    """`Rotation.from_quat` as written before it became the n = 1 case of `_matrix_stack`."""
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
 def scalar_procrustes(t, p, rank_tol=1e-9):
     u, s, vt = np.linalg.svd(p @ t.T)
     if s[1] <= rank_tol * max(s[0], 1.0):

@@ -235,6 +235,25 @@ class TestQuantizeAndFeatures:
             assert "/epsilon: epsilon must be a finite number >= 0" in err
         assert not (tmp_path / "tok.json").exists()
 
+    @pytest.mark.parametrize("text", ['"x"', "null", "[1]", "true", "false", "-0.5", "1.5", "1e999"])
+    def test_assign_rejects_bad_stored_decay(self, tmp_path, rng, capsys, text):
+        save_codebook(Codebook.initialize(rng.normal(size=(4, 3))), tmp_path / "cb.json")
+        edited = (tmp_path / "cb.json").read_text().replace('"decay": 0.99', f'"decay": {text}')
+        assert f'"decay": {text}' in edited
+        (tmp_path / "cb.json").write_text(edited)
+        save_feature_matrix(FeatureMatrix(rng.normal(size=(5, 3))), tmp_path / "z.mat")
+        capsys.readouterr()
+        code = run(
+            ["quantize", "assign", "--codebook", tmp_path / "cb.json",
+             "--latents", tmp_path / "z.mat", "--out", tmp_path / "tok.json"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "cb.json: /decay: decay must be a number in [0, 1]" in err
+        assert not (tmp_path / "tok.json").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_quantize_assign(self, tmp_path, rng):
         cb = Codebook.initialize(rng.normal(size=(16, 4)))
         save_codebook(cb, tmp_path / "cb.json")
@@ -430,12 +449,29 @@ def bad_motion_field(name, command, field, value, message):
     return bad_input
 
 
+def zero_quaternion(command):
+    """`command` on a trajectory whose frames 2 and 3 store a zero root quaternion."""
+
+    def bad_input(workdir, monkeypatch):
+        obj = json.loads((workdir / "traj.motion").read_text())
+        for frame in obj["frames"][2:]:
+            frame["root_orientation"] = [0, 0, 0, 0]
+        (workdir / "bad.motion").write_text(json.dumps(obj))
+        message = "bad.motion: /frames/2/root_orientation: zero quaternion"
+        return [command, "--skel", workdir / "skel.skel", "--motion", workdir / "bad.motion",
+                "--out", workdir / "x.out"], message
+
+    bad_input.__name__ = f"{command}_zero_quaternion"
+    return bad_input
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "bad_input",
         [bad_limit_arity, bad_seed_env, bad_pairs]
         + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")]
         + [zero_dof_robot]
+        + [zero_quaternion(c) for c in ("fk", "features")]
         + [
             collapsed_keypoints(
                 2, ["c1_1"], "c1_0", "frame 2, joint 'c1_0' → 'c1_1': bone norms"

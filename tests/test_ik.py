@@ -223,7 +223,7 @@ class TestReconstructSequence:
         skel = make_humanlike()
         pose = twist_free_pose(skel, rng)
         frames = [keypoints_of(skel, pose)] * 5
-        poses = reconstruct_sequence(skel, frames)
+        poses = reconstruct_sequence(skel, frames).poses
         for p in poses:
             assert np.allclose(p.joint_values, poses[0].joint_values)
 
@@ -239,7 +239,7 @@ class TestReconstructSequence:
             pose = twist_free_pose(skel, rng)
             truth.append(pose)
             frames.append(keypoints_of(skel, pose))
-        poses = reconstruct_sequence(skel, frames, hemisphere_continuity=False)
+        poses = reconstruct_sequence(skel, frames, hemisphere_continuity=False).poses
         for rec, ref in zip(poses, truth):
             assert np.max(np.abs(rec.joint_values - ref.joint_values)) <= 1e-6
 
@@ -259,7 +259,7 @@ class TestReconstructSequence:
             values[skel.dof_slices[skel.index["a"]]] = [angle, 0, 0]
             pose = Pose(np.zeros(3), Rotation.identity(), values)
             frames.append(keypoints_of(skel, pose))
-        poses = reconstruct_sequence(skel, frames)
+        poses = reconstruct_sequence(skel, frames).poses
         sl = skel.dof_slices[skel.index["a"]]
         quats = [_rotvec_quat(p.joint_values[sl]) for p in poses]
         for qa, qb in zip(quats, quats[1:]):
@@ -329,7 +329,7 @@ class TestBatchedMatchesFrameWalk:
     def test_sequence(self, rng, name, continuity):
         skel = oracle_skeleton(name, rng)
         frames = swinging_frames(skel, rng, 40, 2.8) + random_frames(skel, rng, 30, 1.5)
-        got = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity)
+        got = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity).poses
         assert_poses_equal(got, frame_walk_sequence(skel, frames, continuity))
 
     @pytest.mark.parametrize("name", ["human_24", "humanlike", "random_tree"])
@@ -346,7 +346,8 @@ class TestBatchedMatchesFrameWalk:
             perm = rng.permutation(len(skel.joints))
             labels = tuple(frames[k].labels[i] for i in perm)
             frames[k] = KeypointFrame(frames[k].positions[perm], labels)
-        assert_poses_equal(reconstruct_sequence(skel, frames), frame_walk_sequence(skel, frames))
+        got = reconstruct_sequence(skel, frames).poses
+        assert_poses_equal(got, frame_walk_sequence(skel, frames))
 
     def test_exactly_parallel_and_antiparallel_bones(self, rng):
         skel = stick()
@@ -365,12 +366,64 @@ class TestBatchedMatchesFrameWalk:
         frames += random_frames(skel, rng, 4, 1.0, noise=0.0)
         frames = frames + frames[::-1]
         for continuity in (True, False):
-            got = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity)
+            got = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity).poses
             assert_poses_equal(got, frame_walk_sequence(skel, frames, continuity))
         rec = reconstruct_frame(skel, frames[0])
         assert np.array_equal(rec.root_orientation.matrix, np.eye(3))
         assert np.array_equal(rec.joint_values[:3], np.zeros(3))  # joint a: bone a -> b parallel
         assert np.linalg.norm(rec.joint_values[3:6]) == pytest.approx(np.pi)  # b: reversed
+
+
+class TestArrayInput:
+    def test_matches_keypoint_frames(self, rng):
+        skel = load_example_skeleton("human_24")
+        frames = swinging_frames(skel, rng, 20, 2.8) + random_frames(skel, rng, 10, 1.5)
+        perm = rng.permutation(len(skel.joints))
+        labels = tuple(labels_of(skel)[i] for i in perm)
+        kp = np.array([f.positions[perm] for f in frames])
+        for continuity in (True, False):
+            got = reconstruct_sequence(
+                skel, kp, labels, fps=12.5, hemisphere_continuity=continuity
+            )
+            want = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity)
+            assert (got.fps, got.skeleton, want.fps) == (12.5, skel.name, 30.0)
+            assert_poses_equal(got.poses, want.poses)
+            assert_poses_equal(got.poses, frame_walk_sequence(skel, frames, continuity))
+        kp[0, 0] = 99.0
+        assert got.root_positions[0, 0] != 99.0  # the trajectory holds its own copy
+
+    @pytest.mark.parametrize(
+        "shape, labels, message",
+        [
+            ((0, 4, 3), 4, "empty keypoint sequence"),
+            ((2, 4, 3), 3, r"expected \(T, 3, 3\) keypoints for 3 labels, got \(2, 4, 3\)"),
+            ((2, 4, 2), 4, r"expected \(T, 4, 3\) keypoints"),
+            ((4, 3), 4, r"expected \(T, 4, 3\) keypoints"),
+        ],
+    )
+    def test_shape_checks(self, shape, labels, message):
+        skel = stick()
+        with pytest.raises(ValidationError, match=message):
+            reconstruct_sequence(skel, np.zeros(shape), labels_of(skel)[:labels])
+
+    def test_non_finite_and_unknown_labels(self, rng):
+        skel = stick()
+        kp = np.array([f.positions for f in random_frames(skel, rng, 3, 1.0)])
+        labels = labels_of(skel)
+        bad = kp.copy()
+        bad[2, 1, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            reconstruct_sequence(skel, bad, labels)
+        with pytest.raises(ValidationError, match="missing joint 'd'"):
+            reconstruct_sequence(skel, kp, labels[:-1] + ("e",))
+
+    def test_errors_name_frame_and_joint(self, rng):
+        skel = make_humanlike()
+        frames = humanlike_frames(skel, rng, 6)
+        frames[4] = collapse(frames[4], skel, "c1_1", "c1_0")
+        kp = np.array([f.positions for f in frames])
+        with pytest.raises(DegenerateBone, match=r"^frame 4, joint 'c1_0' → 'c1_1': bone norms"):
+            reconstruct_sequence(skel, kp, labels_of(skel))
 
 
 class TestContinuityPass:

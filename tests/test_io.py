@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -40,7 +40,7 @@ from retarget_kit.errors import ParseError, SchemaVersionError, ValidationError
 from retarget_kit.io import _dump, save_report
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
-from conftest import make_humanlike, random_rotation, twist_free_pose
+from conftest import make_humanlike, random_rotation, scalar_from_quat, twist_free_pose
 
 
 def rewrite(path, mutate):
@@ -350,6 +350,157 @@ class TestTrajectoryLoader:
         with pytest.raises(ParseError) as e:
             load_motion(p)
         assert e.value.location == "/frames/2"
+
+
+# --- per-frame reference ---------------------------------------------------
+# The trajectory save and load code that the column writer and the stacked
+# quaternion conversion replaced, one frame at a time: the bytes and floats
+# the array code must reproduce.
+
+
+def frame_by_frame_text(fps, skeleton, poses):
+    """The file `save_motion` wrote frame by frame for a trajectory of Poses."""
+    obj = {
+        "format": "motion",
+        "version": 1,
+        "fps": float(fps),
+        "skeleton": skeleton,
+        "kind": "trajectory",
+        "frames": [
+            {
+                "root_position": p.root_position.tolist(),
+                "root_orientation": p.root_orientation.as_quat().tolist(),
+                "joint_values": p.joint_values.tolist(),
+            }
+            for p in poses
+        ],
+    }
+    return json.dumps(obj, indent=1) + "\n"
+
+
+def frame_by_frame_load(path):
+    """The Poses `load_motion` built frame by frame from a trajectory file."""
+    return [
+        Pose(
+            f["root_position"],
+            Rotation(scalar_from_quat(np.asarray(f["root_orientation"], dtype=float))),
+            f["joint_values"],
+        )
+        for f in json.loads(path.read_text())["frames"]
+    ]
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=float).view(np.int64)
+
+
+# Quaternions reaching every branch of `as_quat` once turned into matrices: a
+# positive trace, each diagonal entry the largest (half turns about x, y, z and
+# angles near pi), w < 0 to flip, -0.0 entries, and norms far from 1.
+EDGE_QUATS = [
+    (1.0, 0.0, 0.0, 0.0), (-1.0, -0.0, 0.0, -0.0), (0.0, 1.0, 0.0, 0.0), (-0.0, 0.0, -1.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0), (1e-9, 1.0, 0.0, 0.0), (-1e-9, 0.0, 1.0, 0.0), (1e-9, 0.0, -0.0, -1.0),
+    (-1e-9, 0.6, 0.8, 0.0), (0.5, -0.5, 0.5, -0.5), (-0.3, 0.1, 0.9, -0.2), (0.7, 0.7, 0.1, -0.1),
+    (2e-3, 1e-3, 0.0, 0.0), (300.0, -400.0, 0.0, 1200.0),
+]
+QUAT_PART = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-9, -1e-9])
+QUATS = st.one_of(
+    st.sampled_from(EDGE_QUATS),
+    st.tuples(st.tuples(*[QUAT_PART] * 4), st.sampled_from([1e-3, 1.0, 1e3])).map(
+        lambda qs: tuple(qs[1] * x for x in qs[0])
+    ),
+).filter(lambda q: np.linalg.norm(q) >= 1e-6)
+VALUE = FINITE | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def trajectory_columns(draw):
+    """Root positions (T, 3), stored quaternions (T, 4) and joint values (T, DoF)."""
+    t, dof = draw(st.integers(1, 40)), draw(st.integers(0, 30))
+    positions = draw(hnp.arrays(np.float64, (t, 3), elements=VALUE))
+    quats = np.array(draw(st.lists(QUATS, min_size=t, max_size=t)))
+    values = draw(hnp.arrays(np.float64, (t, dof), elements=VALUE))
+    return positions, quats, values
+
+
+# Shrinking a failing example of up to 40 x 30 values takes minutes; the
+# unshrunk example is reported at once.
+NO_SHRINK = settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.generate])
+
+
+class TestTrajectoryArraysMatchFrameByFrame:
+    @given(trajectory_columns())
+    @NO_SHRINK
+    def test_save_writes_the_same_bytes(self, tmp_path_factory, columns):
+        positions, quats, values = columns
+        poses = [
+            Pose(p, Rotation(scalar_from_quat(q)), v) for p, q, v in zip(positions, quats, values)
+        ]
+        path = tmp_path_factory.mktemp("save") / "m.motion"
+        save_motion(trajectory_motion(JointTrajectory(24.0, poses, "walker")), path)
+        assert path.read_text() == frame_by_frame_text(24.0, "walker", poses)
+
+    @given(trajectory_columns())
+    @NO_SHRINK
+    def test_load_builds_the_same_floats(self, tmp_path_factory, columns):
+        positions, quats, values = columns
+        frames = [
+            {"root_position": p.tolist(), "root_orientation": q.tolist(), "joint_values": v.tolist()}
+            for p, q, v in zip(positions, quats, values)
+        ]
+        obj = {"format": "motion", "version": 1, "fps": 24.0, "skeleton": None,
+               "kind": "trajectory", "frames": frames}
+        path = tmp_path_factory.mktemp("load") / "m.motion"
+        path.write_text(json.dumps(obj, indent=1))
+        traj = load_motion(path).trajectory
+        want = frame_by_frame_load(path)
+        assert np.array_equal(bits(traj.root_positions), bits([p.root_position for p in want]))
+        assert np.array_equal(
+            bits(traj.root_rotations), bits([p.root_orientation.matrix for p in want])
+        )
+        assert np.array_equal(
+            bits(traj.joint_values), bits(np.reshape([p.joint_values for p in want], values.shape))
+        )
+
+    def test_edge_quaternions(self, tmp_path):
+        ms = np.array([scalar_from_quat(np.asarray(q)) for q in EDGE_QUATS])
+        trace = np.trace(ms, axis1=1, axis2=2)
+        largest = np.argmax(np.diagonal(ms, axis1=1, axis2=2), axis=1)
+        assert (trace > 0).any()
+        assert set(largest[trace <= 0]) == {0, 1, 2}
+        assert any(np.signbit(m).any() and not (m < 0).any() for m in ms)  # a -0.0 entry
+        poses = [Pose(np.zeros(3), Rotation(m), [-0.0]) for m in ms]
+        path = tmp_path / "m.motion"
+        save_motion(trajectory_motion(JointTrajectory(24.0, poses, "walker")), path)
+        assert path.read_text() == frame_by_frame_text(24.0, "walker", poses)
+
+        def store(obj):  # the edge quaternions themselves, not their unit form
+            for frame, q in zip(obj["frames"], EDGE_QUATS):
+                frame["root_orientation"] = list(q)
+
+        rewrite(path, store)
+        got = load_motion(path).trajectory.root_rotations
+        want = [p.root_orientation.matrix for p in frame_by_frame_load(path)]
+        assert np.array_equal(bits(got), bits(want))
+
+
+class TestDegenerateQuaternion:
+    @pytest.mark.parametrize("bad", [[0], [5, 7]])
+    def test_parse_error_names_the_first_bad_frame(self, tmp_path, rng, bad):
+        skel = make_humanlike()
+        poses = [twist_free_pose(skel, rng) for _ in range(8)]
+        p = tmp_path / "m.motion"
+        save_motion(trajectory_motion(JointTrajectory(30.0, poses)), p)
+
+        def zero(obj):
+            for i in bad:
+                obj["frames"][i]["root_orientation"] = [0, 0, 0, 0]
+
+        rewrite(p, zero)
+        with pytest.raises(ParseError) as e:
+            load_motion(p)
+        assert e.value.location == f"/frames/{bad[0]}/root_orientation"
+        assert e.value.reason == "zero quaternion"
 
 
 class TestCorrespondenceIo:

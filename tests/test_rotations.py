@@ -6,9 +6,20 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from retarget_kit import Rotation, geodesic_distance, procrustes, rodrigues_align
 from retarget_kit.errors import DegenerateBone, DegenerateFrame, RankDeficient
-from retarget_kit.rotations import _align_stack, _procrustes_stack, _quat_stack, _rotvec_stack
+from retarget_kit.rotations import (
+    _align_stack,
+    _matrix_stack,
+    _procrustes_stack,
+    _quat_stack,
+    _rotvec_stack,
+)
 
-from conftest import random_rotation, scalar_procrustes, scalar_rodrigues_align
+from conftest import (
+    random_rotation,
+    scalar_from_quat,
+    scalar_procrustes,
+    scalar_rodrigues_align,
+)
 
 rotvecs = st.tuples(
     st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)
@@ -258,6 +269,29 @@ class TestStackedViews:
         for m, q, v in zip(ms, quats, rotvecs):
             assert np.array_equal(q, Rotation(m).as_quat())
             assert np.array_equal(v, Rotation(m).as_rotvec())
+
+    def test_matrix_stack_matches_scalar_from_quat(self, rng):
+        quats = [_quat_stack(branch_matrices(rng))]
+        quats += [scale * rng.normal(size=(2000, 4)) for scale in (1e-3, 1.0, 1e3)]
+        signed = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-9])
+        quats.append(signed[rng.integers(len(signed), size=(500, 4))])
+        quats = np.concatenate(quats)
+        quats = quats[np.linalg.norm(quats, axis=1) >= 1e-8]
+        got = _matrix_stack(quats)
+        for q, m in zip(quats, got):
+            assert np.array_equal(m.view(np.int64), scalar_from_quat(q).view(np.int64))
+            assert np.array_equal(m.view(np.int64), Rotation.from_quat(q).matrix.view(np.int64))
+
+    def test_matrix_stack_names_the_first_zero_row(self):
+        quats = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0], [0, 1.0, 0, 0], [1e-9, 0, 0, 0]])
+        with pytest.raises(DegenerateFrame, match="zero quaternion") as e:
+            _matrix_stack(quats)
+        assert e.value.row == 1
+        with pytest.raises(DegenerateFrame) as e:
+            _matrix_stack(quats[2:])
+        assert e.value.row == 1
+        with pytest.raises(DegenerateFrame, match="zero quaternion"):
+            Rotation.from_quat([0.0, 0.0, 0.0, 0.0])
 
     def test_align_matches_scalar(self, rng):
         t = rng.normal(size=(300, 3))

@@ -6,6 +6,7 @@ from retarget_kit import (
     DofChannel,
     DofConfig,
     Joint,
+    JointTrajectory,
     Pose,
     Rotation,
     Skeleton,
@@ -346,6 +347,90 @@ class TestFk:
         res = fk(skel, skel.zero_pose())
         assert np.allclose(res.point(*resolve_marker(skel, "tip")), [0, 1.5, 0])
         assert np.allclose(res.point(*resolve_marker(skel, "a")), [0, 1, 0])
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=float).view(np.int64)
+
+
+class TestJointTrajectory:
+    def poses(self, skel, rng, n=6):
+        poses = [random_pose(skel, rng, scale) for scale in (0.0, 1e-13, 1.0, 3.0)[:n]]
+        poses += [random_pose(skel, rng) for _ in range(n - len(poses))]
+        return poses
+
+    def test_poses_round_trip_bitwise(self, rng):
+        skel = load_example_skeleton("human_24")
+        poses = self.poses(skel, rng)
+        p = poses[1]
+        poses[1] = Pose(-0.0 * p.root_position, p.root_orientation, -0.0 * p.joint_values)
+        traj = JointTrajectory(30.0, poses, skel.name)
+        assert len(traj) == len(traj.poses) == len(poses)
+        for a, b in zip(traj.poses, poses):
+            assert np.array_equal(bits(a.root_position), bits(b.root_position))
+            assert np.array_equal(bits(a.root_orientation.matrix), bits(b.root_orientation.matrix))
+            assert np.array_equal(bits(a.joint_values), bits(b.joint_values))
+        assert traj.values() is traj.joint_values
+        assert np.array_equal(bits(traj.values()), bits([p.joint_values for p in poses]))
+        rebuilt = JointTrajectory.from_arrays(
+            traj.fps, traj.root_positions, traj.root_rotations, traj.joint_values, traj.skeleton
+        )
+        for name in ("root_positions", "root_rotations", "joint_values"):
+            assert np.array_equal(bits(getattr(rebuilt, name)), bits(getattr(traj, name)))
+        assert (rebuilt.fps, rebuilt.skeleton) == (30.0, skel.name)
+
+    def test_fk_reads_the_arrays(self, rng):
+        skel = load_example_skeleton("h1_like_19")
+        poses = self.poses(skel, rng)
+        got, want = fk(skel, JointTrajectory(30.0, poses)), fk(skel, poses)
+        assert np.array_equal(bits(got.positions), bits(want.positions))
+        assert np.array_equal(bits(got.rotations), bits(want.rotations))
+        with pytest.raises(PoseMismatch, match="pose has 19 values, skeleton needs 24"):
+            fk(make_chain([[0, 1, 0]] * 24), JointTrajectory(30.0, poses))
+
+    def test_mutating_inputs_leaves_the_trajectory_unchanged(self, rng):
+        skel = make_random_tree(rng, 6)
+        poses = self.poses(skel, rng, 3)
+        positions = np.array([p.root_position for p in poses])
+        rotations = np.array([p.root_orientation.matrix for p in poses])
+        values = np.array([p.joint_values for p in poses])
+        for traj in (
+            JointTrajectory(30.0, poses),
+            JointTrajectory.from_arrays(30.0, positions, rotations, values),
+        ):
+            now = (traj.root_positions, traj.root_rotations, traj.joint_values)
+            stored = [a.copy() for a in now]
+            for a in (positions, rotations, values):
+                a += 1.0
+            for p in poses:
+                for a in (p.root_position, p.root_orientation.matrix, p.joint_values):
+                    a += 1.0
+            for before, after in zip(stored, now):
+                assert np.array_equal(before, after)
+                assert not after.flags.writeable
+                with pytest.raises(ValueError):
+                    after[0] = 0.0
+            with pytest.raises(AttributeError):
+                traj.poses = []
+
+    def test_poses_of_different_lengths(self, rng):
+        poses = [Pose(np.zeros(3), Rotation.identity(), v) for v in ([0.0], [0.0, 1.0])]
+        with pytest.raises(PoseMismatch, match="pose has 2 values, frame 0 has 1"):
+            JointTrajectory(30.0, poses)
+
+    @pytest.mark.parametrize(
+        "positions, rotations, values, message",
+        [
+            (np.zeros((2, 3)), np.zeros((3, 3, 3)), np.zeros((2, 4)), "are not"),
+            (np.zeros((2, 2)), np.zeros((2, 3, 3)), np.zeros((2, 4)), "are not"),
+            (np.zeros((2, 3)), np.zeros((2, 3, 3)), np.zeros(2), "are not"),
+            (np.zeros((2, 3)), np.zeros((2, 3, 3)), [[0.0], [np.nan]], "non-finite"),
+            ([[0, 0, np.inf]] * 2, np.zeros((2, 3, 3)), np.zeros((2, 1)), "non-finite"),
+        ],
+    )
+    def test_from_arrays_validates(self, positions, rotations, values, message):
+        with pytest.raises(ValidationError, match=message):
+            JointTrajectory.from_arrays(30.0, positions, rotations, values)
 
 
 class TestLimits:

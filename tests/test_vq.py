@@ -80,6 +80,15 @@ class TestCodebook:
         with pytest.raises(ValidationError):
             Codebook.initialize(np.zeros((2, 2)), decay=1.5)
 
+    @pytest.mark.parametrize("decay", ["0.5", None, [1.0], True, False, np.nan, -0.1])
+    def test_decay_must_be_a_real_number_in_unit_interval(self, decay):
+        with pytest.raises(ValidationError, match="decay must be a number in"):
+            Codebook.initialize(np.eye(3), decay=decay)
+
+    @pytest.mark.parametrize("decay", [0, 1, 0.5, np.float64(0.25)])
+    def test_decay_accepts_real_numbers(self, decay):
+        assert Codebook.initialize(np.eye(3), decay=decay).decay == decay
+
 
 class TestAssign:
     def test_exact_entries_map_to_themselves(self, codebook):
