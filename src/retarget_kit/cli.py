@@ -94,6 +94,11 @@ def cmd_ik(args):
     return 0
 
 
+SOLVER_OPTIONS = (
+    "limit_weight", "smoothness_weight", "reference_weight", "max_iterations", "gradient_tol",
+)
+
+
 def cmd_retarget(args):
     human_skel = io.load_skeleton(args.human_skel)
     robot_skel = io.load_skeleton(args.robot_skel)
@@ -102,11 +107,7 @@ def cmd_retarget(args):
     _require_skeleton(motion, human_skel, "--human")
     corr = io.load_correspondence(args.map, human_skel, robot_skel)
     opts = RetargetOptions(
-        limit_weight=args.limit_weight,
-        smoothness_weight=args.smoothness_weight,
-        reference_weight=args.reference_weight,
-        max_iterations=args.max_iterations,
-        gradient_tol=args.gradient_tol,
+        **{name: getattr(args, name) for name in SOLVER_OPTIONS},
         warm_start=not args.no_warm_start,
     )
     traj, reports = retarget_sequence(
@@ -288,11 +289,9 @@ def build_parser():
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--limit-weight", type=float, default=10.0)
-    p.add_argument("--smoothness-weight", type=float, default=0.1)
-    p.add_argument("--reference-weight", type=float, default=1e-3)
-    p.add_argument("--max-iterations", type=int, default=100)
-    p.add_argument("--gradient-tol", type=float, default=1e-6)
+    for name in SOLVER_OPTIONS:  # --limit-weight etc., defaults from RetargetOptions
+        default = getattr(RetargetOptions, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--no-warm-start", action="store_true")
     p.set_defaults(func=cmd_retarget)
 

@@ -24,10 +24,14 @@ import numpy as np
 from .errors import NonFiniteObjective, ValidationError
 from .rotations import (
     Rotation,
+    _exp_stack,
+    _hat_stack,
     _log_floats,
+    _norm,
     _right_jacobian,
     _right_jacobian_inv,
-    _rodrigues_matrix,
+    _rodrigues_stack,
+    _rotvec_stack,
 )
 from .skeleton import (
     JointTrajectory,
@@ -231,19 +235,14 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
 
 
 def _euler_jacobian(values):
-    """(3, 3) Jacobian of the intrinsic XYZ Euler angles of a rotation vector.
+    """(..., 3, 3) Jacobians of the intrinsic XYZ Euler angles of (..., 3) rotation vectors.
 
     That map is cheap and calls no forward kinematics, so it is
-    central-differenced.
+    central-differenced, all six steps of every vector in one call.
     """
-    jac = np.empty((3, 3))
-    for m in range(3):
-        h = np.zeros(3)
-        h[m] = EULER_STEP
-        up = _intrinsic_xyz_euler(Rotation.from_rotvec(values + h).matrix)
-        down = _intrinsic_xyz_euler(Rotation.from_rotvec(values - h).matrix)
-        jac[:, m] = (up - down) / (2.0 * EULER_STEP)
-    return jac
+    v, h = values[..., None, :], EULER_STEP * np.eye(3)
+    euler = _intrinsic_xyz_euler(_exp_stack(np.stack([v + h, v - h], axis=-3)))
+    return ((euler[..., 0, :, :] - euler[..., 1, :, :]) / (2.0 * EULER_STEP)).swapaxes(-1, -2)
 
 
 class _LimitBarrier:
@@ -283,12 +282,13 @@ class _LimitBarrier:
     def jacobian(self, values):
         active = self._excess(values) > 0.0
         out = np.where(active[..., None], self.rows, 0.0)
-        for first, sl in self.plan.euler:
-            rows = slice(first, first + 3)
-            if active[rows].any():
-                grad = _euler_jacobian(values[sl])
-                block = np.stack([self.w * grad, -self.w * grad], axis=1)
-                out[rows, :, sl] = np.where(active[rows, :, None], block, 0.0)
+        rows, cols = self.plan.euler_rows, self.plan.euler_cols
+        hit = active[rows].any(axis=(1, 2)) if len(rows) else ()
+        if any(hit):
+            rows, cols = rows[hit], cols[hit]
+            grad = self.w * _euler_jacobian(values[cols])
+            block = np.where(active[rows][..., None], np.stack([grad, -grad], axis=2), 0.0)
+            out[rows[..., None, None], np.arange(2)[:, None], cols[:, None, None]] = block
         return out.reshape(-1, len(values))
 
 
@@ -303,19 +303,18 @@ def _project_to_limits(skeleton, values):
     """
     plan = skeleton._plan
     out = values.copy()
-    for cols in plan.spherical_cols:
-        if np.linalg.norm(out[cols]) > np.pi:
-            out[cols] = Rotation.from_rotvec(out[cols]).as_rotvec()
+    if len(plan.spherical):
+        far = plan.spherical_cols[_norm(out[plan.spherical_cols]) > np.pi]
+        out[far] = _rotvec_stack(_exp_stack(out[far]))
     v = plan.limited_values(out)
     clipped = np.clip(v, plan.lo, plan.hi)
     revolute = plan.limited_revolute
     out[plan.limit_col[revolute]] = clipped[revolute]
-    x, y, z = np.eye(3)
-    for first, sl in plan.euler:
-        a, b, c = euler = clipped[first : first + 3]
-        if not np.allclose(euler, v[first : first + 3]):
-            m = _rodrigues_matrix(x, a) @ _rodrigues_matrix(y, b) @ _rodrigues_matrix(z, c)
-            out[sl] = Rotation(m).as_rotvec()
+    if len(plan.euler_rows):
+        # np.allclose per joint, then Rx(a) Ry(b) Rz(c) from the clipped angles
+        moved = ~np.isclose(clipped[plan.euler_rows], v[plan.euler_rows]).all(axis=1)
+        xyz = _rodrigues_stack(clipped[plan.euler_rows[moved]], _hat_stack(np.eye(3)))
+        out[plan.euler_cols[moved]] = _rotvec_stack(xyz[:, 0] @ xyz[:, 1] @ xyz[:, 2])
     return out
 
 

@@ -4,6 +4,19 @@ A Rotation stores a 3x3 orthonormal matrix and exposes lossless views as a
 unit quaternion (w, x, y, z), axis-angle with angle in [0, pi], and the 6D
 continuous representation (first two matrix columns, flattened). All
 operations are pure and all values immutable.
+
+Each conversion has one body, stacked over leading axes; the Rotation
+view is its one-item case. Conversion, body, and its views and callers:
+
+    quaternion -> matrix     _matrix_stack      from_quat, io
+    matrix -> quaternion     _quat_stack        as_quat, as_axis_angle, io
+    matrix -> rotation vec   _rotvec_stack      as_rotvec, ik, limit projection
+    rotation vec -> matrix   _exp_stack         from_rotvec, fk, joint limits
+    axis, angle -> matrix    _rodrigues_stack   from_axis_angle, fk, bone alignment
+    matrix -> XYZ Euler      skeleton._intrinsic_xyz_euler: joint limits
+    6D <-> matrix            from_rot6d, as_rot6d
+    matrix -> rotation vec   _log_floats: the solver's orientation errors, one matrix at
+                             a time on Python floats, ten times cheaper at n <= 4
 """
 
 from __future__ import annotations
@@ -23,25 +36,8 @@ RANK_TOL = 1e-9
 _EYE3 = np.eye(3)
 
 
-def _hat(v):
-    """Skew-symmetric (cross-product) matrix of a 3-vector."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
-def _rodrigues_matrix(axis, angle):
-    """Rotation matrix about a unit axis: I + sin(t) K + (1 - cos(t)) K^2."""
-    k = _hat(axis)
-    return _EYE3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
 def _hat_stack(v):
-    """`_hat` of each 3-vector of an (..., 3) array."""
+    """Skew-symmetric (cross-product) matrix of each 3-vector of an (..., 3) array."""
     k = np.zeros(v.shape + (3,))
     k[..., 0, 1], k[..., 0, 2] = -v[..., 2], v[..., 1]
     k[..., 1, 0], k[..., 1, 2] = v[..., 2], -v[..., 0]
@@ -49,14 +45,16 @@ def _hat_stack(v):
     return k
 
 
-def _rodrigues_stack(sin, cos, k, kk):
-    """Stacked I + sin(t) K + (1 - cos(t)) K^2, as `_rodrigues_matrix` computes it."""
-    return _EYE3 + sin[..., None, None] * k + (1.0 - cos)[..., None, None] * kk
+def _rodrigues_stack(angle, k, kk=None):
+    """Rodrigues' rotation I + sin(t) K + (1 - cos(t)) K^2 by angles t about unit axes
+    u, K = hat(u); K @ K is computed unless given."""
+    sin, cos = np.sin(angle)[..., None, None], np.cos(angle)[..., None, None]
+    return _EYE3 + sin * k + (1.0 - cos) * (k @ k if kk is None else kk)
 
 
-# The stacked forms below repeat their one-item counterparts' float operations
-# item by item, each branch on its own rows. A (1, k) @ (k, 1) matmul sums as
-# `np.dot` and `np.linalg.norm` do; a reduction along an axis would not.
+# The stacked forms below take every item through the float operations of a
+# one-item computation, each branch on its own rows. A (1, k) @ (k, 1) matmul
+# sums as `np.dot` and `np.linalg.norm` do; a reduction along an axis would not.
 
 
 def _dot(a, b):
@@ -73,12 +71,12 @@ _CYCLIC = ((1, 2), (2, 0), (0, 1))
 
 
 def _quat_stack(m):
-    """`Rotation.as_quat` of each matrix of an (n, 3, 3) stack."""
+    """Unit quaternion (w, x, y, z) with w >= 0 of each matrix of an (n, 3, 3) stack."""
     trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
     # Branch 3 is a positive trace; branch i < 3 is the largest diagonal entry i.
     branch = np.where(trace > 0, 3, np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1))
     q = np.empty((len(m), 4))
-    for b in range(4):
+    for b in set(branch.tolist()):  # np.unique's first call costs ~1.5 MB of peak RSS
         rows = branch == b
         r = m[rows]
         if b == 3:
@@ -117,14 +115,23 @@ def _matrix_stack(q):
 
 
 def _rotvec_stack(m):
-    """`Rotation.as_rotvec` of each matrix of an (n, 3, 3) stack."""
+    """Rotation vector (axis * angle, angle in [0, pi]) of each matrix of an (n, 3, 3) stack."""
     q = _quat_stack(m)
     s = _norm(q[:, 1:])
-    turned = s >= 1e-16
+    turned = ~(s < 1e-16)  # a NaN row stays NaN
     out = np.zeros((len(m), 3))
     qt, st = q[turned], s[turned]
     out[turned] = qt[:, 1:] / st[:, None] * (2.0 * np.arctan2(st, qt[:, 0]))[:, None]
     return out
+
+
+def _exp_stack(v):
+    """Exp map of SO(3) (Sola, Deray & Atchuthan, arXiv:1812.01537) of each rotation
+    vector of an (..., 3) array, as (..., 3, 3); an angle below 1e-12 gives the identity."""
+    angle = _norm(v)
+    turned = ~(angle < 1e-12)  # a NaN vector gives NaN, not the identity
+    rodrigues = _rodrigues_stack(angle, _hat_stack(v / np.where(turned, angle, 1.0)[..., None]))
+    return np.where(turned[..., None, None], rodrigues, _EYE3)
 
 
 # The two right Jacobians below take their per-row coefficients on Python floats: at
@@ -167,9 +174,9 @@ def _right_jacobian_inv(phi):
 def _log_floats(m):
     """`Rotation(m).as_rotvec()` of a 3x3 matrix given as nested lists of floats.
 
-    It takes the branches and float operations of `Rotation.as_quat` and
-    `as_axis_angle` on Python floats, which costs a third of the array
-    version for one matrix. The two norms are summed left to right, where
+    It takes the branches and float operations of `_quat_stack` and
+    `_rotvec_stack` on Python floats, which costs under a tenth of the
+    array version for a few matrices. The two norms are summed left to right, where
     `np.linalg.norm` sums in BLAS order, so a result may differ from
     `as_rotvec` in its last bits.
     """
@@ -241,16 +248,12 @@ class Rotation:
             if abs(angle) < DEGENERATE_NORM:
                 return cls.identity()
             raise DegenerateFrame("zero axis with nonzero angle")
-        return cls(_rodrigues_matrix(axis / n, float(angle)))
+        return cls(_rodrigues_stack(float(angle), _hat_stack(axis / n)))
 
     @classmethod
     def from_rotvec(cls, v):
         """Axis-angle 3-vector axis*angle; the zero vector is the identity."""
-        v = np.asarray(v, dtype=float)
-        angle = np.linalg.norm(v)
-        if angle < 1e-12:
-            return cls.identity()
-        return cls(_rodrigues_matrix(v / angle, angle))
+        return cls(_exp_stack(np.asarray(v, dtype=float).reshape(1, 3))[0])
 
     @classmethod
     def from_rot6d(cls, v, *, tol=DEGENERATE_NORM):
@@ -273,34 +276,7 @@ class Rotation:
 
     def as_quat(self):
         """Unit quaternion (w, x, y, z) with w >= 0."""
-        m = self.matrix
-        t = np.trace(m)
-        if t > 0:
-            s = np.sqrt(t + 1.0) * 2.0
-            q = np.array(
-                [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-            )
-        else:
-            i = int(np.argmax(np.diag(m)))
-            if i == 0:
-                s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-                q = np.array(
-                    [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-                )
-            elif i == 1:
-                s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-                q = np.array(
-                    [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-                )
-            else:
-                s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-                q = np.array(
-                    [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-                )
-        q /= np.linalg.norm(q)
-        if q[0] < 0:
-            q = -q
-        return q
+        return _quat_stack(self.matrix[None])[0]
 
     def as_axis_angle(self):
         """(unit axis, angle) with angle in [0, pi]; axis (1,0,0) at angle 0."""
@@ -313,8 +289,7 @@ class Rotation:
         return q[1:] / s, angle
 
     def as_rotvec(self):
-        axis, angle = self.as_axis_angle()
-        return axis * angle
+        return _rotvec_stack(self.matrix[None])[0]
 
     def as_rot6d(self):
         m = self.matrix
@@ -357,11 +332,8 @@ def _align_stack(t, p, tol=DEGENERATE_NORM):
     e = _EYE3[np.argmin(np.abs(th), axis=1)]
     axis = e - _dot(th, e)[:, None] * th
     axis /= _norm(axis)[:, None]
-    k, pi = _hat_stack(axis), np.full(len(th), np.pi)
-    out[half_turn] = _rodrigues_stack(np.sin(pi), np.cos(pi), k, k @ k)
-    angle = np.arccos(c[turned])
-    k = _hat_stack(cross[turned] / s[turned, None])
-    out[turned] = _rodrigues_stack(np.sin(angle), np.cos(angle), k, k @ k)
+    out[half_turn] = _rodrigues_stack(np.full(len(th), np.pi), _hat_stack(axis))
+    out[turned] = _rodrigues_stack(np.arccos(c[turned]), _hat_stack(cross[turned] / s[turned, None]))
     return out
 
 

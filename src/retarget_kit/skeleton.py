@@ -8,7 +8,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import MissingDefault, PoseMismatch, UnresolvableCorrespondence, ValidationError
-from .rotations import Rotation, _hat_stack, _norm, _rodrigues_stack
+from .rotations import Rotation, _exp_stack, _hat_stack, _rodrigues_stack
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
 
@@ -258,8 +258,9 @@ class _SkeletonPlan:
     `revolute_rank` and `spherical_rank` place each kind of joint in them.
     `col_joint` maps value columns to joints; row j of `moves` is 1.0 on the
     columns that turn joint j. The limited DoFs, in joint order, have a
-    joint, DoF index, value column and `lo`/`hi`; `euler` holds (first
-    limited DoF, value slice) per limited spherical joint.
+    joint, DoF index, value column and `lo`/`hi`. The E Euler-limited
+    spherical joints are two (E, 3) index arrays: `euler_rows`, the rows
+    of their three limited DoFs, and `euler_cols`, their value columns.
     """
 
     def __init__(self, joints, parent_index, dof_slices):
@@ -314,17 +315,16 @@ class _SkeletonPlan:
         self.lo, self.hi = limited[:, 2].copy(), limited[:, 3].copy()
         limit_kind = kind[self.limit_joint]
         self.limited_revolute = np.flatnonzero(limit_kind == "revolute")
-        self.euler = tuple(
-            (first, dof_slices[self.limit_joint[first]])
-            for first in np.flatnonzero((limit_kind == "spherical") & (self.limit_dof == 0))
-        )
+        first = np.flatnonzero((limit_kind == "spherical") & (self.limit_dof == 0))
+        self.euler_rows = first[:, None] + np.arange(3)
+        self.euler_cols = self.limit_col[self.euler_rows]
 
     def limited_values(self, values):
         """The values the limits are stated on, one per limited DoF: revolute
         angles, and the intrinsic XYZ Euler angles of spherical joints."""
         out = values[self.limit_col]
-        for first, sl in self.euler:
-            out[first : first + 3] = _intrinsic_xyz_euler(Rotation.from_rotvec(values[sl]).matrix)
+        if len(self.euler_rows):
+            out[self.euler_rows] = _intrinsic_xyz_euler(_exp_stack(values[self.euler_cols]))
         return out
 
 
@@ -363,15 +363,9 @@ def fk(skeleton, pose):
     local = np.empty(shape + (3, 3))
     local[plan.fixed_rank] = _EYE3
     theta = values.T[plan.revolute_col]
-    local[plan.revolute_rank] = _rodrigues_stack(np.sin(theta), np.cos(theta), plan.k, plan.kk)
+    local[plan.revolute_rank] = _rodrigues_stack(theta, plan.k, plan.kk)
     if len(plan.spherical):
-        # The same float operations as Rotation.from_rotvec, one rotation vector per row.
-        v = values[:, plan.spherical_cols].swapaxes(0, 1)
-        angle = _norm(v)
-        turned = angle >= 1e-12
-        k = _hat_stack(v / np.where(turned, angle, 1.0)[..., None])
-        rodrigues = _rodrigues_stack(np.sin(angle), np.cos(angle), k, k @ k)
-        local[plan.spherical_rank] = np.where(turned[..., None, None], rodrigues, _EYE3)
+        local[plan.spherical_rank] = _exp_stack(values[:, plan.spherical_cols].swapaxes(0, 1))
     pos = np.empty(shape + (3,))
     rot = np.empty(shape + (3, 3))
     pos[0] = root_pos
@@ -388,16 +382,14 @@ def fk(skeleton, pose):
 
 
 def _intrinsic_xyz_euler(m):
-    """Angles (a, b, c) with m = Rx(a) Ry(b) Rz(c)."""
-    b = np.arcsin(np.clip(m[0, 2], -1.0, 1.0))
-    if abs(m[0, 2]) < 1.0 - 1e-9:
-        a = np.arctan2(-m[1, 2], m[2, 2])
-        c = np.arctan2(-m[0, 1], m[0, 0])
-    else:
-        # Gimbal lock: fold everything into the first angle.
-        a = np.arctan2(m[1, 0], m[1, 1])
-        c = 0.0
-    return np.array([a, b, c])
+    """Angles (a, b, c) with m = Rx(a) Ry(b) Rz(c), as (..., 3) for an (..., 3, 3) stack."""
+    b = np.arcsin(np.clip(m[..., 0, 2], -1.0, 1.0))
+    free = np.abs(m[..., 0, 2]) < 1.0 - 1e-9
+    a = np.arctan2(-m[..., 1, 2], m[..., 2, 2])
+    c = np.arctan2(-m[..., 0, 1], m[..., 0, 0])
+    # Gimbal lock: fold everything into the first angle.
+    a = np.where(free, a, np.arctan2(m[..., 1, 0], m[..., 1, 1]))
+    return np.stack([a, b, np.where(free, c, 0.0)], axis=-1)
 
 
 @dataclass(frozen=True)

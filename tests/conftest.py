@@ -4,7 +4,6 @@ from hypothesis import settings
 
 from retarget_kit import Rotation, rodrigues_align
 from retarget_kit.errors import DegenerateBone, RankDeficient
-from retarget_kit.rotations import _rodrigues_matrix
 from retarget_kit.skeleton import Joint, Marker, Pose, Skeleton
 
 # The same bounded examples on every run, locally and in CI: a property test
@@ -98,8 +97,139 @@ def twist_free_pose(skeleton, rng, max_angle=0.6):
     return Pose(rng.normal(size=3), random_rotation(rng), values)
 
 
-# One-pair bone alignment and Procrustes as written before they became the
-# n = 1 case of their stacked forms: the float operations those must keep.
+# Rotation conversions, bone alignment and Procrustes as written before they
+# became the n = 1 case of their stacked forms: the float operations those
+# must keep, and the oracles of the joint-by-joint walks below.
+
+
+def scalar_hat(v):
+    """Skew-symmetric (cross-product) matrix of a 3-vector."""
+    return np.array(
+        [
+            [0.0, -v[2], v[1]],
+            [v[2], 0.0, -v[0]],
+            [-v[1], v[0], 0.0],
+        ]
+    )
+
+
+def scalar_rodrigues_matrix(axis, angle):
+    """Rotation matrix about a unit axis: I + sin(t) K + (1 - cos(t)) K^2."""
+    k = scalar_hat(axis)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def scalar_from_rotvec(v):
+    """`Rotation.from_rotvec` before `_exp_stack`: the zero vector is the identity."""
+    angle = np.linalg.norm(v)
+    if angle < 1e-12:
+        return np.eye(3)
+    return scalar_rodrigues_matrix(v / angle, angle)
+
+
+def scalar_as_quat(m):
+    """`Rotation.as_quat` before `_quat_stack`: unit (w, x, y, z) with w >= 0."""
+    t = np.trace(m)
+    if t > 0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        )
+    else:
+        i = int(np.argmax(np.diag(m)))
+        if i == 0:
+            s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+            q = np.array(
+                [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
+            )
+        elif i == 1:
+            s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+            q = np.array(
+                [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
+            )
+        else:
+            s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+            q = np.array(
+                [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+            )
+    q /= np.linalg.norm(q)
+    if q[0] < 0:
+        q = -q
+    return q
+
+
+def scalar_as_rotvec(m):
+    """`Rotation.as_rotvec` before `_rotvec_stack`: axis times angle from `scalar_as_quat`."""
+    q = scalar_as_quat(m)
+    s = np.linalg.norm(q[1:])
+    if s < 1e-16:
+        return np.array([1.0, 0.0, 0.0]) * 0.0
+    return q[1:] / s * (2.0 * np.arctan2(s, q[0]))
+
+
+def scalar_intrinsic_xyz_euler(m):
+    """Angles (a, b, c) with m = Rx(a) Ry(b) Rz(c), one 3x3 matrix at a time."""
+    b = np.arcsin(np.clip(m[0, 2], -1.0, 1.0))
+    if abs(m[0, 2]) < 1.0 - 1e-9:
+        a = np.arctan2(-m[1, 2], m[2, 2])
+        c = np.arctan2(-m[0, 1], m[0, 0])
+    else:
+        # Gimbal lock: fold everything into the first angle.
+        a = np.arctan2(m[1, 0], m[1, 1])
+        c = 0.0
+    return np.array([a, b, c])
+
+
+def joint_walk_local(joint, values):
+    """One joint's local rotation, from its own values."""
+    if joint.dof == "fixed":
+        return np.eye(3)
+    if joint.dof == "revolute":
+        return scalar_rodrigues_matrix(joint.axis, values[0])
+    return scalar_from_rotvec(values)
+
+
+def joint_walk_limited_dofs(skeleton, values):
+    """Yield (joint, k, value, lo, hi) per limited DoF, walking the joints one by one.
+
+    Spherical joints yield their intrinsic XYZ Euler angles. This walk and
+    `joint_walk_projection` are what `check_limits`, the limit barrier and
+    the retarget limit projection must reproduce exactly.
+    """
+    for i, joint in enumerate(skeleton.joints):
+        if not joint.limits:
+            continue
+        vals = values[skeleton.dof_slices[i]]
+        if joint.dof == "spherical":
+            vals = scalar_intrinsic_xyz_euler(joint_walk_local(joint, vals))
+        for k, (lo, hi) in enumerate(joint.limits):
+            yield joint, k, vals[k], lo, hi
+
+
+def joint_walk_projection(skeleton, values):
+    out = values.copy()
+    for i, joint in enumerate(skeleton.joints):
+        sl = skeleton.dof_slices[i]
+        if joint.dof == "spherical" and np.linalg.norm(out[sl]) > np.pi:
+            out[sl] = scalar_as_rotvec(scalar_from_rotvec(out[sl]))
+        if not joint.limits:
+            continue
+        if joint.dof == "revolute":
+            lo, hi = joint.limits[0]
+            out[sl] = np.clip(out[sl], lo, hi)
+        elif joint.dof == "spherical":
+            euler = scalar_intrinsic_xyz_euler(joint_walk_local(joint, out[sl]))
+            clipped = np.array(
+                [np.clip(euler[k], lo, hi) for k, (lo, hi) in enumerate(joint.limits)]
+            )
+            if not np.allclose(clipped, euler):
+                m = (
+                    scalar_rodrigues_matrix(np.array([1.0, 0, 0]), clipped[0])
+                    @ scalar_rodrigues_matrix(np.array([0, 1.0, 0]), clipped[1])
+                    @ scalar_rodrigues_matrix(np.array([0, 0, 1.0]), clipped[2])
+                )
+                out[sl] = scalar_as_rotvec(m)
+    return out
 
 
 def scalar_rodrigues_align(t, p, tol=1e-8):
@@ -116,8 +246,8 @@ def scalar_rodrigues_align(t, p, tol=1e-8):
         e = np.eye(3)[int(np.argmin(np.abs(t_hat)))]
         axis = e - np.dot(t_hat, e) * t_hat
         axis /= np.linalg.norm(axis)
-        return Rotation(_rodrigues_matrix(axis, np.pi))
-    return Rotation(_rodrigues_matrix(cross / s, np.arccos(c)))
+        return Rotation(scalar_rodrigues_matrix(axis, np.pi))
+    return Rotation(scalar_rodrigues_matrix(cross / s, np.arccos(c)))
 
 
 def scalar_from_quat(q):

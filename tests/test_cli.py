@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -21,8 +22,8 @@ from retarget_kit import (
     save_skeleton,
     trajectory_motion,
 )
-from retarget_kit.cli import main
-from retarget_kit.retarget import TERMINATIONS
+from retarget_kit.cli import build_parser, main
+from retarget_kit.retarget import TERMINATIONS, RetargetOptions
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
 from conftest import make_humanlike, twist_free_pose
@@ -568,3 +569,59 @@ class TestEntryPoint:
         )
         assert out.returncode == 0
         assert "retarget" in out.stdout
+
+    def test_retarget_defaults_are_retarget_options(self):
+        args = build_parser().parse_args(
+            ["retarget", "--human", "h", "--human-skel", "s", "--robot-skel", "r", "--map", "m",
+             "--out", "o"]
+        )
+        defaults = RetargetOptions()
+        for name in (field.name for field in dataclasses.fields(RetargetOptions)):
+            given = not args.no_warm_start if name == "warm_start" else getattr(args, name)
+            assert given == getattr(defaults, name)
+            assert type(given) is type(getattr(defaults, name))
+
+    def test_numpy_is_the_only_runtime_dependency(self, tmp_path):
+        # scipy and hypothesis are test extras; importing the package and running the
+        # CLI must not touch them, even behind a try/except.
+        script = """
+import sys
+from importlib.abc import MetaPathFinder
+
+attempts = []
+
+
+class Block(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("scipy", "hypothesis"):
+            attempts.append(name)
+            raise ImportError(f"{name} is not a runtime dependency")
+        return None
+
+
+sys.meta_path.insert(0, Block())
+import numpy as np
+
+import retarget_kit
+from retarget_kit.cli import main
+
+out = sys.argv[1]
+skel = retarget_kit.load_example_skeleton("human_24")
+values = 0.3 * np.random.default_rng(0).normal(size=(3, skel.total_dof))
+traj = retarget_kit.JointTrajectory.from_arrays(
+    30.0, np.zeros((3, 3)), np.broadcast_to(np.eye(3), (3, 3, 3)), values, skel.name
+)
+retarget_kit.save_motion(retarget_kit.trajectory_motion(traj), f"{out}/traj.motion")
+skel_path = str(retarget_kit.asset_path("human_24"))
+codes = [
+    main(["fk", "--skel", skel_path, "--motion", f"{out}/traj.motion", "--out", f"{out}/kp.motion"]),
+    main(["ik", "--skel", skel_path, "--motion", f"{out}/kp.motion", "--out", f"{out}/rec.motion"]),
+]
+print(codes, attempts)
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[0, 0] []"
+        assert (tmp_path / "rec.motion").exists()

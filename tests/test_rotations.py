@@ -8,17 +8,24 @@ from retarget_kit import Rotation, geodesic_distance, procrustes, rodrigues_alig
 from retarget_kit.errors import DegenerateBone, DegenerateFrame, RankDeficient
 from retarget_kit.rotations import (
     _align_stack,
+    _exp_stack,
     _matrix_stack,
     _procrustes_stack,
     _quat_stack,
     _rotvec_stack,
 )
+from retarget_kit.skeleton import _intrinsic_xyz_euler
 
 from conftest import (
     random_rotation,
+    scalar_as_quat,
+    scalar_as_rotvec,
     scalar_from_quat,
+    scalar_from_rotvec,
+    scalar_intrinsic_xyz_euler,
     scalar_procrustes,
     scalar_rodrigues_align,
+    scalar_rodrigues_matrix,
 )
 
 rotvecs = st.tuples(
@@ -234,6 +241,11 @@ class TestGeodesic:
             )
 
 
+def bits(a):
+    """The bytes of a float array: equal bits, zero signs included."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
@@ -267,8 +279,53 @@ class TestStackedViews:
         ms = branch_matrices(rng)
         quats, rotvecs = _quat_stack(ms), _rotvec_stack(ms)
         for m, q, v in zip(ms, quats, rotvecs):
-            assert np.array_equal(q, Rotation(m).as_quat())
-            assert np.array_equal(v, Rotation(m).as_rotvec())
+            for got, expected in (
+                (q, scalar_as_quat(m)),
+                (Rotation(m).as_quat(), scalar_as_quat(m)),
+                (v, scalar_as_rotvec(m)),
+                (Rotation(m).as_rotvec(), scalar_as_rotvec(m)),
+            ):
+                assert bits(got) == bits(expected)
+
+    def test_exp_matches_scalar_from_rotvec(self, rng):
+        v = [rng.normal(size=(200, 3)) * s for s in (1e-13, 1e-6, 1.0, 3.0, 10.0)]
+        tiny = rng.normal(size=(50, 3))
+        tiny *= rng.uniform(0.0, 1e-12, size=(50, 1)) / np.linalg.norm(tiny, axis=1)[:, None]
+        edges = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-12, 0.0, 0.0], [0.0, -1e-13, 0.0]]
+        v = np.concatenate(v + [tiny, edges])
+        assert (np.linalg.norm(v, axis=1) < 1e-12).sum() > 50
+        got = _exp_stack(v)
+        assert got.shape == (len(v), 3, 3)
+        assert bits(_exp_stack(v.reshape(-1, 2, 3))) == bits(got.reshape(-1, 2, 3, 3))
+        for row, m in zip(v, got):
+            assert bits(m) == bits(scalar_from_rotvec(row))
+            assert bits(Rotation.from_rotvec(row).matrix) == bits(scalar_from_rotvec(row))
+
+    def test_from_axis_angle_matches_scalar(self, rng):
+        for _ in range(300):
+            axis = rng.normal(size=3)
+            angle = rng.uniform(-4.0, 4.0)
+            expected = scalar_rodrigues_matrix(axis / np.linalg.norm(axis), angle)
+            assert bits(Rotation.from_axis_angle(axis, angle).matrix) == bits(expected)
+
+    def test_euler_map_matches_scalar(self, rng):
+        # Rotations about y by pi/2 - d put |m02| = cos(d) on both sides of 1 - 1e-9.
+        gimbal = [
+            scalar_rodrigues_matrix(np.array([1.0, 0, 0]), a)
+            @ scalar_rodrigues_matrix(np.array([0, 1.0, 0]), sign * (np.pi / 2 - d))
+            @ scalar_rodrigues_matrix(np.array([0, 0, 1.0]), c)
+            for a, c in rng.uniform(-np.pi, np.pi, size=(8, 2))
+            for sign in (1.0, -1.0)
+            for d in (0.0, 1e-9, 1e-6, 4.4e-5, 4.5e-5, 1e-4)
+        ]
+        ms = np.concatenate([branch_matrices(rng), gimbal])
+        locked = np.abs(ms[:, 0, 2]) >= 1.0 - 1e-9
+        assert 0 < locked.sum() < len(ms)
+        got = _intrinsic_xyz_euler(ms)
+        two = _intrinsic_xyz_euler(np.stack([ms, ms[::-1]]))
+        assert bits(two) == bits(np.stack([got, got[::-1]]))
+        for m, e in zip(ms, got):
+            assert bits(e) == bits(scalar_intrinsic_xyz_euler(m))
 
     def test_matrix_stack_matches_scalar_from_quat(self, rng):
         quats = [_quat_stack(branch_matrices(rng))]

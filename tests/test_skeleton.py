@@ -17,10 +17,16 @@ from retarget_kit import (
 )
 from retarget_kit.errors import MissingDefault, PoseMismatch, ValidationError
 from retarget_kit.retarget import _project_to_limits
-from retarget_kit.rotations import _rodrigues_matrix
 from retarget_kit.skeleton import LimitViolation, Marker, _intrinsic_xyz_euler, resolve_marker
 
-from conftest import make_chain, make_random_tree, random_rotation
+from conftest import (
+    joint_walk_limited_dofs,
+    joint_walk_local,
+    joint_walk_projection,
+    make_chain,
+    make_random_tree,
+    random_rotation,
+)
 
 
 def naive_fk(skeleton, pose):
@@ -48,18 +54,6 @@ def naive_fk(skeleton, pose):
     return [world(i) for i in range(len(skeleton.joints))]
 
 
-def joint_walk_local(joint, values):
-    """One joint's local rotation, from its own values."""
-    if joint.dof == "fixed":
-        return np.eye(3)
-    if joint.dof == "revolute":
-        return _rodrigues_matrix(joint.axis, values[0])
-    angle = np.linalg.norm(values)
-    if angle < 1e-12:
-        return np.eye(3)
-    return _rodrigues_matrix(values / angle, angle)
-
-
 def joint_walk_fk(skeleton, pose):
     """Joint-by-joint forward kinematics, the float operations `fk` must reproduce exactly."""
     nj = len(skeleton.joints)
@@ -77,23 +71,6 @@ def joint_walk_fk(skeleton, pose):
     return pos, rot
 
 
-def joint_walk_limited_dofs(skeleton, values):
-    """Yield (joint, k, value, lo, hi) per limited DoF, walking the joints one by one.
-
-    Spherical joints yield their intrinsic XYZ Euler angles. This walk and
-    the two below are what `check_limits` and the retarget limit projection
-    must reproduce exactly.
-    """
-    for i, joint in enumerate(skeleton.joints):
-        if not joint.limits:
-            continue
-        vals = values[skeleton.dof_slices[i]]
-        if joint.dof == "spherical":
-            vals = _intrinsic_xyz_euler(joint_walk_local(joint, vals))
-        for k, (lo, hi) in enumerate(joint.limits):
-            yield joint, k, vals[k], lo, hi
-
-
 def joint_walk_check_limits(skeleton, values):
     out = []
     for joint, k, v, lo, hi in joint_walk_limited_dofs(skeleton, values):
@@ -101,32 +78,6 @@ def joint_walk_check_limits(skeleton, values):
             out.append(LimitViolation(joint.name, k, float(v - hi)))
         elif v < lo:
             out.append(LimitViolation(joint.name, k, float(v - lo)))
-    return out
-
-
-def joint_walk_projection(skeleton, values):
-    out = values.copy()
-    for i, joint in enumerate(skeleton.joints):
-        sl = skeleton.dof_slices[i]
-        if joint.dof == "spherical" and np.linalg.norm(out[sl]) > np.pi:
-            out[sl] = Rotation.from_rotvec(out[sl]).as_rotvec()
-        if not joint.limits:
-            continue
-        if joint.dof == "revolute":
-            lo, hi = joint.limits[0]
-            out[sl] = np.clip(out[sl], lo, hi)
-        elif joint.dof == "spherical":
-            euler = _intrinsic_xyz_euler(joint_walk_local(joint, out[sl]))
-            clipped = np.array(
-                [np.clip(euler[k], lo, hi) for k, (lo, hi) in enumerate(joint.limits)]
-            )
-            if not np.allclose(clipped, euler):
-                m = (
-                    _rodrigues_matrix(np.array([1.0, 0, 0]), clipped[0])
-                    @ _rodrigues_matrix(np.array([0, 1.0, 0]), clipped[1])
-                    @ _rodrigues_matrix(np.array([0, 0, 1.0]), clipped[2])
-                )
-                out[sl] = Rotation(m).as_rotvec()
     return out
 
 

@@ -1,11 +1,12 @@
 """The solver's whole-array residual and Jacobian against the term-by-term reference.
 
 `ReferenceTerms`, `reference_barrier_residual` and `reference_barrier_jacobian`
-keep the solver's earlier code: orientation errors from one
-`Rotation.as_rotvec` per framed term, scalar right Jacobians, and the
-position rows as nine per-component lever products. The solver now builds
-the same rows from whole-array products and a float-level log map, so the
-two agree to rounding, not bit for bit.
+keep the solver's earlier code: orientation errors from one scalar
+`as_rotvec` per framed term, scalar right Jacobians, the position rows as
+nine per-component lever products, and limit values and Euler-angle
+gradients joint by joint. The solver now builds the same term rows from
+whole-array products and a float-level log map, so those agree to
+rounding, not bit for bit; its limit rows must match bit for bit.
 """
 
 import numpy as np
@@ -21,11 +22,27 @@ from retarget_kit import (
     load_example_correspondence,
     load_example_skeleton,
 )
-from retarget_kit.retarget import LIMIT_MARGIN, _LimitBarrier, _Terms, _euler_jacobian
-from retarget_kit.rotations import _hat, _log_floats, _right_jacobian, _right_jacobian_inv
+from retarget_kit.retarget import (
+    EULER_STEP,
+    LIMIT_MARGIN,
+    _LimitBarrier,
+    _project_to_limits,
+    _Terms,
+)
+from retarget_kit.rotations import _log_floats, _right_jacobian, _right_jacobian_inv
 from retarget_kit.skeleton import Joint, Skeleton, resolve_marker
 
-from conftest import random_rotation, twist_free_pose
+from conftest import (
+    joint_walk_limited_dofs,
+    joint_walk_projection,
+    random_rotation,
+    scalar_as_rotvec,
+    scalar_from_rotvec,
+    scalar_hat,
+    scalar_intrinsic_xyz_euler,
+    scalar_rodrigues_matrix,
+    twist_free_pose,
+)
 
 REL_TOL = 1e-12
 EYE = np.eye(3)
@@ -33,7 +50,7 @@ EYE = np.eye(3)
 
 def scalar_right_jacobian(phi):
     theta = np.linalg.norm(phi)
-    k = _hat(phi)
+    k = scalar_hat(phi)
     if theta < 1e-4:
         a = 0.5 - theta * theta / 24.0
         b = 1.0 / 6.0 - theta * theta / 120.0
@@ -45,7 +62,7 @@ def scalar_right_jacobian(phi):
 
 def scalar_right_jacobian_inv(phi):
     theta = np.linalg.norm(phi)
-    k = _hat(phi)
+    k = scalar_hat(phi)
     if theta < 1e-4:
         c = 1.0 / 12.0 + theta * theta / 720.0
     else:
@@ -78,9 +95,7 @@ class ReferenceTerms:
     def errors(self, res):
         rot = res.rotations[self.joint]
         position = res.positions[self.joint] + (rot @ self.offset[:, :, None])[..., 0]
-        orientation = [
-            Rotation(rot[t].T @ frame).as_rotvec() for t, _, frame in self.framed
-        ]
+        orientation = [scalar_as_rotvec(rot[t].T @ frame) for t, _, frame in self.framed]
         return position - self.point, orientation
 
     def residual(self, position, orientation):
@@ -111,6 +126,32 @@ class ReferenceTerms:
         return out.reshape(-1, n)[self.keep]
 
 
+def scalar_euler_jacobian(values):
+    """`_euler_jacobian` of one rotation vector, one perturbed vector at a time."""
+    jac = np.empty((3, 3))
+    for m in range(3):
+        h = np.zeros(3)
+        h[m] = EULER_STEP
+        up = scalar_intrinsic_xyz_euler(scalar_from_rotvec(values + h))
+        down = scalar_intrinsic_xyz_euler(scalar_from_rotvec(values - h))
+        jac[:, m] = (up - down) / (2.0 * EULER_STEP)
+    return jac
+
+
+def euler_blocks(skeleton):
+    """(first limited-value row, value slice) of each Euler-limited spherical joint."""
+    blocks, row = [], 0
+    for joint, sl in zip(skeleton.joints, skeleton.dof_slices):
+        if joint.limits and joint.dof == "spherical":
+            blocks.append((row, sl))
+        row += len(joint.limits)
+    return blocks
+
+
+def reference_limited_values(skeleton, values):
+    return np.array([v for _, _, v, _, _ in joint_walk_limited_dofs(skeleton, values)])
+
+
 def barrier_bounds(plan):
     margin = np.minimum(LIMIT_MARGIN, 0.25 * (plan.hi - plan.lo))
     return plan.lo + margin, plan.hi - margin
@@ -118,7 +159,7 @@ def barrier_bounds(plan):
 
 def reference_barrier_residual(skeleton, w, values):
     lo, hi = barrier_bounds(skeleton._plan)
-    v = skeleton._plan.limited_values(values)
+    v = reference_limited_values(skeleton, values)
     rows = np.stack([v - hi, lo - v], axis=1)
     return (w * np.where(rows > 0.0, rows, 0.0)).reshape(-1)
 
@@ -126,13 +167,13 @@ def reference_barrier_residual(skeleton, w, values):
 def reference_barrier_jacobian(skeleton, w, values):
     plan = skeleton._plan
     lo, hi = barrier_bounds(plan)
-    v = plan.limited_values(values)
+    v = reference_limited_values(skeleton, values)
     upper, lower = v > hi, v < lo
     grad = np.zeros((len(v), len(values)))
     grad[np.arange(len(v)), plan.limit_col] = 1.0
-    for first, sl in plan.euler:
+    for first, sl in euler_blocks(skeleton):
         if np.any((upper | lower)[first : first + 3]):
-            grad[first : first + 3, sl] = _euler_jacobian(values[sl])
+            grad[first : first + 3, sl] = scalar_euler_jacobian(values[sl])
     out = np.zeros((len(v), 2, len(values)))
     out[upper, 0] = w * grad[upper]
     out[lower, 1] = -w * grad[lower]
@@ -230,7 +271,7 @@ def test_mixed_skeleton_past_both_limits(rng):
     values = [rng.normal(size=robot.total_dof) * s for s in (0.05, 0.4, 0.8, 1.5) for _ in range(6)]
     # the draws must push Euler-limited rows past both the upper and the lower barrier
     w = np.sqrt(10.0)
-    euler_rows = np.concatenate([np.arange(first, first + 3) for first, _ in robot._plan.euler])
+    euler_rows = np.concatenate([np.arange(first, first + 3) for first, _ in euler_blocks(robot)])
     upper = lower = False
     for v in values:
         _, up, down = reference_barrier_jacobian(robot, w, v)
@@ -239,6 +280,49 @@ def test_mixed_skeleton_past_both_limits(rng):
     assert upper and lower
     root = (rng.normal(size=3), random_rotation(rng))
     assert_matches_reference(robot, terms, root, values)
+
+
+def euler_rotvec(angles):
+    """Rotation vector of Rx(a) Ry(b) Rz(c)."""
+    m = np.eye(3)
+    for axis, angle in zip(np.eye(3), angles):
+        m = m @ scalar_rodrigues_matrix(axis, angle)
+    return scalar_as_rotvec(m)
+
+
+@pytest.mark.parametrize("active", [0, 1, 2])
+def test_one_active_euler_joint_matches_joint_walks(rng, active):
+    # Three Euler-limited spherical joints; only the one at `active` leaves its barrier.
+    robot = mixed_robot()
+    plan, w = robot._plan, np.sqrt(10.0)
+    lo, hi = barrier_bounds(plan)
+    barrier = _LimitBarrier(robot, w)
+    blocks = euler_blocks(robot)
+    assert len(blocks) == 3
+    rows = [np.arange(first, first + 3) for first, _ in blocks]
+    for draw in range(24):
+        values = np.zeros(robot.total_dof)
+        values[robot.dof_slices[robot.index["free"]]] = 2.0 * rng.normal(size=3)
+        for j, ((_, sl), r) in enumerate(zip(blocks, rows)):
+            if j != active:
+                span = hi[r] - lo[r]
+                values[sl] = euler_rotvec(rng.uniform(lo[r] + 0.2 * span, hi[r] - 0.2 * span))
+        (_, sl), r = blocks[active], rows[active]
+        while True:
+            values[sl] = euler_rotvec(rng.uniform(plan.lo[r] - 0.3, plan.hi[r] + 0.3))
+            if draw % 2:  # the same rotation off the principal branch
+                values[sl] *= 1.0 + 2.0 * np.pi / np.linalg.norm(values[sl])
+            _, upper, lower = reference_barrier_jacobian(robot, w, values)
+            active_rows = (upper | lower)[np.concatenate(rows)].reshape(3, 3).any(axis=1)
+            if active_rows[active]:
+                break
+        assert active_rows.tolist() == [j == active for j in range(3)]
+        for got, expected in (
+            (plan.limited_values(values), reference_limited_values(robot, values)),
+            (barrier.jacobian(values), reference_barrier_jacobian(robot, w, values)[0]),
+            (_project_to_limits(robot, values), joint_walk_projection(robot, values)),
+        ):
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 ANGLES = st.one_of(
