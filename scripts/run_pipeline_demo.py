@@ -101,7 +101,7 @@ def main():
         robot = load_example_skeleton(robot_name)
         corr = load_example_correspondence(map_name, human, robot)
         traj, reports = retarget_sequence(
-            human, recon.poses, robot, corr, fps=args.fps
+            human, recon, robot, corr, fps=args.fps
         )
         max_pos = max(max(r.position_residuals.values()) for r in reports)
         print(
@@ -131,7 +131,7 @@ def main():
     robot = load_example_skeleton("g1_like_21")
     corr = load_example_correspondence("human_to_g1", human, robot)
     traj, reports = retarget_sequence(
-        human, recon.poses, robot, corr, RetargetOptions(warm_start=False), fps=args.fps
+        human, recon, robot, corr, RetargetOptions(warm_start=False), fps=args.fps
     )
     print(
         f"cold-started retarget -> {robot.name}: "

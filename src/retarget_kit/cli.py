@@ -111,7 +111,7 @@ def cmd_retarget(args):
         warm_start=not args.no_warm_start,
     )
     traj, reports = retarget_sequence(
-        human_skel, motion.trajectory.poses, robot_skel, corr, opts, fps=motion.fps
+        human_skel, motion.trajectory, robot_skel, corr, opts, fps=motion.fps
     )
     io.save_motion(io.trajectory_motion(traj), args.out)
     if args.report:

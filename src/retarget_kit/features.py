@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MissingContactMarkers, ValidationError
+from .rotations import _rot6d_stack
 from .skeleton import fk, resolve_marker
 
 DEFAULT_CONTACT_MARKERS = ("l_heel", "l_toe", "r_heel", "r_toe")
@@ -67,8 +68,7 @@ def build_pose_features(
     vx = c * v_world[:, 0] - s * v_world[:, 2]
     vz = s * v_world[:, 0] + c * v_world[:, 2]
     joint_vel = (local_pos[1:] - local_pos[:-1]) * fps
-    rel = np.swapaxes(root_rot[:-1], 1, 2)[:, None] @ res.rotations[:-1, 1:]
-    rot6d = np.concatenate([rel[..., :, 0], rel[..., :, 1]], axis=-1)
+    rot6d = _rot6d_stack(np.swapaxes(root_rot[:-1], 1, 2)[:, None] @ res.rotations[:-1, 1:])
     marker_speed2 = np.sum(((contact_pos[1:] - contact_pos[:-1]) * fps) ** 2, axis=2)
     contacts = (marker_speed2 < contact_threshold).astype(float)
     rows = len(poses) - 1

@@ -11,7 +11,9 @@ vanishes or when an accepted step lowers the objective by less than
 RELATIVE_DECREASE_TOL of its value. Each distinct pose costs one
 forward-kinematics pass, shared by its residual, its Jacobian and the
 report. The root transform is taken from the scaled human root and is not
-optimized.
+optimized. A call sets up once: one human forward-kinematics pass for all
+frames and one objective; from frame to frame only the targets, the root,
+the start point and the smoothing target change.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .rotations import (
     _rotvec_stack,
 )
 from .skeleton import (
+    FkResult,
     JointTrajectory,
     Pose,
+    _fk_arrays,
     _intrinsic_xyz_euler,
-    check_limits,
     fk,
     resolve_marker,
 )
@@ -321,37 +324,39 @@ def _project_to_limits(skeleton, values):
 class _Terms:
     """A solve's terms as arrays, the row layout of their residual, and its Jacobian.
 
-    Per term: the robot marker's joint and local offset, the world target
-    point, and the square root of its position weight. The framed terms
-    have their indices, the square roots of their orientation weights and
-    their world target frames. The rows are stacked as the x, y and z
-    position rows of all terms, one block per axis, then three orientation
-    rows per framed term; `rows` selects from that stack, in residual
-    order, each term's position rows if it has position weight and its
-    orientation rows if it has a frame. `mask` is 1.0 on the columns that
-    move each term's marker joint, from the skeleton plan's `moves`.
+    Per pair: the robot marker's joint and local offset, and the square
+    root of its position weight. The framed pairs, those with orientation
+    weight, have their indices and the square roots of their orientation
+    weights. The rows are stacked as the x, y and z position rows of all
+    terms, one block per axis, then three orientation rows per framed term;
+    `rows` selects from that stack, in residual order, each term's position
+    rows if it has position weight and its orientation rows if it is framed.
+    `mask` is 1.0 on the columns that move each term's marker joint, from
+    the skeleton plan's `moves`. The world targets change per frame: set
+    `point` to the (term, 3) points and `frames` to the (framed, 3, 3)
+    frames before evaluating.
     """
 
-    def __init__(self, skeleton, terms):
-        n, rows = len(terms), []
-        framed = [t for t, (*_, frame) in enumerate(terms) if frame is not None]
-        for t, (pair, _, _, frame) in enumerate(terms):
+    def __init__(self, skeleton, pairs):
+        n, rows = len(pairs), []
+        framed = [t for t, pair in enumerate(pairs) if pair.orientation_weight > 0]
+        for t, pair in enumerate(pairs):
             if pair.position_weight > 0:
                 rows += [t, n + t, 2 * n + t]
-            if frame is not None:
+            if pair.orientation_weight > 0:
                 f = 3 * (n + framed.index(t))
                 rows += [f, f + 1, f + 2]
+        markers = [resolve_marker(skeleton, pair.robot) for pair in pairs]
         self.plan = skeleton._plan
-        self.joint = np.array([marker[0] for _, marker, _, _ in terms], dtype=int)
-        self.offset = np.array([marker[1] for _, marker, _, _ in terms]).reshape(-1, 3, 1)
-        self.point = np.array([point for _, _, point, _ in terms]).reshape(-1, 3)
-        self.position_scale = np.sqrt([pair.position_weight for pair, *_ in terms])[:, None]
+        self.joint = np.array([joint for joint, _ in markers], dtype=int)
+        self.offset = np.array([offset for _, offset in markers]).reshape(-1, 3, 1)
+        self.position_scale = np.sqrt([pair.position_weight for pair in pairs])[:, None]
         self.framed = np.array(framed, dtype=int)
-        self.frame_scale = np.sqrt([terms[t][0].orientation_weight for t in framed])[:, None]
-        self.frames = np.array([terms[t][3] for t in framed]).reshape(-1, 3, 3)
+        self.frame_scale = np.sqrt([pairs[t].orientation_weight for t in framed])[:, None]
         self.rows = np.array(rows, dtype=int)
         self.mask = self.plan.moves[self.joint]
         self.position_mask = self.mask * self.position_scale
+        self.point = self.frames = None
 
     def errors(self, res):
         """(term, 3) world marker points, and the (framed, 3) rotation-vector errors."""
@@ -391,86 +396,110 @@ class _Terms:
         return np.concatenate([position.reshape(-1, n), frame.reshape(-1, n)])[self.rows]
 
 
-def _solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to=None):
-    """Minimize the retarget objective over joint values with the root held fixed.
+class _Objective:
+    """The retarget objective of one skeleton, pair list and options, built once per call.
 
-    A term is (CorrespondencePair, robot marker from resolve_marker, world
-    target point, world target frame or None); the pair gives the weights.
     Rows, in order: each term's weighted position and orientation errors,
     the limit barrier, smoothness toward `smooth_to`, and the zero-posture
-    reference. The answer is projected into the joint limits; returns
-    (Pose, RetargetReport).
+    reference. The layout, the barrier and the regularizers' Jacobian rows
+    do not depend on the frame; `solve` takes what does.
     """
-    if skeleton.total_dof == 0:
-        raise ValidationError(f"skeleton '{skeleton.name}' has no degrees of freedom to solve")
-    w_ref = np.sqrt(opts.reference_weight) if opts.reference_weight > 0 else 0.0
-    w_smooth = (
-        np.sqrt(opts.smoothness_weight)
-        if (opts.smoothness_weight > 0 and smooth_to is not None)
-        else 0.0
-    )
-    layout = _Terms(skeleton, terms)
-    barrier = (
-        _LimitBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
-    )
-    # the regularizers' Jacobian rows do not depend on the pose
-    fixed_rows = [w * np.eye(skeleton.total_dof) for w in (w_smooth, w_ref) if w]
-    evals = {"residual": 0, "jacobian": 0}
-    last = {}  # one slot: joint-value bytes -> (FkResult, markers, orientation errors)
 
-    def evaluate(values):
-        key = values.tobytes()
-        if key not in last:
-            last.clear()
-            res = fk(skeleton, Pose(root_position, root_orientation, values))
-            last[key] = (res, *layout.errors(res))
-        return last[key]
+    def __init__(self, skeleton, pairs, opts):
+        if skeleton.total_dof == 0:
+            raise ValidationError(f"skeleton '{skeleton.name}' has no degrees of freedom to solve")
+        self.skeleton, self.opts, self.layout = skeleton, opts, _Terms(skeleton, pairs)
+        self.names = [pair.robot for pair in pairs]
+        self.barrier = (
+            _LimitBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
+        )
+        self.w_smooth, self.w_ref = (
+            np.sqrt(w) if w > 0 else 0.0 for w in (opts.smoothness_weight, opts.reference_weight)
+        )
+        eye, weights = np.eye(skeleton.total_dof), (self.w_smooth, self.w_ref)
+        self.smooth_rows, self.ref_rows = ([w * eye] if w else [] for w in weights)
 
-    def residual(values):
-        evals["residual"] += 1
-        parts = [layout.residual(*evaluate(values)[1:])]
-        if barrier:
-            parts.append(barrier.residual(values))
-        if w_smooth:
-            parts.append(w_smooth * (values - smooth_to))
-        if w_ref:
-            parts.append(w_ref * values)
-        return np.concatenate(parts)
+    def solve(self, root_position, root_rotation, points, frames, x0, smooth_to=None):
+        """Minimize over joint values with the root held fixed; returns (values, RetargetReport).
 
-    def jacobian(values):
-        evals["jacobian"] += 1
-        parts = [layout.jacobian(*evaluate(values), values)]
-        if barrier:
-            parts.append(barrier.jacobian(values))
-        return np.concatenate(parts + fixed_rows)
+        `points` (term, 3) and `frames` (framed, 3, 3) are this frame's world
+        targets. The values are projected into the joint limits.
+        """
+        if not np.all(np.isfinite(root_position)):
+            raise ValidationError("pose contains non-finite entries")
+        skeleton, layout, barrier, w_ref = self.skeleton, self.layout, self.barrier, self.w_ref
+        layout.point, layout.frames = points, frames
+        w_smooth = self.w_smooth if smooth_to is not None else 0.0
+        fixed_rows = (self.smooth_rows if w_smooth else []) + self.ref_rows
+        root = root_position[None], root_rotation[None]
+        evals = {"residual": 0, "jacobian": 0}
+        last = {}  # one slot: joint-value bytes -> (FkResult, markers, orientation errors)
 
-    solved, trace, iterations, termination, damping = _gauss_newton(residual, jacobian, x0, opts)
-    x = _project_to_limits(skeleton, solved)
-    pose = Pose(root_position, root_orientation, x)
+        def evaluate(values):
+            key = values.tobytes()
+            if key not in last:
+                last.clear()
+                res = _fk_arrays(skeleton, *root, values[None])
+                res = FkResult(res.positions[0], res.rotations[0])
+                last[key] = (res, *layout.errors(res))
+            return last[key]
 
-    _, markers, orientation = evaluate(x)
-    pos_residuals = {
-        pair.robot: float(np.linalg.norm(e))
-        for (pair, *_), e in zip(terms, markers - layout.point)
-    }
-    rot_residuals = {
-        terms[t][0].robot: float(np.linalg.norm(e)) for t, e in zip(layout.framed, orientation)
-    }
-    r = residual(x)
-    report = RetargetReport(
-        objective=float(r @ r),
-        iterations=iterations,
-        termination=termination,
-        residual_evals=evals["residual"],
-        jacobian_evals=evals["jacobian"],
-        position_residuals=pos_residuals,
-        orientation_residuals=rot_residuals,
-        limit_violation_count=len(check_limits(skeleton, pose)),
-        objective_trace=trace,
-        damping=damping,
-        projection_displacement=float(np.linalg.norm(x - solved)),
-    )
-    return pose, report
+        def residual(values):
+            evals["residual"] += 1
+            parts = [layout.residual(*evaluate(values)[1:])]
+            if barrier:
+                parts.append(barrier.residual(values))
+            if w_smooth:
+                parts.append(w_smooth * (values - smooth_to))
+            if w_ref:
+                parts.append(w_ref * values)
+            return np.concatenate(parts)
+
+        def jacobian(values):
+            evals["jacobian"] += 1
+            parts = [layout.jacobian(*evaluate(values), values)]
+            if barrier:
+                parts.append(barrier.jacobian(values))
+            return np.concatenate(parts + fixed_rows)
+
+        solved, trace, iterations, termination, damping = _gauss_newton(
+            residual, jacobian, x0, self.opts
+        )
+        x = _project_to_limits(skeleton, solved)
+        _, markers, orientation = evaluate(x)
+        r = residual(x)
+        plan = skeleton._plan
+        limited = plan.limited_values(x)
+        return x, RetargetReport(
+            objective=float(r @ r),
+            iterations=iterations,
+            termination=termination,
+            residual_evals=evals["residual"],
+            jacobian_evals=evals["jacobian"],
+            position_residuals=dict(zip(self.names, _norm(markers - points).tolist())),
+            orientation_residuals=dict(
+                zip([self.names[t] for t in layout.framed], _norm(orientation).tolist())
+            ),
+            limit_violation_count=int(np.count_nonzero((limited > plan.hi) | (limited < plan.lo))),
+            objective_trace=trace,
+            damping=damping,
+            projection_displacement=float(np.linalg.norm(x - solved)),
+        )
+
+
+def _targets(human_skeleton, human, corr):
+    """What the human frames give the solve, as arrays over T frames.
+
+    One forward-kinematics pass over a JointTrajectory or a sequence of
+    Poses gives the (T, 3) scaled root positions, the (T, 3, 3) root
+    rotations, the (T, pair, 3) scaled marker points and the (T, framed
+    pair, 3, 3) marker frames of the pairs with orientation weight.
+    """
+    res = fk(human_skeleton, human)
+    markers = [resolve_marker(human_skeleton, pair.human) for pair in corr.pairs]
+    points = corr.scale * np.stack([res.point(j, offset) for j, offset in markers], axis=1)
+    framed = [j for (j, _), p in zip(markers, corr.pairs) if p.orientation_weight > 0]
+    return corr.scale * res.positions[:, 0], res.rotations[:, 0], points, res.rotations[:, framed]
 
 
 def retarget_frame(
@@ -490,27 +519,12 @@ def retarget_frame(
     to 1e-8 + 1e-5 * |angle| past a limit (see `_project_to_limits`) and
     count in the report's `limit_violation_count`.
     """
-    res = fk(human_skeleton, human_pose)
-    terms = []
-    for pair in corr.pairs:
-        j, offset = resolve_marker(human_skeleton, pair.human)
-        point = corr.scale * res.point(j, offset)
-        frame = res.rotations[j] if pair.orientation_weight > 0 else None
-        terms.append((pair, resolve_marker(robot_skeleton, pair.robot), point, frame))
-    x0 = (
-        warm_start.joint_values
-        if warm_start is not None
-        else np.zeros(robot_skeleton.total_dof)
+    root_positions, root_rotations, points, frames = _targets(human_skeleton, [human_pose], corr)
+    x0 = np.zeros(robot_skeleton.total_dof) if warm_start is None else warm_start.joint_values
+    x, report = _Objective(robot_skeleton, corr.pairs, opts).solve(
+        root_positions[0], root_rotations[0], points[0], frames[0], x0, smooth_to
     )
-    return _solve(
-        robot_skeleton,
-        corr.scale * res.positions[0],
-        Rotation(res.rotations[0]),
-        terms,
-        x0,
-        opts,
-        smooth_to,
-    )
+    return Pose(root_positions[0], Rotation(root_rotations[0]), x), report
 
 
 def retarget_sequence(
@@ -521,31 +535,31 @@ def retarget_sequence(
     opts=RetargetOptions(),
     fps=30.0,
 ):
-    """Retarget a pose sequence; frame t warm-starts from frame t-1.
+    """Retarget a JointTrajectory or a sequence of Poses; frame t warm-starts from frame t-1.
 
-    A frame whose solve fails numerically is replaced by the previous
-    solution and flagged `carried_forward` in its report.
+    The set-up is done once per call: one forward-kinematics pass over all
+    human frames and one objective for all solves. A frame whose solve
+    fails numerically is replaced by the previous solution, root included,
+    and flagged `carried_forward` in its report.
     """
-    if not human_poses:
+    if not len(human_poses):
         raise ValidationError("empty human pose sequence")
-    poses = []
+    root_positions, root_rotations, points, frames = _targets(human_skeleton, human_poses, corr)
+    objective = _Objective(robot_skeleton, corr.pairs, opts)
+    values = np.empty((len(points), robot_skeleton.total_dof))
+    source = np.arange(len(points))  # the frame whose root each output frame keeps
     reports = []
     prev = None
-    for human_pose in human_poses:
+    for t in range(len(points)):
+        x0 = prev if opts.warm_start and prev is not None else np.zeros(robot_skeleton.total_dof)
         try:
-            pose, report = retarget_frame(
-                human_skeleton,
-                human_pose,
-                robot_skeleton,
-                corr,
-                opts,
-                warm_start=prev if opts.warm_start else None,
-                smooth_to=None if prev is None else prev.joint_values,
+            values[t], report = objective.solve(
+                root_positions[t], root_rotations[t], points[t], frames[t], x0, prev
             )
         except NonFiniteObjective:
             if prev is None:
                 raise
-            pose = prev
+            values[t], source[t] = prev, source[t - 1]
             report = RetargetReport(
                 objective=float("nan"),
                 iterations=0,
@@ -559,10 +573,12 @@ def retarget_sequence(
                 damping=float("nan"),
                 projection_displacement=float("nan"),
             )
-        poses.append(pose)
         reports.append(report)
-        prev = pose
-    return JointTrajectory(fps=fps, poses=poses, skeleton=robot_skeleton.name), reports
+        prev = values[t]
+    trajectory = JointTrajectory.from_arrays(
+        fps, root_positions[source], root_rotations[source], values, skeleton=robot_skeleton.name
+    )
+    return trajectory, reports
 
 
 def retarget_hand(
@@ -590,20 +606,15 @@ def retarget_hand(
         raise ValidationError(
             f"{len(targets)} fingertip targets for {len(fingertip_pairs)} pairs"
         )
-    root_position = (
-        np.zeros(3) if wrist_position is None else np.asarray(wrist_position, float)
-    )
+    root_position = np.zeros(3) if wrist_position is None else np.asarray(wrist_position, float)
+    root_position = root_position.reshape(3)
     root_orientation = wrist_orientation or Rotation.identity()
-    terms = [
-        (p, resolve_marker(hand_skeleton, p.robot), target, None)
-        for p, target in zip(fingertip_pairs, targets)
-    ]
-    pose, _ = _solve(
-        hand_skeleton,
+    objective = _Objective(hand_skeleton, fingertip_pairs, replace(opts, reference_weight=0.0))
+    x, _ = objective.solve(
         root_position,
-        root_orientation,
-        terms,
+        root_orientation.matrix,
+        np.array(targets),
+        np.zeros((0, 3, 3)),
         np.zeros(hand_skeleton.total_dof),
-        replace(opts, reference_weight=0.0),
     )
-    return pose
+    return Pose(root_position, root_orientation, x)

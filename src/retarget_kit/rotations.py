@@ -14,7 +14,8 @@ view is its one-item case. Conversion, body, and its views and callers:
     rotation vec -> matrix   _exp_stack         from_rotvec, fk, joint limits
     axis, angle -> matrix    _rodrigues_stack   from_axis_angle, fk, bone alignment
     matrix -> XYZ Euler      skeleton._intrinsic_xyz_euler: joint limits
-    6D <-> matrix            from_rot6d, as_rot6d
+    matrix -> 6D             _rot6d_stack       as_rot6d, features
+    6D -> matrix             from_rot6d
     matrix -> rotation vec   _log_floats: the solver's orientation errors, one matrix at
                              a time on Python floats, ten times cheaper at n <= 4
 """
@@ -123,6 +124,11 @@ def _rotvec_stack(m):
     qt, st = q[turned], s[turned]
     out[turned] = qt[:, 1:] / st[:, None] * (2.0 * np.arctan2(st, qt[:, 0]))[:, None]
     return out
+
+
+def _rot6d_stack(m):
+    """The 6D form, first column then second, of each matrix of an (..., 3, 3) stack."""
+    return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
 
 
 def _exp_stack(v):
@@ -292,8 +298,7 @@ class Rotation:
         return _rotvec_stack(self.matrix[None])[0]
 
     def as_rot6d(self):
-        m = self.matrix
-        return np.concatenate([m[:, 0], m[:, 1]])
+        return _rot6d_stack(self.matrix[None])[0]
 
     # -- algebra --------------------------------------------------------
 

@@ -336,7 +336,21 @@ def fk(skeleton, pose):
     (T, J, 3) and (T, J, 3, 3), frame by frame the floats of one call per
     pose. Child transform = parent o translate(rest offset) o joint
     rotation; the root transform is (root_position, root_orientation)
-    composed with the root joint's own rotation if it has DoF.
+    composed with the root joint's own rotation if it has DoF. The frames
+    go to `_fk_arrays` as arrays.
+    """
+    if isinstance(pose, Pose):
+        root, rot, values = pose.root_position, pose.root_orientation.matrix, pose.joint_values
+        res = _fk_arrays(skeleton, root[None], rot[None], values[None])
+        return FkResult(res.positions[0], res.rotations[0])
+    if isinstance(pose, JointTrajectory):
+        return _fk_arrays(skeleton, pose.root_positions, pose.root_rotations, pose.joint_values)
+    return _fk_arrays(skeleton, *_stack_poses(pose, skeleton.total_dof, "skeleton needs"))
+
+
+def _fk_arrays(skeleton, root_pos, root_rot, values):
+    """`fk` of T frames given as (T, 3) root positions, (T, 3, 3) root rotations and
+    (T, DoF) joint values, read as they are; returns the (T, J, ...) FkResult.
 
     All frames are evaluated at once in level order, from an index plan that
     `Skeleton.__init__` builds once: one broadcast Rodrigues for all revolute
@@ -345,14 +359,6 @@ def fk(skeleton, pose):
     once per call. Every entry goes through the float operations of a
     joint-by-joint walk of the tree, so the results are bit for bit its own.
     """
-    single = isinstance(pose, Pose)
-    if single:
-        root_pos, root_rot = pose.root_position[None], pose.root_orientation.matrix[None]
-        values = pose.joint_values[None]
-    elif isinstance(pose, JointTrajectory):
-        root_pos, root_rot, values = pose.root_positions, pose.root_rotations, pose.joint_values
-    else:
-        root_pos, root_rot, values = _stack_poses(pose, skeleton.total_dof, "skeleton needs")
     if values.shape[1] != skeleton.total_dof:
         raise PoseMismatch(
             f"pose has {values.shape[1]} values, skeleton needs {skeleton.total_dof}"
@@ -376,8 +382,6 @@ def fk(skeleton, pose):
         np.matmul(parent_rot, local[sl], out=rot[sl])
     if not plan.in_level_order:
         pos, rot = pos[plan.rank], rot[plan.rank]
-    if single:
-        return FkResult(pos[:, 0], rot[:, 0])
     return FkResult(pos.swapaxes(0, 1), rot.swapaxes(0, 1))
 
 

@@ -1,10 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from retarget_kit import Rotation, rodrigues_align
-from retarget_kit.errors import DegenerateBone, RankDeficient
-from retarget_kit.skeleton import Joint, Marker, Pose, Skeleton
+from retarget_kit.errors import DegenerateBone, NonFiniteObjective, RankDeficient, ValidationError
+from retarget_kit.retarget import (
+    RetargetReport,
+    _gauss_newton,
+    _LimitBarrier,
+    _project_to_limits,
+    _Terms,
+)
+from retarget_kit.skeleton import (
+    Joint,
+    JointTrajectory,
+    Marker,
+    Pose,
+    Skeleton,
+    check_limits,
+    fk,
+    resolve_marker,
+)
 
 # The same bounded examples on every run, locally and in CI: a property test
 # either passes or fails, it does not come and go with the draw.
@@ -273,3 +291,145 @@ def scalar_procrustes(t, p, rank_tol=1e-9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# The retarget path as it ran before its set-up moved out of the frame loop:
+# per frame one human `fk`, the markers resolved again, a new term layout,
+# limit barrier and regularizer rows, and a validated Pose per evaluation.
+# The per-clip path must reproduce it bit for bit.
+
+
+def per_frame_solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to=None):
+    """The objective built for one frame from (pair, target point, target frame or None) terms."""
+    if skeleton.total_dof == 0:
+        raise ValidationError(f"skeleton '{skeleton.name}' has no degrees of freedom to solve")
+    w_ref = np.sqrt(opts.reference_weight) if opts.reference_weight > 0 else 0.0
+    w_smooth = (
+        np.sqrt(opts.smoothness_weight)
+        if (opts.smoothness_weight > 0 and smooth_to is not None)
+        else 0.0
+    )
+    layout = _Terms(skeleton, [pair for pair, _, _ in terms])
+    layout.point = np.array([point for _, point, _ in terms]).reshape(-1, 3)
+    layout.frames = np.array([frame for *_, frame in terms if frame is not None]).reshape(-1, 3, 3)
+    barrier = (
+        _LimitBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
+    )
+    fixed_rows = [w * np.eye(skeleton.total_dof) for w in (w_smooth, w_ref) if w]
+    evals = {"residual": 0, "jacobian": 0}
+    last = {}
+
+    def evaluate(values):
+        key = values.tobytes()
+        if key not in last:
+            last.clear()
+            res = fk(skeleton, Pose(root_position, root_orientation, values))
+            last[key] = (res, *layout.errors(res))
+        return last[key]
+
+    def residual(values):
+        evals["residual"] += 1
+        parts = [layout.residual(*evaluate(values)[1:])]
+        if barrier:
+            parts.append(barrier.residual(values))
+        if w_smooth:
+            parts.append(w_smooth * (values - smooth_to))
+        if w_ref:
+            parts.append(w_ref * values)
+        return np.concatenate(parts)
+
+    def jacobian(values):
+        evals["jacobian"] += 1
+        parts = [layout.jacobian(*evaluate(values), values)]
+        if barrier:
+            parts.append(barrier.jacobian(values))
+        return np.concatenate(parts + fixed_rows)
+
+    solved, trace, iterations, termination, damping = _gauss_newton(residual, jacobian, x0, opts)
+    x = _project_to_limits(skeleton, solved)
+    pose = Pose(root_position, root_orientation, x)
+    _, markers, orientation = evaluate(x)
+    pos_residuals = {
+        pair.robot: float(np.linalg.norm(e))
+        for (pair, *_), e in zip(terms, markers - layout.point)
+    }
+    rot_residuals = {
+        terms[t][0].robot: float(np.linalg.norm(e)) for t, e in zip(layout.framed, orientation)
+    }
+    r = residual(x)
+    report = RetargetReport(
+        objective=float(r @ r),
+        iterations=iterations,
+        termination=termination,
+        residual_evals=evals["residual"],
+        jacobian_evals=evals["jacobian"],
+        position_residuals=pos_residuals,
+        orientation_residuals=rot_residuals,
+        limit_violation_count=len(check_limits(skeleton, pose)),
+        objective_trace=trace,
+        damping=damping,
+        projection_displacement=float(np.linalg.norm(x - solved)),
+    )
+    return pose, report
+
+
+def per_frame_retarget_frame(
+    human_skeleton, human_pose, robot_skeleton, corr, opts, warm_start=None, smooth_to=None
+):
+    res = fk(human_skeleton, human_pose)
+    terms = []
+    for pair in corr.pairs:
+        j, offset = resolve_marker(human_skeleton, pair.human)
+        point = corr.scale * res.point(j, offset)
+        frame = res.rotations[j] if pair.orientation_weight > 0 else None
+        terms.append((pair, point, frame))
+    x0 = warm_start.joint_values if warm_start is not None else np.zeros(robot_skeleton.total_dof)
+    root = corr.scale * res.positions[0], Rotation(res.rotations[0])
+    return per_frame_solve(robot_skeleton, *root, terms, x0, opts, smooth_to)
+
+
+def per_frame_retarget_sequence(human_skeleton, human_poses, robot_skeleton, corr, opts, fps=30.0):
+    poses, reports, prev = [], [], None
+    for human_pose in human_poses:
+        try:
+            pose, report = per_frame_retarget_frame(
+                human_skeleton,
+                human_pose,
+                robot_skeleton,
+                corr,
+                opts,
+                warm_start=prev if opts.warm_start else None,
+                smooth_to=None if prev is None else prev.joint_values,
+            )
+        except NonFiniteObjective:
+            if prev is None:
+                raise
+            pose = prev
+            report = RetargetReport(
+                objective=float("nan"),
+                iterations=0,
+                termination="carried_forward",
+                residual_evals=1,
+                jacobian_evals=0,
+                position_residuals={},
+                orientation_residuals={},
+                limit_violation_count=0,
+                objective_trace=[],
+                damping=float("nan"),
+                projection_displacement=float("nan"),
+            )
+        poses.append(pose)
+        reports.append(report)
+        prev = pose
+    return JointTrajectory(fps=fps, poses=poses, skeleton=robot_skeleton.name), reports
+
+
+def per_frame_retarget_hand(fingertip_targets, hand_skeleton, fingertip_pairs, opts, wrist=None):
+    root_position, root_orientation = wrist or (np.zeros(3), Rotation.identity())
+    terms = [
+        (pair, np.asarray(target, dtype=float).reshape(3), None)
+        for pair, target in zip(fingertip_pairs, fingertip_targets)
+    ]
+    x0 = np.zeros(hand_skeleton.total_dof)
+    opts = replace(opts, reference_weight=0.0)
+    return per_frame_solve(hand_skeleton, root_position, root_orientation, terms, x0, opts)[0]

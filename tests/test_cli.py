@@ -15,6 +15,8 @@ from retarget_kit import (
     JointTrajectory,
     Pose,
     Rotation,
+    load_example_correspondence,
+    load_example_skeleton,
     save_codebook,
     save_correspondence,
     save_feature_matrix,
@@ -152,6 +154,36 @@ class TestRetarget:
         assert run(argv("reported", "--report", workdir / "reported.json")) == 0
         plain = (workdir / "plain.motion").read_bytes()
         assert plain == (workdir / "reported.motion").read_bytes()
+
+    @pytest.mark.parametrize(
+        "robot_name, map_name, extra",
+        [("h1_like_19", "human_to_h1", []), ("g1_like_21", "human_to_g1", ["--no-warm-start"])],
+    )
+    def test_report_leaves_bundled_robot_motion_unchanged(
+        self, tmp_path, rng, robot_name, map_name, extra
+    ):
+        human = load_example_skeleton("human_24")
+        robot = load_example_skeleton(robot_name)
+        poses = [twist_free_pose(human, rng, max_angle=0.5) for _ in range(4)]
+        clip = JointTrajectory(30.0, poses, human.name)
+        save_motion(trajectory_motion(clip), tmp_path / "h.motion")
+        save_skeleton(human, tmp_path / "human.skel")
+        save_skeleton(robot, tmp_path / "robot.skel")
+        save_correspondence(
+            load_example_correspondence(map_name, human, robot), tmp_path / "robot.map"
+        )
+
+        def argv(name, *report):
+            return ["retarget", "--human", tmp_path / "h.motion",
+                    "--human-skel", tmp_path / "human.skel",
+                    "--robot-skel", tmp_path / "robot.skel", "--map", tmp_path / "robot.map",
+                    "--out", tmp_path / f"{name}.motion", *extra, *report]
+
+        assert run(argv("plain")) == 0
+        assert run(argv("reported", "--report", tmp_path / "reported.json")) == 0
+        assert json.loads((tmp_path / "reported.json").read_text())["frames"] == 4
+        plain = (tmp_path / "plain.motion").read_bytes()
+        assert plain == (tmp_path / "reported.motion").read_bytes()
 
     def test_rerun_byte_identical(self, workdir):
         def argv(name):
@@ -371,6 +403,15 @@ def zero_dof_robot(workdir, monkeypatch):
             "skeleton 'statue' has no degrees of freedom to solve")
 
 
+def empty_human_motion(workdir, monkeypatch):
+    obj = json.loads((workdir / "traj.motion").read_text())
+    obj["frames"] = []
+    (workdir / "empty.motion").write_text(json.dumps(obj))
+    argv = retarget_argv(workdir)
+    argv[argv.index("--human") + 1] = workdir / "empty.motion"
+    return argv, "empty.motion: /frames: expected a non-empty list of frames, got []"
+
+
 def bad_solver_option(flag, value):
     def bad_input(workdir, monkeypatch):
         name = flag[2:].replace("-", "_")
@@ -471,7 +512,7 @@ class TestExitCodes:
         "bad_input",
         [bad_limit_arity, bad_seed_env, bad_pairs]
         + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")]
-        + [zero_dof_robot]
+        + [zero_dof_robot, empty_human_motion]
         + [zero_quaternion(c) for c in ("fk", "features")]
         + [
             collapsed_keypoints(

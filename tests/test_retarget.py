@@ -236,17 +236,17 @@ def test_one_fk_per_distinct_pose(monkeypatch, rng, robot_name, map_name):
     _, plain = retarget_frame(human, pose, robot, corr, smooth_to=smooth_to)
 
     seen = []
-    real_fk = retarget.fk
+    real_fk = retarget._fk_arrays
 
-    def recorder(skeleton, p):
+    def recorder(skeleton, root_positions, root_rotations, values):
         if skeleton is robot:
-            seen.append(p.joint_values.tobytes())
-        return real_fk(skeleton, p)
+            seen.append(values.tobytes())
+        return real_fk(skeleton, root_positions, root_rotations, values)
 
-    monkeypatch.setattr(retarget, "fk", recorder)
+    monkeypatch.setattr(retarget, "_fk_arrays", recorder)
     _, report = retarget_frame(human, pose, robot, corr, smooth_to=smooth_to)
     assert len(seen) == len(set(seen))
-    assert len(seen) <= report.residual_evals
+    assert 0 < len(seen) <= report.residual_evals
     assert report.iterations == plain.iterations > 1
     assert report.termination == plain.termination
     assert report.objective_trace == plain.objective_trace

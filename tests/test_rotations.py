@@ -12,6 +12,7 @@ from retarget_kit.rotations import (
     _matrix_stack,
     _procrustes_stack,
     _quat_stack,
+    _rot6d_stack,
     _rotvec_stack,
 )
 from retarget_kit.skeleton import _intrinsic_xyz_euler
@@ -326,6 +327,15 @@ class TestStackedViews:
         assert bits(two) == bits(np.stack([got, got[::-1]]))
         for m, e in zip(ms, got):
             assert bits(e) == bits(scalar_intrinsic_xyz_euler(m))
+
+    def test_rot6d_stack_matches_as_rot6d(self, rng):
+        ms = branch_matrices(rng)[:200]
+        got = _rot6d_stack(ms)
+        assert got.shape == (len(ms), 6)
+        assert bits(_rot6d_stack(ms.reshape(-1, 2, 3, 3))) == bits(got.reshape(-1, 2, 6))
+        for m, v in zip(ms, got):
+            assert bits(v) == bits(np.concatenate([m[:, 0], m[:, 1]]))
+            assert bits(Rotation(m).as_rot6d()) == bits(v)
 
     def test_matrix_stack_matches_scalar_from_quat(self, rng):
         quats = [_quat_stack(branch_matrices(rng))]

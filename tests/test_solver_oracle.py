@@ -195,8 +195,16 @@ def frame_terms(robot, pairs, targets):
     return terms
 
 
+def solver_terms(robot, terms):
+    """The solver's layout of the terms' pairs, with the terms' targets set."""
+    layout = _Terms(robot, [pair for pair, *_ in terms])
+    layout.point = np.array([point for *_, point, _ in terms]).reshape(-1, 3)
+    layout.frames = np.array([frame for *_, frame in terms if frame is not None]).reshape(-1, 3, 3)
+    return layout
+
+
 def assert_matches_reference(robot, terms, root, values_list, limit_weight=10.0):
-    layout, reference = _Terms(robot, terms), ReferenceTerms(robot, terms)
+    layout, reference = solver_terms(robot, terms), ReferenceTerms(robot, terms)
     w = np.sqrt(limit_weight)
     barrier = _LimitBarrier(robot, w)
     for values in values_list:
