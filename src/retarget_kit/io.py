@@ -146,16 +146,30 @@ class _Rendered(str):
     """Text that `_dump` writes as it is, laid out for the nesting level it goes to."""
 
 
+def _plain(node):
+    """Whether json.dumps can write the tree as `_dump` would: no np.ndarray, no
+    `_Rendered` text and no non-str object key anywhere in it."""
+    if isinstance(node, dict):
+        return all(isinstance(k, str) and _plain(v) for k, v in node.items())
+    if isinstance(node, (list, tuple)):
+        return all(map(_plain, node))
+    return not isinstance(node, (np.ndarray, _Rendered))
+
+
 def _dump(node, depth):
     """json.dumps(node, indent=1) at nesting level `depth`, byte for byte.
 
-    Numeric np.ndarrays are rendered whole by `_array`; keys, strings,
-    numbers, bools and None go through json.dumps as leaves.
+    Numeric np.ndarrays are rendered whole by `_array`; a dict or list
+    subtree with no array in it goes through one json.dumps, re-indented for
+    its depth, and so do keys, strings, numbers, bools and None as leaves.
     """
     if isinstance(node, _Rendered):
         return node
     if isinstance(node, np.ndarray):
         return _array(node, depth)
+    if isinstance(node, (dict, list, tuple)) and _plain(node):
+        # json.dumps escapes newlines in strings: every "\n" it writes starts a line
+        return json.dumps(node, indent=1).replace("\n", "\n" + " " * depth)
     if isinstance(node, dict):
         if any(not isinstance(k, str) for k in node):
             raise TypeError("object keys must be strings")

@@ -13,11 +13,14 @@ forward-kinematics pass, shared by its residual, its Jacobian and the
 report. The root transform is taken from the scaled human root and is not
 optimized. A call sets up once: one human forward-kinematics pass for all
 frames and one objective; from frame to frame only the targets, the root,
-the start point and the smoothing target change.
+the start point and the smoothing target change. The objective also lays
+out its workspace once, the level-order FK buffers and the Jacobian with
+its fixed regularizer rows, and every evaluation writes into it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
@@ -36,7 +39,6 @@ from .rotations import (
     _rotvec_stack,
 )
 from .skeleton import (
-    FkResult,
     JointTrajectory,
     Pose,
     _fk_arrays,
@@ -188,7 +190,7 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
     f = float(r @ r)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NonFiniteObjective(f"objective at start point is {f}")
     trace = [f]
     mu = None
@@ -201,8 +203,8 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
         jtr = jac.T @ r
         jtj = jac.T @ jac
         if mu is None:
-            mu = max(DAMPING_TAU * float(np.max(np.diag(jtj))), DAMPING_MIN)
-        if np.max(np.abs(2.0 * jtr)) < opts.gradient_tol:
+            mu = max(DAMPING_TAU * float(jtj.diagonal().max()), DAMPING_MIN)
+        if np.abs(2.0 * jtr).max() < opts.gradient_tol:
             termination = "converged"
             break
         nu = 2.0
@@ -216,7 +218,7 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
             x_new = x - step
             r_new = residual_fn(x_new)
             f_new = float(r_new @ r_new)
-            if np.isfinite(f_new) and f_new <= f:
+            if math.isfinite(f_new) and f_new <= f:
                 # predicted decrease ||r||^2 - ||r - J step||^2; > 0 unless the step is 0
                 predicted = float(step @ (mu * step + jtr))
                 rho = (f - f_new) / predicted if predicted > 0.0 else 0.0
@@ -257,7 +259,8 @@ class _LimitBarrier:
     root of the limit weight. Their Jacobian rows are +-w times the
     gradient of v on active rows. Those gradients are built once: a revolute
     value is its own column; only an Euler-limited spherical joint with an
-    active row has its gradient differenced at each call.
+    active row has its gradient differenced at each call. Both are computed
+    from `excess` at the values and written into the caller's rows.
     """
 
     def __init__(self, skeleton, w):
@@ -272,27 +275,30 @@ class _LimitBarrier:
         # A lower row is -w times a gradient, so it reads -0.0 off the columns v does
         # not depend on; the sign of a zero can reach the step and the motion written.
         self.rows = np.stack([w * grad, -w * grad], axis=1)
+        self.sides = np.arange(2)[:, None]
 
-    def _excess(self, values):
+    def excess(self, values):
         """(limited DoF, 2) signed distances past the upper and lower barrier starts."""
         return self.plan.limited_values(values)[:, None] * self.sign + self.shift
 
-    def residual(self, values):
-        rows = self._excess(values)
+    def residual(self, excess, out):
+        """Write the 2 * (limited DoF) rows into `out`."""
         # np.where(d > 0, d, 0) is max(0, d) row by row, NaN included
-        return (self.w * np.where(rows > 0.0, rows, 0.0)).reshape(-1)
+        np.multiply(self.w, np.where(excess > 0.0, excess, 0.0), out=out.reshape(excess.shape))
 
-    def jacobian(self, values):
-        active = self._excess(values) > 0.0
-        out = np.where(active[..., None], self.rows, 0.0)
+    def jacobian(self, values, excess, out):
+        """Write the rows' (2 * limited DoF, n) Jacobian at the values into `out`."""
+        active = excess > 0.0
+        out = out.reshape(self.rows.shape)
+        out.fill(0.0)
+        np.copyto(out, self.rows, where=active[..., None])
         rows, cols = self.plan.euler_rows, self.plan.euler_cols
         hit = active[rows].any(axis=(1, 2)) if len(rows) else ()
         if any(hit):
             rows, cols = rows[hit], cols[hit]
             grad = self.w * _euler_jacobian(values[cols])
             block = np.where(active[rows][..., None], np.stack([grad, -grad], axis=2), 0.0)
-            out[rows[..., None, None], np.arange(2)[:, None], cols[:, None, None]] = block
-        return out.reshape(-1, len(values))
+            out[rows[..., None, None], self.sides, cols[:, None, None]] = block
 
 
 def _project_to_limits(skeleton, values):
@@ -332,9 +338,10 @@ class _Terms:
     `rows` selects from that stack, in residual order, each term's position
     rows if it has position weight and its orientation rows if it is framed.
     `mask` is 1.0 on the columns that move each term's marker joint, from
-    the skeleton plan's `moves`. The world targets change per frame: set
-    `point` to the (term, 3) points and `frames` to the (framed, 3, 3)
-    frames before evaluating.
+    the skeleton plan's `moves`. FK results are read in level order, as
+    `_fk_arrays` leaves them in its buffers, through `plan.rank` indices
+    composed here. The world targets change per frame: `aim` sets the
+    (term, 3) points and the (framed, 3, 3) frames before evaluating.
     """
 
     def __init__(self, skeleton, pairs):
@@ -347,33 +354,52 @@ class _Terms:
                 f = 3 * (n + framed.index(t))
                 rows += [f, f + 1, f + 2]
         markers = [resolve_marker(skeleton, pair.robot) for pair in pairs]
-        self.plan = skeleton._plan
+        plan = self.plan = skeleton._plan
         self.joint = np.array([joint for joint, _ in markers], dtype=int)
         self.offset = np.array([offset for _, offset in markers]).reshape(-1, 3, 1)
         self.position_scale = np.sqrt([pair.position_weight for pair in pairs])[:, None]
         self.framed = np.array(framed, dtype=int)
         self.frame_scale = np.sqrt([pairs[t].orientation_weight for t in framed])[:, None]
         self.rows = np.array(rows, dtype=int)
-        self.mask = self.plan.moves[self.joint]
+        self.mask = plan.moves[self.joint]
         self.position_mask = self.mask * self.position_scale
-        self.point = self.frames = None
+        self.joint_rank, self.col_rank = plan.rank[self.joint], plan.rank[plan.col_joint]
+        self.axes = plan.axes[..., None]
+        self.frame_mask = self.mask[self.framed, None]
+        self.frame_weight = -self.frame_scale[..., None]
+        dof, stacked = len(plan.col_joint), 3 * (n + len(framed))
+        self.rates = np.empty((dof, 3))
+        # The stacks `rows` selects from, with views of their position and orientation blocks.
+        self.stack, self.jacobian_stack = np.empty(stacked), np.empty((stacked, dof))
+        self.position_rows = self.stack[: 3 * n].reshape(3, n).T
+        self.frame_rows = self.stack[3 * n :].reshape(-1, 3)
+        self.position_jacobian = self.jacobian_stack[: 3 * n].reshape(3, n, dof)
+        self.frame_jacobian = self.jacobian_stack[3 * n :].reshape(-1, 3, dof)
+        self.point = self.frames = self.frames_t = None
 
-    def errors(self, res):
-        """(term, 3) world marker points, and the (framed, 3) rotation-vector errors."""
-        rot = res.rotations[self.joint]
-        markers = res.positions[self.joint] + (rot @ self.offset)[..., 0]
+    def aim(self, points, frames):
+        """Set this frame's (term, 3) target points and (framed, 3, 3) target frames."""
+        self.point, self.frames, self.frames_t = points, frames, frames.swapaxes(1, 2)
+
+    def errors(self, pos, rot):
+        """(term, 3) world marker points, and the (framed, 3) rotation-vector errors,
+        from level-order (J, 3) positions and (J, 3, 3) rotations."""
+        rot = rot[self.joint_rank]
+        markers = pos[self.joint_rank] + (rot @ self.offset)[..., 0]
         relative = rot[self.framed].swapaxes(1, 2) @ self.frames
         orientation = np.array([_log_floats(m) for m in relative.tolist()]).reshape(-1, 3)
         return markers, orientation
 
-    def residual(self, markers, orientation):
-        """The weighted term rows, in order, from `errors`."""
-        position = self.position_scale * (markers - self.point)
-        orientation = self.frame_scale * orientation
-        return np.concatenate([position.T.reshape(-1), orientation.reshape(-1)])[self.rows]
+    def residual(self, markers, orientation, out):
+        """Write the weighted term rows, in order, from `errors` into `out`."""
+        np.multiply(self.position_scale, markers - self.point, out=self.position_rows)
+        np.multiply(self.frame_scale, orientation, out=self.frame_rows)
+        # rows are in range; mode="clip" lets take write into out without a buffer
+        self.stack.take(self.rows, out=out, mode="clip")
 
-    def jacobian(self, res, markers, orientation, values):
-        """Rows of the residual's Jacobian, from the FkResult and `errors` at values.
+    def jacobian(self, pos, rot, markers, orientation, values, out):
+        """Write the rows of the residual's Jacobian at values into `out`, from the
+        level-order FK positions and rotations and from `errors` at values.
 
         Joint k's DoF turn joint k and everything below it at world angular
         rates w, one 3-vector per column: R_k axis for a revolute DoF, the
@@ -382,18 +408,18 @@ class _Terms:
         both cross products from one Levi-Civita contraction with the rates,
         and an orientation error e = log(R_j^T R_t) at -J_r^{-1}(e) R_t^T w.
         """
-        plan, n = self.plan, len(values)
-        rates = np.empty((n, 3))
-        rates[plan.revolute_col] = (res.rotations[plan.revolute] @ plan.axes[..., None])[..., 0]
+        plan, rates = self.plan, self.rates
+        rates[plan.revolute_col] = (rot[plan.revolute_rank] @ self.axes)[..., 0]
         if len(plan.spherical):
-            turn = res.rotations[plan.spherical] @ _right_jacobian(values[plan.spherical_cols])
+            turn = rot[plan.spherical_rank] @ _right_jacobian(values[plan.spherical_cols])
             rates[plan.spherical_cols] = turn.swapaxes(1, 2)
         cross = _LEVI_CIVITA @ rates.T  # (a x w_c)_i = sum_j a_j cross[i, j, c]
-        joint_side = (cross * res.positions[plan.col_joint].T).sum(axis=1)
-        position = (joint_side[:, None] - markers @ cross) * self.position_mask
-        scaled = -self.frame_scale[..., None] * _right_jacobian_inv(orientation)
-        frame = (scaled @ self.frames.swapaxes(1, 2)) @ (rates.T * self.mask[self.framed, None])
-        return np.concatenate([position.reshape(-1, n), frame.reshape(-1, n)])[self.rows]
+        joint_side = (cross * pos[self.col_rank].T).sum(axis=1)
+        position = joint_side[:, None] - markers @ cross
+        np.multiply(position, self.position_mask, out=self.position_jacobian)
+        scaled = self.frame_weight * _right_jacobian_inv(orientation)
+        np.matmul(scaled @ self.frames_t, rates.T * self.frame_mask, out=self.frame_jacobian)
+        self.jacobian_stack.take(self.rows, axis=0, out=out, mode="clip")
 
 
 class _Objective:
@@ -402,7 +428,10 @@ class _Objective:
     Rows, in order: each term's weighted position and orientation errors,
     the limit barrier, smoothness toward `smooth_to`, and the zero-posture
     reference. The layout, the barrier and the regularizers' Jacobian rows
-    do not depend on the frame; `solve` takes what does.
+    do not depend on the frame; `solve` takes what does. The objective owns
+    its workspace: the level-order FK buffers, and one Jacobian with and one
+    without the smoothness rows, whose w * I blocks are written here; each
+    evaluation writes the term and barrier rows in place.
     """
 
     def __init__(self, skeleton, pairs, opts):
@@ -410,14 +439,24 @@ class _Objective:
             raise ValidationError(f"skeleton '{skeleton.name}' has no degrees of freedom to solve")
         self.skeleton, self.opts, self.layout = skeleton, opts, _Terms(skeleton, pairs)
         self.names = [pair.robot for pair in pairs]
+        self.framed_names = [self.names[t] for t in self.layout.framed]
         self.barrier = (
             _LimitBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
         )
         self.w_smooth, self.w_ref = (
             np.sqrt(w) if w > 0 else 0.0 for w in (opts.smoothness_weight, opts.reference_weight)
         )
-        eye, weights = np.eye(skeleton.total_dof), (self.w_smooth, self.w_ref)
-        self.smooth_rows, self.ref_rows = ([w * eye] if w else [] for w in weights)
+        plan, n = skeleton._plan, skeleton.total_dof
+        self.fk_buffers = plan.fk_buffers(1)
+        self.terms_end = len(self.layout.rows)
+        self.barrier_end = self.terms_end + (2 * len(plan.lo) if self.barrier else 0)
+        # Keyed by whether the frame has smoothness rows; the w * I rows never change.
+        eye, rows = np.eye(n), np.empty((self.barrier_end, n))
+        reference = [self.w_ref * eye] if self.w_ref else []
+        self.jacobians = {
+            False: np.concatenate([rows, *reference]),
+            True: np.concatenate([rows, self.w_smooth * eye, *reference]),
+        }
 
     def solve(self, root_position, root_rotation, points, frames, x0, smooth_to=None):
         """Minimize over joint values with the root held fixed; returns (values, RetargetReport).
@@ -428,45 +467,54 @@ class _Objective:
         if not np.all(np.isfinite(root_position)):
             raise ValidationError("pose contains non-finite entries")
         skeleton, layout, barrier, w_ref = self.skeleton, self.layout, self.barrier, self.w_ref
-        layout.point, layout.frames = points, frames
+        layout.aim(points, frames)
         w_smooth = self.w_smooth if smooth_to is not None else 0.0
-        fixed_rows = (self.smooth_rows if w_smooth else []) + self.ref_rows
-        root = root_position[None], root_rotation[None]
+        jac = self.jacobians[bool(w_smooth)]
+        terms_end, barrier_end = self.terms_end, self.barrier_end
+        smooth_end = barrier_end + (len(x0) if w_smooth else 0)
+        root, buffers = (root_position[None], root_rotation[None]), self.fk_buffers
         evals = {"residual": 0, "jacobian": 0}
-        last = {}  # one slot: joint-value bytes -> (FkResult, markers, orientation errors)
+        # One slot: joint-value bytes -> (level-order FK positions and rotations, views
+        # of the buffers, markers, orientation errors, barrier excess).
+        last = {}
 
         def evaluate(values):
             key = values.tobytes()
             if key not in last:
                 last.clear()
-                res = _fk_arrays(skeleton, *root, values[None])
-                res = FkResult(res.positions[0], res.rotations[0])
-                last[key] = (res, *layout.errors(res))
+                pos, rot = _fk_arrays(skeleton, *root, values[None], buffers)
+                pos, rot = pos[:, 0], rot[:, 0]
+                excess = barrier.excess(values) if barrier else None
+                last[key] = (pos, rot, *layout.errors(pos, rot), excess)
             return last[key]
 
         def residual(values):
+            # a fresh array: the solver keeps the accepted residual while it tries steps
             evals["residual"] += 1
-            parts = [layout.residual(*evaluate(values)[1:])]
+            _, _, markers, orientation, excess = evaluate(values)
+            r = np.empty(len(jac))
+            layout.residual(markers, orientation, r[:terms_end])
             if barrier:
-                parts.append(barrier.residual(values))
+                barrier.residual(excess, r[terms_end:barrier_end])
             if w_smooth:
-                parts.append(w_smooth * (values - smooth_to))
+                np.multiply(w_smooth, values - smooth_to, out=r[barrier_end:smooth_end])
             if w_ref:
-                parts.append(w_ref * values)
-            return np.concatenate(parts)
+                np.multiply(w_ref, values, out=r[smooth_end:])
+            return r
 
         def jacobian(values):
             evals["jacobian"] += 1
-            parts = [layout.jacobian(*evaluate(values), values)]
+            pos, rot, markers, orientation, excess = evaluate(values)
+            layout.jacobian(pos, rot, markers, orientation, values, jac[:terms_end])
             if barrier:
-                parts.append(barrier.jacobian(values))
-            return np.concatenate(parts + fixed_rows)
+                barrier.jacobian(values, excess, jac[terms_end:barrier_end])
+            return jac
 
         solved, trace, iterations, termination, damping = _gauss_newton(
             residual, jacobian, x0, self.opts
         )
         x = _project_to_limits(skeleton, solved)
-        _, markers, orientation = evaluate(x)
+        _, _, markers, orientation, _ = evaluate(x)
         r = residual(x)
         plan = skeleton._plan
         limited = plan.limited_values(x)
@@ -477,9 +525,7 @@ class _Objective:
             residual_evals=evals["residual"],
             jacobian_evals=evals["jacobian"],
             position_residuals=dict(zip(self.names, _norm(markers - points).tolist())),
-            orientation_residuals=dict(
-                zip([self.names[t] for t in layout.framed], _norm(orientation).tolist())
-            ),
+            orientation_residuals=dict(zip(self.framed_names, _norm(orientation).tolist())),
             limit_violation_count=int(np.count_nonzero((limited > plan.hi) | (limited < plan.lo))),
             objective_trace=trace,
             damping=damping,

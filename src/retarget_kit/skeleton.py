@@ -250,12 +250,15 @@ class _SkeletonPlan:
     lists the joints in level order: the root, then each tree depth in turn,
     children grouped by the order of their parents; `rank` is its inverse,
     and `in_level_order` says whether the joints are listed that way.
-    `levels` holds (slice of the depth, its parents, offsets as column
-    vectors) per depth below the root, in level-order positions; the
-    parents are a slice whenever they are a contiguous run or a single
-    joint, else an index array. K, K @ K and the offsets carry a length-1
-    frame axis after the joint axis, as `fk`'s buffers do; `fixed_rank`,
-    `revolute_rank` and `spherical_rank` place each kind of joint in them.
+    `levels` holds (slice of the depth, its parents) per depth below the
+    root, in level-order positions; the parents are a slice whenever they
+    are a contiguous run or a single joint, else an index array. The joints
+    below the root, level-order positions 1 to J - 1, have their parents'
+    positions in `parent_rank` and their offsets as column vectors in
+    `offsets`. K, K @ K and the offsets carry a length-1 frame axis after
+    the joint axis, as `fk`'s buffers do (`fk_buffers`);
+    `fixed_rank`, `revolute_rank` and `spherical_rank` place each kind of
+    joint in them.
     `col_joint` maps value columns to joints; row j of `moves` is 1.0 on the
     columns that turn joint j. The limited DoFs, in joint order, have a
     joint, DoF index, value column and `lo`/`hi`. The E Euler-limited
@@ -294,9 +297,11 @@ class _SkeletonPlan:
                 par = slice(par[0], par[0] + 1)
             elif np.all(np.diff(par) == 1):
                 par = slice(par[0], par[-1] + 1)
-            levels.append((slice(first, first + len(idx)), par, offsets[idx, None, :, None]))
+            levels.append((slice(first, first + len(idx)), par))
             first += len(idx)
         self.levels = tuple(levels)
+        self.parent_rank = self.rank[[parent_index[i] for i in self.order[1:]]]
+        self.offsets = offsets[self.order[1:], None, :, None]
         self.fixed_rank = self.rank[kind == "fixed"]
         self.revolute_rank = self.rank[self.revolute]
         self.spherical_rank = self.rank[self.spherical]
@@ -318,6 +323,14 @@ class _SkeletonPlan:
         first = np.flatnonzero((limit_kind == "spherical") & (self.limit_dof == 0))
         self.euler_rows = first[:, None] + np.arange(3)
         self.euler_cols = self.limit_col[self.euler_rows]
+
+    def fk_buffers(self, frames):
+        """Level-order (J, frames, ...) `local`, `pos` and `rot` buffers for `_fk_arrays`,
+        the fixed joints' identity already written into `local`."""
+        shape = (len(self.order), frames)
+        local = np.empty(shape + (3, 3))
+        local[self.fixed_rank] = _EYE3
+        return local, np.empty(shape + (3,)), np.empty(shape + (3, 3))
 
     def limited_values(self, values):
         """The values the limits are stated on, one per limited DoF: revolute
@@ -348,16 +361,25 @@ def fk(skeleton, pose):
     return _fk_arrays(skeleton, *_stack_poses(pose, skeleton.total_dof, "skeleton needs"))
 
 
-def _fk_arrays(skeleton, root_pos, root_rot, values):
+def _fk_arrays(skeleton, root_pos, root_rot, values, buffers=None):
     """`fk` of T frames given as (T, 3) root positions, (T, 3, 3) root rotations and
-    (T, DoF) joint values, read as they are; returns the (T, J, ...) FkResult.
+    (T, DoF) joint values, read as they are; returns the (T, J, ...) FkResult,
+    or with `buffers` the level-order (J, T, 3) positions and (J, T, 3, 3)
+    rotations.
 
     All frames are evaluated at once in level order, from an index plan that
     `Skeleton.__init__` builds once: one broadcast Rodrigues for all revolute
-    joints, one for all spherical joints, then each tree depth composed onto
-    its parents, written into its own contiguous slice of buffers allocated
-    once per call. Every entry goes through the float operations of a
-    joint-by-joint walk of the tree, so the results are bit for bit its own.
+    joints, one for all spherical joints, each tree depth's rotations composed
+    onto its parents', one product for every joint's offset, and then each
+    depth's positions; each depth is written into its own contiguous slice
+    of the plan's `fk_buffers`. Without `buffers` they are allocated for the
+    call and the result is put back in joint order. A caller that evaluates
+    many times passes its own `fk_buffers(T)`: the call then allocates no
+    buffer and reorders nothing, and returns the `(pos, rot)` buffers as it
+    filled them, joint-major in level order, joint j at `plan.rank[j]`, valid
+    until the next call with them; an FkResult is always in joint order.
+    Every entry goes through the float operations of a joint-by-joint walk
+    of the tree, so the results are bit for bit its own.
     """
     if values.shape[1] != skeleton.total_dof:
         raise PoseMismatch(
@@ -365,21 +387,21 @@ def _fk_arrays(skeleton, root_pos, root_rot, values):
         )
     # Joint-major (J, T, ...) buffers in level order: each depth is one slice.
     plan = skeleton._plan
-    shape = (len(plan.order), len(values))
-    local = np.empty(shape + (3, 3))
-    local[plan.fixed_rank] = _EYE3
+    local, pos, rot = plan.fk_buffers(len(values)) if buffers is None else buffers
     theta = values.T[plan.revolute_col]
     local[plan.revolute_rank] = _rodrigues_stack(theta, plan.k, plan.kk)
     if len(plan.spherical):
         local[plan.spherical_rank] = _exp_stack(values[:, plan.spherical_cols].swapaxes(0, 1))
-    pos = np.empty(shape + (3,))
-    rot = np.empty(shape + (3, 3))
-    pos[0] = root_pos
     np.matmul(root_rot, local[0], out=rot[0])
-    for sl, par, offset in plan.levels:
-        parent_rot = rot[par]
-        np.add(pos[par], (parent_rot @ offset)[..., 0], out=pos[sl])
-        np.matmul(parent_rot, local[sl], out=rot[sl])
+    for sl, par in plan.levels:
+        np.matmul(rot[par], local[sl], out=rot[sl])
+    # Each joint's offset turned into the world by its parent, all joints in one product.
+    lever = (rot[plan.parent_rank] @ plan.offsets)[..., 0]
+    pos[0] = root_pos
+    for sl, par in plan.levels:
+        np.add(pos[par], lever[sl.start - 1 : sl.stop - 1], out=pos[sl])
+    if buffers is not None:
+        return pos, rot
     if not plan.in_level_order:
         pos, rot = pos[plan.rank], rot[plan.rank]
     return FkResult(pos.swapaxes(0, 1), rot.swapaxes(0, 1))

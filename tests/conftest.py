@@ -7,12 +7,17 @@ from hypothesis import settings
 from retarget_kit import Rotation, rodrigues_align
 from retarget_kit.errors import DegenerateBone, NonFiniteObjective, RankDeficient, ValidationError
 from retarget_kit.retarget import (
+    _LEVI_CIVITA,
+    DAMPING_MAX,
+    DAMPING_MIN,
+    DAMPING_TAU,
+    LIMIT_MARGIN,
+    RELATIVE_DECREASE_TOL,
     RetargetReport,
-    _gauss_newton,
-    _LimitBarrier,
+    _euler_jacobian,
     _project_to_limits,
-    _Terms,
 )
+from retarget_kit.rotations import _log_floats, _right_jacobian, _right_jacobian_inv
 from retarget_kit.skeleton import (
     Joint,
     JointTrajectory,
@@ -288,6 +293,31 @@ def scalar_procrustes(t, p, rank_tol=1e-9):
     return Rotation((u * np.array([1.0, 1.0, d])) @ vt)
 
 
+def two_finger_hand():
+    """Two limited three-joint revolute fingers on a palm, with a marker at each tip."""
+    joints = [Joint("palm", None, [0, 0, 0])]
+    markers = []
+    for finger, y in (("a", 0.02), ("b", -0.02)):
+        parent = "palm"
+        for k, offset in enumerate(([0.03, y, 0], [0.04, 0, 0], [0.03, 0, 0])):
+            name = f"{finger}{k}"
+            joints.append(Joint(name, parent, offset, dof="revolute",
+                                axis=[0, 0, 1] if k else [0, 1, 0], limits=((-1.2, 1.4),)))
+            parent = name
+        markers.append(Marker(f"{finger}_tip", parent, [0.02, 0, 0]))
+    return Skeleton(joints, markers)
+
+
+def barrier_rows(barrier, values):
+    """A `_LimitBarrier`'s (residual, Jacobian) at values, written into NaN-filled arrays."""
+    excess = barrier.excess(values)
+    residual = np.full(excess.size, np.nan)
+    jacobian = np.full((excess.size, len(values)), np.nan)
+    barrier.residual(excess, residual)
+    barrier.jacobian(values, excess, jacobian)
+    return residual, jacobian
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -296,7 +326,146 @@ def rng():
 # The retarget path as it ran before its set-up moved out of the frame loop:
 # per frame one human `fk`, the markers resolved again, a new term layout,
 # limit barrier and regularizer rows, and a validated Pose per evaluation.
-# The per-clip path must reproduce it bit for bit.
+# Its term layout, limit barrier and solver loop are kept below as they were
+# before the solver's workspace: joint-order FK results, every part of the
+# residual and the Jacobian allocated and concatenated per evaluation. The
+# per-clip path must reproduce it bit for bit.
+
+
+def per_frame_gauss_newton(residual_fn, jacobian_fn, x0, opts):
+    """Damped Gauss-Newton with Nielsen's damping update, as `_gauss_newton` was written."""
+    x = np.asarray(x0, dtype=float).copy()
+    r = residual_fn(x)
+    f = float(r @ r)
+    if not np.isfinite(f):
+        raise NonFiniteObjective(f"objective at start point is {f}")
+    trace = [f]
+    mu = None
+    termination = "max_iterations"
+    iterations = 0
+    eye = np.eye(len(x))
+    for _ in range(opts.max_iterations):
+        iterations += 1
+        jac = jacobian_fn(x)
+        jtr = jac.T @ r
+        jtj = jac.T @ jac
+        if mu is None:
+            mu = max(DAMPING_TAU * float(np.max(np.diag(jtj))), DAMPING_MIN)
+        if np.max(np.abs(2.0 * jtr)) < opts.gradient_tol:
+            termination = "converged"
+            break
+        nu = 2.0
+        while mu <= DAMPING_MAX:
+            try:
+                step = np.linalg.solve(jtj + mu * eye, jtr)
+            except np.linalg.LinAlgError:
+                mu *= nu
+                nu *= 2.0
+                continue
+            x_new = x - step
+            r_new = residual_fn(x_new)
+            f_new = float(r_new @ r_new)
+            if np.isfinite(f_new) and f_new <= f:
+                predicted = float(step @ (mu * step + jtr))
+                rho = (f - f_new) / predicted if predicted > 0.0 else 0.0
+                shrink = max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+                mu = max(mu * shrink, DAMPING_MIN)
+                if f - f_new <= RELATIVE_DECREASE_TOL * f:
+                    termination = "small_decrease"
+                x, r, f = x_new, r_new, f_new
+                trace.append(f)
+                break
+            mu *= nu
+            nu *= 2.0
+        else:
+            termination = "stalled"
+        if termination != "max_iterations":
+            break
+    return x, trace, iterations, termination, mu
+
+
+class PerFrameBarrier:
+    """The limit barrier as `_LimitBarrier` was written: fresh rows from the values per call."""
+
+    def __init__(self, skeleton, w):
+        plan = self.plan = skeleton._plan
+        self.w = w
+        margin = np.minimum(LIMIT_MARGIN, 0.25 * (plan.hi - plan.lo))
+        self.sign = np.array([1.0, -1.0])
+        self.shift = np.stack([-(plan.hi - margin), plan.lo + margin], axis=1)
+        grad = np.zeros((len(plan.lo), len(plan.col_joint)))
+        grad[np.arange(len(plan.lo)), plan.limit_col] = 1.0
+        self.rows = np.stack([w * grad, -w * grad], axis=1)
+
+    def _excess(self, values):
+        return self.plan.limited_values(values)[:, None] * self.sign + self.shift
+
+    def residual(self, values):
+        rows = self._excess(values)
+        return (self.w * np.where(rows > 0.0, rows, 0.0)).reshape(-1)
+
+    def jacobian(self, values):
+        active = self._excess(values) > 0.0
+        out = np.where(active[..., None], self.rows, 0.0)
+        rows, cols = self.plan.euler_rows, self.plan.euler_cols
+        hit = active[rows].any(axis=(1, 2)) if len(rows) else ()
+        if any(hit):
+            rows, cols = rows[hit], cols[hit]
+            grad = self.w * _euler_jacobian(values[cols])
+            block = np.where(active[rows][..., None], np.stack([grad, -grad], axis=2), 0.0)
+            out[rows[..., None, None], np.arange(2)[:, None], cols[:, None, None]] = block
+        return out.reshape(-1, len(values))
+
+
+class PerFrameTerms:
+    """The term layout as `_Terms` was written: joint-order FK results, rows concatenated."""
+
+    def __init__(self, skeleton, pairs):
+        n, rows = len(pairs), []
+        framed = [t for t, pair in enumerate(pairs) if pair.orientation_weight > 0]
+        for t, pair in enumerate(pairs):
+            if pair.position_weight > 0:
+                rows += [t, n + t, 2 * n + t]
+            if pair.orientation_weight > 0:
+                f = 3 * (n + framed.index(t))
+                rows += [f, f + 1, f + 2]
+        markers = [resolve_marker(skeleton, pair.robot) for pair in pairs]
+        self.plan = skeleton._plan
+        self.joint = np.array([joint for joint, _ in markers], dtype=int)
+        self.offset = np.array([offset for _, offset in markers]).reshape(-1, 3, 1)
+        self.position_scale = np.sqrt([pair.position_weight for pair in pairs])[:, None]
+        self.framed = np.array(framed, dtype=int)
+        self.frame_scale = np.sqrt([pairs[t].orientation_weight for t in framed])[:, None]
+        self.rows = np.array(rows, dtype=int)
+        self.mask = self.plan.moves[self.joint]
+        self.position_mask = self.mask * self.position_scale
+        self.point = self.frames = None
+
+    def errors(self, res):
+        rot = res.rotations[self.joint]
+        markers = res.positions[self.joint] + (rot @ self.offset)[..., 0]
+        relative = rot[self.framed].swapaxes(1, 2) @ self.frames
+        orientation = np.array([_log_floats(m) for m in relative.tolist()]).reshape(-1, 3)
+        return markers, orientation
+
+    def residual(self, markers, orientation):
+        position = self.position_scale * (markers - self.point)
+        orientation = self.frame_scale * orientation
+        return np.concatenate([position.T.reshape(-1), orientation.reshape(-1)])[self.rows]
+
+    def jacobian(self, res, markers, orientation, values):
+        plan, n = self.plan, len(values)
+        rates = np.empty((n, 3))
+        rates[plan.revolute_col] = (res.rotations[plan.revolute] @ plan.axes[..., None])[..., 0]
+        if len(plan.spherical):
+            turn = res.rotations[plan.spherical] @ _right_jacobian(values[plan.spherical_cols])
+            rates[plan.spherical_cols] = turn.swapaxes(1, 2)
+        cross = _LEVI_CIVITA @ rates.T
+        joint_side = (cross * res.positions[plan.col_joint].T).sum(axis=1)
+        position = (joint_side[:, None] - markers @ cross) * self.position_mask
+        scaled = -self.frame_scale[..., None] * _right_jacobian_inv(orientation)
+        frame = (scaled @ self.frames.swapaxes(1, 2)) @ (rates.T * self.mask[self.framed, None])
+        return np.concatenate([position.reshape(-1, n), frame.reshape(-1, n)])[self.rows]
 
 
 def per_frame_solve(skeleton, root_position, root_orientation, terms, x0, opts, smooth_to=None):
@@ -309,11 +478,11 @@ def per_frame_solve(skeleton, root_position, root_orientation, terms, x0, opts, 
         if (opts.smoothness_weight > 0 and smooth_to is not None)
         else 0.0
     )
-    layout = _Terms(skeleton, [pair for pair, _, _ in terms])
+    layout = PerFrameTerms(skeleton, [pair for pair, _, _ in terms])
     layout.point = np.array([point for _, point, _ in terms]).reshape(-1, 3)
     layout.frames = np.array([frame for *_, frame in terms if frame is not None]).reshape(-1, 3, 3)
     barrier = (
-        _LimitBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
+        PerFrameBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
     )
     fixed_rows = [w * np.eye(skeleton.total_dof) for w in (w_smooth, w_ref) if w]
     evals = {"residual": 0, "jacobian": 0}
@@ -345,7 +514,9 @@ def per_frame_solve(skeleton, root_position, root_orientation, terms, x0, opts, 
             parts.append(barrier.jacobian(values))
         return np.concatenate(parts + fixed_rows)
 
-    solved, trace, iterations, termination, damping = _gauss_newton(residual, jacobian, x0, opts)
+    solved, trace, iterations, termination, damping = per_frame_gauss_newton(
+        residual, jacobian, x0, opts
+    )
     x = _project_to_limits(skeleton, solved)
     pose = Pose(root_position, root_orientation, x)
     _, markers, orientation = evaluate(x)

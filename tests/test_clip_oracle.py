@@ -26,7 +26,6 @@ from retarget_kit import (
 from retarget_kit import retarget
 from retarget_kit.errors import NonFiniteObjective, ValidationError
 from retarget_kit.retarget import RetargetReport
-from retarget_kit.skeleton import Joint, Marker, Skeleton
 
 import conftest
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     per_frame_retarget_sequence,
     random_rotation,
     twist_free_pose,
+    two_finger_hand,
 )
 
 ROBOTS = [("h1_like_19", "human_to_h1"), ("g1_like_21", "human_to_g1")]
@@ -152,20 +152,6 @@ def test_frame_matches_per_frame_solve(rng, robot_name, map_name):
         assert bits(got.root_position) == bits(expected.root_position)
         assert bits(got.root_orientation.matrix) == bits(expected.root_orientation.matrix)
         assert_reports_equal([report], [expected_report])
-
-
-def two_finger_hand():
-    joints = [Joint("palm", None, [0, 0, 0])]
-    markers = []
-    for finger, y in (("a", 0.02), ("b", -0.02)):
-        parent = "palm"
-        for k, offset in enumerate(([0.03, y, 0], [0.04, 0, 0], [0.03, 0, 0])):
-            name = f"{finger}{k}"
-            joints.append(Joint(name, parent, offset, dof="revolute",
-                                axis=[0, 0, 1] if k else [0, 1, 0], limits=((-1.2, 1.4),)))
-            parent = name
-        markers.append(Marker(f"{finger}_tip", parent, [0.02, 0, 0]))
-    return Skeleton(joints, markers)
 
 
 def test_hand_matches_per_frame_solve(rng):

@@ -36,6 +36,8 @@ from retarget_kit import (
     save_tokens,
     trajectory_motion,
 )
+from retarget_kit import asset_path, io
+from retarget_kit.cli import main
 from retarget_kit.errors import ParseError, SchemaVersionError, ValidationError
 from retarget_kit.io import _dump, save_report
 from retarget_kit.skeleton import Joint, Marker, Skeleton
@@ -126,6 +128,36 @@ class TestArrayWriter:
         save_report(report, tmp_path / "r.json")
         expected = {"format": "report", "version": 1, **report}
         assert (tmp_path / "r.json").read_text() == json.dumps(expected, indent=1) + "\n"
+
+    def test_retarget_report_with_carried_forward_frame(self, tmp_path, rng, monkeypatch):
+        # A report has no arrays, so it is written by one json.dumps; its NaN fields too.
+        human = load_example_skeleton("human_24")
+        values = np.array([twist_free_pose(human, rng, 0.4).joint_values for _ in range(4)])
+        values[2, 3] = 1e200  # a non-finite objective at the start of frame 2
+        rotations = np.repeat(random_rotation(rng).matrix[None], 4, axis=0)
+        traj = JointTrajectory.from_arrays(30.0, np.zeros((4, 3)), rotations, values, "human_24")
+        save_motion(trajectory_motion(traj), tmp_path / "human.motion")
+        trees = []
+        real = io.save_report
+
+        def recording(tree, path):
+            trees.append(tree)
+            real(tree, path)
+
+        monkeypatch.setattr(io, "save_report", recording)
+        argv = ["retarget", "--human", tmp_path / "human.motion",
+                "--human-skel", asset_path("human_24"), "--robot-skel", asset_path("h1_like_19"),
+                "--map", asset_path("human_to_h1"), "--out", tmp_path / "robot.motion",
+                "--report", tmp_path / "report.json"]
+        with np.errstate(all="ignore"):
+            assert main([str(a) for a in argv]) == 0
+        (tree,) = trees
+        assert tree["carried_forward"] == 1 and np.isnan(tree["per_frame"][2]["objective"])
+        assert_matches_json(tree)
+        # next to an array, the array-free list is dumped in one pass at depth 1
+        assert_matches_json({"array": np.eye(2), "nested": [tree, {"again": tree}]})
+        expected = json.dumps({"format": "report", "version": 1, **tree}, indent=1) + "\n"
+        assert (tmp_path / "report.json").read_text() == expected
 
     def test_non_finite_array_refused(self, tmp_path):
         frames = np.zeros((2, 1, 3))

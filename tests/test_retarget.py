@@ -23,7 +23,7 @@ from retarget_kit.errors import (
 from retarget_kit.retarget import _LimitBarrier, _gauss_newton, _project_to_limits
 from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, resolve_marker
 
-from conftest import make_humanlike, twist_free_pose
+from conftest import barrier_rows, make_humanlike, twist_free_pose
 
 EXACT_OPTS = RetargetOptions(smoothness_weight=0.0, reference_weight=0.0)
 
@@ -114,7 +114,7 @@ class TestRetargetFrame:
         violations = check_limits(skel, Pose(np.zeros(3), Rotation.identity(), values))
         assert len(violations) == 3
         w = np.sqrt(RetargetOptions().limit_weight)
-        rows = _LimitBarrier(skel, w).residual(values).reshape(-1, 2)
+        rows = barrier_rows(_LimitBarrier(skel, w), values)[0].reshape(-1, 2)
         plan = skel._plan
         dofs = [(skel.joints[j].name, k) for j, k in zip(plan.limit_joint, plan.limit_dof)]
         for v in violations:
@@ -238,10 +238,10 @@ def test_one_fk_per_distinct_pose(monkeypatch, rng, robot_name, map_name):
     seen = []
     real_fk = retarget._fk_arrays
 
-    def recorder(skeleton, root_positions, root_rotations, values):
+    def recorder(skeleton, root_positions, root_rotations, values, buffers=None):
         if skeleton is robot:
             seen.append(values.tobytes())
-        return real_fk(skeleton, root_positions, root_rotations, values)
+        return real_fk(skeleton, root_positions, root_rotations, values, buffers)
 
     monkeypatch.setattr(retarget, "_fk_arrays", recorder)
     _, report = retarget_frame(human, pose, robot, corr, smooth_to=smooth_to)

@@ -16,8 +16,15 @@ from retarget_kit import (
     remap_dofs,
 )
 from retarget_kit.errors import MissingDefault, PoseMismatch, ValidationError
-from retarget_kit.retarget import _project_to_limits
-from retarget_kit.skeleton import LimitViolation, Marker, _intrinsic_xyz_euler, resolve_marker
+from retarget_kit.retarget import CorrespondencePair, RetargetOptions, _Objective, _project_to_limits
+from retarget_kit.skeleton import (
+    LimitViolation,
+    Marker,
+    _fk_arrays,
+    _intrinsic_xyz_euler,
+    _stack_poses,
+    resolve_marker,
+)
 
 from conftest import (
     joint_walk_limited_dofs,
@@ -254,6 +261,30 @@ class TestFk:
             assert np.array_equal(res.rotations[t], one.rotations)
             assert np.array_equal(one.positions, pos)
             assert np.array_equal(one.rotations, rot)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_objective_buffers_equal_fk(self, rng, name):
+        # The solver runs FK into its objective's level-order buffers, evaluation after
+        # evaluation, and reads joint j at plan.rank[j]: those must be fk's bits.
+        skel = load_example_skeleton(name)
+        plan = skel._plan
+        assert plan.in_level_order == (name == "human_24")
+        pairs = [CorrespondencePair(j.name, j.name) for j in skel.joints]
+        buffers = _Objective(skel, pairs, RetargetOptions()).fk_buffers
+        for scale in (0.0, 1e-13, 1e-6, 1.0, 3.0):
+            for _ in range(4):
+                pose = random_pose(skel, rng, scale)
+                root = pose.root_position[None], pose.root_orientation.matrix[None]
+                pos, rot = _fk_arrays(skel, *root, pose.joint_values[None], buffers)
+                assert pos is buffers[1] and rot is buffers[2]
+                expected = fk(skel, pose)
+                assert np.array_equal(bits(pos[plan.rank, 0]), bits(expected.positions))
+                assert np.array_equal(bits(rot[plan.rank, 0]), bits(expected.rotations))
+        poses = [random_pose(skel, rng) for _ in range(3)]
+        pos, rot = _fk_arrays(skel, *_stack_poses(poses, skel.total_dof, ""), plan.fk_buffers(3))
+        expected = fk(skel, poses)
+        assert np.array_equal(bits(pos[plan.rank].swapaxes(0, 1)), bits(expected.positions))
+        assert np.array_equal(bits(rot[plan.rank].swapaxes(0, 1)), bits(expected.rotations))
 
     def test_stacked_marker_points(self, rng):
         skel = load_example_skeleton("human_24")

@@ -33,6 +33,7 @@ from retarget_kit.rotations import _log_floats, _right_jacobian, _right_jacobian
 from retarget_kit.skeleton import Joint, Skeleton, resolve_marker
 
 from conftest import (
+    barrier_rows,
     joint_walk_limited_dofs,
     joint_walk_projection,
     random_rotation,
@@ -198,9 +199,26 @@ def frame_terms(robot, pairs, targets):
 def solver_terms(robot, terms):
     """The solver's layout of the terms' pairs, with the terms' targets set."""
     layout = _Terms(robot, [pair for pair, *_ in terms])
-    layout.point = np.array([point for *_, point, _ in terms]).reshape(-1, 3)
-    layout.frames = np.array([frame for *_, frame in terms if frame is not None]).reshape(-1, 3, 3)
+    layout.aim(
+        np.array([point for *_, point, _ in terms]).reshape(-1, 3),
+        np.array([frame for *_, frame in terms if frame is not None]).reshape(-1, 3, 3),
+    )
     return layout
+
+
+def solver_rows(layout, res, values):
+    """The layout's (errors, residual, Jacobian) at values, from a joint-order FkResult.
+
+    The solver reads FK in level order; the rows are written into NaN-filled arrays.
+    """
+    order = layout.plan.order
+    pos, rot = res.positions[order], res.rotations[order]
+    markers, orientation = layout.errors(pos, rot)
+    residual = np.full(len(layout.rows), np.nan)
+    jacobian = np.full((len(layout.rows), len(values)), np.nan)
+    layout.residual(markers, orientation, residual)
+    layout.jacobian(pos, rot, markers, orientation, values, jacobian)
+    return markers, orientation, residual, jacobian
 
 
 def assert_matches_reference(robot, terms, root, values_list, limit_weight=10.0):
@@ -209,22 +227,15 @@ def assert_matches_reference(robot, terms, root, values_list, limit_weight=10.0)
     barrier = _LimitBarrier(robot, w)
     for values in values_list:
         res = fk(robot, Pose(root[0], root[1], values))
-        markers, orientation = layout.errors(res)
+        markers, orientation, residual, jacobian = solver_rows(layout, res, values)
         position, ref_orientation = reference.errors(res)
         assert np.array_equal(markers - layout.point, position)
         assert_close(orientation, np.array(ref_orientation).reshape(-1, 3))
-        assert_close(
-            layout.residual(markers, orientation), reference.residual(position, ref_orientation)
-        )
-        assert_close(
-            layout.jacobian(res, markers, orientation, values),
-            reference.jacobian(res, ref_orientation, values),
-        )
-        assert np.array_equal(
-            barrier.residual(values), reference_barrier_residual(robot, w, values)
-        )
+        assert_close(residual, reference.residual(position, ref_orientation))
+        assert_close(jacobian, reference.jacobian(res, ref_orientation, values))
+        barrier_residual, new = barrier_rows(barrier, values)
+        assert np.array_equal(barrier_residual, reference_barrier_residual(robot, w, values))
         expected, _, _ = reference_barrier_jacobian(robot, w, values)
-        new = barrier.jacobian(values)
         assert_close(new, expected)
         # the zero signs of inactive columns reach the step, so they must match too
         assert np.array_equal(np.signbit(new[new == 0.0]), np.signbit(expected[new == 0.0]))
@@ -327,7 +338,7 @@ def test_one_active_euler_joint_matches_joint_walks(rng, active):
         assert active_rows.tolist() == [j == active for j in range(3)]
         for got, expected in (
             (plan.limited_values(values), reference_limited_values(robot, values)),
-            (barrier.jacobian(values), reference_barrier_jacobian(robot, w, values)[0]),
+            (barrier_rows(barrier, values)[1], reference_barrier_jacobian(robot, w, values)[0]),
             (_project_to_limits(robot, values), joint_walk_projection(robot, values)),
         ):
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
