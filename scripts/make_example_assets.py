@@ -148,8 +148,6 @@ def body_map(robot_ankle_suffix=""):
         {"human": "r_foot", "robot": "r_foot", "position_weight": 0.5},
     ]
     return {
-        "format": "correspondence",
-        "version": io.FORMAT_VERSION,
         "scale": None,
         "scale_chains": {
             "human": ["l_hip", "l_knee", "l_ankle"],
@@ -164,8 +162,10 @@ def main():
     io.save_skeleton(human_24(), DATA_DIR / "human_24.skel")
     io.save_skeleton(h1_like_19(), DATA_DIR / "h1_like_19.skel")
     io.save_skeleton(g1_like_21(), DATA_DIR / "g1_like_21.skel")
-    io._save(DATA_DIR / "human_to_h1.map", body_map())
-    io._save(DATA_DIR / "human_to_g1.map", body_map())
+    # save_correspondence writes a number for the scale; these maps keep it null
+    # with the chains it is derived from.
+    io._save(DATA_DIR / "human_to_h1.map", "correspondence", body_map())
+    io._save(DATA_DIR / "human_to_g1.map", "correspondence", body_map())
     print(f"wrote assets to {DATA_DIR}")
 
 

@@ -13,6 +13,12 @@ sidecar flat binary of little-endian float64, referenced as
 {"binary": <relative path>, "shape": [rows, cols]} and written atomically
 too. A trajectory is loaded as one array per frame key and saved as one
 rendered column per key.
+
+Every loader reads its document through `_load`, which checks the header,
+and every saver writes it through `_save`, which writes the header. A
+malformed field or record, of any type or value, is a ParseError naming the
+file and its JSON location; the rules on a value live in the type built
+from it, and the loaders only attach the location.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from .skeleton import DofChannel, DofConfig, Joint, JointTrajectory, Marker, Ske
 from .vq import DEFAULT_DECAY, DEFAULT_EPSILON, Codebook, TokenSequence, _check_decay, _check_epsilon
 
 FORMAT_VERSION = 1
+# What a malformed value raises: a missing key, a wrong type, an unparsable or
+# out-of-range number.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 # --- plumbing ----------------------------------------------------------
@@ -44,38 +53,57 @@ def _reject_constant(token):
     raise ValueError(f"non-finite constant {token!r} not allowed")
 
 
-def _read_json(path):
+def _load(path, format):
+    """The JSON object at `path`, checked to be a `format` document of FORMAT_VERSION."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(path, "-", str(e)) from None
-    try:
-        return json.loads(text, parse_constant=_reject_constant)
+        obj = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(path, f"line {e.lineno} col {e.colno}", e.msg) from None
-    except ValueError as e:
+    except (OSError, ValueError, RecursionError) as e:  # unreadable, not UTF-8, too deep
         raise ParseError(path, "-", str(e)) from None
-
-
-def _check_header(obj, path, expected_format):
     if not isinstance(obj, dict):
         raise ParseError(path, "/", "top level must be an object")
-    if obj.get("format") != expected_format:
-        raise ParseError(
-            path, "/format", f"expected {expected_format!r}, got {obj.get('format')!r}"
-        )
-    version = obj.get("version")
-    if version != FORMAT_VERSION:
-        raise SchemaVersionError(
-            f"{path}: unsupported {expected_format} version {version!r}"
-        )
+    if obj.get("format") != format:
+        raise ParseError(path, "/format", f"expected {format!r}, got {obj.get('format')!r}")
+    if obj.get("version") != FORMAT_VERSION:
+        raise SchemaVersionError(f"{path}: unsupported {format} version {obj.get('version')!r}")
+    return obj
+
+
+def _at(path, location, make, *args):
+    """make(*args); a malformed value or a ValidationError raised in it becomes a
+    ParseError at `location`, and a ParseError keeps its own location."""
+    try:
+        return make(*args)
+    except ParseError:
+        raise
+    except ValidationError as e:
+        raise ParseError(path, location, str(e)) from None
+    except _MALFORMED as e:
+        reason = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ParseError(path, location, reason) from None
+
+
+def _records(path, obj, key, make):
+    """make(record, location) for each object in the list at obj[key], none if
+    the key is absent; a failure is a ParseError at /key/i."""
+    nodes = obj.get(key, [])
+    if not isinstance(nodes, list):
+        raise ParseError(path, f"/{key}", f"expected a list of objects, got {nodes!r:.40}")
+    records = []
+    for i, node in enumerate(nodes):
+        location = f"/{key}/{i}"
+        if not isinstance(node, dict):
+            raise ParseError(path, location, f"expected an object, got {node!r:.40}")
+        records.append(_at(path, location, make, node, location))
+    return records
 
 
 def _finite_array(node, path, location, shape=None):
     try:
         arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError, OverflowError) as e:
+    except _MALFORMED as e:
         raise ParseError(path, location, f"not a numeric array: {e}") from None
     if not np.all(np.isfinite(arr)):
         raise ParseError(path, location, "contains NaN or infinity")
@@ -89,14 +117,14 @@ def _matrix(node, path, location, base_dir):
     if isinstance(node, dict):
         try:
             rel, shape = node["binary"], tuple(int(s) for s in node["shape"])
-        except (KeyError, TypeError, ValueError):
+            bin_path = Path(base_dir) / rel
+        except _MALFORMED:
             raise ParseError(path, location, "bad sidecar reference") from None
-        bin_path = Path(base_dir) / rel
         try:
             flat = np.fromfile(bin_path, dtype="<f8")
         except OSError as e:
             raise ParseError(path, location, f"sidecar {rel}: {e}") from None
-        if flat.size != int(np.prod(shape)):
+        if flat.size != math.prod(shape) or min(shape, default=0) < 0:
             raise ParseError(
                 path, location, f"sidecar {rel} holds {flat.size} values, shape {shape}"
             )
@@ -223,9 +251,10 @@ def _atomic_write(path, data):
             os.unlink(tmp)
 
 
-def _save(path, obj):
+def _save(path, format, body):
+    """Write the `format` document of FORMAT_VERSION holding `body`'s keys, atomically."""
     try:
-        text = _dump(obj, 0)
+        text = _dump({"format": format, "version": FORMAT_VERSION, **body}, 0)
     except ValidationError as e:
         raise ValidationError(f"cannot write {path}: {e}") from None
     _atomic_write(path, (text + "\n").encode("ascii"))
@@ -233,56 +262,37 @@ def _save(path, obj):
 
 def save_report(report, path):
     """Write a machine-readable report tree."""
-    _save(path, {"format": "report", "version": FORMAT_VERSION, **report})
+    _save(path, "report", report)
 
 
 # --- skeleton ----------------------------------------------------------
 
 
 def load_skeleton(path):
-    obj = _read_json(path)
-    _check_header(obj, path, "skeleton")
-    joints = []
-    for i, node in enumerate(obj.get("joints", [])):
-        loc = f"/joints/{i}"
-        try:
-            dof = node.get("dof", "fixed")
-            axis = None
-            if isinstance(dof, dict):
-                axis = _finite_array(dof.get("axis"), path, loc + "/axis", (3,))
-                dof = dof.get("type")
-            joints.append(
-                Joint(
-                    name=node["name"],
-                    parent=node.get("parent"),
-                    offset=_finite_array(node["offset"], path, loc + "/offset", (3,)),
-                    dof=dof,
-                    axis=axis,
-                    limits=tuple(tuple(p) for p in node.get("limits", [])),
-                    meta=node.get("meta", {}),
-                )
-            )
-        except (KeyError, TypeError) as e:
-            raise ParseError(path, loc, f"bad joint record: {e}") from None
-        except ValidationError as e:
-            raise ParseError(path, loc, str(e)) from None
-    markers = []
-    for i, node in enumerate(obj.get("markers", [])):
-        loc = f"/markers/{i}"
-        try:
-            markers.append(
-                Marker(
-                    name=node["name"],
-                    joint=node["joint"],
-                    offset=_finite_array(node["offset"], path, loc + "/offset", (3,)),
-                )
-            )
-        except (KeyError, TypeError) as e:
-            raise ParseError(path, loc, f"bad marker record: {e}") from None
-    try:
-        return Skeleton(joints, markers, name=obj.get("name"))
-    except ValidationError as e:
-        raise ParseError(path, "/joints", str(e)) from None
+    obj = _load(path, "skeleton")
+
+    def joint(node, location):
+        dof, axis = node.get("dof", "fixed"), None
+        if isinstance(dof, dict):
+            axis = _finite_array(dof.get("axis"), path, location + "/axis", (3,))
+            dof = dof.get("type")
+        return Joint(
+            name=node["name"],
+            parent=node.get("parent"),
+            offset=_finite_array(node["offset"], path, location + "/offset", (3,)),
+            dof=dof,
+            axis=axis,
+            limits=tuple(tuple(p) for p in node.get("limits", [])),
+            meta=node.get("meta", {}),
+        )
+
+    def marker(node, location):
+        offset = _finite_array(node["offset"], path, location + "/offset", (3,))
+        return Marker(name=node["name"], joint=node["joint"], offset=offset)
+
+    joints = _records(path, obj, "joints", joint)
+    markers = _records(path, obj, "markers", marker)
+    return _at(path, "/joints", Skeleton, joints, markers, obj.get("name"))
 
 
 def save_skeleton(skeleton, path):
@@ -302,16 +312,7 @@ def save_skeleton(skeleton, path):
         {"name": m.name, "joint": m.joint, "offset": _floats(m.offset)}
         for m in skeleton.markers.values()
     ]
-    _save(
-        path,
-        {
-            "format": "skeleton",
-            "version": FORMAT_VERSION,
-            "name": skeleton.name,
-            "joints": joints,
-            "markers": markers,
-        },
-    )
+    _save(path, "skeleton", {"name": skeleton.name, "joints": joints, "markers": markers})
 
 
 # --- motion ------------------------------------------------------------
@@ -348,7 +349,7 @@ def _trajectory_columns(frames, path):
             and all(np.all(np.isfinite(c)) for c in columns)
         ):
             return columns
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except _MALFORMED:
         pass
     dof = None
     for i, node in enumerate(frames):
@@ -357,7 +358,7 @@ def _trajectory_columns(frames, path):
             _finite_array(node["root_position"], path, loc, (3,))
             _finite_array(node["root_orientation"], path, loc, (4,))
             values = _finite_array(node["joint_values"], path, loc)
-        except (KeyError, TypeError) as e:
+        except _MALFORMED as e:
             raise ParseError(path, loc, f"bad trajectory frame: {e}") from None
         if values.ndim != 1:
             reason = f"joint_values must be a flat list, got shape {values.shape}"
@@ -369,8 +370,7 @@ def _trajectory_columns(frames, path):
 
 
 def load_motion(path):
-    obj = _read_json(path)
-    _check_header(obj, path, "motion")
+    obj = _load(path, "motion")
     fps = obj.get("fps")
     # bool is an int subclass, and an int past the float range has no float
     if type(fps) not in (int, float) or not 0 < fps <= sys.float_info.max:
@@ -414,28 +414,26 @@ def load_motion(path):
 
 
 def save_motion(motion, path):
-    obj = {
-        "format": "motion",
-        "version": FORMAT_VERSION,
+    body = {
         "fps": float(motion.fps),
         "skeleton": motion.skeleton,
         "kind": motion.kind,
     }
     if motion.kind == "keypoints":
-        obj["labels"] = list(motion.labels)
-        obj["frames"] = np.asarray(motion.keypoints, dtype=float)
+        body["labels"] = list(motion.labels)
+        body["frames"] = np.asarray(motion.keypoints, dtype=float)
     elif motion.kind == "trajectory":
         # Each column is rendered in one pass, as rows laid out for their frame's object.
         traj = motion.trajectory
         columns = (traj.root_positions, _quat_stack(traj.root_rotations), traj.joint_values)
         keys = ("root_position", "root_orientation", "joint_values")
-        obj["frames"] = [
+        body["frames"] = [
             dict(zip(keys, map(_Rendered, row)))
             for row in zip(*(_array(c, 3, rows=True) for c in columns))
         ]
     else:
         raise ValidationError(f"unknown motion kind {motion.kind!r}")
-    _save(path, obj)
+    _save(path, "motion", body)
 
 
 def trajectory_motion(trajectory):
@@ -462,145 +460,102 @@ def keypoint_motion(frames, labels, fps, skeleton=None):
 
 def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
     """Load a marker map; a null scale is derived from the scale chains."""
-    obj = _read_json(path)
-    _check_header(obj, path, "correspondence")
-    pairs = []
-    for i, node in enumerate(obj.get("pairs", [])):
-        loc = f"/pairs/{i}"
-        try:
-            pairs.append(
-                CorrespondencePair(
-                    human=node["human"],
-                    robot=node["robot"],
-                    position_weight=float(node.get("position_weight", 1.0)),
-                    orientation_weight=float(node.get("orientation_weight", 0.0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(path, loc, f"bad pair record: {e}") from None
+    obj = _load(path, "correspondence")
+
+    def pair(node, location):
+        return CorrespondencePair(
+            human=node["human"],
+            robot=node["robot"],
+            position_weight=float(node.get("position_weight", 1.0)),
+            orientation_weight=float(node.get("orientation_weight", 0.0)),
+        )
+
+    pairs = _records(path, obj, "pairs", pair)
     scale = obj.get("scale")
     if scale is None:
         chains = obj.get("scale_chains")
-        if chains and human_skeleton is not None and robot_skeleton is not None:
-            scale = leg_scale(
-                human_skeleton, robot_skeleton, chains["human"], chains["robot"]
-            )
-        else:
+        if not chains or human_skeleton is None or robot_skeleton is None:
             raise ParseError(
                 path,
                 "/scale",
                 "scale is null and no scale_chains/skeletons available to derive it",
             )
-    try:
-        return CorrespondenceSet(tuple(pairs), float(scale))
-    except ValidationError as e:
-        raise ParseError(path, "/", str(e)) from None
+        chains = _at(path, "/scale_chains", lambda: (chains["human"], chains["robot"]))
+        scale = _at(path, "/scale_chains", leg_scale, human_skeleton, robot_skeleton, *chains)
+    return _at(path, "/", CorrespondenceSet, tuple(pairs), _at(path, "/scale", float, scale))
 
 
 def save_correspondence(corr, path):
-    _save(
-        path,
+    pairs = [
         {
-            "format": "correspondence",
-            "version": FORMAT_VERSION,
-            "scale": float(corr.scale),
-            "pairs": [
-                {
-                    "human": p.human,
-                    "robot": p.robot,
-                    "position_weight": p.position_weight,
-                    "orientation_weight": p.orientation_weight,
-                }
-                for p in corr.pairs
-            ],
-        },
-    )
+            "human": p.human,
+            "robot": p.robot,
+            "position_weight": p.position_weight,
+            "orientation_weight": p.orientation_weight,
+        }
+        for p in corr.pairs
+    ]
+    _save(path, "correspondence", {"scale": float(corr.scale), "pairs": pairs})
 
 
 # --- dof config --------------------------------------------------------
 
 
 def load_dof_config(path):
-    obj = _read_json(path)
-    _check_header(obj, path, "dofconfig")
-    channels = []
-    for i, node in enumerate(obj.get("joints", [])):
-        loc = f"/joints/{i}"
-        try:
-            channels.append(
-                DofChannel(
-                    name=node["name"],
-                    scale=float(node.get("scale", 1.0)),
-                    offset=float(node.get("offset", 0.0)),
-                    default=None if node.get("default") is None else float(node["default"]),
-                    meta=node.get("meta", {}),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(path, loc, f"bad channel record: {e}") from None
-    try:
-        return DofConfig(channels, name=obj.get("name"))
-    except ValidationError as e:
-        raise ParseError(path, "/joints", str(e)) from None
+    obj = _load(path, "dofconfig")
+
+    def channel(node, location):
+        default = node.get("default")
+        return DofChannel(
+            name=node["name"],
+            scale=float(node.get("scale", 1.0)),
+            offset=float(node.get("offset", 0.0)),
+            default=None if default is None else float(default),
+            meta=node.get("meta", {}),
+        )
+
+    channels = _records(path, obj, "joints", channel)
+    return _at(path, "/joints", DofConfig, channels, obj.get("name"))
 
 
 def save_dof_config(config, path):
-    _save(
-        path,
-        {
-            "format": "dofconfig",
-            "version": FORMAT_VERSION,
-            "name": config.name,
-            "joints": [
-                {
-                    "name": c.name,
-                    "scale": c.scale,
-                    "offset": c.offset,
-                    "default": c.default,
-                    "meta": c.meta,
-                }
-                for c in config.channels
-            ],
-        },
-    )
+    channels = [
+        {"name": c.name, "scale": c.scale, "offset": c.offset, "default": c.default, "meta": c.meta}
+        for c in config.channels
+    ]
+    _save(path, "dofconfig", {"name": config.name, "joints": channels})
 
 
 # --- codebook ----------------------------------------------------------
 
 
 def load_codebook(path):
-    obj = _read_json(path)
-    _check_header(obj, path, "codebook")
+    obj = _load(path, "codebook")
     base = Path(path).parent
     entries = _matrix(obj.get("entries"), path, "/entries", base)
     epsilon = obj.get("epsilon", DEFAULT_EPSILON)
     decay = obj.get("decay", DEFAULT_DECAY)
-    for key, check, value in (("epsilon", _check_epsilon, epsilon), ("decay", _check_decay, decay)):
-        try:
-            check(value)
-        except ValidationError as e:
-            raise ParseError(path, f"/{key}", str(e)) from None
-    try:
-        return Codebook(
-            entries=entries,
-            ema_counts=_finite_array(
-                obj.get("ema_counts"), path, "/ema_counts", (entries.shape[0],)
-            ),
-            ema_sums=_matrix(obj.get("ema_sums"), path, "/ema_sums", base),
-            decay=float(decay),
-            epsilon=float(epsilon),
-            usage=_finite_array(obj.get("usage"), path, "/usage", (entries.shape[0],)),
-        )
-    except ValidationError as e:
-        raise ParseError(path, "/", str(e)) from None
+    _at(path, "/epsilon", _check_epsilon, epsilon)
+    _at(path, "/decay", _check_decay, decay)
+    rows = (entries.shape[0],)
+    return _at(
+        path,
+        "/",
+        Codebook,
+        entries,
+        _finite_array(obj.get("ema_counts"), path, "/ema_counts", rows),
+        _matrix(obj.get("ema_sums"), path, "/ema_sums", base),
+        float(decay),
+        float(epsilon),
+        _finite_array(obj.get("usage"), path, "/usage", rows),
+    )
 
 
 def save_codebook(codebook, path, binary_sidecar=False):
     _save(
         path,
+        "codebook",
         {
-            "format": "codebook",
-            "version": FORMAT_VERSION,
             "decay": float(codebook.decay),
             "epsilon": float(codebook.epsilon),
             "entries": _matrix_node(codebook.entries, path, "entries", binary_sidecar),
@@ -612,8 +567,7 @@ def save_codebook(codebook, path, binary_sidecar=False):
 
 
 def load_tokens(path):
-    obj = _read_json(path)
-    _check_header(obj, path, "tokens")
+    obj = _load(path, "tokens")
     indices = obj.get("indices", [])
     # bool is an int subclass, and a fractional index must not be truncated
     if not isinstance(indices, list) or any(type(i) is not int for i in indices):
@@ -621,45 +575,26 @@ def load_tokens(path):
     factor = obj.get("downsample_factor")
     if factor is not None and type(factor) is not int:
         raise ParseError(path, "/downsample_factor", f"expected an integer, got {factor!r}")
-    try:
-        return TokenSequence(np.asarray(indices, dtype=int), factor)
-    except OverflowError as e:
-        raise ParseError(path, "/indices", str(e)) from None
+    return _at(path, "/indices", lambda: TokenSequence(np.asarray(indices, dtype=int), factor))
 
 
 def save_tokens(tokens, path):
-    _save(
-        path,
-        {
-            "format": "tokens",
-            "version": FORMAT_VERSION,
-            "downsample_factor": tokens.downsample_factor,
-            "indices": tokens.indices,
-        },
-    )
+    body = {"downsample_factor": tokens.downsample_factor, "indices": tokens.indices}
+    _save(path, "tokens", body)
 
 
 # --- feature matrices --------------------------------------------------
 
 
 def load_feature_matrix(path):
-    obj = _read_json(path)
-    _check_header(obj, path, "features")
+    obj = _load(path, "features")
     values = _matrix(obj.get("values"), path, "/values", Path(path).parent)
     labels = obj.get("labels")
-    try:
-        return FeatureMatrix(values, None if labels is None else tuple(labels))
-    except ValidationError as e:
-        raise ParseError(path, "/", str(e)) from None
+    labels = None if labels is None else _at(path, "/labels", tuple, labels)
+    return _at(path, "/", FeatureMatrix, values, labels)
 
 
 def save_feature_matrix(features, path, binary_sidecar=False):
-    _save(
-        path,
-        {
-            "format": "features",
-            "version": FORMAT_VERSION,
-            "labels": None if features.labels is None else list(features.labels),
-            "values": _matrix_node(features.values, path, "values", binary_sidecar),
-        },
-    )
+    labels = None if features.labels is None else list(features.labels)
+    values = _matrix_node(features.values, path, "values", binary_sidecar)
+    _save(path, "features", {"labels": labels, "values": values})

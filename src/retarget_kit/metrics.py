@@ -43,11 +43,12 @@ class FeatureMatrix:
             raise ValidationError("feature matrix contains non-finite entries")
         object.__setattr__(self, "values", v)
         if self.labels is not None:
-            if len(self.labels) != v.shape[0]:
-                raise ValidationError(
-                    f"{len(self.labels)} labels for {v.shape[0]} feature rows"
-                )
-            object.__setattr__(self, "labels", tuple(self.labels))
+            labels = tuple(self.labels)
+            if len(labels) != v.shape[0]:
+                raise ValidationError(f"{len(labels)} labels for {v.shape[0]} feature rows")
+            if not all(isinstance(g, (str, Integral)) for g in labels):
+                raise ValidationError("group labels must be strings or integers")
+            object.__setattr__(self, "labels", labels)
 
 
 def _values(x):

@@ -26,7 +26,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import NonFiniteObjective, ValidationError
+from .errors import NonFiniteObjective, UnresolvableCorrespondence, ValidationError
 from .rotations import (
     Rotation,
     _exp_stack,
@@ -41,6 +41,7 @@ from .rotations import (
 from .skeleton import (
     JointTrajectory,
     Pose,
+    _finite,
     _fk_arrays,
     _intrinsic_xyz_euler,
     fk,
@@ -66,6 +67,15 @@ class CorrespondencePair:
     position_weight: float = 1.0
     orientation_weight: float = 0.0
 
+    def __post_init__(self):
+        if not (isinstance(self.human, str) and isinstance(self.robot, str)):
+            raise ValidationError(
+                f"pair names must be strings, got {self.human!r:.40}, {self.robot!r:.40}"
+            )
+        weights = self.position_weight, self.orientation_weight
+        if not all(_finite(w) and w >= 0 for w in weights):
+            raise ValidationError(f"bad weights on pair {self.human}->{self.robot}: {weights}")
+
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
@@ -76,16 +86,8 @@ class CorrespondenceSet:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not np.isfinite(self.scale) or self.scale <= 0:
-            raise ValidationError(f"scale must be finite and positive, got {self.scale}")
-        for p in self.pairs:
-            if not (
-                np.isfinite(p.position_weight)
-                and np.isfinite(p.orientation_weight)
-                and p.position_weight >= 0
-                and p.orientation_weight >= 0
-            ):
-                raise ValidationError(f"bad weights on pair {p.human}->{p.robot}")
+        if not (_finite(self.scale) and self.scale > 0):
+            raise ValidationError(f"scale must be finite and positive, got {self.scale!r}")
         if not any(p.position_weight > 0 for p in self.pairs):
             raise ValidationError("need at least one pair with position weight > 0")
 
@@ -162,6 +164,10 @@ def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
     def chain_length(skel, names):
         total = 0.0
         for name in names[1:]:
+            if name not in skel.index:
+                raise UnresolvableCorrespondence(
+                    f"scale chain joint {name!r:.40} is not in skeleton '{skel.name}'"
+                )
             total += float(np.linalg.norm(skel.joint(name).offset))
         return total
 
@@ -638,13 +644,12 @@ def retarget_hand(
     """Solve hand joint angles so fingertip markers reach the given points.
 
     `fingertip_pairs` are CorrespondencePairs naming the robot markers, one
-    per target point, weighted by `position_weight`. The wrist (hand-skeleton
-    root) transform is held fixed; only fingertip position terms and the
-    joint-limit regularizer enter the objective.
+    per target point, weighted by `position_weight`; they are checked as a
+    CorrespondenceSet's are. The wrist (hand-skeleton root) transform is
+    held fixed; only fingertip position terms and the joint-limit
+    regularizer enter the objective.
     """
-    fingertip_pairs = tuple(fingertip_pairs)
-    if not fingertip_pairs:
-        raise ValidationError("need at least one fingertip pair")
+    fingertip_pairs = CorrespondenceSet(fingertip_pairs).pairs
     if any(p.orientation_weight > 0 for p in fingertip_pairs):
         raise ValidationError("fingertip targets are points: pairs take no orientation weight")
     targets = [np.asarray(t, dtype=float).reshape(3) for t in fingertip_targets]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from types import MappingProxyType
 
 import numpy as np
@@ -13,6 +15,11 @@ from .rotations import Rotation, _exp_stack, _hat_stack, _rodrigues_stack
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
 
 _EYE3 = np.eye(3)
+
+
+def _finite(x):
+    """Whether x is a real number other than NaN and infinity."""
+    return isinstance(x, Real) and -math.inf < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,11 @@ class Joint:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and isinstance(self.parent, (str, type(None)))):
+            raise ValidationError(
+                f"joint and parent names must be strings, got {self.name!r:.40}, "
+                f"{self.parent!r:.40}"
+            )
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(3))
         if self.dof not in DOF_COUNTS:
             raise ValidationError(f"joint '{self.name}': unknown dof kind '{self.dof}'")
@@ -47,7 +59,7 @@ class Joint:
             object.__setattr__(self, "axis", ax / n)
         try:
             lim = tuple((float(lo), float(hi)) for lo, hi in self.limits)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"joint '{self.name}': limits must be [min, max] pairs of numbers"
             ) from None
@@ -74,6 +86,10 @@ class Marker:
     offset: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and isinstance(self.joint, str)):
+            raise ValidationError(
+                f"marker and joint names must be strings, got {self.name!r:.40}, {self.joint!r:.40}"
+            )
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(3))
 
 
@@ -350,36 +366,39 @@ def fk(skeleton, pose):
     pose. Child transform = parent o translate(rest offset) o joint
     rotation; the root transform is (root_position, root_orientation)
     composed with the root joint's own rotation if it has DoF. The frames
-    go to `_fk_arrays` as arrays.
+    go to `_fk_arrays` as arrays, in buffers allocated for the call, and
+    its level-order result is put back in joint order.
     """
     if isinstance(pose, Pose):
         root, rot, values = pose.root_position, pose.root_orientation.matrix, pose.joint_values
-        res = _fk_arrays(skeleton, root[None], rot[None], values[None])
-        return FkResult(res.positions[0], res.rotations[0])
-    if isinstance(pose, JointTrajectory):
-        return _fk_arrays(skeleton, pose.root_positions, pose.root_rotations, pose.joint_values)
-    return _fk_arrays(skeleton, *_stack_poses(pose, skeleton.total_dof, "skeleton needs"))
+        arrays = root[None], rot[None], values[None]
+    elif isinstance(pose, JointTrajectory):
+        arrays = pose.root_positions, pose.root_rotations, pose.joint_values
+    else:
+        arrays = _stack_poses(pose, skeleton.total_dof, "skeleton needs")
+    plan = skeleton._plan
+    pos, rot = _fk_arrays(skeleton, *arrays, plan.fk_buffers(len(arrays[2])))
+    if not plan.in_level_order:
+        pos, rot = pos[plan.rank], rot[plan.rank]
+    pos, rot = pos.swapaxes(0, 1), rot.swapaxes(0, 1)
+    return FkResult(pos[0], rot[0]) if isinstance(pose, Pose) else FkResult(pos, rot)
 
 
-def _fk_arrays(skeleton, root_pos, root_rot, values, buffers=None):
+def _fk_arrays(skeleton, root_pos, root_rot, values, buffers):
     """`fk` of T frames given as (T, 3) root positions, (T, 3, 3) root rotations and
-    (T, DoF) joint values, read as they are; returns the (T, J, ...) FkResult,
-    or with `buffers` the level-order (J, T, 3) positions and (J, T, 3, 3)
-    rotations.
+    (T, DoF) joint values, read as they are, written into `buffers`, the
+    plan's `fk_buffers(T)`; returns their level-order (J, T, 3) positions and
+    (J, T, 3, 3) rotations, joint j at `plan.rank[j]`, valid until the next
+    call with them.
 
     All frames are evaluated at once in level order, from an index plan that
     `Skeleton.__init__` builds once: one broadcast Rodrigues for all revolute
     joints, one for all spherical joints, each tree depth's rotations composed
     onto its parents', one product for every joint's offset, and then each
     depth's positions; each depth is written into its own contiguous slice
-    of the plan's `fk_buffers`. Without `buffers` they are allocated for the
-    call and the result is put back in joint order. A caller that evaluates
-    many times passes its own `fk_buffers(T)`: the call then allocates no
-    buffer and reorders nothing, and returns the `(pos, rot)` buffers as it
-    filled them, joint-major in level order, joint j at `plan.rank[j]`, valid
-    until the next call with them; an FkResult is always in joint order.
-    Every entry goes through the float operations of a joint-by-joint walk
-    of the tree, so the results are bit for bit its own.
+    of the buffers, so a caller that evaluates many times allocates them
+    once. Every entry goes through the float operations of a joint-by-joint
+    walk of the tree, so the results are bit for bit its own.
     """
     if values.shape[1] != skeleton.total_dof:
         raise PoseMismatch(
@@ -387,7 +406,7 @@ def _fk_arrays(skeleton, root_pos, root_rot, values, buffers=None):
         )
     # Joint-major (J, T, ...) buffers in level order: each depth is one slice.
     plan = skeleton._plan
-    local, pos, rot = plan.fk_buffers(len(values)) if buffers is None else buffers
+    local, pos, rot = buffers
     theta = values.T[plan.revolute_col]
     local[plan.revolute_rank] = _rodrigues_stack(theta, plan.k, plan.kk)
     if len(plan.spherical):
@@ -400,11 +419,7 @@ def _fk_arrays(skeleton, root_pos, root_rot, values, buffers=None):
     pos[0] = root_pos
     for sl, par in plan.levels:
         np.add(pos[par], lever[sl.start - 1 : sl.stop - 1], out=pos[sl])
-    if buffers is not None:
-        return pos, rot
-    if not plan.in_level_order:
-        pos, rot = pos[plan.rank], rot[plan.rank]
-    return FkResult(pos.swapaxes(0, 1), rot.swapaxes(0, 1))
+    return pos, rot
 
 
 def _intrinsic_xyz_euler(m):
@@ -450,6 +465,20 @@ class DofChannel:
     offset: float = 0.0
     default: float | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValidationError(f"channel name must be a string, got {self.name!r:.40}")
+        if not (
+            _finite(self.scale)
+            and self.scale != 0
+            and _finite(self.offset)
+            and (self.default is None or _finite(self.default))
+        ):
+            raise ValidationError(
+                f"channel '{self.name}': scale must be finite and non-zero, offset and default "
+                f"finite, got {self.scale!r}, {self.offset!r}, {self.default!r}"
+            )
 
 
 class DofConfig:

@@ -491,6 +491,34 @@ def bad_motion_field(name, command, field, value, message):
     return bad_input
 
 
+def malformed_document(name, file, edit, message):
+    """The command that reads `file` run on a copy of it changed by `edit`: fk for
+    skel.skel, retarget for self.map, metrics gen for a.mat, quantize assign for cb.json."""
+
+    def bad_input(workdir, monkeypatch):
+        rng = np.random.default_rng(0)
+        save_feature_matrix(FeatureMatrix(rng.normal(size=(16, 2))), workdir / "a.mat")
+        save_codebook(Codebook.initialize(rng.normal(size=(4, 2))), workdir / "cb.json")
+        obj = json.loads((workdir / file).read_text())
+        edit(obj)
+        bad = workdir / ("bad." + file.split(".")[1])
+        bad.write_text(json.dumps(obj))
+        argv = {
+            "skel.skel": ["fk", "--skel", bad, "--motion", workdir / "traj.motion",
+                          "--out", workdir / "x.motion"],
+            "self.map": retarget_argv(workdir),
+            "a.mat": ["metrics", "gen", "--reference", workdir / "a.mat", "--generated", bad],
+            "cb.json": ["quantize", "assign", "--codebook", bad, "--latents", workdir / "a.mat",
+                        "--out", workdir / "t.json"],
+        }[file]
+        if file == "self.map":
+            argv[argv.index("--map") + 1] = bad
+        return argv, f"{bad.name}: {message}"
+
+    bad_input.__name__ = name
+    return bad_input
+
+
 def zero_quaternion(command):
     """`command` on a trajectory whose frames 2 and 3 store a zero root quaternion."""
 
@@ -544,6 +572,49 @@ class TestExitCodes:
                              "expected a skeleton name, got 5"),
             bad_motion_field("ik_skeleton_not_a_string", "ik", "skeleton", ["walker"],
                              "expected a skeleton name, got ['walker']"),
+        ]
+        + [
+            malformed_document("skel_joints_not_a_list", "skel.skel",
+                               lambda o: o.update(joints=5),
+                               "/joints: expected a list of objects, got 5"),
+            malformed_document("skel_joint_a_string", "skel.skel",
+                               lambda o: o["joints"].__setitem__(0, "root"),
+                               "/joints/0: expected an object, got 'root'"),
+            malformed_document("skel_joint_name_a_list", "skel.skel",
+                               lambda o: o["joints"][1].update(name=["c0_0"]),
+                               "/joints/1: joint and parent names must be strings"),
+            malformed_document("map_pairs_not_a_list", "self.map",
+                               lambda o: o.update(pairs=4),
+                               "/pairs: expected a list of objects, got 4"),
+            malformed_document("map_pair_name_a_list", "self.map",
+                               lambda o: o["pairs"][0].update(robot=["c0_0"]),
+                               "/pairs/0: pair names must be strings"),
+            malformed_document("map_weight_too_large", "self.map",
+                               lambda o: o["pairs"][0].update(position_weight=10**400),
+                               "/pairs/0: int too large to convert to float"),
+            malformed_document("map_scale_not_numeric", "self.map",
+                               lambda o: o.update(scale="big"),
+                               "/scale: could not convert string to float: 'big'"),
+            malformed_document("map_scale_too_large", "self.map",
+                               lambda o: o.update(scale=10**400),
+                               "/scale: int too large to convert to float"),
+            malformed_document("map_scale_chain_unknown_joint", "self.map",
+                               lambda o: o.update(scale=None, scale_chains={
+                                   "human": ["root", "c0_0", "nope"],
+                                   "robot": ["root", "c0_0", "c0_1"]}),
+                               "/scale_chains: scale chain joint 'nope' is not in skeleton"),
+            malformed_document("map_scale_chains_a_string", "self.map",
+                               lambda o: o.update(scale=None, scale_chains="root"),
+                               "/scale_chains: string indices must be integers"),
+            malformed_document("features_labels_not_a_list", "a.mat",
+                               lambda o: o.update(labels=5),
+                               "/labels: 'int' object is not iterable"),
+            malformed_document("features_label_a_list", "a.mat",
+                               lambda o: o.update(labels=[["g"]] * 16),
+                               "/: group labels must be strings or integers"),
+            malformed_document("codebook_sidecar_path_a_number", "cb.json",
+                               lambda o: o.update(entries={"binary": 5, "shape": [4, 2]}),
+                               "/entries: bad sidecar reference"),
         ]
         + [
             unwritable_output("--out", "missing/rec.motion", "No such file or directory"),

@@ -250,6 +250,19 @@ class TestSkeletonIo:
         with pytest.raises(ParseError):
             load_skeleton(tmp_path / "absent.skel")
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"\xff\xfe{}", "can't decode byte 0xff"),
+         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded")],
+        ids=["not_utf8", "nested_too_deep"],
+    )
+    def test_unreadable_document(self, tmp_path, content, reason):
+        p = tmp_path / "s.skel"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match=reason) as e:
+            load_skeleton(p)
+        assert e.value.location == "-"
+
 
 class TestMotionIo:
     def test_keypoints_round_trip(self, tmp_path, rng):
@@ -635,6 +648,15 @@ class TestCodebookIo:
         with pytest.raises(ParseError):
             load_codebook(p)
 
+    def test_sidecar_negative_shape(self, tmp_path, rng):
+        cb = Codebook.initialize(rng.normal(size=(4, 2)))
+        p = tmp_path / "cb.json"
+        save_codebook(cb, p, binary_sidecar=True)
+        rewrite(p, lambda o: o["entries"].update(shape=[-4, -2]))  # the right size, 8
+        with pytest.raises(ParseError) as e:
+            load_codebook(p)
+        assert e.value.location == "/entries"
+
     def test_sidecar_to_missing_directory(self, tmp_path, rng):
         cb = Codebook.initialize(rng.normal(size=(4, 2)))
         with pytest.raises(ValidationError, match="cannot write .*cb.json.entries.bin"):
@@ -694,3 +716,211 @@ class TestPackagedAssets:
         corr = load_example_correspondence(name)
         assert corr.scale > 0
         assert len(corr.pairs) >= 4
+
+
+# --- malformed documents ---------------------------------------------------
+# Every loader against the shapes a hand-edited file takes: a list of records
+# that is not a list, a record that is not an object, a name that is not a
+# string, a number that does not parse or is past the float range, a broken
+# sidecar reference. Each is a ParseError at the JSON location of the bad value.
+
+
+def bundled(name):
+    return json.loads(asset_path(name).read_text())
+
+
+def dof_config_tree():
+    channels = [{"name": "hip", "scale": 2.0, "offset": 0.1}, {"name": "knee", "default": 0.5}]
+    return {"format": "dofconfig", "version": 1, "name": "legs", "joints": channels}
+
+
+def feature_tree():
+    values = [[1.0, 2.0], [3.0, 4.0]]
+    return {"format": "features", "version": 1, "labels": ["a", "b"], "values": values}
+
+
+def codebook_tree():
+    rows = [[0.0, 1.0], [2.0, 3.0]]
+    return {"format": "codebook", "version": 1, "decay": 0.99, "epsilon": 1e-5,
+            "entries": rows, "ema_counts": [1.0, 1.0], "ema_sums": rows, "usage": [0.0, 0.0]}
+
+
+def load_bundled_map(path):
+    human, robot = load_example_skeleton("human_24"), load_example_skeleton("h1_like_19")
+    return load_correspondence(path, human, robot)
+
+
+DOCUMENTS = {  # kind: (a valid tree, its loader)
+    "skel": (lambda: bundled("h1_like_19"), load_skeleton),
+    "map": (lambda: bundled("human_to_h1"), load_bundled_map),
+    "dofconfig": (dof_config_tree, load_dof_config),
+    "features": (feature_tree, load_feature_matrix),
+    "codebook": (codebook_tree, load_codebook),
+}
+
+
+def setting(*keys, value):
+    """A mutation that sets the value at the key path `keys`."""
+
+    def mutate(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+
+    return mutate
+
+
+def dropping(*keys):
+    def mutate(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        del obj[keys[-1]]
+
+    return mutate
+
+
+SIDECAR = {"binary": 5, "shape": [2, 2]}
+MALFORMED_DOCUMENTS = [
+    pytest.param("skel", setting("joints", value=5), "/joints", id="joints_not_a_list"),
+    pytest.param("skel", setting("joints", 0, value="pelvis"), "/joints/0", id="joint_a_string"),
+    pytest.param("skel", setting("joints", 1, "name", value=["l_hip_yaw"]), "/joints/1",
+                 id="joint_name_a_list"),
+    pytest.param("skel", setting("joints", 1, "parent", value=["pelvis"]), "/joints/1",
+                 id="joint_parent_a_list"),
+    pytest.param("skel", setting("joints", 1, "dof", value=["revolute"]), "/joints/1",
+                 id="joint_dof_a_list"),
+    pytest.param("skel", dropping("joints", 1, "name"), "/joints/1", id="joint_without_name"),
+    pytest.param("skel", setting("joints", 1, "limits", value=[[0, 10**400]]), "/joints/1",
+                 id="joint_limit_too_large"),
+    pytest.param("skel", setting("joints", 0, "offset", value="abc"), "/joints/0/offset",
+                 id="joint_offset_not_numeric"),
+    pytest.param("skel", setting("joints", 1, "dof", "axis", value="x"), "/joints/1/axis",
+                 id="joint_axis_not_numeric"),
+    pytest.param("skel", setting("markers", value=5), "/markers", id="markers_not_a_list"),
+    pytest.param("skel", setting("markers", 0, value=7), "/markers/0", id="marker_a_number"),
+    pytest.param("skel", setting("markers", 0, "joint", value=["l_elbow"]), "/markers/0",
+                 id="marker_joint_a_list"),
+    pytest.param("map", setting("pairs", value=4), "/pairs", id="pairs_not_a_list"),
+    pytest.param("map", setting("pairs", 0, value="l_knee"), "/pairs/0", id="pair_a_string"),
+    pytest.param("map", setting("pairs", 0, "human", value=["l_knee"]), "/pairs/0",
+                 id="pair_name_a_list"),
+    pytest.param("map", setting("pairs", 0, "position_weight", value="heavy"), "/pairs/0",
+                 id="weight_not_numeric"),
+    pytest.param("map", setting("pairs", 0, "position_weight", value=10**400), "/pairs/0",
+                 id="weight_too_large"),
+    pytest.param("map", setting("pairs", 0, "orientation_weight", value=-1), "/pairs/0",
+                 id="weight_negative"),
+    pytest.param("map", setting("scale", value="big"), "/scale", id="scale_not_numeric"),
+    pytest.param("map", setting("scale", value=10**400), "/scale", id="scale_too_large"),
+    pytest.param("map", setting("scale_chains", "human", value=["l_hip", "l_shin"]),
+                 "/scale_chains", id="scale_chain_unknown_joint"),
+    pytest.param("map", setting("scale_chains", value="l_hip"), "/scale_chains",
+                 id="scale_chains_a_string"),
+    pytest.param("map", setting("scale_chains", "human", value=5), "/scale_chains",
+                 id="scale_chain_a_number"),
+    pytest.param("map", dropping("scale_chains", "robot"), "/scale_chains",
+                 id="scale_chains_without_robot"),
+    pytest.param("dofconfig", setting("joints", value=5), "/joints", id="channels_not_a_list"),
+    pytest.param("dofconfig", setting("joints", 1, value="knee"), "/joints/1",
+                 id="channel_a_string"),
+    pytest.param("dofconfig", setting("joints", 0, "name", value=["hip"]), "/joints/0",
+                 id="channel_name_a_list"),
+    pytest.param("dofconfig", setting("joints", 0, "scale", value=0), "/joints/0",
+                 id="channel_scale_zero"),
+    pytest.param("dofconfig", setting("joints", 0, "scale", value=10**400), "/joints/0",
+                 id="channel_scale_too_large"),
+    pytest.param("dofconfig", setting("joints", 0, "offset", value="x"), "/joints/0",
+                 id="channel_offset_not_numeric"),
+    pytest.param("features", setting("labels", value=5), "/labels", id="labels_not_a_list"),
+    pytest.param("features", setting("labels", 1, value=["b"]), "/", id="label_a_list"),
+    pytest.param("features", setting("values", value=SIDECAR), "/values",
+                 id="features_sidecar_path_a_number"),
+    pytest.param("codebook", setting("entries", value=SIDECAR), "/entries",
+                 id="codebook_sidecar_path_a_number"),
+    pytest.param("codebook", setting("ema_sums", value={"binary": "s.bin", "shape": 2}),
+                 "/ema_sums", id="codebook_sidecar_shape_a_number"),
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("kind", DOCUMENTS)
+    def test_valid_tree_loads(self, tmp_path, kind):
+        tree, load = DOCUMENTS[kind]
+        p = tmp_path / f"doc.{kind}"
+        p.write_text(json.dumps(tree()))
+        load(p)
+
+    @pytest.mark.parametrize("kind, mutate, location", MALFORMED_DOCUMENTS)
+    def test_parse_error_at_location(self, tmp_path, kind, mutate, location):
+        tree, load = DOCUMENTS[kind]
+        obj = tree()
+        mutate(obj)
+        p = tmp_path / f"doc.{kind}"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(ParseError) as e:
+            load(p)
+        assert e.value.location == location
+        assert str(e.value).count(str(p)) == 1  # an inner location is not wrapped again
+
+    def test_inner_location_reported_once(self, tmp_path):
+        obj = bundled("h1_like_19")
+        obj["joints"][0]["offset"] = "abc"
+        p = tmp_path / "x.skel"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(ParseError) as e:
+            load_skeleton(p)
+        assert str(e.value).startswith(f"{p}: /joints/0/offset: not a numeric array")
+
+
+# --- mutated bundled documents ---------------------------------------------
+
+
+def tree_paths(node, prefix=()):
+    """The key path of every value below `node`."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from tree_paths(value, prefix + (key,))
+
+
+BUNDLED_TREES = {name: bundled(name) for name in ("h1_like_19", "human_to_h1")}
+SWAPPED = [None, True, 0, -1, 1.5, 10**400, "", "x", [], {}]
+
+
+@st.composite
+def mutated_bundled_trees(draw):
+    """(name, tree): a bundled .skel or .map tree with one key deleted, one value
+    swapped for a value of another type, or one value wrapped in a list."""
+    name = draw(st.sampled_from(sorted(BUNDLED_TREES)))
+    tree = json.loads(json.dumps(BUNDLED_TREES[name]))
+    *parents, key = draw(st.sampled_from(list(tree_paths(tree))))
+    node = tree
+    for k in parents:
+        node = node[k]
+    edit = draw(st.sampled_from(["delete", "swap", "wrap"]))
+    if edit == "delete":
+        del node[key]
+    elif edit == "swap":
+        node[key] = draw(st.sampled_from(SWAPPED))
+    else:
+        node[key] = [node[key]]
+    return name, tree
+
+
+class TestMutatedBundledDocuments:
+    @given(mutated_bundled_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_loaders_raise_only_validation_errors(self, tmp_path_factory, mutated):
+        name, tree = mutated
+        p = tmp_path_factory.mktemp("mutated") / f"{name}.json"
+        p.write_text(json.dumps(tree))
+        load = load_skeleton if name == "h1_like_19" else load_bundled_map
+        try:
+            load(p)
+        except ValidationError:
+            pass

@@ -238,7 +238,7 @@ def test_one_fk_per_distinct_pose(monkeypatch, rng, robot_name, map_name):
     seen = []
     real_fk = retarget._fk_arrays
 
-    def recorder(skeleton, root_positions, root_rotations, values, buffers=None):
+    def recorder(skeleton, root_positions, root_rotations, values, buffers):
         if skeleton is robot:
             seen.append(values.tobytes())
         return real_fk(skeleton, root_positions, root_rotations, values, buffers)
@@ -591,6 +591,17 @@ class TestRetargetHand:
                         [Marker("tip", "f", [0.04, 0, 0])], name="mitten")
         with pytest.raises(ValidationError, match="'mitten' has no degrees of freedom"):
             retarget_hand([np.array([0.09, 0.0, 0.0])], hand, [TIP_PAIR])
+
+    @pytest.mark.parametrize("weights", [(-1.0,), (np.nan,), (np.inf,), (0.0,), (0.0, 0.0)],
+                             ids=["negative", "nan", "inf", "zero", "all_zero"])
+    def test_bad_position_weights_rejected(self, weights):
+        # a NaN or zero weight once dropped the fingertip's term and returned the zero
+        # pose; a negative or infinite one ended in NonFiniteObjective
+        hand = make_finger()
+        tip = tip_position(hand, hand.zero_pose())
+        with pytest.raises(ValidationError, match="weight"):
+            pairs = [CorrespondencePair("h_tip", "tip", w) for w in weights]
+            retarget_hand([tip] * len(pairs), hand, pairs)
 
     def test_orientation_weight_rejected(self):
         hand = make_finger()

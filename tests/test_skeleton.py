@@ -497,6 +497,16 @@ class TestRemapDofs:
         with pytest.raises(MissingDefault):
             remap_dofs([1.0], src, dst)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scale", 0.0), ("scale", np.nan), ("scale", np.inf), ("scale", "2"), ("offset", np.nan),
+         ("offset", -np.inf), ("default", np.inf), ("default", np.nan), ("name", ["a"])],
+    )
+    def test_channel_rejects_bad_values(self, field, value):
+        # a zero or non-finite source scale would divide remap_dofs' output into inf or NaN
+        with pytest.raises(ValidationError):
+            DofChannel(**{"name": "a", field: value})
+
     def test_large_table_oracle(self):
         names21 = [f"q{i}" for i in range(21)]
         names19 = [f"q{i}" for i in range(17)] + ["extra_a", "extra_b"]
