@@ -5,10 +5,12 @@ Numbers are written with shortest round-trip decimal formatting, key order
 is fixed by construction, and writes are atomic (temp file + rename), so
 repeated saves of the same data are byte-identical.
 
-One writer, `_dump`, renders every file as json.dumps(tree, indent=1)
-would, byte for byte. Savers hand it numeric np.ndarrays, which it renders
-whole (one repr pass, joined by shape); it refuses arrays holding NaN or
-infinity, which every loader rejects. Large matrices may be stored as a
+One renderer, `_render`, yields every file's text as json.dumps(tree,
+indent=1) would, byte for byte, in pieces that `_save` writes as they come,
+so no document is held whole (loaders read it whole, as json.loads needs).
+Savers hand it numeric np.ndarrays, rendered a top-level row a piece (one
+repr pass, joined by shape); it refuses arrays holding NaN or infinity,
+which every loader rejects. Large matrices may be stored as a
 sidecar flat binary of little-endian float64, referenced as
 {"binary": <relative path>, "shape": [rows, cols]} and written atomically
 too. A trajectory is loaded as one array per frame key and saved as one
@@ -23,6 +25,7 @@ from it, and the loaders only attach the location.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -66,7 +69,8 @@ def _load(path, format):
         raise ParseError(path, "/", "top level must be an object")
     if obj.get("format") != format:
         raise ParseError(path, "/format", f"expected {format!r}, got {obj.get('format')!r}")
-    if obj.get("version") != FORMAT_VERSION:
+    # bool is an int subclass, and 1.0 == 1
+    if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
         raise SchemaVersionError(f"{path}: unsupported {format} version {obj.get('version')!r}")
     return obj
 
@@ -83,6 +87,15 @@ def _at(path, location, make, *args):
     except _MALFORMED as e:
         reason = f"missing key {e}" if isinstance(e, KeyError) else str(e)
         raise ParseError(path, location, reason) from None
+
+
+def _number(value):
+    """float(value) for a JSON number; a bool or a string, which float() would
+    take, is refused as float() refuses a string it cannot parse."""
+    if type(value) not in (int, float):
+        kind = "string" if isinstance(value, str) else type(value).__name__
+        raise ValueError(f"could not convert {kind} to float: {value!r:.40}")
+    return float(value)
 
 
 def _records(path, obj, key, make):
@@ -151,12 +164,8 @@ def _array(arr, depth, rows=False):
     Every value is rendered in one pass, then joined axis by axis, innermost
     first, with the separators of the nesting level that axis sits at. With
     rows=True the first axis is not joined: the result is the list of
-    `_array(arr[i], depth)` for each i.
+    `_array(arr[i], depth)` for each i. The caller has checked the values.
     """
-    if arr.dtype.kind == "f":
-        _finite_floats(arr)
-    elif arr.dtype.kind not in "iu":
-        raise TypeError(f"cannot write an array of dtype {arr.dtype}")
     items = list(map(repr, arr.ravel().tolist()))
     depth -= rows
     for axis in reversed(range(rows, arr.ndim)):
@@ -171,11 +180,11 @@ def _array(arr, depth, rows=False):
 
 
 class _Rendered(str):
-    """Text that `_dump` writes as it is, laid out for the nesting level it goes to."""
+    """Text that `_render` writes as it is, laid out for the nesting level it goes to."""
 
 
 def _plain(node):
-    """Whether json.dumps can write the tree as `_dump` would: no np.ndarray, no
+    """Whether json.dumps can write the tree as `_render` would: no np.ndarray, no
     `_Rendered` text and no non-str object key anywhere in it."""
     if isinstance(node, dict):
         return all(isinstance(k, str) and _plain(v) for k, v in node.items())
@@ -184,37 +193,42 @@ def _plain(node):
     return not isinstance(node, (np.ndarray, _Rendered))
 
 
-def _dump(node, depth):
-    """json.dumps(node, indent=1) at nesting level `depth`, byte for byte.
+def _render(node, depth):
+    """The pieces of json.dumps(node, indent=1) at nesting level `depth`, byte for byte.
 
-    Numeric np.ndarrays are rendered whole by `_array`; a dict or list
-    subtree with no array in it goes through one json.dumps, re-indented for
-    its depth, and so do keys, strings, numbers, bools and None as leaves.
-    """
+    A numeric np.ndarray is checked whole, then rendered by `_array`, a piece
+    per top-level row if it has several; a leaf, or a subtree with no array in
+    it, goes through one json.dumps, re-indented for its depth."""
     if isinstance(node, _Rendered):
-        return node
+        yield node
+        return
     if isinstance(node, np.ndarray):
-        return _array(node, depth)
-    if isinstance(node, (dict, list, tuple)) and _plain(node):
+        if node.dtype.kind == "f":
+            _finite_floats(node)
+        elif node.dtype.kind not in "iu":
+            raise TypeError(f"cannot write an array of dtype {node.dtype}")
+        if node.ndim < 2 or len(node) < 2:
+            yield _array(node, depth)
+            return
+        items = (("", [_array(row, depth + 1)]) for row in node)
+    elif _plain(node):
         # json.dumps escapes newlines in strings: every "\n" it writes starts a line
-        return json.dumps(node, indent=1).replace("\n", "\n" + " " * depth)
-    if isinstance(node, dict):
+        yield json.dumps(node, indent=1).replace("\n", "\n" + " " * depth)
+        return
+    elif isinstance(node, dict):
         if any(not isinstance(k, str) for k in node):
             raise TypeError("object keys must be strings")
-        items = [json.dumps(k) + ": " + _dump(v, depth + 1) for k, v in node.items()]
-        brackets = "{}"
-    elif isinstance(node, (list, tuple)):
-        items = [_dump(v, depth + 1) for v in node]
-        brackets = "[]"
+        items = ((json.dumps(k) + ": ", _render(v, depth + 1)) for k, v in node.items())
     else:
-        return json.dumps(node)
-    if not items:
-        return brackets
+        items = (("", _render(v, depth + 1)) for v in node)
+    brackets = "{}" if isinstance(node, dict) else "[]"
     inner = "\n" + " " * (depth + 1)
-    return (
-        brackets[0] + inner + ("," + inner).join(items)
-        + "\n" + " " * depth + brackets[1]
-    )
+    sep = brackets[0] + inner
+    for head, pieces in items:
+        yield sep + head
+        yield from pieces
+        sep = "," + inner
+    yield "\n" + " " * depth + brackets[1]
 
 
 def _floats(arr):
@@ -227,25 +241,28 @@ def _matrix_node(arr, path, key, binary_sidecar):
     rel = f"{Path(path).name}.{key}.bin"
     bin_path = Path(path).parent / rel
     try:
-        data = _finite_floats(arr).astype("<f8").tobytes()
+        data = np.ascontiguousarray(_finite_floats(arr), dtype="<f8")
     except ValidationError as e:
         raise ValidationError(f"cannot write {bin_path}: {e}") from None
-    _atomic_write(bin_path, data)
+    _atomic_write(bin_path, [data])
     return {"binary": rel, "shape": list(np.shape(arr))}
 
 
-def _atomic_write(path, data):
-    """Write bytes through a temp file in the target directory, then rename."""
+def _atomic_write(path, chunks):
+    """Write bytes-like chunks, made as they are written, through a temp file in
+    the target directory, then rename; on any failure the target is untouched."""
     path = Path(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
         tmp = None
     except OSError as e:
         raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
+    except ValidationError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from None
     finally:
         if tmp is not None:
             os.unlink(tmp)
@@ -253,11 +270,8 @@ def _atomic_write(path, data):
 
 def _save(path, format, body):
     """Write the `format` document of FORMAT_VERSION holding `body`'s keys, atomically."""
-    try:
-        text = _dump({"format": format, "version": FORMAT_VERSION, **body}, 0)
-    except ValidationError as e:
-        raise ValidationError(f"cannot write {path}: {e}") from None
-    _atomic_write(path, (text + "\n").encode("ascii"))
+    pieces = _render({"format": format, "version": FORMAT_VERSION, **body}, 0)
+    _atomic_write(path, (piece.encode("ascii") for piece in itertools.chain(pieces, ["\n"])))
 
 
 def save_report(report, path):
@@ -429,7 +443,7 @@ def save_motion(motion, path):
         keys = ("root_position", "root_orientation", "joint_values")
         body["frames"] = [
             dict(zip(keys, map(_Rendered, row)))
-            for row in zip(*(_array(c, 3, rows=True) for c in columns))
+            for row in zip(*(_array(_finite_floats(c), 3, rows=True) for c in columns))
         ]
     else:
         raise ValidationError(f"unknown motion kind {motion.kind!r}")
@@ -466,8 +480,8 @@ def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
         return CorrespondencePair(
             human=node["human"],
             robot=node["robot"],
-            position_weight=float(node.get("position_weight", 1.0)),
-            orientation_weight=float(node.get("orientation_weight", 0.0)),
+            position_weight=_number(node.get("position_weight", 1.0)),
+            orientation_weight=_number(node.get("orientation_weight", 0.0)),
         )
 
     pairs = _records(path, obj, "pairs", pair)
@@ -482,7 +496,7 @@ def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
             )
         chains = _at(path, "/scale_chains", lambda: (chains["human"], chains["robot"]))
         scale = _at(path, "/scale_chains", leg_scale, human_skeleton, robot_skeleton, *chains)
-    return _at(path, "/", CorrespondenceSet, tuple(pairs), _at(path, "/scale", float, scale))
+    return _at(path, "/", CorrespondenceSet, tuple(pairs), _at(path, "/scale", _number, scale))
 
 
 def save_correspondence(corr, path):
@@ -508,9 +522,9 @@ def load_dof_config(path):
         default = node.get("default")
         return DofChannel(
             name=node["name"],
-            scale=float(node.get("scale", 1.0)),
-            offset=float(node.get("offset", 0.0)),
-            default=None if default is None else float(default),
+            scale=_number(node.get("scale", 1.0)),
+            offset=_number(node.get("offset", 0.0)),
+            default=None if default is None else _number(default),
             meta=node.get("meta", {}),
         )
 

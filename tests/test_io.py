@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +42,7 @@ from retarget_kit import (
 from retarget_kit import asset_path, io
 from retarget_kit.cli import main
 from retarget_kit.errors import ParseError, SchemaVersionError, ValidationError
-from retarget_kit.io import _dump, save_report
+from retarget_kit.io import _render, save_report
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
 from conftest import make_humanlike, random_rotation, scalar_from_quat, twist_free_pose
@@ -63,7 +66,7 @@ def as_lists(node):
 
 
 def assert_matches_json(obj):
-    assert _dump(obj, 0) == json.dumps(as_lists(obj), indent=1)
+    assert "".join(_render(obj, 0)) == json.dumps(as_lists(obj), indent=1)
 
 
 def no_tmp_files(directory):
@@ -96,7 +99,7 @@ TREES = st.recursive(
 
 
 class TestArrayWriter:
-    """The one writer reproduces json.dumps(indent=1) byte for byte."""
+    """The one renderer's pieces join to json.dumps(indent=1), byte for byte."""
 
     @given(TREES)
     @settings(max_examples=300, deadline=None)
@@ -113,6 +116,14 @@ class TestArrayWriter:
         arr = np.full((2, 3), value)
         arr[0, 1] = -value
         assert_matches_json({"leaf": value, "row": arr[0], "matrix": arr, "cube": arr[None]})
+
+    def test_streamed_rows_nested_at_depth(self):
+        # 2-D and 3-D arrays of 0, 1 and many rows, one and two levels down
+        arrays = [np.arange(n * 3.0).reshape(n, 3) - 1.5 for n in (0, 1, 5)]
+        arrays += [np.arange(n * 6).reshape(n, 2, 3) for n in (0, 1, 4)]
+        arrays += [np.zeros((3, 0)), np.zeros((2, 0, 2))]
+        assert_matches_json({"a": arrays, "b": {"c": arrays, "d": [arrays[2]]}})
+        assert len(list(_render({"m": arrays[2]}, 0))) > len(arrays[2])
 
     def test_int_extremes_and_zero_size(self):
         big = np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max])
@@ -177,11 +188,96 @@ class TestArrayWriter:
             save_codebook(bad, p, binary_sidecar=binary_sidecar)
         assert list(tmp_path.iterdir()) == []
 
+    def test_writer_memory_does_not_grow_with_the_document(self, tmp_path, rng):
+        # Each write allocates a row's text, not the document's, beyond its inputs.
+        labels = [f"j{i}" for i in range(24)]
+        writes = {
+            "features": (save_feature_matrix, FeatureMatrix(rng.normal(size=(2000, 100)))),
+            "keypoints": (save_motion, keypoint_motion(rng.normal(size=(2000, 24, 3)), labels, 30)),
+            "codebook": (save_codebook, Codebook.initialize(rng.normal(size=(512, 100)))),
+        }
+        for name, (save, value) in writes.items():
+            save(value, tmp_path / name)  # a first write, so nothing lazy is counted
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                save(value, tmp_path / name)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, f"{name}: {peak / 1e6:.1f} MB"
+
     def test_rejects_non_string_keys_and_dtypes(self):
         with pytest.raises(TypeError):
-            _dump({1: 2}, 0)
+            list(_render({1: 2}, 0))
         with pytest.raises(TypeError):
-            _dump(np.array([True]), 0)
+            list(_render(np.array([True]), 0))
+
+
+class FullDisk:
+    """A file whose every write fails as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+class TestFailedWrite:
+    """A write that fails, before any of the document is written or after some,
+    leaves the target as it was and no temp file."""
+
+    @pytest.mark.parametrize(
+        "save, error, message",
+        [
+            pytest.param(
+                lambda p: save_report({"m": np.vstack([np.ones((4, 3)), [[0, np.nan, 1]]])}, p),
+                ValidationError, r"cannot write .*array of shape \(5, 3\) contains NaN",
+                id="nan_in_last_row",
+            ),
+            pytest.param(
+                lambda p: save_motion(keypoint_motion(
+                    np.concatenate([np.ones((4, 2, 3)), np.full((1, 2, 3), np.inf)]), "ab", 30
+                ), p),
+                ValidationError, r"cannot write .*array of shape \(5, 2, 3\) contains NaN",
+                id="infinity_in_last_frame",
+            ),
+            pytest.param(
+                lambda p: save_report({"a": np.ones((4, 3)), "b": {1: 2}}, p),
+                TypeError, "object keys must be strings", id="key_after_array",
+            ),
+            pytest.param(
+                lambda p: save_report({"a": np.ones((4, 3)), "b": np.array([True])}, p),
+                TypeError, "dtype bool", id="bool_array_after_array",
+            ),
+        ],
+    )
+    def test_target_unchanged(self, tmp_path, save, error, message):
+        p = tmp_path / "target.json"
+        p.write_bytes(b"the file as it was\n")
+        with pytest.raises(error, match=message):
+            save(p)
+        assert p.read_bytes() == b"the file as it was\n"
+        assert no_tmp_files(tmp_path)
+
+    def test_file_write_fails(self, tmp_path, monkeypatch):
+        real = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(real(fd, mode)))
+        self.test_target_unchanged(
+            tmp_path, lambda p: save_feature_matrix(FeatureMatrix(np.ones((4, 3))), p),
+            ValidationError, "cannot write .*No space left on device",
+        )
 
 
 class TestSkeletonIo:
@@ -811,6 +907,13 @@ MALFORMED_DOCUMENTS = [
     pytest.param("map", setting("pairs", 0, "orientation_weight", value=-1), "/pairs/0",
                  id="weight_negative"),
     pytest.param("map", setting("scale", value="big"), "/scale", id="scale_not_numeric"),
+    # float() would take these: a number written as a string, and a bool
+    pytest.param("map", setting("scale", value="0.8"), "/scale", id="scale_a_numeric_string"),
+    pytest.param("map", setting("scale", value=True), "/scale", id="scale_a_bool"),
+    pytest.param("map", setting("pairs", 0, "position_weight", value="2"), "/pairs/0",
+                 id="weight_a_numeric_string"),
+    pytest.param("map", setting("pairs", 1, "orientation_weight", value=True), "/pairs/1",
+                 id="weight_a_bool"),
     pytest.param("map", setting("scale", value=10**400), "/scale", id="scale_too_large"),
     pytest.param("map", setting("scale_chains", "human", value=["l_hip", "l_shin"]),
                  "/scale_chains", id="scale_chain_unknown_joint"),
@@ -831,6 +934,12 @@ MALFORMED_DOCUMENTS = [
                  id="channel_scale_too_large"),
     pytest.param("dofconfig", setting("joints", 0, "offset", value="x"), "/joints/0",
                  id="channel_offset_not_numeric"),
+    pytest.param("dofconfig", setting("joints", 0, "scale", value="2"), "/joints/0",
+                 id="channel_scale_a_numeric_string"),
+    pytest.param("dofconfig", setting("joints", 0, "offset", value=False), "/joints/0",
+                 id="channel_offset_a_bool"),
+    pytest.param("dofconfig", setting("joints", 1, "default", value="0.5"), "/joints/1",
+                 id="channel_default_a_numeric_string"),
     pytest.param("features", setting("labels", value=5), "/labels", id="labels_not_a_list"),
     pytest.param("features", setting("labels", 1, value=["b"]), "/", id="label_a_list"),
     pytest.param("features", setting("values", value=SIDECAR), "/values",
@@ -861,6 +970,39 @@ class TestMalformedDocuments:
             load(p)
         assert e.value.location == location
         assert str(e.value).count(str(p)) == 1  # an inner location is not wrapped again
+
+    @pytest.mark.parametrize("kind", DOCUMENTS)
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_the_integer_1(self, tmp_path, kind, version):
+        tree, load = DOCUMENTS[kind]
+        p = tmp_path / f"doc.{kind}"
+        p.write_text(json.dumps({**tree(), "version": version}))
+        with pytest.raises(SchemaVersionError, match=f"version {version!r}"):
+            load(p)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (setting("scale", value="0.8"), "/scale: could not convert string to float: '0.8'"),
+            (setting("pairs", 0, "position_weight", value=True),
+             "/pairs/0: could not convert bool to float: True"),
+        ],
+    )
+    def test_retarget_refuses_a_hand_edited_map(self, tmp_path, capsys, edit, message):
+        obj = bundled("human_to_h1")
+        edit(obj)
+        (tmp_path / "human_to_h1.map").write_text(json.dumps(obj, indent=1))
+        human = load_example_skeleton("human_24")
+        traj = JointTrajectory.from_arrays(30.0, np.zeros((2, 3)), np.stack([np.eye(3)] * 2),
+                                           np.zeros((2, human.total_dof)), "human_24")
+        save_motion(trajectory_motion(traj), tmp_path / "human.motion")
+        argv = ["retarget", "--human", tmp_path / "human.motion",
+                "--human-skel", asset_path("human_24"), "--robot-skel", asset_path("h1_like_19"),
+                "--map", tmp_path / "human_to_h1.map", "--out", tmp_path / "robot.motion"]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"human_to_h1.map: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "robot.motion").exists()
 
     def test_inner_location_reported_once(self, tmp_path):
         obj = bundled("h1_like_19")
