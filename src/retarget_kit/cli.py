@@ -197,12 +197,13 @@ def cmd_metrics_gen(args):
                 ("MModality", metrics.multimodality(b, args.pairs, seed=seed), n)
             )
     if args.text:
+        if args.pool < 2:
+            raise ValidationError(f"--pool needs the match and a distractor, >= 2, got {args.pool}")
         text = io.load_feature_matrix(args.text)
         rows.append(("MM-Dist", metrics.mm_dist(text, b), n))
+        ranks = metrics.retrieval_ranks(text, b, pool_size=args.pool, seed=seed)
         top = [k for k in (1, 2, 3) if k < args.pool]
-        if top:
-            ranks = metrics.retrieval_ranks(text, b, pool_size=args.pool, seed=seed)
-            rows += [(f"R Top-{k}", metrics.top_k_share(ranks, k), n) for k in top]
+        rows += [(f"R Top-{k}", metrics.top_k_share(ranks, k), n) for k in top]
     for name, value, count in rows:
         print(f"{name:16s} {value:.9g} n={count}")
     if args.report:

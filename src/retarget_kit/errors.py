@@ -30,7 +30,7 @@ class RankDeficient(ValidationError):
 
 
 class DegenerateFrame(ValidationError):
-    """6D rotation input is collinear or zero."""
+    """A zero quaternion, a zero axis at a nonzero angle, or a matrix not in SO(3)."""
 
 
 # --- skeleton ----------------------------------------------------------
@@ -38,10 +38,6 @@ class DegenerateFrame(ValidationError):
 
 class PoseMismatch(ValidationError):
     """Pose vector length does not match the skeleton DoF count."""
-
-
-class MissingDefault(ValidationError):
-    """DoF remap target has no source value and no default."""
 
 
 # --- retarget ----------------------------------------------------------

@@ -48,6 +48,8 @@ def build_pose_features(
         raise ValidationError("need at least 2 frames to build pose features")
     if fps <= 0:
         raise ValidationError(f"fps must be positive, got {fps}")
+    if not (np.isfinite(contact_threshold) and contact_threshold >= 0):
+        raise ValidationError(f"contact threshold must be finite, >= 0, got {contact_threshold!r}")
     missing = [m for m in contact_markers if m not in skeleton.markers]
     if missing:
         raise MissingContactMarkers(f"skeleton lacks contact markers {missing}")

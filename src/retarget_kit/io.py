@@ -40,7 +40,7 @@ from .errors import DegenerateFrame, ParseError, SchemaVersionError, ValidationE
 from .metrics import FeatureMatrix
 from .retarget import CorrespondencePair, CorrespondenceSet, leg_scale
 from .rotations import _matrix_stack, _quat_stack
-from .skeleton import DofChannel, DofConfig, Joint, JointTrajectory, Marker, Skeleton
+from .skeleton import Joint, JointTrajectory, Marker, Skeleton
 from .vq import DEFAULT_DECAY, DEFAULT_EPSILON, Codebook, TokenSequence, _check_decay, _check_epsilon
 
 FORMAT_VERSION = 1
@@ -510,34 +510,6 @@ def save_correspondence(corr, path):
         for p in corr.pairs
     ]
     _save(path, "correspondence", {"scale": float(corr.scale), "pairs": pairs})
-
-
-# --- dof config --------------------------------------------------------
-
-
-def load_dof_config(path):
-    obj = _load(path, "dofconfig")
-
-    def channel(node, location):
-        default = node.get("default")
-        return DofChannel(
-            name=node["name"],
-            scale=_number(node.get("scale", 1.0)),
-            offset=_number(node.get("offset", 0.0)),
-            default=None if default is None else _number(default),
-            meta=node.get("meta", {}),
-        )
-
-    channels = _records(path, obj, "joints", channel)
-    return _at(path, "/joints", DofConfig, channels, obj.get("name"))
-
-
-def save_dof_config(config, path):
-    channels = [
-        {"name": c.name, "scale": c.scale, "offset": c.offset, "default": c.default, "meta": c.meta}
-        for c in config.channels
-    ]
-    _save(path, "dofconfig", {"name": config.name, "joints": channels})
 
 
 # --- codebook ----------------------------------------------------------

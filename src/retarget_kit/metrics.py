@@ -125,6 +125,8 @@ def success_rate(pairs, height_threshold):
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("empty trajectory list")
+    if not np.isfinite(height_threshold):
+        raise ValidationError(f"height threshold must be finite, got {height_threshold!r}")
     successes = 0
     for pair in pairs:
         if pair.heights is None:

@@ -21,7 +21,7 @@ its fixed regularizer rows, and every evaluation writes into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -632,40 +632,3 @@ def retarget_sequence(
     )
     return trajectory, reports
 
-
-def retarget_hand(
-    fingertip_targets,
-    hand_skeleton,
-    fingertip_pairs,
-    opts=RetargetOptions(),
-    wrist_position=None,
-    wrist_orientation=None,
-):
-    """Solve hand joint angles so fingertip markers reach the given points.
-
-    `fingertip_pairs` are CorrespondencePairs naming the robot markers, one
-    per target point, weighted by `position_weight`; they are checked as a
-    CorrespondenceSet's are. The wrist (hand-skeleton root) transform is
-    held fixed; only fingertip position terms and the joint-limit
-    regularizer enter the objective.
-    """
-    fingertip_pairs = CorrespondenceSet(fingertip_pairs).pairs
-    if any(p.orientation_weight > 0 for p in fingertip_pairs):
-        raise ValidationError("fingertip targets are points: pairs take no orientation weight")
-    targets = [np.asarray(t, dtype=float).reshape(3) for t in fingertip_targets]
-    if len(targets) != len(fingertip_pairs):
-        raise ValidationError(
-            f"{len(targets)} fingertip targets for {len(fingertip_pairs)} pairs"
-        )
-    root_position = np.zeros(3) if wrist_position is None else np.asarray(wrist_position, float)
-    root_position = root_position.reshape(3)
-    root_orientation = wrist_orientation or Rotation.identity()
-    objective = _Objective(hand_skeleton, fingertip_pairs, replace(opts, reference_weight=0.0))
-    x, _ = objective.solve(
-        root_position,
-        root_orientation.matrix,
-        np.array(targets),
-        np.zeros((0, 3, 3)),
-        np.zeros(hand_skeleton.total_dof),
-    )
-    return Pose(root_position, root_orientation, x)

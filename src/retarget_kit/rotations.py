@@ -1,4 +1,4 @@
-"""SO(3) rotation algebra: conversions, bone alignment, Procrustes, geodesics.
+"""SO(3) rotation algebra: conversions, bone alignment, Procrustes.
 
 A Rotation stores a 3x3 orthonormal matrix and exposes lossless views as a
 unit quaternion (w, x, y, z), axis-angle with angle in [0, pi], and the 6D
@@ -15,7 +15,6 @@ view is its one-item case. Conversion, body, and its views and callers:
     axis, angle -> matrix    _rodrigues_stack   from_axis_angle, fk, bone alignment
     matrix -> XYZ Euler      skeleton._intrinsic_xyz_euler: joint limits
     matrix -> 6D             _rot6d_stack       as_rot6d, features
-    6D -> matrix             from_rot6d
     matrix -> rotation vec   _log_floats: the solver's orientation errors, one matrix at
                              a time on Python floats, ten times cheaper at n <= 4
 """
@@ -261,23 +260,6 @@ class Rotation:
         """Axis-angle 3-vector axis*angle; the zero vector is the identity."""
         return cls(_exp_stack(np.asarray(v, dtype=float).reshape(1, 3))[0])
 
-    @classmethod
-    def from_rot6d(cls, v, *, tol=DEGENERATE_NORM):
-        """Gram-Schmidt the two 3-vectors, third column by cross product."""
-        v = np.asarray(v, dtype=float).reshape(6)
-        a, b = v[:3], v[3:]
-        na = np.linalg.norm(a)
-        if na <= tol:
-            raise DegenerateFrame("first 6D column has near-zero norm")
-        x = a / na
-        b_perp = b - np.dot(x, b) * x
-        nb = np.linalg.norm(b_perp)
-        if nb <= tol:
-            raise DegenerateFrame("6D columns are collinear")
-        y = b_perp / nb
-        z = np.cross(x, y)
-        return cls(np.column_stack([x, y, z]))
-
     # -- views ----------------------------------------------------------
 
     def as_quat(self):
@@ -315,9 +297,12 @@ class Rotation:
 
 
 def _align_stack(t, p, tol=DEGENERATE_NORM):
-    """`rodrigues_align` of each row pair of two (n, 3) arrays, as (n, 3, 3) matrices.
+    """Minimal rotation mapping each template bone direction of an (n, 3) array onto
+    the observed one of the matching row of another, as (n, 3, 3) matrices.
 
-    Raises DegenerateBone for the first pair with a bone shorter than tol.
+    Antiparallel inputs fall back to a half-turn about the coordinate axis
+    least aligned with the template, orthogonalized against it. Raises
+    DegenerateBone for the first pair with a bone shorter than tol.
     """
     nt, np_ = _norm(t), _norm(p)
     short = (nt <= tol) | (np_ <= tol)
@@ -340,17 +325,6 @@ def _align_stack(t, p, tol=DEGENERATE_NORM):
     out[half_turn] = _rodrigues_stack(np.full(len(th), np.pi), _hat_stack(axis))
     out[turned] = _rodrigues_stack(np.arccos(c[turned]), _hat_stack(cross[turned] / s[turned, None]))
     return out
-
-
-def rodrigues_align(template_bone, observed_bone, *, degenerate_tol=DEGENERATE_NORM):
-    """Minimal rotation mapping the template bone direction onto the observed one.
-
-    Antiparallel inputs fall back to a half-turn about the coordinate axis
-    least aligned with the template, orthogonalized against it.
-    """
-    t = np.asarray(template_bone, dtype=float).reshape(1, 3)
-    p = np.asarray(observed_bone, dtype=float).reshape(1, 3)
-    return Rotation(_align_stack(t, p, degenerate_tol)[0])
 
 
 def _procrustes_stack(t, p, rank_tol=RANK_TOL):
@@ -382,8 +356,3 @@ def procrustes(template_cols, observed_cols, *, rank_tol=RANK_TOL):
         raise RankDeficient("need at least 2 correspondence columns")
     return Rotation(_procrustes_stack(t, p[None], rank_tol)[0])
 
-
-def geodesic_distance(a, b):
-    """Rotation angle of a^T b in [0, pi]."""
-    c = (np.trace(a.matrix.T @ b.matrix) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))

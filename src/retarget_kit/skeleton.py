@@ -1,4 +1,4 @@
-"""Articulated skeletons: joint trees, poses, forward kinematics, DoF remaps."""
+"""Articulated skeletons: joint trees, poses, forward kinematics, joint limits."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import MissingDefault, PoseMismatch, UnresolvableCorrespondence, ValidationError
+from .errors import PoseMismatch, UnresolvableCorrespondence, ValidationError
 from .rotations import Rotation, _exp_stack, _hat_stack, _rodrigues_stack
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
@@ -454,67 +454,3 @@ def check_limits(skeleton, pose):
         for i, (j, k) in enumerate(zip(plan.limit_joint, plan.limit_dof))
         if v[i] > plan.hi[i] or v[i] < plan.lo[i]
     ]
-
-
-@dataclass(frozen=True)
-class DofChannel:
-    """One named actuator channel in an external ordering convention."""
-
-    name: str
-    scale: float = 1.0
-    offset: float = 0.0
-    default: float | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValidationError(f"channel name must be a string, got {self.name!r:.40}")
-        if not (
-            _finite(self.scale)
-            and self.scale != 0
-            and _finite(self.offset)
-            and (self.default is None or _finite(self.default))
-        ):
-            raise ValidationError(
-                f"channel '{self.name}': scale must be finite and non-zero, offset and default "
-                f"finite, got {self.scale!r}, {self.offset!r}, {self.default!r}"
-            )
-
-
-class DofConfig:
-    """Ordered actuator channels; PD gains etc. ride along in channel meta."""
-
-    def __init__(self, channels, name=None):
-        channels = tuple(channels)
-        names = [c.name for c in channels]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate channel names in DofConfig")
-        self.name = name
-        self.channels = channels
-        self.index = {c.name: i for i, c in enumerate(channels)}
-
-    def __len__(self):
-        return len(self.channels)
-
-
-def remap_dofs(values, src, dst):
-    """Reorder/rescale a flat actuator vector from src to dst convention.
-
-    Each dst channel takes (value - src.offset) / src.scale * dst.scale
-    + dst.offset when the name exists in src, else its default. Channels
-    only present in src are dropped.
-    """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if len(values) != len(src):
-        raise ValidationError(f"{len(values)} values for {len(src)} source channels")
-    out = np.empty(len(dst))
-    for i, ch in enumerate(dst.channels):
-        j = src.index.get(ch.name)
-        if j is None:
-            if ch.default is None:
-                raise MissingDefault(f"channel '{ch.name}' missing from source and has no default")
-            out[i] = ch.default
-        else:
-            s = src.channels[j]
-            out[i] = (values[j] - s.offset) / s.scale * ch.scale + ch.offset
-    return out

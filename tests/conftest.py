@@ -1,10 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from retarget_kit import Rotation, rodrigues_align
+from retarget_kit import Rotation
 from retarget_kit.errors import DegenerateBone, NonFiniteObjective, RankDeficient, ValidationError
 from retarget_kit.retarget import (
     _LEVI_CIVITA,
@@ -17,7 +15,7 @@ from retarget_kit.retarget import (
     _euler_jacobian,
     _project_to_limits,
 )
-from retarget_kit.rotations import _log_floats, _right_jacobian, _right_jacobian_inv
+from retarget_kit.rotations import _align_stack, _log_floats, _right_jacobian, _right_jacobian_inv
 from retarget_kit.skeleton import (
     Joint,
     JointTrajectory,
@@ -114,7 +112,8 @@ def twist_free_pose(skeleton, rng, max_angle=0.6):
         if len(ch) == 1:
             t = skeleton.joints[ch[0]].offset
             target = random_rotation(rng).apply(t)
-            values[skeleton.dof_slices[i]] = rodrigues_align(t, target).as_rotvec()
+            local = Rotation(_align_stack(t[None], target[None])[0])
+            values[skeleton.dof_slices[i]] = local.as_rotvec()
         elif len(ch) > 1:
             values[skeleton.dof_slices[i]] = rng.normal(size=3) * max_angle
     return Pose(rng.normal(size=3), random_rotation(rng), values)
@@ -594,13 +593,3 @@ def per_frame_retarget_sequence(human_skeleton, human_poses, robot_skeleton, cor
         prev = pose
     return JointTrajectory(fps=fps, poses=poses, skeleton=robot_skeleton.name), reports
 
-
-def per_frame_retarget_hand(fingertip_targets, hand_skeleton, fingertip_pairs, opts, wrist=None):
-    root_position, root_orientation = wrist or (np.zeros(3), Rotation.identity())
-    terms = [
-        (pair, np.asarray(target, dtype=float).reshape(3), None)
-        for pair, target in zip(fingertip_pairs, fingertip_targets)
-    ]
-    x0 = np.zeros(hand_skeleton.total_dof)
-    opts = replace(opts, reference_weight=0.0)
-    return per_frame_solve(hand_skeleton, root_position, root_orientation, terms, x0, opts)[0]

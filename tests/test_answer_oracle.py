@@ -2,10 +2,11 @@
 
 The other solver tests check the residual and its Jacobian; these check
 where the solver stops. For every frame of a small clip on both bundled
-robots, and for `retarget_hand`, `scipy.optimize.least_squares` (MINPACK's
-Levenberg-Marquardt, tolerances at 1e-15) minimizes the same residual and
-Jacobian closures that `_gauss_newton` is handed, from the same start, with
-the same smoothing target. The solver's answer is compared before the limit
+robots, and for one solve on a two-finger hand with no smoothing target, no
+reference posture and no orientation terms, `scipy.optimize.least_squares`
+(MINPACK's Levenberg-Marquardt, tolerances at 1e-15) minimizes the same
+residual and Jacobian closures that `_gauss_newton` is handed, from the same
+start, with the same smoothing target. The solver's answer is compared before the limit
 projection, which scipy does not do.
 """
 
@@ -18,7 +19,6 @@ from retarget_kit import (
     RetargetOptions,
     load_example_correspondence,
     load_example_skeleton,
-    retarget_hand,
     retarget_sequence,
 )
 from retarget_kit import retarget
@@ -142,8 +142,10 @@ def test_hand_answer_matches_scipy(monkeypatch, rng):
     pairs = [CorrespondencePair("-", "a_tip", 1.0), CorrespondencePair("-", "b_tip", 0.5)]
     wrist = (rng.normal(size=3), random_rotation(rng))
     targets = [wrist[0] + wrist[1].apply(rng.normal(size=3) * 0.05 + [0.1, 0, 0]) for _ in pairs]
+    objective = retarget._Objective(hand, pairs, RetargetOptions(reference_weight=0.0))
+    points, frames, x0 = np.array(targets), np.zeros((0, 3, 3)), np.zeros(hand.total_dof)
     records = solve_both(
-        monkeypatch, lambda: retarget_hand(targets, hand, pairs, RetargetOptions(), *wrist)
+        monkeypatch, lambda: objective.solve(wrist[0], wrist[1].matrix, points, frames, x0)
     )
     assert len(records) == 1
     assert_answers_match(records, smoothed=())

@@ -346,6 +346,39 @@ def bad_seed_env(workdir, monkeypatch):
     return argv, "RETARGET_KIT_SEED must be an integer"
 
 
+def bad_height_threshold(value):
+    def bad_input(workdir, monkeypatch):
+        motion = workdir / "traj.motion"
+        argv = ["metrics", "track", "--ref", motion, "--exec", motion, "--height-threshold", value]
+        return argv, f"height threshold must be finite, got {value}"
+
+    bad_input.__name__ = f"height_threshold_{value}"
+    return bad_input
+
+
+def bad_contact_threshold(value):
+    def bad_input(workdir, monkeypatch):
+        argv = named_argv("features", workdir, "walker", "walker")
+        return argv + ["--contact-threshold", value], (
+            f"contact threshold must be finite, >= 0, got {float(value)!r}"
+        )
+
+    bad_input.__name__ = f"contact_threshold_{value}"
+    return bad_input
+
+
+def bad_pool(value):
+    def bad_input(workdir, monkeypatch):
+        features = FeatureMatrix(np.random.default_rng(0).normal(size=(16, 2)))
+        save_feature_matrix(features, workdir / "a.mat")
+        a = workdir / "a.mat"
+        argv = ["metrics", "gen", "--reference", a, "--generated", a, "--text", a, "--pool", value]
+        return argv, f"--pool needs the match and a distractor, >= 2, got {value}"
+
+    bad_input.__name__ = f"pool_{value}"
+    return bad_input
+
+
 def named_argv(command, workdir, motion_name, skel_name):
     """argv of `command` on copies of its motion and of skel.skel with these names.
 
@@ -630,7 +663,10 @@ class TestExitCodes:
                 ("--reference-weight", "nan"),
                 ("--limit-weight", "-1"),
             )
-        ],
+        ]
+        + [bad_height_threshold(v) for v in ("nan", "inf")]
+        + [bad_contact_threshold(v) for v in ("nan", "-1")]
+        + [bad_pool(v) for v in ("0", "-1", "1")],
         ids=lambda f: f.__name__,
     )
     def test_bad_input_exits_2(self, workdir, monkeypatch, capsys, bad_input):

@@ -1,10 +1,10 @@
 """The per-clip retarget path against the per-frame loop it replaced, bit for bit.
 
-`per_frame_retarget_sequence`, `per_frame_retarget_frame` and
-`per_frame_retarget_hand` (conftest) solve as the code did before the set-up
-left the frame loop: one human `fk` per frame, the markers resolved again,
-the objective built again and a validated Pose per evaluation. The per-clip
-path must give the same joint values, roots and report fields, exactly.
+`per_frame_retarget_sequence` and `per_frame_retarget_frame` (conftest) solve
+as the code did before the set-up left the frame loop: one human `fk` per
+frame, the markers resolved again, the objective built again and a validated
+Pose per evaluation. The per-clip path must give the same joint values, roots
+and report fields, exactly.
 """
 
 import dataclasses
@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from retarget_kit import (
-    CorrespondencePair,
     JointTrajectory,
     Pose,
     RetargetOptions,
     load_example_correspondence,
     load_example_skeleton,
     retarget_frame,
-    retarget_hand,
     retarget_sequence,
 )
 from retarget_kit import retarget
@@ -30,11 +28,9 @@ from retarget_kit.retarget import RetargetReport
 import conftest
 from conftest import (
     per_frame_retarget_frame,
-    per_frame_retarget_hand,
     per_frame_retarget_sequence,
     random_rotation,
     twist_free_pose,
-    two_finger_hand,
 )
 
 ROBOTS = [("h1_like_19", "human_to_h1"), ("g1_like_21", "human_to_g1")]
@@ -152,18 +148,6 @@ def test_frame_matches_per_frame_solve(rng, robot_name, map_name):
         assert bits(got.root_position) == bits(expected.root_position)
         assert bits(got.root_orientation.matrix) == bits(expected.root_orientation.matrix)
         assert_reports_equal([report], [expected_report])
-
-
-def test_hand_matches_per_frame_solve(rng):
-    hand = two_finger_hand()
-    pairs = [CorrespondencePair("-", "a_tip", 1.0), CorrespondencePair("-", "b_tip", 0.5)]
-    wrist = (rng.normal(size=3), random_rotation(rng))
-    targets = [wrist[0] + wrist[1].apply(rng.normal(size=3) * 0.05 + [0.1, 0, 0]) for _ in pairs]
-    for opts in (RetargetOptions(), RetargetOptions(limit_weight=0.0, max_iterations=3)):
-        got = retarget_hand(targets, hand, pairs, opts, *wrist)
-        expected = per_frame_retarget_hand(targets, hand, pairs, opts, wrist)
-        assert bits(got.joint_values) == bits(expected.joint_values)
-        assert bits(got.root_position) == bits(expected.root_position)
 
 
 class TestInputForms:

@@ -188,6 +188,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             build_pose_features(skel, [pose_at(skel)] * 2, 0.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_bad_contact_threshold(self, threshold):
+        # NaN once compared false everywhere and wrote all-zero contact columns
+        skel = make_legged()
+        with pytest.raises(ValidationError, match="contact threshold must be finite, >= 0"):
+            build_pose_features(skel, [pose_at(skel)] * 2, 30.0, contact_threshold=threshold)
+
 
 class TestBatchedMatchesRowByRow:
     @pytest.mark.parametrize("name", ["human_24", "legged"])

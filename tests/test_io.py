@@ -13,8 +13,6 @@ from retarget_kit import (
     Codebook,
     CorrespondencePair,
     CorrespondenceSet,
-    DofChannel,
-    DofConfig,
     FeatureMatrix,
     JointTrajectory,
     Pose,
@@ -23,7 +21,6 @@ from retarget_kit import (
     keypoint_motion,
     load_codebook,
     load_correspondence,
-    load_dof_config,
     load_example_correspondence,
     load_example_skeleton,
     load_feature_matrix,
@@ -32,7 +29,6 @@ from retarget_kit import (
     load_tokens,
     save_codebook,
     save_correspondence,
-    save_dof_config,
     save_feature_matrix,
     save_motion,
     save_skeleton,
@@ -703,20 +699,6 @@ class TestCorrespondenceIo:
         assert e.value.location == "/scale"
 
 
-class TestDofConfigIo:
-    def test_round_trip(self, tmp_path):
-        cfg = DofConfig(
-            [DofChannel("hip", scale=2.0, offset=0.1), DofChannel("knee", default=0.5)],
-            name="legs",
-        )
-        p = tmp_path / "d.json"
-        save_dof_config(cfg, p)
-        back = load_dof_config(p)
-        assert back.name == "legs"
-        assert back.channels[0].scale == 2.0
-        assert back.channels[1].default == 0.5
-
-
 class TestCodebookIo:
     def test_round_trip_inline(self, tmp_path, rng):
         cb = Codebook.initialize(rng.normal(size=(8, 4)), decay=0.97, epsilon=1e-4)
@@ -825,11 +807,6 @@ def bundled(name):
     return json.loads(asset_path(name).read_text())
 
 
-def dof_config_tree():
-    channels = [{"name": "hip", "scale": 2.0, "offset": 0.1}, {"name": "knee", "default": 0.5}]
-    return {"format": "dofconfig", "version": 1, "name": "legs", "joints": channels}
-
-
 def feature_tree():
     values = [[1.0, 2.0], [3.0, 4.0]]
     return {"format": "features", "version": 1, "labels": ["a", "b"], "values": values}
@@ -849,7 +826,6 @@ def load_bundled_map(path):
 DOCUMENTS = {  # kind: (a valid tree, its loader)
     "skel": (lambda: bundled("h1_like_19"), load_skeleton),
     "map": (lambda: bundled("human_to_h1"), load_bundled_map),
-    "dofconfig": (dof_config_tree, load_dof_config),
     "features": (feature_tree, load_feature_matrix),
     "codebook": (codebook_tree, load_codebook),
 }
@@ -923,23 +899,6 @@ MALFORMED_DOCUMENTS = [
                  id="scale_chain_a_number"),
     pytest.param("map", dropping("scale_chains", "robot"), "/scale_chains",
                  id="scale_chains_without_robot"),
-    pytest.param("dofconfig", setting("joints", value=5), "/joints", id="channels_not_a_list"),
-    pytest.param("dofconfig", setting("joints", 1, value="knee"), "/joints/1",
-                 id="channel_a_string"),
-    pytest.param("dofconfig", setting("joints", 0, "name", value=["hip"]), "/joints/0",
-                 id="channel_name_a_list"),
-    pytest.param("dofconfig", setting("joints", 0, "scale", value=0), "/joints/0",
-                 id="channel_scale_zero"),
-    pytest.param("dofconfig", setting("joints", 0, "scale", value=10**400), "/joints/0",
-                 id="channel_scale_too_large"),
-    pytest.param("dofconfig", setting("joints", 0, "offset", value="x"), "/joints/0",
-                 id="channel_offset_not_numeric"),
-    pytest.param("dofconfig", setting("joints", 0, "scale", value="2"), "/joints/0",
-                 id="channel_scale_a_numeric_string"),
-    pytest.param("dofconfig", setting("joints", 0, "offset", value=False), "/joints/0",
-                 id="channel_offset_a_bool"),
-    pytest.param("dofconfig", setting("joints", 1, "default", value="0.5"), "/joints/1",
-                 id="channel_default_a_numeric_string"),
     pytest.param("features", setting("labels", value=5), "/labels", id="labels_not_a_list"),
     pytest.param("features", setting("labels", 1, value=["b"]), "/", id="label_a_list"),
     pytest.param("features", setting("values", value=SIDECAR), "/values",

@@ -110,6 +110,14 @@ class TestTracking:
         with pytest.raises(MissingHeights):
             success_rate([TrajectoryPair(q, q, 30.0)], 0.5)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_success_rate_non_finite_threshold(self, threshold):
+        # NaN once compared false on every height and scored every motion a success
+        q = np.zeros((3, 1))
+        pair = TrajectoryPair(q, q, 30.0, heights=np.ones(3))
+        with pytest.raises(ValidationError, match="height threshold must be finite"):
+            success_rate([pair], threshold)
+
 
 class TestFid:
     def test_univariate_closed_form(self):

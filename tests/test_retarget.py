@@ -11,7 +11,6 @@ from retarget_kit import (
     load_example_correspondence,
     load_example_skeleton,
     retarget_frame,
-    retarget_hand,
     retarget_sequence,
 )
 from retarget_kit import retarget
@@ -21,7 +20,7 @@ from retarget_kit.errors import (
     ValidationError,
 )
 from retarget_kit.retarget import _LimitBarrier, _gauss_newton, _project_to_limits
-from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, resolve_marker
+from retarget_kit.skeleton import Joint, Skeleton
 
 from conftest import barrier_rows, make_humanlike, twist_free_pose
 
@@ -195,6 +194,14 @@ class TestRetargetFrame:
     def test_needs_position_pair(self):
         with pytest.raises(ValidationError):
             CorrespondenceSet((CorrespondencePair("a", "b", 0.0, 1.0),), scale=1.0)
+
+    @pytest.mark.parametrize("weights", [(), (-1.0,), (np.nan,), (np.inf,), (0.0,), (0.0, 0.0)],
+                             ids=["no_pairs", "negative", "nan", "inf", "zero", "all_zero"])
+    def test_bad_position_weights_rejected(self, weights):
+        # a NaN or zero weight would drop the marker's term from the solve; a negative
+        # or infinite one would end in NonFiniteObjective
+        with pytest.raises(ValidationError, match="weight"):
+            CorrespondenceSet(tuple(CorrespondencePair("a", "a", w) for w in weights))
 
     def test_zero_dof_robot(self, humanlike, rng):
         fixed = [Joint(j.name, j.parent, j.offset) for j in humanlike.joints]
@@ -506,105 +513,3 @@ def test_decrease_stop_keeps_objective(monkeypatch):
     assert sum(r.iterations for r in fast) < sum(r.iterations for r in oracle)
     for a, b in zip(fast, oracle):
         assert a.objective == pytest.approx(b.objective, rel=0.01)
-
-
-def make_finger():
-    joints = [
-        Joint("palm", None, [0, 0, 0]),
-        Joint(
-            "f_a",
-            "palm",
-            [0.03, 0, 0],
-            dof="revolute",
-            axis=[0, 0, 1],
-            limits=((-1.4, 1.4),),
-        ),
-        Joint(
-            "f_b",
-            "f_a",
-            [0.04, 0, 0],
-            dof="revolute",
-            axis=[0, 0, 1],
-            limits=((-1.4, 1.4),),
-        ),
-    ]
-    return Skeleton(joints, [Marker("tip", "f_b", [0.04, 0, 0])])
-
-
-TIP_PAIR = CorrespondencePair("h_tip", "tip")
-
-
-def tip_position(hand, pose):
-    return fk(hand, pose).point(*resolve_marker(hand, "tip"))
-
-
-class TestRetargetHand:
-    def test_zero_pose_fingertips(self):
-        hand = make_finger()
-        tip = tip_position(hand, hand.zero_pose())
-        pose = retarget_hand([tip], hand, [TIP_PAIR])
-        assert np.max(np.abs(pose.joint_values)) < 1e-6
-
-    def test_round_trip_random_pose(self, rng):
-        hand = make_finger()
-        for _ in range(10):
-            q = rng.uniform(-1.0, 1.0, size=2)
-            target = tip_position(hand, Pose(np.zeros(3), Rotation.identity(), q))
-            pose = retarget_hand([target], hand, [TIP_PAIR])
-            tip = tip_position(hand, pose)
-            assert np.linalg.norm(tip - target) < 1e-3
-            assert check_limits(hand, pose) == []
-
-    def test_unreachable_target(self):
-        hand = make_finger()
-        target = np.array([0.2, 0.0, 0.0])  # reach is 0.03 + 0.08 = 0.11
-        pose = retarget_hand(
-            [target], hand, [TIP_PAIR], RetargetOptions(limit_weight=0.0)
-        )
-        tip = tip_position(hand, pose)
-        residual = np.linalg.norm(tip - target)
-        assert residual == pytest.approx(0.09, rel=0.05)
-        assert check_limits(hand, pose) == []
-
-    def test_wrist_frame_fixed(self, rng):
-        hand = make_finger()
-        wrist_pos = np.array([0.1, 0.2, 0.3])
-        wrist_rot = Rotation.from_axis_angle([0, 1, 0], 0.7)
-        q = rng.uniform(-1.0, 1.0, size=2)
-        target = tip_position(hand, Pose(wrist_pos, wrist_rot, q))
-        pose = retarget_hand(
-            [target],
-            hand,
-            [TIP_PAIR],
-            wrist_position=wrist_pos,
-            wrist_orientation=wrist_rot,
-        )
-        assert np.allclose(pose.root_position, wrist_pos)
-        assert np.linalg.norm(tip_position(hand, pose) - target) < 1e-3
-
-    def test_no_pairs_raises(self):
-        with pytest.raises(ValidationError):
-            retarget_hand([], make_finger(), [])
-
-    def test_zero_dof_hand(self):
-        hand = Skeleton([Joint("palm", None, [0, 0, 0]), Joint("f", "palm", [0.05, 0, 0])],
-                        [Marker("tip", "f", [0.04, 0, 0])], name="mitten")
-        with pytest.raises(ValidationError, match="'mitten' has no degrees of freedom"):
-            retarget_hand([np.array([0.09, 0.0, 0.0])], hand, [TIP_PAIR])
-
-    @pytest.mark.parametrize("weights", [(-1.0,), (np.nan,), (np.inf,), (0.0,), (0.0, 0.0)],
-                             ids=["negative", "nan", "inf", "zero", "all_zero"])
-    def test_bad_position_weights_rejected(self, weights):
-        # a NaN or zero weight once dropped the fingertip's term and returned the zero
-        # pose; a negative or infinite one ended in NonFiniteObjective
-        hand = make_finger()
-        tip = tip_position(hand, hand.zero_pose())
-        with pytest.raises(ValidationError, match="weight"):
-            pairs = [CorrespondencePair("h_tip", "tip", w) for w in weights]
-            retarget_hand([tip] * len(pairs), hand, pairs)
-
-    def test_orientation_weight_rejected(self):
-        hand = make_finger()
-        pair = CorrespondencePair("h_tip", "tip", 1.0, 0.5)
-        with pytest.raises(ValidationError, match="orientation"):
-            retarget_hand([tip_position(hand, hand.zero_pose())], hand, [pair])

@@ -3,8 +3,6 @@ import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from retarget_kit import (
-    DofChannel,
-    DofConfig,
     Joint,
     JointTrajectory,
     Pose,
@@ -13,9 +11,8 @@ from retarget_kit import (
     check_limits,
     fk,
     load_example_skeleton,
-    remap_dofs,
 )
-from retarget_kit.errors import MissingDefault, PoseMismatch, ValidationError
+from retarget_kit.errors import PoseMismatch, ValidationError
 from retarget_kit.retarget import CorrespondencePair, RetargetOptions, _Objective, _project_to_limits
 from retarget_kit.skeleton import (
     LimitViolation,
@@ -470,65 +467,3 @@ class TestLimits:
                 if euler[k] > hi or euler[k] < lo
             )
             assert len(check_limits(skel, pose)) == expected
-
-
-class TestRemapDofs:
-    def test_identity(self):
-        cfg = DofConfig([DofChannel("hip"), DofChannel("knee")])
-        assert np.allclose(remap_dofs([0.1, 0.2], cfg, cfg), [0.1, 0.2])
-
-    def test_permutation(self):
-        src = DofConfig([DofChannel("hip"), DofChannel("knee")])
-        dst = DofConfig([DofChannel("knee"), DofChannel("hip")])
-        assert np.allclose(remap_dofs([0.1, 0.2], src, dst), [0.2, 0.1])
-
-    def test_scale_offset_and_default(self):
-        src = DofConfig([DofChannel("a", scale=2.0, offset=1.0), DofChannel("b")])
-        dst = DofConfig(
-            [DofChannel("a", scale=3.0, offset=-1.0), DofChannel("c", default=0.5)]
-        )
-        out = remap_dofs([5.0, 9.0], src, dst)
-        # (5 - 1)/2 * 3 - 1 = 5; b dropped; c defaults
-        assert np.allclose(out, [5.0, 0.5])
-
-    def test_missing_default_raises(self):
-        src = DofConfig([DofChannel("a")])
-        dst = DofConfig([DofChannel("b")])
-        with pytest.raises(MissingDefault):
-            remap_dofs([1.0], src, dst)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("scale", 0.0), ("scale", np.nan), ("scale", np.inf), ("scale", "2"), ("offset", np.nan),
-         ("offset", -np.inf), ("default", np.inf), ("default", np.nan), ("name", ["a"])],
-    )
-    def test_channel_rejects_bad_values(self, field, value):
-        # a zero or non-finite source scale would divide remap_dofs' output into inf or NaN
-        with pytest.raises(ValidationError):
-            DofChannel(**{"name": "a", field: value})
-
-    def test_large_table_oracle(self):
-        names21 = [f"q{i}" for i in range(21)]
-        names19 = [f"q{i}" for i in range(17)] + ["extra_a", "extra_b"]
-        src = DofConfig([DofChannel(n, scale=1.0 + i * 0.1) for i, n in enumerate(names21)])
-        dst = DofConfig(
-            [
-                DofChannel(n, scale=2.0, default=0.25 if n.startswith("extra") else None)
-                for n in names19
-            ]
-        )
-        values = np.arange(21, dtype=float)
-        out = remap_dofs(values, src, dst)
-        for i, n in enumerate(names19):
-            if n.startswith("extra"):
-                assert out[i] == 0.25
-            else:
-                j = names21.index(n)
-                assert out[i] == pytest.approx(values[j] / (1.0 + j * 0.1) * 2.0)
-
-    def test_round_trip_inverse_configs(self, rng):
-        src = DofConfig([DofChannel(f"q{i}", scale=1.5, offset=0.2) for i in range(5)])
-        dst = DofConfig([DofChannel(f"q{i}", scale=0.7, offset=-0.1) for i in range(5)])
-        v = rng.normal(size=5)
-        back = remap_dofs(remap_dofs(v, src, dst), dst, src)
-        assert np.allclose(back, v, atol=1e-12)
