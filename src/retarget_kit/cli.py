@@ -3,14 +3,12 @@
 Subcommands: fk, ik, retarget, metrics (track/gen), quantize assign,
 features. Every subcommand reads versioned JSON files, writes its outputs
 atomically, and can emit a machine-readable report via --report. Exit
-codes: 0 success, 2 validation error, 3 numeric failure. The environment
-variable RETARGET_KIT_SEED overrides metric seeds.
+codes: 0 success, 2 validation error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
 
@@ -18,24 +16,11 @@ import numpy as np
 
 from . import features as features_mod
 from . import io, metrics
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_number
 from .ik import reconstruct_sequence
 from .retarget import TERMINATIONS, RetargetOptions, retarget_sequence
 from .skeleton import fk
 from .vq import assign
-
-SEED_ENV = "RETARGET_KIT_SEED"
-
-
-def _seed(args):
-    env = os.environ.get(SEED_ENV)
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV} must be an integer, got {env!r}") from None
-
 
 def _require_kind(motion, kind, flag):
     if motion.kind != kind:
@@ -185,7 +170,7 @@ def cmd_metrics_track(args):
 
 
 def cmd_metrics_gen(args):
-    seed = _seed(args)
+    seed = check_number("--seed", args.seed, ">= 0")
     a = io.load_feature_matrix(args.reference)
     b = io.load_feature_matrix(args.generated)
     n = b.values.shape[0]

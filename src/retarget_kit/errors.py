@@ -1,9 +1,26 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one number rule.
 
 Two broad families: ValidationError for bad inputs (malformed files,
 mismatched shapes, unresolvable names) and NumericError for failures that
 arise during computation. The CLI maps these to exit codes 2 and 3.
+
+`check_number` decides, for every module, what a valid number argument
+is: a numbers.Real (a numbers.Integral where an integer is wanted) that
+is not a bool and lies within the bounds of its rule. No rule admits NaN,
+infinity or an integer past the float range.
 """
+
+import math
+from numbers import Integral, Real
+
+# rule -> (type, bounds test on a finite value, what the error message says it must be)
+_NUMBER_RULES = {
+    "finite": (Real, lambda x: True, "finite"),
+    ">= 0": (Real, lambda x: x >= 0, "a finite number >= 0"),
+    "> 0": (Real, lambda x: x > 0, "positive"),
+    "[0, 1]": (Real, lambda x: 0 <= x <= 1, "a number in [0, 1]"),
+    "int >= 1": (Integral, lambda x: x >= 1, "an integer >= 1"),
+}
 
 
 class RetargetKitError(Exception):
@@ -16,6 +33,19 @@ class ValidationError(RetargetKitError):
 
 class NumericError(RetargetKitError):
     pass
+
+
+def check_number(name, value, rule):
+    """`value`, unchanged, if it obeys `rule`, a key of _NUMBER_RULES; else a
+    ValidationError that names it."""
+    kind, within, must_be = _NUMBER_RULES[rule]
+    try:  # math.isfinite raises OverflowError on an integer past the float range
+        valid = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        valid = False
+    if not (valid and within(value)):
+        raise ValidationError(f"{name} must be {must_be}, got {value!r:.40}")
+    return value
 
 
 # --- rotations ---------------------------------------------------------

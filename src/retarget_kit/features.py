@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingContactMarkers, ValidationError
+from .errors import MissingContactMarkers, ValidationError, check_number
 from .rotations import _rot6d_stack
 from .skeleton import fk, resolve_marker
 
@@ -46,10 +46,8 @@ def build_pose_features(
     """(T-1) x D feature matrix of a JointTrajectory or T Poses at the given frame rate."""
     if len(poses) < 2:
         raise ValidationError("need at least 2 frames to build pose features")
-    if fps <= 0:
-        raise ValidationError(f"fps must be positive, got {fps}")
-    if not (np.isfinite(contact_threshold) and contact_threshold >= 0):
-        raise ValidationError(f"contact threshold must be finite, >= 0, got {contact_threshold!r}")
+    check_number("fps", fps, "> 0")
+    check_number("contact threshold", contact_threshold, ">= 0")
     missing = [m for m in contact_markers if m not in skeleton.markers]
     if missing:
         raise MissingContactMarkers(f"skeleton lacks contact markers {missing}")

@@ -29,19 +29,18 @@ import itertools
 import json
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFrame, ParseError, SchemaVersionError, ValidationError
+from .errors import DegenerateFrame, ParseError, SchemaVersionError, ValidationError, check_number
 from .metrics import FeatureMatrix
 from .retarget import CorrespondencePair, CorrespondenceSet, leg_scale
 from .rotations import _matrix_stack, _quat_stack
 from .skeleton import Joint, JointTrajectory, Marker, Skeleton
-from .vq import DEFAULT_DECAY, DEFAULT_EPSILON, Codebook, TokenSequence, _check_decay, _check_epsilon
+from .vq import DEFAULT_DECAY, DEFAULT_EPSILON, Codebook, TokenSequence
 
 FORMAT_VERSION = 1
 # What a malformed value raises: a missing key, a wrong type, an unparsable or
@@ -343,6 +342,9 @@ class Motion:
     keypoints: np.ndarray | None = None  # (T, N, 3)
     trajectory: JointTrajectory | None = None
 
+    def __post_init__(self):
+        check_number("fps", self.fps, "> 0")
+
 
 def _trajectory_columns(frames, path):
     """(T, 3) root positions, (T, 4) quaternions and (T, DoF) joint values.
@@ -385,10 +387,7 @@ def _trajectory_columns(frames, path):
 
 def load_motion(path):
     obj = _load(path, "motion")
-    fps = obj.get("fps")
-    # bool is an int subclass, and an int past the float range has no float
-    if type(fps) not in (int, float) or not 0 < fps <= sys.float_info.max:
-        raise ParseError(path, "/fps", f"fps must be positive, got {fps!r:.40}")
+    fps = float(_at(path, "/fps", check_number, "fps", obj.get("fps"), "> 0"))
     skeleton = obj.get("skeleton")
     if skeleton is not None and not isinstance(skeleton, str):
         raise ParseError(path, "/skeleton", f"expected a skeleton name, got {skeleton!r:.40}")
@@ -406,7 +405,7 @@ def load_motion(path):
                 f"expected (T, {len(labels)}, 3) keypoints, got {frames.shape}",
             )
         return Motion(
-            fps=float(fps),
+            fps=fps,
             kind=kind,
             skeleton=skeleton,
             labels=labels,
@@ -422,14 +421,14 @@ def load_motion(path):
             rotations = _matrix_stack(quats)
         except DegenerateFrame as e:
             raise ParseError(path, f"/frames/{e.row}/root_orientation", str(e)) from None
-        traj = JointTrajectory.from_arrays(float(fps), positions, rotations, values, skeleton)
-        return Motion(fps=float(fps), kind=kind, skeleton=skeleton, trajectory=traj)
+        traj = JointTrajectory.from_arrays(fps, positions, rotations, values, skeleton)
+        return Motion(fps=fps, kind=kind, skeleton=skeleton, trajectory=traj)
     raise ParseError(path, "/kind", f"unknown motion kind {kind!r}")
 
 
 def save_motion(motion, path):
     body = {
-        "fps": float(motion.fps),
+        "fps": float(check_number("fps", motion.fps, "> 0")),
         "skeleton": motion.skeleton,
         "kind": motion.kind,
     }
@@ -521,8 +520,8 @@ def load_codebook(path):
     entries = _matrix(obj.get("entries"), path, "/entries", base)
     epsilon = obj.get("epsilon", DEFAULT_EPSILON)
     decay = obj.get("decay", DEFAULT_DECAY)
-    _at(path, "/epsilon", _check_epsilon, epsilon)
-    _at(path, "/decay", _check_decay, decay)
+    _at(path, "/epsilon", check_number, "epsilon", epsilon, ">= 0")
+    _at(path, "/decay", check_number, "decay", decay, "[0, 1]")
     rows = (entries.shape[0],)
     return _at(
         path,

@@ -23,6 +23,7 @@ from .errors import (
     PoolTooLarge,
     TooFewSamples,
     ValidationError,
+    check_number,
 )
 
 DEFAULT_SEED = 0
@@ -71,8 +72,7 @@ class TrajectoryPair:
             raise LengthMismatch(f"shapes {ref.shape} and {ex.shape} differ")
         if ref.ndim != 2 or ref.shape[0] < 1:
             raise LengthMismatch(f"trajectories must be (T, DoF), got {ref.shape}")
-        if self.fps <= 0:
-            raise ValidationError(f"fps must be positive, got {self.fps}")
+        check_number("fps", self.fps, "> 0")
         object.__setattr__(self, "reference", ref)
         object.__setattr__(self, "executed", ex)
         if self.heights is not None:
@@ -125,8 +125,7 @@ def success_rate(pairs, height_threshold):
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("empty trajectory list")
-    if not np.isfinite(height_threshold):
-        raise ValidationError(f"height threshold must be finite, got {height_threshold!r}")
+    check_number("height threshold", height_threshold, "finite")
     successes = 0
     for pair in pairs:
         if pair.heights is None:
@@ -174,11 +173,6 @@ def fid(a, b):
     return max(value, 0.0)
 
 
-def _check_pair_count(name, count):
-    if not (isinstance(count, Integral) and not isinstance(count, bool) and count >= 1):
-        raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
-
-
 def _disjoint_pairs(n, pair_count, rng):
     perm = rng.permutation(n)
     return perm[: 2 * pair_count : 2], perm[1 : 2 * pair_count : 2]
@@ -186,7 +180,7 @@ def _disjoint_pairs(n, pair_count, rng):
 
 def diversity(features, pair_count, seed=DEFAULT_SEED):
     """Mean Euclidean distance over `pair_count` disjoint seeded random pairs."""
-    _check_pair_count("pair_count", pair_count)
+    check_number("pair_count", pair_count, "int >= 1")
     x = _values(features)
     if x.shape[0] < 2 * pair_count:
         raise TooFewSamples(
@@ -198,7 +192,7 @@ def diversity(features, pair_count, seed=DEFAULT_SEED):
 
 def multimodality(features, pairs_per_group, seed=DEFAULT_SEED, labels=None):
     """Mean over groups of mean within-group pairwise distance (seeded pairing)."""
-    _check_pair_count("pairs_per_group", pairs_per_group)
+    check_number("pairs_per_group", pairs_per_group, "int >= 1")
     x = _values(features)
     if labels is None:
         labels = features.labels if isinstance(features, FeatureMatrix) else None
@@ -233,7 +227,7 @@ def retrieval_ranks(text_features, motion_features, pool_size=32, seed=DEFAULT_S
     seeded random distractors; ranking is by Euclidean distance, and
     distractors tied with the match do not rank above it.
     """
-    _check_pair_count("pool_size", pool_size)
+    check_number("pool_size", pool_size, "int >= 1")
     t, m = _values(text_features), _values(motion_features)
     if t.shape != m.shape:
         raise DimensionMismatch(f"shapes {t.shape} and {m.shape} differ")
@@ -261,6 +255,7 @@ def r_precision(text_features, motion_features, pool_size=32, top_k=1, seed=DEFA
 
     The share of `retrieval_ranks` at most top_k.
     """
-    if not 1 <= top_k < pool_size:
+    check_number("pool_size", pool_size, "int >= 1")
+    if check_number("top_k", top_k, "int >= 1") >= pool_size:
         raise ValidationError(f"top_k must be in [1, {pool_size - 1}], got {top_k}")
     return top_k_share(retrieval_ranks(text_features, motion_features, pool_size, seed), top_k)

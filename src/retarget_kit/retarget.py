@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import NonFiniteObjective, UnresolvableCorrespondence, ValidationError
+from .errors import NonFiniteObjective, UnresolvableCorrespondence, ValidationError, check_number
 from .rotations import (
     Rotation,
     _exp_stack,
@@ -41,7 +40,6 @@ from .rotations import (
 from .skeleton import (
     JointTrajectory,
     Pose,
-    _finite,
     _fk_arrays,
     _intrinsic_xyz_euler,
     fk,
@@ -72,9 +70,8 @@ class CorrespondencePair:
             raise ValidationError(
                 f"pair names must be strings, got {self.human!r:.40}, {self.robot!r:.40}"
             )
-        weights = self.position_weight, self.orientation_weight
-        if not all(_finite(w) and w >= 0 for w in weights):
-            raise ValidationError(f"bad weights on pair {self.human}->{self.robot}: {weights}")
+        for name in ("position_weight", "orientation_weight"):
+            check_number(f"{name} of pair {self.human}->{self.robot}", getattr(self, name), ">= 0")
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,7 @@ class CorrespondenceSet:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not (_finite(self.scale) and self.scale > 0):
-            raise ValidationError(f"scale must be finite and positive, got {self.scale!r}")
+        check_number("scale", self.scale, "> 0")
         if not any(p.position_weight > 0 for p in self.pairs):
             raise ValidationError("need at least one pair with position weight > 0")
 
@@ -103,17 +99,8 @@ class RetargetOptions:
 
     def __post_init__(self):
         for name in ("limit_weight", "smoothness_weight", "reference_weight", "gradient_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and np.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
-        if not (
-            isinstance(self.max_iterations, Integral)
-            and not isinstance(self.max_iterations, bool)
-            and self.max_iterations >= 1
-        ):
-            raise ValidationError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
-            )
+            check_number(name, getattr(self, name), ">= 0")
+        check_number("max_iterations", self.max_iterations, "int >= 1")
 
 
 TERMINATIONS = ("converged", "small_decrease", "stalled", "max_iterations", "carried_forward")

@@ -284,9 +284,6 @@ class Rotation:
 
     # -- algebra --------------------------------------------------------
 
-    def inverse(self):
-        return Rotation(self.matrix.T.copy())
-
     def __matmul__(self, other):
         if isinstance(other, Rotation):
             return Rotation(self.matrix @ other.matrix)

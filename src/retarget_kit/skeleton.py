@@ -2,24 +2,17 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Real
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import PoseMismatch, UnresolvableCorrespondence, ValidationError
+from .errors import PoseMismatch, UnresolvableCorrespondence, ValidationError, check_number
 from .rotations import Rotation, _exp_stack, _hat_stack, _rodrigues_stack
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
 
 _EYE3 = np.eye(3)
-
-
-def _finite(x):
-    """Whether x is a real number other than NaN and infinity."""
-    return isinstance(x, Real) and -math.inf < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -202,6 +195,7 @@ class JointTrajectory:
         return trajectory
 
     def _set(self, fps, skeleton, root_positions, root_rotations, joint_values):
+        check_number("fps", fps, "> 0")
         arrays = [np.array(a, dtype=float) for a in (root_positions, root_rotations, joint_values)]
         positions, rotations, values = arrays
         n = len(values) if values.ndim == 2 else -1

@@ -3,32 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError, check_number
 
 DEFAULT_DECAY = 0.99
 DEFAULT_EPSILON = 1e-5
 DEFAULT_USAGE_THRESHOLD = 1.0
-
-
-def _check_epsilon(epsilon):
-    """The Laplace smoothing of `ema_update` must be a finite number >= 0.
-
-    Zero is allowed: `ema_update` then keeps the entries of empty clusters.
-    """
-    if isinstance(epsilon, bool) or not (
-        isinstance(epsilon, Real) and np.isfinite(epsilon) and epsilon >= 0
-    ):
-        raise ValidationError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
-
-
-def _check_decay(decay):
-    """The EMA decay of `ema_update` must be a real number in [0, 1], not a bool."""
-    if isinstance(decay, bool) or not (isinstance(decay, Real) and 0.0 <= decay <= 1.0):
-        raise ValidationError(f"decay must be a number in [0, 1], got {decay!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +30,8 @@ class Codebook:
             raise ValidationError(f"entries must be a nonempty KxD matrix, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValidationError("codebook entries contain non-finite values")
-        _check_decay(self.decay)
-        _check_epsilon(self.epsilon)
+        check_number("decay", self.decay, "[0, 1]")
+        check_number("epsilon", self.epsilon, ">= 0")  # 0 keeps the entries of empty clusters
         counts = np.asarray(self.ema_counts, dtype=float).reshape(-1)
         sums = np.asarray(self.ema_sums, dtype=float)
         if counts.shape != (entries.shape[0],) or sums.shape != entries.shape:

@@ -210,7 +210,7 @@ class TestMetrics:
         report = json.loads((workdir / "m.json").read_text())
         assert report["metrics"]["MPJPE(mrad)"] == 0.0
 
-    def test_gen_metrics_and_seed_env(self, tmp_path, rng, monkeypatch, capsys):
+    def test_gen_metrics_and_seed_env(self, tmp_path, rng, capsys):
         a = FeatureMatrix(rng.normal(size=(64, 4)))
         b = FeatureMatrix(rng.normal(size=(64, 4)), labels=["g1"] * 32 + ["g2"] * 32)
         save_feature_matrix(a, tmp_path / "a.mat")
@@ -221,8 +221,7 @@ class TestMetrics:
         assert run(argv) == 0
         base = json.loads((tmp_path / "r.json").read_text())
         assert base["seed"] == 0
-        monkeypatch.setenv("RETARGET_KIT_SEED", "7")
-        assert run(argv) == 0
+        assert run(argv + ["--seed", 7]) == 0
         seeded = json.loads((tmp_path / "r.json").read_text())
         assert seeded["seed"] == 7
         assert seeded["metrics"]["FID"] == base["metrics"]["FID"]
@@ -339,11 +338,12 @@ def bad_limit_arity(workdir, monkeypatch):
     return argv, "limits must be [min, max] pairs"
 
 
-def bad_seed_env(workdir, monkeypatch):
+def negative_seed(workdir, monkeypatch):
+    # the seed once reached numpy, which raised a raw ValueError
     save_feature_matrix(FeatureMatrix(np.eye(8)), workdir / "a.mat")
-    monkeypatch.setenv("RETARGET_KIT_SEED", "1.5")
-    argv = ["metrics", "gen", "--reference", workdir / "a.mat", "--generated", workdir / "a.mat"]
-    return argv, "RETARGET_KIT_SEED must be an integer"
+    argv = ["metrics", "gen", "--reference", workdir / "a.mat", "--generated", workdir / "a.mat",
+            "--pairs", 2, "--seed", -1]
+    return argv, "--seed must be a finite number >= 0, got -1"
 
 
 def bad_height_threshold(value):
@@ -360,7 +360,7 @@ def bad_contact_threshold(value):
     def bad_input(workdir, monkeypatch):
         argv = named_argv("features", workdir, "walker", "walker")
         return argv + ["--contact-threshold", value], (
-            f"contact threshold must be finite, >= 0, got {float(value)!r}"
+            f"contact threshold must be a finite number >= 0, got {float(value)!r}"
         )
 
     bad_input.__name__ = f"contact_threshold_{value}"
@@ -571,7 +571,7 @@ def zero_quaternion(command):
 class TestExitCodes:
     @pytest.mark.parametrize(
         "bad_input",
-        [bad_limit_arity, bad_seed_env, bad_pairs]
+        [bad_limit_arity, negative_seed, bad_pairs]
         + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")]
         + [zero_dof_robot, empty_human_motion]
         + [zero_quaternion(c) for c in ("fk", "features")]

@@ -192,7 +192,7 @@ class TestValidation:
     def test_bad_contact_threshold(self, threshold):
         # NaN once compared false everywhere and wrote all-zero contact columns
         skel = make_legged()
-        with pytest.raises(ValidationError, match="contact threshold must be finite, >= 0"):
+        with pytest.raises(ValidationError, match="contact threshold must be a finite number >= 0"):
             build_pose_features(skel, [pose_at(skel)] * 2, 30.0, contact_threshold=threshold)
 
 

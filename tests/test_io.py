@@ -405,6 +405,25 @@ class TestMotionIo:
         with pytest.raises(ParseError):
             load_motion(p)
 
+    @pytest.mark.parametrize("kind", ["keypoints", "trajectory"])
+    @pytest.mark.parametrize("fps", [np.nan, np.inf, 0, True], ids=["nan", "inf", "0", "true"])
+    def test_bad_fps_refused(self, tmp_path, kind, fps):
+        # save_motion once wrote "fps": NaN or Infinity, which load_motion refuses
+        def make(fps):
+            if kind == "keypoints":
+                return keypoint_motion(np.zeros((2, 1, 3)), ["a"], fps)
+            arrays = np.zeros((2, 3)), np.stack([np.eye(3)] * 2), np.zeros((2, 1))
+            return trajectory_motion(JointTrajectory.from_arrays(fps, *arrays))
+
+        with pytest.raises(ValidationError, match="fps must be positive"):
+            make(fps)
+        motion = make(30.0)
+        motion.fps = fps  # a Motion's fields can be set after it is made
+        p = tmp_path / "m.motion"
+        with pytest.raises(ValidationError, match="fps must be positive"):
+            save_motion(motion, p)
+        assert not p.exists() and no_tmp_files(tmp_path)
+
     @pytest.mark.parametrize(
         "field, value, location",
         [("fps", True, "/fps"), ("fps", 10**400, "/fps"), ("skeleton", 5, "/skeleton"),
