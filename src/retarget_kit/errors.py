@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its one number rule.
+"""Exception hierarchy shared across the package, and its number and array rules.
 
 Two broad families: ValidationError for bad inputs (malformed files,
 mismatched shapes, unresolvable names) and NumericError for failures that
@@ -6,12 +6,16 @@ arise during computation. The CLI maps these to exit codes 2 and 3.
 
 `check_number` decides, for every module, what a valid number argument
 is: a numbers.Real (a numbers.Integral where an integer is wanted) that
-is not a bool and lies within the bounds of its rule. No rule admits NaN,
-infinity or an integer past the float range.
+is not a bool and lies within the bounds of its rule. `check_array` is
+its counterpart for arrays: anything np.asarray takes as floats, of the
+shape asked for. Neither rule admits NaN, infinity or an integer past
+the float range.
 """
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 # rule -> (type, bounds test on a finite value, what the error message says it must be)
 _NUMBER_RULES = {
@@ -46,6 +50,23 @@ def check_number(name, value, rule):
     if not (valid and within(value)):
         raise ValidationError(f"{name} must be {must_be}, got {value!r:.40}")
     return value
+
+
+def check_array(name, value, shape=None):
+    """np.asarray(value, dtype=float) if it converts, matches `shape` (None
+    matches any length) and holds no NaN or infinity; else a ValidationError
+    that names it."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{name} is not a numeric array: {e}") from None
+    if shape is not None and (
+        arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
+    ):
+        raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains NaN or infinity")
+    return arr
 
 
 # --- rotations ---------------------------------------------------------

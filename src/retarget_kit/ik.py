@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBone, PoseMismatch, RankDeficient, ValidationError
+from .errors import DegenerateBone, PoseMismatch, RankDeficient, ValidationError, check_array
 from .rotations import Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
 from .skeleton import JointTrajectory, Pose
 
@@ -26,11 +26,7 @@ class KeypointFrame:
     labels: tuple
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValidationError(f"keypoint positions must be Nx3, got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise ValidationError("keypoint positions contain non-finite entries")
+        pos = check_array("keypoint positions", self.positions, (None, 3))
         if pos.shape[0] != len(self.labels):
             raise ValidationError(
                 f"{pos.shape[0]} keypoints but {len(self.labels)} labels"
@@ -160,15 +156,9 @@ def reconstruct_sequence(
         rows = np.array([orders[f.labels] for f in frames])
         kp = np.array([f.positions for f in frames])[np.arange(len(frames))[:, None], rows]
     else:
-        kp = np.asarray(frames, dtype=float)
-        if kp.ndim != 3 or kp.shape[1:] != (len(labels), 3):
-            raise ValidationError(
-                f"expected (T, {len(labels)}, 3) keypoints for {len(labels)} labels, got {kp.shape}"
-            )
+        kp = check_array("keypoints", frames, (None, len(labels), 3))
         if not len(kp):
             raise ValidationError("empty keypoint sequence")
-        if not np.all(np.isfinite(kp)):
-            raise ValidationError("keypoint positions contain non-finite entries")
         kp = kp[:, _joint_order(skeleton, tuple(labels))]
     try:
         root, values = _reconstruct(skeleton, kp)

@@ -9,8 +9,9 @@ One renderer, `_render`, yields every file's text as json.dumps(tree,
 indent=1) would, byte for byte, in pieces that `_save` writes as they come,
 so no document is held whole (loaders read it whole, as json.loads needs).
 Savers hand it numeric np.ndarrays, rendered a top-level row a piece (one
-repr pass, joined by shape); it refuses arrays holding NaN or infinity,
-which every loader rejects. Large matrices may be stored as a
+repr pass, joined by shape); it refuses, by `errors.check_array`, arrays
+holding NaN or infinity, which every loader rejects by the same rule.
+Large matrices may be stored as a
 sidecar flat binary of little-endian float64, referenced as
 {"binary": <relative path>, "shape": [rows, cols]} and written atomically
 too. A trajectory is loaded as one array per frame key and saved as one
@@ -35,7 +36,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFrame, ParseError, SchemaVersionError, ValidationError, check_number
+from .errors import (
+    DegenerateFrame,
+    ParseError,
+    SchemaVersionError,
+    ValidationError,
+    check_array,
+    check_number,
+)
 from .metrics import FeatureMatrix
 from .retarget import CorrespondencePair, CorrespondenceSet, leg_scale
 from .rotations import _matrix_stack, _quat_stack
@@ -88,15 +96,6 @@ def _at(path, location, make, *args):
         raise ParseError(path, location, reason) from None
 
 
-def _number(value):
-    """float(value) for a JSON number; a bool or a string, which float() would
-    take, is refused as float() refuses a string it cannot parse."""
-    if type(value) not in (int, float):
-        kind = "string" if isinstance(value, str) else type(value).__name__
-        raise ValueError(f"could not convert {kind} to float: {value!r:.40}")
-    return float(value)
-
-
 def _records(path, obj, key, make):
     """make(record, location) for each object in the list at obj[key], none if
     the key is absent; a failure is a ParseError at /key/i."""
@@ -112,20 +111,9 @@ def _records(path, obj, key, make):
     return records
 
 
-def _finite_array(node, path, location, shape=None):
-    try:
-        arr = np.asarray(node, dtype=float)
-    except _MALFORMED as e:
-        raise ParseError(path, location, f"not a numeric array: {e}") from None
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(path, location, "contains NaN or infinity")
-    if shape is not None and arr.shape != shape:
-        raise ParseError(path, location, f"expected shape {shape}, got {arr.shape}")
-    return arr
-
-
 def _matrix(node, path, location, base_dir):
     """Inline list-of-lists matrix or a {"binary", "shape"} sidecar reference."""
+    name = location[1:]
     if isinstance(node, dict):
         try:
             rel, shape = node["binary"], tuple(int(s) for s in node["shape"])
@@ -137,24 +125,10 @@ def _matrix(node, path, location, base_dir):
         except OSError as e:
             raise ParseError(path, location, f"sidecar {rel}: {e}") from None
         if flat.size != math.prod(shape) or min(shape, default=0) < 0:
-            raise ParseError(
-                path, location, f"sidecar {rel} holds {flat.size} values, shape {shape}"
-            )
-        if not np.all(np.isfinite(flat)):
-            raise ParseError(path, location, f"sidecar {rel} contains NaN or infinity")
-        return flat.reshape(shape)
-    arr = _finite_array(node, path, location)
-    if arr.ndim != 2:
-        raise ParseError(path, location, f"expected a matrix, got shape {arr.shape}")
-    return arr
-
-
-def _finite_floats(arr):
-    """arr as a float array; a saver refuses what its loader would reject."""
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"array of shape {arr.shape} contains NaN or infinity")
-    return arr
+            reason = f"sidecar {rel} holds {flat.size} values, shape {shape}"
+            raise ParseError(path, location, reason)
+        node, name = flat.reshape(shape), f"sidecar {rel}"
+    return _at(path, location, check_array, name, node, (None, None))
 
 
 def _array(arr, depth, rows=False):
@@ -203,7 +177,7 @@ def _render(node, depth):
         return
     if isinstance(node, np.ndarray):
         if node.dtype.kind == "f":
-            _finite_floats(node)
+            check_array(f"array of shape {node.shape}", node)
         elif node.dtype.kind not in "iu":
             raise TypeError(f"cannot write an array of dtype {node.dtype}")
         if node.ndim < 2 or len(node) < 2:
@@ -230,17 +204,13 @@ def _render(node, depth):
     yield "\n" + " " * depth + brackets[1]
 
 
-def _floats(arr):
-    return np.asarray(arr, dtype=float).reshape(-1)
-
-
 def _matrix_node(arr, path, key, binary_sidecar):
     if not binary_sidecar:
         return np.asarray(arr, dtype=float)
     rel = f"{Path(path).name}.{key}.bin"
     bin_path = Path(path).parent / rel
     try:
-        data = np.ascontiguousarray(_finite_floats(arr), dtype="<f8")
+        data = np.ascontiguousarray(check_array(f"array of shape {np.shape(arr)}", arr), "<f8")
     except ValidationError as e:
         raise ValidationError(f"cannot write {bin_path}: {e}") from None
     _atomic_write(bin_path, [data])
@@ -287,12 +257,12 @@ def load_skeleton(path):
     def joint(node, location):
         dof, axis = node.get("dof", "fixed"), None
         if isinstance(dof, dict):
-            axis = _finite_array(dof.get("axis"), path, location + "/axis", (3,))
+            axis = _at(path, location + "/axis", check_array, "axis", dof.get("axis"), (3,))
             dof = dof.get("type")
         return Joint(
             name=node["name"],
             parent=node.get("parent"),
-            offset=_finite_array(node["offset"], path, location + "/offset", (3,)),
+            offset=_at(path, location + "/offset", check_array, "offset", node["offset"], (3,)),
             dof=dof,
             axis=axis,
             limits=tuple(tuple(p) for p in node.get("limits", [])),
@@ -300,7 +270,7 @@ def load_skeleton(path):
         )
 
     def marker(node, location):
-        offset = _finite_array(node["offset"], path, location + "/offset", (3,))
+        offset = _at(path, location + "/offset", check_array, "offset", node["offset"], (3,))
         return Marker(name=node["name"], joint=node["joint"], offset=offset)
 
     joints = _records(path, obj, "joints", joint)
@@ -311,9 +281,9 @@ def load_skeleton(path):
 def save_skeleton(skeleton, path):
     joints = []
     for j in skeleton.joints:
-        node = {"name": j.name, "parent": j.parent, "offset": _floats(j.offset)}
+        node = {"name": j.name, "parent": j.parent, "offset": j.offset}
         if j.dof == "revolute":
-            node["dof"] = {"type": "revolute", "axis": _floats(j.axis)}
+            node["dof"] = {"type": "revolute", "axis": j.axis}
         else:
             node["dof"] = j.dof
         if j.limits:
@@ -322,7 +292,7 @@ def save_skeleton(skeleton, path):
             node["meta"] = j.meta
         joints.append(node)
     markers = [
-        {"name": m.name, "joint": m.joint, "offset": _floats(m.offset)}
+        {"name": m.name, "joint": m.joint, "offset": m.offset}
         for m in skeleton.markers.values()
     ]
     _save(path, "skeleton", {"name": skeleton.name, "joints": joints, "markers": markers})
@@ -346,39 +316,30 @@ class Motion:
         check_number("fps", self.fps, "> 0")
 
 
+_FRAME_KEYS = {  # the keys of a trajectory frame, and the shapes of their columns
+    "root_position": (None, 3), "root_orientation": (None, 4), "joint_values": (None, None)
+}
+
+
 def _trajectory_columns(frames, path):
     """(T, 3) root positions, (T, 4) quaternions and (T, DoF) joint values.
 
-    One array per key. When one of them fails, the frames are checked in
-    order, so the error names the first bad frame.
+    One array per key, checked by the array rule. When one of them fails,
+    the frames are checked in order, so the error names the first bad frame.
     """
     try:
-        positions, quats, values = (
-            np.asarray([node[key] for node in frames], dtype=float)
-            for key in ("root_position", "root_orientation", "joint_values")
-        )
-        columns = positions, quats, values
-        if (
-            positions.shape[1:] == (3,)
-            and quats.shape[1:] == (4,)
-            and values.ndim == 2
-            and all(np.all(np.isfinite(c)) for c in columns)
-        ):
-            return columns
-    except _MALFORMED:
+        return [check_array(k, [node[k] for node in frames], s) for k, s in _FRAME_KEYS.items()]
+    except (ValidationError, *_MALFORMED):
         pass
     dof = None
     for i, node in enumerate(frames):
         loc = f"/frames/{i}"
         try:
-            _finite_array(node["root_position"], path, loc, (3,))
-            _finite_array(node["root_orientation"], path, loc, (4,))
-            values = _finite_array(node["joint_values"], path, loc)
+            columns = [node[key] for key in _FRAME_KEYS]
         except _MALFORMED as e:
             raise ParseError(path, loc, f"bad trajectory frame: {e}") from None
-        if values.ndim != 1:
-            reason = f"joint_values must be a flat list, got shape {values.shape}"
-            raise ParseError(path, loc, reason)
+        for (key, shape), column in zip(_FRAME_KEYS.items(), columns):
+            values = _at(path, loc, check_array, key, column, shape[1:])
         if dof is not None and len(values) != dof:
             raise ParseError(path, loc, f"{len(values)} joint values, frame 0 has {dof}")
         dof = len(values)
@@ -397,20 +358,9 @@ def load_motion(path):
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ParseError(path, "/labels", "expected a list of joint names")
         labels = tuple(labels)
-        frames = _finite_array(obj.get("frames"), path, "/frames")
-        if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[1] != len(labels):
-            raise ParseError(
-                path,
-                "/frames",
-                f"expected (T, {len(labels)}, 3) keypoints, got {frames.shape}",
-            )
-        return Motion(
-            fps=fps,
-            kind=kind,
-            skeleton=skeleton,
-            labels=labels,
-            keypoints=frames,
-        )
+        shape = (None, len(labels), 3)
+        frames = _at(path, "/frames", check_array, "keypoint frames", obj.get("frames"), shape)
+        return Motion(fps=fps, kind=kind, skeleton=skeleton, labels=labels, keypoints=frames)
     if kind == "trajectory":
         frames = obj.get("frames")
         if not isinstance(frames, list) or not frames:
@@ -437,13 +387,12 @@ def save_motion(motion, path):
         body["frames"] = np.asarray(motion.keypoints, dtype=float)
     elif motion.kind == "trajectory":
         # Each column is rendered in one pass, as rows laid out for their frame's object.
+        # The trajectory's arrays are checked already; the quaternions are computed here.
         traj = motion.trajectory
-        columns = (traj.root_positions, _quat_stack(traj.root_rotations), traj.joint_values)
-        keys = ("root_position", "root_orientation", "joint_values")
-        body["frames"] = [
-            dict(zip(keys, map(_Rendered, row)))
-            for row in zip(*(_array(_finite_floats(c), 3, rows=True) for c in columns))
-        ]
+        quats = check_array("root orientation quaternions", _quat_stack(traj.root_rotations))
+        columns = (traj.root_positions, quats, traj.joint_values)
+        rendered = (_array(c, 3, rows=True) for c in columns)
+        body["frames"] = [dict(zip(_FRAME_KEYS, map(_Rendered, row))) for row in zip(*rendered)]
     else:
         raise ValidationError(f"unknown motion kind {motion.kind!r}")
     _save(path, "motion", body)
@@ -476,12 +425,9 @@ def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
     obj = _load(path, "correspondence")
 
     def pair(node, location):
-        return CorrespondencePair(
-            human=node["human"],
-            robot=node["robot"],
-            position_weight=_number(node.get("position_weight", 1.0)),
-            orientation_weight=_number(node.get("orientation_weight", 0.0)),
-        )
+        weights = node.get("position_weight", 1.0), node.get("orientation_weight", 0.0)
+        CorrespondencePair(node["human"], node["robot"], *weights)  # checks the weights
+        return CorrespondencePair(node["human"], node["robot"], *map(float, weights))
 
     pairs = _records(path, obj, "pairs", pair)
     scale = obj.get("scale")
@@ -495,7 +441,8 @@ def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
             )
         chains = _at(path, "/scale_chains", lambda: (chains["human"], chains["robot"]))
         scale = _at(path, "/scale_chains", leg_scale, human_skeleton, robot_skeleton, *chains)
-    return _at(path, "/", CorrespondenceSet, tuple(pairs), _at(path, "/scale", _number, scale))
+    scale = float(_at(path, "/scale", check_number, "scale", scale, "> 0"))
+    return _at(path, "/", CorrespondenceSet, tuple(pairs), scale)
 
 
 def save_correspondence(corr, path):
@@ -523,17 +470,10 @@ def load_codebook(path):
     _at(path, "/epsilon", check_number, "epsilon", epsilon, ">= 0")
     _at(path, "/decay", check_number, "decay", decay, "[0, 1]")
     rows = (entries.shape[0],)
-    return _at(
-        path,
-        "/",
-        Codebook,
-        entries,
-        _finite_array(obj.get("ema_counts"), path, "/ema_counts", rows),
-        _matrix(obj.get("ema_sums"), path, "/ema_sums", base),
-        float(decay),
-        float(epsilon),
-        _finite_array(obj.get("usage"), path, "/usage", rows),
-    )
+    counts = _at(path, "/ema_counts", check_array, "ema_counts", obj.get("ema_counts"), rows)
+    sums = _matrix(obj.get("ema_sums"), path, "/ema_sums", base)
+    usage = _at(path, "/usage", check_array, "usage", obj.get("usage"), rows)
+    return _at(path, "/", Codebook, entries, counts, sums, float(decay), float(epsilon), usage)
 
 
 def save_codebook(codebook, path, binary_sidecar=False):
@@ -544,9 +484,9 @@ def save_codebook(codebook, path, binary_sidecar=False):
             "decay": float(codebook.decay),
             "epsilon": float(codebook.epsilon),
             "entries": _matrix_node(codebook.entries, path, "entries", binary_sidecar),
-            "ema_counts": _floats(codebook.ema_counts),
+            "ema_counts": codebook.ema_counts,
             "ema_sums": _matrix_node(codebook.ema_sums, path, "ema_sums", binary_sidecar),
-            "usage": _floats(codebook.usage),
+            "usage": codebook.usage,
         },
     )
 
@@ -558,8 +498,8 @@ def load_tokens(path):
     if not isinstance(indices, list) or any(type(i) is not int for i in indices):
         raise ParseError(path, "/indices", "expected a list of integer token indices")
     factor = obj.get("downsample_factor")
-    if factor is not None and type(factor) is not int:
-        raise ParseError(path, "/downsample_factor", f"expected an integer, got {factor!r}")
+    if factor is not None:
+        _at(path, "/downsample_factor", check_number, "downsample_factor", factor, "int >= 1")
     return _at(path, "/indices", lambda: TokenSequence(np.asarray(indices, dtype=int), factor))
 
 

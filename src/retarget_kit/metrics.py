@@ -23,6 +23,7 @@ from .errors import (
     PoolTooLarge,
     TooFewSamples,
     ValidationError,
+    check_array,
     check_number,
 )
 
@@ -37,11 +38,9 @@ class FeatureMatrix:
     labels: tuple | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValidationError(f"feature matrix must be 2-D and nonempty, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("feature matrix contains non-finite entries")
+        v = check_array("feature matrix", self.values, (None, None))
+        if v.shape[0] < 1:
+            raise ValidationError(f"feature matrix must be nonempty, got {v.shape}")
         object.__setattr__(self, "values", v)
         if self.labels is not None:
             labels = tuple(self.labels)
@@ -52,8 +51,9 @@ class FeatureMatrix:
             object.__setattr__(self, "labels", labels)
 
 
-def _values(x):
-    return x.values if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=float)
+def _values(name, x):
+    """The (n, d) rows of a FeatureMatrix, or of a raw array checked by the array rule."""
+    return x.values if isinstance(x, FeatureMatrix) else check_array(name, x, (None, None))
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,17 @@ class TrajectoryPair:
     heights: np.ndarray | None = None  # executed center-of-mass proxy, meters
 
     def __post_init__(self):
-        ref = np.asarray(self.reference, dtype=float)
-        ex = np.asarray(self.executed, dtype=float)
+        ref = check_array("reference", self.reference)
+        ex = check_array("executed", self.executed)
         if ref.shape != ex.shape:
-            raise LengthMismatch(f"shapes {ref.shape} and {ex.shape} differ")
+            raise LengthMismatch(f"reference and executed shapes {ref.shape} and {ex.shape} differ")
         if ref.ndim != 2 or ref.shape[0] < 1:
             raise LengthMismatch(f"trajectories must be (T, DoF), got {ref.shape}")
         check_number("fps", self.fps, "> 0")
         object.__setattr__(self, "reference", ref)
         object.__setattr__(self, "executed", ex)
         if self.heights is not None:
-            h = np.asarray(self.heights, dtype=float).reshape(-1)
+            h = check_array("heights", self.heights).reshape(-1)
             if len(h) != ref.shape[0]:
                 raise LengthMismatch(f"{len(h)} heights for {ref.shape[0]} frames")
             object.__setattr__(self, "heights", h)
@@ -151,7 +151,7 @@ def fid(a, b):
     square root taken of the symmetric product S_a^{1/2} S_b S_a^{1/2}.
     Covariances use 1/(n-1) normalization.
     """
-    a, b = _values(a), _values(b)
+    a, b = _values("a", a), _values("b", b)
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"feature dims {a.shape[1]} and {b.shape[1]} differ")
     if a.shape[0] < 2 or b.shape[0] < 2:
@@ -181,7 +181,7 @@ def _disjoint_pairs(n, pair_count, rng):
 def diversity(features, pair_count, seed=DEFAULT_SEED):
     """Mean Euclidean distance over `pair_count` disjoint seeded random pairs."""
     check_number("pair_count", pair_count, "int >= 1")
-    x = _values(features)
+    x = _values("features", features)
     if x.shape[0] < 2 * pair_count:
         raise TooFewSamples(
             f"need at least {2 * pair_count} rows for {pair_count} disjoint pairs"
@@ -193,7 +193,7 @@ def diversity(features, pair_count, seed=DEFAULT_SEED):
 def multimodality(features, pairs_per_group, seed=DEFAULT_SEED, labels=None):
     """Mean over groups of mean within-group pairwise distance (seeded pairing)."""
     check_number("pairs_per_group", pairs_per_group, "int >= 1")
-    x = _values(features)
+    x = _values("features", features)
     if labels is None:
         labels = features.labels if isinstance(features, FeatureMatrix) else None
     if labels is None:
@@ -214,7 +214,7 @@ def multimodality(features, pairs_per_group, seed=DEFAULT_SEED, labels=None):
 
 def mm_dist(text_features, motion_features):
     """Mean Euclidean distance between matched text/motion feature rows."""
-    t, m = _values(text_features), _values(motion_features)
+    t, m = _values("text_features", text_features), _values("motion_features", motion_features)
     if t.shape != m.shape:
         raise DimensionMismatch(f"shapes {t.shape} and {m.shape} differ")
     return float(np.mean(np.linalg.norm(t - m, axis=1)))
@@ -228,7 +228,7 @@ def retrieval_ranks(text_features, motion_features, pool_size=32, seed=DEFAULT_S
     distractors tied with the match do not rank above it.
     """
     check_number("pool_size", pool_size, "int >= 1")
-    t, m = _values(text_features), _values(motion_features)
+    t, m = _values("text_features", text_features), _values("motion_features", motion_features)
     if t.shape != m.shape:
         raise DimensionMismatch(f"shapes {t.shape} and {m.shape} differ")
     n = t.shape[0]

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteObjective, UnresolvableCorrespondence, ValidationError, check_number
+from .errors import (
+    NonFiniteObjective,
+    UnresolvableCorrespondence,
+    ValidationError,
+    check_array,
+    check_number,
+)
 from .rotations import (
     Rotation,
     _exp_stack,
@@ -457,8 +463,7 @@ class _Objective:
         `points` (term, 3) and `frames` (framed, 3, 3) are this frame's world
         targets. The values are projected into the joint limits.
         """
-        if not np.all(np.isfinite(root_position)):
-            raise ValidationError("pose contains non-finite entries")
+        check_array("root position", root_position, (3,))
         skeleton, layout, barrier, w_ref = self.skeleton, self.layout, self.barrier, self.w_ref
         layout.aim(points, frames)
         w_smooth = self.w_smooth if smooth_to is not None else 0.0

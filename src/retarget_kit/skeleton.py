@@ -7,12 +7,26 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import PoseMismatch, UnresolvableCorrespondence, ValidationError, check_number
+from .errors import (
+    PoseMismatch,
+    UnresolvableCorrespondence,
+    ValidationError,
+    check_array,
+    check_number,
+)
 from .rotations import Rotation, _exp_stack, _hat_stack, _rodrigues_stack
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
 
 _EYE3 = np.eye(3)
+
+
+def _vector3(name, value):
+    """`value` checked by the array rule and stored flat: any array of 3 values will do."""
+    v = check_array(name, value)
+    if v.size != 3:
+        raise ValidationError(f"{name}: expected shape (3,), got {v.shape}")
+    return v.reshape(3)
 
 
 @dataclass(frozen=True)
@@ -39,13 +53,13 @@ class Joint:
                 f"joint and parent names must be strings, got {self.name!r:.40}, "
                 f"{self.parent!r:.40}"
             )
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(3))
+        object.__setattr__(self, "offset", _vector3(f"offset of joint '{self.name}'", self.offset))
         if self.dof not in DOF_COUNTS:
             raise ValidationError(f"joint '{self.name}': unknown dof kind '{self.dof}'")
         if self.dof == "revolute":
             if self.axis is None:
                 raise ValidationError(f"joint '{self.name}': revolute joint needs an axis")
-            ax = np.asarray(self.axis, dtype=float).reshape(3)
+            ax = _vector3(f"axis of joint '{self.name}'", self.axis)
             n = np.linalg.norm(ax)
             if abs(n - 1.0) > 1e-6:
                 raise ValidationError(f"joint '{self.name}': revolute axis norm {n} != 1")
@@ -83,7 +97,7 @@ class Marker:
             raise ValidationError(
                 f"marker and joint names must be strings, got {self.name!r:.40}, {self.joint!r:.40}"
             )
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(3))
+        object.__setattr__(self, "offset", _vector3(f"offset of marker '{self.name}'", self.offset))
 
 
 class Skeleton:
@@ -148,17 +162,9 @@ class Pose:
     joint_values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "root_position", np.asarray(self.root_position, dtype=float).reshape(3)
-        )
-        object.__setattr__(
-            self, "joint_values", np.asarray(self.joint_values, dtype=float).reshape(-1)
-        )
-        if not (
-            np.all(np.isfinite(self.root_position))
-            and np.all(np.isfinite(self.joint_values))
-        ):
-            raise ValidationError("pose contains non-finite entries")
+        object.__setattr__(self, "root_position", _vector3("root_position", self.root_position))
+        values = check_array("joint_values", self.joint_values).reshape(-1)
+        object.__setattr__(self, "joint_values", values)
 
 
 def _stack_poses(poses, dof, expected):
@@ -196,16 +202,13 @@ class JointTrajectory:
 
     def _set(self, fps, skeleton, root_positions, root_rotations, joint_values):
         check_number("fps", fps, "> 0")
-        arrays = [np.array(a, dtype=float) for a in (root_positions, root_rotations, joint_values)]
-        positions, rotations, values = arrays
-        n = len(values) if values.ndim == 2 else -1
-        if positions.shape != (n, 3) or rotations.shape != (n, 3, 3):
-            raise ValidationError(
-                f"trajectory arrays of shapes {positions.shape}, {rotations.shape} and "
-                f"{values.shape} are not (T, 3), (T, 3, 3) and (T, DoF)"
-            )
-        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(values))):
-            raise ValidationError("trajectory contains non-finite root positions or joint values")
+        values = check_array("joint_values", joint_values, (None, None))
+        n = len(values)
+        arrays = [
+            np.array(check_array("root_positions", root_positions, (n, 3))),
+            np.array(check_array("root_rotations", root_rotations, (n, 3, 3))),
+            np.array(values),
+        ]
         for a in arrays:
             a.flags.writeable = False
         self.fps, self.skeleton = fps, skeleton

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, check_number
+from .errors import DimensionMismatch, ValidationError, check_array, check_number
 
 DEFAULT_DECAY = 0.99
 DEFAULT_EPSILON = 1e-5
@@ -25,26 +25,19 @@ class Codebook:
     usage: np.ndarray = None
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.size == 0:
+        entries = check_array("entries", self.entries, (None, None))
+        if entries.size == 0:
             raise ValidationError(f"entries must be a nonempty KxD matrix, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValidationError("codebook entries contain non-finite values")
         check_number("decay", self.decay, "[0, 1]")
         check_number("epsilon", self.epsilon, ">= 0")  # 0 keeps the entries of empty clusters
-        counts = np.asarray(self.ema_counts, dtype=float).reshape(-1)
-        sums = np.asarray(self.ema_sums, dtype=float)
+        counts = check_array("ema_counts", self.ema_counts).reshape(-1)
+        sums = check_array("ema_sums", self.ema_sums)
         if counts.shape != (entries.shape[0],) or sums.shape != entries.shape:
-            raise DimensionMismatch("EMA accumulator shapes do not match entries")
-        usage = self.usage
-        usage = np.zeros(entries.shape[0]) if usage is None else np.asarray(usage, float)
-        usage = usage.reshape(-1)
+            raise DimensionMismatch("ema_counts or ema_sums shape does not match entries")
+        usage = np.zeros(len(entries)) if self.usage is None else self.usage
+        usage = check_array("usage", usage).reshape(-1)
         if usage.shape != counts.shape:
             raise DimensionMismatch(f"{usage.size} usage counters for {counts.size} entries")
-        # save_codebook refuses non-finite arrays, so a codebook that holds one could not be saved
-        for name, arr in (("ema_counts", counts), ("ema_sums", sums), ("usage", usage)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"codebook {name} contains NaN or infinity")
         if np.any(counts < 0):
             raise ValidationError("ema_counts must be >= 0")
         object.__setattr__(self, "entries", entries)
@@ -55,7 +48,7 @@ class Codebook:
     @classmethod
     def initialize(cls, entries, decay=DEFAULT_DECAY, epsilon=DEFAULT_EPSILON):
         """Fresh codebook: counts start at 1 and sums at the entries themselves."""
-        entries = np.asarray(entries, dtype=float)
+        entries = check_array("entries", entries, (None, None))
         return cls(
             entries=entries,
             ema_counts=np.ones(entries.shape[0]),
@@ -82,13 +75,15 @@ class TokenSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int).reshape(-1))
+        if self.downsample_factor is not None:
+            check_number("downsample_factor", self.downsample_factor, "int >= 1")
 
     def __len__(self):
         return len(self.indices)
 
 
 def _check_latents(codebook, latents):
-    latents = np.asarray(latents, dtype=float)
+    latents = check_array("latents", latents)
     if latents.ndim != 2 or latents.shape[1] != codebook.dim:
         raise DimensionMismatch(
             f"latents shape {latents.shape} does not match codebook dim {codebook.dim}"
@@ -157,6 +152,7 @@ def reset_dead_codes(codebook, latents, usage_threshold=DEFAULT_USAGE_THRESHOLD)
     is smaller than the dead set). Their EMA state restarts at that latent
     with count 1; all usage counters are zeroed. Returns (codebook, count).
     """
+    check_number("usage_threshold", usage_threshold, ">= 0")
     latents = _check_latents(codebook, latents)
     if latents.shape[0] == 0:
         raise ValidationError("need a nonempty latent batch to reset dead codes")

@@ -624,13 +624,14 @@ class TestExitCodes:
                                "/pairs/0: pair names must be strings"),
             malformed_document("map_weight_too_large", "self.map",
                                lambda o: o["pairs"][0].update(position_weight=10**400),
-                               "/pairs/0: int too large to convert to float"),
+                               "/pairs/0: position_weight of pair c0_0->c0_0 must be a "
+                               "finite number >= 0, got 10000"),
             malformed_document("map_scale_not_numeric", "self.map",
                                lambda o: o.update(scale="big"),
-                               "/scale: could not convert string to float: 'big'"),
+                               "/scale: scale must be positive, got 'big'"),
             malformed_document("map_scale_too_large", "self.map",
                                lambda o: o.update(scale=10**400),
-                               "/scale: int too large to convert to float"),
+                               "/scale: scale must be positive, got 10000"),
             malformed_document("map_scale_chain_unknown_joint", "self.map",
                                lambda o: o.update(scale=None, scale_chains={
                                    "human": ["root", "c0_0", "nope"],

@@ -397,9 +397,9 @@ class TestArrayInput:
         "shape, labels, message",
         [
             ((0, 4, 3), 4, "empty keypoint sequence"),
-            ((2, 4, 3), 3, r"expected \(T, 3, 3\) keypoints for 3 labels, got \(2, 4, 3\)"),
-            ((2, 4, 2), 4, r"expected \(T, 4, 3\) keypoints"),
-            ((4, 3), 4, r"expected \(T, 4, 3\) keypoints"),
+            ((2, 4, 3), 3, r"keypoints: expected shape \(None, 3, 3\), got \(2, 4, 3\)"),
+            ((2, 4, 2), 4, r"keypoints: expected shape \(None, 4, 3\)"),
+            ((4, 3), 4, r"keypoints: expected shape \(None, 4, 3\)"),
         ],
     )
     def test_shape_checks(self, shape, labels, message):
@@ -413,7 +413,7 @@ class TestArrayInput:
         labels = labels_of(skel)
         bad = kp.copy()
         bad[2, 1, 0] = np.nan
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError, match="keypoints contains NaN or infinity"):
             reconstruct_sequence(skel, bad, labels)
         with pytest.raises(ValidationError, match="missing joint 'd'"):
             reconstruct_sequence(skel, kp, labels[:-1] + ("e",))

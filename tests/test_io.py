@@ -480,7 +480,7 @@ class TestTrajectoryLoader:
             (4, lambda f: f["joint_values"].__setitem__(2, None), "contains NaN or infinity"),
             (7, lambda f: f["root_orientation"].__setitem__(0, None), "contains NaN or infinity"),
             (2, lambda f: f["root_orientation"].pop(), "expected shape (4,)"),
-            (1, lambda f: f.update(joint_values=[[0.0]]), "must be a flat list"),
+            (1, lambda f: f.update(joint_values=[[0.0]]), "expected shape (None,)"),
             (6, lambda f: f.update(root_position="abc"), "not a numeric array"),
             (3, lambda f: f.update(joint_values=[10**400]), "not a numeric array"),
         ],
@@ -961,9 +961,10 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (setting("scale", value="0.8"), "/scale: could not convert string to float: '0.8'"),
+            (setting("scale", value="0.8"), "/scale: scale must be positive, got '0.8'"),
             (setting("pairs", 0, "position_weight", value=True),
-             "/pairs/0: could not convert bool to float: True"),
+             "/pairs/0: position_weight of pair l_knee->l_knee must be a finite number >= 0, "
+             "got True"),
         ],
     )
     def test_retarget_refuses_a_hand_edited_map(self, tmp_path, capsys, edit, message):
@@ -989,7 +990,7 @@ class TestMalformedDocuments:
         p.write_text(json.dumps(obj))
         with pytest.raises(ParseError) as e:
             load_skeleton(p)
-        assert str(e.value).startswith(f"{p}: /joints/0/offset: not a numeric array")
+        assert str(e.value).startswith(f"{p}: /joints/0/offset: offset is not a numeric array")
 
 
 # --- mutated bundled documents ---------------------------------------------

@@ -13,6 +13,7 @@ from retarget_kit import (
     JointTrajectory,
     Motion,
     RetargetOptions,
+    TokenSequence,
     TrajectoryPair,
     build_pose_features,
     diversity,
@@ -20,10 +21,13 @@ from retarget_kit import (
     load_example_skeleton,
     multimodality,
     r_precision,
+    reset_dead_codes,
     retrieval_ranks,
     success_rate,
 )
+from retarget_kit.cli import main
 from retarget_kit.errors import ValidationError, check_number
+from retarget_kit.io import save_codebook, save_feature_matrix
 
 BAD_VALUES = [True, float("nan"), float("inf"), float("-inf"), 10**400, "1", None]
 BAD_IDS = ["true", "nan", "inf", "-inf", "10**400", "str", "none"]
@@ -137,7 +141,16 @@ PUBLIC_NUMBER_ARGUMENTS = {
     "r_precision.top_k": (
         "top_k", lambda v: r_precision(_features(), _features(), pool_size=8, top_k=v), 7,
     ),
+    "TokenSequence.downsample_factor": (
+        "downsample_factor", lambda v: TokenSequence([0, 1], v), 4,
+    ),
+    "reset_dead_codes.usage_threshold": (
+        "usage_threshold", lambda v: reset_dead_codes(Codebook.initialize(np.eye(2)), np.eye(2), v),
+        0.5,
+    ),
 }
+# Arguments where None is a valid value meaning "not given", not a bad number.
+NONE_MEANS_NOT_GIVEN = {"TokenSequence.downsample_factor"}
 
 
 @pytest.mark.parametrize("argument", PUBLIC_NUMBER_ARGUMENTS)
@@ -150,5 +163,21 @@ def test_public_argument_accepts_a_valid_number(argument):
 @pytest.mark.parametrize("argument", PUBLIC_NUMBER_ARGUMENTS)
 def test_public_argument_refuses_a_bad_number(argument, value):
     name, call, _ = PUBLIC_NUMBER_ARGUMENTS[argument]
+    if value is None and argument in NONE_MEANS_NOT_GIVEN:
+        call(value)  # no downsampling: accepted, and written as null
+        return
     with pytest.raises(ValidationError, match=f"^{name} must be "):
         call(value)
+
+
+@pytest.mark.parametrize("factor", [0, -3])
+def test_quantize_assign_refuses_a_downsample_factor_below_1(tmp_path, capsys, factor):
+    codebook, latents = tmp_path / "cb.json", tmp_path / "z.mat"
+    save_codebook(Codebook.initialize(np.eye(2)), codebook)
+    save_feature_matrix(FeatureMatrix(np.eye(2)), latents)
+    out = tmp_path / "tokens.json"
+    argv = ["quantize", "assign", "--codebook", codebook, "--latents", latents, "--out", out,
+            "--downsample", factor]
+    assert main([str(a) for a in argv]) == 2
+    assert "downsample_factor must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()

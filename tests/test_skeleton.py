@@ -400,11 +400,13 @@ class TestJointTrajectory:
     @pytest.mark.parametrize(
         "positions, rotations, values, message",
         [
-            (np.zeros((2, 3)), np.zeros((3, 3, 3)), np.zeros((2, 4)), "are not"),
-            (np.zeros((2, 2)), np.zeros((2, 3, 3)), np.zeros((2, 4)), "are not"),
-            (np.zeros((2, 3)), np.zeros((2, 3, 3)), np.zeros(2), "are not"),
-            (np.zeros((2, 3)), np.zeros((2, 3, 3)), [[0.0], [np.nan]], "non-finite"),
-            ([[0, 0, np.inf]] * 2, np.zeros((2, 3, 3)), np.zeros((2, 1)), "non-finite"),
+            (np.zeros((2, 3)), np.zeros((3, 3, 3)), np.zeros((2, 4)), "root_rotations: expected"),
+            (np.zeros((2, 2)), np.zeros((2, 3, 3)), np.zeros((2, 4)), "root_positions: expected"),
+            (np.zeros((2, 3)), np.zeros((2, 3, 3)), np.zeros(2), "joint_values: expected"),
+            (np.zeros((2, 3)), np.zeros((2, 3, 3)), [[0.0], [np.nan]],
+             "joint_values contains NaN"),
+            ([[0, 0, np.inf]] * 2, np.zeros((2, 3, 3)), np.zeros((2, 1)),
+             "root_positions contains NaN"),
         ],
     )
     def test_from_arrays_validates(self, positions, rotations, values, message):

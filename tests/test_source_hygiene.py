@@ -35,3 +35,45 @@ def test_no_unused_import(path):
 def test_finds_an_unused_import():
     source = "import math\nimport os.path\nfrom numbers import Integral, Real as R\nR, os\n"
     assert unused_imports(source) == [(1, "math"), (3, "Integral")]
+
+
+# The array rule: outside errors.py, where `check_array` lives, no module checks
+# arrays for NaN or infinity by hand. The one exception is `cli._finite_rows`:
+# a pipeline output found non-finite is a numeric failure (exit 3), not bad input.
+FINITE_CHECK_ALLOWED_IN = {"cli.py": "_finite_rows"}
+PACKAGE = sorted(p for p in ROOT.glob("src/retarget_kit/*.py") if p.name != "errors.py")
+
+
+def finite_checks(source, allowed_function=None):
+    """The lines of `source` that read `np.isfinite` outside `allowed_function`."""
+    lines = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside or child.name == allowed_function)
+                continue
+            is_np = isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+            if is_np and child.attr == "isfinite" and child.value.id == "np" and not inside:
+                lines.append(child.lineno)
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_hand_written_finite_check(path):
+    source = path.read_text(encoding="utf-8")
+    assert finite_checks(source, FINITE_CHECK_ALLOWED_IN.get(path.name)) == []
+
+
+def test_finds_a_hand_written_finite_check():
+    source = (
+        "import math\nimport numpy as np\n"
+        "def f(x):\n    return np.all(np.isfinite(x)) and math.isfinite(1.0)\n"
+        "def g(x):\n    def h():\n        return np.isfinite(x)\n    return h\n"
+        "ok = np.isfinite\n"
+    )
+    assert finite_checks(source) == [4, 7, 9]
+    assert finite_checks(source, allowed_function="g") == [4, 9]
