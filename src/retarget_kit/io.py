@@ -47,7 +47,7 @@ from .errors import (
 from .metrics import FeatureMatrix
 from .retarget import CorrespondencePair, CorrespondenceSet, leg_scale
 from .rotations import _matrix_stack, _quat_stack
-from .skeleton import Joint, JointTrajectory, Marker, Skeleton
+from .skeleton import Joint, JointTrajectory, Marker, Skeleton, _skeleton_name
 from .vq import DEFAULT_DECAY, DEFAULT_EPSILON, Codebook, TokenSequence
 
 FORMAT_VERSION = 1
@@ -253,6 +253,7 @@ def save_report(report, path):
 
 def load_skeleton(path):
     obj = _load(path, "skeleton")
+    name = _at(path, "/name", _skeleton_name, obj.get("name"))
 
     def joint(node, location):
         dof, axis = node.get("dof", "fixed"), None
@@ -275,7 +276,7 @@ def load_skeleton(path):
 
     joints = _records(path, obj, "joints", joint)
     markers = _records(path, obj, "markers", marker)
-    return _at(path, "/joints", Skeleton, joints, markers, obj.get("name"))
+    return _at(path, "/joints", Skeleton, joints, markers, name)
 
 
 def save_skeleton(skeleton, path):
@@ -303,7 +304,12 @@ def save_skeleton(skeleton, path):
 
 @dataclass
 class Motion:
-    """Either a keypoint sequence or a joint trajectory, plus header metadata."""
+    """Either a keypoint sequence or a joint trajectory, plus header metadata.
+
+    The payload is checked when the motion is made: keypoints are a (T, N, 3)
+    array, N the number of labels, and a trajectory has the motion's fps and
+    skeleton name.
+    """
 
     fps: float
     kind: str  # "keypoints" | "trajectory"
@@ -314,6 +320,24 @@ class Motion:
 
     def __post_init__(self):
         check_number("fps", self.fps, "> 0")
+        _skeleton_name(self.skeleton)
+        if self.kind == "keypoints":
+            labels = self.labels
+            if not (isinstance(labels, tuple) and all(isinstance(x, str) for x in labels)):
+                raise ValidationError(f"labels must be a tuple of joint names, got {labels!r:.40}")
+            shape = (None, len(labels), 3)
+            self.keypoints = check_array("keypoint frames", self.keypoints, shape)
+        elif self.kind == "trajectory":
+            t = self.trajectory
+            if not isinstance(t, JointTrajectory):
+                raise ValidationError(f"trajectory must be a JointTrajectory, got {t!r:.40}")
+            if (t.fps, t.skeleton) != (self.fps, self.skeleton):
+                raise ValidationError(
+                    f"trajectory fps {t.fps!r} and skeleton {t.skeleton!r:.40} differ from the "
+                    f"motion's {self.fps!r} and {self.skeleton!r:.40}"
+                )
+        else:
+            raise ValidationError(f"unknown motion kind {self.kind!r:.40}")
 
 
 _FRAME_KEYS = {  # the keys of a trajectory frame, and the shapes of their columns
@@ -349,18 +373,13 @@ def _trajectory_columns(frames, path):
 def load_motion(path):
     obj = _load(path, "motion")
     fps = float(_at(path, "/fps", check_number, "fps", obj.get("fps"), "> 0"))
-    skeleton = obj.get("skeleton")
-    if skeleton is not None and not isinstance(skeleton, str):
-        raise ParseError(path, "/skeleton", f"expected a skeleton name, got {skeleton!r:.40}")
+    skeleton = _at(path, "/skeleton", _skeleton_name, obj.get("skeleton"))
     kind = obj.get("kind")
     if kind == "keypoints":
         labels = obj.get("labels", [])
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ParseError(path, "/labels", "expected a list of joint names")
-        labels = tuple(labels)
-        shape = (None, len(labels), 3)
-        frames = _at(path, "/frames", check_array, "keypoint frames", obj.get("frames"), shape)
-        return Motion(fps=fps, kind=kind, skeleton=skeleton, labels=labels, keypoints=frames)
+        return _at(path, "/frames", Motion, fps, kind, skeleton, tuple(labels), obj.get("frames"))
     if kind == "trajectory":
         frames = obj.get("frames")
         if not isinstance(frames, list) or not frames:
@@ -413,7 +432,7 @@ def keypoint_motion(frames, labels, fps, skeleton=None):
         kind="keypoints",
         skeleton=skeleton,
         labels=tuple(labels),
-        keypoints=np.asarray(frames, dtype=float),
+        keypoints=frames,
     )
 
 

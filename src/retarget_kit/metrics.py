@@ -30,6 +30,14 @@ from .errors import (
 DEFAULT_SEED = 0
 
 
+def _rows(name, x):
+    """`x` as (n, d) rows, n >= 1, checked by the array rule."""
+    v = check_array(name, x, (None, None))
+    if v.shape[0] < 1:
+        raise ValidationError(f"{name} must be nonempty, got {v.shape}")
+    return v
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """n x d feature rows with optional per-row group labels."""
@@ -38,9 +46,7 @@ class FeatureMatrix:
     labels: tuple | None = None
 
     def __post_init__(self):
-        v = check_array("feature matrix", self.values, (None, None))
-        if v.shape[0] < 1:
-            raise ValidationError(f"feature matrix must be nonempty, got {v.shape}")
+        v = _rows("feature matrix", self.values)
         object.__setattr__(self, "values", v)
         if self.labels is not None:
             labels = tuple(self.labels)
@@ -52,8 +58,8 @@ class FeatureMatrix:
 
 
 def _values(name, x):
-    """The (n, d) rows of a FeatureMatrix, or of a raw array checked by the array rule."""
-    return x.values if isinstance(x, FeatureMatrix) else check_array(name, x, (None, None))
+    """The (n, d) rows of a FeatureMatrix, or of a raw array checked by `_rows`."""
+    return x.values if isinstance(x, FeatureMatrix) else _rows(name, x)
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,8 @@ class TrajectoryPair:
         ex = check_array("executed", self.executed)
         if ref.shape != ex.shape:
             raise LengthMismatch(f"reference and executed shapes {ref.shape} and {ex.shape} differ")
-        if ref.ndim != 2 or ref.shape[0] < 1:
-            raise LengthMismatch(f"trajectories must be (T, DoF), got {ref.shape}")
+        if ref.ndim != 2 or 0 in ref.shape:
+            raise LengthMismatch(f"trajectories must be (T, DoF), T, DoF >= 1, got {ref.shape}")
         check_number("fps", self.fps, "> 0")
         object.__setattr__(self, "reference", ref)
         object.__setattr__(self, "executed", ex)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateBone, DegenerateFrame, RankDeficient
 
-# Default tolerances; every public operation takes an override keyword.
+# Tolerances, the same for every caller.
 ORTHONORMAL_TOL = 1e-9
 DEGENERATE_NORM = 1e-8
 RANK_TOL = 1e-9
@@ -228,13 +228,13 @@ class Rotation:
         return cls(_EYE3.copy())
 
     @classmethod
-    def from_matrix(cls, m, *, tol=ORTHONORMAL_TOL):
+    def from_matrix(cls, m):
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise DegenerateFrame(f"expected 3x3 matrix, got shape {m.shape}")
         err = np.linalg.norm(m.T @ m - _EYE3)
         det = np.linalg.det(m)
-        if err > tol or abs(det - 1.0) > tol:
+        if err > ORTHONORMAL_TOL or abs(det - 1.0) > ORTHONORMAL_TOL:
             raise DegenerateFrame(
                 f"matrix not in SO(3): orthonormality residual {err:.3e}, det {det:.12f}"
             )
@@ -293,25 +293,25 @@ class Rotation:
         return self.matrix @ np.asarray(v, dtype=float)
 
 
-def _align_stack(t, p, tol=DEGENERATE_NORM):
+def _align_stack(t, p):
     """Minimal rotation mapping each template bone direction of an (n, 3) array onto
     the observed one of the matching row of another, as (n, 3, 3) matrices.
 
     Antiparallel inputs fall back to a half-turn about the coordinate axis
     least aligned with the template, orthogonalized against it. Raises
-    DegenerateBone for the first pair with a bone shorter than tol.
+    DegenerateBone for the first pair with a bone no longer than DEGENERATE_NORM.
     """
     nt, np_ = _norm(t), _norm(p)
-    short = (nt <= tol) | (np_ <= tol)
+    short = (nt <= DEGENERATE_NORM) | (np_ <= DEGENERATE_NORM)
     if short.any():
         i = np.argmax(short)
-        raise DegenerateBone(f"bone norms {nt[i]:.3e}, {np_[i]:.3e} below {tol:.0e}")
+        raise DegenerateBone(f"bone norms {nt[i]:.3e}, {np_[i]:.3e} below {DEGENERATE_NORM:.0e}")
     t_hat, p_hat = t / nt[:, None], p / np_[:, None]
     c = np.clip(_dot(t_hat, p_hat), -1.0, 1.0)
     cross = np.cross(t_hat, p_hat)
     s = _norm(cross)
     out = np.empty((len(t), 3, 3))
-    turned = s >= tol
+    turned = s >= DEGENERATE_NORM
     out[~turned & (c > 0)] = _EYE3
     # Antiparallel: deterministic fallback axis orthogonal to t.
     half_turn = ~turned & ~(c > 0)
@@ -324,13 +324,13 @@ def _align_stack(t, p, tol=DEGENERATE_NORM):
     return out
 
 
-def _procrustes_stack(t, p, rank_tol=RANK_TOL):
+def _procrustes_stack(t, p):
     """`procrustes` of one 3 x m template column set against an (n, 3, m) stack.
 
     Raises RankDeficient for the first item whose cross-covariance has rank < 2.
     """
     u, s, vt = np.linalg.svd(p @ t.T)
-    low = s[:, 1] <= rank_tol * np.maximum(s[:, 0], 1.0)
+    low = s[:, 1] <= RANK_TOL * np.maximum(s[:, 0], 1.0)
     if low.any():
         raise RankDeficient(f"cross-covariance rank < 2 (singular values {s[np.argmax(low)]})")
     d = np.ones((len(p), 1, 3))
@@ -338,7 +338,7 @@ def _procrustes_stack(t, p, rank_tol=RANK_TOL):
     return (u * d) @ vt
 
 
-def procrustes(template_cols, observed_cols, *, rank_tol=RANK_TOL):
+def procrustes(template_cols, observed_cols):
     """Rotation minimizing ||R T - P||_F over SO(3) for 3xm column sets.
 
     SVD of the cross-covariance P T^T with the standard determinant
@@ -351,5 +351,5 @@ def procrustes(template_cols, observed_cols, *, rank_tol=RANK_TOL):
         raise RankDeficient(f"expected matching 3xm inputs, got {t.shape} and {p.shape}")
     if t.shape[1] < 2:
         raise RankDeficient("need at least 2 correspondence columns")
-    return Rotation(_procrustes_stack(t, p[None], rank_tol)[0])
+    return Rotation(_procrustes_stack(t, p[None])[0])
 

@@ -29,6 +29,13 @@ def _vector3(name, value):
     return v.reshape(3)
 
 
+def _skeleton_name(name):
+    """`name` if it names a skeleton: a string, or None for an unnamed one."""
+    if not isinstance(name, (str, type(None))):
+        raise ValidationError(f"expected a skeleton name, got {name!r:.40}")
+    return name
+
+
 @dataclass(frozen=True)
 class Joint:
     """One joint of the tree; offsets are meters in the parent frame.
@@ -104,6 +111,7 @@ class Skeleton:
     """Joint tree in topological order (parents strictly before children)."""
 
     def __init__(self, joints, markers=(), name=None):
+        self.name = _skeleton_name(name)
         joints = tuple(joints)
         if not joints:
             raise ValidationError("skeleton has no joints")
@@ -124,7 +132,6 @@ class Skeleton:
             seen[j.name] = i
         if roots != 1:
             raise ValidationError(f"expected exactly one root, found {roots}")
-        self.name = name
         self.joints = joints
         self.index = MappingProxyType(seen)
         self.parent_index = tuple(

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -552,6 +553,15 @@ def malformed_document(name, file, edit, message):
     return bad_input
 
 
+def zero_dof_tracks(workdir, monkeypatch):
+    # metrics track on zero-DoF trajectories once printed nan three times and exited 0
+    arrays = np.zeros((4, 3)), np.stack([np.eye(3)] * 4), np.zeros((4, 0))
+    still = workdir / "still.motion"
+    save_motion(trajectory_motion(JointTrajectory.from_arrays(30.0, *arrays)), still)
+    return (["metrics", "track", "--ref", still, "--exec", still],
+            "trajectories must be (T, DoF), T, DoF >= 1, got (4, 0)")
+
+
 def zero_quaternion(command):
     """`command` on a trajectory whose frames 2 and 3 store a zero root quaternion."""
 
@@ -573,7 +583,7 @@ class TestExitCodes:
         "bad_input",
         [bad_limit_arity, negative_seed, bad_pairs]
         + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")]
-        + [zero_dof_robot, empty_human_motion]
+        + [zero_dof_robot, empty_human_motion, zero_dof_tracks]
         + [zero_quaternion(c) for c in ("fk", "features")]
         + [
             collapsed_keypoints(
@@ -613,6 +623,9 @@ class TestExitCodes:
             malformed_document("skel_joint_a_string", "skel.skel",
                                lambda o: o["joints"].__setitem__(0, "root"),
                                "/joints/0: expected an object, got 'root'"),
+            malformed_document("skel_name_a_number", "skel.skel",
+                               lambda o: o.update(name=5),
+                               "/name: expected a skeleton name, got 5"),
             malformed_document("skel_joint_name_a_list", "skel.skel",
                                lambda o: o["joints"][1].update(name=["c0_0"]),
                                "/joints/1: joint and parent names must be strings"),
@@ -708,6 +721,65 @@ class TestExitCodes:
     )
     def test_unnamed_or_matching_skeleton_runs(self, workdir, command, motion_name, skel_name):
         assert run(named_argv(command, workdir, motion_name, skel_name)) == 0
+
+
+def leaf_parsers(parser, path=()):
+    """{path of subcommand names: parser} of every leaf subcommand under `parser`."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {path: parser}
+    return {
+        leaf: p
+        for name, sub in subparsers[0].choices.items()
+        for leaf, p in leaf_parsers(sub, path + (name,)).items()
+    }
+
+
+def keypoint_file(workdir):
+    rendered_keypoints(workdir)
+    return workdir / "kp.motion"
+
+
+def feature_files(workdir):
+    rng = np.random.default_rng(0)
+    save_feature_matrix(FeatureMatrix(rng.normal(size=(16, 2))), workdir / "a.mat")
+    save_codebook(Codebook.initialize(rng.normal(size=(4, 2))), workdir / "cb.json")
+    return workdir / "a.mat", workdir / "cb.json"
+
+
+# argv of a successful run of each leaf subcommand, and the output it writes
+SUBCOMMAND_RUNS = {
+    ("fk",): lambda w: (["fk", "--skel", w / "skel.skel", "--motion", w / "traj.motion",
+                         "--out", w / "x.motion"], w / "x.motion"),
+    ("ik",): lambda w: (["ik", "--skel", w / "skel.skel", "--motion", keypoint_file(w),
+                         "--out", w / "x.motion"], w / "x.motion"),
+    ("retarget",): lambda w: (retarget_argv(w), w / "x.motion"),
+    ("metrics", "track"): lambda w: (["metrics", "track", "--ref", w / "traj.motion",
+                                      "--exec", w / "traj.motion"], None),
+    ("metrics", "gen"): lambda w: (["metrics", "gen", "--reference", feature_files(w)[0],
+                                    "--generated", w / "a.mat"], None),
+    ("quantize", "assign"): lambda w: (["quantize", "assign", "--codebook", feature_files(w)[1],
+                                        "--latents", w / "a.mat", "--out", w / "t.json"],
+                                       w / "t.json"),
+    ("features",): lambda w: (named_argv("features", w, None, None), w / "x.mat"),
+}
+
+
+class TestReportContract:
+    @pytest.mark.parametrize("path", list(leaf_parsers(build_parser())), ids="-".join)
+    def test_every_subcommand_writes_its_report_after_its_outputs(self, workdir, path):
+        parser = leaf_parsers(build_parser())[path]
+        assert any("--report" in a.option_strings for a in parser._actions)
+        argv, out = SUBCOMMAND_RUNS[path](workdir)
+        report = workdir / "report.json"
+        assert run(argv + ["--report", report]) == 0
+        assert json.loads(report.read_text())["command"] == "-".join(path)
+        if out is not None:
+            assert out.stat().st_mtime_ns <= report.stat().st_mtime_ns
+
+    def test_every_subcommand_is_listed(self):
+        # so that a new subcommand is run by the test above and held to the contract
+        assert set(leaf_parsers(build_parser())) == set(SUBCOMMAND_RUNS)
 
 
 class TestEntryPoint:

@@ -69,6 +69,14 @@ def no_tmp_files(directory):
     return not list(directory.rglob("*.tmp"))
 
 
+def motion_holding(frames, labels):
+    """A keypoint motion given `frames` after it is made, past its own check, so
+    that the writer is the one to see them."""
+    motion = keypoint_motion(np.zeros(frames.shape), labels, 30.0)
+    motion.keypoints = frames  # a Motion's fields can be set after it is made
+    return motion
+
+
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
     1e-7, 1e-5, 1e-4, 0.1, 1.0, -3.0, 2.0**53, 1e16, 1e22, 123456789012345678.0,
@@ -171,7 +179,7 @@ class TestArrayWriter:
         frames[1, 0, 2] = np.nan
         p = tmp_path / "m.motion"
         with pytest.raises(ValidationError, match="cannot write .*NaN or infinity"):
-            save_motion(keypoint_motion(frames, ["a"], 30.0), p)
+            save_motion(motion_holding(frames, ["a"]), p)
         assert not p.exists() and no_tmp_files(tmp_path)
 
     @pytest.mark.parametrize("binary_sidecar", [False, True])
@@ -243,8 +251,8 @@ class TestFailedWrite:
                 id="nan_in_last_row",
             ),
             pytest.param(
-                lambda p: save_motion(keypoint_motion(
-                    np.concatenate([np.ones((4, 2, 3)), np.full((1, 2, 3), np.inf)]), "ab", 30
+                lambda p: save_motion(motion_holding(
+                    np.concatenate([np.ones((4, 2, 3)), np.full((1, 2, 3), np.inf)]), "ab"
                 ), p),
                 ValidationError, r"cannot write .*array of shape \(5, 2, 3\) contains NaN",
                 id="infinity_in_last_frame",
@@ -341,6 +349,16 @@ class TestSkeletonIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_skeleton(tmp_path / "absent.skel")
+
+    @pytest.mark.parametrize("name", [5, ["human"], True])
+    def test_name_must_be_a_string_or_null(self, tmp_path, name):
+        # a numeric name was loaded and written into every motion made from it
+        p = tmp_path / "s.skel"
+        save_skeleton(make_humanlike(), p)
+        rewrite(p, lambda o: o.update(name=name))
+        with pytest.raises(ParseError, match="expected a skeleton name") as e:
+            load_skeleton(p)
+        assert e.value.location == "/name"
 
     @pytest.mark.parametrize(
         "content, reason",
@@ -445,6 +463,42 @@ class TestMotionIo:
         )
         with pytest.raises(ParseError):
             load_motion(p)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda: keypoint_motion(np.full((2, 1, 3), np.nan), ["a"], 30),
+                         "keypoint frames contains NaN", id="nan_keypoints"),
+            pytest.param(lambda: keypoint_motion(np.zeros((2, 1, 3)), ["a", "b"], 30),
+                         r"keypoint frames: expected shape \(None, 2, 3\)", id="labels_mismatch"),
+            pytest.param(lambda: keypoint_motion(np.zeros((2, 1, 3)), [1], 30),
+                         "labels must be a tuple of joint names", id="label_not_a_string"),
+            pytest.param(lambda: io.Motion(30.0, "keypoints", labels=["a"],
+                                           keypoints=np.zeros((2, 1, 3))),
+                         "labels must be a tuple", id="labels_a_list"),
+            pytest.param(lambda: io.Motion(30.0, "trajectory"),
+                         "trajectory must be a JointTrajectory, got None", id="no_trajectory"),
+            pytest.param(lambda: io.Motion(30.0, "trajectory", trajectory=_trajectory(60.0)),
+                         "trajectory fps 60.0", id="trajectory_fps_differs"),
+            pytest.param(lambda: io.Motion(30.0, "trajectory", skeleton="h",
+                                           trajectory=_trajectory(30.0)),
+                         "skeleton None differ", id="trajectory_skeleton_differs"),
+            pytest.param(lambda: io.Motion(30.0, "blobs"), "unknown motion kind 'blobs'",
+                         id="unknown_kind"),
+            pytest.param(lambda: io.Motion(30.0, "trajectory", skeleton=5,
+                                           trajectory=_trajectory(30.0, skeleton=5)),
+                         "expected a skeleton name, got 5", id="skeleton_name_a_number"),
+        ],
+    )
+    def test_motion_checks_its_payload(self, make, message):
+        # each of these was made; save_motion then wrote it, or failed with a raw error
+        with pytest.raises(ValidationError, match=message):
+            make()
+
+
+def _trajectory(fps, skeleton=None):
+    arrays = np.zeros((2, 3)), np.stack([np.eye(3)] * 2), np.zeros((2, 1))
+    return JointTrajectory.from_arrays(fps, *arrays, skeleton)
 
 
 class TestTrajectoryLoader:

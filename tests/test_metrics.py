@@ -96,6 +96,12 @@ class TestTracking:
         with pytest.raises(LengthMismatch):
             TrajectoryPair(np.zeros((5, 2)), np.zeros((4, 2)), 30.0)
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
+    def test_empty_trajectories_refused(self, shape):
+        # (T, 0) trajectories once gave mpjpe nan with a "Mean of empty slice" warning
+        with pytest.raises(LengthMismatch, match=r"T, DoF >= 1"):
+            TrajectoryPair(np.zeros(shape), np.zeros(shape), 30.0)
+
     def test_success_rate(self):
         def pair(heights):
             q = np.zeros((len(heights), 1))
@@ -259,6 +265,17 @@ class TestRetrieval:
         m = np.zeros((4, 3))
         m[:, 0] = 2.0
         assert mm_dist(t, m) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "metric",
+        [mm_dist, fid, lambda a, b: retrieval_ranks(a, b, pool_size=1),
+         lambda a, b: diversity(a, 1)],
+        ids=["mm_dist", "fid", "retrieval_ranks", "diversity"],
+    )
+    def test_raw_arrays_without_rows_refused(self, metric):
+        # mm_dist on (0, d) arrays once returned nan with a "Mean of empty slice" warning
+        with pytest.raises(ValidationError, match=r"must be nonempty, got \(0, 3\)"):
+            metric(np.zeros((0, 3)), np.zeros((0, 3)))
 
     def test_r_precision_perfect_match(self, rng):
         x = rng.normal(size=(100, 8))

@@ -124,7 +124,9 @@ PUBLIC_NUMBER_ARGUMENTS = {
     "JointTrajectory.from_arrays.fps": (
         "fps", lambda v: JointTrajectory.from_arrays(*_arrays(v)), 30.0,
     ),
-    "Motion.fps": ("fps", lambda v: Motion(v, "trajectory"), 30.0),
+    "Motion.fps": (
+        "fps", lambda v: Motion(v, "keypoints", labels=("a",), keypoints=np.zeros((2, 1, 3))), 30.0,
+    ),
     "keypoint_motion.fps": ("fps", lambda v: keypoint_motion(np.zeros((2, 1, 3)), ["a"], v), 5),
     "TrajectoryPair.fps": ("fps", lambda v: TrajectoryPair(np.zeros((2, 1)), np.zeros((2, 1)), v),
                            30.0),

@@ -148,6 +148,12 @@ class TestSkeletonValidation:
         with pytest.raises(ValidationError):
             Skeleton([Joint("a", None, [0, 0, 0])], [Marker("m", "nope", [0, 0, 0])])
 
+    @pytest.mark.parametrize("name", [5, ["walker"], b"walker"])
+    def test_name_must_be_a_string_or_none(self, name):
+        with pytest.raises(ValidationError, match="expected a skeleton name"):
+            Skeleton([Joint("a", None, [0, 0, 0])], name=name)
+        assert Skeleton([Joint("a", None, [0, 0, 0])]).name is None
+
 
 class TestFk:
     def test_zero_pose_offsets_sum(self):

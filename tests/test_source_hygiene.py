@@ -77,3 +77,40 @@ def test_finds_a_hand_written_finite_check():
     )
     assert finite_checks(source) == [4, 7, 9]
     assert finite_checks(source, allowed_function="g") == [4, 9]
+
+
+# The CLI's subcommand contract: each `cmd_*` writes its outputs and returns its
+# report tree, and `main` alone writes that tree to --report.
+CLI = ROOT / "src/retarget_kit/cli.py"
+
+
+def report_policy_breaks(source):
+    """(function, line) of each `io.save_report` outside `main` and each
+    `args.report` read in a `cmd_*` function of `source`; None for module level."""
+    breaks = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        for child in ast.walk(node):
+            if not (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)):
+                continue
+            read = (child.value.id, child.attr)
+            if (read == ("io", "save_report") and owner != "main") or (
+                read == ("args", "report") and str(owner).startswith("cmd_")
+            ):
+                breaks.append((owner, child.lineno))
+    return breaks
+
+
+def test_only_main_writes_the_report():
+    assert report_policy_breaks(CLI.read_text(encoding="utf-8")) == []
+
+
+def test_finds_a_report_written_outside_main():
+    source = (
+        "def cmd_a(args):\n    if args.report:\n        io.save_report({}, args.report)\n"
+        "def main(argv=None):\n    io.save_report({}, args.report)\n"
+        "io.save_report({}, 'x')\n"
+    )
+    assert report_policy_breaks(source) == [
+        ("cmd_a", 2), ("cmd_a", 3), ("cmd_a", 3), (None, 6)
+    ]
