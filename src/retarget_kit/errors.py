@@ -9,7 +9,8 @@ is: a numbers.Real (a numbers.Integral where an integer is wanted) that
 is not a bool and lies within the bounds of its rule. `check_array` is
 its counterpart for arrays: anything np.asarray takes as floats, of the
 shape asked for. Neither rule admits NaN, infinity or an integer past
-the float range.
+the float range. `check_labels` is the rule for keypoint and marker
+names: a list or tuple of strings.
 """
 
 import math
@@ -67,6 +68,14 @@ def check_array(name, value, shape=None):
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains NaN or infinity")
     return arr
+
+
+def check_labels(name, value):
+    """`value` as a tuple if it is a list or tuple of strings; else a
+    ValidationError that names it."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)):
+        raise ValidationError(f"{name} must be a list or tuple of strings, got {value!r:.40}")
+    return tuple(value)
 
 
 # --- rotations ---------------------------------------------------------

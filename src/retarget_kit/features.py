@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingContactMarkers, ValidationError, check_number
+from .errors import MissingContactMarkers, ValidationError, check_labels, check_number
 from .rotations import _rot6d_stack
 from .skeleton import fk, resolve_marker
 
@@ -48,6 +48,7 @@ def build_pose_features(
         raise ValidationError("need at least 2 frames to build pose features")
     check_number("fps", fps, "> 0")
     check_number("contact threshold", contact_threshold, ">= 0")
+    contact_markers = check_labels("contact_markers", contact_markers)
     missing = [m for m in contact_markers if m not in skeleton.markers]
     if missing:
         raise MissingContactMarkers(f"skeleton lacks contact markers {missing}")

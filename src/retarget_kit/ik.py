@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBone, PoseMismatch, RankDeficient, ValidationError, check_array
+from .errors import (
+    DegenerateBone, PoseMismatch, RankDeficient, ValidationError, check_array, check_labels,
+)
 from .rotations import Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
 from .skeleton import JointTrajectory, Pose
 
@@ -26,13 +28,10 @@ class KeypointFrame:
     labels: tuple
 
     def __post_init__(self):
-        pos = check_array("keypoint positions", self.positions, (None, 3))
-        if pos.shape[0] != len(self.labels):
-            raise ValidationError(
-                f"{pos.shape[0]} keypoints but {len(self.labels)} labels"
-            )
+        labels = check_labels("labels", self.labels)
+        pos = check_array("keypoint positions", self.positions, (len(labels), 3))
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
 
 
 def _joint_order(skeleton, labels):
@@ -148,18 +147,19 @@ def reconstruct_sequence(
     degenerate bone or rank-deficient joint is reported at the earliest
     frame, and within it the first joint in skeleton order.
     """
-    if labels is None:
-        if not frames:
+    if labels is None and all(isinstance(f, KeypointFrame) for f in frames):
+        if not len(frames):
             raise ValidationError("empty keypoint sequence")
         first_seen = dict.fromkeys(f.labels for f in frames)
         orders = {key: _joint_order(skeleton, key) for key in first_seen}
         rows = np.array([orders[f.labels] for f in frames])
         kp = np.array([f.positions for f in frames])[np.arange(len(frames))[:, None], rows]
     else:
+        labels = check_labels("labels", labels)  # refuses None: an array needs its labels
         kp = check_array("keypoints", frames, (None, len(labels), 3))
         if not len(kp):
             raise ValidationError("empty keypoint sequence")
-        kp = kp[:, _joint_order(skeleton, tuple(labels))]
+        kp = kp[:, _joint_order(skeleton, labels)]
     try:
         root, values = _reconstruct(skeleton, kp)
     except (DegenerateBone, RankDeficient):

@@ -15,7 +15,7 @@ Large matrices may be stored as a
 sidecar flat binary of little-endian float64, referenced as
 {"binary": <relative path>, "shape": [rows, cols]} and written atomically
 too. A trajectory is loaded as one array per frame key and saved as one
-rendered column per key.
+object per frame, whose values are row views of those arrays.
 
 Every loader reads its document through `_load`, which checks the header,
 and every saver writes it through `_save`, which writes the header. A
@@ -42,6 +42,7 @@ from .errors import (
     SchemaVersionError,
     ValidationError,
     check_array,
+    check_labels,
     check_number,
 )
 from .metrics import FeatureMatrix
@@ -131,17 +132,15 @@ def _matrix(node, path, location, base_dir):
     return _at(path, location, check_array, name, node, (None, None))
 
 
-def _array(arr, depth, rows=False):
+def _array(arr, depth):
     """A numeric array laid out as json.dumps(arr.tolist(), indent=1) lays it out.
 
     Every value is rendered in one pass, then joined axis by axis, innermost
-    first, with the separators of the nesting level that axis sits at. With
-    rows=True the first axis is not joined: the result is the list of
-    `_array(arr[i], depth)` for each i. The caller has checked the values.
+    first, with the separators of the nesting level that axis sits at. The
+    caller has checked the values.
     """
     items = list(map(repr, arr.ravel().tolist()))
-    depth -= rows
-    for axis in reversed(range(rows, arr.ndim)):
+    for axis in reversed(range(arr.ndim)):
         n = arr.shape[axis]
         if n == 0:
             items = ["[]"] * math.prod(arr.shape[:axis])
@@ -149,21 +148,17 @@ def _array(arr, depth, rows=False):
         inner = "\n" + " " * (depth + axis + 1)
         head, sep, tail = "[" + inner, "," + inner, "\n" + " " * (depth + axis) + "]"
         items = [head + sep.join(items[i : i + n]) + tail for i in range(0, len(items), n)]
-    return items if rows else items[0]
-
-
-class _Rendered(str):
-    """Text that `_render` writes as it is, laid out for the nesting level it goes to."""
+    return items[0]
 
 
 def _plain(node):
-    """Whether json.dumps can write the tree as `_render` would: no np.ndarray, no
-    `_Rendered` text and no non-str object key anywhere in it."""
+    """Whether json.dumps can write the tree as `_render` would: no np.ndarray and no
+    non-str object key anywhere in it."""
     if isinstance(node, dict):
         return all(isinstance(k, str) and _plain(v) for k, v in node.items())
     if isinstance(node, (list, tuple)):
         return all(map(_plain, node))
-    return not isinstance(node, (np.ndarray, _Rendered))
+    return not isinstance(node, np.ndarray)
 
 
 def _render(node, depth):
@@ -172,9 +167,6 @@ def _render(node, depth):
     A numeric np.ndarray is checked whole, then rendered by `_array`, a piece
     per top-level row if it has several; a leaf, or a subtree with no array in
     it, goes through one json.dumps, re-indented for its depth."""
-    if isinstance(node, _Rendered):
-        yield node
-        return
     if isinstance(node, np.ndarray):
         if node.dtype.kind == "f":
             check_array(f"array of shape {node.shape}", node)
@@ -307,8 +299,8 @@ class Motion:
     """Either a keypoint sequence or a joint trajectory, plus header metadata.
 
     The payload is checked when the motion is made: keypoints are a (T, N, 3)
-    array, N the number of labels, and a trajectory has the motion's fps and
-    skeleton name.
+    array, N the number of labels (stored as a tuple), and a trajectory has
+    the motion's fps and skeleton name.
     """
 
     fps: float
@@ -322,10 +314,8 @@ class Motion:
         check_number("fps", self.fps, "> 0")
         _skeleton_name(self.skeleton)
         if self.kind == "keypoints":
-            labels = self.labels
-            if not (isinstance(labels, tuple) and all(isinstance(x, str) for x in labels)):
-                raise ValidationError(f"labels must be a tuple of joint names, got {labels!r:.40}")
-            shape = (None, len(labels), 3)
+            self.labels = check_labels("labels", self.labels)
+            shape = (None, len(self.labels), 3)
             self.keypoints = check_array("keypoint frames", self.keypoints, shape)
         elif self.kind == "trajectory":
             t = self.trajectory
@@ -376,10 +366,8 @@ def load_motion(path):
     skeleton = _at(path, "/skeleton", _skeleton_name, obj.get("skeleton"))
     kind = obj.get("kind")
     if kind == "keypoints":
-        labels = obj.get("labels", [])
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise ParseError(path, "/labels", "expected a list of joint names")
-        return _at(path, "/frames", Motion, fps, kind, skeleton, tuple(labels), obj.get("frames"))
+        labels = _at(path, "/labels", check_labels, "labels", obj.get("labels", []))
+        return _at(path, "/frames", Motion, fps, kind, skeleton, labels, obj.get("frames"))
     if kind == "trajectory":
         frames = obj.get("frames")
         if not isinstance(frames, list) or not frames:
@@ -405,35 +393,22 @@ def save_motion(motion, path):
         body["labels"] = list(motion.labels)
         body["frames"] = np.asarray(motion.keypoints, dtype=float)
     elif motion.kind == "trajectory":
-        # Each column is rendered in one pass, as rows laid out for their frame's object.
-        # The trajectory's arrays are checked already; the quaternions are computed here.
+        # One object of row views per frame; `_render` writes each frame as it comes.
         traj = motion.trajectory
         quats = check_array("root orientation quaternions", _quat_stack(traj.root_rotations))
-        columns = (traj.root_positions, quats, traj.joint_values)
-        rendered = (_array(c, 3, rows=True) for c in columns)
-        body["frames"] = [dict(zip(_FRAME_KEYS, map(_Rendered, row))) for row in zip(*rendered)]
+        columns = zip(traj.root_positions, quats, traj.joint_values)
+        body["frames"] = [dict(zip(_FRAME_KEYS, row)) for row in columns]
     else:
         raise ValidationError(f"unknown motion kind {motion.kind!r}")
     _save(path, "motion", body)
 
 
 def trajectory_motion(trajectory):
-    return Motion(
-        fps=trajectory.fps,
-        kind="trajectory",
-        skeleton=trajectory.skeleton,
-        trajectory=trajectory,
-    )
+    return Motion(trajectory.fps, "trajectory", trajectory.skeleton, trajectory=trajectory)
 
 
 def keypoint_motion(frames, labels, fps, skeleton=None):
-    return Motion(
-        fps=fps,
-        kind="keypoints",
-        skeleton=skeleton,
-        labels=tuple(labels),
-        keypoints=frames,
-    )
+    return Motion(fps, "keypoints", skeleton, tuple(labels), frames)
 
 
 # --- correspondence ----------------------------------------------------

@@ -196,12 +196,11 @@ def diversity(features, pair_count, seed=DEFAULT_SEED):
     return float(np.mean(np.linalg.norm(x[left] - x[right], axis=1)))
 
 
-def multimodality(features, pairs_per_group, seed=DEFAULT_SEED, labels=None):
-    """Mean over groups of mean within-group pairwise distance (seeded pairing)."""
+def multimodality(features, pairs_per_group, seed=DEFAULT_SEED):
+    """Mean over a FeatureMatrix's label groups of mean within-group pairwise distance."""
     check_number("pairs_per_group", pairs_per_group, "int >= 1")
     x = _values("features", features)
-    if labels is None:
-        labels = features.labels if isinstance(features, FeatureMatrix) else None
+    labels = features.labels if isinstance(features, FeatureMatrix) else None
     if labels is None:
         raise ValidationError("multimodality needs per-row group labels")
     labels = np.asarray(labels)
@@ -253,7 +252,10 @@ def retrieval_ranks(text_features, motion_features, pool_size=32, seed=DEFAULT_S
 
 def top_k_share(ranks, top_k):
     """Share of the `retrieval_ranks` at most top_k: the R-precision of those pools."""
-    return int(np.sum(np.asarray(ranks) <= top_k)) / len(ranks)
+    ranks = check_array("ranks", ranks, (None,))
+    if not len(ranks):
+        raise ValidationError("ranks must be nonempty")
+    return int(np.sum(ranks <= check_number("top_k", top_k, "int >= 1"))) / len(ranks)
 
 
 def r_precision(text_features, motion_features, pool_size=32, top_k=1, seed=DEFAULT_SEED):

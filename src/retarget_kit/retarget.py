@@ -563,6 +563,8 @@ def retarget_frame(
     to 1e-8 + 1e-5 * |angle| past a limit (see `_project_to_limits`) and
     count in the report's `limit_violation_count`.
     """
+    if smooth_to is not None:
+        smooth_to = check_array("smooth_to", smooth_to, (robot_skeleton.total_dof,))
     root_positions, root_rotations, points, frames = _targets(human_skeleton, [human_pose], corr)
     x0 = np.zeros(robot_skeleton.total_dof) if warm_start is None else warm_start.joint_values
     x, report = _Objective(robot_skeleton, corr.pairs, opts).solve(

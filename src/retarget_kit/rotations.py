@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBone, DegenerateFrame, RankDeficient
+from .errors import DegenerateBone, DegenerateFrame, RankDeficient, check_array, check_number
 
 # Tolerances, the same for every caller.
 ORTHONORMAL_TOL = 1e-9
@@ -214,9 +214,9 @@ def _log_floats(m):
 class Rotation:
     """One orientation in SO(3), canonically stored as a 3x3 matrix.
 
-    Construct through the classmethods; `from_matrix` validates
-    orthonormality, the other constructors produce valid members by
-    construction and skip the check.
+    Construct through the classmethods, which refuse non-finite input by the
+    array and number rules; `from_matrix` validates orthonormality, the other
+    constructors produce valid members by construction and skip the check.
     """
 
     matrix: np.ndarray
@@ -229,9 +229,7 @@ class Rotation:
 
     @classmethod
     def from_matrix(cls, m):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise DegenerateFrame(f"expected 3x3 matrix, got shape {m.shape}")
+        m = check_array("rotation matrix", m, (3, 3))
         err = np.linalg.norm(m.T @ m - _EYE3)
         det = np.linalg.det(m)
         if err > ORTHONORMAL_TOL or abs(det - 1.0) > ORTHONORMAL_TOL:
@@ -243,11 +241,12 @@ class Rotation:
     @classmethod
     def from_quat(cls, q):
         """Unit quaternion (w, x, y, z); small norm drift is renormalized."""
-        return cls(_matrix_stack(np.asarray(q, dtype=float).reshape(1, 4))[0])
+        return cls(_matrix_stack(check_array("quaternion", q, (4,))[None])[0])
 
     @classmethod
     def from_axis_angle(cls, axis, angle):
-        axis = np.asarray(axis, dtype=float)
+        axis = check_array("axis", axis, (3,))
+        check_number("angle", angle, "finite")
         n = np.linalg.norm(axis)
         if n < DEGENERATE_NORM:
             if abs(angle) < DEGENERATE_NORM:
@@ -258,7 +257,7 @@ class Rotation:
     @classmethod
     def from_rotvec(cls, v):
         """Axis-angle 3-vector axis*angle; the zero vector is the identity."""
-        return cls(_exp_stack(np.asarray(v, dtype=float).reshape(1, 3))[0])
+        return cls(_exp_stack(check_array("rotation vector", v, (3,))[None])[0])
 
     # -- views ----------------------------------------------------------
 

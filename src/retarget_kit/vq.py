@@ -74,7 +74,11 @@ class TokenSequence:
     downsample_factor: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int).reshape(-1))
+        indices = np.asarray(self.indices)
+        # a fractional or bool index must not be truncated; an empty list converts to floats
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValidationError(f"token indices must be integers, got {self.indices!r:.40}")
+        object.__setattr__(self, "indices", indices.astype(int, copy=False).reshape(-1))
         if self.downsample_factor is not None:
             check_number("downsample_factor", self.downsample_factor, "int >= 1")
 
@@ -115,7 +119,8 @@ def ema_update(codebook, latents, assignments):
     limit and leaves the codebook unchanged.
     """
     latents = _check_latents(codebook, latents)
-    idx = np.asarray(assignments.indices if isinstance(assignments, TokenSequence) else assignments)
+    tokens = assignments if isinstance(assignments, TokenSequence) else TokenSequence(assignments)
+    idx = tokens.indices
     if idx.shape != (latents.shape[0],):
         raise DimensionMismatch(f"{idx.shape[0]} assignments for {latents.shape[0]} latents")
     if np.any(idx < 0) or np.any(idx >= codebook.size):

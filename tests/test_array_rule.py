@@ -39,8 +39,10 @@ from retarget_kit import (
     r_precision,
     reconstruct_sequence,
     reset_dead_codes,
+    retarget_frame,
     retrieval_ranks,
     success_rate,
+    top_k_share,
 )
 from retarget_kit.errors import ValidationError, check_array
 from retarget_kit.retarget import _Objective, _targets
@@ -120,6 +122,12 @@ def _objective_solve(root):
     return objective.solve(root, rotations[0], points[0], frames[0], np.zeros(ROBOT.total_dof))
 
 
+def _smoothed_frame(smooth_to):
+    corr = load_example_correspondence("human_to_h1", HUMAN, ROBOT)
+    opts = RetargetOptions(max_iterations=1)
+    return retarget_frame(HUMAN, HUMAN.zero_pose(), ROBOT, corr, opts, smooth_to=smooth_to)
+
+
 def _trajectory(**arrays):
     base = dict(root_positions=np.zeros((2, 3)), root_rotations=np.stack([np.eye(3)] * 2),
                 joint_values=np.zeros((2, 1)))
@@ -186,8 +194,8 @@ PUBLIC_ARRAY_ARGUMENTS = {
     "fid.b": ("b", lambda v: fid(FEATURES, v), FEATURES, FEATURES[0]),
     "diversity.features": ("features", lambda v: diversity(v, 2), FEATURES, FEATURES[0]),
     "multimodality.features": (
-        "features", lambda v: multimodality(v, 1, labels=[0] * 4 + [1] * 4), FEATURES,
-        FEATURES[0],
+        "feature matrix", lambda v: multimodality(FeatureMatrix(v, [0] * 4 + [1] * 4), 1),
+        FEATURES, FEATURES[0],
     ),
     "mm_dist.text_features": (
         "text_features", lambda v: mm_dist(v, FEATURES), FEATURES, FEATURES[0],
@@ -216,6 +224,16 @@ PUBLIC_ARRAY_ARGUMENTS = {
         "latents", lambda v: reset_dead_codes(CODEBOOK, v), np.eye(3), np.eye(2),
     ),
     "retarget solve.root_position": ("root position", _objective_solve, np.zeros(3), np.zeros(2)),
+    "retarget_frame.smooth_to": (
+        "smooth_to", _smoothed_frame, np.zeros(ROBOT.total_dof), np.zeros(3),
+    ),
+    "top_k_share.ranks": ("ranks", lambda v: top_k_share(v, 1), [1, 2, 3], [[1, 2]]),
+    "Rotation.from_matrix": ("rotation matrix", Rotation.from_matrix, np.eye(3), np.eye(2)),
+    "Rotation.from_quat": ("quaternion", Rotation.from_quat, [1, 0, 0, 0], [[1, 0, 0, 0]]),
+    "Rotation.from_axis_angle.axis": (
+        "axis", lambda v: Rotation.from_axis_angle(v, 0.5), [0, 1, 0], [0, 1],
+    ),
+    "Rotation.from_rotvec": ("rotation vector", Rotation.from_rotvec, [0, 0.5, 0], [0, 0.5]),
 }
 
 SILENT_BEFORE = [

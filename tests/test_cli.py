@@ -604,9 +604,9 @@ class TestExitCodes:
             bad_motion_field("fk_frames_missing", "fk", "frames", MISSING,
                              "expected a non-empty list of frames, got None"),
             bad_motion_field("ik_labels_not_a_list", "ik", "labels", 5,
-                             "expected a list of joint names"),
+                             "labels must be a list or tuple of strings"),
             bad_motion_field("ik_labels_not_strings", "ik", "labels", [["root"]] * 10,
-                             "expected a list of joint names"),
+                             "labels must be a list or tuple of strings"),
             bad_motion_field("fk_fps_bool", "fk", "fps", True,
                              "fps must be positive, got True"),
             bad_motion_field("ik_fps_bool", "ik", "fps", True,

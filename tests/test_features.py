@@ -195,6 +195,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match="contact threshold must be a finite number >= 0"):
             build_pose_features(skel, [pose_at(skel)] * 2, 30.0, contact_threshold=threshold)
 
+    def test_contact_markers_follow_the_label_rule(self):
+        # A list-valued marker name once raised a raw TypeError.
+        skel = make_legged()
+        with pytest.raises(ValidationError, match="^contact_markers must be a list or tuple of"):
+            build_pose_features(skel, [pose_at(skel)] * 2, 30.0, contact_markers=[["l_heel"]])
+
 
 class TestBatchedMatchesRowByRow:
     @pytest.mark.parametrize("name", ["human_24", "legged"])

@@ -393,6 +393,19 @@ class TestArrayInput:
         kp[0, 0] = 99.0
         assert got.root_positions[0, 0] != 99.0  # the trajectory holds its own copy
 
+    def test_labels_follow_the_label_rule(self):
+        # A missing or list-valued label tuple once raised a raw ValueError or TypeError.
+        skel = stick()
+        kp = np.zeros((2, len(skel.joints), 3))
+        message = "^labels must be a list or tuple of strings, got "
+        with pytest.raises(ValidationError, match=message + "None$"):
+            reconstruct_sequence(skel, kp)
+        with pytest.raises(ValidationError, match=message):
+            reconstruct_sequence(skel, kp, [[name] for name in labels_of(skel)])
+        with pytest.raises(ValidationError, match=message):
+            KeypointFrame(np.zeros((2, 3)), [["a"], ["b"]])
+        assert KeypointFrame(np.zeros((1, 3)), ["a"]).labels == ("a",)
+
     @pytest.mark.parametrize(
         "shape, labels, message",
         [

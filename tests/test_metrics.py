@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -230,6 +232,12 @@ class TestMultimodality:
         with pytest.raises(ValidationError):
             multimodality(rng.normal(size=(8, 2)), 2)
 
+    def test_groups_come_from_the_feature_matrix_only(self):
+        # A `labels=` override of the wrong length once raised a raw IndexError.
+        assert "labels" not in inspect.signature(multimodality).parameters
+        with pytest.raises(TypeError, match="unexpected keyword argument 'labels'"):
+            multimodality(np.eye(4), 1, labels=[0, 1])
+
 
 def r_precision_loop(text, motion, pool_size, top_k, seed):
     """Oracle: one pool draw and one distance pass per (text, top_k), as R-precision
@@ -317,3 +325,14 @@ class TestRetrieval:
         t = rng.normal(size=(64, 4))
         m = rng.normal(size=(64, 4))
         assert r_precision(t, m, pool_size=8) == r_precision(t, m, pool_size=8)
+
+
+def test_top_k_share_refuses_empty_nested_and_non_integer_arguments():
+    # These once raised a raw ZeroDivisionError, and returned 0.0 and 1.0.
+    with pytest.raises(ValidationError, match="^ranks must be nonempty$"):
+        top_k_share([], 1)
+    with pytest.raises(ValidationError, match="^top_k must be an integer >= 1, got nan$"):
+        top_k_share([1, 2], float("nan"))
+    with pytest.raises(ValidationError, match=r"^ranks: expected shape \(None,\), got \(1, 2\)$"):
+        top_k_share([[1, 2]], 1)
+    assert top_k_share(np.array([1, 2, 3, 1]), 1) == 0.5

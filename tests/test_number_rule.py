@@ -13,6 +13,7 @@ from retarget_kit import (
     JointTrajectory,
     Motion,
     RetargetOptions,
+    Rotation,
     TokenSequence,
     TrajectoryPair,
     build_pose_features,
@@ -24,6 +25,7 @@ from retarget_kit import (
     reset_dead_codes,
     retrieval_ranks,
     success_rate,
+    top_k_share,
 )
 from retarget_kit.cli import main
 from retarget_kit.errors import ValidationError, check_number
@@ -145,6 +147,10 @@ PUBLIC_NUMBER_ARGUMENTS = {
     ),
     "TokenSequence.downsample_factor": (
         "downsample_factor", lambda v: TokenSequence([0, 1], v), 4,
+    ),
+    "top_k_share.top_k": ("top_k", lambda v: top_k_share([1, 2, 3], v), 2),
+    "Rotation.from_axis_angle.angle": (
+        "angle", lambda v: Rotation.from_axis_angle([0, 1, 0], v), -0.5,
     ),
     "reset_dead_codes.usage_threshold": (
         "usage_threshold", lambda v: reset_dead_codes(Codebook.initialize(np.eye(2)), np.eye(2), v),

@@ -43,6 +43,20 @@ def humanlike():
 
 
 class TestRetargetFrame:
+    @pytest.mark.parametrize(
+        "smooth_to, message",
+        [(np.zeros(3), r"smooth_to: expected shape \(19,\), got \(3,\)"),
+         (np.full(19, np.nan), "smooth_to contains NaN or infinity")],
+        ids=["wrong_length", "nan"],
+    )
+    def test_smooth_to_follows_the_array_rule(self, smooth_to, message):
+        # These once raised a raw broadcast ValueError, and NonFiniteObjective (a numeric
+        # failure, exit 3) for what is bad input.
+        human, robot = load_example_skeleton("human_24"), load_example_skeleton("h1_like_19")
+        corr = load_example_correspondence("human_to_h1", human, robot)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            retarget_frame(human, human.zero_pose(), robot, corr, smooth_to=smooth_to)
+
     def test_identity_recovery(self, humanlike, rng):
         pose = twist_free_pose(humanlike, rng)
         out, report = retarget_frame(

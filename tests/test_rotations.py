@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from retarget_kit import Rotation, procrustes
-from retarget_kit.errors import DegenerateBone, DegenerateFrame, RankDeficient
+from retarget_kit.errors import DegenerateBone, DegenerateFrame, RankDeficient, ValidationError
 from retarget_kit.rotations import (
     _align_stack,
     _exp_stack,
@@ -54,6 +54,22 @@ class TestRotationType:
         m = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(DegenerateFrame):
             Rotation.from_matrix(m)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Rotation.from_matrix(np.full((3, 3), np.nan)), "rotation matrix contains NaN"),
+            (lambda: Rotation.from_quat([np.nan, 0, 0, 0]), "quaternion contains NaN"),
+            (lambda: Rotation.from_axis_angle([1, 0, 0], np.nan), "angle must be finite"),
+            (lambda: Rotation.from_axis_angle([np.inf, 0, 0], 1.0), "axis contains NaN"),
+            (lambda: Rotation.from_rotvec([0, np.nan, 0]), "rotation vector contains NaN"),
+        ],
+        ids=["matrix", "quat", "angle", "axis", "rotvec"],
+    )
+    def test_constructors_refuse_non_finite_input(self, make, message):
+        # Each once returned a rotation of NaN: NaN fails neither SO(3) tolerance test.
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            make()
 
     def test_quat_hemisphere(self, rng):
         for _ in range(100):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retarget_kit import Codebook, assign, ema_update, reset_dead_codes
+from retarget_kit import Codebook, TokenSequence, assign, ema_update, reset_dead_codes
 from retarget_kit.errors import DimensionMismatch, ValidationError
 
 
@@ -229,6 +229,27 @@ class TestEmaUpdate:
             ema_update(codebook, latents, np.array([0, 1]))
         with pytest.raises(DimensionMismatch):
             ema_update(codebook, latents, np.array([0, 1, 99]))
+
+    def test_raw_assignments_are_read_as_a_token_sequence(self, codebook, rng):
+        # A fractional assignment once raised a raw TypeError from np.bincount.
+        with pytest.raises(ValidationError, match="^token indices must be integers"):
+            ema_update(codebook, rng.normal(size=(3, 4)), [0.5, 1, 2])
+
+
+class TestTokenSequence:
+    @pytest.mark.parametrize(
+        "indices", [[0.7, 1.2], [True, False], [0.0, 1.0], np.array([1.5]), ["1"]],
+        ids=["fractional", "bool", "integral_floats", "float_array", "string"],
+    )
+    def test_refuses_indices_that_are_not_integers(self, indices):
+        # Fractional and bool indices were once truncated to [0, 1] and [1, 0].
+        with pytest.raises(ValidationError, match="^token indices must be integers, got "):
+            TokenSequence(indices)
+
+    def test_integer_and_empty_sequences(self):
+        assert TokenSequence([]).indices.dtype == TokenSequence([3, 1]).indices.dtype == int
+        assert len(TokenSequence(np.array([], dtype=float))) == 0
+        assert TokenSequence(np.array([[2], [0]], dtype=np.uint8)).indices.tolist() == [2, 0]
 
 
 class TestResetDeadCodes:
