@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateBone, PoseMismatch, RankDeficient, ValidationError, check_array, check_labels,
 )
-from .rotations import Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
+from .rotations import _EYE3, Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
 from .skeleton import JointTrajectory, Pose
 
 
@@ -47,48 +47,50 @@ def _joint_order(skeleton, labels):
 
 def _reconstruct(skeleton, kp):
     """Root orientations (T, 3, 3) and joint values (T, DoF) of (T, J, 3)
-    keypoints in joint order: the joints in skeleton order, each solved for
-    all frames by one stacked bone alignment or Procrustes solve."""
-    children = [[] for _ in skeleton.joints]
-    for i, p in enumerate(skeleton.parent_index):
-        if p >= 0:
-            children[p].append(i)
-    for i, joint in enumerate(skeleton.joints):
-        if skeleton.parent_index[i] >= 0 and children[i] and joint.dof != "spherical":
-            raise ValidationError(
-                f"joint '{joint.name}' has dof '{joint.dof}'; "
-                "keypoint reconstruction needs spherical joints"
-            )
+    keypoints in joint order, solved depth by depth on the skeleton plan with
+    the floats of a joint-by-joint walk. The error names the earliest frame (its
+    `frame`), then the first joint in skeleton order, where such a walk stops."""
+    plan, joint = skeleton._plan, skeleton._plan.unobservable
+    if joint is not None:
+        message = "keypoint reconstruction needs spherical joints"
+        raise ValidationError(f"joint '{joint.name}' has dof '{joint.dof}'; {message}")
     n = len(kp)
-    world = np.empty((n, len(skeleton.joints), 3, 3))
-    root = identity = np.tile(np.eye(3), (n, 1, 1))
+    kp = kp.swapaxes(0, 1)
+    bones = (kp[plan.bone_head] - kp[plan.bone_tail])[..., None]  # (B, T, 3, 1)
+    # Joint-major buffers in the order of `plan.solved`, with the identity above the root last.
+    local = np.empty((len(plan.solved), n, 3, 3))
+    world = np.empty((len(plan.solved) + 1, n, 3, 3))
+    world[-1] = _EYE3
+    # (refusal mask (k, T), joints, error of item i) of each kernel call: a refused
+    # item gets the identity, the walk goes on, and the error is chosen at the end
+    calls = []
+    for slots, par, singles, multis in plan.solve_levels:
+        joints = plan.solved[slots]
+        above = np.broadcast_to(world[par], (len(joints), n, 3, 3)).swapaxes(2, 3)
+        k = singles.stop - singles.start  # the single-child joints come first
+        if k:
+            seen = (above[:k] @ bones[singles]).reshape(-1, 3)
+            rot, bad, error = _align_stack(np.repeat(plan.bone_offsets[singles], n, axis=0), seen)
+            local[slots.start : slots.start + k] = rot.reshape(k, n, 3, 3)
+            calls.append((bad.reshape(k, n), joints, error))
+        for k, (rows, templates) in enumerate(multis, start=k):
+            seen = np.ascontiguousarray((above[k] @ bones[rows])[..., 0].transpose(1, 2, 0))
+            local[slots.start + k], bad, error = _procrustes_stack(templates, seen)
+            calls.append((bad[None], joints[k:], error))
+        np.matmul(world[par], local[slots], out=world[slots])
+    refused = [(t, joints[k], error, k * n + t) for bad, joints, error in calls
+               for k, t in zip(*np.nonzero(bad))]
+    if refused:
+        t, j, error, i = min(refused, key=lambda r: r[:2])
+        names = ", ".join(f"'{skeleton.joints[c].name}'" for c in plan.children[j])
+        e = error(i)
+        e = type(e)(f"joint '{skeleton.joints[j].name}' → {names}: {e}")
+        e.frame = t
+        raise e
     values = np.zeros((n, skeleton.total_dof))
-    for i, joint in enumerate(skeleton.joints):
-        ch, p = children[i], skeleton.parent_index[i]
-        parent_world = world[:, p] if p >= 0 else identity
-        if not ch:
-            world[:, i] = parent_world  # leaf: rotation unobservable, keep identity
-            continue
-        # (n, 3, m): each child bone in the parent's frame, one matrix-vector product each
-        bones = (kp[:, ch] - kp[:, i, None])[..., None]
-        observed = (np.swapaxes(parent_world, 1, 2)[:, None] @ bones)[..., 0]
-        observed = np.ascontiguousarray(np.swapaxes(observed, 1, 2))
-        try:
-            if len(ch) == 1:
-                offset = skeleton.joints[ch[0]].offset
-                local = _align_stack(np.broadcast_to(offset, (n, 3)), observed[:, :, 0])
-            else:
-                templates = np.column_stack([skeleton.joints[c].offset for c in ch])
-                local = _procrustes_stack(templates, observed)
-        except (DegenerateBone, RankDeficient) as e:
-            names = ", ".join(f"'{skeleton.joints[c].name}'" for c in ch)
-            raise type(e)(f"joint '{joint.name}' → {names}: {e}") from None
-        world[:, i] = parent_world @ local
-        if p < 0:
-            root = local
-        else:
-            values[:, skeleton.dof_slices[i]] = _rotvec_stack(local)
-    return root, values
+    turns = _rotvec_stack(local[1:].reshape(-1, 3, 3)).reshape(-1, n, 3)
+    values[:, plan.solved_cols] = turns.swapaxes(0, 1).reshape(n, -1)
+    return (local[0] if len(local) else world[-1]), values
 
 
 def reconstruct_frame(skeleton, frame):
@@ -120,12 +122,13 @@ def _hemisphere_continuity(skeleton, values):
     cols = plan.spherical_cols[plan.spherical > 0]
     v = values[:, cols]  # (T, S, 3)
     q = _rotvec_quat(v)
-    raw = _dot(q[:-1], q[1:])  # (T - 1, S)
-    # Frame t flips iff its raw quaternion points away from frame t - 1's
-    # quaternion as flipped; a dot of exactly 0 flips neither way.
-    flip = np.zeros((len(v), len(cols)), dtype=bool)
-    for t, d in enumerate(raw, start=1):
-        flip[t] = np.where(flip[t - 1], d > 0, d < 0)
+    # Frame t flips iff frame t - 1 flipped XOR the raw dot of their quaternions
+    # is negative, but a dot of 0 or NaN flips neither way: so iff an odd number
+    # of negative dots lead up to it since the last such dot.
+    raw = np.concatenate([np.ones((1, len(cols))), _dot(q[:-1], q[1:])])  # frame t's is row t
+    odd = np.logical_xor.accumulate(raw < 0, axis=0)
+    last = np.where((raw < 0) | (raw > 0), 0, np.arange(len(v))[:, None])
+    flip = odd ^ np.take_along_axis(odd, np.maximum.accumulate(last, axis=0), axis=0)
     angle = _norm(v)
     flip &= angle >= 1e-12
     v[flip] *= ((angle[flip] - 2.0 * np.pi) / angle[flip])[:, None]
@@ -162,13 +165,8 @@ def reconstruct_sequence(
         kp = kp[:, _joint_order(skeleton, labels)]
     try:
         root, values = _reconstruct(skeleton, kp)
-    except (DegenerateBone, RankDeficient):
-        for t in range(len(kp)):
-            try:
-                _reconstruct(skeleton, kp[t : t + 1])
-            except (DegenerateBone, RankDeficient) as e:
-                raise type(e)(f"frame {t}, {e}") from None
-        raise
+    except (DegenerateBone, RankDeficient) as e:
+        raise type(e)(f"frame {e.frame}, {e}") from None
     if hemisphere_continuity and len(kp) > 1:
         _hemisphere_continuity(skeleton, values)
     return JointTrajectory.from_arrays(fps, kp[:, 0], root, values, skeleton.name)

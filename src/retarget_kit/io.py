@@ -408,7 +408,7 @@ def trajectory_motion(trajectory):
 
 
 def keypoint_motion(frames, labels, fps, skeleton=None):
-    return Motion(fps, "keypoints", skeleton, tuple(labels), frames)
+    return Motion(fps, "keypoints", skeleton, labels, frames)
 
 
 # --- correspondence ----------------------------------------------------

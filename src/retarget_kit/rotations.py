@@ -68,6 +68,7 @@ def _norm(v):
 
 
 _CYCLIC = ((1, 2), (2, 0), (0, 1))
+_PLUS1, _PLUS2 = [1, 2, 0], [2, 0, 1]  # i + 1 and i + 2, mod 3
 
 
 def _quat_stack(m):
@@ -294,47 +295,58 @@ class Rotation:
 
 def _align_stack(t, p):
     """Minimal rotation mapping each template bone direction of an (n, 3) array onto
-    the observed one of the matching row of another, as (n, 3, 3) matrices.
+    the observed one of the matching row of another, as (n, 3, 3) matrices; also
+    the mask of refused pairs and `error(i)`, the error that names pair i.
 
     Antiparallel inputs fall back to a half-turn about the coordinate axis
-    least aligned with the template, orthogonalized against it. Raises
-    DegenerateBone for the first pair with a bone no longer than DEGENERATE_NORM.
+    least aligned with the template, orthogonalized against it. A pair with a
+    bone no longer than DEGENERATE_NORM is refused with a DegenerateBone and
+    gets the identity.
     """
     nt, np_ = _norm(t), _norm(p)
     short = (nt <= DEGENERATE_NORM) | (np_ <= DEGENERATE_NORM)
-    if short.any():
-        i = np.argmax(short)
-        raise DegenerateBone(f"bone norms {nt[i]:.3e}, {np_[i]:.3e} below {DEGENERATE_NORM:.0e}")
+
+    def error(i, nt=nt, np_=np_):  # the norms as measured, not as replaced below
+        return DegenerateBone(f"bone norms {nt[i]:.3e}, {np_[i]:.3e} below {DEGENERATE_NORM:.0e}")
+
+    if short.any():  # a refused pair is aligned as the x axis onto itself: the identity
+        t, p = (np.where(short[:, None], _EYE3[0], v) for v in (t, p))
+        nt, np_ = np.where(short, 1.0, nt), np.where(short, 1.0, np_)
     t_hat, p_hat = t / nt[:, None], p / np_[:, None]
     c = np.clip(_dot(t_hat, p_hat), -1.0, 1.0)
-    cross = np.cross(t_hat, p_hat)
+    # np.cross by its own products and differences, t_{i+1} p_{i+2} - t_{i+2} p_{i+1}
+    cross = t_hat[:, _PLUS1] * p_hat[:, _PLUS2] - t_hat[:, _PLUS2] * p_hat[:, _PLUS1]
     s = _norm(cross)
-    out = np.empty((len(t), 3, 3))
     turned = s >= DEGENERATE_NORM
-    out[~turned & (c > 0)] = _EYE3
-    # Antiparallel: deterministic fallback axis orthogonal to t.
-    half_turn = ~turned & ~(c > 0)
-    th = t_hat[half_turn]
-    e = _EYE3[np.argmin(np.abs(th), axis=1)]
-    axis = e - _dot(th, e)[:, None] * th
-    axis /= _norm(axis)[:, None]
-    out[half_turn] = _rodrigues_stack(np.full(len(th), np.pi), _hat_stack(axis))
-    out[turned] = _rodrigues_stack(np.arccos(c[turned]), _hat_stack(cross[turned] / s[turned, None]))
-    return out
+    # Every row turns about its cross product; the rows that do not turn are then overwritten.
+    axis = cross / np.where(turned, s, 1.0)[:, None]
+    out = _rodrigues_stack(np.arccos(c), _hat_stack(axis))
+    if not turned.all():
+        out[~turned & (c > 0)] = _EYE3
+        half_turn = ~turned & ~(c > 0)
+        if half_turn.any():  # antiparallel: deterministic fallback axis orthogonal to t
+            th = t_hat[half_turn]
+            e = _EYE3[np.argmin(np.abs(th), axis=1)]
+            axis = e - _dot(th, e)[:, None] * th
+            axis /= _norm(axis)[:, None]
+            out[half_turn] = _rodrigues_stack(np.full(len(th), np.pi), _hat_stack(axis))
+    return out, short, error
 
 
 def _procrustes_stack(t, p):
-    """`procrustes` of one 3 x m template column set against an (n, 3, m) stack.
+    """`procrustes` of one 3 x m template column set against an (n, 3, m) stack; also
+    the mask of refused items and `error(i)`, the error that names item i.
 
-    Raises RankDeficient for the first item whose cross-covariance has rank < 2.
+    An item whose cross-covariance has rank < 2 is refused with a RankDeficient
+    and gets the identity.
     """
     u, s, vt = np.linalg.svd(p @ t.T)
     low = s[:, 1] <= RANK_TOL * np.maximum(s[:, 0], 1.0)
-    if low.any():
-        raise RankDeficient(f"cross-covariance rank < 2 (singular values {s[np.argmax(low)]})")
     d = np.ones((len(p), 1, 3))
     d[:, 0, 2] = np.linalg.det(u @ vt)
-    return (u * d) @ vt
+    out = (u * d) @ vt
+    out[low] = _EYE3
+    return out, low, lambda i: RankDeficient(f"cross-covariance rank < 2 (singular values {s[i]})")
 
 
 def procrustes(template_cols, observed_cols):
@@ -350,5 +362,8 @@ def procrustes(template_cols, observed_cols):
         raise RankDeficient(f"expected matching 3xm inputs, got {t.shape} and {p.shape}")
     if t.shape[1] < 2:
         raise RankDeficient("need at least 2 correspondence columns")
-    return Rotation(_procrustes_stack(t, p[None])[0])
+    r, low, error = _procrustes_stack(t, p[None])
+    if low[0]:
+        raise error(0)
+    return Rotation(r[0])
 

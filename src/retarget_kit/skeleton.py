@@ -284,6 +284,20 @@ class _SkeletonPlan:
     joint, DoF index, value column and `lo`/`hi`. The E Euler-limited
     spherical joints are two (E, 3) index arrays: `euler_rows`, the rows
     of their three limited DoFs, and `euler_cols`, their value columns.
+
+    Keypoint reconstruction (`ik`) reads `children`, each joint's children,
+    and `unobservable`, the first joint below the root that has children but
+    is not spherical (None if there is none). It solves the joints with
+    children, `solved`, depth by depth, each depth's single-child joints
+    first, in level order, then its multi-child ones. Bone b runs from joint
+    `bone_tail[b]` to its child `bone_head[b]`, whose offset is
+    `bone_offsets[b]`; the bones are grouped as the joints they turn. Per depth,
+    `solve_levels` holds the slice of its joints in `solved`, their parents'
+    positions there as `levels` holds them (the root's parent is position
+    len(solved)), the slice of its single-child joints' bones, and per
+    multi-child joint the slice of its bones and their offsets as (3, m)
+    columns. `solved_cols` are the value columns of the solved joints below
+    the root, three each.
     """
 
     def __init__(self, joints, parent_index, dof_slices):
@@ -312,14 +326,11 @@ class _SkeletonPlan:
         levels, first = [], 1
         for d in range(1, max(depth) + 1):
             idx = self.order[first : first + depth.count(d)]
-            par = self.rank[[parent_index[i] for i in idx]]
-            if np.all(par == par[0]):
-                par = slice(par[0], par[0] + 1)
-            elif np.all(np.diff(par) == 1):
-                par = slice(par[0], par[-1] + 1)
+            par = _run(self.rank[[parent_index[i] for i in idx]].tolist())
             levels.append((slice(first, first + len(idx)), par))
             first += len(idx)
         self.levels = tuple(levels)
+        self._reconstruction_plan(joints, parent_index, order, depth, offsets, start)
         self.parent_rank = self.rank[[parent_index[i] for i in self.order[1:]]]
         self.offsets = offsets[self.order[1:], None, :, None]
         self.fixed_rank = self.rank[kind == "fixed"]
@@ -344,6 +355,40 @@ class _SkeletonPlan:
         self.euler_rows = first[:, None] + np.arange(3)
         self.euler_cols = self.limit_col[self.euler_rows]
 
+    def _reconstruction_plan(self, joints, parent_index, order, depth, offsets, start):
+        children = [[] for _ in joints]
+        for i, p in enumerate(parent_index[1:], start=1):
+            children[p].append(i)
+        self.children = tuple(map(tuple, children))
+        self.unobservable = next(
+            (j for j, ch in zip(joints[1:], children[1:]) if ch and j.dof != "spherical"), None
+        )
+        solved, heads, levels = [], [], []
+        slot = {-1: sum(map(bool, children))}  # above the root: the slot after the solved joints
+        for d in range(max(depth)):
+            # the depth's joints with children, in level order, single-child ones first
+            at = sorted((i for i in order if depth[i] == d and children[i]),
+                        key=lambda i: len(children[i]) > 1)
+            k = sum(len(children[i]) == 1 for i in at)
+            singles = slice(len(heads), len(heads) + k)
+            heads += [children[i][0] for i in at[:k]]
+            multis = []
+            for i in at[k:]:
+                bones = slice(len(heads), len(heads) + len(children[i]))
+                multis.append((bones, offsets[list(children[i])].T.copy()))
+                heads += children[i]
+            slots = slice(len(solved), len(solved) + len(at))
+            parents = _run([slot[parent_index[i]] for i in at])
+            levels.append((slots, parents, singles, tuple(multis)))
+            slot.update(zip(at, range(slots.start, slots.stop)))
+            solved += at
+        self.solve_levels = tuple(levels)
+        self.solved = np.array(solved, dtype=int)
+        self.bone_head = np.array(heads, dtype=int)
+        self.bone_tail = np.array([parent_index[i] for i in heads], dtype=int)
+        self.bone_offsets = offsets[self.bone_head].reshape(-1, 3)
+        self.solved_cols = (start[self.solved[1:], None] + np.arange(3)).reshape(-1)
+
     def fk_buffers(self, frames):
         """Level-order (J, frames, ...) `local`, `pos` and `rot` buffers for `_fk_arrays`,
         the fixed joints' identity already written into `local`."""
@@ -359,6 +404,16 @@ class _SkeletonPlan:
         if len(self.euler_rows):
             out[self.euler_rows] = _intrinsic_xyz_euler(_exp_stack(values[self.euler_cols]))
         return out
+
+
+def _run(index):
+    """A list of positions as a slice when they are one position (which
+    broadcasts) or a contiguous run, else as an index array."""
+    if all(i == index[0] for i in index):
+        return slice(index[0], index[0] + 1)
+    if all(b - a == 1 for a, b in zip(index, index[1:])):
+        return slice(index[0], index[-1] + 1)
+    return np.array(index)
 
 
 def fk(skeleton, pose):

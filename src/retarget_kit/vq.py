@@ -75,8 +75,12 @@ class TokenSequence:
 
     def __post_init__(self):
         indices = np.asarray(self.indices)
-        # a fractional or bool index must not be truncated; an empty list converts to floats
-        if indices.size and indices.dtype.kind not in "iu":
+        # a fractional or bool index must not be truncated, nor a bool among integers
+        # read as one; an empty list converts to floats
+        mixed = not isinstance(self.indices, np.ndarray) and any(
+            isinstance(i, (bool, np.bool_)) for i in np.asarray(self.indices, dtype=object).flat
+        )
+        if mixed or (indices.size and indices.dtype.kind not in "iu"):
             raise ValidationError(f"token indices must be integers, got {self.indices!r:.40}")
         object.__setattr__(self, "indices", indices.astype(int, copy=False).reshape(-1))
         if self.downsample_factor is not None:

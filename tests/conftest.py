@@ -15,7 +15,14 @@ from retarget_kit.retarget import (
     _euler_jacobian,
     _project_to_limits,
 )
-from retarget_kit.rotations import _align_stack, _log_floats, _right_jacobian, _right_jacobian_inv
+from retarget_kit.rotations import (
+    _align_stack,
+    _log_floats,
+    _procrustes_stack,
+    _right_jacobian,
+    _right_jacobian_inv,
+    _rotvec_stack,
+)
 from retarget_kit.skeleton import (
     Joint,
     JointTrajectory,
@@ -112,7 +119,7 @@ def twist_free_pose(skeleton, rng, max_angle=0.6):
         if len(ch) == 1:
             t = skeleton.joints[ch[0]].offset
             target = random_rotation(rng).apply(t)
-            local = Rotation(_align_stack(t[None], target[None])[0])
+            local = Rotation(_align_stack(t[None], target[None])[0][0])
             values[skeleton.dof_slices[i]] = local.as_rotvec()
         elif len(ch) > 1:
             values[skeleton.dof_slices[i]] = rng.normal(size=3) * max_angle
@@ -290,6 +297,77 @@ def scalar_procrustes(t, p, rank_tol=1e-9):
         raise RankDeficient(f"cross-covariance rank < 2 (singular values {s})")
     d = np.linalg.det(u @ vt)
     return Rotation((u * np.array([1.0, 1.0, d])) @ vt)
+
+
+# Keypoint reconstruction as `ik._reconstruct` ran before its level walk: the
+# joints in skeleton order, each solved for all frames by one stacked kernel
+# call that stops at its first refused item, and a sequence's error found again
+# frame by frame. The level walk must reproduce its floats and its errors.
+
+
+def _first_refused_raises(rot, refused, error):
+    if refused.any():
+        raise error(int(np.argmax(refused)))
+    return rot
+
+
+def joint_walk_reconstruct(skeleton, kp):
+    """Root orientations (T, 3, 3) and joint values (T, DoF) of (T, J, 3)
+    keypoints in joint order, one joint at a time."""
+    children = [[] for _ in skeleton.joints]
+    for i, p in enumerate(skeleton.parent_index):
+        if p >= 0:
+            children[p].append(i)
+    for i, joint in enumerate(skeleton.joints):
+        if skeleton.parent_index[i] >= 0 and children[i] and joint.dof != "spherical":
+            raise ValidationError(
+                f"joint '{joint.name}' has dof '{joint.dof}'; "
+                "keypoint reconstruction needs spherical joints"
+            )
+    n = len(kp)
+    world = np.empty((n, len(skeleton.joints), 3, 3))
+    root = identity = np.tile(np.eye(3), (n, 1, 1))
+    values = np.zeros((n, skeleton.total_dof))
+    for i, joint in enumerate(skeleton.joints):
+        ch, p = children[i], skeleton.parent_index[i]
+        parent_world = world[:, p] if p >= 0 else identity
+        if not ch:
+            world[:, i] = parent_world  # leaf: rotation unobservable, keep identity
+            continue
+        # (n, 3, m): each child bone in the parent's frame, one matrix-vector product each
+        bones = (kp[:, ch] - kp[:, i, None])[..., None]
+        observed = (np.swapaxes(parent_world, 1, 2)[:, None] @ bones)[..., 0]
+        observed = np.ascontiguousarray(np.swapaxes(observed, 1, 2))
+        try:
+            if len(ch) == 1:
+                offset = skeleton.joints[ch[0]].offset
+                t = np.broadcast_to(offset, (n, 3))
+                local = _first_refused_raises(*_align_stack(t, observed[:, :, 0]))
+            else:
+                templates = np.column_stack([skeleton.joints[c].offset for c in ch])
+                local = _first_refused_raises(*_procrustes_stack(templates, observed))
+        except (DegenerateBone, RankDeficient) as e:
+            names = ", ".join(f"'{skeleton.joints[c].name}'" for c in ch)
+            raise type(e)(f"joint '{joint.name}' → {names}: {e}") from None
+        world[:, i] = parent_world @ local
+        if p < 0:
+            root = local
+        else:
+            values[:, skeleton.dof_slices[i]] = _rotvec_stack(local)
+    return root, values
+
+
+def joint_walk_sequence(skeleton, kp):
+    """`joint_walk_reconstruct`, whose error names the earliest frame that fails on its own."""
+    try:
+        return joint_walk_reconstruct(skeleton, kp)
+    except (DegenerateBone, RankDeficient):
+        for t in range(len(kp)):
+            try:
+                joint_walk_reconstruct(skeleton, kp[t : t + 1])
+            except (DegenerateBone, RankDeficient) as e:
+                raise type(e)(f"frame {t}, {e}") from None
+        raise
 
 
 def two_finger_hand():

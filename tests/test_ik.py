@@ -12,9 +12,12 @@ from retarget_kit import (
 from retarget_kit import ik
 from retarget_kit.errors import DegenerateBone, RankDeficient, ValidationError
 from retarget_kit.ik import _rotvec_quat
-from retarget_kit.skeleton import Joint, Skeleton, fk
+from retarget_kit.rotations import _exp_stack
+from retarget_kit.skeleton import Joint, JointTrajectory, Skeleton, fk
 
 from conftest import (
+    joint_walk_reconstruct,
+    joint_walk_sequence,
     make_humanlike,
     make_random_tree,
     random_rotation,
@@ -375,6 +378,113 @@ class TestBatchedMatchesFrameWalk:
         assert np.linalg.norm(rec.joint_values[3:6]) == pytest.approx(np.pi)  # b: reversed
 
 
+def joint_order_keypoints(skeleton, rng, n, scale=1.0):
+    """(n, J, 3) noisy keypoints of random poses, in skeleton joint order."""
+    trajectory = JointTrajectory.from_arrays(
+        30.0,
+        rng.normal(size=(n, 3)),
+        _exp_stack(rng.normal(size=(n, 3))),
+        scale * rng.normal(size=(n, skeleton.total_dof)),
+    )
+    kp = fk(skeleton, trajectory).positions
+    return kp + 0.01 * rng.normal(size=kp.shape)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_matches_joint_walk(skel, kp):
+    root, values = ik._reconstruct(skel, kp)
+    want_root, want_values = joint_walk_reconstruct(skel, kp)
+    assert np.array_equal(bits(root), bits(want_root))
+    assert np.array_equal(bits(values), bits(want_values))
+
+
+class TestLevelWalkMatchesJointWalk:
+    """The level walk against the joint-by-joint walk it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("frames", [1, 12, 30, 500])
+    @pytest.mark.parametrize("name", ["human_24", "humanlike", "random_tree", "stick"])
+    def test_bit_for_bit(self, rng, name, frames):
+        skel = stick() if name == "stick" else oracle_skeleton(name, rng)
+        assert_matches_joint_walk(skel, joint_order_keypoints(skel, rng, frames, scale=1.5))
+
+    def test_random_trees(self, rng):
+        for size in [1, 2, 3, 5, 8, 13, 21, 30]:
+            skel = make_random_tree(rng, size)
+            assert_matches_joint_walk(skel, joint_order_keypoints(skel, rng, 7, scale=2.0))
+
+
+def branching_chain():
+    """root -> a -> b -> c -> d and root -> x -> y: c is deeper than x but first in
+    skeleton order."""
+    return Skeleton(
+        [
+            Joint("root", None, [0, 0, 0]),
+            Joint("a", "root", [0, 1, 0], dof="spherical"),
+            Joint("b", "a", [0, 1, 0.2], dof="spherical"),
+            Joint("c", "b", [0.2, 1, 0], dof="spherical"),
+            Joint("d", "c", [0, 1, 0], dof="spherical"),
+            Joint("x", "root", [1, 0, 0], dof="spherical"),
+            Joint("y", "x", [1, 0, 0.3], dof="spherical"),
+        ]
+    )
+
+
+def collapsed(skel, kp, t, joint):
+    """Keypoints with joint's keypoint at frame t moved onto its parent's."""
+    kp = kp.copy()
+    kp[t, skel.index[joint]] = kp[t, skel.parent_index[skel.index[joint]]]
+    return kp
+
+
+def error_of(call):
+    with pytest.raises((DegenerateBone, RankDeficient)) as e:
+        call()
+    return e.type, str(e.value)
+
+
+class TestLevelWalkErrors:
+    """The level walk's errors are the joint-by-joint walk's, byte for byte."""
+
+    def test_deeper_joint_first_in_skeleton_order(self, rng):
+        skel = branching_chain()
+        kp = joint_order_keypoints(skel, rng, 5, scale=0.3)
+        kp = collapsed(skel, kp, 3, "d")  # joint c (depth 3) fails ...
+        kp = collapsed(skel, kp, 3, "y")  # ... and so does joint x (depth 1), met first
+        kp = collapsed(skel, kp, 4, "b")
+        want = error_of(lambda: joint_walk_sequence(skel, kp))
+        assert want[0] is DegenerateBone
+        assert want[1].startswith("frame 3, joint 'c' → 'd': bone norms ")
+        assert error_of(lambda: reconstruct_sequence(skel, kp, labels_of(skel))) == want
+        frame = KeypointFrame(kp[3], labels_of(skel))
+        assert error_of(lambda: reconstruct_frame(skel, frame)) == error_of(
+            lambda: joint_walk_reconstruct(skel, kp[3:4])
+        )
+
+    @pytest.mark.parametrize("name", ["human_24", "humanlike", "random_tree", "branching"])
+    def test_random_collapses(self, rng, name):
+        skel = branching_chain() if name == "branching" else oracle_skeleton(name, rng)
+        labels, failed = labels_of(skel), 0
+        for _ in range(25):
+            kp = joint_order_keypoints(skel, rng, 6, scale=0.5)
+            for _ in range(rng.integers(1, 5)):
+                joint = skel.joints[rng.integers(1, len(skel.joints))].name
+                kp = collapsed(skel, kp, rng.integers(6), joint)
+            try:
+                root, values = joint_walk_sequence(skel, kp)
+            except (DegenerateBone, RankDeficient) as e:
+                want = type(e), str(e)
+                assert error_of(lambda: reconstruct_sequence(skel, kp, labels)) == want
+                failed += 1
+            else:  # the collapsed bones left every joint observable
+                got = reconstruct_sequence(skel, kp, labels, hemisphere_continuity=False)
+                assert np.array_equal(bits(got.root_rotations), bits(root))
+                assert np.array_equal(bits(got.joint_values), bits(values))
+        assert failed >= 10
+
+
 class TestArrayInput:
     def test_matches_keypoint_frames(self, rng):
         skel = load_example_skeleton("human_24")
@@ -463,6 +573,17 @@ class TestContinuityPass:
         frame_walk_continuity(skel, want)
         assert np.array_equal(got, want)
         assert not np.array_equal(got, values)  # some vectors were flipped
+
+    def test_matches_frame_walk_on_500_random_frames(self, rng):
+        skel = load_example_skeleton("human_24")
+        values = 2.5 * rng.normal(size=(500, skel.total_dof))  # quaternions in either hemisphere
+        values[100:200] = np.cumsum(0.3 * rng.normal(size=(100, skel.total_dof)), axis=0)
+        values[300:310] = 0.0
+        got, want = values.copy(), values.copy()
+        ik._hemisphere_continuity(skel, got)
+        frame_walk_continuity(skel, want)
+        assert np.array_equal(bits(got), bits(want))
+        assert not np.array_equal(got, values)
 
     def test_raw_dot_of_exactly_zero_flips_neither_way(self, monkeypatch):
         # cos and sin give no rotation vectors with exactly orthogonal quaternions,

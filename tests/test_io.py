@@ -270,7 +270,7 @@ class TestFailedWrite:
             ),
             pytest.param(
                 lambda p: save_motion(motion_holding(
-                    np.concatenate([np.ones((4, 2, 3)), np.full((1, 2, 3), np.inf)]), "ab"
+                    np.concatenate([np.ones((4, 2, 3)), np.full((1, 2, 3), np.inf)]), ["a", "b"]
                 ), p),
                 ValidationError, r"cannot write .*array of shape \(5, 2, 3\) contains NaN",
                 id="infinity_in_last_frame",
@@ -495,6 +495,10 @@ class TestMotionIo:
                                            keypoints=np.zeros((2, 1, 3))),
                          "labels must be a list or tuple of strings, got 'a'",
                          id="labels_a_string"),
+            # keypoint_motion once split a string into one-character labels
+            pytest.param(lambda: keypoint_motion(np.zeros((1, 2, 3)), "ab", 30),
+                         "labels must be a list or tuple of strings, got 'ab'",
+                         id="keypoint_motion_labels_a_string"),
             pytest.param(lambda: io.Motion(30.0, "trajectory"),
                          "trajectory must be a JointTrajectory, got None", id="no_trajectory"),
             pytest.param(lambda: io.Motion(30.0, "trajectory", trajectory=_trajectory(60.0)),

@@ -35,9 +35,12 @@ rotvecs = st.tuples(
 
 
 def align(t, p):
-    """The one-pair case of `_align_stack`, as a Rotation."""
+    """The one-pair case of `_align_stack`, as a Rotation; a refused pair raises its error."""
     t, p = (np.asarray(v, dtype=float).reshape(1, 3) for v in (t, p))
-    return Rotation(_align_stack(t, p)[0])
+    rot, refused, error = _align_stack(t, p)
+    if refused[0]:
+        raise error(0)
+    return Rotation(rot[0])
 
 
 def assert_so3(r, tol=1e-9):
@@ -351,28 +354,66 @@ class TestStackedViews:
         p[40:80] = -0.5 * t[40:80]  # exactly antiparallel
         t[80:90], p[80:90] = [1.0, 1.0, 0.5], [-2.0, -2.0, -1.0]  # reversed, tied fallback axis
         p[90:120] = t[90:120] + 1e-9 * rng.normal(size=(30, 3))  # nearly parallel
-        got = _align_stack(t, p)
+        got, refused, _ = _align_stack(t, p)
+        assert not refused.any()
         for ti, pi, m in zip(t, p, got):
             want = scalar_rodrigues_align(ti, pi).matrix
             assert np.array_equal(m, want)
+
+    @pytest.mark.parametrize("reversed_rows", [0, 1, 7])
+    def test_align_with_and_without_reversed_bones(self, rng, reversed_rows):
+        # With no reversed bone the half-turn branch is skipped; the floats stay the same.
+        for n in (1, 4, 60, 300):
+            t = rng.normal(size=(n, 3))
+            p = rng.normal(size=(n, 3))
+            k = min(reversed_rows, n)
+            p[:k] = -rng.uniform(0.5, 2.0, size=(k, 1)) * t[:k]
+            p[k : k + n // 4] = 2.0 * t[k : k + n // 4]  # exactly parallel
+            got, refused, _ = _align_stack(t, p)
+            assert not refused.any()
+            for ti, pi, m in zip(t, p, got):
+                want = scalar_rodrigues_align(ti, pi).matrix
+                assert np.array_equal(m.view(np.int64), want.view(np.int64))
+
+    def test_refused_pairs_leave_the_others_alone(self, rng):
+        t = rng.normal(size=(50, 3))
+        p = rng.normal(size=(50, 3))
+        p[10:15] = -t[10:15]
+        t[3], p[7], p[12] = 0.0, 1e-9, 0.0
+        got, refused, _ = _align_stack(t, p)
+        assert np.flatnonzero(refused).tolist() == [3, 7, 12]
+        for i, (ti, pi, m) in enumerate(zip(t, p, got)):
+            want = np.eye(3) if refused[i] else scalar_rodrigues_align(ti, pi).matrix
+            assert np.array_equal(m.view(np.int64), want.view(np.int64))
 
     def test_procrustes_matches_scalar(self, rng):
         template = rng.normal(size=(3, 4))
         observed = np.array([random_rotation(rng).matrix @ template for _ in range(100)])
         observed[:50] += 0.1 * rng.normal(size=(50, 3, 4))
         observed[50:60] = -observed[50:60]  # reflections: determinant correction
-        got = _procrustes_stack(template, observed)
+        got, refused, _ = _procrustes_stack(template, observed)
+        assert not refused.any()
         for p, m in zip(observed, got):
             want = scalar_procrustes(template, p).matrix
             assert np.array_equal(m, want)
             assert np.array_equal(procrustes(template, p).matrix, want)
 
     def test_stacked_errors_name_the_first_bad_item(self):
+        # The kernels refuse bad items instead of raising: the identity in their
+        # place, and an error that names the item.
         t = np.array([[0.0, 1.0, 0.0]] * 3)
         p = np.array([[0.0, 1.0, 0.0], [0.0, 3e-9, 0.0], [0.0, 0.0, 0.0]])
+        got, refused, error = _align_stack(t, p)
+        assert refused.tolist() == [False, True, True]
+        assert np.array_equal(got, np.tile(np.eye(3), (3, 1, 1)))
         with pytest.raises(DegenerateBone, match="bone norms 1.000e[+]00, 3.000e-09"):
-            _align_stack(t, p)
+            raise error(np.argmax(refused))
         template = np.eye(3)[:, :2]
         observed = np.array([template, np.zeros((3, 2))])
+        got, refused, error = _procrustes_stack(template, observed)
+        assert refused.tolist() == [False, True]
+        assert np.array_equal(got[1], np.eye(3))
         with pytest.raises(RankDeficient, match=r"singular values \[0. 0. 0.\]"):
-            _procrustes_stack(template, observed)
+            raise error(1)
+        with pytest.raises(RankDeficient, match=r"singular values \[0. 0. 0.\]"):
+            procrustes(template, observed[1])

@@ -246,6 +246,12 @@ class TestTokenSequence:
         with pytest.raises(ValidationError, match="^token indices must be integers, got "):
             TokenSequence(indices)
 
+    @pytest.mark.parametrize("indices", [[1, True], [[2], [np.False_]], (0, 3, True)])
+    def test_refuses_a_bool_among_integers(self, indices):
+        # np.asarray([1, True]) is the integer array [1, 1], so this was once taken.
+        with pytest.raises(ValidationError, match="^token indices must be integers, got "):
+            TokenSequence(indices)
+
     def test_integer_and_empty_sequences(self):
         assert TokenSequence([]).indices.dtype == TokenSequence([3, 1]).indices.dtype == int
         assert len(TokenSequence(np.array([], dtype=float))) == 0
