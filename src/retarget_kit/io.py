@@ -152,12 +152,12 @@ def _array(arr, depth):
 
 
 def _plain(node):
-    """Whether json.dumps can write the tree as `_render` would: no np.ndarray and no
-    non-str object key anywhere in it."""
+    """Whether `_render` writes the tree in one json.dumps: no np.ndarray, no non-str
+    object key and no list holding a list or an object anywhere in it."""
     if isinstance(node, dict):
         return all(isinstance(k, str) and _plain(v) for k, v in node.items())
     if isinstance(node, (list, tuple)):
-        return all(map(_plain, node))
+        return not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in node)
     return not isinstance(node, np.ndarray)
 
 
@@ -165,8 +165,10 @@ def _render(node, depth):
     """The pieces of json.dumps(node, indent=1) at nesting level `depth`, byte for byte.
 
     A numeric np.ndarray is checked whole, then rendered by `_array`, a piece
-    per top-level row if it has several; a leaf, or a subtree with no array in
-    it, goes through one json.dumps, re-indented for its depth."""
+    per top-level row if it has several; a list of lists or objects, such as
+    a report's `per_frame`, is rendered an item at a time; a leaf, or any
+    other subtree with no array in it, goes through one json.dumps,
+    re-indented for its depth."""
     if isinstance(node, np.ndarray):
         if node.dtype.kind == "f":
             check_array(f"array of shape {node.shape}", node)

@@ -240,10 +240,11 @@ def retrieval_ranks(text_features, motion_features, pool_size=32, seed=DEFAULT_S
     if pool_size > n:
         raise PoolTooLarge(f"pool size {pool_size} exceeds {n} samples")
     rng = np.random.default_rng(seed)
-    others = np.arange(n)
     ranks = np.empty(n, dtype=int)
     for i in range(n):
-        distractors = rng.choice(np.delete(others, i), size=pool_size - 1, replace=False)
+        # draws from the n - 1 samples other than i, as rng.choice of that list draws them
+        distractors = rng.choice(n - 1, size=pool_size - 1, replace=False)
+        distractors += distractors >= i
         d_true = np.linalg.norm(t[i] - m[i])
         d_pool = np.linalg.norm(t[i] - m[distractors], axis=1)
         ranks[i] = 1 + int(np.sum(d_pool < d_true))

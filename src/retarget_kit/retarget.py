@@ -8,14 +8,14 @@ reference posture. The solver is damped Gauss-Newton (Levenberg-Marquardt)
 with analytic Jacobians and Nielsen's gain-ratio update of the damping;
 accepted steps never increase the objective. It stops when the gradient
 vanishes or when an accepted step lowers the objective by less than
-RELATIVE_DECREASE_TOL of its value. Each distinct pose costs one
-forward-kinematics pass, shared by its residual, its Jacobian and the
-report. The root transform is taken from the scaled human root and is not
-optimized. A call sets up once: one human forward-kinematics pass for all
-frames and one objective; from frame to frame only the targets, the root,
-the start point and the smoothing target change. The objective also lays
-out its workspace once, the level-order FK buffers and the Jacobian with
-its fixed regularizer rows, and every evaluation writes into it.
+RELATIVE_DECREASE_TOL of its value. The root transform is taken from the
+scaled human root and is not optimized. A call sets up once: one human
+forward-kinematics pass for all frames and one objective with its
+workspace, the level-order FK buffers and the Jacobian with its fixed
+regularizer rows. Per frame the objective takes the targets, the root and
+the smoothing target, and the solver calls its `residual`, `jacobian` and
+damped `step` methods; each distinct pose costs one forward-kinematics
+pass, which the residual, the Jacobian and the report share.
 """
 
 from __future__ import annotations
@@ -171,9 +171,11 @@ def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
     return r / h
 
 
-def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
-    """Damped Gauss-Newton on the residual and its Jacobian, with Nielsen's damping update.
+def _gauss_newton(objective, x0, opts):
+    """Damped Gauss-Newton on an objective, with Nielsen's damping update.
 
+    The objective's `residual(x)` and `jacobian(x)` give r and J at x, and
+    its `step(jtj, jtr, mu)` solves (J^T J + mu I) step = J^T r.
     Returns (x, objective_trace, iterations, termination, damping). The
     damping mu starts at DAMPING_TAU * max diag(J^T J). A step is accepted
     when it does not increase the objective f = r^T r; mu then scales by
@@ -187,7 +189,7 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
     when mu exceeds DAMPING_MAX without descent, else "max_iterations".
     """
     x = np.asarray(x0, dtype=float).copy()
-    r = residual_fn(x)
+    r = objective.residual(x)
     f = float(r @ r)
     if not math.isfinite(f):
         raise NonFiniteObjective(f"objective at start point is {f}")
@@ -195,10 +197,9 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
     mu = None
     termination = "max_iterations"
     iterations = 0
-    eye = np.eye(len(x))
     for _ in range(opts.max_iterations):
         iterations += 1
-        jac = jacobian_fn(x)
+        jac = objective.jacobian(x)
         jtr = jac.T @ r
         jtj = jac.T @ jac
         if mu is None:
@@ -209,13 +210,13 @@ def _gauss_newton(residual_fn, jacobian_fn, x0, opts):
         nu = 2.0
         while mu <= DAMPING_MAX:
             try:
-                step = np.linalg.solve(jtj + mu * eye, jtr)
+                step = objective.step(jtj, jtr, mu)
             except np.linalg.LinAlgError:
                 mu *= nu
                 nu *= 2.0
                 continue
             x_new = x - step
-            r_new = residual_fn(x_new)
+            r_new = objective.residual(x_new)
             f_new = float(r_new @ r_new)
             if math.isfinite(f_new) and f_new <= f:
                 # predicted decrease ||r||^2 - ||r - J step||^2; > 0 unless the step is 0
@@ -427,10 +428,12 @@ class _Objective:
     Rows, in order: each term's weighted position and orientation errors,
     the limit barrier, smoothness toward `smooth_to`, and the zero-posture
     reference. The layout, the barrier and the regularizers' Jacobian rows
-    do not depend on the frame; `solve` takes what does. The objective owns
-    its workspace: the level-order FK buffers, and one Jacobian with and one
-    without the smoothness rows, whose w * I blocks are written here; each
-    evaluation writes the term and barrier rows in place.
+    do not depend on the frame; `solve` sets what does and hands the
+    objective to `_gauss_newton`, which calls its `residual`, `jacobian` and
+    `step`. The objective owns its workspace: the level-order FK buffers, one
+    Jacobian with and one without the smoothness rows, whose w * I blocks are
+    written here, and a one-slot cache of the last values' FK and errors.
+    `residual_evals` and `jacobian_evals` count the current solve's calls.
     """
 
     def __init__(self, skeleton, pairs, opts):
@@ -450,12 +453,50 @@ class _Objective:
         self.terms_end = len(self.layout.rows)
         self.barrier_end = self.terms_end + (2 * len(plan.lo) if self.barrier else 0)
         # Keyed by whether the frame has smoothness rows; the w * I rows never change.
-        eye, rows = np.eye(n), np.empty((self.barrier_end, n))
-        reference = [self.w_ref * eye] if self.w_ref else []
+        self.eye, rows = np.eye(n), np.empty((self.barrier_end, n))
+        reference = [self.w_ref * self.eye] if self.w_ref else []
         self.jacobians = {
             False: np.concatenate([rows, *reference]),
-            True: np.concatenate([rows, self.w_smooth * eye, *reference]),
+            True: np.concatenate([rows, self.w_smooth * self.eye, *reference]),
         }
+
+    def evaluate(self, values):
+        """(FK positions, rotations, markers, orientation errors, barrier excess) at values."""
+        key = values.tobytes()
+        if key != self.key:
+            pos, rot = _fk_arrays(self.skeleton, *self.root, values[None], self.fk_buffers)
+            pos, rot = pos[:, 0], rot[:, 0]
+            excess = self.barrier.excess(values) if self.barrier else None
+            self.key, self.cached = key, (pos, rot, *self.layout.errors(pos, rot), excess)
+        return self.cached
+
+    def residual(self, values):
+        """The residual at the values, in a fresh array: the solver keeps the
+        accepted residual while it tries steps."""
+        self.residual_evals += 1
+        _, _, markers, orientation, excess = self.evaluate(values)
+        r, start = np.empty(len(self.jac)), self.barrier_end
+        self.layout.residual(markers, orientation, r[: self.terms_end])
+        if self.barrier:
+            self.barrier.residual(excess, r[self.terms_end : start])
+        if self.smooth_to is not None:
+            np.multiply(self.w_smooth, values - self.smooth_to, out=r[start : start + len(values)])
+        if self.w_ref:
+            np.multiply(self.w_ref, values, out=r[len(r) - len(values) :])
+        return r
+
+    def jacobian(self, values):
+        """The residual's Jacobian at the values, written into the workspace."""
+        self.jacobian_evals += 1
+        pos, rot, markers, orientation, excess = self.evaluate(values)
+        self.layout.jacobian(pos, rot, markers, orientation, values, self.jac[: self.terms_end])
+        if self.barrier:
+            self.barrier.jacobian(values, excess, self.jac[self.terms_end : self.barrier_end])
+        return self.jac
+
+    def step(self, jtj, jtr, mu):
+        """The damped step: the solution of (J^T J + mu I) step = J^T r."""
+        return np.linalg.solve(jtj + mu * self.eye, jtr)
 
     def solve(self, root_position, root_rotation, points, frames, x0, smooth_to=None):
         """Minimize over joint values with the root held fixed; returns (values, RetargetReport).
@@ -464,64 +505,23 @@ class _Objective:
         targets. The values are projected into the joint limits.
         """
         check_array("root position", root_position, (3,))
-        skeleton, layout, barrier, w_ref = self.skeleton, self.layout, self.barrier, self.w_ref
-        layout.aim(points, frames)
-        w_smooth = self.w_smooth if smooth_to is not None else 0.0
-        jac = self.jacobians[bool(w_smooth)]
-        terms_end, barrier_end = self.terms_end, self.barrier_end
-        smooth_end = barrier_end + (len(x0) if w_smooth else 0)
-        root, buffers = (root_position[None], root_rotation[None]), self.fk_buffers
-        evals = {"residual": 0, "jacobian": 0}
-        # One slot: joint-value bytes -> (level-order FK positions and rotations, views
-        # of the buffers, markers, orientation errors, barrier excess).
-        last = {}
-
-        def evaluate(values):
-            key = values.tobytes()
-            if key not in last:
-                last.clear()
-                pos, rot = _fk_arrays(skeleton, *root, values[None], buffers)
-                pos, rot = pos[:, 0], rot[:, 0]
-                excess = barrier.excess(values) if barrier else None
-                last[key] = (pos, rot, *layout.errors(pos, rot), excess)
-            return last[key]
-
-        def residual(values):
-            # a fresh array: the solver keeps the accepted residual while it tries steps
-            evals["residual"] += 1
-            _, _, markers, orientation, excess = evaluate(values)
-            r = np.empty(len(jac))
-            layout.residual(markers, orientation, r[:terms_end])
-            if barrier:
-                barrier.residual(excess, r[terms_end:barrier_end])
-            if w_smooth:
-                np.multiply(w_smooth, values - smooth_to, out=r[barrier_end:smooth_end])
-            if w_ref:
-                np.multiply(w_ref, values, out=r[smooth_end:])
-            return r
-
-        def jacobian(values):
-            evals["jacobian"] += 1
-            pos, rot, markers, orientation, excess = evaluate(values)
-            layout.jacobian(pos, rot, markers, orientation, values, jac[:terms_end])
-            if barrier:
-                barrier.jacobian(values, excess, jac[terms_end:barrier_end])
-            return jac
-
-        solved, trace, iterations, termination, damping = _gauss_newton(
-            residual, jacobian, x0, self.opts
-        )
-        x = _project_to_limits(skeleton, solved)
-        _, _, markers, orientation, _ = evaluate(x)
-        r = residual(x)
-        plan = skeleton._plan
+        self.layout.aim(points, frames)
+        self.root = root_position[None], root_rotation[None]
+        self.smooth_to = smooth_to if self.w_smooth else None
+        self.jac = self.jacobians[self.smooth_to is not None]
+        self.key, self.residual_evals, self.jacobian_evals = None, 0, 0
+        solved, trace, iterations, termination, damping = _gauss_newton(self, x0, self.opts)
+        x = _project_to_limits(self.skeleton, solved)
+        _, _, markers, orientation, _ = self.evaluate(x)
+        r = self.residual(x)
+        plan = self.skeleton._plan
         limited = plan.limited_values(x)
         return x, RetargetReport(
             objective=float(r @ r),
             iterations=iterations,
             termination=termination,
-            residual_evals=evals["residual"],
-            jacobian_evals=evals["jacobian"],
+            residual_evals=self.residual_evals,
+            jacobian_evals=self.jacobian_evals,
             position_residuals=dict(zip(self.names, _norm(markers - points).tolist())),
             orientation_residuals=dict(zip(self.framed_names, _norm(orientation).tolist())),
             limit_violation_count=int(np.count_nonzero((limited > plan.hi) | (limited < plan.lo))),

@@ -102,16 +102,17 @@ def _check_latents(codebook, latents):
 def assign(codebook, latents, downsample_factor=None):
     """Nearest codebook entry per latent; ties break to the lowest index.
 
-    The distances are filled one entry at a time, so the largest temporary
-    is (T, D), not (T, K, D). Each row is still summed over its D contiguous
-    values in numpy's pairwise order, so the distances are bit for bit those
-    of the broadcast form.
+    The distances are filled one entry at a time through one (T, D) scratch
+    buffer, so no entry allocates a temporary and none is (T, K, D). Each
+    row is still summed over its D contiguous values in numpy's pairwise
+    order, so the distances are bit for bit those of the broadcast form.
     """
     latents = _check_latents(codebook, latents)
-    d2 = np.empty((latents.shape[0], codebook.size))
+    d2, diff = np.empty((latents.shape[0], codebook.size)), np.empty_like(latents)
     for k, entry in enumerate(codebook.entries):
-        diff = latents - entry
-        d2[:, k] = np.sum(diff * diff, axis=1)
+        np.subtract(latents, entry, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=1, out=d2[:, k])
     return TokenSequence(np.argmin(d2, axis=1), downsample_factor)
 
 

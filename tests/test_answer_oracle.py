@@ -5,8 +5,8 @@ where the solver stops. For every frame of a small clip on both bundled
 robots, and for one solve on a two-finger hand with no smoothing target, no
 reference posture and no orientation terms, `scipy.optimize.least_squares`
 (MINPACK's Levenberg-Marquardt, tolerances at 1e-15) minimizes the same
-residual and Jacobian closures that `_gauss_newton` is handed, from the same
-start, with the same smoothing target. The solver's answer is compared before the limit
+residual and Jacobian methods of the objective `_gauss_newton` is handed, from
+the same start, with the same smoothing target. The solver's answer is compared before the limit
 projection, which scipy does not do.
 """
 
@@ -54,7 +54,7 @@ GRADIENT_FRACTION = 1e-2
 
 
 def solve_both(monkeypatch, run):
-    """run() with each `_gauss_newton` call followed by scipy on the same closures.
+    """run() with each `_gauss_newton` call followed by scipy on the same objective.
 
     Returns one record per solve: the start, the solver's answer before
     projection, scipy's answer, both objectives, J^T J's smallest eigenvalue
@@ -63,9 +63,10 @@ def solve_both(monkeypatch, run):
     records = []
     real = retarget._gauss_newton
 
-    def spy(residual_fn, jacobian_fn, x0, opts):
-        out = real(residual_fn, jacobian_fn, x0, opts)
-        # the closures hold this frame's targets only until the next frame's solve
+    def spy(objective, x0, opts):
+        out = real(objective, x0, opts)
+        # the objective holds this frame's targets only until the next frame's solve
+        residual_fn, jacobian_fn = objective.residual, objective.jacobian
         fit = least_squares(
             residual_fn, x0, jac=lambda x: jacobian_fn(x).copy(), method="lm",
             ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=100000,

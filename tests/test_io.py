@@ -133,6 +133,15 @@ class TestArrayWriter:
         big = np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max])
         assert_matches_json([big, np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 0, 1), int)])
 
+    def test_nested_plain_lists(self):
+        # Lists holding lists or objects are rendered an item at a time, lists of
+        # scalars (empty ones too) in one json.dumps, at every depth.
+        rows = [[1, 2.5, None], [], [[True, "a"], [[]]], ({"k": [1, [2]]}, {}), [{"x": []}]]
+        assert_matches_json(rows)
+        assert_matches_json({"a": rows, "b": [{"c": rows}], "d": [[], [[]], [[[], [0]]]]})
+        assert_matches_json({"array": np.eye(2), "e": [rows, (rows,)], "f": [[-0.0, 1e22]]})
+        assert len(list(_render([[1], [2]], 0))) > 1 and len(list(_render([1, 2], 0))) == 1
+
     def test_string_and_constant_leaves(self):
         assert_matches_json(
             {"é": "日本語 \u2028 \U0001f600", "none": None, "flags": [True, False], "": ""}
@@ -144,8 +153,9 @@ class TestArrayWriter:
         expected = {"format": "report", "version": 1, **report}
         assert (tmp_path / "r.json").read_text() == json.dumps(expected, indent=1) + "\n"
 
-    def test_retarget_report_with_carried_forward_frame(self, tmp_path, rng, monkeypatch):
-        # A report has no arrays, so it is written by one json.dumps; its NaN fields too.
+    @staticmethod
+    def retarget_report(tmp_path, rng, monkeypatch):
+        """The report tree `retarget --report` writes for 4 frames, the third carried forward."""
         human = load_example_skeleton("human_24")
         values = np.array([twist_free_pose(human, rng, 0.4).joint_values for _ in range(4)])
         values[2, 3] = 1e200  # a non-finite objective at the start of frame 2
@@ -167,12 +177,35 @@ class TestArrayWriter:
         with np.errstate(all="ignore"):
             assert main([str(a) for a in argv]) == 0
         (tree,) = trees
+        return tree
+
+    def test_retarget_report_with_carried_forward_frame(self, tmp_path, rng, monkeypatch):
+        # A report has no arrays: its `per_frame` list is written a frame per json.dumps,
+        # the rest of it a field per json.dumps; its NaN fields too.
+        tree = self.retarget_report(tmp_path, rng, monkeypatch)
         assert tree["carried_forward"] == 1 and np.isnan(tree["per_frame"][2]["objective"])
         assert_matches_json(tree)
-        # next to an array, the array-free list is dumped in one pass at depth 1
-        assert_matches_json({"array": np.eye(2), "nested": [tree, {"again": tree}]})
+        # next to an array, and nested in plain lists, at depths 1 to 3
+        assert_matches_json({"array": np.eye(2), "nested": [tree, {"again": [[tree]]}]})
         expected = json.dumps({"format": "report", "version": 1, **tree}, indent=1) + "\n"
         assert (tmp_path / "report.json").read_text() == expected
+
+    def test_report_write_holds_one_frame_of_text(self, tmp_path, rng, monkeypatch):
+        # Writing this 500-frame report (0.35 MiB) in one json.dumps took 2.2 MiB.
+        tree = self.retarget_report(tmp_path, rng, monkeypatch)
+        tree = {**tree, "frames": 500, "per_frame": tree["per_frame"] * 125}
+        p = tmp_path / "long.json"
+        save_report(tree, p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_report(tree, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        expected = json.dumps({"format": "report", "version": 1, **tree}, indent=1) + "\n"
+        assert p.read_text() == expected
+        assert peak < p.stat().st_size / 2, f"{peak / 2**20:.2f} MiB"
 
     def test_non_finite_array_refused(self, tmp_path):
         frames = np.zeros((2, 1, 3))

@@ -24,13 +24,13 @@ ONE_STEP = RetargetOptions(max_iterations=1)
 
 
 def solver_functions(monkeypatch, *args, **kwargs):
-    """(residual, jacobian) closures that retarget_frame(*args) hands the solver."""
+    """(residual, jacobian) methods of the objective retarget_frame(*args) hands the solver."""
     captured = {}
     real = retarget._gauss_newton
 
-    def spy(residual_fn, jacobian_fn, x0, opts):
-        captured["fns"] = residual_fn, jacobian_fn
-        return real(residual_fn, jacobian_fn, x0, opts)
+    def spy(objective, x0, opts):
+        captured["fns"] = objective.residual, objective.jacobian
+        return real(objective, x0, opts)
 
     monkeypatch.setattr(retarget, "_gauss_newton", spy)
     retarget_frame(*args, **kwargs)

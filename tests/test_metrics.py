@@ -255,6 +255,45 @@ def r_precision_loop(text, motion, pool_size, top_k, seed):
     return successes / n
 
 
+def retrieval_ranks_loop(text, motion, pool_size, seed):
+    """Oracle: the ranks as computed when each row drew its distractors from the
+    list of the other rows, `np.delete(np.arange(n), i)`."""
+    n = text.shape[0]
+    rng = np.random.default_rng(seed)
+    others = np.arange(n)
+    ranks = np.empty(n, dtype=int)
+    for i in range(n):
+        distractors = rng.choice(np.delete(others, i), size=pool_size - 1, replace=False)
+        d_true = np.linalg.norm(text[i] - motion[i])
+        d_pool = np.linalg.norm(text[i] - motion[distractors], axis=1)
+        ranks[i] = 1 + int(np.sum(d_pool < d_true))
+    return ranks
+
+
+class TestRetrievalRanksOracle:
+    """The ranks equal those of the loop over the other rows' list, draw for draw."""
+
+    @pytest.mark.parametrize(
+        "n, d, pool_size", [(1, 3, 1), (2, 1, 2), (7, 3, 7), (120, 5, 8), (499, 330, 32)]
+    )
+    def test_random_features(self, rng, n, d, pool_size):
+        t = rng.normal(size=(n, d))
+        m = t + rng.normal(size=(n, d))
+        for seed in (0, 3):
+            expected = retrieval_ranks_loop(t, m, pool_size, seed)
+            assert np.array_equal(retrieval_ranks(t, m, pool_size, seed), expected)
+
+    def test_exact_ties(self, rng):
+        # Small integer features: distractors at exactly the match's distance are common.
+        t = rng.integers(0, 3, size=(200, 2)).astype(float)
+        m = rng.integers(0, 3, size=(200, 2)).astype(float)
+        ranks = retrieval_ranks(t, m, pool_size=16, seed=5)
+        assert np.array_equal(ranks, retrieval_ranks_loop(t, m, 16, 5))
+        d_true = np.linalg.norm(t - m, axis=1)
+        tied = [np.sum(np.linalg.norm(t[i] - m, axis=1) == d_true[i]) > 1 for i in range(200)]
+        assert all(tied)
+
+
 class TestRetrieval:
     @pytest.mark.parametrize("pool_size", [2, 8, 32])
     def test_ranks_match_loop_oracle(self, rng, pool_size):

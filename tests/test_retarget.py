@@ -37,6 +37,15 @@ def identity_corr(skeleton, orientation_weight=1.0, scale=1.0):
     )
 
 
+class FunctionObjective:
+    """A residual and a Jacobian given as functions, with the retarget objective's step."""
+
+    def __init__(self, residual, jacobian, dof):
+        self.residual, self.jacobian, self.eye = residual, jacobian, np.eye(dof)
+
+    step = retarget._Objective.step
+
+
 @pytest.fixture(scope="module")
 def humanlike():
     return make_humanlike(n_chains=3, chain_len=3)
@@ -367,7 +376,7 @@ class TestTermination:
             return -np.eye(len(x))
 
         x, trace, iterations, termination, damping = _gauss_newton(
-            residual, jacobian, np.array([1.0, -2.0]), RetargetOptions()
+            FunctionObjective(residual, jacobian, 2), np.array([1.0, -2.0]), RetargetOptions()
         )
         assert termination == "stalled"
         assert iterations == 1 and trace == [5.0]
@@ -455,7 +464,8 @@ class TestNielsenDamping:
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         _, trace, iterations, termination, mu = _gauss_newton(
-            residual, lambda x: jac, np.zeros(2), RetargetOptions(max_iterations=max_iterations)
+            FunctionObjective(residual, lambda x: jac, 2), np.zeros(2),
+            RetargetOptions(max_iterations=max_iterations),
         )
         return damping, mu, trace, termination
 
@@ -497,8 +507,8 @@ class TestNielsenDamping:
         # J = 0, as for a lone marker on the unsolved root: the gradient test with tolerance
         # 0 never fires, but the damping floor still gives a (zero) step and the solve ends.
         _, trace, iterations, termination, damping = _gauss_newton(
-            lambda x: np.ones(2), lambda x: np.zeros((2, len(x))), np.zeros(3),
-            RetargetOptions(gradient_tol=0.0),
+            FunctionObjective(lambda x: np.ones(2), lambda x: np.zeros((2, len(x))), 3),
+            np.zeros(3), RetargetOptions(gradient_tol=0.0),
         )
         assert (termination, iterations, trace) == ("small_decrease", 1, [2.0, 2.0])
         assert 0 < damping < np.inf
