@@ -47,37 +47,36 @@ def _joint_order(skeleton, labels):
 
 def _reconstruct(skeleton, kp):
     """Root orientations (T, 3, 3) and joint values (T, DoF) of (T, J, 3)
-    keypoints in joint order, solved depth by depth on the skeleton plan with
-    the floats of a joint-by-joint walk. The error names the earliest frame (its
+    keypoints in joint order, solved depth by depth on FK's `levels` with the
+    floats of a joint-by-joint walk. The error names the earliest frame (its
     `frame`), then the first joint in skeleton order, where such a walk stops."""
     plan, joint = skeleton._plan, skeleton._plan.unobservable
     if joint is not None:
         message = "keypoint reconstruction needs spherical joints"
         raise ValidationError(f"joint '{joint.name}' has dof '{joint.dof}'; {message}")
     n = len(kp)
-    kp = kp.swapaxes(0, 1)
-    bones = (kp[plan.bone_head] - kp[plan.bone_tail])[..., None]  # (B, T, 3, 1)
-    # Joint-major buffers in the order of `plan.solved`, with the identity above the root last.
-    local = np.empty((len(plan.solved), n, 3, 3))
-    world = np.empty((len(plan.solved) + 1, n, 3, 3))
+    kp = kp.swapaxes(0, 1)[plan.order]
+    # Level-order joint-major buffers, as FK's: a joint without children keeps the
+    # identity, and the identity above the root sits in the last slot of `world`.
+    local = np.broadcast_to(_EYE3, (len(kp), n, 3, 3)).copy()
+    world = np.empty((len(kp) + 1, n, 3, 3))
     world[-1] = _EYE3
     # (refusal mask (k, T), joints, error of item i) of each kernel call: a refused
     # item gets the identity, the walk goes on, and the error is chosen at the end
     calls = []
-    for slots, par, singles, multis in plan.solve_levels:
-        joints = plan.solved[slots]
-        above = np.broadcast_to(world[par], (len(joints), n, 3, 3)).swapaxes(2, 3)
-        k = singles.stop - singles.start  # the single-child joints come first
-        if k:
-            seen = (above[:k] @ bones[singles]).reshape(-1, 3)
-            rot, bad, error = _align_stack(np.repeat(plan.bone_offsets[singles], n, axis=0), seen)
-            local[slots.start : slots.start + k] = rot.reshape(k, n, 3, 3)
-            calls.append((bad.reshape(k, n), joints, error))
-        for k, (rows, templates) in enumerate(multis, start=k):
-            seen = np.ascontiguousarray((above[k] @ bones[rows])[..., 0].transpose(1, 2, 0))
-            local[slots.start + k], bad, error = _procrustes_stack(templates, seen)
-            calls.append((bad[None], joints[k:], error))
-        np.matmul(world[par], local[slots], out=world[slots])
+    levels = ((slice(0, 1), slice(-1, None)),) + plan.levels  # the root's, below the identity
+    for (sl, par), (singles, multis) in zip(levels, plan.solve_levels):
+        if singles:
+            at, above, kids, offsets = singles
+            seen = (world[above].swapaxes(2, 3) @ (kp[kids] - kp[at])[..., None]).reshape(-1, 3)
+            rot, bad, error = _align_stack(np.repeat(offsets, n, axis=0), seen)
+            local[at] = rot.reshape(len(at), n, 3, 3)
+            calls.append((bad.reshape(len(at), n), plan.order[at], error))
+        for at, above, kids, templates in multis:
+            seen = (world[above].swapaxes(2, 3) @ (kp[kids] - kp[at])[..., None])[..., 0]
+            local[at], bad, error = _procrustes_stack(templates, seen.transpose(1, 2, 0).copy())
+            calls.append((bad[None], plan.order[at], error))
+        np.matmul(world[par], local[sl], out=world[sl])
     refused = [(t, joints[k], error, k * n + t) for bad, joints, error in calls
                for k, t in zip(*np.nonzero(bad))]
     if refused:
@@ -88,9 +87,9 @@ def _reconstruct(skeleton, kp):
         e.frame = t
         raise e
     values = np.zeros((n, skeleton.total_dof))
-    turns = _rotvec_stack(local[1:].reshape(-1, 3, 3)).reshape(-1, n, 3)
-    values[:, plan.solved_cols] = turns.swapaxes(0, 1).reshape(n, -1)
-    return (local[0] if len(local) else world[-1]), values
+    turns = _rotvec_stack(local[plan.spherical_rank[plan.spherical > 0]].reshape(-1, 3, 3))
+    values[:, plan.solved_cols] = turns.reshape(-1, n, 3).swapaxes(0, 1)
+    return local[0], values
 
 
 def reconstruct_frame(skeleton, frame):
@@ -118,8 +117,7 @@ def _rotvec_quat(v):
 def _hemisphere_continuity(skeleton, values):
     """Re-express non-root spherical joint vectors in place so consecutive
     frames keep dot(q_t, q_{t+1}) >= 0, as a frame-by-frame pass would."""
-    plan = skeleton._plan
-    cols = plan.spherical_cols[plan.spherical > 0]
+    cols = skeleton._plan.solved_cols
     v = values[:, cols]  # (T, S, 3)
     q = _rotvec_quat(v)
     # Frame t flips iff frame t - 1 flipped XOR the raw dot of their quaternions

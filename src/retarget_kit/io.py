@@ -116,11 +116,12 @@ def _matrix(node, path, location, base_dir):
     """Inline list-of-lists matrix or a {"binary", "shape"} sidecar reference."""
     name = location[1:]
     if isinstance(node, dict):
-        try:
-            rel, shape = node["binary"], tuple(int(s) for s in node["shape"])
-            bin_path = Path(base_dir) / rel
-        except _MALFORMED:
-            raise ParseError(path, location, "bad sidecar reference") from None
+        rel, shape = node.get("binary"), node.get("shape")
+        # sizes are JSON integers: int() would take "3", 3.9 and true
+        if not (isinstance(rel, str) and isinstance(shape, list)
+                and all(type(s) is int for s in shape)):
+            raise ParseError(path, location, "bad sidecar reference")
+        bin_path, shape = Path(base_dir) / rel, tuple(shape)
         try:
             flat = np.fromfile(bin_path, dtype="<f8")
         except OSError as e:

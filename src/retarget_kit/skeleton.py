@@ -71,9 +71,13 @@ class Joint:
             if abs(n - 1.0) > 1e-6:
                 raise ValidationError(f"joint '{self.name}': revolute axis norm {n} != 1")
             object.__setattr__(self, "axis", ax / n)
+        name = f"limit of joint '{self.name}'"
         try:
-            lim = tuple((float(lo), float(hi)) for lo, hi in self.limits)
-        except (TypeError, ValueError, OverflowError):
+            lim = tuple(
+                (float(check_number(name, lo, "finite")), float(check_number(name, hi, "finite")))
+                for lo, hi in self.limits
+            )
+        except (TypeError, ValueError):
             raise ValidationError(
                 f"joint '{self.name}': limits must be [min, max] pairs of numbers"
             ) from None
@@ -285,19 +289,17 @@ class _SkeletonPlan:
     spherical joints are two (E, 3) index arrays: `euler_rows`, the rows
     of their three limited DoFs, and `euler_cols`, their value columns.
 
-    Keypoint reconstruction (`ik`) reads `children`, each joint's children,
-    and `unobservable`, the first joint below the root that has children but
-    is not spherical (None if there is none). It solves the joints with
-    children, `solved`, depth by depth, each depth's single-child joints
-    first, in level order, then its multi-child ones. Bone b runs from joint
-    `bone_tail[b]` to its child `bone_head[b]`, whose offset is
-    `bone_offsets[b]`; the bones are grouped as the joints they turn. Per depth,
-    `solve_levels` holds the slice of its joints in `solved`, their parents'
-    positions there as `levels` holds them (the root's parent is position
-    len(solved)), the slice of its single-child joints' bones, and per
-    multi-child joint the slice of its bones and their offsets as (3, m)
-    columns. `solved_cols` are the value columns of the solved joints below
-    the root, three each.
+    Keypoint reconstruction (`ik`) walks `levels`, the root's level in front,
+    on buffers laid out as `fk`'s. It reads `children`, each joint's children
+    as a list, and `unobservable`, the first joint below the root that has
+    children but is not spherical (None if there is none). Per depth from the
+    root, `solve_levels` holds the joints it solves there: its single-child
+    joints (None if there are none), then each multi-child joint, each group
+    as their level-order positions, their parents' as `levels` holds them (J
+    above the root), their children's and the children's offsets, (k, 3) rows
+    of one child each or the (3, m) columns of a multi-child joint's.
+    `solved_cols` are the value columns of the spherical joints below the
+    root, three each.
     """
 
     def __init__(self, joints, parent_index, dof_slices):
@@ -310,27 +312,42 @@ class _SkeletonPlan:
         self.kk = self.k @ self.k
         self.spherical = np.flatnonzero(kind == "spherical")
         self.spherical_cols = start[self.spherical, None] + np.arange(3)
-        depth = [0] * len(joints)
+        children = [[] for _ in joints]
         for i, p in enumerate(parent_index[1:], start=1):
-            depth[i] = depth[p] + 1
+            children[p].append(i)
+        self.children = children
         order = [0]
-        for d in range(1, max(depth) + 1):
-            order += sorted(
-                (i for i in range(len(joints)) if depth[i] == d),
-                key=lambda i: (order.index(parent_index[i]), i),
-            )
+        for i in order:  # breadth first: each depth's joints grouped by their parents' order
+            order += children[i]
         self.order = np.array(order)
         self.rank = np.argsort(self.order)
         self.in_level_order = bool(np.all(self.order == np.arange(len(joints))))
-        offsets = np.array([j.offset for j in joints])
-        levels, first = [], 1
-        for d in range(1, max(depth) + 1):
-            idx = self.order[first : first + depth.count(d)]
-            par = _run(self.rank[[parent_index[i] for i in idx]].tolist())
-            levels.append((slice(first, first + len(idx)), par))
-            first += len(idx)
+        levels, sl = [], slice(0, 1)
+        while sl.stop < len(joints):  # the next depth: the children of this one
+            sl = slice(sl.stop, sl.stop + sum(len(children[i]) for i in order[sl]))
+            levels.append((sl, _run(self.rank[[parent_index[i] for i in order[sl]]].tolist())))
         self.levels = tuple(levels)
-        self._reconstruction_plan(joints, parent_index, order, depth, offsets, start)
+        offsets = np.array([j.offset for j in joints])
+        self.unobservable = next(
+            (j for j, ch in zip(joints[1:], children[1:]) if ch and j.dof != "spherical"), None
+        )
+        at = np.append(self.rank, len(joints))  # level-order positions, J above the root
+
+        def group(solved, kids):
+            return at[solved], _run(at[[parent_index[i] for i in solved]].tolist()), at[kids]
+
+        solve_levels = []
+        for sl in [slice(0, 1)] + [depth for depth, _ in levels]:
+            solved = [i for i in order[sl] if children[i]]
+            ones = [i for i in solved if len(children[i]) == 1]
+            kids = [children[i][0] for i in ones]
+            multis = tuple(
+                (*group([i], children[i]), offsets[children[i]].T.copy())
+                for i in solved if len(children[i]) > 1
+            )
+            solve_levels.append(((*group(ones, kids), offsets[kids]) if ones else None, multis))
+        self.solve_levels = tuple(solve_levels)
+        self.solved_cols = self.spherical_cols[self.spherical > 0]
         self.parent_rank = self.rank[[parent_index[i] for i in self.order[1:]]]
         self.offsets = offsets[self.order[1:], None, :, None]
         self.fixed_rank = self.rank[kind == "fixed"]
@@ -354,40 +371,6 @@ class _SkeletonPlan:
         first = np.flatnonzero((limit_kind == "spherical") & (self.limit_dof == 0))
         self.euler_rows = first[:, None] + np.arange(3)
         self.euler_cols = self.limit_col[self.euler_rows]
-
-    def _reconstruction_plan(self, joints, parent_index, order, depth, offsets, start):
-        children = [[] for _ in joints]
-        for i, p in enumerate(parent_index[1:], start=1):
-            children[p].append(i)
-        self.children = tuple(map(tuple, children))
-        self.unobservable = next(
-            (j for j, ch in zip(joints[1:], children[1:]) if ch and j.dof != "spherical"), None
-        )
-        solved, heads, levels = [], [], []
-        slot = {-1: sum(map(bool, children))}  # above the root: the slot after the solved joints
-        for d in range(max(depth)):
-            # the depth's joints with children, in level order, single-child ones first
-            at = sorted((i for i in order if depth[i] == d and children[i]),
-                        key=lambda i: len(children[i]) > 1)
-            k = sum(len(children[i]) == 1 for i in at)
-            singles = slice(len(heads), len(heads) + k)
-            heads += [children[i][0] for i in at[:k]]
-            multis = []
-            for i in at[k:]:
-                bones = slice(len(heads), len(heads) + len(children[i]))
-                multis.append((bones, offsets[list(children[i])].T.copy()))
-                heads += children[i]
-            slots = slice(len(solved), len(solved) + len(at))
-            parents = _run([slot[parent_index[i]] for i in at])
-            levels.append((slots, parents, singles, tuple(multis)))
-            slot.update(zip(at, range(slots.start, slots.stop)))
-            solved += at
-        self.solve_levels = tuple(levels)
-        self.solved = np.array(solved, dtype=int)
-        self.bone_head = np.array(heads, dtype=int)
-        self.bone_tail = np.array([parent_index[i] for i in heads], dtype=int)
-        self.bone_offsets = offsets[self.bone_head].reshape(-1, 3)
-        self.solved_cols = (start[self.solved[1:], None] + np.arange(3)).reshape(-1)
 
     def fk_buffers(self, frames):
         """Level-order (J, frames, ...) `local`, `pos` and `rot` buffers for `_fk_arrays`,

@@ -411,9 +411,24 @@ class TestLevelWalkMatchesJointWalk:
         assert_matches_joint_walk(skel, joint_order_keypoints(skel, rng, frames, scale=1.5))
 
     def test_random_trees(self, rng):
-        for size in [1, 2, 3, 5, 8, 13, 21, 30]:
-            skel = make_random_tree(rng, size)
-            assert_matches_joint_walk(skel, joint_order_keypoints(skel, rng, 7, scale=2.0))
+        for tree in make_random_tree, with_mixed_leaves:
+            for size in [1, 2, 3, 5, 8, 13, 21, 30]:
+                skel = tree(rng, size)
+                assert_matches_joint_walk(skel, joint_order_keypoints(skel, rng, 7, scale=2.0))
+
+
+def with_mixed_leaves(rng, size):
+    """A random tree with a spherical root and each leaf fixed, revolute or spherical
+    at random: every leaf keeps the identity, and only spherical ones have values."""
+    skel, joints = make_random_tree(rng, size), []
+    for i, j in enumerate(skel.joints):
+        dof = "spherical"
+        if i and i not in skel.parent_index:
+            dof = str(rng.choice(["fixed", "revolute", "spherical"]))
+        axis = rng.normal(size=3)
+        axis = axis / np.linalg.norm(axis) if dof == "revolute" else None
+        joints.append(Joint(j.name, j.parent, j.offset, dof, axis))
+    return Skeleton(joints)
 
 
 def branching_chain():

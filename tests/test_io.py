@@ -985,6 +985,7 @@ def dropping(*keys):
 
 
 SIDECAR = {"binary": 5, "shape": [2, 2]}
+SIX = {"binary": "six.bin"}  # a sidecar of six values, written next to every document
 MALFORMED_DOCUMENTS = [
     pytest.param("skel", setting("joints", value=5), "/joints", id="joints_not_a_list"),
     pytest.param("skel", setting("joints", 0, value="pelvis"), "/joints/0", id="joint_a_string"),
@@ -997,6 +998,13 @@ MALFORMED_DOCUMENTS = [
     pytest.param("skel", dropping("joints", 1, "name"), "/joints/1", id="joint_without_name"),
     pytest.param("skel", setting("joints", 1, "limits", value=[[0, 10**400]]), "/joints/1",
                  id="joint_limit_too_large"),
+    # float() would take these limits: a number written as a string, a bool, "nan"
+    pytest.param("skel", setting("joints", 1, "limits", value=[["-0.5", 0.5]]), "/joints/1",
+                 id="joint_limit_a_numeric_string"),
+    pytest.param("skel", setting("joints", 1, "limits", value=[[False, True]]), "/joints/1",
+                 id="joint_limit_a_bool"),
+    pytest.param("skel", setting("joints", 1, "limits", value=[["nan", 1.0]]), "/joints/1",
+                 id="joint_limit_nan"),
     pytest.param("skel", setting("joints", 0, "offset", value="abc"), "/joints/0/offset",
                  id="joint_offset_not_numeric"),
     pytest.param("skel", setting("joints", 1, "dof", "axis", value="x"), "/joints/1/axis",
@@ -1040,6 +1048,13 @@ MALFORMED_DOCUMENTS = [
                  id="codebook_sidecar_path_a_number"),
     pytest.param("codebook", setting("ema_sums", value={"binary": "s.bin", "shape": 2}),
                  "/ema_sums", id="codebook_sidecar_shape_a_number"),
+    # int() would take these sizes of SIX's six values as (3, 2), (3, 2) and (1, 6)
+    pytest.param("features", setting("values", value={**SIX, "shape": ["3", 2]}), "/values",
+                 id="features_sidecar_size_a_numeric_string"),
+    pytest.param("codebook", setting("entries", value={**SIX, "shape": [3.9, 2.2]}),
+                 "/entries", id="codebook_sidecar_size_a_float"),
+    pytest.param("codebook", setting("ema_sums", value={**SIX, "shape": [True, 6]}),
+                 "/ema_sums", id="codebook_sidecar_size_a_bool"),
 ]
 
 
@@ -1058,6 +1073,7 @@ class TestMalformedDocuments:
         mutate(obj)
         p = tmp_path / f"doc.{kind}"
         p.write_text(json.dumps(obj))
+        (tmp_path / SIX["binary"]).write_bytes(np.arange(6.0).astype("<f8").tobytes())
         with pytest.raises(ParseError) as e:
             load(p)
         assert e.value.location == location

@@ -30,6 +30,7 @@ from retarget_kit import (
 from retarget_kit.cli import main
 from retarget_kit.errors import ValidationError, check_number
 from retarget_kit.io import save_codebook, save_feature_matrix
+from retarget_kit.skeleton import Joint
 
 BAD_VALUES = [True, float("nan"), float("inf"), float("-inf"), 10**400, "1", None]
 BAD_IDS = ["true", "nan", "inf", "-inf", "10**400", "str", "none"]
@@ -149,6 +150,11 @@ PUBLIC_NUMBER_ARGUMENTS = {
         "downsample_factor", lambda v: TokenSequence([0, 1], v), 4,
     ),
     "top_k_share.top_k": ("top_k", lambda v: top_k_share([1, 2, 3], v), 2),
+    "Joint.limits": (
+        "limit of joint 'a'",
+        lambda v: Joint("a", None, [0, 0, 0], "revolute", axis=[0, 0, 1], limits=[(v, 1.0)]),
+        -1,
+    ),
     "Rotation.from_axis_angle.angle": (
         "angle", lambda v: Rotation.from_axis_angle([0, 1, 0], v), -0.5,
     ),
