@@ -137,6 +137,14 @@ def _metric_rows(command, rows, **fields):
 def cmd_metrics_track(args):
     ref = _motion(args.ref, "trajectory", "--ref")
     exe = _motion(args.exec, "trajectory", "--exec")
+    # VEL and ACCEL difference both motions at --ref's rate, so they must share it
+    if exe.fps != ref.fps:
+        raise ValidationError(f"--exec is at {exe.fps} fps, but --ref is at {ref.fps} fps")
+    if None not in (ref.skeleton, exe.skeleton) and exe.skeleton != ref.skeleton:
+        raise ValidationError(
+            f"--exec is a motion of skeleton '{exe.skeleton}', "
+            f"but --ref is a motion of skeleton '{ref.skeleton}'"
+        )
     heights = exe.trajectory.root_positions[:, 1]
     pair = metrics.TrajectoryPair(
         ref.trajectory.values(), exe.trajectory.values(), ref.fps, heights

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DegenerateBone, PoseMismatch, RankDeficient, ValidationError, check_array, check_labels,
+    check_number,
 )
 from .rotations import _EYE3, Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
 from .skeleton import JointTrajectory, Pose
@@ -87,7 +88,7 @@ def _reconstruct(skeleton, kp):
         e.frame = t
         raise e
     values = np.zeros((n, skeleton.total_dof))
-    turns = _rotvec_stack(local[plan.spherical_rank[plan.spherical > 0]].reshape(-1, 3, 3))
+    turns = _rotvec_stack(local[plan.solved_rank].reshape(-1, 3, 3))
     values[:, plan.solved_cols] = turns.reshape(-1, n, 3).swapaxes(0, 1)
     return local[0], values
 
@@ -117,7 +118,8 @@ def _rotvec_quat(v):
 def _hemisphere_continuity(skeleton, values):
     """Re-express non-root spherical joint vectors in place so consecutive
     frames keep dot(q_t, q_{t+1}) >= 0, as a frame-by-frame pass would."""
-    cols = skeleton._plan.solved_cols
+    plan = skeleton._plan
+    cols = plan.spherical_cols[plan.spherical > 0]
     v = values[:, cols]  # (T, S, 3)
     q = _rotvec_quat(v)
     # Frame t flips iff frame t - 1 flipped XOR the raw dot of their quaternions
@@ -148,6 +150,7 @@ def reconstruct_sequence(
     degenerate bone or rank-deficient joint is reported at the earliest
     frame, and within it the first joint in skeleton order.
     """
+    check_number("fps", fps, "> 0")
     if labels is None and all(isinstance(f, KeypointFrame) for f in frames):
         if not len(frames):
             raise ValidationError("empty keypoint sequence")

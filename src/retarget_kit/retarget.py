@@ -10,12 +10,14 @@ accepted steps never increase the objective. It stops when the gradient
 vanishes or when an accepted step lowers the objective by less than
 RELATIVE_DECREASE_TOL of its value. The root transform is taken from the
 scaled human root and is not optimized. A call sets up once: one human
-forward-kinematics pass for all frames and one objective with its
-workspace, the level-order FK buffers and the Jacobian with its fixed
-regularizer rows. Per frame the objective takes the targets, the root and
-the smoothing target, and the solver calls its `residual`, `jacobian` and
-damped `step` methods; each distinct pose costs one forward-kinematics
-pass, which the residual, the Jacobian and the report share.
+forward-kinematics pass for all frames and one objective, `_Objective`,
+which lays out the pair terms, the limit barrier and the regularizer
+rows and owns its workspace, the level-order FK buffers and the Jacobian
+with its fixed regularizer rows. Per frame its `aim` takes the root, the
+targets and the smoothing target, and the solver calls its `residual`,
+`jacobian` and damped `step` methods, which write every row block
+themselves; each distinct pose costs one forward-kinematics pass, which
+the residual, the Jacobian and the report share.
 """
 
 from __future__ import annotations
@@ -250,57 +252,6 @@ def _euler_jacobian(values):
     return ((euler[..., 0, :, :] - euler[..., 1, :, :]) / (2.0 * EULER_STEP)).swapaxes(-1, -2)
 
 
-class _LimitBarrier:
-    """One-sided quadratic barrier starting inside each limit, two rows per limited DoF.
-
-    For each value v of the skeleton plan's `limited_values`, the rows are
-    w * max(0, v - hi') and w * max(0, lo' - v), with (lo', hi')
-    LIMIT_MARGIN inside the limits, less on narrow ranges, and w the square
-    root of the limit weight. Their Jacobian rows are +-w times the
-    gradient of v on active rows. Those gradients are built once: a revolute
-    value is its own column; only an Euler-limited spherical joint with an
-    active row has its gradient differenced at each call. Both are computed
-    from `excess` at the values and written into the caller's rows.
-    """
-
-    def __init__(self, skeleton, w):
-        plan = self.plan = skeleton._plan
-        self.w = w
-        margin = np.minimum(LIMIT_MARGIN, 0.25 * (plan.hi - plan.lo))
-        # (v - hi', lo' - v) as v * (1, -1) + (-hi', lo'), the same floats
-        self.sign = np.array([1.0, -1.0])
-        self.shift = np.stack([-(plan.hi - margin), plan.lo + margin], axis=1)
-        grad = np.zeros((len(plan.lo), len(plan.col_joint)))
-        grad[np.arange(len(plan.lo)), plan.limit_col] = 1.0
-        # A lower row is -w times a gradient, so it reads -0.0 off the columns v does
-        # not depend on; the sign of a zero can reach the step and the motion written.
-        self.rows = np.stack([w * grad, -w * grad], axis=1)
-        self.sides = np.arange(2)[:, None]
-
-    def excess(self, values):
-        """(limited DoF, 2) signed distances past the upper and lower barrier starts."""
-        return self.plan.limited_values(values)[:, None] * self.sign + self.shift
-
-    def residual(self, excess, out):
-        """Write the 2 * (limited DoF) rows into `out`."""
-        # np.where(d > 0, d, 0) is max(0, d) row by row, NaN included
-        np.multiply(self.w, np.where(excess > 0.0, excess, 0.0), out=out.reshape(excess.shape))
-
-    def jacobian(self, values, excess, out):
-        """Write the rows' (2 * limited DoF, n) Jacobian at the values into `out`."""
-        active = excess > 0.0
-        out = out.reshape(self.rows.shape)
-        out.fill(0.0)
-        np.copyto(out, self.rows, where=active[..., None])
-        rows, cols = self.plan.euler_rows, self.plan.euler_cols
-        hit = active[rows].any(axis=(1, 2)) if len(rows) else ()
-        if any(hit):
-            rows, cols = rows[hit], cols[hit]
-            grad = self.w * _euler_jacobian(values[cols])
-            block = np.where(active[rows][..., None], np.stack([grad, -grad], axis=2), 0.0)
-            out[rows[..., None, None], self.sides, cols[:, None, None]] = block
-
-
 def _project_to_limits(skeleton, values):
     """Clip every limited value of the skeleton plan's `limited_values` into its limits.
 
@@ -327,25 +278,50 @@ def _project_to_limits(skeleton, values):
     return out
 
 
-class _Terms:
-    """A solve's terms as arrays, the row layout of their residual, and its Jacobian.
+class _Objective:
+    """The retarget objective of one skeleton, pair list and options, built once per call.
 
-    Per pair: the robot marker's joint and local offset, and the square
-    root of its position weight. The framed pairs, those with orientation
-    weight, have their indices and the square roots of their orientation
-    weights. The rows are stacked as the x, y and z position rows of all
-    terms, one block per axis, then three orientation rows per framed term;
-    `rows` selects from that stack, in residual order, each term's position
+    Rows, in order: each pair's weighted position and orientation errors,
+    the limit barrier, smoothness toward `smooth_to`, and the zero-posture
+    reference. Nothing here but the targets depends on the frame: `aim`
+    sets one frame's root, targets and smoothing target, and `solve` aims,
+    hands the objective to `_gauss_newton`, which calls its `residual`,
+    `jacobian` and `step`, and reports. The objective owns its workspace:
+    the level-order FK buffers, one Jacobian with and one without the
+    smoothness rows, whose w * I blocks are written here, and a one-slot
+    cache of the last values' FK, markers, orientation errors and barrier
+    excess. `residual_evals` and `jacobian_evals` count the current frame's
+    calls.
+
+    Pair terms: per pair the robot marker's joint and local offset and the
+    square root of its position weight; the framed pairs, those with
+    orientation weight, also have the square roots of their orientation
+    weights. Their rows are stacked as the x, y and z position rows of all
+    pairs, one block per axis, then three orientation rows per framed pair;
+    `rows` selects from that stack, in residual order, each pair's position
     rows if it has position weight and its orientation rows if it is framed.
-    `mask` is 1.0 on the columns that move each term's marker joint, from
-    the skeleton plan's `moves`. FK results are read in level order, as
-    `_fk_arrays` leaves them in its buffers, through `plan.rank` indices
-    composed here. The world targets change per frame: `aim` sets the
-    (term, 3) points and the (framed, 3, 3) frames before evaluating.
+    FK results are read in level order, as `_fk_arrays` leaves them in its
+    buffers, through the skeleton plan's `rank`.
+
+    Limit barrier, when the limit weight is positive: for each value v of
+    the skeleton plan's `limited_values`, the rows w * max(0, v - hi') and
+    w * max(0, lo' - v), with (lo', hi') LIMIT_MARGIN inside the limits,
+    less on narrow ranges, and w the square root of the limit weight. Their
+    Jacobian rows are +-w times the gradient of v on active rows: a
+    revolute value is its own column; only an Euler-limited spherical joint
+    with an active row has its gradient differenced at each call.
     """
 
-    def __init__(self, skeleton, pairs):
-        n, rows = len(pairs), []
+    def __init__(self, skeleton, pairs, opts):
+        if skeleton.total_dof == 0:
+            raise ValidationError(f"skeleton '{skeleton.name}' has no degrees of freedom to solve")
+        plan, n, dof = skeleton._plan, len(pairs), skeleton.total_dof
+        self.skeleton, self.plan, self.opts = skeleton, plan, opts
+        self.w_limit, self.w_smooth, self.w_ref = (
+            np.sqrt(w) if w > 0 else 0.0
+            for w in (opts.limit_weight, opts.smoothness_weight, opts.reference_weight)
+        )
+        rows = []
         framed = [t for t, pair in enumerate(pairs) if pair.orientation_weight > 0]
         for t, pair in enumerate(pairs):
             if pair.position_weight > 0:
@@ -354,20 +330,21 @@ class _Terms:
                 f = 3 * (n + framed.index(t))
                 rows += [f, f + 1, f + 2]
         markers = [resolve_marker(skeleton, pair.robot) for pair in pairs]
-        plan = self.plan = skeleton._plan
-        self.joint = np.array([joint for joint, _ in markers], dtype=int)
+        joint = np.array([joint for joint, _ in markers], dtype=int)
+        self.names = [pair.robot for pair in pairs]
+        self.framed_names = [self.names[t] for t in framed]
         self.offset = np.array([offset for _, offset in markers]).reshape(-1, 3, 1)
         self.position_scale = np.sqrt([pair.position_weight for pair in pairs])[:, None]
         self.framed = np.array(framed, dtype=int)
         self.frame_scale = np.sqrt([pairs[t].orientation_weight for t in framed])[:, None]
         self.rows = np.array(rows, dtype=int)
-        self.mask = plan.moves[self.joint]
-        self.position_mask = self.mask * self.position_scale
-        self.joint_rank, self.col_rank = plan.rank[self.joint], plan.rank[plan.col_joint]
+        mask = plan.moves[joint]  # 1.0 on the columns that move each pair's marker joint
+        self.position_mask = mask * self.position_scale
+        self.joint_rank, self.col_rank = plan.rank[joint], plan.rank[plan.col_joint]
         self.axes = plan.axes[..., None]
-        self.frame_mask = self.mask[self.framed, None]
+        self.frame_mask = mask[self.framed, None]
         self.frame_weight = -self.frame_scale[..., None]
-        dof, stacked = len(plan.col_joint), 3 * (n + len(framed))
+        stacked = 3 * (n + len(framed))
         self.rates = np.empty((dof, 3))
         # The stacks `rows` selects from, with views of their position and orientation blocks.
         self.stack, self.jacobian_stack = np.empty(stacked), np.empty((stacked, dof))
@@ -375,31 +352,83 @@ class _Terms:
         self.frame_rows = self.stack[3 * n :].reshape(-1, 3)
         self.position_jacobian = self.jacobian_stack[: 3 * n].reshape(3, n, dof)
         self.frame_jacobian = self.jacobian_stack[3 * n :].reshape(-1, 3, dof)
-        self.point = self.frames = self.frames_t = None
+        margin = np.minimum(LIMIT_MARGIN, 0.25 * (plan.hi - plan.lo))
+        # (v - hi', lo' - v) as v * (1, -1) + (-hi', lo'), the same floats
+        self.sign = np.array([1.0, -1.0])
+        self.shift = np.stack([-(plan.hi - margin), plan.lo + margin], axis=1)
+        grad = np.zeros((len(plan.lo), dof))
+        grad[np.arange(len(plan.lo)), plan.limit_col] = 1.0
+        # A lower row is -w times a gradient, so it reads -0.0 off the columns v does
+        # not depend on; the sign of a zero can reach the step and the motion written.
+        self.limit_rows = np.stack([self.w_limit * grad, -self.w_limit * grad], axis=1)
+        self.sides = np.arange(2)[:, None]
+        self.fk_buffers = plan.fk_buffers(1)
+        self.terms_end = len(self.rows)
+        self.barrier_end = self.terms_end + (2 * len(plan.lo) if self.w_limit else 0)
+        # Keyed by whether the frame has smoothness rows; the w * I rows never change.
+        self.eye, head = np.eye(dof), np.empty((self.barrier_end, dof))
+        reference = [self.w_ref * self.eye] if self.w_ref else []
+        self.jacobians = {
+            False: np.concatenate([head, *reference]),
+            True: np.concatenate([head, self.w_smooth * self.eye, *reference]),
+        }
 
-    def aim(self, points, frames):
-        """Set this frame's (term, 3) target points and (framed, 3, 3) target frames."""
-        self.point, self.frames, self.frames_t = points, frames, frames.swapaxes(1, 2)
+    def aim(self, root_position, root_rotation, points, frames, smooth_to=None):
+        """Set one frame: its root, (term, 3) target points, (framed, 3, 3) target
+        frames and smoothing target; empties the cache and the counters."""
+        check_array("root position", root_position, (3,))
+        self.root = root_position[None], root_rotation[None]
+        self.points, self.frames, self.frames_t = points, frames, frames.swapaxes(1, 2)
+        self.smooth_to = smooth_to if self.w_smooth else None
+        self.jac = self.jacobians[self.smooth_to is not None]
+        self.key, self.residual_evals, self.jacobian_evals = None, 0, 0
 
-    def errors(self, pos, rot):
-        """(term, 3) world marker points, and the (framed, 3) rotation-vector errors,
-        from level-order (J, 3) positions and (J, 3, 3) rotations."""
-        rot = rot[self.joint_rank]
-        markers = pos[self.joint_rank] + (rot @ self.offset)[..., 0]
-        relative = rot[self.framed].swapaxes(1, 2) @ self.frames
-        orientation = np.array([_log_floats(m) for m in relative.tolist()]).reshape(-1, 3)
-        return markers, orientation
+    def evaluate(self, values):
+        """(FK positions, rotations, markers, orientation errors, barrier excess) at values.
 
-    def residual(self, markers, orientation, out):
-        """Write the weighted term rows, in order, from `errors` into `out`."""
-        np.multiply(self.position_scale, markers - self.point, out=self.position_rows)
+        The FK results are level-order (J, 3) and (J, 3, 3) arrays, the
+        markers the (term, 3) world marker points, the orientation errors
+        (framed, 3) rotation vectors, and the excess the (limited DoF, 2)
+        signed distances past the upper and lower barrier starts.
+        """
+        key = values.tobytes()
+        if key != self.key:
+            pos, rot = _fk_arrays(self.skeleton, *self.root, values[None], self.fk_buffers)
+            pos, rot = pos[:, 0], rot[:, 0]
+            joint_rot = rot[self.joint_rank]
+            markers = pos[self.joint_rank] + (joint_rot @ self.offset)[..., 0]
+            relative = joint_rot[self.framed].swapaxes(1, 2) @ self.frames
+            orientation = np.array([_log_floats(m) for m in relative.tolist()]).reshape(-1, 3)
+            excess = (
+                self.plan.limited_values(values)[:, None] * self.sign + self.shift
+                if self.w_limit
+                else None
+            )
+            self.key, self.cached = key, (pos, rot, markers, orientation, excess)
+        return self.cached
+
+    def residual(self, values):
+        """The residual at the values, in a fresh array: the solver keeps the
+        accepted residual while it tries steps."""
+        self.residual_evals += 1
+        _, _, markers, orientation, excess = self.evaluate(values)
+        r, start = np.empty(len(self.jac)), self.barrier_end
+        np.multiply(self.position_scale, markers - self.points, out=self.position_rows)
         np.multiply(self.frame_scale, orientation, out=self.frame_rows)
-        # rows are in range; mode="clip" lets take write into out without a buffer
-        self.stack.take(self.rows, out=out, mode="clip")
+        # rows are in range; mode="clip" lets take write into r without a buffer
+        self.stack.take(self.rows, out=r[: self.terms_end], mode="clip")
+        if self.w_limit:
+            # np.where(d > 0, d, 0) is max(0, d) row by row, NaN included
+            barrier = r[self.terms_end : start].reshape(excess.shape)
+            np.multiply(self.w_limit, np.where(excess > 0.0, excess, 0.0), out=barrier)
+        if self.smooth_to is not None:
+            np.multiply(self.w_smooth, values - self.smooth_to, out=r[start : start + len(values)])
+        if self.w_ref:
+            np.multiply(self.w_ref, values, out=r[len(r) - len(values) :])
+        return r
 
-    def jacobian(self, pos, rot, markers, orientation, values, out):
-        """Write the rows of the residual's Jacobian at values into `out`, from the
-        level-order FK positions and rotations and from `errors` at values.
+    def jacobian(self, values):
+        """The residual's Jacobian at the values, written into the workspace.
 
         Joint k's DoF turn joint k and everything below it at world angular
         rates w, one 3-vector per column: R_k axis for a revolute DoF, the
@@ -408,6 +437,8 @@ class _Terms:
         both cross products from one Levi-Civita contraction with the rates,
         and an orientation error e = log(R_j^T R_t) at -J_r^{-1}(e) R_t^T w.
         """
+        self.jacobian_evals += 1
+        pos, rot, markers, orientation, excess = self.evaluate(values)
         plan, rates = self.plan, self.rates
         rates[plan.revolute_col] = (rot[plan.revolute_rank] @ self.axes)[..., 0]
         if len(plan.spherical):
@@ -419,79 +450,19 @@ class _Terms:
         np.multiply(position, self.position_mask, out=self.position_jacobian)
         scaled = self.frame_weight * _right_jacobian_inv(orientation)
         np.matmul(scaled @ self.frames_t, rates.T * self.frame_mask, out=self.frame_jacobian)
-        self.jacobian_stack.take(self.rows, axis=0, out=out, mode="clip")
-
-
-class _Objective:
-    """The retarget objective of one skeleton, pair list and options, built once per call.
-
-    Rows, in order: each term's weighted position and orientation errors,
-    the limit barrier, smoothness toward `smooth_to`, and the zero-posture
-    reference. The layout, the barrier and the regularizers' Jacobian rows
-    do not depend on the frame; `solve` sets what does and hands the
-    objective to `_gauss_newton`, which calls its `residual`, `jacobian` and
-    `step`. The objective owns its workspace: the level-order FK buffers, one
-    Jacobian with and one without the smoothness rows, whose w * I blocks are
-    written here, and a one-slot cache of the last values' FK and errors.
-    `residual_evals` and `jacobian_evals` count the current solve's calls.
-    """
-
-    def __init__(self, skeleton, pairs, opts):
-        if skeleton.total_dof == 0:
-            raise ValidationError(f"skeleton '{skeleton.name}' has no degrees of freedom to solve")
-        self.skeleton, self.opts, self.layout = skeleton, opts, _Terms(skeleton, pairs)
-        self.names = [pair.robot for pair in pairs]
-        self.framed_names = [self.names[t] for t in self.layout.framed]
-        self.barrier = (
-            _LimitBarrier(skeleton, np.sqrt(opts.limit_weight)) if opts.limit_weight > 0 else None
-        )
-        self.w_smooth, self.w_ref = (
-            np.sqrt(w) if w > 0 else 0.0 for w in (opts.smoothness_weight, opts.reference_weight)
-        )
-        plan, n = skeleton._plan, skeleton.total_dof
-        self.fk_buffers = plan.fk_buffers(1)
-        self.terms_end = len(self.layout.rows)
-        self.barrier_end = self.terms_end + (2 * len(plan.lo) if self.barrier else 0)
-        # Keyed by whether the frame has smoothness rows; the w * I rows never change.
-        self.eye, rows = np.eye(n), np.empty((self.barrier_end, n))
-        reference = [self.w_ref * self.eye] if self.w_ref else []
-        self.jacobians = {
-            False: np.concatenate([rows, *reference]),
-            True: np.concatenate([rows, self.w_smooth * self.eye, *reference]),
-        }
-
-    def evaluate(self, values):
-        """(FK positions, rotations, markers, orientation errors, barrier excess) at values."""
-        key = values.tobytes()
-        if key != self.key:
-            pos, rot = _fk_arrays(self.skeleton, *self.root, values[None], self.fk_buffers)
-            pos, rot = pos[:, 0], rot[:, 0]
-            excess = self.barrier.excess(values) if self.barrier else None
-            self.key, self.cached = key, (pos, rot, *self.layout.errors(pos, rot), excess)
-        return self.cached
-
-    def residual(self, values):
-        """The residual at the values, in a fresh array: the solver keeps the
-        accepted residual while it tries steps."""
-        self.residual_evals += 1
-        _, _, markers, orientation, excess = self.evaluate(values)
-        r, start = np.empty(len(self.jac)), self.barrier_end
-        self.layout.residual(markers, orientation, r[: self.terms_end])
-        if self.barrier:
-            self.barrier.residual(excess, r[self.terms_end : start])
-        if self.smooth_to is not None:
-            np.multiply(self.w_smooth, values - self.smooth_to, out=r[start : start + len(values)])
-        if self.w_ref:
-            np.multiply(self.w_ref, values, out=r[len(r) - len(values) :])
-        return r
-
-    def jacobian(self, values):
-        """The residual's Jacobian at the values, written into the workspace."""
-        self.jacobian_evals += 1
-        pos, rot, markers, orientation, excess = self.evaluate(values)
-        self.layout.jacobian(pos, rot, markers, orientation, values, self.jac[: self.terms_end])
-        if self.barrier:
-            self.barrier.jacobian(values, excess, self.jac[self.terms_end : self.barrier_end])
+        self.jacobian_stack.take(self.rows, axis=0, out=self.jac[: self.terms_end], mode="clip")
+        if self.w_limit:
+            active = excess > 0.0
+            barrier = self.jac[self.terms_end : self.barrier_end].reshape(self.limit_rows.shape)
+            barrier.fill(0.0)
+            np.copyto(barrier, self.limit_rows, where=active[..., None])
+            rows, cols = plan.euler_rows, plan.euler_cols
+            hit = active[rows].any(axis=(1, 2)) if len(rows) else ()
+            if any(hit):
+                rows, cols = rows[hit], cols[hit]
+                grad = self.w_limit * _euler_jacobian(values[cols])
+                block = np.where(active[rows][..., None], np.stack([grad, -grad], axis=2), 0.0)
+                barrier[rows[..., None, None], self.sides, cols[:, None, None]] = block
         return self.jac
 
     def step(self, jtj, jtr, mu):
@@ -504,17 +475,12 @@ class _Objective:
         `points` (term, 3) and `frames` (framed, 3, 3) are this frame's world
         targets. The values are projected into the joint limits.
         """
-        check_array("root position", root_position, (3,))
-        self.layout.aim(points, frames)
-        self.root = root_position[None], root_rotation[None]
-        self.smooth_to = smooth_to if self.w_smooth else None
-        self.jac = self.jacobians[self.smooth_to is not None]
-        self.key, self.residual_evals, self.jacobian_evals = None, 0, 0
+        self.aim(root_position, root_rotation, points, frames, smooth_to)
         solved, trace, iterations, termination, damping = _gauss_newton(self, x0, self.opts)
         x = _project_to_limits(self.skeleton, solved)
         _, _, markers, orientation, _ = self.evaluate(x)
         r = self.residual(x)
-        plan = self.skeleton._plan
+        plan = self.plan
         limited = plan.limited_values(x)
         return x, RetargetReport(
             objective=float(r @ r),
@@ -588,6 +554,7 @@ def retarget_sequence(
     fails numerically is replaced by the previous solution, root included,
     and flagged `carried_forward` in its report.
     """
+    check_number("fps", fps, "> 0")
     if not len(human_poses):
         raise ValidationError("empty human pose sequence")
     root_positions, root_rotations, points, frames = _targets(human_skeleton, human_poses, corr)

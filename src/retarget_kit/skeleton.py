@@ -298,8 +298,10 @@ class _SkeletonPlan:
     as their level-order positions, their parents' as `levels` holds them (J
     above the root), their children's and the children's offsets, (k, 3) rows
     of one child each or the (3, m) columns of a multi-child joint's.
-    `solved_cols` are the value columns of the spherical joints below the
-    root, three each.
+    It converts the rotations of the spherical joints below the root that
+    have children, at the level-order positions `solved_rank`, into their
+    value columns `solved_cols`, three each; a leaf keeps the identity and
+    zero values.
     """
 
     def __init__(self, joints, parent_index, dof_slices):
@@ -347,7 +349,9 @@ class _SkeletonPlan:
             )
             solve_levels.append(((*group(ones, kids), offsets[kids]) if ones else None, multis))
         self.solve_levels = tuple(solve_levels)
-        self.solved_cols = self.spherical_cols[self.spherical > 0]
+        solved = [i for i in self.spherical if i > 0 and children[i]]
+        self.solved_rank = self.rank[solved]
+        self.solved_cols = start[solved, None] + np.arange(3)
         self.parent_rank = self.rank[[parent_index[i] for i in self.order[1:]]]
         self.offsets = offsets[self.order[1:], None, :, None]
         self.fixed_rank = self.rank[kind == "fixed"]

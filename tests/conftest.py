@@ -6,13 +6,16 @@ from retarget_kit import Rotation
 from retarget_kit.errors import DegenerateBone, NonFiniteObjective, RankDeficient, ValidationError
 from retarget_kit.retarget import (
     _LEVI_CIVITA,
+    CorrespondencePair,
     DAMPING_MAX,
     DAMPING_MIN,
     DAMPING_TAU,
     LIMIT_MARGIN,
     RELATIVE_DECREASE_TOL,
+    RetargetOptions,
     RetargetReport,
     _euler_jacobian,
+    _Objective,
     _project_to_limits,
 )
 from retarget_kit.rotations import (
@@ -385,14 +388,26 @@ def two_finger_hand():
     return Skeleton(joints, markers)
 
 
-def barrier_rows(barrier, values):
-    """A `_LimitBarrier`'s (residual, Jacobian) at values, written into NaN-filled arrays."""
-    excess = barrier.excess(values)
-    residual = np.full(excess.size, np.nan)
-    jacobian = np.full((excess.size, len(values)), np.nan)
-    barrier.residual(excess, residual)
-    barrier.jacobian(values, excess, jacobian)
-    return residual, jacobian
+def barrier_objective(skeleton):
+    """An `_Objective` of the default options with one pair per joint, aimed at the origin."""
+    pairs = [CorrespondencePair(joint.name, joint.name) for joint in skeleton.joints]
+    objective = _Objective(skeleton, pairs, RetargetOptions())
+    objective.aim(np.zeros(3), np.eye(3), np.zeros((len(pairs), 3)), np.zeros((0, 3, 3)))
+    return objective
+
+
+def objective_rows(objective, values):
+    """An aimed `_Objective`'s (residual, Jacobian) at values; the Jacobian rows it writes
+    per evaluation are NaN-filled first, so each one must be written."""
+    objective.jac[: objective.barrier_end] = np.nan
+    return objective.residual(values), objective.jacobian(values).copy()
+
+
+def barrier_rows(objective, values):
+    """An aimed `_Objective`'s limit-barrier (residual, Jacobian) rows at values."""
+    residual, jacobian = objective_rows(objective, values)
+    rows = slice(objective.terms_end, objective.barrier_end)
+    return residual[rows], jacobian[rows]
 
 
 @pytest.fixture

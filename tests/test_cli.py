@@ -562,6 +562,23 @@ def zero_dof_tracks(workdir, monkeypatch):
             "trajectories must be (T, DoF), T, DoF >= 1, got (4, 0)")
 
 
+def mismatched_track(field, ref_value, exec_value, message):
+    """metrics track of two copies of the trajectory that differ in `field`: once it exited 0,
+    with VEL and ACCEL that changed with the order of the arguments."""
+
+    def bad_input(workdir, monkeypatch):
+        argv = ["metrics", "track"]
+        for flag, value in (("--ref", ref_value), ("--exec", exec_value)):
+            obj = json.loads((workdir / "traj.motion").read_text())
+            obj[field] = value
+            (workdir / f"{flag[2:]}.motion").write_text(json.dumps(obj))
+            argv += [flag, workdir / f"{flag[2:]}.motion"]
+        return argv, message
+
+    bad_input.__name__ = f"track_{field}_mismatch"
+    return bad_input
+
+
 def zero_quaternion(command):
     """`command` on a trajectory whose frames 2 and 3 store a zero root quaternion."""
 
@@ -584,6 +601,12 @@ class TestExitCodes:
         [bad_limit_arity, negative_seed, bad_pairs]
         + [skeleton_name_mismatch(c) for c in ("fk", "ik", "features", "retarget")]
         + [zero_dof_robot, empty_human_motion, zero_dof_tracks]
+        + [
+            mismatched_track("fps", 30.0, 60.0, "--exec is at 60.0 fps, but --ref is at 30.0 fps"),
+            mismatched_track("skeleton", "walker", "runner",
+                             "--exec is a motion of skeleton 'runner', "
+                             "but --ref is a motion of skeleton 'walker'"),
+        ]
         + [zero_quaternion(c) for c in ("fk", "features")]
         + [
             collapsed_keypoints(

@@ -12,7 +12,7 @@ from retarget_kit import (
 from retarget_kit import ik
 from retarget_kit.errors import DegenerateBone, RankDeficient, ValidationError
 from retarget_kit.ik import _rotvec_quat
-from retarget_kit.rotations import _exp_stack
+from retarget_kit.rotations import _exp_stack, _rotvec_stack
 from retarget_kit.skeleton import Joint, JointTrajectory, Skeleton, fk
 
 from conftest import (
@@ -235,6 +235,17 @@ class TestReconstructSequence:
         with pytest.raises(ValidationError):
             reconstruct_sequence(make_humanlike(), [])
 
+    @pytest.mark.parametrize("fps", [float("nan"), 0.0, -30.0, True])
+    def test_fps_checked_before_the_walk(self, rng, monkeypatch, fps):
+        def walk(*args):
+            raise AssertionError("walked the keypoints")
+
+        monkeypatch.setattr(ik, "_reconstruct", walk)
+        skel = make_humanlike()
+        frames = [keypoints_of(skel, twist_free_pose(skel, rng)) for _ in range(3)]
+        with pytest.raises(ValidationError, match="^fps must be positive, got "):
+            reconstruct_sequence(skel, frames, fps=fps)
+
     def test_fk_round_trip_per_frame(self, rng):
         skel = make_humanlike(n_chains=4)
         frames = []
@@ -415,6 +426,21 @@ class TestLevelWalkMatchesJointWalk:
             for size in [1, 2, 3, 5, 8, 13, 21, 30]:
                 skel = tree(rng, size)
                 assert_matches_joint_walk(skel, joint_order_keypoints(skel, rng, 7, scale=2.0))
+
+
+    def test_leaves_keep_the_identity_without_a_conversion(self, rng, monkeypatch):
+        # human_24 has 23 spherical joints below the root, 5 of them leaves: only
+        # the 18 with children are converted to rotation vectors, per frame.
+        skel, seen = load_example_skeleton("human_24"), []
+
+        def rotvec_stack(m):
+            seen.append(len(m))
+            return _rotvec_stack(m)
+
+        monkeypatch.setattr(ik, "_rotvec_stack", rotvec_stack)
+        for frames in (1, 7):
+            assert_matches_joint_walk(skel, joint_order_keypoints(skel, rng, frames))
+        assert seen == [18, 18 * 7]
 
 
 def with_mixed_leaves(rng, size):

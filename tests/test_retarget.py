@@ -19,10 +19,10 @@ from retarget_kit.errors import (
     UnresolvableCorrespondence,
     ValidationError,
 )
-from retarget_kit.retarget import _LimitBarrier, _gauss_newton, _project_to_limits
+from retarget_kit.retarget import _gauss_newton, _project_to_limits
 from retarget_kit.skeleton import Joint, Skeleton
 
-from conftest import barrier_rows, make_humanlike, twist_free_pose
+from conftest import barrier_objective, barrier_rows, make_humanlike, twist_free_pose
 
 EXACT_OPTS = RetargetOptions(smoothness_weight=0.0, reference_weight=0.0)
 
@@ -135,8 +135,7 @@ class TestRetargetFrame:
         values = Rotation.from_matrix(m).as_rotvec()
         violations = check_limits(skel, Pose(np.zeros(3), Rotation.identity(), values))
         assert len(violations) == 3
-        w = np.sqrt(RetargetOptions().limit_weight)
-        rows = barrier_rows(_LimitBarrier(skel, w), values)[0].reshape(-1, 2)
+        rows = barrier_rows(barrier_objective(skel), values)[0].reshape(-1, 2)
         plan = skel._plan
         dofs = [(skel.joints[j].name, k) for j, k in zip(plan.limit_joint, plan.limit_dof)]
         for v in violations:
@@ -319,6 +318,16 @@ class TestRetargetSequence:
     def test_empty_raises(self, humanlike):
         with pytest.raises(ValidationError):
             retarget_sequence(humanlike, [], humanlike, identity_corr(humanlike))
+
+    @pytest.mark.parametrize("fps", [float("nan"), 0.0, -30.0, True])
+    def test_fps_checked_before_any_solve(self, humanlike, rng, monkeypatch, fps):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved a frame")
+
+        monkeypatch.setattr(retarget._Objective, "solve", solve)
+        poses = [twist_free_pose(humanlike, rng) for _ in range(3)]
+        with pytest.raises(ValidationError, match="^fps must be positive, got "):
+            retarget_sequence(humanlike, poses, humanlike, identity_corr(humanlike), fps=fps)
 
 
 class TestTermination:

@@ -25,17 +25,19 @@ from retarget_kit import (
 from retarget_kit.retarget import (
     EULER_STEP,
     LIMIT_MARGIN,
-    _LimitBarrier,
+    RetargetOptions,
+    _Objective,
     _project_to_limits,
-    _Terms,
 )
 from retarget_kit.rotations import _log_floats, _right_jacobian, _right_jacobian_inv
 from retarget_kit.skeleton import Joint, Skeleton, resolve_marker
 
 from conftest import (
+    barrier_objective,
     barrier_rows,
     joint_walk_limited_dofs,
     joint_walk_projection,
+    objective_rows,
     random_rotation,
     scalar_as_rotvec,
     scalar_from_rotvec,
@@ -196,44 +198,35 @@ def frame_terms(robot, pairs, targets):
     return terms
 
 
-def solver_terms(robot, terms):
-    """The solver's layout of the terms' pairs, with the terms' targets set."""
-    layout = _Terms(robot, [pair for pair, *_ in terms])
-    layout.aim(
+def solver_objective(robot, terms, root, limit_weight):
+    """The solver's objective of the terms' pairs, aimed at the root and the terms' targets."""
+    pairs = [pair for pair, *_ in terms]
+    objective = _Objective(robot, pairs, RetargetOptions(limit_weight=limit_weight))
+    objective.aim(
+        root[0],
+        root[1].matrix,
         np.array([point for *_, point, _ in terms]).reshape(-1, 3),
         np.array([frame for *_, frame in terms if frame is not None]).reshape(-1, 3, 3),
     )
-    return layout
-
-
-def solver_rows(layout, res, values):
-    """The layout's (errors, residual, Jacobian) at values, from a joint-order FkResult.
-
-    The solver reads FK in level order; the rows are written into NaN-filled arrays.
-    """
-    order = layout.plan.order
-    pos, rot = res.positions[order], res.rotations[order]
-    markers, orientation = layout.errors(pos, rot)
-    residual = np.full(len(layout.rows), np.nan)
-    jacobian = np.full((len(layout.rows), len(values)), np.nan)
-    layout.residual(markers, orientation, residual)
-    layout.jacobian(pos, rot, markers, orientation, values, jacobian)
-    return markers, orientation, residual, jacobian
+    return objective
 
 
 def assert_matches_reference(robot, terms, root, values_list, limit_weight=10.0):
-    layout, reference = solver_terms(robot, terms), ReferenceTerms(robot, terms)
+    objective = solver_objective(robot, terms, root, limit_weight)
+    reference = ReferenceTerms(robot, terms)
     w = np.sqrt(limit_weight)
-    barrier = _LimitBarrier(robot, w)
+    term_rows = slice(objective.terms_end)
+    barrier = slice(objective.terms_end, objective.barrier_end)
     for values in values_list:
         res = fk(robot, Pose(root[0], root[1], values))
-        markers, orientation, residual, jacobian = solver_rows(layout, res, values)
+        residual, jacobian = objective_rows(objective, values)
+        _, _, markers, orientation, _ = objective.evaluate(values)
         position, ref_orientation = reference.errors(res)
-        assert np.array_equal(markers - layout.point, position)
+        assert np.array_equal(markers - objective.points, position)
         assert_close(orientation, np.array(ref_orientation).reshape(-1, 3))
-        assert_close(residual, reference.residual(position, ref_orientation))
-        assert_close(jacobian, reference.jacobian(res, ref_orientation, values))
-        barrier_residual, new = barrier_rows(barrier, values)
+        assert_close(residual[term_rows], reference.residual(position, ref_orientation))
+        assert_close(jacobian[term_rows], reference.jacobian(res, ref_orientation, values))
+        barrier_residual, new = residual[barrier], jacobian[barrier]
         assert np.array_equal(barrier_residual, reference_barrier_residual(robot, w, values))
         expected, _, _ = reference_barrier_jacobian(robot, w, values)
         assert_close(new, expected)
@@ -315,7 +308,7 @@ def test_one_active_euler_joint_matches_joint_walks(rng, active):
     robot = mixed_robot()
     plan, w = robot._plan, np.sqrt(10.0)
     lo, hi = barrier_bounds(plan)
-    barrier = _LimitBarrier(robot, w)
+    barrier = barrier_objective(robot)
     blocks = euler_blocks(robot)
     assert len(blocks) == 3
     rows = [np.arange(first, first + 3) for first, _ in blocks]
