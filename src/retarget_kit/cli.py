@@ -78,6 +78,10 @@ def cmd_ik(args):
 SOLVER_OPTIONS = (
     "limit_weight", "smoothness_weight", "reference_weight", "max_iterations", "gradient_tol",
 )
+PER_FRAME_FIELDS = (  # the RetargetReport fields of each `per_frame` entry, in key order
+    "objective", "iterations", "converged", "termination", "damping", "projection_displacement",
+    "residual_evals", "jacobian_evals", "position_residuals", "orientation_residuals",
+)
 
 
 def cmd_retarget(args):
@@ -109,21 +113,7 @@ def cmd_retarget(args):
         "iterations_histogram": {
             str(k): n for k, n in sorted(Counter(r.iterations for r in reports).items())
         },
-        "per_frame": [
-            {
-                "objective": r.objective,
-                "iterations": r.iterations,
-                "converged": r.converged,
-                "termination": r.termination,
-                "damping": r.damping,
-                "projection_displacement": r.projection_displacement,
-                "residual_evals": r.residual_evals,
-                "jacobian_evals": r.jacobian_evals,
-                "position_residuals": r.position_residuals,
-                "orientation_residuals": r.orientation_residuals,
-            }
-            for r in reports
-        ],
+        "per_frame": [{name: getattr(r, name) for name in PER_FRAME_FIELDS} for r in reports],
     }
 
 

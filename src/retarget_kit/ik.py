@@ -1,10 +1,11 @@
 """Hierarchical pose reconstruction from 3D keypoints, all frames at once.
 
-Works root-outward: each joint's local rotation is solved in its parent's
-accumulated frame, from its child bone directions. Single-child joints use
-the minimal (swing-only) bone alignment; multi-child joints solve a small
-orthogonal Procrustes problem over all child bones. Bone lengths are never
-rescaled; only directions are matched.
+Works root-outward, depth by depth on FK's `levels`: each joint's local
+rotation is solved in its parent's accumulated frame, from its child bone
+directions. Single-child joints use the minimal (swing-only) bone alignment;
+multi-child joints solve a small orthogonal Procrustes problem over all child
+bones. Bone lengths are never rescaled; only directions are matched. Each call
+groups the joints of each depth itself (`_levels`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (
     check_number,
 )
 from .rotations import _EYE3, Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
-from .skeleton import JointTrajectory, Pose
+from .skeleton import JointTrajectory, Pose, _run
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,49 @@ def _joint_order(skeleton, labels):
         raise PoseMismatch(f"keypoint frame missing joint {e}") from None
 
 
-def _reconstruct(skeleton, kp):
+def _levels(skeleton):
+    """Keypoint reconstruction's walk, worked out from the skeleton plan's tree.
+
+    Refuses a joint below the root that has children but is not spherical.
+    Per depth, the root's in front of FK's `levels`: the single-child joints
+    (None if none), then each multi-child joint, each group as level-order
+    positions of the joints, their parents (J above the root) and children,
+    each a slice where `_run` makes one, and the children's offsets as
+    (3, k) columns. Then the joints converted to values, the spherical ones
+    below the root with children (a leaf keeps the identity and zero
+    values), in joint order: level-order positions and (S, 3) value columns.
+    """
+    plan, joints, parent = skeleton._plan, skeleton.joints, skeleton.parent_index
+    order, children = plan.order.tolist(), plan.children
+    for joint, kids in zip(joints[1:], children[1:]):
+        if kids and joint.dof != "spherical":
+            message = "keypoint reconstruction needs spherical joints"
+            raise ValidationError(f"joint '{joint.name}' has dof '{joint.dof}'; {message}")
+    at = plan.rank.tolist() + [len(joints)]  # level-order positions, J above the root
+
+    def group(solved, kids):  # the positions of the joints, their parents and children
+        runs = [_run([at[i] for i in js]) for js in (solved, [parent[i] for i in solved], kids)]
+        return (*runs, np.array([joints[c].offset for c in kids]).T.copy())
+
+    depths = []
+    for sl in [slice(0, 1)] + [sl for sl, _ in plan.levels]:
+        solved = [i for i in order[sl] if children[i]]
+        ones = [i for i in solved if len(children[i]) == 1]
+        singles = group(ones, [children[i][0] for i in ones]) if ones else None
+        depths.append((singles, [group([i], children[i]) for i in solved if i not in ones]))
+    solved = [i for i in range(1, len(joints)) if children[i]]
+    start = np.array([skeleton.dof_slices[i].start for i in solved], dtype=int)
+    return depths, [at[i] for i in solved], start[:, None] + np.arange(3)
+
+
+def _reconstruct(skeleton, kp, continuity=False):
     """Root orientations (T, 3, 3) and joint values (T, DoF) of (T, J, 3)
-    keypoints in joint order, solved depth by depth on FK's `levels` with the
-    floats of a joint-by-joint walk. The error names the earliest frame (its
-    `frame`), then the first joint in skeleton order, where such a walk stops."""
-    plan, joint = skeleton._plan, skeleton._plan.unobservable
-    if joint is not None:
-        message = "keypoint reconstruction needs spherical joints"
-        raise ValidationError(f"joint '{joint.name}' has dof '{joint.dof}'; {message}")
-    n = len(kp)
+    keypoints in joint order, solved depth by depth with the floats of a
+    joint-by-joint walk, then, with `continuity`, kept on one quaternion
+    hemisphere. The error names the earliest frame (its `frame`), then the
+    first joint in skeleton order, where such a walk stops."""
+    depths, converted, cols = _levels(skeleton)
+    plan, n = skeleton._plan, len(kp)
     kp = kp.swapaxes(0, 1)[plan.order]
     # Level-order joint-major buffers, as FK's: a joint without children keeps the
     # identity, and the identity above the root sits in the last slot of `world`.
@@ -66,13 +100,13 @@ def _reconstruct(skeleton, kp):
     # item gets the identity, the walk goes on, and the error is chosen at the end
     calls = []
     levels = ((slice(0, 1), slice(-1, None)),) + plan.levels  # the root's, below the identity
-    for (sl, par), (singles, multis) in zip(levels, plan.solve_levels):
+    for (sl, par), (singles, multis) in zip(levels, depths):
         if singles:
             at, above, kids, offsets = singles
             seen = (world[above].swapaxes(2, 3) @ (kp[kids] - kp[at])[..., None]).reshape(-1, 3)
-            rot, bad, error = _align_stack(np.repeat(offsets, n, axis=0), seen)
-            local[at] = rot.reshape(len(at), n, 3, 3)
-            calls.append((bad.reshape(len(at), n), plan.order[at], error))
+            rot, bad, error = _align_stack(np.repeat(offsets.T, n, axis=0), seen)
+            local[at] = rot.reshape(-1, n, 3, 3)
+            calls.append((bad.reshape(-1, n), plan.order[at], error))
         for at, above, kids, templates in multis:
             seen = (world[above].swapaxes(2, 3) @ (kp[kids] - kp[at])[..., None])[..., 0]
             local[at], bad, error = _procrustes_stack(templates, seen.transpose(1, 2, 0).copy())
@@ -88,8 +122,10 @@ def _reconstruct(skeleton, kp):
         e.frame = t
         raise e
     values = np.zeros((n, skeleton.total_dof))
-    turns = _rotvec_stack(local[plan.solved_rank].reshape(-1, 3, 3))
-    values[:, plan.solved_cols] = turns.reshape(-1, n, 3).swapaxes(0, 1)
+    turns = _rotvec_stack(local[converted].reshape(-1, 3, 3))
+    values[:, cols] = turns.reshape(-1, n, 3).swapaxes(0, 1)
+    if continuity and n > 1:
+        _hemisphere_continuity(values, cols)
     return local[0], values
 
 
@@ -115,11 +151,10 @@ def _rotvec_quat(v):
     return q
 
 
-def _hemisphere_continuity(skeleton, values):
-    """Re-express non-root spherical joint vectors in place so consecutive
-    frames keep dot(q_t, q_{t+1}) >= 0, as a frame-by-frame pass would."""
-    plan = skeleton._plan
-    cols = plan.spherical_cols[plan.spherical > 0]
+def _hemisphere_continuity(values, cols):
+    """Re-express the axis-angle vectors in the (S, 3) value columns `cols` in
+    place so consecutive frames keep dot(q_t, q_{t+1}) >= 0, as a
+    frame-by-frame pass would."""
     v = values[:, cols]  # (T, S, 3)
     q = _rotvec_quat(v)
     # Frame t flips iff frame t - 1 flipped XOR the raw dot of their quaternions
@@ -165,9 +200,7 @@ def reconstruct_sequence(
             raise ValidationError("empty keypoint sequence")
         kp = kp[:, _joint_order(skeleton, labels)]
     try:
-        root, values = _reconstruct(skeleton, kp)
+        root, values = _reconstruct(skeleton, kp, hemisphere_continuity)
     except (DegenerateBone, RankDeficient) as e:
         raise type(e)(f"frame {e.frame}, {e}") from None
-    if hemisphere_continuity and len(kp) > 1:
-        _hemisphere_continuity(skeleton, values)
     return JointTrajectory.from_arrays(fps, kp[:, 0], root, values, skeleton.name)

@@ -303,7 +303,8 @@ class Motion:
 
     The payload is checked when the motion is made: keypoints are a (T, N, 3)
     array, N the number of labels (stored as a tuple), and a trajectory has
-    the motion's fps and skeleton name.
+    the motion's fps and skeleton name. Either kind has at least one frame,
+    as `load_motion` requires.
     """
 
     fps: float
@@ -320,6 +321,7 @@ class Motion:
             self.labels = check_labels("labels", self.labels)
             shape = (None, len(self.labels), 3)
             self.keypoints = check_array("keypoint frames", self.keypoints, shape)
+            frames = len(self.keypoints)
         elif self.kind == "trajectory":
             t = self.trajectory
             if not isinstance(t, JointTrajectory):
@@ -329,8 +331,11 @@ class Motion:
                     f"trajectory fps {t.fps!r} and skeleton {t.skeleton!r:.40} differ from the "
                     f"motion's {self.fps!r} and {self.skeleton!r:.40}"
                 )
+            frames = len(t)
         else:
             raise ValidationError(f"unknown motion kind {self.kind!r:.40}")
+        if not frames:
+            raise ValidationError("a motion needs at least one frame")
 
 
 _FRAME_KEYS = {  # the keys of a trajectory frame, and the shapes of their columns

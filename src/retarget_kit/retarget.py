@@ -154,15 +154,20 @@ class RetargetReport:
 
 
 def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
-    """Uniform scale: robot chain length over human chain length."""
+    """Uniform scale: robot chain length over human chain length.
+
+    A chain is a list of joint names, each of them checked; its length sums
+    the offsets of every joint after the first.
+    """
 
     def chain_length(skel, names):
-        total = 0.0
-        for name in names[1:]:
+        for name in names:
             if name not in skel.index:
                 raise UnresolvableCorrespondence(
                     f"scale chain joint {name!r:.40} is not in skeleton '{skel.name}'"
                 )
+        total = 0.0
+        for name in names[1:]:
             total += float(np.linalg.norm(skel.joint(name).offset))
         return total
 

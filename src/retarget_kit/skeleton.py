@@ -288,20 +288,8 @@ class _SkeletonPlan:
     joint, DoF index, value column and `lo`/`hi`. The E Euler-limited
     spherical joints are two (E, 3) index arrays: `euler_rows`, the rows
     of their three limited DoFs, and `euler_cols`, their value columns.
-
-    Keypoint reconstruction (`ik`) walks `levels`, the root's level in front,
-    on buffers laid out as `fk`'s. It reads `children`, each joint's children
-    as a list, and `unobservable`, the first joint below the root that has
-    children but is not spherical (None if there is none). Per depth from the
-    root, `solve_levels` holds the joints it solves there: its single-child
-    joints (None if there are none), then each multi-child joint, each group
-    as their level-order positions, their parents' as `levels` holds them (J
-    above the root), their children's and the children's offsets, (k, 3) rows
-    of one child each or the (3, m) columns of a multi-child joint's.
-    It converts the rotations of the spherical joints below the root that
-    have children, at the level-order positions `solved_rank`, into their
-    value columns `solved_cols`, three each; a leaf keeps the identity and
-    zero values.
+    `children` lists each joint's children. Keypoint reconstruction works
+    out its own walk from them, `order`, `rank` and `levels` (`ik._levels`).
     """
 
     def __init__(self, joints, parent_index, dof_slices):
@@ -329,31 +317,8 @@ class _SkeletonPlan:
             sl = slice(sl.stop, sl.stop + sum(len(children[i]) for i in order[sl]))
             levels.append((sl, _run(self.rank[[parent_index[i] for i in order[sl]]].tolist())))
         self.levels = tuple(levels)
-        offsets = np.array([j.offset for j in joints])
-        self.unobservable = next(
-            (j for j, ch in zip(joints[1:], children[1:]) if ch and j.dof != "spherical"), None
-        )
-        at = np.append(self.rank, len(joints))  # level-order positions, J above the root
-
-        def group(solved, kids):
-            return at[solved], _run(at[[parent_index[i] for i in solved]].tolist()), at[kids]
-
-        solve_levels = []
-        for sl in [slice(0, 1)] + [depth for depth, _ in levels]:
-            solved = [i for i in order[sl] if children[i]]
-            ones = [i for i in solved if len(children[i]) == 1]
-            kids = [children[i][0] for i in ones]
-            multis = tuple(
-                (*group([i], children[i]), offsets[children[i]].T.copy())
-                for i in solved if len(children[i]) > 1
-            )
-            solve_levels.append(((*group(ones, kids), offsets[kids]) if ones else None, multis))
-        self.solve_levels = tuple(solve_levels)
-        solved = [i for i in self.spherical if i > 0 and children[i]]
-        self.solved_rank = self.rank[solved]
-        self.solved_cols = start[solved, None] + np.arange(3)
         self.parent_rank = self.rank[[parent_index[i] for i in self.order[1:]]]
-        self.offsets = offsets[self.order[1:], None, :, None]
+        self.offsets = np.array([j.offset for j in joints])[self.order[1:], None, :, None]
         self.fixed_rank = self.rank[kind == "fixed"]
         self.revolute_rank = self.rank[self.revolute]
         self.spherical_rank = self.rank[self.spherical]
@@ -396,10 +361,11 @@ class _SkeletonPlan:
 def _run(index):
     """A list of positions as a slice when they are one position (which
     broadcasts) or a contiguous run, else as an index array."""
-    if all(i == index[0] for i in index):
-        return slice(index[0], index[0] + 1)
-    if all(b - a == 1 for a, b in zip(index, index[1:])):
-        return slice(index[0], index[-1] + 1)
+    first, k = index[0], len(index)
+    if index.count(first) == k:
+        return slice(first, first + 1)
+    if index == list(range(first, first + k)):
+        return slice(first, first + k)
     return np.array(index)
 
 

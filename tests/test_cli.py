@@ -137,6 +137,11 @@ class TestRetarget:
         report = json.loads(text)
         frames = report["per_frame"]
         assert all(f["projection_displacement"] >= 0.0 for f in frames)
+        assert all(list(f) == [
+            "objective", "iterations", "converged", "termination", "damping",
+            "projection_displacement", "residual_evals", "jacobian_evals",
+            "position_residuals", "orientation_residuals",
+        ] for f in frames)
         iterations = sorted(f["iterations"] for f in frames)
         histogram = report["iterations_histogram"]
         assert [int(k) for k in histogram] == sorted(set(iterations))

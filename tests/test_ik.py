@@ -77,6 +77,16 @@ def scalar_flip_rotvec(v):
     return (angle - 2.0 * np.pi) / angle * v
 
 
+def spherical_cols_below_root(skeleton):
+    """The (S, 3) value columns of every spherical joint below the root, which
+    `frame_walk_continuity` walks."""
+    return np.array([
+        range(sl.start, sl.stop) for j, p, sl in
+        zip(skeleton.joints, skeleton.parent_index, skeleton.dof_slices)
+        if j.dof == "spherical" and p >= 0
+    ])
+
+
 def frame_walk_continuity(skeleton, values, quat=scalar_rotvec_quat):
     """The frame-by-frame hemisphere pass over (T, DoF) values, in place."""
     for i, joint in enumerate(skeleton.joints):
@@ -610,7 +620,7 @@ class TestContinuityPass:
         values = np.array([np.concatenate([crafted[k] for k in row]) for row in picks])
         values[20:40] += 1e-3 * rng.normal(size=values[20:40].shape)
         got, want = values.copy(), values.copy()
-        ik._hemisphere_continuity(skel, got)
+        ik._hemisphere_continuity(got, spherical_cols_below_root(skel))
         frame_walk_continuity(skel, want)
         assert np.array_equal(got, want)
         assert not np.array_equal(got, values)  # some vectors were flipped
@@ -621,7 +631,7 @@ class TestContinuityPass:
         values[100:200] = np.cumsum(0.3 * rng.normal(size=(100, skel.total_dof)), axis=0)
         values[300:310] = 0.0
         got, want = values.copy(), values.copy()
-        ik._hemisphere_continuity(skel, got)
+        ik._hemisphere_continuity(got, spherical_cols_below_root(skel))
         frame_walk_continuity(skel, want)
         assert np.array_equal(bits(got), bits(want))
         assert not np.array_equal(got, values)
@@ -643,10 +653,27 @@ class TestContinuityPass:
         assert 0.0 in raw and min(raw) < 0
         monkeypatch.setattr(ik, "_rotvec_quat", quat)
         got, want = values.copy(), values.copy()
-        ik._hemisphere_continuity(skel, got)
+        ik._hemisphere_continuity(got, spherical_cols_below_root(skel))
         frame_walk_continuity(skel, want, quat=quat)
         assert np.array_equal(got, want)
         assert not np.array_equal(got, values)
+
+    def test_reads_the_columns_the_walk_converts(self, rng, monkeypatch):
+        # human_24 has 23 spherical joints below the root, and the walk converts
+        # the 18 with children; the 5 leaves stay zero, so the pass reads 18.
+        skel, seen = load_example_skeleton("human_24"), []
+
+        def quat(v):
+            seen.append(v.shape)
+            return _rotvec_quat(v)
+
+        monkeypatch.setattr(ik, "_rotvec_quat", quat)
+        kp = joint_order_keypoints(skel, rng, 7, scale=2.0)
+        got = reconstruct_sequence(skel, kp, labels_of(skel)).joint_values
+        assert seen == [(7, 18, 3)]
+        want = ik._reconstruct(skel, kp)[1]
+        frame_walk_continuity(skel, want)
+        assert np.array_equal(bits(got), bits(want))
 
 
 def humanlike_frames(skel, rng, n):

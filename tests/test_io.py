@@ -551,6 +551,21 @@ class TestMotionIo:
         with pytest.raises(ValidationError, match=message):
             make()
 
+    @pytest.mark.parametrize("kind", ["keypoints", "trajectory"])
+    def test_zero_frames_refused(self, tmp_path, kind):
+        # save_motion once wrote "frames": [], which load_motion refuses at /frames
+        def save():
+            if kind == "keypoints":
+                motion = keypoint_motion(np.zeros((0, 2, 3)), ["a", "b"], 30.0)
+            else:
+                motion = trajectory_motion(JointTrajectory(30.0, [], skeleton="x"))
+            save_motion(motion, p)
+
+        p = tmp_path / "m.motion"
+        with pytest.raises(ValidationError, match="^a motion needs at least one frame$"):
+            save()
+        assert not p.exists() and no_tmp_files(tmp_path)
+
     def test_list_labels_are_stored_as_a_tuple(self):
         motion = io.Motion(30.0, "keypoints", labels=["a"], keypoints=np.zeros((2, 1, 3)))
         assert motion.labels == ("a",)
@@ -1034,6 +1049,8 @@ MALFORMED_DOCUMENTS = [
     pytest.param("map", setting("scale", value=10**400), "/scale", id="scale_too_large"),
     pytest.param("map", setting("scale_chains", "human", value=["l_hip", "l_shin"]),
                  "/scale_chains", id="scale_chain_unknown_joint"),
+    pytest.param("map", setting("scale_chains", "robot", 0, value="TYPO"), "/scale_chains",
+                 id="scale_chain_first_joint_unknown"),
     pytest.param("map", setting("scale_chains", value="l_hip"), "/scale_chains",
                  id="scale_chains_a_string"),
     pytest.param("map", setting("scale_chains", "human", value=5), "/scale_chains",

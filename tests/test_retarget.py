@@ -546,3 +546,22 @@ def test_decrease_stop_keeps_objective(monkeypatch):
     assert sum(r.iterations for r in fast) < sum(r.iterations for r in oracle)
     for a, b in zip(fast, oracle):
         assert a.objective == pytest.approx(b.objective, rel=0.01)
+
+
+class TestLegScale:
+    HUMAN_CHAIN, ROBOT_CHAIN = ["l_hip", "l_knee", "l_ankle"], ["l_hip_yaw", "l_knee", "l_ankle"]
+
+    @pytest.mark.parametrize("robot, scale", [("h1_like_19", 1.0256), ("g1_like_21", 0.7692)])
+    def test_bundled_chains(self, robot, scale):
+        human, robot = load_example_skeleton("human_24"), load_example_skeleton(robot)
+        got = retarget.leg_scale(human, robot, self.HUMAN_CHAIN, self.ROBOT_CHAIN)
+        assert got == pytest.approx(scale, abs=1e-4)
+
+    @pytest.mark.parametrize("side", ["human", "robot"])
+    def test_every_chain_joint_is_checked(self, side):
+        # The length sums the joints after the first, but a typo in the first is refused too.
+        human, robot = load_example_skeleton("human_24"), load_example_skeleton("h1_like_19")
+        chains = {"human": list(self.HUMAN_CHAIN), "robot": list(self.ROBOT_CHAIN)}
+        chains[side][0] = "TYPO"
+        with pytest.raises(UnresolvableCorrespondence, match="scale chain joint 'TYPO' is not in"):
+            retarget.leg_scale(human, robot, chains["human"], chains["robot"])
