@@ -60,13 +60,18 @@ def synthetic_human_motion(skeleton, frames, fps, rng):
     return JointTrajectory(fps=fps, poses=poses, skeleton=skeleton.name)
 
 
-def main():
+CODES = 8  # codebook entries, each initialized from a distinct robot frame
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=30)
     parser.add_argument("--fps", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", type=Path, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.frames < CODES:
+        parser.error(f"--frames must be at least {CODES}, one robot frame per codebook entry")
 
     rng = np.random.default_rng(args.seed)
     out_dir = args.out_dir or Path(tempfile.mkdtemp(prefix="retarget_demo_"))
@@ -113,11 +118,11 @@ def main():
 
         # quantize the robot joint-value rows against a small codebook
         values = traj.values()
-        cb = Codebook.initialize(values[rng.choice(len(values), 8, replace=False)])
+        cb = Codebook.initialize(values[rng.choice(len(values), CODES, replace=False)])
         tokens = assign(cb, values)
         cb = ema_update(cb, values, tokens)
         used = len(np.unique(tokens.indices))
-        print(f"  quantized {len(tokens)} frames into {used}/8 codebook entries")
+        print(f"  quantized {len(tokens)} frames into {used}/{CODES} codebook entries")
         save_tokens(tokens, out_dir / f"{robot_name}.tokens.json")
         save_codebook(cb, out_dir / f"{robot_name}.codebook.json")
         save_codebook(cb, out_dir / f"{robot_name}.sidecar.codebook.json", binary_sidecar=True)

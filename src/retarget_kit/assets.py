@@ -3,6 +3,9 @@
 The robot trees are illustrative 19-DoF and 21-DoF humanoids with
 plausible proportions and limits; they are approximations for testing and
 demos, not vendor data. Regenerate with scripts/make_example_assets.py.
+
+`load_example_correspondence` takes the two skeletons a map connects,
+whose leg lengths derive its scale.
 """
 
 from __future__ import annotations
@@ -12,15 +15,6 @@ from pathlib import Path
 from . import io
 
 DATA_DIR = Path(__file__).parent / "data"
-
-SKELETONS = ("human_24", "h1_like_19", "g1_like_21")
-MAPS = ("human_to_h1", "human_to_g1")
-
-# Which bundled skeletons each map connects, for scale derivation.
-_MAP_SKELETONS = {
-    "human_to_h1": ("human_24", "h1_like_19"),
-    "human_to_g1": ("human_24", "g1_like_21"),
-}
 
 
 def asset_path(name):
@@ -34,11 +28,5 @@ def load_example_skeleton(name):
     return io.load_skeleton(DATA_DIR / f"{name}.skel")
 
 
-def load_example_correspondence(name, human_skeleton=None, robot_skeleton=None):
-    if (human_skeleton is None or robot_skeleton is None) and name in _MAP_SKELETONS:
-        h, r = _MAP_SKELETONS[name]
-        human_skeleton = human_skeleton or load_example_skeleton(h)
-        robot_skeleton = robot_skeleton or load_example_skeleton(r)
-    return io.load_correspondence(
-        DATA_DIR / f"{name}.map", human_skeleton, robot_skeleton
-    )
+def load_example_correspondence(name, human_skeleton, robot_skeleton):
+    return io.load_correspondence(DATA_DIR / f"{name}.map", human_skeleton, robot_skeleton)

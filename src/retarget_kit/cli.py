@@ -5,8 +5,8 @@ features. Every subcommand reads versioned JSON files, each motion through
 `_motion`, which checks its kind and skeleton. It writes its outputs
 atomically and returns its report tree; `main` writes that tree to
 --report, which every subcommand takes, after the outputs. Exit codes: 0
-success, 2 validation error (a report that cannot be written included),
-3 numeric failure.
+success, 2 validation error (a report or standard output that cannot be
+written included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -118,9 +118,16 @@ def cmd_retarget(args):
 
 
 def _metric_rows(command, rows, **fields):
-    """Print each (name, value, count) row; the report of `command` holding them."""
-    for name, value, count in rows:
-        print(f"{name:16s} {value:.9g} n={count}")
+    """Print each (name, value, count) row; the report of `command` holding them.
+    A failed write to standard output, a closed pipe included, is a validation error."""
+    try:
+        for name, value, count in rows:
+            print(f"{name:16s} {value:.9g} n={count}")
+        sys.stdout.flush()
+    except OSError as e:
+        # the rows it still holds would fail again at interpreter exit, as a second error
+        sys.stdout = None
+        raise ValidationError(f"cannot write standard output: {e.strerror or e}") from None
     return {"command": command, **fields, "metrics": {name: value for name, value, _ in rows}}
 
 

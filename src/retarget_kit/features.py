@@ -3,28 +3,28 @@
 Layout, in order: root yaw angular velocity (1), root linear velocity on
 the XZ plane in the heading frame (2), root height (1), non-root joint
 positions (3j), velocities (3j) and rotations in 6D form (6j) in root
-space, and one binary foot-contact flag per contact marker from its speed
-(heel and toe of each foot by default). Total dimension D = 4 + 12j + c
-for j non-root joints and c contact markers. Velocities use forward
-differences between consecutive frames, so a T-frame input yields T - 1
-feature frames.
+space, and one binary foot-contact flag per contact marker from its speed.
+The contact markers are fixed, `CONTACT_MARKERS`: the heel and toe of each
+foot, which the skeleton must define. Total dimension D = 4 + 12j + 4 for
+j non-root joints. Velocities use forward differences between consecutive
+frames, so a T-frame input yields T - 1 feature frames.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingContactMarkers, ValidationError, check_labels, check_number
+from .errors import MissingContactMarkers, ValidationError, check_number
 from .rotations import _rot6d_stack
 from .skeleton import fk, resolve_marker
 
-DEFAULT_CONTACT_MARKERS = ("l_heel", "l_toe", "r_heel", "r_toe")
+CONTACT_MARKERS = ("l_heel", "l_toe", "r_heel", "r_toe")
 DEFAULT_CONTACT_THRESHOLD = 1e-3  # on squared marker speed
 
 
-def feature_dimension(skeleton, contact_markers=DEFAULT_CONTACT_MARKERS):
+def feature_dimension(skeleton):
     j = len(skeleton.joints) - 1
-    return 4 + 12 * j + len(contact_markers)
+    return 4 + 12 * j + len(CONTACT_MARKERS)
 
 
 def _yaw(rotation_matrix):
@@ -36,20 +36,13 @@ def _wrap_angle(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def build_pose_features(
-    skeleton,
-    poses,
-    fps,
-    contact_threshold=DEFAULT_CONTACT_THRESHOLD,
-    contact_markers=DEFAULT_CONTACT_MARKERS,
-):
+def build_pose_features(skeleton, poses, fps, contact_threshold=DEFAULT_CONTACT_THRESHOLD):
     """(T-1) x D feature matrix of a JointTrajectory or T Poses at the given frame rate."""
     if len(poses) < 2:
         raise ValidationError("need at least 2 frames to build pose features")
     check_number("fps", fps, "> 0")
     check_number("contact threshold", contact_threshold, ">= 0")
-    contact_markers = check_labels("contact_markers", contact_markers)
-    missing = [m for m in contact_markers if m not in skeleton.markers]
+    missing = [m for m in CONTACT_MARKERS if m not in skeleton.markers]
     if missing:
         raise MissingContactMarkers(f"skeleton lacks contact markers {missing}")
 
@@ -58,7 +51,7 @@ def build_pose_features(
     yaws = _yaw(root_rot)
     # Non-root joint positions expressed in the root frame.
     local_pos = (res.positions[:, 1:] - root_pos[:, None]) @ root_rot
-    markers = [resolve_marker(skeleton, m) for m in contact_markers]
+    markers = [resolve_marker(skeleton, m) for m in CONTACT_MARKERS]
     contact_pos = np.stack([res.point(j, offset) for j, offset in markers], axis=1)
 
     # Row t of every block below is feature frame t, from frames t and t + 1.

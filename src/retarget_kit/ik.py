@@ -1,5 +1,8 @@
 """Hierarchical pose reconstruction from 3D keypoints, all frames at once.
 
+`reconstruct_sequence` takes one input form: a (T, N, 3) keypoint array
+with its N labels. `reconstruct_frame` solves one labelled KeypointFrame.
+
 Works root-outward, depth by depth on FK's `levels`: each joint's local
 rotation is solved in its parent's accumulated frame, from its child bone
 directions. Single-child joints use the minimal (swing-only) bone alignment;
@@ -170,35 +173,24 @@ def _hemisphere_continuity(values, cols):
     values[:, cols] = v
 
 
-def reconstruct_sequence(
-    skeleton, frames, labels=None, *, fps=30.0, hemisphere_continuity=True
-):
-    """The JointTrajectory of T keypoint frames, with an optional quaternion-continuity pass.
+def reconstruct_sequence(skeleton, frames, labels, *, fps=30.0, hemisphere_continuity=True):
+    """The JointTrajectory of a (T, N, 3) keypoint array with its N `labels`,
+    with an optional quaternion-continuity pass.
 
-    `frames` is either a (T, N, 3) keypoint array with its N `labels`, or T
-    KeypointFrames, each labelled on its own; either way every skeleton joint
-    needs one labelled position. All frames are solved at once from one
-    (T, J, 3) keypoint array, bit for bit as T calls of `reconstruct_frame`
-    would solve them. The continuity pass re-expresses spherical joint
-    axis-angle vectors so consecutive frames stay on the same quaternion
-    hemisphere (dot(q_t, q_{t+1}) >= 0), which may push angles above pi. A
-    degenerate bone or rank-deficient joint is reported at the earliest
-    frame, and within it the first joint in skeleton order.
+    Every skeleton joint needs one labelled keypoint. All frames are solved at
+    once, bit for bit as T calls of `reconstruct_frame` would solve them. The
+    continuity pass re-expresses spherical joint axis-angle vectors so
+    consecutive frames stay on the same quaternion hemisphere
+    (dot(q_t, q_{t+1}) >= 0), which may push angles above pi. A degenerate
+    bone or rank-deficient joint is reported at the earliest frame, and within
+    it the first joint in skeleton order.
     """
     check_number("fps", fps, "> 0")
-    if labels is None and all(isinstance(f, KeypointFrame) for f in frames):
-        if not len(frames):
-            raise ValidationError("empty keypoint sequence")
-        first_seen = dict.fromkeys(f.labels for f in frames)
-        orders = {key: _joint_order(skeleton, key) for key in first_seen}
-        rows = np.array([orders[f.labels] for f in frames])
-        kp = np.array([f.positions for f in frames])[np.arange(len(frames))[:, None], rows]
-    else:
-        labels = check_labels("labels", labels)  # refuses None: an array needs its labels
-        kp = check_array("keypoints", frames, (None, len(labels), 3))
-        if not len(kp):
-            raise ValidationError("empty keypoint sequence")
-        kp = kp[:, _joint_order(skeleton, labels)]
+    labels = check_labels("labels", labels)
+    kp = check_array("keypoints", frames, (None, len(labels), 3))
+    if not len(kp):
+        raise ValidationError("empty keypoint sequence")
+    kp = kp[:, _joint_order(skeleton, labels)]
     try:
         root, values = _reconstruct(skeleton, kp, hemisphere_continuity)
     except (DegenerateBone, RankDeficient) as e:

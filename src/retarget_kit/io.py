@@ -214,12 +214,16 @@ def _matrix_node(arr, path, key, binary_sidecar):
 
 def _atomic_write(path, chunks):
     """Write bytes-like chunks, made as they are written, through a temp file in
-    the target directory, then rename; on any failure the target is untouched."""
+    the target directory, then rename; on any failure the target is untouched.
+    The file gets the mode a plain `open` would give it, 0o666 less the umask."""
     path = Path(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
+            umask = os.umask(0o077)  # reading the umask means setting it, here stricter
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             f.writelines(chunks)
         os.replace(tmp, path)
         tmp = None

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -247,6 +250,55 @@ class TestMetrics:
         assert code == 0
         out = capsys.readouterr().out
         assert "R Top-1" in out and "R Top-3" in out
+
+
+class FailingStdout(io.StringIO):
+    """Standard output whose writes, or only its flushes, fail with `code`."""
+
+    def __init__(self, code, at):
+        super().__init__()
+        self.code, self.at = code, at
+
+    def write(self, text):
+        if self.at == "write":
+            raise OSError(self.code, os.strerror(self.code))
+        return super().write(text)
+
+    def flush(self):
+        raise OSError(self.code, os.strerror(self.code))
+
+
+class TestStandardOutput:
+    """A failed write to standard output, a full disk or a closed pipe, exits 2."""
+
+    @pytest.mark.parametrize("at", ["write", "flush"])
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EPIPE])
+    def test_failed_write_exits_2(self, workdir, monkeypatch, capsys, code, at):
+        monkeypatch.setattr(sys, "stdout", FailingStdout(code, at))
+        assert run(["metrics", "track", "--ref", workdir / "traj.motion",
+                    "--exec", workdir / "traj.motion", "--report", workdir / "m.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write standard output: {os.strerror(code)}\n"
+        )
+        assert not (workdir / "m.json").exists()
+
+    def test_closed_pipe_gives_one_error_line(self, workdir):
+        # With buffered output, the rows still held once failed again at interpreter
+        # exit: an "Exception ignored" traceback and exit status 120.
+        read, write = os.pipe()
+        os.close(read)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            out = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "retarget_kit.cli", "metrics", "track",
+                 "--ref", workdir / "traj.motion", "--exec", workdir / "traj.motion"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (
+            2, "error: cannot write standard output: Broken pipe\n"
+        )
 
 
 class TestQuantizeAndFeatures:

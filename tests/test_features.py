@@ -15,8 +15,7 @@ from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, resolve_marker
 from conftest import random_rotation
 
 
-def row_by_row_features(skeleton, poses, fps, contact_threshold=1e-3,
-                        contact_markers=("l_heel", "l_toe", "r_heel", "r_toe")):
+def row_by_row_features(skeleton, poses, fps, contact_threshold=1e-3):
     """One fk call per pose and one feature row per loop pass: the float
     operations the batched `build_pose_features` must reproduce exactly."""
     results = [fk(skeleton, p) for p in poses]
@@ -24,7 +23,7 @@ def row_by_row_features(skeleton, poses, fps, contact_threshold=1e-3,
     root_pos = np.array([r.positions[0] for r in results])
     root_rot = np.array([r.rotations[0] for r in results])
     local_pos = np.array([(r.positions[1:] - r.positions[0]) @ r.rotations[0] for r in results])
-    markers = [resolve_marker(skeleton, m) for m in contact_markers]
+    markers = [resolve_marker(skeleton, m) for m in ("l_heel", "l_toe", "r_heel", "r_toe")]
     contact_pos = np.array([[r.point(j, offset) for j, offset in markers] for r in results])
     rows = []
     for t in range(len(poses) - 1):
@@ -170,12 +169,6 @@ class TestContacts:
         with pytest.raises(MissingContactMarkers):
             build_pose_features(skel, [Pose(np.zeros(3), Rotation.identity(), [])] * 2, 30.0)
 
-    def test_custom_marker_names(self):
-        skel = make_legged()
-        markers = ("l_toe", "r_toe")
-        out = build_pose_features(skel, [pose_at(skel)] * 2, 30.0, contact_markers=markers)
-        assert out.shape[1] == feature_dimension(skel, markers) == 4 + 12 * 2 + 2
-
 
 class TestValidation:
     def test_single_frame(self):
@@ -194,12 +187,6 @@ class TestValidation:
         skel = make_legged()
         with pytest.raises(ValidationError, match="contact threshold must be a finite number >= 0"):
             build_pose_features(skel, [pose_at(skel)] * 2, 30.0, contact_threshold=threshold)
-
-    def test_contact_markers_follow_the_label_rule(self):
-        # A list-valued marker name once raised a raw TypeError.
-        skel = make_legged()
-        with pytest.raises(ValidationError, match="^contact_markers must be a list or tuple of"):
-            build_pose_features(skel, [pose_at(skel)] * 2, 30.0, contact_markers=[["l_heel"]])
 
 
 class TestBatchedMatchesRowByRow:

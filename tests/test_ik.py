@@ -123,6 +123,12 @@ def keypoints_of(skeleton, pose):
     return KeypointFrame(res.positions, tuple(j.name for j in skeleton.joints))
 
 
+def reconstruct_frames(skeleton, frames, **kwargs):
+    """`reconstruct_sequence` of KeypointFrames that share one label order."""
+    kp = np.array([f.positions for f in frames])
+    return reconstruct_sequence(skeleton, kp, frames[0].labels, **kwargs)
+
+
 def bone_direction_errors(skeleton, pose, frame):
     """Max angle between FK-predicted and observed bone directions."""
     res = fk(skeleton, pose)
@@ -237,13 +243,14 @@ class TestReconstructSequence:
         skel = make_humanlike()
         pose = twist_free_pose(skel, rng)
         frames = [keypoints_of(skel, pose)] * 5
-        poses = reconstruct_sequence(skel, frames).poses
+        poses = reconstruct_frames(skel, frames).poses
         for p in poses:
             assert np.allclose(p.joint_values, poses[0].joint_values)
 
     def test_empty_raises(self):
-        with pytest.raises(ValidationError):
-            reconstruct_sequence(make_humanlike(), [])
+        skel = make_humanlike()
+        with pytest.raises(ValidationError, match="^empty keypoint sequence$"):
+            reconstruct_sequence(skel, np.zeros((0, len(skel.joints), 3)), labels_of(skel))
 
     @pytest.mark.parametrize("fps", [float("nan"), 0.0, -30.0, True])
     def test_fps_checked_before_the_walk(self, rng, monkeypatch, fps):
@@ -254,7 +261,7 @@ class TestReconstructSequence:
         skel = make_humanlike()
         frames = [keypoints_of(skel, twist_free_pose(skel, rng)) for _ in range(3)]
         with pytest.raises(ValidationError, match="^fps must be positive, got "):
-            reconstruct_sequence(skel, frames, fps=fps)
+            reconstruct_frames(skel, frames, fps=fps)
 
     def test_fk_round_trip_per_frame(self, rng):
         skel = make_humanlike(n_chains=4)
@@ -264,7 +271,7 @@ class TestReconstructSequence:
             pose = twist_free_pose(skel, rng)
             truth.append(pose)
             frames.append(keypoints_of(skel, pose))
-        poses = reconstruct_sequence(skel, frames, hemisphere_continuity=False).poses
+        poses = reconstruct_frames(skel, frames, hemisphere_continuity=False).poses
         for rec, ref in zip(poses, truth):
             assert np.max(np.abs(rec.joint_values - ref.joint_values)) <= 1e-6
 
@@ -284,7 +291,7 @@ class TestReconstructSequence:
             values[skel.dof_slices[skel.index["a"]]] = [angle, 0, 0]
             pose = Pose(np.zeros(3), Rotation.identity(), values)
             frames.append(keypoints_of(skel, pose))
-        poses = reconstruct_sequence(skel, frames).poses
+        poses = reconstruct_frames(skel, frames).poses
         sl = skel.dof_slices[skel.index["a"]]
         quats = [_rotvec_quat(p.joint_values[sl]) for p in poses]
         for qa, qb in zip(quats, quats[1:]):
@@ -354,7 +361,7 @@ class TestBatchedMatchesFrameWalk:
     def test_sequence(self, rng, name, continuity):
         skel = oracle_skeleton(name, rng)
         frames = swinging_frames(skel, rng, 40, 2.8) + random_frames(skel, rng, 30, 1.5)
-        got = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity).poses
+        got = reconstruct_frames(skel, frames, hemisphere_continuity=continuity).poses
         assert_poses_equal(got, frame_walk_sequence(skel, frames, continuity))
 
     @pytest.mark.parametrize("name", ["human_24", "humanlike", "random_tree"])
@@ -363,16 +370,6 @@ class TestBatchedMatchesFrameWalk:
         for frame in random_frames(skel, rng, 10, 2.0):
             want = frame_walk_reconstruct(skel, frame)
             assert_poses_equal([reconstruct_frame(skel, frame)], [want])
-
-    def test_frames_with_their_own_label_order(self, rng):
-        skel = make_humanlike()
-        frames = random_frames(skel, rng, 6, 1.0)
-        for k in (1, 4):
-            perm = rng.permutation(len(skel.joints))
-            labels = tuple(frames[k].labels[i] for i in perm)
-            frames[k] = KeypointFrame(frames[k].positions[perm], labels)
-        got = reconstruct_sequence(skel, frames).poses
-        assert_poses_equal(got, frame_walk_sequence(skel, frames))
 
     def test_exactly_parallel_and_antiparallel_bones(self, rng):
         skel = stick()
@@ -391,7 +388,7 @@ class TestBatchedMatchesFrameWalk:
         frames += random_frames(skel, rng, 4, 1.0, noise=0.0)
         frames = frames + frames[::-1]
         for continuity in (True, False):
-            got = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity).poses
+            got = reconstruct_frames(skel, frames, hemisphere_continuity=continuity).poses
             assert_poses_equal(got, frame_walk_sequence(skel, frames, continuity))
         rec = reconstruct_frame(skel, frames[0])
         assert np.array_equal(rec.root_orientation.matrix, np.eye(3))
@@ -547,9 +544,7 @@ class TestArrayInput:
             got = reconstruct_sequence(
                 skel, kp, labels, fps=12.5, hemisphere_continuity=continuity
             )
-            want = reconstruct_sequence(skel, frames, hemisphere_continuity=continuity)
-            assert (got.fps, got.skeleton, want.fps) == (12.5, skel.name, 30.0)
-            assert_poses_equal(got.poses, want.poses)
+            assert (got.fps, got.skeleton) == (12.5, skel.name)
             assert_poses_equal(got.poses, frame_walk_sequence(skel, frames, continuity))
         kp[0, 0] = 99.0
         assert got.root_positions[0, 0] != 99.0  # the trajectory holds its own copy
@@ -560,7 +555,7 @@ class TestArrayInput:
         kp = np.zeros((2, len(skel.joints), 3))
         message = "^labels must be a list or tuple of strings, got "
         with pytest.raises(ValidationError, match=message + "None$"):
-            reconstruct_sequence(skel, kp)
+            reconstruct_sequence(skel, kp, None)
         with pytest.raises(ValidationError, match=message):
             reconstruct_sequence(skel, kp, [[name] for name in labels_of(skel)])
         with pytest.raises(ValidationError, match=message):
@@ -696,7 +691,7 @@ class TestErrorsNameFrameAndJoint:
         frames = humanlike_frames(skel, rng, 10)
         frames[7] = collapse(frames[7], skel, "c1_1", "c1_0")
         with pytest.raises(DegenerateBone, match=r"^frame 7, joint 'c1_0' → 'c1_1': bone norms"):
-            reconstruct_sequence(skel, frames)
+            reconstruct_frames(skel, frames)
 
     def test_earliest_frame_then_first_joint(self, rng):
         skel = make_humanlike()
@@ -706,7 +701,7 @@ class TestErrorsNameFrameAndJoint:
         frames[3] = collapse(frames[3], skel, "c2_2", "c2_1")
         frames[3] = collapse(frames[3], skel, "c1_1", "c1_0")
         with pytest.raises(DegenerateBone, match=r"^frame 3, joint 'c1_0' → 'c1_1': "):
-            reconstruct_sequence(skel, frames)
+            reconstruct_frames(skel, frames)
 
     def test_rank_deficient(self, rng):
         skel = make_humanlike()
@@ -717,7 +712,7 @@ class TestErrorsNameFrameAndJoint:
             RankDeficient,
             match=r"^frame 2, joint 'root' → 'c0_0', 'c1_0', 'c2_0': cross-covariance rank < 2",
         ):
-            reconstruct_sequence(skel, frames)
+            reconstruct_frames(skel, frames)
 
     def test_single_frame_names_the_joint(self, rng):
         skel = make_humanlike()
@@ -737,4 +732,4 @@ class TestErrorsNameFrameAndJoint:
         # The root's bone is degenerate, but the skeleton is checked first.
         frame = KeypointFrame(np.zeros((4, 3)), labels_of(skel))
         with pytest.raises(ValidationError, match="joint 'b' has dof 'revolute'"):
-            reconstruct_sequence(skel, [frame])
+            reconstruct_frames(skel, [frame])

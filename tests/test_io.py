@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,28 @@ class TestFailedWrite:
             tmp_path, lambda p: save_feature_matrix(FeatureMatrix(np.ones((4, 3))), p),
             ValidationError, "cannot write .*No space left on device",
         )
+
+
+class TestWrittenFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_of_a_plain_open(self, tmp_path, rng, umask):
+        # A temp file and a rename once left every written file at 0o600.
+        (tmp_path / "report.json").write_bytes(b"replaced\n")
+        (tmp_path / "report.json").chmod(0o600)
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "wb"):
+                pass
+            save_report({"a": 1}, tmp_path / "report.json")
+            motion = keypoint_motion(np.ones((2, 2, 3)), ["a", "b"], 30.0)
+            save_motion(motion, tmp_path / "kp.motion")
+            cb = Codebook.initialize(rng.normal(size=(4, 2)))
+            save_codebook(cb, tmp_path / "cb.json", binary_sidecar=True)
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert len(modes) == 6  # the codebook among them with its two sidecars
+        assert set(modes.values()) == {0o666 & ~umask}
 
 
 class TestSkeletonIo:
@@ -939,7 +962,9 @@ class TestPackagedAssets:
 
     @pytest.mark.parametrize("name", ["human_to_h1", "human_to_g1"])
     def test_maps_load(self, name):
-        corr = load_example_correspondence(name)
+        robot = {"human_to_h1": "h1_like_19", "human_to_g1": "g1_like_21"}[name]
+        human, robot = load_example_skeleton("human_24"), load_example_skeleton(robot)
+        corr = load_example_correspondence(name, human, robot)
         assert corr.scale > 0
         assert len(corr.pairs) >= 4
 
