@@ -60,7 +60,7 @@ def synthetic_human_motion(skeleton, frames, fps, rng):
     return JointTrajectory(fps=fps, poses=poses, skeleton=skeleton.name)
 
 
-CODES = 8  # codebook entries, each initialized from a distinct robot frame
+CODEBOOK_SIZE = 8  # codebook entries, each initialized from a distinct robot frame
 
 
 def main(argv=None):
@@ -70,8 +70,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", type=Path, default=None)
     args = parser.parse_args(argv)
-    if args.frames < CODES:
-        parser.error(f"--frames must be at least {CODES}, one robot frame per codebook entry")
+    if args.frames < CODEBOOK_SIZE:
+        parser.error(f"--frames must be at least {CODEBOOK_SIZE}, one frame per codebook entry")
 
     rng = np.random.default_rng(args.seed)
     out_dir = args.out_dir or Path(tempfile.mkdtemp(prefix="retarget_demo_"))
@@ -118,11 +118,11 @@ def main(argv=None):
 
         # quantize the robot joint-value rows against a small codebook
         values = traj.values()
-        cb = Codebook.initialize(values[rng.choice(len(values), CODES, replace=False)])
+        cb = Codebook.initialize(values[rng.choice(len(values), CODEBOOK_SIZE, replace=False)])
         tokens = assign(cb, values)
         cb = ema_update(cb, values, tokens)
         used = len(np.unique(tokens.indices))
-        print(f"  quantized {len(tokens)} frames into {used}/{CODES} codebook entries")
+        print(f"  quantized {len(tokens)} frames into {used}/{CODEBOOK_SIZE} codebook entries")
         save_tokens(tokens, out_dir / f"{robot_name}.tokens.json")
         save_codebook(cb, out_dir / f"{robot_name}.codebook.json")
         save_codebook(cb, out_dir / f"{robot_name}.sidecar.codebook.json", binary_sidecar=True)

@@ -243,7 +243,9 @@ class TestReconstructSequence:
         skel = make_humanlike()
         pose = twist_free_pose(skel, rng)
         frames = [keypoints_of(skel, pose)] * 5
-        poses = reconstruct_frames(skel, frames).poses
+        traj = reconstruct_frames(skel, frames)
+        assert traj.fps == 30.0  # the default
+        poses = traj.poses
         for p in poses:
             assert np.allclose(p.joint_values, poses[0].joint_values)
 
