@@ -12,7 +12,7 @@ the mean of every frame's position residuals).
 
 Exit codes: 0 when the joint values and root positions agree within --tol
 and no frame's iterations or termination differ; 1 when they do not; 2 when
-the inputs cannot be read or compared.
+the inputs cannot be read or compared, or standard output cannot be written.
 """
 
 import argparse
@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from retarget_kit import load_motion
+from retarget_kit.cli import standard_output
 from retarget_kit.errors import ValidationError
 
 
@@ -103,12 +104,12 @@ def main(argv=None):
     parser.add_argument("after")
     parser.add_argument("--reports", nargs=2, metavar=("BEFORE", "AFTER"))
     parser.add_argument("--tol", type=float, default=1e-9, help="radians (default 1e-9)")
-    args = parser.parse_args(argv)
-    if not (np.isfinite(args.tol) and args.tol >= 0):
-        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
-        return 2
     try:
-        return compare(args)
+        with standard_output():
+            args = parser.parse_args(argv)
+            if not (np.isfinite(args.tol) and args.tol >= 0):
+                raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol}")
+            return compare(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

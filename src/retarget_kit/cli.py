@@ -12,6 +12,7 @@ written included), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections import Counter
 
@@ -25,18 +26,40 @@ from .retarget import TERMINATIONS, RetargetOptions, retarget_sequence
 from .skeleton import fk
 from .vq import assign
 
+
+@contextlib.contextmanager
+def standard_output():
+    """Run the block, then flush standard output, also when the block exits, as
+    argparse's --help does. A failed write or flush, a full disk or a closed pipe,
+    is a validation error."""
+    try:
+        try:
+            yield
+        finally:
+            sys.stdout.flush()
+    except OSError as e:
+        # the text it still holds would fail again at interpreter exit, as a second error
+        sys.stdout = None
+        raise ValidationError(f"cannot write standard output: {e.strerror or e}") from None
+
+
+def _same_skeleton(flag, name, other, other_name):
+    """Refuse `flag`'s motion of skeleton `name` when `other_name` is named too and
+    differs; `other` says whose name that is. Unnamed ones pass."""
+    if None not in (name, other_name) and name != other_name:
+        raise ValidationError(
+            f"{flag} is a motion of skeleton '{name}', but {other} '{other_name}'"
+        )
+
+
 def _motion(path, kind, flag, skel=None):
     """The motion at `path`, checked to be of `kind` and, when it and `skel` both
-    name a skeleton, to be a motion of `skel`; unnamed ones pass."""
+    name a skeleton, to be a motion of `skel`."""
     motion = io.load_motion(path)
     if motion.kind != kind:
         raise ValidationError(f"{flag}: expected a {kind} motion, got {motion.kind}")
-    named = skel is not None and None not in (motion.skeleton, skel.name)
-    if named and motion.skeleton != skel.name:
-        raise ValidationError(
-            f"{flag} is a motion of skeleton '{motion.skeleton}', "
-            f"but the paired skeleton is '{skel.name}'"
-        )
+    if skel is not None:
+        _same_skeleton(flag, motion.skeleton, "the paired skeleton is", skel.name)
     return motion
 
 
@@ -104,7 +127,6 @@ def cmd_retarget(args):
         "max_position_residual": max(
             (max(r.position_residuals.values(), default=0.0) for r in reports), default=0.0
         ),
-        "carried_forward": sum(r.carried_forward for r in reports),
         "limit_violations": sum(r.limit_violation_count for r in reports),
         "terminations": {
             name: sum(r.termination == name for r in reports) for name in TERMINATIONS
@@ -118,16 +140,10 @@ def cmd_retarget(args):
 
 
 def _metric_rows(command, rows, **fields):
-    """Print each (name, value, count) row; the report of `command` holding them.
-    A failed write to standard output, a closed pipe included, is a validation error."""
-    try:
+    """Print each (name, value, count) row; the report of `command` holding them."""
+    with standard_output():
         for name, value, count in rows:
             print(f"{name:16s} {value:.9g} n={count}")
-        sys.stdout.flush()
-    except OSError as e:
-        # the rows it still holds would fail again at interpreter exit, as a second error
-        sys.stdout = None
-        raise ValidationError(f"cannot write standard output: {e.strerror or e}") from None
     return {"command": command, **fields, "metrics": {name: value for name, value, _ in rows}}
 
 
@@ -137,11 +153,7 @@ def cmd_metrics_track(args):
     # VEL and ACCEL difference both motions at --ref's rate, so they must share it
     if exe.fps != ref.fps:
         raise ValidationError(f"--exec is at {exe.fps} fps, but --ref is at {ref.fps} fps")
-    if None not in (ref.skeleton, exe.skeleton) and exe.skeleton != ref.skeleton:
-        raise ValidationError(
-            f"--exec is a motion of skeleton '{exe.skeleton}', "
-            f"but --ref is a motion of skeleton '{ref.skeleton}'"
-        )
+    _same_skeleton("--exec", exe.skeleton, "--ref is a motion of skeleton", ref.skeleton)
     heights = exe.trajectory.root_positions[:, 1]
     pair = metrics.TrajectoryPair(
         ref.trajectory.values(), exe.trajectory.values(), ref.fps, heights
@@ -267,8 +279,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        with standard_output():
+            args = build_parser().parse_args(argv)
         report = args.func(args)
         if args.report:
             io.save_report(report, args.report)

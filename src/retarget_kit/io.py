@@ -215,10 +215,14 @@ def _matrix_node(arr, path, key, binary_sidecar):
 def _atomic_write(path, chunks):
     """Write bytes-like chunks, made as they are written, through a temp file in
     the target directory, then rename; on any failure the target is untouched.
-    The file gets the mode a plain `open` would give it, 0o666 less the umask."""
+    The file gets the mode a plain `open` would give it, 0o666 less the umask.
+    A target that exists and is not a regular file, a directory or a FIFO, is
+    refused before anything is written."""
     path = Path(path)
     tmp = None
     try:
+        if path.exists() and not path.is_file():  # the directory's message is the rename's
+            raise ValidationError("Is a directory" if path.is_dir() else "not a regular file")
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             umask = os.umask(0o077)  # reading the umask means setting it, here stricter

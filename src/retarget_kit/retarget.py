@@ -111,7 +111,7 @@ class RetargetOptions:
         check_number("max_iterations", self.max_iterations, "int >= 1")
 
 
-TERMINATIONS = ("converged", "small_decrease", "stalled", "max_iterations", "carried_forward")
+TERMINATIONS = ("converged", "small_decrease", "stalled", "max_iterations")
 
 
 @dataclass
@@ -123,13 +123,11 @@ class RetargetReport:
     iterates, before projection. `termination` is one of TERMINATIONS:
     the gradient fell below tolerance, an accepted step lowered the
     objective by less than RELATIVE_DECREASE_TOL of it, no damping gave
-    descent, the iteration cap was hit, or the frame failed numerically
-    and repeats the previous solution. `converged` is true for the first
-    two, the solver's convergence criteria. `residual_evals` and
+    descent, or the iteration cap was hit. `converged` is true for the
+    first two, the solver's convergence criteria. `residual_evals` and
     `jacobian_evals` count the evaluations the solve made; `damping` is
     the solver's final damping and `projection_displacement` the norm of
-    the change the limit projection made to the solver's answer (both NaN
-    for a carried-forward frame).
+    the change the limit projection made to the solver's answer.
     """
 
     objective: float
@@ -147,10 +145,6 @@ class RetargetReport:
     @property
     def converged(self):
         return self.termination in ("converged", "small_decrease")
-
-    @property
-    def carried_forward(self):
-        return self.termination == "carried_forward"
 
 
 def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
@@ -555,9 +549,10 @@ def retarget_sequence(
     """Retarget a JointTrajectory or a sequence of Poses; frame t warm-starts from frame t-1.
 
     The set-up is done once per call: one forward-kinematics pass over all
-    human frames and one objective for all solves. A frame whose solve
-    fails numerically is replaced by the previous solution, root included,
-    and flagged `carried_forward` in its report.
+    human frames and one objective for all solves. A frame whose objective
+    is not finite at its start point raises NonFiniteObjective naming the
+    frame, as "frame t: objective at start point is nan"; no frame is
+    skipped or repeated.
     """
     check_number("fps", fps, "> 0")
     if not len(human_poses):
@@ -565,7 +560,6 @@ def retarget_sequence(
     root_positions, root_rotations, points, frames = _targets(human_skeleton, human_poses, corr)
     objective = _Objective(robot_skeleton, corr.pairs, opts)
     values = np.empty((len(points), robot_skeleton.total_dof))
-    source = np.arange(len(points))  # the frame whose root each output frame keeps
     reports = []
     prev = None
     for t in range(len(points)):
@@ -574,27 +568,11 @@ def retarget_sequence(
             values[t], report = objective.solve(
                 root_positions[t], root_rotations[t], points[t], frames[t], x0, prev
             )
-        except NonFiniteObjective:
-            if prev is None:
-                raise
-            values[t], source[t] = prev, source[t - 1]
-            report = RetargetReport(
-                objective=float("nan"),
-                iterations=0,
-                termination="carried_forward",
-                residual_evals=1,  # the non-finite start point
-                jacobian_evals=0,
-                position_residuals={},
-                orientation_residuals={},
-                limit_violation_count=0,
-                objective_trace=[],
-                damping=float("nan"),
-                projection_displacement=float("nan"),
-            )
+        except NonFiniteObjective as e:
+            raise NonFiniteObjective(f"frame {t}: {e}") from None
         reports.append(report)
         prev = values[t]
     trajectory = JointTrajectory.from_arrays(
-        fps, root_positions[source], root_rotations[source], values, skeleton=robot_skeleton.name
+        fps, root_positions, root_rotations, values, skeleton=robot_skeleton.name
     )
     return trajectory, reports
-

@@ -654,33 +654,15 @@ def per_frame_retarget_frame(
 def per_frame_retarget_sequence(human_skeleton, human_poses, robot_skeleton, corr, opts, fps=30.0):
     poses, reports, prev = [], [], None
     for human_pose in human_poses:
-        try:
-            pose, report = per_frame_retarget_frame(
-                human_skeleton,
-                human_pose,
-                robot_skeleton,
-                corr,
-                opts,
-                warm_start=prev if opts.warm_start else None,
-                smooth_to=None if prev is None else prev.joint_values,
-            )
-        except NonFiniteObjective:
-            if prev is None:
-                raise
-            pose = prev
-            report = RetargetReport(
-                objective=float("nan"),
-                iterations=0,
-                termination="carried_forward",
-                residual_evals=1,
-                jacobian_evals=0,
-                position_residuals={},
-                orientation_residuals={},
-                limit_violation_count=0,
-                objective_trace=[],
-                damping=float("nan"),
-                projection_displacement=float("nan"),
-            )
+        pose, report = per_frame_retarget_frame(
+            human_skeleton,
+            human_pose,
+            robot_skeleton,
+            corr,
+            opts,
+            warm_start=prev if opts.warm_start else None,
+            smooth_to=None if prev is None else prev.joint_values,
+        )
         poses.append(pose)
         reports.append(report)
         prev = pose

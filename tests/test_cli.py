@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from retarget_kit import (
     JointTrajectory,
     Pose,
     Rotation,
+    asset_path,
     load_example_correspondence,
     load_example_skeleton,
     save_codebook,
@@ -33,6 +35,8 @@ from retarget_kit.retarget import TERMINATIONS, RetargetOptions
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
 from conftest import make_humanlike, twist_free_pose
+
+COMPARE_MOTIONS = str(Path(__file__).resolve().parents[1] / "scripts" / "compare_motions.py")
 
 
 @pytest.fixture
@@ -103,12 +107,34 @@ class TestRetarget:
         assert report["frames"] == 4
         assert report["max_position_residual"] < 1e-6
         assert report["limit_violations"] == 0
-        assert report["carried_forward"] == 0
         for frame in report["per_frame"]:
             assert frame["termination"] in TERMINATIONS
             assert frame["jacobian_evals"] == frame["iterations"]
             assert frame["residual_evals"] > frame["iterations"]
             assert 0 < frame["damping"] < np.inf
+
+    @pytest.mark.parametrize("warm_start", [[], ["--no-warm-start"]])
+    def test_non_finite_frame_exits_3(self, tmp_path, rng, capsys, warm_start):
+        # Frame 2 once repeated frame 1's pose and root, and the run exited 0.
+        human = load_example_skeleton("human_24")
+        values = np.array([twist_free_pose(human, rng, 0.4).joint_values for _ in range(4)])
+        values[2, 3] = 1e200  # a non-finite objective at the start of frame 2
+        rotations = np.repeat(np.eye(3)[None], 4, axis=0)
+        traj = JointTrajectory.from_arrays(30.0, np.zeros((4, 3)), rotations, values, "human_24")
+        save_motion(trajectory_motion(traj), tmp_path / "human.motion")
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = run(
+                ["retarget", "--human", tmp_path / "human.motion",
+                 "--human-skel", asset_path("human_24"), "--robot-skel", asset_path("h1_like_19"),
+                 "--map", asset_path("human_to_h1"), "--out", tmp_path / "robot.motion",
+                 "--report", tmp_path / "rt.json", *warm_start]
+            )
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            "numeric failure: frame 2: objective at start point is nan\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["human.motion"]
 
     @pytest.mark.parametrize("max_iterations", [1, 100])
     def test_report_summary(self, workdir, max_iterations):
@@ -282,16 +308,35 @@ class TestStandardOutput:
         )
         assert not (workdir / "m.json").exists()
 
-    def test_closed_pipe_gives_one_error_line(self, workdir):
-        # With buffered output, the rows still held once failed again at interpreter
+    @pytest.mark.parametrize("at", ["write", "flush"])
+    def test_failed_help_exits_2(self, monkeypatch, capsys, at):
+        # argparse drops the error of its own write, and the run once exited 0.
+        monkeypatch.setattr(sys, "stdout", FailingStdout(errno.ENOSPC, at))
+        assert run(["--help"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "metrics", "track",
+                                         "--ref", motion, "--exec", motion], id="metrics"),
+            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "--help"], id="help"),
+            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "retarget", "--help"],
+                         id="retarget_help"),
+            pytest.param(lambda motion: [COMPARE_MOTIONS, motion, motion], id="compare_motions"),
+        ],
+    )
+    def test_closed_pipe_gives_one_error_line(self, workdir, argv):
+        # With buffered output, the text still held once failed again at interpreter
         # exit: an "Exception ignored" traceback and exit status 120.
         read, write = os.pipe()
         os.close(read)
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         try:
             out = subprocess.run(
-                [sys.executable, "-X", "dev", "-m", "retarget_kit.cli", "metrics", "track",
-                 "--ref", workdir / "traj.motion", "--exec", workdir / "traj.motion"],
+                [sys.executable, "-X", "dev", *argv(workdir / "traj.motion")],
                 stdout=write, stderr=subprocess.PIPE, text=True, env=env,
             )
         finally:

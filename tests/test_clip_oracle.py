@@ -63,9 +63,7 @@ def assert_reports_equal(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         for field in dataclasses.fields(RetargetReport):
-            x, y = getattr(a, field.name), getattr(b, field.name)
-            # a carried-forward frame's NaN fields equal only NaN
-            assert x == y or (x != x and y != y), field.name
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
 def assert_matches_oracle(human, poses, robot, corr, opts):
@@ -118,7 +116,8 @@ def test_limit_count_matches_check_limits(rng, monkeypatch, robot_name, map_name
 
 
 @pytest.mark.parametrize("warm_start", [True, False])
-def test_carried_forward_frame_matches_per_frame_loop(rng, warm_start):
+def test_non_finite_frame_raises_naming_it(rng, warm_start):
+    # Frame 2 once repeated frame 1's pose and root, as the per-frame loop did too.
     human, robot, corr = setup(*ROBOTS[0])
     poses = list(clip(human, rng).poses)
     values = poses[2].joint_values.copy()
@@ -126,9 +125,11 @@ def test_carried_forward_frame_matches_per_frame_loop(rng, warm_start):
     poses[2] = Pose(poses[2].root_position + 1.0, poses[2].root_orientation, values)
     opts = RetargetOptions(warm_start=warm_start)
     with np.errstate(all="ignore"):
-        reports = assert_matches_oracle(human, poses, robot, corr, opts)
-        assert [r.carried_forward for r in reports] == [False, False, True, False, False]
+        with pytest.raises(NonFiniteObjective, match="^frame 2: objective at start point is nan$"):
+            retarget_sequence(human, poses, robot, corr, opts)
         with pytest.raises(NonFiniteObjective):
+            per_frame_retarget_sequence(human, poses, robot, corr, opts)
+        with pytest.raises(NonFiniteObjective, match="^frame 0: "):
             retarget_sequence(human, poses[2:], robot, corr, opts)
 
 

@@ -156,10 +156,9 @@ class TestArrayWriter:
 
     @staticmethod
     def retarget_report(tmp_path, rng, monkeypatch):
-        """The report tree `retarget --report` writes for 4 frames, the third carried forward."""
+        """The report tree `retarget --report` writes for 4 frames."""
         human = load_example_skeleton("human_24")
         values = np.array([twist_free_pose(human, rng, 0.4).joint_values for _ in range(4)])
-        values[2, 3] = 1e200  # a non-finite objective at the start of frame 2
         rotations = np.repeat(random_rotation(rng).matrix[None], 4, axis=0)
         traj = JointTrajectory.from_arrays(30.0, np.zeros((4, 3)), rotations, values, "human_24")
         save_motion(trajectory_motion(traj), tmp_path / "human.motion")
@@ -175,21 +174,21 @@ class TestArrayWriter:
                 "--human-skel", asset_path("human_24"), "--robot-skel", asset_path("h1_like_19"),
                 "--map", asset_path("human_to_h1"), "--out", tmp_path / "robot.motion",
                 "--report", tmp_path / "report.json"]
-        with np.errstate(all="ignore"):
-            assert main([str(a) for a in argv]) == 0
+        assert main([str(a) for a in argv]) == 0
         (tree,) = trees
         return tree
 
-    def test_retarget_report_with_carried_forward_frame(self, tmp_path, rng, monkeypatch):
+    def test_retarget_report(self, tmp_path, rng, monkeypatch):
         # A report has no arrays: its `per_frame` list is written a frame per json.dumps,
-        # the rest of it a field per json.dumps; its NaN fields too.
+        # the rest of it a field per json.dumps; a NaN field too.
         tree = self.retarget_report(tmp_path, rng, monkeypatch)
-        assert tree["carried_forward"] == 1 and np.isnan(tree["per_frame"][2]["objective"])
+        expected = json.dumps({"format": "report", "version": 1, **tree}, indent=1) + "\n"
+        assert (tmp_path / "report.json").read_text() == expected
+        frames = tree["per_frame"]
+        tree = {**tree, "per_frame": [*frames[:2], {**frames[2], "objective": np.nan}]}
         assert_matches_json(tree)
         # next to an array, and nested in plain lists, at depths 1 to 3
         assert_matches_json({"array": np.eye(2), "nested": [tree, {"again": [[tree]]}]})
-        expected = json.dumps({"format": "report", "version": 1, **tree}, indent=1) + "\n"
-        assert (tmp_path / "report.json").read_text() == expected
 
     def test_report_write_holds_one_frame_of_text(self, tmp_path, rng, monkeypatch):
         # Writing this 500-frame report (0.35 MiB) in one json.dumps took 2.2 MiB.
@@ -334,6 +333,48 @@ class TestFailedWrite:
             tmp_path, lambda p: save_feature_matrix(FeatureMatrix(np.ones((4, 3))), p),
             ValidationError, "cannot write .*No space left on device",
         )
+
+    @staticmethod
+    def fk_inputs(tmp_path):
+        skel = make_humanlike(n_chains=2, chain_len=2)
+        traj = JointTrajectory(30.0, [skel.zero_pose()] * 2, skeleton=skel.name)
+        save_skeleton(skel, tmp_path / "skel.skel")
+        save_motion(trajectory_motion(traj), tmp_path / "traj.motion")
+
+    @staticmethod
+    def fk(tmp_path, capsys):
+        """Run `fk` on `fk_inputs` into tmp_path/target.motion; its exit code and stderr."""
+        capsys.readouterr()
+        code = main(["fk", "--skel", str(tmp_path / "skel.skel"),
+                     "--motion", str(tmp_path / "traj.motion"),
+                     "--out", str(tmp_path / "target.motion")])
+        return code, capsys.readouterr().err
+
+    def test_fifo_target_refused(self, tmp_path, capsys):
+        # A FIFO target was once replaced by a regular file, with exit 0.
+        self.fk_inputs(tmp_path)
+        os.mkfifo(tmp_path / "target.motion")
+        code, err = self.fk(tmp_path, capsys)
+        assert (code, err) == (
+            2, f"error: cannot write {tmp_path / 'target.motion'}: not a regular file\n"
+        )
+        assert stat.S_ISFIFO(os.stat(tmp_path / "target.motion").st_mode)
+        assert no_tmp_files(tmp_path)
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES, errno.EXDEV])
+    def test_rename_fails(self, tmp_path, monkeypatch, capsys, code):
+        self.fk_inputs(tmp_path)
+        (tmp_path / "target.motion").write_bytes(b"the file as it was\n")
+
+        def failing(src, dst):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "replace", failing)
+        assert self.fk(tmp_path, capsys) == (
+            2, f"error: cannot write {tmp_path / 'target.motion'}: {os.strerror(code)}\n"
+        )
+        assert (tmp_path / "target.motion").read_bytes() == b"the file as it was\n"
+        assert no_tmp_files(tmp_path)
 
 
 class TestWrittenFileMode:

@@ -284,12 +284,11 @@ def test_one_fk_per_distinct_pose(monkeypatch, rng, robot_name, map_name):
 class TestRetargetSequence:
     def test_constant_sequence_constant_output(self, humanlike, rng):
         pose = twist_free_pose(humanlike, rng)
-        traj, reports = retarget_sequence(
+        traj, _ = retarget_sequence(
             humanlike, [pose] * 5, humanlike, identity_corr(humanlike), EXACT_OPTS
         )
         values = traj.values()
         assert np.max(np.abs(np.diff(values[1:], axis=0))) < 1e-9
-        assert not any(r.carried_forward for r in reports)
 
     def test_identity_sequence_mpjpe(self, humanlike, rng):
         poses = [twist_free_pose(humanlike, rng, max_angle=0.3) for _ in range(5)]
@@ -351,19 +350,16 @@ class TestTermination:
         assert report.iterations == report.jacobian_evals == 1
         assert len(report.objective_trace) == 2
 
-    def test_carried_forward(self, humanlike, rng):
+    def test_non_finite_frame_raises(self, humanlike, rng):
+        # A later frame once repeated the previous pose and root, flagged "carried_forward".
         good = twist_free_pose(humanlike, rng)
         values = good.joint_values.copy()
         values[0] = 1e200  # non-finite targets below the root
         bad = Pose(good.root_position, good.root_orientation, values)
-        with np.errstate(all="ignore"):
-            traj, reports = retarget_sequence(
-                humanlike, [good, bad], humanlike, identity_corr(humanlike)
-            )
-        assert reports[0].converged and reports[1].termination == "carried_forward"
-        assert reports[1].carried_forward and not reports[0].carried_forward
-        assert reports[1].jacobian_evals == reports[1].iterations == 0
-        assert np.array_equal(traj.poses[1].joint_values, traj.poses[0].joint_values)
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteObjective, match=r"^frame 1: objective at start point is nan$"
+        ):
+            retarget_sequence(humanlike, [good, bad], humanlike, identity_corr(humanlike))
 
     def test_small_decrease(self, humanlike, rng):
         # The regularizers keep the optimum off zero, so the decrease test stops the solve
@@ -436,18 +432,6 @@ class TestProjectionDisplacement:
         solved, out, report = self.solve(monkeypatch, 2.0, 0.3)
         assert np.array_equal(solved, out.joint_values)
         assert report.projection_displacement == 0.0
-
-    def test_carried_forward_is_nan(self, humanlike, rng):
-        good = twist_free_pose(humanlike, rng)
-        values = good.joint_values.copy()
-        values[0] = 1e200
-        bad = Pose(good.root_position, good.root_orientation, values)
-        with np.errstate(all="ignore"):
-            _, reports = retarget_sequence(
-                humanlike, [good, bad], humanlike, identity_corr(humanlike)
-            )
-        assert reports[0].projection_displacement >= 0.0
-        assert np.isnan(reports[1].projection_displacement)
 
 
 class TestNielsenDamping:
