@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from retarget_kit import load_motion
-from retarget_kit.cli import standard_output
+from retarget_kit.cli import Parser, standard_output
 from retarget_kit.errors import ValidationError
 
 
@@ -97,7 +97,7 @@ def compare(args):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("before")

@@ -105,9 +105,7 @@ def main(argv=None):
     ):
         robot = load_example_skeleton(robot_name)
         corr = load_example_correspondence(map_name, human, robot)
-        traj, reports = retarget_sequence(
-            human, recon, robot, corr, fps=args.fps
-        )
+        traj, reports = retarget_sequence(human, recon, robot, corr)
         max_pos = max(max(r.position_residuals.values()) for r in reports)
         print(
             f"retarget -> {robot_name}: scale {corr.scale:.3f}, "
@@ -135,9 +133,7 @@ def main(argv=None):
 
     robot = load_example_skeleton("g1_like_21")
     corr = load_example_correspondence("human_to_g1", human, robot)
-    traj, reports = retarget_sequence(
-        human, recon, robot, corr, RetargetOptions(warm_start=False), fps=args.fps
-    )
+    traj, reports = retarget_sequence(human, recon, robot, corr, RetargetOptions(warm_start=False))
     print(
         f"cold-started retarget -> {robot.name}: "
         f"{sum(r.iterations for r in reports) / len(reports):.1f} iterations a frame, "

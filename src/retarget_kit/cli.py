@@ -43,6 +43,14 @@ def standard_output():
         raise ValidationError(f"cannot write standard output: {e.strerror or e}") from None
 
 
+class Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help text, failing to write, raises: argparse's own
+    drops the error, and with unbuffered output no flush is left to see it."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def _same_skeleton(flag, name, other, other_name):
     """Refuse `flag`'s motion of skeleton `name` when `other_name` is named too and
     differs; `other` says whose name that is. Unnamed ones pass."""
@@ -116,9 +124,7 @@ def cmd_retarget(args):
         **{name: getattr(args, name) for name in SOLVER_OPTIONS},
         warm_start=not args.no_warm_start,
     )
-    traj, reports = retarget_sequence(
-        human_skel, motion.trajectory, robot_skel, corr, opts, fps=motion.fps
-    )
+    traj, reports = retarget_sequence(human_skel, motion.trajectory, robot_skel, corr, opts)
     io.save_motion(io.trajectory_motion(traj), args.out)
     return {
         "command": "retarget",
@@ -221,7 +227,7 @@ def cmd_features(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = Parser(  # its subparsers are Parsers too, through add_subparsers' parser_class
         prog="retarget-kit",
         description="Keypoint motion to robot joint trajectories, plus motion metrics.",
     )

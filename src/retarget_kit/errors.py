@@ -3,6 +3,9 @@
 Two broad families: ValidationError for bad inputs (malformed files,
 mismatched shapes, unresolvable names) and NumericError for failures that
 arise during computation. The CLI maps these to exit codes 2 and 3.
+A subclass exists only where package code catches it by type or reads an
+attribute it carries; any other failure raises its family's class with a
+message that says what went wrong.
 
 `check_number` decides, for every module, what a valid number argument
 is: a numbers.Real (a numbers.Integral where an integer is wanted) that
@@ -93,60 +96,14 @@ class DegenerateFrame(ValidationError):
     """A zero quaternion, a zero axis at a nonzero angle, or a matrix not in SO(3)."""
 
 
-# --- skeleton ----------------------------------------------------------
-
-
-class PoseMismatch(ValidationError):
-    """Pose vector length does not match the skeleton DoF count."""
-
-
 # --- retarget ----------------------------------------------------------
-
-
-class UnresolvableCorrespondence(ValidationError):
-    """Correspondence names a marker/joint that does not exist."""
 
 
 class NonFiniteObjective(NumericError):
     """Retargeting objective evaluated to NaN or infinity."""
 
 
-# --- vq / metrics ------------------------------------------------------
-
-
-class DimensionMismatch(ValidationError):
-    pass
-
-
-class LengthMismatch(ValidationError):
-    pass
-
-
-class MissingHeights(ValidationError):
-    pass
-
-
-class DegenerateSample(ValidationError):
-    """Too few rows to estimate a covariance."""
-
-
-class TooFewSamples(ValidationError):
-    pass
-
-
-class GroupTooSmall(ValidationError):
-    pass
-
-
-class PoolTooLarge(ValidationError):
-    pass
-
-
 # --- io ----------------------------------------------------------------
-
-
-class MissingContactMarkers(ValidationError):
-    """Skeleton lacks the heel/toe markers needed for contact features."""
 
 
 class ParseError(ValidationError):
@@ -155,7 +112,3 @@ class ParseError(ValidationError):
         self.location = location
         self.reason = reason
         super().__init__(f"{path}: {location}: {reason}")
-
-
-class SchemaVersionError(ValidationError):
-    pass

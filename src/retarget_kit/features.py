@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingContactMarkers, ValidationError, check_number
+from .errors import ValidationError, check_number
 from .rotations import _rot6d_stack
 from .skeleton import fk, resolve_marker
 
@@ -44,7 +44,7 @@ def build_pose_features(skeleton, poses, fps, contact_threshold=DEFAULT_CONTACT_
     check_number("contact threshold", contact_threshold, ">= 0")
     missing = [m for m in CONTACT_MARKERS if m not in skeleton.markers]
     if missing:
-        raise MissingContactMarkers(f"skeleton lacks contact markers {missing}")
+        raise ValidationError(f"skeleton lacks contact markers {missing}")
 
     res = fk(skeleton, poses)
     root_pos, root_rot = res.positions[:, 0], res.rotations[:, 0]

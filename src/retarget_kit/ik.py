@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateBone, PoseMismatch, RankDeficient, ValidationError, check_array, check_labels,
+    DegenerateBone, RankDeficient, ValidationError, check_array, check_labels,
     check_number,
 )
 from .rotations import _EYE3, Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
@@ -43,11 +43,11 @@ def _joint_order(skeleton, labels):
     """Keypoint row of each skeleton joint, for one label tuple."""
     row = {label: i for i, label in enumerate(labels)}
     if len(labels) != len(skeleton.joints):
-        raise PoseMismatch(f"{len(labels)} keypoints for {len(skeleton.joints)} joints")
+        raise ValidationError(f"{len(labels)} keypoints for {len(skeleton.joints)} joints")
     try:
         return [row[j.name] for j in skeleton.joints]
     except KeyError as e:
-        raise PoseMismatch(f"keypoint frame missing joint {e}") from None
+        raise ValidationError(f"keypoint frame missing joint {e}") from None
 
 
 def _levels(skeleton):

@@ -39,7 +39,6 @@ import numpy as np
 from .errors import (
     DegenerateFrame,
     ParseError,
-    SchemaVersionError,
     ValidationError,
     check_array,
     check_labels,
@@ -79,7 +78,7 @@ def _load(path, format):
         raise ParseError(path, "/format", f"expected {format!r}, got {obj.get('format')!r}")
     # bool is an int subclass, and 1.0 == 1
     if type(obj.get("version")) is not int or obj["version"] != FORMAT_VERSION:
-        raise SchemaVersionError(f"{path}: unsupported {format} version {obj.get('version')!r}")
+        raise ValidationError(f"{path}: unsupported {format} version {obj.get('version')!r}")
     return obj
 
 

@@ -14,18 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import (
-    DegenerateSample,
-    DimensionMismatch,
-    GroupTooSmall,
-    LengthMismatch,
-    MissingHeights,
-    PoolTooLarge,
-    TooFewSamples,
-    ValidationError,
-    check_array,
-    check_number,
-)
+from .errors import ValidationError, check_array, check_number
 
 DEFAULT_SEED = 0
 
@@ -75,16 +64,18 @@ class TrajectoryPair:
         ref = check_array("reference", self.reference)
         ex = check_array("executed", self.executed)
         if ref.shape != ex.shape:
-            raise LengthMismatch(f"reference and executed shapes {ref.shape} and {ex.shape} differ")
+            raise ValidationError(
+                f"reference and executed shapes {ref.shape} and {ex.shape} differ"
+            )
         if ref.ndim != 2 or 0 in ref.shape:
-            raise LengthMismatch(f"trajectories must be (T, DoF), T, DoF >= 1, got {ref.shape}")
+            raise ValidationError(f"trajectories must be (T, DoF), T, DoF >= 1, got {ref.shape}")
         check_number("fps", self.fps, "> 0")
         object.__setattr__(self, "reference", ref)
         object.__setattr__(self, "executed", ex)
         if self.heights is not None:
             h = check_array("heights", self.heights).reshape(-1)
             if len(h) != ref.shape[0]:
-                raise LengthMismatch(f"{len(h)} heights for {ref.shape[0]} frames")
+                raise ValidationError(f"{len(h)} heights for {ref.shape[0]} frames")
             object.__setattr__(self, "heights", h)
 
 
@@ -107,7 +98,7 @@ def mpjpe(pair):
 
 def vel_err(pair):
     if pair.reference.shape[0] < 2:
-        raise LengthMismatch("velocity error needs at least 2 frames")
+        raise ValidationError("velocity error needs at least 2 frames")
     return float(
         np.mean(
             np.abs(
@@ -120,7 +111,7 @@ def vel_err(pair):
 
 def accel_err(pair):
     if pair.reference.shape[0] < 3:
-        raise LengthMismatch("acceleration error needs at least 3 frames")
+        raise ValidationError("acceleration error needs at least 3 frames")
     a_ex = _central_diff(_central_diff(pair.executed, pair.fps), pair.fps)
     a_ref = _central_diff(_central_diff(pair.reference, pair.fps), pair.fps)
     return float(np.mean(np.abs(a_ex - a_ref)))
@@ -135,7 +126,7 @@ def success_rate(pairs, height_threshold):
     successes = 0
     for pair in pairs:
         if pair.heights is None:
-            raise MissingHeights("trajectory pair has no height track")
+            raise ValidationError("trajectory pair has no height track")
         if not np.any(pair.heights < height_threshold):
             successes += 1
     return successes / len(pairs)
@@ -159,9 +150,9 @@ def fid(a, b):
     """
     a, b = _values("a", a), _values("b", b)
     if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(f"feature dims {a.shape[1]} and {b.shape[1]} differ")
+        raise ValidationError(f"feature dims {a.shape[1]} and {b.shape[1]} differ")
     if a.shape[0] < 2 or b.shape[0] < 2:
-        raise DegenerateSample("need at least 2 rows per sample to fit a covariance")
+        raise ValidationError("need at least 2 rows per sample to fit a covariance")
     d = a.shape[1]
     if a.shape[0] <= d or b.shape[0] <= d:
         warnings.warn(
@@ -189,7 +180,7 @@ def diversity(features, pair_count, seed=DEFAULT_SEED):
     check_number("pair_count", pair_count, "int >= 1")
     x = _values("features", features)
     if x.shape[0] < 2 * pair_count:
-        raise TooFewSamples(
+        raise ValidationError(
             f"need at least {2 * pair_count} rows for {pair_count} disjoint pairs"
         )
     left, right = _disjoint_pairs(x.shape[0], pair_count, np.random.default_rng(seed))
@@ -209,7 +200,7 @@ def multimodality(features, pairs_per_group, seed=DEFAULT_SEED):
     for g in dict.fromkeys(labels.tolist()):  # first-appearance order, deterministic
         rows = x[labels == g]
         if rows.shape[0] < 2 * pairs_per_group:
-            raise GroupTooSmall(
+            raise ValidationError(
                 f"group {g!r} has {rows.shape[0]} rows, needs {2 * pairs_per_group}"
             )
         left, right = _disjoint_pairs(rows.shape[0], pairs_per_group, rng)
@@ -221,7 +212,7 @@ def mm_dist(text_features, motion_features):
     """Mean Euclidean distance between matched text/motion feature rows."""
     t, m = _values("text_features", text_features), _values("motion_features", motion_features)
     if t.shape != m.shape:
-        raise DimensionMismatch(f"shapes {t.shape} and {m.shape} differ")
+        raise ValidationError(f"shapes {t.shape} and {m.shape} differ")
     return float(np.mean(np.linalg.norm(t - m, axis=1)))
 
 
@@ -235,10 +226,10 @@ def retrieval_ranks(text_features, motion_features, pool_size=32, seed=DEFAULT_S
     check_number("pool_size", pool_size, "int >= 1")
     t, m = _values("text_features", text_features), _values("motion_features", motion_features)
     if t.shape != m.shape:
-        raise DimensionMismatch(f"shapes {t.shape} and {m.shape} differ")
+        raise ValidationError(f"shapes {t.shape} and {m.shape} differ")
     n = t.shape[0]
     if pool_size > n:
-        raise PoolTooLarge(f"pool size {pool_size} exceeds {n} samples")
+        raise ValidationError(f"pool size {pool_size} exceeds {n} samples")
     rng = np.random.default_rng(seed)
     ranks = np.empty(n, dtype=int)
     for i in range(n):

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonFiniteObjective,
-    UnresolvableCorrespondence,
-    ValidationError,
-    check_array,
-    check_number,
-)
+from .errors import NonFiniteObjective, ValidationError, check_array, check_number
 from .rotations import (
     Rotation,
     _exp_stack,
@@ -157,7 +151,7 @@ def leg_scale(human_skeleton, robot_skeleton, human_chain, robot_chain):
     def chain_length(skel, names):
         for name in names:
             if name not in skel.index:
-                raise UnresolvableCorrespondence(
+                raise ValidationError(
                     f"scale chain joint {name!r:.40} is not in skeleton '{skel.name}'"
                 )
         total = 0.0
@@ -544,17 +538,22 @@ def retarget_sequence(
     robot_skeleton,
     corr,
     opts=RetargetOptions(),
-    fps=30.0,
+    fps=None,
 ):
     """Retarget a JointTrajectory or a sequence of Poses; frame t warm-starts from frame t-1.
 
+    The robot trajectory keeps a JointTrajectory's frame rate; an `fps` that
+    differs from it is refused. A sequence of Poses gets `fps`, 30.0 if None.
     The set-up is done once per call: one forward-kinematics pass over all
     human frames and one objective for all solves. A frame whose objective
     is not finite at its start point raises NonFiniteObjective naming the
     frame, as "frame t: objective at start point is nan"; no frame is
     skipped or repeated.
     """
-    check_number("fps", fps, "> 0")
+    own = human_poses.fps if isinstance(human_poses, JointTrajectory) else None
+    fps = check_number("fps", (own or 30.0) if fps is None else fps, "> 0")
+    if own is not None and fps != own:
+        raise ValidationError(f"fps {fps} differs from the human trajectory's {own} fps")
     if not len(human_poses):
         raise ValidationError("empty human pose sequence")
     root_positions, root_rotations, points, frames = _targets(human_skeleton, human_poses, corr)

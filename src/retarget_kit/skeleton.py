@@ -7,13 +7,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    PoseMismatch,
-    UnresolvableCorrespondence,
-    ValidationError,
-    check_array,
-    check_number,
-)
+from .errors import ValidationError, check_array, check_number
 from .rotations import Rotation, _exp_stack, _hat_stack, _rodrigues_stack
 
 DOF_COUNTS = {"fixed": 0, "revolute": 1, "spherical": 3}
@@ -182,7 +176,7 @@ def _stack_poses(poses, dof, expected):
     """(T, 3) root positions, (T, 3, 3) root rotations and (T, dof) joint values of T Poses."""
     for p in poses:
         if len(p.joint_values) != dof:
-            raise PoseMismatch(f"pose has {len(p.joint_values)} values, {expected} {dof}")
+            raise ValidationError(f"pose has {len(p.joint_values)} values, {expected} {dof}")
     n = len(poses)
     return (
         np.array([p.root_position for p in poses]).reshape(n, 3),
@@ -259,7 +253,7 @@ def resolve_marker(skeleton, name):
         return skeleton.index[m.joint], m.offset
     i = skeleton.index.get(name)
     if i is None:
-        raise UnresolvableCorrespondence(
+        raise ValidationError(
             f"'{name}' is neither a marker nor a joint of skeleton '{skeleton.name}'"
         )
     return i, np.zeros(3)
@@ -413,7 +407,7 @@ def _fk_arrays(skeleton, root_pos, root_rot, values, buffers):
     walk of the tree, so the results are bit for bit its own.
     """
     if values.shape[1] != skeleton.total_dof:
-        raise PoseMismatch(
+        raise ValidationError(
             f"pose has {values.shape[1]} values, skeleton needs {skeleton.total_dof}"
         )
     # Joint-major (J, T, ...) buffers in level order: each depth is one slice.
@@ -455,7 +449,7 @@ class LimitViolation:
 def check_limits(skeleton, pose):
     """Signed limit exceedances; empty list iff every DoF is inside [min, max]."""
     if len(pose.joint_values) != skeleton.total_dof:
-        raise PoseMismatch(
+        raise ValidationError(
             f"pose has {len(pose.joint_values)} values, skeleton needs {skeleton.total_dof}"
         )
     plan = skeleton._plan

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, check_array, check_number
+from .errors import ValidationError, check_array, check_number
 
 DEFAULT_DECAY = 0.99
 DEFAULT_EPSILON = 1e-5
@@ -33,11 +33,11 @@ class Codebook:
         counts = check_array("ema_counts", self.ema_counts).reshape(-1)
         sums = check_array("ema_sums", self.ema_sums)
         if counts.shape != (entries.shape[0],) or sums.shape != entries.shape:
-            raise DimensionMismatch("ema_counts or ema_sums shape does not match entries")
+            raise ValidationError("ema_counts or ema_sums shape does not match entries")
         usage = np.zeros(len(entries)) if self.usage is None else self.usage
         usage = check_array("usage", usage).reshape(-1)
         if usage.shape != counts.shape:
-            raise DimensionMismatch(f"{usage.size} usage counters for {counts.size} entries")
+            raise ValidationError(f"{usage.size} usage counters for {counts.size} entries")
         if np.any(counts < 0):
             raise ValidationError("ema_counts must be >= 0")
         object.__setattr__(self, "entries", entries)
@@ -93,7 +93,7 @@ class TokenSequence:
 def _check_latents(codebook, latents):
     latents = check_array("latents", latents)
     if latents.ndim != 2 or latents.shape[1] != codebook.dim:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"latents shape {latents.shape} does not match codebook dim {codebook.dim}"
         )
     return latents
@@ -127,9 +127,9 @@ def ema_update(codebook, latents, assignments):
     tokens = assignments if isinstance(assignments, TokenSequence) else TokenSequence(assignments)
     idx = tokens.indices
     if idx.shape != (latents.shape[0],):
-        raise DimensionMismatch(f"{idx.shape[0]} assignments for {latents.shape[0]} latents")
+        raise ValidationError(f"{idx.shape[0]} assignments for {latents.shape[0]} latents")
     if np.any(idx < 0) or np.any(idx >= codebook.size):
-        raise DimensionMismatch("assignment index out of range")
+        raise ValidationError("assignment index out of range")
     n = np.bincount(idx, minlength=codebook.size).astype(float)
     if codebook.decay == 1.0:
         return replace(codebook, usage=codebook.usage + n)

@@ -318,22 +318,32 @@ class TestStandardOutput:
         )
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, unbuffered",
         [
             pytest.param(lambda motion: ["-m", "retarget_kit.cli", "metrics", "track",
-                                         "--ref", motion, "--exec", motion], id="metrics"),
-            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "--help"], id="help"),
-            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "retarget", "--help"],
+                                         "--ref", motion, "--exec", motion], False, id="metrics"),
+            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "--help"], False, id="help"),
+            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "retarget", "--help"], False,
                          id="retarget_help"),
-            pytest.param(lambda motion: [COMPARE_MOTIONS, motion, motion], id="compare_motions"),
+            pytest.param(lambda motion: [COMPARE_MOTIONS, motion, motion], False,
+                         id="compare_motions"),
+            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "--help"], True,
+                         id="help_unbuffered"),
+            pytest.param(lambda motion: ["-m", "retarget_kit.cli", "metrics", "track", "--help"],
+                         True, id="metrics_track_help_unbuffered"),
+            pytest.param(lambda motion: [COMPARE_MOTIONS, "--help"], True,
+                         id="compare_motions_help_unbuffered"),
         ],
     )
-    def test_closed_pipe_gives_one_error_line(self, workdir, argv):
+    def test_closed_pipe_gives_one_error_line(self, workdir, argv, unbuffered):
         # With buffered output, the text still held once failed again at interpreter
-        # exit: an "Exception ignored" traceback and exit status 120.
+        # exit: an "Exception ignored" traceback and exit status 120. Unbuffered,
+        # argparse dropped the error of its own help write, and --help exited 0.
         read, write = os.pipe()
         os.close(read)
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         try:
             out = subprocess.run(
                 [sys.executable, "-X", "dev", *argv(workdir / "traj.motion")],

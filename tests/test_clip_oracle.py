@@ -43,11 +43,12 @@ def setup(robot_name, map_name):
 
 
 def clip(human, rng, frames=5):
-    """A smooth clip: root and joint values blended between two random poses."""
+    """A smooth clip: root and joint values blended between two random poses, at 25 fps,
+    not the 30 a list of Poses defaults to, so its rate is seen to carry through."""
     a, b = (twist_free_pose(human, rng, max_angle=0.6) for _ in range(2))
     s = np.linspace(0.0, 1.0, frames)[:, None]
     return JointTrajectory.from_arrays(
-        30.0,
+        25.0,
         (1 - s) * a.root_position + s * b.root_position,
         np.repeat(a.root_orientation.matrix[None], frames, axis=0),
         (1 - s) * a.joint_values + s * b.joint_values,
@@ -67,7 +68,7 @@ def assert_reports_equal(got, expected):
 
 
 def assert_matches_oracle(human, poses, robot, corr, opts):
-    traj, reports = retarget_sequence(human, poses, robot, corr, opts, fps=25.0)
+    traj, reports = retarget_sequence(human, poses, robot, corr, opts)
     frames = poses.poses if isinstance(poses, JointTrajectory) else poses
     expected, expected_reports = per_frame_retarget_sequence(
         human, frames, robot, corr, opts, fps=25.0

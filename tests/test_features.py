@@ -8,7 +8,7 @@ from retarget_kit import (
     feature_dimension,
     load_example_skeleton,
 )
-from retarget_kit.errors import MissingContactMarkers, ValidationError
+from retarget_kit.errors import ValidationError
 from retarget_kit.features import _wrap_angle
 from retarget_kit.skeleton import Joint, Marker, Skeleton, fk, resolve_marker
 
@@ -166,7 +166,7 @@ class TestContacts:
 
     def test_missing_markers(self):
         skel = Skeleton([Joint("root", None, [0, 0, 0])])
-        with pytest.raises(MissingContactMarkers):
+        with pytest.raises(ValidationError, match="skeleton lacks contact markers"):
             build_pose_features(skel, [Pose(np.zeros(3), Rotation.identity(), [])] * 2, 30.0)
 
 

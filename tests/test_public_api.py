@@ -1,9 +1,11 @@
-"""The package's public names and the parameter names of its callables, pinned: adding or
-removing a name or an option edits these pins in the same diff."""
+"""The package's public names, the parameter names of its callables and its exception
+classes, pinned: adding or removing a name, an option or an exception class edits these pins
+in the same diff."""
 
 import inspect
 
 import retarget_kit
+from retarget_kit import errors
 
 PUBLIC_API = [
     "Codebook",
@@ -64,6 +66,18 @@ PUBLIC_API = [
     "top_k_share",
     "trajectory_motion",
     "vel_err",
+]
+
+# A subclass exists only where package code catches it by type or reads an attribute it carries.
+ERROR_CLASSES = [
+    "DegenerateBone",
+    "DegenerateFrame",
+    "NonFiniteObjective",
+    "NumericError",
+    "ParseError",
+    "RankDeficient",
+    "RetargetKitError",
+    "ValidationError",
 ]
 
 # The parameter names of every public function and of every public class's constructor.
@@ -157,3 +171,22 @@ def test_parameter_names_are_pinned():
         for name, obj in public.items() if not inspect.ismodule(obj)
     }
     assert got == PARAMETERS
+
+
+def test_error_classes_are_pinned():
+    got = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    ]
+    assert sorted(got) == ERROR_CLASSES
+
+
+def test_every_error_has_one_exit_code():
+    # The CLI exits 2 on a ValidationError and 3 on a NumericError; a class that is
+    # neither, or both, would have no exit code or two.
+    for name in ERROR_CLASSES:
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.RetargetKitError), name
+        if cls is not errors.RetargetKitError:
+            families = [issubclass(cls, f) for f in (errors.ValidationError, errors.NumericError)]
+            assert families.count(True) == 1, name

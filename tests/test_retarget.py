@@ -4,6 +4,7 @@ import pytest
 from retarget_kit import (
     CorrespondencePair,
     CorrespondenceSet,
+    JointTrajectory,
     Pose,
     Rotation,
     RetargetOptions,
@@ -14,11 +15,7 @@ from retarget_kit import (
     retarget_sequence,
 )
 from retarget_kit import retarget
-from retarget_kit.errors import (
-    NonFiniteObjective,
-    UnresolvableCorrespondence,
-    ValidationError,
-)
+from retarget_kit.errors import NonFiniteObjective, ValidationError
 from retarget_kit.retarget import _gauss_newton, _project_to_limits
 from retarget_kit.skeleton import Joint, Skeleton
 
@@ -201,7 +198,7 @@ class TestRetargetFrame:
 
     def test_unresolvable_correspondence(self, humanlike, rng):
         corr = CorrespondenceSet((CorrespondencePair("nope", "c0_0", 1.0),), scale=1.0)
-        with pytest.raises(UnresolvableCorrespondence):
+        with pytest.raises(ValidationError, match="'nope' is neither a marker nor a joint"):
             retarget_frame(humanlike, twist_free_pose(humanlike, rng), humanlike, corr)
 
     def test_non_finite_objective(self, humanlike, rng):
@@ -327,6 +324,29 @@ class TestRetargetSequence:
         poses = [twist_free_pose(humanlike, rng) for _ in range(3)]
         with pytest.raises(ValidationError, match="^fps must be positive, got "):
             retarget_sequence(humanlike, poses, humanlike, identity_corr(humanlike), fps=fps)
+
+    def test_trajectory_keeps_its_fps(self, humanlike, rng):
+        traj = JointTrajectory(60.0, [twist_free_pose(humanlike, rng) for _ in range(3)])
+        corr = identity_corr(humanlike)
+        got, _ = retarget_sequence(humanlike, traj, humanlike, corr)
+        assert got.fps == 60.0
+        same, _ = retarget_sequence(humanlike, traj, humanlike, corr, fps=60)
+        assert same.fps == 60.0 and np.array_equal(same.joint_values, got.joint_values)
+
+    def test_conflicting_fps_refused(self, humanlike, rng, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved a frame")
+
+        monkeypatch.setattr(retarget._Objective, "solve", solve)
+        traj = JointTrajectory(60.0, [twist_free_pose(humanlike, rng) for _ in range(3)])
+        message = r"^fps 30.0 differs from the human trajectory's 60.0 fps$"
+        with pytest.raises(ValidationError, match=message):
+            retarget_sequence(humanlike, traj, humanlike, identity_corr(humanlike), fps=30.0)
+
+    def test_pose_list_defaults_to_30_fps(self, humanlike, rng):
+        poses = [twist_free_pose(humanlike, rng) for _ in range(2)]
+        traj, _ = retarget_sequence(humanlike, poses, humanlike, identity_corr(humanlike))
+        assert traj.fps == 30.0
 
 
 class TestTermination:
@@ -547,5 +567,5 @@ class TestLegScale:
         human, robot = load_example_skeleton("human_24"), load_example_skeleton("h1_like_19")
         chains = {"human": list(self.HUMAN_CHAIN), "robot": list(self.ROBOT_CHAIN)}
         chains[side][0] = "TYPO"
-        with pytest.raises(UnresolvableCorrespondence, match="scale chain joint 'TYPO' is not in"):
+        with pytest.raises(ValidationError, match="scale chain joint 'TYPO' is not in"):
             retarget.leg_scale(human, robot, chains["human"], chains["robot"])

@@ -1,6 +1,8 @@
-"""Every name a module or script imports is used in it."""
+"""Every name a module or script imports is used in it, and the package imports nothing
+but numpy and the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,42 @@ def test_no_unused_import(path):
 def test_finds_an_unused_import():
     source = "import math\nimport os.path\nfrom numbers import Integral, Real as R\nR, os\n"
     assert unused_imports(source) == [(1, "math"), (3, "Integral")]
+
+
+# numpy is the package's one runtime dependency. The test extras install scipy and
+# hypothesis too, so an import of either in the package would pass every other test.
+RUNTIME_TOP_LEVEL = sys.stdlib_module_names | {"numpy"}
+
+
+def foreign_imports(source):
+    """(line, module) of each absolute import in `source` whose top-level package is
+    neither numpy nor in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return sorted(
+        (line, name) for line, name in found if name.split(".")[0] not in RUNTIME_TOP_LEVEL
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("src/retarget_kit/*.py")), ids=lambda p: p.name
+)
+def test_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_finds_a_foreign_import():
+    source = (
+        "from __future__ import annotations\nimport os, scipy.linalg\n"
+        "from numpy import linalg\nfrom . import io\nfrom .errors import check_number\n"
+        "import numpy.random as npr\nfrom hypothesis import given\n"
+        "def f():\n    import pandas\n"
+    )
+    assert foreign_imports(source) == [(2, "scipy.linalg"), (7, "hypothesis"), (9, "pandas")]
 
 
 # The array rule: outside errors.py, where `check_array` lives, no module checks
