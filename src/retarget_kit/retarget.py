@@ -538,22 +538,18 @@ def retarget_sequence(
     robot_skeleton,
     corr,
     opts=RetargetOptions(),
-    fps=None,
 ):
     """Retarget a JointTrajectory or a sequence of Poses; frame t warm-starts from frame t-1.
 
-    The robot trajectory keeps a JointTrajectory's frame rate; an `fps` that
-    differs from it is refused. A sequence of Poses gets `fps`, 30.0 if None.
+    The robot trajectory keeps a JointTrajectory's frame rate; a sequence of
+    Poses gets 30 fps (wrap it in a JointTrajectory for another rate).
     The set-up is done once per call: one forward-kinematics pass over all
     human frames and one objective for all solves. A frame whose objective
     is not finite at its start point raises NonFiniteObjective naming the
     frame, as "frame t: objective at start point is nan"; no frame is
     skipped or repeated.
     """
-    own = human_poses.fps if isinstance(human_poses, JointTrajectory) else None
-    fps = check_number("fps", (own or 30.0) if fps is None else fps, "> 0")
-    if own is not None and fps != own:
-        raise ValidationError(f"fps {fps} differs from the human trajectory's {own} fps")
+    fps = human_poses.fps if isinstance(human_poses, JointTrajectory) else 30.0
     if not len(human_poses):
         raise ValidationError("empty human pose sequence")
     root_positions, root_rotations, points, frames = _targets(human_skeleton, human_poses, corr)

@@ -135,7 +135,7 @@ PARAMETERS = {
     "retarget_frame": (
         "human_skeleton", "human_pose", "robot_skeleton", "corr", "opts", "warm_start", "smooth_to",
     ),
-    "retarget_sequence": ("human_skeleton", "human_poses", "robot_skeleton", "corr", "opts", "fps"),
+    "retarget_sequence": ("human_skeleton", "human_poses", "robot_skeleton", "corr", "opts"),
     "retrieval_ranks": ("text_features", "motion_features", "pool_size", "seed"),
     "save_codebook": ("codebook", "path", "binary_sidecar"),
     "save_correspondence": ("corr", "path"),
