@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError, check_number
 from .rotations import _rot6d_stack
-from .skeleton import fk, resolve_marker
+from .skeleton import JointTrajectory, fk, resolve_marker
 
 CONTACT_MARKERS = ("l_heel", "l_toe", "r_heel", "r_toe")
 DEFAULT_CONTACT_THRESHOLD = 1e-3  # on squared marker speed
@@ -37,10 +37,13 @@ def _wrap_angle(a):
 
 
 def build_pose_features(skeleton, poses, fps, contact_threshold=DEFAULT_CONTACT_THRESHOLD):
-    """(T-1) x D feature matrix of a JointTrajectory or T Poses at the given frame rate."""
+    """(T-1) x D feature matrix of a JointTrajectory or T Poses at the given frame
+    rate, which for a JointTrajectory must be its own."""
     if len(poses) < 2:
         raise ValidationError("need at least 2 frames to build pose features")
     check_number("fps", fps, "> 0")
+    if isinstance(poses, JointTrajectory) and fps != poses.fps:
+        raise ValidationError(f"fps {fps!r} differs from the trajectory's {poses.fps!r}")
     check_number("contact threshold", contact_threshold, ">= 0")
     missing = [m for m in CONTACT_MARKERS if m not in skeleton.markers]
     if missing:

@@ -8,14 +8,14 @@ repeated saves of the same data are byte-identical.
 One renderer, `_render`, yields every file's text as json.dumps(tree,
 indent=1) would, byte for byte, in pieces that `_save` writes as they come,
 so no document is held whole (loaders read it whole, as json.loads needs).
-Savers hand it numeric np.ndarrays, rendered a top-level row a piece (one
-repr pass, joined by shape); it refuses, by `errors.check_array`, arrays
-holding NaN or infinity, which every loader rejects by the same rule.
-Large matrices may be stored as a
-sidecar flat binary of little-endian float64, referenced as
+Savers hand it numeric np.ndarrays, and a trajectory's frames as `_Records`
+of its columns; each column is checked whole by `errors.check_array`, which
+refuses NaN and infinity as every loader does, then rendered a block of at
+most _BLOCK_VALUES values' top-level rows a piece (one repr pass per column,
+joined by shape), so a write holds one block's text. Large matrices may be
+stored as a sidecar flat binary of little-endian float64, referenced as
 {"binary": <relative path>, "shape": [rows, cols]} and written atomically
-too. A trajectory is loaded as one array per frame key and saved as one
-object per frame, whose values are row views of those arrays.
+too. A trajectory is loaded as one array per frame key.
 
 Every loader reads its document through `_load`, which checks the header,
 and every saver writes it through `_save`, which writes the header. A
@@ -30,7 +30,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,14 +132,15 @@ def _matrix(node, path, location, base_dir):
 
 
 def _array(arr, depth):
-    """A numeric array laid out as json.dumps(arr.tolist(), indent=1) lays it out.
+    """The texts of `arr`'s top-level rows as json.dumps(arr.tolist(), indent=1)
+    lays them out, at nesting level depth + 1; a 1-D array's are its values.
 
     Every value is rendered in one pass, then joined axis by axis, innermost
     first, with the separators of the nesting level that axis sits at. The
     caller has checked the values.
     """
     items = list(map(repr, arr.ravel().tolist()))
-    for axis in reversed(range(arr.ndim)):
+    for axis in reversed(range(1, arr.ndim)):
         n = arr.shape[axis]
         if n == 0:
             items = ["[]"] * math.prod(arr.shape[:axis])
@@ -148,36 +148,39 @@ def _array(arr, depth):
         inner = "\n" + " " * (depth + axis + 1)
         head, sep, tail = "[" + inner, "," + inner, "\n" + " " * (depth + axis) + "]"
         items = [head + sep.join(items[i : i + n]) + tail for i in range(0, len(items), n)]
-    return items[0]
+    return items
+
+
+class _Records:
+    """A list of objects, object t holding row t of each column under its key."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+
+_BLOCK_VALUES = 1024  # the most values a piece of an array or of records is made from
 
 
 def _plain(node):
-    """Whether `_render` writes the tree in one json.dumps: no np.ndarray, no non-str
-    object key and no list holding a list or an object anywhere in it."""
+    """Whether `_render` writes the tree in one json.dumps: no array or records, no
+    non-str object key and no list holding a list or an object anywhere in it."""
     if isinstance(node, dict):
         return all(isinstance(k, str) and _plain(v) for k, v in node.items())
     if isinstance(node, (list, tuple)):
-        return not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in node)
-    return not isinstance(node, np.ndarray)
+        return not any(isinstance(v, (dict, list, tuple, np.ndarray, _Records)) for v in node)
+    return not isinstance(node, (np.ndarray, _Records))
 
 
 def _render(node, depth):
     """The pieces of json.dumps(node, indent=1) at nesting level `depth`, byte for byte.
 
-    A numeric np.ndarray is checked whole, then rendered by `_array`, a piece
-    per top-level row if it has several; a list of lists or objects, such as
-    a report's `per_frame`, is rendered an item at a time; a leaf, or any
-    other subtree with no array in it, goes through one json.dumps,
+    A numeric np.ndarray or a `_Records` is written by `_blocks`; a list of lists
+    or objects, such as a report's `per_frame`, is rendered an item at a time; a
+    leaf, or any other subtree with no array in it, goes through one json.dumps,
     re-indented for its depth."""
-    if isinstance(node, np.ndarray):
-        if node.dtype.kind == "f":
-            check_array(f"array of shape {node.shape}", node)
-        elif node.dtype.kind not in "iu":
-            raise TypeError(f"cannot write an array of dtype {node.dtype}")
-        if node.ndim < 2 or len(node) < 2:
-            yield _array(node, depth)
-            return
-        items = (("", [_array(row, depth + 1)]) for row in node)
+    if isinstance(node, (np.ndarray, _Records)):
+        yield from _blocks(node, depth)
+        return
     elif _plain(node):
         # json.dumps escapes newlines in strings: every "\n" it writes starts a line
         yield json.dumps(node, indent=1).replace("\n", "\n" + " " * depth)
@@ -196,6 +199,35 @@ def _render(node, depth):
         yield from pieces
         sep = "," + inner
     yield "\n" + " " * depth + brackets[1]
+
+
+def _blocks(node, depth):
+    """`_render`'s pieces of an array or records: each column checked whole, then a
+    piece per block of top-level rows, at most _BLOCK_VALUES values, from one
+    `_array` pass per column."""
+    records = isinstance(node, _Records)
+    columns = list(node.columns.values()) if records else [node]
+    for column in columns:
+        if column.dtype.kind == "f":
+            check_array(f"array of shape {column.shape}", column)
+        elif column.dtype.kind not in "iu":
+            raise TypeError(f"cannot write an array of dtype {column.dtype}")
+    if columns[0].ndim == 0:
+        yield _array(node.reshape(1), depth)[0]
+        return
+    inner = "\n" + " " * (depth + 1)
+    row = "{}"  # a row's text; for records, object t with its values filled in
+    if records:
+        keys = [json.dumps(k).replace("{", "{{").replace("}", "}}") + ": " for k in node.columns]
+        row = "{{" + inner + " " + ("{}," + inner + " ").join(keys) + "{}" + inner + "}}"
+    step = max(1, _BLOCK_VALUES // max(1, sum(math.prod(c.shape[1:]) for c in columns)))
+    sep = "[" + inner
+    for i in range(0, len(columns[0]), step):
+        # a records' values sit a level further in than an array's rows
+        texts = [_array(column[i : i + step], depth + records) for column in columns]
+        yield sep + ("," + inner).join(map(row.format, *texts))
+        sep = "," + inner
+    yield "\n" + " " * depth + "]" if sep[0] == "," else "[]"
 
 
 def _matrix_node(arr, path, key, binary_sidecar):
@@ -222,11 +254,10 @@ def _atomic_write(path, chunks):
     try:
         if path.exists() and not path.is_file():  # the directory's message is the rename's
             raise ValidationError("Is a directory" if path.is_dir() else "not a regular file")
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        name = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+        fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        tmp = name
         with os.fdopen(fd, "wb") as f:
-            umask = os.umask(0o077)  # reading the umask means setting it, here stricter
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
             f.writelines(chunks)
         os.replace(tmp, path)
         tmp = None
@@ -408,11 +439,11 @@ def save_motion(motion, path):
         body["labels"] = list(motion.labels)
         body["frames"] = np.asarray(motion.keypoints, dtype=float)
     elif motion.kind == "trajectory":
-        # One object of row views per frame; `_render` writes each frame as it comes.
+        # One object per frame, which `_render` writes a block of frames at a time.
         traj = motion.trajectory
         quats = check_array("root orientation quaternions", _quat_stack(traj.root_rotations))
-        columns = zip(traj.root_positions, quats, traj.joint_values)
-        body["frames"] = [dict(zip(_FRAME_KEYS, row)) for row in columns]
+        columns = traj.root_positions, quats, traj.joint_values
+        body["frames"] = _Records(dict(zip(_FRAME_KEYS, columns)))
     else:
         raise ValidationError(f"unknown motion kind {motion.kind!r}")
     _save(path, "motion", body)

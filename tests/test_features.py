@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from retarget_kit import (
+    JointTrajectory,
     Pose,
     Rotation,
     build_pose_features,
@@ -180,6 +181,23 @@ class TestValidation:
         skel = make_legged()
         with pytest.raises(ValidationError):
             build_pose_features(skel, [pose_at(skel)] * 2, 0.0)
+
+    def test_trajectory_rate_mismatch_refused(self):
+        # A 60 fps trajectory passed with fps=30.0 once gave other velocity features.
+        skel = make_legged()
+        traj = JointTrajectory(60.0, [pose_at(skel, yaw=0.1 * t) for t in range(3)])
+        with pytest.raises(ValidationError, match=r"^fps 30.0 differs from the trajectory's 60.0$"):
+            build_pose_features(skel, traj, 30.0)
+
+    def test_trajectory_at_its_own_rate(self, rng):
+        # the same bytes as its poses at that rate
+        skel = make_legged(3)
+        poses = [
+            Pose(rng.normal(size=3), random_rotation(rng), rng.normal(size=skel.total_dof))
+            for _ in range(6)
+        ]
+        got = build_pose_features(skel, JointTrajectory(60.0, poses), 60)
+        assert got.tobytes() == build_pose_features(skel, poses, 60.0).tobytes()
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
     def test_bad_contact_threshold(self, threshold):

@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -40,6 +41,7 @@ from retarget_kit import asset_path, io
 from retarget_kit.cli import main
 from retarget_kit.errors import ParseError, ValidationError
 from retarget_kit.io import _render, save_report
+from retarget_kit.rotations import _quat_stack
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
 from conftest import make_humanlike, random_rotation, scalar_from_quat, twist_free_pose
@@ -103,6 +105,16 @@ TREES = st.recursive(
 )
 
 
+# Row counts around a block's: 1, B - 1, B, B + 1 and 2B + 1 for B rows a block.
+BLOCK_EDGES = [lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 1]
+BLOCK_EDGE_IDS = ["1", "B-1", "B", "B+1", "2B+1"]
+
+
+def blocks(rows, width):
+    """How many blocks `_render` writes `rows` rows of `width` values in."""
+    return math.ceil(rows / (io._BLOCK_VALUES // width))
+
+
 class TestArrayWriter:
     """The one renderer's pieces join to json.dumps(indent=1), byte for byte."""
 
@@ -128,7 +140,17 @@ class TestArrayWriter:
         arrays += [np.arange(n * 6).reshape(n, 2, 3) for n in (0, 1, 4)]
         arrays += [np.zeros((3, 0)), np.zeros((2, 0, 2))]
         assert_matches_json({"a": arrays, "b": {"c": arrays, "d": [arrays[2]]}})
-        assert len(list(_render({"m": arrays[2]}, 0))) > len(arrays[2])
+
+    @pytest.mark.parametrize("shape", [(None, 5), (None, 4, 3)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("edge", BLOCK_EDGES, ids=BLOCK_EDGE_IDS)
+    def test_block_boundaries(self, rng, shape, edge):
+        # A piece per block of at most _BLOCK_VALUES values' rows, never per row.
+        width = math.prod(shape[1:])
+        rows = edge(io._BLOCK_VALUES // width)
+        arr = rng.normal(size=(rows, *shape[1:]))
+        arr.flat[::3], arr.flat[1::5], arr.flat[-1] = -0.0, 1e22, 5e-324
+        assert_matches_json({"m": arr, "n": [arr, {"o": arr}]})
+        assert len(list(_render(arr, 0))) == blocks(rows, width) + 1  # and "]"
 
     def test_int_extremes_and_zero_size(self):
         big = np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max])
@@ -397,6 +419,17 @@ class TestWrittenFileMode:
         modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
         assert len(modes) == 6  # the codebook among them with its two sidecars
         assert set(modes.values()) == {0o666 & ~umask}
+
+    def test_save_never_sets_the_umask(self, tmp_path, rng, monkeypatch):
+        # Setting the umask to read it once gave a file another thread made meanwhile 0o600.
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        save_report({"a": np.ones((3, 2))}, tmp_path / "report.json")
+        cb = Codebook.initialize(rng.normal(size=(4, 2)))
+        save_codebook(cb, tmp_path / "cb.json", binary_sidecar=True)
+        assert len(list(tmp_path.iterdir())) == 4 and no_tmp_files(tmp_path)
 
 
 class TestSkeletonIo:
@@ -739,6 +772,11 @@ def frame_by_frame_load(path):
     ]
 
 
+def traj_columns(traj):
+    """The three columns `save_motion` writes a trajectory's frames from."""
+    return traj.root_positions, _quat_stack(traj.root_rotations), traj.joint_values
+
+
 def bits(arr):
     return np.ascontiguousarray(arr, dtype=float).view(np.int64)
 
@@ -810,6 +848,47 @@ class TestTrajectoryArraysMatchFrameByFrame:
         assert np.array_equal(
             bits(traj.joint_values), bits(np.reshape([p.joint_values for p in want], values.shape))
         )
+
+    @pytest.mark.parametrize("dof", [0, 19])
+    @pytest.mark.parametrize("edge", BLOCK_EDGES, ids=BLOCK_EDGE_IDS)
+    def test_block_boundaries(self, tmp_path, rng, dof, edge):
+        width = 3 + 4 + dof  # a frame's values
+        frames = edge(io._BLOCK_VALUES // width)
+        positions, values = rng.normal(size=(frames, 3)), rng.normal(size=(frames, dof))
+        positions[:, 0], positions[-1, 1], values.flat[::4] = -0.0, 1e22, 5e-324
+        rotations = np.stack([random_rotation(rng).matrix for _ in range(frames)])
+        traj = JointTrajectory.from_arrays(24.0, positions, rotations, values, "walker")
+        path = tmp_path / "m.motion"
+        save_motion(trajectory_motion(traj), path)
+        text = path.read_text()
+        assert text == frame_by_frame_text(24.0, "walker", traj.poses)
+        obj = json.loads(text)
+        assert text == json.dumps(obj, indent=1) + "\n"
+        assert obj["frames"][-1]["joint_values"] == values[-1].tolist()  # [] for no DoF
+        pieces = list(_render(io._Records(dict(zip(io._FRAME_KEYS, traj_columns(traj)))), 0))
+        assert len(pieces) == blocks(frames, width) + 1
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("root_positions", r"cannot write .*: array of shape \(5, 3\) contains NaN or inf"),
+            ("root_rotations", r"^root orientation quaternions contains NaN or inf"),
+            ("joint_values", r"cannot write .*: array of shape \(5, 2\) contains NaN or inf"),
+        ],
+        ids=list(io._FRAME_KEYS),
+    )
+    def test_non_finite_column_refused(self, tmp_path, rng, name, message):
+        traj = JointTrajectory.from_arrays(
+            24.0, np.zeros((5, 3)), np.stack([np.eye(3)] * 5), rng.normal(size=(5, 2))
+        )
+        bad = getattr(traj, name).copy()
+        bad[3].flat[1] = np.nan
+        setattr(traj, name, bad)  # past the trajectory's own check
+        path = tmp_path / "m.motion"
+        path.write_bytes(b"the file as it was\n")
+        with pytest.raises(ValidationError, match=message):
+            save_motion(trajectory_motion(traj), path)
+        assert path.read_bytes() == b"the file as it was\n" and no_tmp_files(tmp_path)
 
     def test_edge_quaternions(self, tmp_path):
         ms = np.array([scalar_from_quat(np.asarray(q)) for q in EDGE_QUATS])

@@ -122,7 +122,8 @@ PUBLIC_NUMBER_ARGUMENTS = {
     "build_pose_features.contact_threshold": (
         "contact threshold", lambda v: _pose_features(contact_threshold=v), 0,
     ),
-    "build_pose_features.fps": ("fps", lambda v: _pose_features(fps=v), 24),
+    # the trajectory's own rate, as an int: another rate is refused as a mismatch
+    "build_pose_features.fps": ("fps", lambda v: _pose_features(fps=v), 30),
     "JointTrajectory.fps": ("fps", lambda v: JointTrajectory(v, ()), 30.0),
     "JointTrajectory.from_arrays.fps": (
         "fps", lambda v: JointTrajectory.from_arrays(*_arrays(v)), 30.0,
