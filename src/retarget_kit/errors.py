@@ -4,8 +4,10 @@ Two broad families: ValidationError for bad inputs (malformed files,
 mismatched shapes, unresolvable names) and NumericError for failures that
 arise during computation. The CLI maps these to exit codes 2 and 3.
 A subclass exists only where package code catches it by type or reads an
-attribute it carries; any other failure raises its family's class with a
-message that says what went wrong.
+attribute it carries; the one such class is ParseError, which `io` catches
+to keep a file location. Any other failure raises its family's class with a
+message that says what went wrong, worded where its frame, joint or file
+location is known; no code adds to an error after it is raised.
 
 `check_number` decides, for every module, what a valid number argument
 is: a numbers.Real (a numbers.Integral where an integer is wanted) that
@@ -41,6 +43,16 @@ class ValidationError(RetargetKitError):
 
 class NumericError(RetargetKitError):
     pass
+
+
+class ParseError(ValidationError):
+    """A malformed input file: its path, the JSON location in it and the reason."""
+
+    def __init__(self, path, location, reason):
+        self.path = str(path)
+        self.location = location
+        self.reason = reason
+        super().__init__(f"{path}: {location}: {reason}")
 
 
 def check_number(name, value, rule):
@@ -80,35 +92,3 @@ def check_labels(name, value):
         raise ValidationError(f"{name} must be a list or tuple of strings, got {value!r:.40}")
     return tuple(value)
 
-
-# --- rotations ---------------------------------------------------------
-
-
-class DegenerateBone(ValidationError):
-    """Bone vector too short to define a direction."""
-
-
-class RankDeficient(ValidationError):
-    """Point sets do not pin down a unique rotation."""
-
-
-class DegenerateFrame(ValidationError):
-    """A zero quaternion, a zero axis at a nonzero angle, or a matrix not in SO(3)."""
-
-
-# --- retarget ----------------------------------------------------------
-
-
-class NonFiniteObjective(NumericError):
-    """Retargeting objective evaluated to NaN or infinity."""
-
-
-# --- io ----------------------------------------------------------------
-
-
-class ParseError(ValidationError):
-    def __init__(self, path, location, reason):
-        self.path = str(path)
-        self.location = location
-        self.reason = reason
-        super().__init__(f"{path}: {location}: {reason}")

@@ -17,10 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBone, RankDeficient, ValidationError, check_array, check_labels,
-    check_number,
-)
+from .errors import ValidationError, check_array, check_labels, check_number
 from .rotations import _EYE3, Rotation, _align_stack, _dot, _norm, _procrustes_stack, _rotvec_stack
 from .skeleton import JointTrajectory, Pose, _run
 
@@ -89,8 +86,8 @@ def _reconstruct(skeleton, kp, continuity=False):
     """Root orientations (T, 3, 3) and joint values (T, DoF) of (T, J, 3)
     keypoints in joint order, solved depth by depth with the floats of a
     joint-by-joint walk, then, with `continuity`, kept on one quaternion
-    hemisphere. The error names the earliest frame (its `frame`), then the
-    first joint in skeleton order, where such a walk stops."""
+    hemisphere. A refusal is a ValidationError that names the earliest frame,
+    then the first joint in skeleton order, where such a walk stops."""
     depths, converted, cols = _levels(skeleton)
     plan, n = skeleton._plan, len(kp)
     kp = kp.swapaxes(0, 1)[plan.order]
@@ -99,7 +96,7 @@ def _reconstruct(skeleton, kp, continuity=False):
     local = np.broadcast_to(_EYE3, (len(kp), n, 3, 3)).copy()
     world = np.empty((len(kp) + 1, n, 3, 3))
     world[-1] = _EYE3
-    # (refusal mask (k, T), joints, error of item i) of each kernel call: a refused
+    # (refusal mask (k, T), joints, reason of item i) of each kernel call: a refused
     # item gets the identity, the walk goes on, and the error is chosen at the end
     calls = []
     levels = ((slice(0, 1), slice(-1, None)),) + plan.levels  # the root's, below the identity
@@ -107,23 +104,20 @@ def _reconstruct(skeleton, kp, continuity=False):
         if singles:
             at, above, kids, offsets = singles
             seen = (world[above].swapaxes(2, 3) @ (kp[kids] - kp[at])[..., None]).reshape(-1, 3)
-            rot, bad, error = _align_stack(np.repeat(offsets.T, n, axis=0), seen)
+            rot, bad, why = _align_stack(np.repeat(offsets.T, n, axis=0), seen)
             local[at] = rot.reshape(-1, n, 3, 3)
-            calls.append((bad.reshape(-1, n), plan.order[at], error))
+            calls.append((bad.reshape(-1, n), plan.order[at], why))
         for at, above, kids, templates in multis:
             seen = (world[above].swapaxes(2, 3) @ (kp[kids] - kp[at])[..., None])[..., 0]
-            local[at], bad, error = _procrustes_stack(templates, seen.transpose(1, 2, 0).copy())
-            calls.append((bad[None], plan.order[at], error))
+            local[at], bad, why = _procrustes_stack(templates, seen.transpose(1, 2, 0).copy())
+            calls.append((bad[None], plan.order[at], why))
         np.matmul(world[par], local[sl], out=world[sl])
-    refused = [(t, joints[k], error, k * n + t) for bad, joints, error in calls
+    refused = [(t, joints[k], why, k * n + t) for bad, joints, why in calls
                for k, t in zip(*np.nonzero(bad))]
     if refused:
-        t, j, error, i = min(refused, key=lambda r: r[:2])
+        t, j, why, i = min(refused, key=lambda r: r[:2])
         names = ", ".join(f"'{skeleton.joints[c].name}'" for c in plan.children[j])
-        e = error(i)
-        e = type(e)(f"joint '{skeleton.joints[j].name}' → {names}: {e}")
-        e.frame = t
-        raise e
+        raise ValidationError(f"frame {t}, joint '{skeleton.joints[j].name}' → {names}: {why(i)}")
     values = np.zeros((n, skeleton.total_dof))
     turns = _rotvec_stack(local[converted].reshape(-1, 3, 3))
     values[:, cols] = turns.reshape(-1, n, 3).swapaxes(0, 1)
@@ -135,7 +129,8 @@ def _reconstruct(skeleton, kp, continuity=False):
 def reconstruct_frame(skeleton, frame):
     """Recover a pose whose FK reproduces every observed bone direction.
 
-    The T = 1 case of `reconstruct_sequence` without the continuity pass.
+    The T = 1 case of `reconstruct_sequence` without the continuity pass; a
+    refusal names frame 0.
     """
     kp = frame.positions[_joint_order(skeleton, frame.labels)]
     root, values = _reconstruct(skeleton, kp[None])
@@ -182,8 +177,9 @@ def reconstruct_sequence(skeleton, frames, labels, *, fps=30.0, hemisphere_conti
     continuity pass re-expresses spherical joint axis-angle vectors so
     consecutive frames stay on the same quaternion hemisphere
     (dot(q_t, q_{t+1}) >= 0), which may push angles above pi. A degenerate
-    bone or rank-deficient joint is reported at the earliest frame, and within
-    it the first joint in skeleton order.
+    bone or rank-deficient joint is a ValidationError at the earliest frame,
+    and within it the first joint in skeleton order: "frame t, joint 'a' →
+    'b': bone norms …" or "…: cross-covariance rank < 2 …".
     """
     check_number("fps", fps, "> 0")
     labels = check_labels("labels", labels)
@@ -191,8 +187,5 @@ def reconstruct_sequence(skeleton, frames, labels, *, fps=30.0, hemisphere_conti
     if not len(kp):
         raise ValidationError("empty keypoint sequence")
     kp = kp[:, _joint_order(skeleton, labels)]
-    try:
-        root, values = _reconstruct(skeleton, kp, hemisphere_continuity)
-    except (DegenerateBone, RankDeficient) as e:
-        raise type(e)(f"frame {e.frame}, {e}") from None
+    root, values = _reconstruct(skeleton, kp, hemisphere_continuity)
     return JointTrajectory.from_arrays(fps, kp[:, 0], root, values, skeleton.name)

@@ -35,14 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateFrame,
-    ParseError,
-    ValidationError,
-    check_array,
-    check_labels,
-    check_number,
-)
+from .errors import ParseError, ValidationError, check_array, check_labels, check_number
 from .metrics import FeatureMatrix
 from .retarget import CorrespondencePair, CorrespondenceSet, leg_scale
 from .rotations import _matrix_stack, _quat_stack
@@ -202,14 +195,15 @@ def _render(node, depth):
 
 
 def _blocks(node, depth):
-    """`_render`'s pieces of an array or records: each column checked whole, then a
-    piece per block of top-level rows, at most _BLOCK_VALUES values, from one
-    `_array` pass per column."""
+    """`_render`'s pieces of an array or records: each column checked whole, named
+    by its key in records, then a piece per block of top-level rows, at most
+    _BLOCK_VALUES values, from one `_array` pass per column."""
     records = isinstance(node, _Records)
-    columns = list(node.columns.values()) if records else [node]
-    for column in columns:
+    named = node.columns if records else {f"array of shape {node.shape}": node}
+    columns = list(named.values())
+    for name, column in named.items():
         if column.dtype.kind == "f":
-            check_array(f"array of shape {column.shape}", column)
+            check_array(name, column)
         elif column.dtype.kind not in "iu":
             raise TypeError(f"cannot write an array of dtype {column.dtype}")
     if columns[0].ndim == 0:
@@ -420,10 +414,10 @@ def load_motion(path):
             reason = f"expected a non-empty list of frames, got {frames!r:.40}"
             raise ParseError(path, "/frames", reason)
         positions, quats, values = _trajectory_columns(frames, path)
-        try:
-            rotations = _matrix_stack(quats)
-        except DegenerateFrame as e:
-            raise ParseError(path, f"/frames/{e.row}/root_orientation", str(e)) from None
+        rotations, zero, why = _matrix_stack(quats)
+        if zero.any():
+            k = int(np.argmax(zero))
+            raise ParseError(path, f"/frames/{k}/root_orientation", why(k))
         traj = JointTrajectory.from_arrays(fps, positions, rotations, values, skeleton)
         return Motion(fps=fps, kind=kind, skeleton=skeleton, trajectory=traj)
     raise ParseError(path, "/kind", f"unknown motion kind {kind!r}")
@@ -441,8 +435,7 @@ def save_motion(motion, path):
     elif motion.kind == "trajectory":
         # One object per frame, which `_render` writes a block of frames at a time.
         traj = motion.trajectory
-        quats = check_array("root orientation quaternions", _quat_stack(traj.root_rotations))
-        columns = traj.root_positions, quats, traj.joint_values
+        columns = traj.root_positions, _quat_stack(traj.root_rotations), traj.joint_values
         body["frames"] = _Records(dict(zip(_FRAME_KEYS, columns)))
     else:
         raise ValidationError(f"unknown motion kind {motion.kind!r}")

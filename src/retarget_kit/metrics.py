@@ -43,6 +43,8 @@ class FeatureMatrix:
                 raise ValidationError(f"{len(labels)} labels for {v.shape[0]} feature rows")
             if not all(isinstance(g, (str, Integral)) for g in labels):
                 raise ValidationError("group labels must be strings or integers")
+            # a numpy integer is stored as the int it equals, which JSON can write
+            labels = tuple(g if isinstance(g, (str, bool)) else int(g) for g in labels)
             object.__setattr__(self, "labels", labels)
 
 

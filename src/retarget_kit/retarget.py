@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteObjective, ValidationError, check_array, check_number
+from .errors import NumericError, ValidationError, check_array, check_number
 from .rotations import (
     Rotation,
     _exp_stack,
@@ -187,7 +187,7 @@ def _gauss_newton(objective, x0, opts):
     r = objective.residual(x)
     f = float(r @ r)
     if not math.isfinite(f):
-        raise NonFiniteObjective(f"objective at start point is {f}")
+        raise NumericError(f"objective at start point is {f}")
     trace = [f]
     mu = None
     termination = "max_iterations"
@@ -545,7 +545,7 @@ def retarget_sequence(
     Poses gets 30 fps (wrap it in a JointTrajectory for another rate).
     The set-up is done once per call: one forward-kinematics pass over all
     human frames and one objective for all solves. A frame whose objective
-    is not finite at its start point raises NonFiniteObjective naming the
+    is not finite at its start point raises a NumericError naming the
     frame, as "frame t: objective at start point is nan"; no frame is
     skipped or repeated.
     """
@@ -563,8 +563,8 @@ def retarget_sequence(
             values[t], report = objective.solve(
                 root_positions[t], root_rotations[t], points[t], frames[t], x0, prev
             )
-        except NonFiniteObjective as e:
-            raise NonFiniteObjective(f"frame {t}: {e}") from None
+        except NumericError as e:  # the one error a solve raises
+            raise NumericError(f"frame {t}: {e}") from None
         reports.append(report)
         prev = values[t]
     trajectory = JointTrajectory.from_arrays(

@@ -8,7 +8,7 @@ operations are pure and all values immutable.
 Each conversion has one body, stacked over leading axes; the Rotation
 view is its one-item case. Conversion, body, and its views and callers:
 
-    quaternion -> matrix     _matrix_stack      from_quat, io
+    quaternion -> matrix     _matrix_stack      from_quat, io; refuses zero rows
     matrix -> quaternion     _quat_stack        as_quat, as_axis_angle, io
     matrix -> rotation vec   _rotvec_stack      as_rotvec, ik, limit projection
     rotation vec -> matrix   _exp_stack         from_rotvec, fk, joint limits
@@ -17,6 +17,12 @@ view is its one-item case. Conversion, body, and its views and callers:
     matrix -> 6D             _rot6d_stack       as_rot6d, features
     matrix -> rotation vec   _log_floats: the solver's orientation errors, one matrix at
                              a time on Python floats, ten times cheaper at n <= 4
+
+The stacked kernels that can refuse an item, `_matrix_stack`, `_align_stack`
+and `_procrustes_stack`, raise nothing: they return their results, the mask
+of refused items, each of which gets the identity, and `why(i)`, the reason
+for refusing item i as a message. The caller, which knows the frame, the
+joint or the file location of an item, words the error.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBone, DegenerateFrame, RankDeficient, check_array, check_number
+from .errors import ValidationError, check_array, check_number
 
 # Tolerances, the same for every caller.
 ORTHONORMAL_TOL = 1e-9
@@ -95,24 +101,21 @@ def _quat_stack(m):
 
 
 def _matrix_stack(q):
-    """`Rotation.from_quat` of each (w, x, y, z) row of an (n, 4) array, as (n, 3, 3).
-
-    Raises DegenerateFrame for the first row with a norm below
-    DEGENERATE_NORM; the error's `row` attribute holds its index.
+    """`Rotation.from_quat` of each (w, x, y, z) row of an (n, 4) array, as (n, 3, 3);
+    also the mask of refused rows and `why(i)`. A row with a norm below
+    DEGENERATE_NORM is refused as a "zero quaternion" and gets the identity.
     """
     n = _norm(q)
     zero = n < DEGENERATE_NORM
-    if zero.any():
-        error = DegenerateFrame("zero quaternion")
-        error.row = int(np.argmax(zero))
-        raise error
+    if zero.any():  # a refused row is read as (1, 0, 0, 0): the identity
+        q, n = np.where(zero[:, None], (1.0, 0.0, 0.0, 0.0), q), np.where(zero, 1.0, n)
     w, x, y, z = (q / n[:, None]).T
     m = [
         1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     ]
-    return np.stack(m, axis=1).reshape(-1, 3, 3)
+    return np.stack(m, axis=1).reshape(-1, 3, 3), zero, lambda i: "zero quaternion"
 
 
 def _rotvec_stack(m):
@@ -211,6 +214,13 @@ def _log_floats(m):
     return x / s * angle, y / s * angle, z / s * angle
 
 
+def _one(rot, refused, why):
+    """The one item of a kernel's results; a ValidationError with its reason if refused."""
+    if refused[0]:
+        raise ValidationError(why(0))
+    return rot[0]
+
+
 @dataclass(frozen=True)
 class Rotation:
     """One orientation in SO(3), canonically stored as a 3x3 matrix.
@@ -234,7 +244,7 @@ class Rotation:
         err = np.linalg.norm(m.T @ m - _EYE3)
         det = np.linalg.det(m)
         if err > ORTHONORMAL_TOL or abs(det - 1.0) > ORTHONORMAL_TOL:
-            raise DegenerateFrame(
+            raise ValidationError(
                 f"matrix not in SO(3): orthonormality residual {err:.3e}, det {det:.12f}"
             )
         return cls(m)
@@ -242,7 +252,7 @@ class Rotation:
     @classmethod
     def from_quat(cls, q):
         """Unit quaternion (w, x, y, z); small norm drift is renormalized."""
-        return cls(_matrix_stack(check_array("quaternion", q, (4,))[None])[0])
+        return cls(_one(*_matrix_stack(check_array("quaternion", q, (4,))[None])))
 
     @classmethod
     def from_axis_angle(cls, axis, angle):
@@ -252,7 +262,7 @@ class Rotation:
         if n < DEGENERATE_NORM:
             if abs(angle) < DEGENERATE_NORM:
                 return cls.identity()
-            raise DegenerateFrame("zero axis with nonzero angle")
+            raise ValidationError("zero axis with nonzero angle")
         return cls(_rodrigues_stack(float(angle), _hat_stack(axis / n)))
 
     @classmethod
@@ -296,18 +306,18 @@ class Rotation:
 def _align_stack(t, p):
     """Minimal rotation mapping each template bone direction of an (n, 3) array onto
     the observed one of the matching row of another, as (n, 3, 3) matrices; also
-    the mask of refused pairs and `error(i)`, the error that names pair i.
+    the mask of refused pairs and `why(i)`.
 
     Antiparallel inputs fall back to a half-turn about the coordinate axis
     least aligned with the template, orthogonalized against it. A pair with a
-    bone no longer than DEGENERATE_NORM is refused with a DegenerateBone and
+    bone no longer than DEGENERATE_NORM is refused, naming the "bone norms", and
     gets the identity.
     """
     nt, np_ = _norm(t), _norm(p)
     short = (nt <= DEGENERATE_NORM) | (np_ <= DEGENERATE_NORM)
 
-    def error(i, nt=nt, np_=np_):  # the norms as measured, not as replaced below
-        return DegenerateBone(f"bone norms {nt[i]:.3e}, {np_[i]:.3e} below {DEGENERATE_NORM:.0e}")
+    def why(i, nt=nt, np_=np_):  # the norms as measured, not as replaced below
+        return f"bone norms {nt[i]:.3e}, {np_[i]:.3e} below {DEGENERATE_NORM:.0e}"
 
     if short.any():  # a refused pair is aligned as the x axis onto itself: the identity
         t, p = (np.where(short[:, None], _EYE3[0], v) for v in (t, p))
@@ -330,15 +340,15 @@ def _align_stack(t, p):
             axis = e - _dot(th, e)[:, None] * th
             axis /= _norm(axis)[:, None]
             out[half_turn] = _rodrigues_stack(np.full(len(th), np.pi), _hat_stack(axis))
-    return out, short, error
+    return out, short, why
 
 
 def _procrustes_stack(t, p):
     """`procrustes` of one 3 x m template column set against an (n, 3, m) stack; also
-    the mask of refused items and `error(i)`, the error that names item i.
+    the mask of refused items and `why(i)`.
 
-    An item whose cross-covariance has rank < 2 is refused with a RankDeficient
-    and gets the identity.
+    An item whose cross-covariance has rank < 2 is refused, naming the
+    "cross-covariance rank", and gets the identity.
     """
     u, s, vt = np.linalg.svd(p @ t.T)
     low = s[:, 1] <= RANK_TOL * np.maximum(s[:, 0], 1.0)
@@ -346,7 +356,7 @@ def _procrustes_stack(t, p):
     d[:, 0, 2] = np.linalg.det(u @ vt)
     out = (u * d) @ vt
     out[low] = _EYE3
-    return out, low, lambda i: RankDeficient(f"cross-covariance rank < 2 (singular values {s[i]})")
+    return out, low, lambda i: f"cross-covariance rank < 2 (singular values {s[i]})"
 
 
 def procrustes(template_cols, observed_cols):
@@ -359,11 +369,8 @@ def procrustes(template_cols, observed_cols):
     t = np.asarray(template_cols, dtype=float)
     p = np.asarray(observed_cols, dtype=float)
     if t.shape != p.shape or t.ndim != 2 or t.shape[0] != 3:
-        raise RankDeficient(f"expected matching 3xm inputs, got {t.shape} and {p.shape}")
+        raise ValidationError(f"expected matching 3xm inputs, got {t.shape} and {p.shape}")
     if t.shape[1] < 2:
-        raise RankDeficient("need at least 2 correspondence columns")
-    r, low, error = _procrustes_stack(t, p[None])
-    if low[0]:
-        raise error(0)
-    return Rotation(r[0])
+        raise ValidationError("need at least 2 correspondence columns")
+    return Rotation(_one(*_procrustes_stack(t, p[None])))
 

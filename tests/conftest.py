@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from retarget_kit import Rotation
-from retarget_kit.errors import DegenerateBone, NonFiniteObjective, RankDeficient, ValidationError
+from retarget_kit.errors import NumericError, ValidationError
 from retarget_kit.retarget import (
     _LEVI_CIVITA,
     CorrespondencePair,
@@ -267,7 +267,7 @@ def joint_walk_projection(skeleton, values):
 def scalar_rodrigues_align(t, p, tol=1e-8):
     nt, np_ = np.linalg.norm(t), np.linalg.norm(p)
     if nt <= tol or np_ <= tol:
-        raise DegenerateBone(f"bone norms {nt:.3e}, {np_:.3e} below {tol:.0e}")
+        raise ValidationError(f"bone norms {nt:.3e}, {np_:.3e} below {tol:.0e}")
     t_hat, p_hat = t / nt, p / np_
     c = float(np.clip(np.dot(t_hat, p_hat), -1.0, 1.0))
     cross = np.cross(t_hat, p_hat)
@@ -297,7 +297,7 @@ def scalar_from_quat(q):
 def scalar_procrustes(t, p, rank_tol=1e-9):
     u, s, vt = np.linalg.svd(p @ t.T)
     if s[1] <= rank_tol * max(s[0], 1.0):
-        raise RankDeficient(f"cross-covariance rank < 2 (singular values {s})")
+        raise ValidationError(f"cross-covariance rank < 2 (singular values {s})")
     d = np.linalg.det(u @ vt)
     return Rotation((u * np.array([1.0, 1.0, d])) @ vt)
 
@@ -308,15 +308,9 @@ def scalar_procrustes(t, p, rank_tol=1e-9):
 # frame by frame. The level walk must reproduce its floats and its errors.
 
 
-def _first_refused_raises(rot, refused, error):
-    if refused.any():
-        raise error(int(np.argmax(refused)))
-    return rot
-
-
-def joint_walk_reconstruct(skeleton, kp):
-    """Root orientations (T, 3, 3) and joint values (T, DoF) of (T, J, 3)
-    keypoints in joint order, one joint at a time."""
+def _children_of_spherical_joints(skeleton):
+    """Each joint's children; a ValidationError for a joint below the root that has
+    children but is not spherical."""
     children = [[] for _ in skeleton.joints]
     for i, p in enumerate(skeleton.parent_index):
         if p >= 0:
@@ -327,6 +321,13 @@ def joint_walk_reconstruct(skeleton, kp):
                 f"joint '{joint.name}' has dof '{joint.dof}'; "
                 "keypoint reconstruction needs spherical joints"
             )
+    return children
+
+
+def joint_walk_reconstruct(skeleton, kp):
+    """Root orientations (T, 3, 3) and joint values (T, DoF) of (T, J, 3)
+    keypoints in joint order, one joint at a time."""
+    children = _children_of_spherical_joints(skeleton)
     n = len(kp)
     world = np.empty((n, len(skeleton.joints), 3, 3))
     root = identity = np.tile(np.eye(3), (n, 1, 1))
@@ -341,17 +342,16 @@ def joint_walk_reconstruct(skeleton, kp):
         bones = (kp[:, ch] - kp[:, i, None])[..., None]
         observed = (np.swapaxes(parent_world, 1, 2)[:, None] @ bones)[..., 0]
         observed = np.ascontiguousarray(np.swapaxes(observed, 1, 2))
-        try:
-            if len(ch) == 1:
-                offset = skeleton.joints[ch[0]].offset
-                t = np.broadcast_to(offset, (n, 3))
-                local = _first_refused_raises(*_align_stack(t, observed[:, :, 0]))
-            else:
-                templates = np.column_stack([skeleton.joints[c].offset for c in ch])
-                local = _first_refused_raises(*_procrustes_stack(templates, observed))
-        except (DegenerateBone, RankDeficient) as e:
+        if len(ch) == 1:
+            t = np.broadcast_to(skeleton.joints[ch[0]].offset, (n, 3))
+            local, refused, why = _align_stack(t, observed[:, :, 0])
+        else:
+            templates = np.column_stack([skeleton.joints[c].offset for c in ch])
+            local, refused, why = _procrustes_stack(templates, observed)
+        if refused.any():  # the walk stops at the joint's first refused item
             names = ", ".join(f"'{skeleton.joints[c].name}'" for c in ch)
-            raise type(e)(f"joint '{joint.name}' → {names}: {e}") from None
+            reason = why(int(np.argmax(refused)))
+            raise ValidationError(f"joint '{joint.name}' → {names}: {reason}")
         world[:, i] = parent_world @ local
         if p < 0:
             root = local
@@ -361,15 +361,16 @@ def joint_walk_reconstruct(skeleton, kp):
 
 
 def joint_walk_sequence(skeleton, kp):
-    """`joint_walk_reconstruct`, whose error names the earliest frame that fails on its own."""
+    """`joint_walk_reconstruct`, whose refusal names the earliest frame that fails on its own."""
+    _children_of_spherical_joints(skeleton)  # a skeleton it refuses names no frame
     try:
         return joint_walk_reconstruct(skeleton, kp)
-    except (DegenerateBone, RankDeficient):
+    except ValidationError:
         for t in range(len(kp)):
             try:
                 joint_walk_reconstruct(skeleton, kp[t : t + 1])
-            except (DegenerateBone, RankDeficient) as e:
-                raise type(e)(f"frame {t}, {e}") from None
+            except ValidationError as e:
+                raise ValidationError(f"frame {t}, {e}") from None
         raise
 
 
@@ -430,7 +431,7 @@ def per_frame_gauss_newton(residual_fn, jacobian_fn, x0, opts):
     r = residual_fn(x)
     f = float(r @ r)
     if not np.isfinite(f):
-        raise NonFiniteObjective(f"objective at start point is {f}")
+        raise NumericError(f"objective at start point is {f}")
     trace = [f]
     mu = None
     termination = "max_iterations"

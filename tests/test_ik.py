@@ -10,7 +10,7 @@ from retarget_kit import (
     reconstruct_sequence,
 )
 from retarget_kit import ik
-from retarget_kit.errors import DegenerateBone, RankDeficient, ValidationError
+from retarget_kit.errors import ValidationError
 from retarget_kit.ik import _rotvec_quat
 from retarget_kit.rotations import _exp_stack, _rotvec_stack
 from retarget_kit.skeleton import Joint, JointTrajectory, Skeleton, fk
@@ -220,7 +220,7 @@ class TestReconstructFrame:
             ]
         )
         frame = KeypointFrame(np.zeros((2, 3)), ("root", "a"))
-        with pytest.raises(DegenerateBone):
+        with pytest.raises(ValidationError, match=r"^frame 0, joint 'root' → 'a': bone norms"):
             reconstruct_frame(skel, frame)
 
     def test_collinear_children_rank_deficient(self):
@@ -234,7 +234,7 @@ class TestReconstructFrame:
         frame = KeypointFrame(
             np.array([[0, 0, 0], [0, 1, 0], [0, 2, 0]], dtype=float), ("root", "a", "b")
         )
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ValidationError, match="'a', 'b': cross-covariance rank < 2"):
             reconstruct_frame(skel, frame)
 
 
@@ -490,7 +490,7 @@ def collapsed(skel, kp, t, joint):
 
 
 def error_of(call):
-    with pytest.raises((DegenerateBone, RankDeficient)) as e:
+    with pytest.raises(ValidationError, match="bone norms|cross-covariance rank") as e:
         call()
     return e.type, str(e.value)
 
@@ -505,12 +505,11 @@ class TestLevelWalkErrors:
         kp = collapsed(skel, kp, 3, "y")  # ... and so does joint x (depth 1), met first
         kp = collapsed(skel, kp, 4, "b")
         want = error_of(lambda: joint_walk_sequence(skel, kp))
-        assert want[0] is DegenerateBone
         assert want[1].startswith("frame 3, joint 'c' → 'd': bone norms ")
         assert error_of(lambda: reconstruct_sequence(skel, kp, labels_of(skel))) == want
         frame = KeypointFrame(kp[3], labels_of(skel))
         assert error_of(lambda: reconstruct_frame(skel, frame)) == error_of(
-            lambda: joint_walk_reconstruct(skel, kp[3:4])
+            lambda: joint_walk_sequence(skel, kp[3:4])
         )
 
     @pytest.mark.parametrize("name", ["human_24", "humanlike", "random_tree", "branching"])
@@ -524,7 +523,7 @@ class TestLevelWalkErrors:
                 kp = collapsed(skel, kp, rng.integers(6), joint)
             try:
                 root, values = joint_walk_sequence(skel, kp)
-            except (DegenerateBone, RankDeficient) as e:
+            except ValidationError as e:
                 want = type(e), str(e)
                 assert error_of(lambda: reconstruct_sequence(skel, kp, labels)) == want
                 failed += 1
@@ -594,7 +593,7 @@ class TestArrayInput:
         frames = humanlike_frames(skel, rng, 6)
         frames[4] = collapse(frames[4], skel, "c1_1", "c1_0")
         kp = np.array([f.positions for f in frames])
-        with pytest.raises(DegenerateBone, match=r"^frame 4, joint 'c1_0' → 'c1_1': bone norms"):
+        with pytest.raises(ValidationError, match=r"^frame 4, joint 'c1_0' → 'c1_1': bone norms"):
             reconstruct_sequence(skel, kp, labels_of(skel))
 
 
@@ -692,7 +691,7 @@ class TestErrorsNameFrameAndJoint:
         skel = make_humanlike()
         frames = humanlike_frames(skel, rng, 10)
         frames[7] = collapse(frames[7], skel, "c1_1", "c1_0")
-        with pytest.raises(DegenerateBone, match=r"^frame 7, joint 'c1_0' → 'c1_1': bone norms"):
+        with pytest.raises(ValidationError, match=r"^frame 7, joint 'c1_0' → 'c1_1': bone norms"):
             reconstruct_frames(skel, frames)
 
     def test_earliest_frame_then_first_joint(self, rng):
@@ -702,7 +701,7 @@ class TestErrorsNameFrameAndJoint:
         frames[5] = collapse(frames[5], skel, "c0_1", "c0_0")
         frames[3] = collapse(frames[3], skel, "c2_2", "c2_1")
         frames[3] = collapse(frames[3], skel, "c1_1", "c1_0")
-        with pytest.raises(DegenerateBone, match=r"^frame 3, joint 'c1_0' → 'c1_1': "):
+        with pytest.raises(ValidationError, match=r"^frame 3, joint 'c1_0' → 'c1_1': bone norms"):
             reconstruct_frames(skel, frames)
 
     def test_rank_deficient(self, rng):
@@ -711,7 +710,7 @@ class TestErrorsNameFrameAndJoint:
         for child in ("c0_0", "c1_0", "c2_0"):
             frames[2] = collapse(frames[2], skel, child, "root")
         with pytest.raises(
-            RankDeficient,
+            ValidationError,
             match=r"^frame 2, joint 'root' → 'c0_0', 'c1_0', 'c2_0': cross-covariance rank < 2",
         ):
             reconstruct_frames(skel, frames)
@@ -719,7 +718,7 @@ class TestErrorsNameFrameAndJoint:
     def test_single_frame_names_the_joint(self, rng):
         skel = make_humanlike()
         frame = collapse(humanlike_frames(skel, rng, 1)[0], skel, "c0_2", "c0_1")
-        with pytest.raises(DegenerateBone, match=r"^joint 'c0_1' → 'c0_2': bone norms"):
+        with pytest.raises(ValidationError, match=r"^frame 0, joint 'c0_1' → 'c0_2': bone norms"):
             reconstruct_frame(skel, frame)
 
     def test_spherical_joints_checked_before_any_work(self):

@@ -69,16 +69,7 @@ PUBLIC_API = [
 ]
 
 # A subclass exists only where package code catches it by type or reads an attribute it carries.
-ERROR_CLASSES = [
-    "DegenerateBone",
-    "DegenerateFrame",
-    "NonFiniteObjective",
-    "NumericError",
-    "ParseError",
-    "RankDeficient",
-    "RetargetKitError",
-    "ValidationError",
-]
+ERROR_CLASSES = ["NumericError", "ParseError", "RetargetKitError", "ValidationError"]
 
 # The parameter names of every public function and of every public class's constructor.
 PARAMETERS = {

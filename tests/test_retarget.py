@@ -15,7 +15,7 @@ from retarget_kit import (
     retarget_sequence,
 )
 from retarget_kit import retarget
-from retarget_kit.errors import NonFiniteObjective, ValidationError
+from retarget_kit.errors import NumericError, ValidationError
 from retarget_kit.retarget import _gauss_newton, _project_to_limits
 from retarget_kit.skeleton import Joint, Skeleton
 
@@ -56,8 +56,8 @@ class TestRetargetFrame:
         ids=["wrong_length", "nan"],
     )
     def test_smooth_to_follows_the_array_rule(self, smooth_to, message):
-        # These once raised a raw broadcast ValueError, and NonFiniteObjective (a numeric
-        # failure, exit 3) for what is bad input.
+        # These once raised a raw broadcast ValueError, and a non-finite objective (a
+        # numeric failure, exit 3) for what is bad input.
         human, robot = load_example_skeleton("human_24"), load_example_skeleton("h1_like_19")
         corr = load_example_correspondence("human_to_h1", human, robot)
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -207,7 +207,7 @@ class TestRetargetFrame:
         bad.joint_values[0] = 1e200  # overflows FK products into inf
         corr = identity_corr(humanlike)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises((NonFiniteObjective, ValidationError)):
+            with pytest.raises((NumericError, ValidationError)):
                 retarget_frame(humanlike, bad, humanlike, corr)
 
     def test_needs_position_pair(self):
@@ -218,7 +218,7 @@ class TestRetargetFrame:
                              ids=["no_pairs", "negative", "nan", "inf", "zero", "all_zero"])
     def test_bad_position_weights_rejected(self, weights):
         # a NaN or zero weight would drop the marker's term from the solve; a negative
-        # or infinite one would end in NonFiniteObjective
+        # or infinite one would end in a non-finite objective, a NumericError
         with pytest.raises(ValidationError, match="weight"):
             CorrespondenceSet(tuple(CorrespondencePair("a", "a", w) for w in weights))
 
@@ -354,7 +354,7 @@ class TestTermination:
         values[0] = 1e200  # non-finite targets below the root
         bad = Pose(good.root_position, good.root_orientation, values)
         with np.errstate(all="ignore"), pytest.raises(
-            NonFiniteObjective, match=r"^frame 1: objective at start point is nan$"
+            NumericError, match=r"^frame 1: objective at start point is nan$"
         ):
             retarget_sequence(humanlike, [good, bad], humanlike, identity_corr(humanlike))
 

@@ -2,10 +2,14 @@
 but numpy and the standard library."""
 
 import ast
+import builtins
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from retarget_kit import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -151,4 +155,100 @@ def test_finds_a_report_written_outside_main():
     )
     assert report_policy_breaks(source) == [
         ("cmd_a", 2), ("cmd_a", 3), ("cmd_a", 3), (None, 6)
+    ]
+
+
+# One convention for errors: an error is worded where it is raised, by the code that
+# knows its frame, joint or file location, so no package code adds an attribute to
+# an exception; and an `except` clause catches an `errors` class only by a family or
+# by ParseError, the one subclass with attributes of its own.
+ERROR_CLASSES = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+EXCEPTION_CLASSES = ERROR_CLASSES | {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+CATCHABLE = {"ValidationError", "NumericError", "ParseError"}
+
+
+def error_policy_breaks(source):
+    """(line, what) of each `errors` class outside CATCHABLE named by an `except`
+    clause of `source`, and of each attribute set, by assignment or by setattr, on
+    an exception: a name bound by `except ... as`, or to a call of an exception
+    class or of type(x)."""
+    tree = ast.parse(source)
+    errors_seen, breaks = set(), []
+
+    def name_of(node):  # `X` or `errors.X`
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def makes_error(call):
+        func = call.func
+        if isinstance(func, ast.Call):  # type(e)(...)
+            return name_of(func.func) == "type"
+        return name_of(func) in EXCEPTION_CLASSES
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            errors_seen.add(node.name)
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            breaks += [(node.lineno, f"except {name}") for name in map(name_of, caught)
+                       if name in ERROR_CLASSES - CATCHABLE]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if makes_error(node.value):
+                errors_seen.update(map(name_of, node.targets))
+    errors_seen.discard(None)  # an `except` without `as`, a tuple target
+
+    def on_error(node):  # the line and text of an attribute set on an exception
+        if isinstance(node, ast.Attribute) and name_of(node.value) in errors_seen:
+            return [(node.lineno, f"{name_of(node.value)}.{node.attr} =")]
+        if isinstance(node, ast.Tuple):
+            return [b for elt in node.elts for b in on_error(elt)]
+        return []
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            breaks += [b for target in node.targets for b in on_error(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            breaks += on_error(node.target)
+        elif isinstance(node, ast.Call) and name_of(node.func) == "setattr" and node.args:
+            if name_of(node.args[0]) in errors_seen:
+                breaks.append((node.lineno, f"setattr({name_of(node.args[0])}, ...)"))
+    return sorted(breaks)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("src/retarget_kit/*.py")), ids=lambda p: p.name
+)
+def test_errors_are_worded_where_raised_and_caught_by_family(path):
+    assert error_policy_breaks(path.read_text(encoding="utf-8")) == []
+
+
+def test_finds_an_error_policy_break():
+    source = textwrap.dedent("""\
+        def f(q):
+            error = ValidationError("zero quaternion")
+            error.row = 1
+            raise error
+        def g(call, t):
+            try:
+                call()
+            except (errors.RetargetKitError, ValueError) as e:
+                e.frame, n = t, 0
+                raise
+            except ParseError as e:
+                setattr(e, "frame", t)
+            except NumericError as e:
+                e = type(e)(f"frame {t}, {e}")
+                e.note += "!"
+                raise e
+        class Kept(ValueError):
+            def __init__(self, row):
+                self.row = row
+        """)
+    assert error_policy_breaks(source) == [
+        (3, "error.row ="), (8, "except RetargetKitError"), (9, "e.frame ="),
+        (12, "setattr(e, ...)"), (15, "e.note ="),
     ]
