@@ -6,7 +6,8 @@ features. Every subcommand reads versioned JSON files, each motion through
 atomically and returns its report tree; `main` writes that tree to
 --report, which every subcommand takes, after the outputs. Exit codes: 0
 success, 2 validation error (a report or standard output that cannot be
-written included), 3 numeric failure.
+written included), 3 numeric failure. A run builds only its own subcommand's
+parser from COMMANDS; help and errors read as with the whole tree.
 """
 
 from __future__ import annotations
@@ -226,68 +227,76 @@ def cmd_features(args):
 # --- parser ------------------------------------------------------------
 
 
-def build_parser():
+def _typed(default):
+    return {"type": type(default), "default": default}
+
+
+_MOTION_IO = ("--skel", "--motion", "--out")
+_FLAG = {"action": "store_true"}
+GROUPS = {"metrics": "tracking and generation metrics", "quantize": "codebook operations"}
+# Every subcommand, in help order: its words, function, help, required flags and other
+# arguments, {flag: add_argument keywords}. Each takes --report as well.
+COMMANDS = (
+    (("fk",), cmd_fk, "forward kinematics: trajectory -> keypoints", _MOTION_IO, {}),
+    (("ik",), cmd_ik, "reconstruct poses: keypoints -> trajectory", _MOTION_IO,
+     {"--no-continuity": _FLAG}),
+    (("retarget",), cmd_retarget, "human trajectory -> robot trajectory",
+     ("--human", "--human-skel", "--robot-skel", "--map", "--out"),
+     {**{"--" + name.replace("_", "-"): _typed(getattr(RetargetOptions, name))
+         for name in SOLVER_OPTIONS}, "--no-warm-start": _FLAG}),
+    (("metrics", "track"), cmd_metrics_track, "MPJPE/VEL/ACCEL between two trajectories",
+     ("--ref", "--exec"), {"--height-threshold": {"type": float}}),
+    (("metrics", "gen"), cmd_metrics_gen, "FID/DIV/MModality/MM-Dist/R Top-k on features",
+     ("--reference", "--generated"),
+     {"--text": {}, "--pairs": _typed(0), "--pool": _typed(32),
+      "--seed": _typed(metrics.DEFAULT_SEED)}),
+    (("quantize", "assign"), cmd_quantize_assign, "nearest-entry token assignment",
+     ("--codebook", "--latents", "--out"), {"--downsample": {"type": int}}),
+    (("features",), cmd_features, "pose feature vectors from a trajectory", _MOTION_IO,
+     {"--contact-threshold": _typed(features_mod.DEFAULT_CONTACT_THRESHOLD)}),
+)
+
+
+def build_parser(argv=()):
+    """The parser of `argv`: the root, the subcommand argv starts with and its group;
+    every subcommand when argv names none."""
+    chosen = [c for c in COMMANDS if tuple(argv[:len(c[0])]) == c[0]]
     parser = Parser(  # its subparsers are Parsers too, through add_subparsers' parser_class
         prog="retarget-kit",
         description="Keypoint motion to robot joint trajectories, plus motion metrics.",
     )
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--report", help="write a JSON report here, after the outputs")
+    actions = {}  # words of a parser -> its subparsers action, made on first use
 
-    def leaf(subparsers, name, func, help, required):
-        """A subcommand running `func`, taking --report and the `required` flags."""
-        p = subparsers.add_parser(name, help=help, parents=[report])
+    def subparsers(words):
+        if words not in actions:
+            p = parser
+            if words:
+                p = subparsers(words[:-1]).add_parser(words[-1], help=GROUPS[words[-1]])
+            names = dict.fromkeys(w[len(words)] for w, *_ in COMMANDS if w[:len(words)] == words)
+            # A partial tree names every choice in its usage lines. The whole tree leaves
+            # that to argparse, whose errors would name the action by a metavar, not dest.
+            actions[words] = p.add_subparsers(
+                dest=("command", "mode")[len(words)], required=True,
+                metavar="{%s}" % ",".join(names) if chosen else None,
+            )
+        return actions[words]
+
+    for words, func, help, required, extra in chosen or COMMANDS:
+        p = subparsers(words[:-1]).add_parser(words[-1], help=help)
+        p.add_argument("--report", help="write a JSON report here, after the outputs")
         for flag in required:
             p.add_argument(flag, required=True)
+        for flag, keywords in extra.items():
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-        return p
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    motion_io = ("--skel", "--motion", "--out")
-    leaf(sub, "fk", cmd_fk, "forward kinematics: trajectory -> keypoints", motion_io)
-
-    p = leaf(sub, "ik", cmd_ik, "reconstruct poses: keypoints -> trajectory", motion_io)
-    p.add_argument("--no-continuity", action="store_true")
-
-    p = leaf(sub, "retarget", cmd_retarget, "human trajectory -> robot trajectory",
-             ("--human", "--human-skel", "--robot-skel", "--map", "--out"))
-    for name in SOLVER_OPTIONS:  # --limit-weight etc., defaults from RetargetOptions
-        default = getattr(RetargetOptions, name)
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
-    p.add_argument("--no-warm-start", action="store_true")
-
-    msub = sub.add_parser("metrics", help="tracking and generation metrics").add_subparsers(
-        dest="mode", required=True
-    )
-    p = leaf(msub, "track", cmd_metrics_track, "MPJPE/VEL/ACCEL between two trajectories",
-             ("--ref", "--exec"))
-    p.add_argument("--height-threshold", type=float, default=None)
-
-    p = leaf(msub, "gen", cmd_metrics_gen, "FID/DIV/MModality/MM-Dist/R Top-k on features",
-             ("--reference", "--generated"))
-    p.add_argument("--text")
-    p.add_argument("--pairs", type=int, default=0)
-    p.add_argument("--pool", type=int, default=32)
-    p.add_argument("--seed", type=int, default=metrics.DEFAULT_SEED)
-
-    qsub = sub.add_parser("quantize", help="codebook operations").add_subparsers(
-        dest="mode", required=True
-    )
-    p = leaf(qsub, "assign", cmd_quantize_assign, "nearest-entry token assignment",
-             ("--codebook", "--latents", "--out"))
-    p.add_argument("--downsample", type=int, default=None)
-
-    p = leaf(sub, "features", cmd_features, "pose feature vectors from a trajectory", motion_io)
-    p.add_argument(
-        "--contact-threshold", type=float, default=features_mod.DEFAULT_CONTACT_THRESHOLD
-    )
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
         with standard_output():
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv).parse_args(argv)
         report = args.func(args)
         if args.report:
             io.save_report(report, args.report)

@@ -30,7 +30,7 @@ from retarget_kit import (
     save_skeleton,
     trajectory_motion,
 )
-from retarget_kit.cli import build_parser, main
+from retarget_kit.cli import COMMANDS, Parser, build_parser, main
 from retarget_kit.retarget import TERMINATIONS, RetargetOptions
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
@@ -858,18 +858,6 @@ class TestExitCodes:
         assert run(named_argv(command, workdir, motion_name, skel_name)) == 0
 
 
-def leaf_parsers(parser, path=()):
-    """{path of subcommand names: parser} of every leaf subcommand under `parser`."""
-    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subparsers:
-        return {path: parser}
-    return {
-        leaf: p
-        for name, sub in subparsers[0].choices.items()
-        for leaf, p in leaf_parsers(sub, path + (name,)).items()
-    }
-
-
 def keypoint_file(workdir):
     rendered_keypoints(workdir)
     return workdir / "kp.motion"
@@ -900,11 +888,22 @@ SUBCOMMAND_RUNS = {
 }
 
 
+LEAVES = [words for words, *_ in COMMANDS]
+ROOT_NAMES = ["fk", "ik", "retarget", "metrics", "quantize", "features"]
+ROOT_CHOICES = "{fk,ik,retarget,metrics,quantize,features}"
+
+
+def valid_argv(words):
+    """argv of the leaf `words` with each of its required flags given "x"."""
+    required = next(c[3] for c in COMMANDS if c[0] == words)
+    return [*words, *(a for flag in required for a in (flag, "x"))]
+
+
 class TestReportContract:
-    @pytest.mark.parametrize("path", list(leaf_parsers(build_parser())), ids="-".join)
+    @pytest.mark.parametrize("path", LEAVES, ids="-".join)
     def test_every_subcommand_writes_its_report_after_its_outputs(self, workdir, path):
-        parser = leaf_parsers(build_parser())[path]
-        assert any("--report" in a.option_strings for a in parser._actions)
+        argv = valid_argv(path) + ["--report", "r.json"]
+        assert build_parser(argv).parse_args(argv).report == "r.json"
         argv, out = SUBCOMMAND_RUNS[path](workdir)
         report = workdir / "report.json"
         assert run(argv + ["--report", report]) == 0
@@ -914,7 +913,88 @@ class TestReportContract:
 
     def test_every_subcommand_is_listed(self):
         # so that a new subcommand is run by the test above and held to the contract
-        assert set(leaf_parsers(build_parser())) == set(SUBCOMMAND_RUNS)
+        assert set(LEAVES) == set(SUBCOMMAND_RUNS)
+
+
+def outcome(parse, argv, capsys):
+    """(exit code, standard output, standard error, namespace) of parse(argv); the
+    code is None when it returns."""
+    try:
+        code, namespace = None, parse(argv)
+    except SystemExit as e:
+        code, namespace = e.code, None
+    return (code, *capsys.readouterr(), namespace)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The prog of every Parser made while the test runs, in order."""
+    progs = []
+
+    def init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        argparse.ArgumentParser.__init__(self, *args, **kwargs)
+
+    monkeypatch.setattr(Parser, "__init__", init)
+    return progs
+
+
+def leaf_cases(words):
+    """Help, a valid run, and a missing required flag, an unknown flag, a trailing flag
+    with no value and each typed argument given a bad value."""
+    valid = valid_argv(words)
+    extra = next(c[4] for c in COMMANDS if c[0] == words)
+    return [[*words, "--help"], valid, valid[:-2], valid + ["--bogus"], valid + ["extra"],
+            valid + ["--report"], *(valid + [flag, "x"] for flag, k in extra.items() if "type" in k)]
+
+
+class TestParserBuild:
+    """A run builds only its own subcommand's parser, and reads as the whole tree does."""
+
+    @pytest.mark.parametrize("argv", [argv for words in LEAVES for argv in leaf_cases(words)],
+                             ids=" ".join)
+    def test_leaf_parser_matches_whole_tree(self, capsys, argv):
+        leaf = outcome(lambda a: build_parser(a).parse_args(a), argv, capsys)
+        assert leaf == outcome(build_parser().parse_args, argv, capsys)
+        assert leaf[0] in (None, 0, 2)
+
+    @pytest.mark.parametrize("words", LEAVES, ids="-".join)
+    def test_main_builds_the_root_and_its_leaf_only(self, monkeypatch, capsys, built, words):
+        monkeypatch.setattr(sys, "argv", ["retarget-kit", *words, "--help"])
+        assert outcome(lambda a: main(), None, capsys)[0] == 0
+        assert built == [" ".join(("retarget-kit", *words[:i])) for i in range(len(words) + 1)]
+
+    @pytest.mark.parametrize("words", LEAVES, ids="-".join)
+    def test_unrecognized_argument_usage_names_every_subcommand(self, capsys, words):
+        code, out, err, _ = outcome(main, valid_argv(words) + ["--bogus"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"usage: retarget-kit [-h] {ROOT_CHOICES} ...",
+                                    "retarget-kit: error: unrecognized arguments: --bogus"]
+
+    @pytest.mark.parametrize(
+        "argv, names, dest",
+        [([], ROOT_NAMES, "command"), (["--help"], ROOT_NAMES, "command"),
+         (["bogus"], ROOT_NAMES, "command"), (["metrics"], ["track", "gen"], "mode"),
+         (["metrics", "--help"], ["track", "gen"], "mode"),
+         (["metrics", "bogus"], ["track", "gen"], "mode"),
+         (["quantize", "--help"], ["assign"], "mode")],
+        ids=["empty", "help", "bogus", "metrics", "metrics-help", "metrics-bogus",
+             "quantize-help"],
+    )
+    def test_no_leaf_builds_the_whole_tree(self, capsys, built, argv, names, dest):
+        code, out, err, _ = outcome(main, argv, capsys)
+        assert len(built) == 1 + len(LEAVES) + len({w[0] for w in LEAVES if len(w) > 1})
+        help = "--help" in argv
+        assert (code, bool(out), bool(err)) == ((0, True, False) if help else (2, False, True))
+        assert "{%s}" % ",".join(names) in (out if help else err)
+        if help:  # one line per choice, its name first
+            assert [line.split()[0] for line in out.splitlines() if line.startswith(" " * 4)] \
+                == names
+        else:  # an error names the subparsers action by its dest
+            last = err.splitlines()[-1]
+            assert f"argument {dest}: " in last or last.endswith(f"required: {dest}")
+        if "bogus" in argv:  # the invalid-choice error names every choice
+            assert all(repr(name) in err.splitlines()[-1] for name in names)
 
 
 class TestEntryPoint:
