@@ -31,6 +31,8 @@ _NUMBER_RULES = {
     "[0, 1]": (Real, lambda x: 0 <= x <= 1, "a number in [0, 1]"),
     "int >= 1": (Integral, lambda x: x >= 1, "an integer >= 1"),
 }
+# The built-in types of each kind, taken without the slower abstract base class check.
+_BUILTIN = {Real: (float, int), Integral: (int,)}
 
 
 class RetargetKitError(Exception):
@@ -60,7 +62,9 @@ def check_number(name, value, rule):
     ValidationError that names it."""
     kind, within, must_be = _NUMBER_RULES[rule]
     try:  # math.isfinite raises OverflowError on an integer past the float range
-        valid = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+        valid = (
+            type(value) in _BUILTIN[kind] or isinstance(value, kind) and not isinstance(value, bool)
+        ) and math.isfinite(value)
     except OverflowError:
         valid = False
     if not (valid and within(value)):

@@ -12,25 +12,33 @@ Savers hand it numeric np.ndarrays, and a trajectory's frames as `_Records`
 of its columns; each column is checked whole by `errors.check_array`, which
 refuses NaN and infinity as every loader does, then rendered a block of at
 most _BLOCK_VALUES values' top-level rows a piece (one repr pass per column,
-joined by shape), so a write holds one block's text. Large matrices may be
-stored as a sidecar flat binary of little-endian float64, referenced as
-{"binary": <relative path>, "shape": [rows, cols]} and written atomically
-too. A trajectory is loaded as one array per frame key.
+joined by shape), so a write holds one block's text. The rest of a tree is
+plain: a list or object of scalars is written in one pass of a C encoder
+(`_text`), any other scalar through json's text for its type, and any other
+list or object, such as a report's `per_frame`, an item at a time. Large
+matrices may be stored as a sidecar flat binary of little-endian float64,
+referenced as {"binary": <relative path>, "shape": [rows, cols]} and written
+atomically too. A trajectory is loaded as one array per frame key.
 
 Every loader reads its document through `_load`, which checks the header,
 and every saver writes it through `_save`, which writes the header. A
 malformed field or record, of any type or value, is a ParseError naming the
 file and its JSON location; the rules on a value live in the type built
-from it, and the loaders only attach the location.
+from it, and the loaders only attach the location. A skeleton's joints and
+markers and a map's pairs are checked a column at a time by those rules and
+built unchecked; only a table that check refuses is walked a record at a
+time through the types, so that the error names the first bad record.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +47,16 @@ from .errors import ParseError, ValidationError, check_array, check_labels, chec
 from .metrics import FeatureMatrix
 from .retarget import CorrespondencePair, CorrespondenceSet, leg_scale
 from .rotations import _matrix_stack, _quat_stack
-from .skeleton import Joint, JointTrajectory, Marker, Skeleton, _skeleton_name
+from .skeleton import (
+    _AXIS_NORM_TOL,
+    DOF_COUNTS,
+    Joint,
+    JointTrajectory,
+    Marker,
+    Skeleton,
+    _axis_norms,
+    _skeleton_name,
+)
 from .vq import DEFAULT_DECAY, DEFAULT_EPSILON, Codebook, TokenSequence
 
 FORMAT_VERSION = 1
@@ -103,6 +120,16 @@ def _records(path, obj, key, make):
     return records
 
 
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`: every field,
+    already checked by cls's rules and in the form its __post_init__ stores. A
+    loader that checks a whole table by column builds its records with this, so
+    no record is checked a second time."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _matrix(node, path, location, base_dir):
     """Inline list-of-lists matrix or a {"binary", "shape"} sidecar reference."""
     name = location[1:]
@@ -154,44 +181,97 @@ class _Records:
 _BLOCK_VALUES = 1024  # the most values a piece of an array or of records is made from
 
 
-def _plain(node):
-    """Whether `_render` writes the tree in one json.dumps: no array or records, no
-    non-str object key and no list holding a list or an object anywhere in it."""
+def _float_text(x):
+    """json's text of a float: its repr, or NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_LEAF_TEXT = {  # json's text of a scalar leaf, by its exact type
+    float: _float_text,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+@functools.cache
+def _encoder(depth):
+    """The C encoder of a list or object of scalars at nesting level `depth`: its
+    items one a line at level depth + 1, the brackets left for `_text` to place."""
+    return json.JSONEncoder(check_circular=False, separators=(",\n" + " " * (depth + 1), ": "))
+
+
+def _text(node, depth):
+    """json.dumps(node, indent=1) at nesting level `depth` if `node` is a leaf or a
+    list or object of leaves whose types are in _LEAF_TEXT, else None.
+
+    Such a leaf is written through _LEAF_TEXT and such a container in one pass of
+    its depth's C encoder. Any other leaf goes through an encoder too, which
+    writes a subclass of a scalar type as json does and refuses what json refuses."""
+    leaf = _LEAF_TEXT.get(type(node))
+    if leaf:
+        return leaf(node)
     if isinstance(node, dict):
-        return all(isinstance(k, str) and _plain(v) for k, v in node.items())
-    if isinstance(node, (list, tuple)):
-        return not any(isinstance(v, (dict, list, tuple, np.ndarray, _Records)) for v in node)
-    return not isinstance(node, (np.ndarray, _Records))
+        if not all(map(isinstance, node, itertools.repeat(str))):
+            raise TypeError("object keys must be strings")
+        values = node.values()
+    elif isinstance(node, (list, tuple)):
+        values = node
+    elif isinstance(node, (np.ndarray, _Records)):
+        return None
+    else:
+        return _encoder(0).encode(node)
+    if not _LEAF_TEXT.keys() >= set(map(type, values)):  # an item is not such a leaf
+        return None
+    text = _encoder(depth).encode(node)
+    if len(text) == 2:  # [] or {}
+        return text
+    return text[0] + "\n" + " " * (depth + 1) + text[1:-1] + "\n" + " " * depth + text[-1]
 
 
 def _render(node, depth):
-    """The pieces of json.dumps(node, indent=1) at nesting level `depth`, byte for byte.
+    """The pieces of json.dumps(node, indent=1) at nesting level `depth`, byte for byte:
+    the one piece of `_text` when it has one, else those of `_pieces`."""
+    text = _text(node, depth)
+    if text is None:
+        yield from _pieces(node, depth)
+    else:
+        yield text
 
-    A numeric np.ndarray or a `_Records` is written by `_blocks`; a list of lists
-    or objects, such as a report's `per_frame`, is rendered an item at a time; a
-    leaf, or any other subtree with no array in it, goes through one json.dumps,
-    re-indented for its depth."""
+
+def _pieces(node, depth):
+    """`_render`'s pieces of a container `_text` does not write whole. A numeric
+    np.ndarray or a `_Records` is written by `_blocks`; any other container, such
+    as a report's `per_frame`, an item at a time: a leaf joins the piece before
+    it, a container `_text` writes is a piece, and any other container is a
+    level deeper in `_pieces`, so no piece holds more than one container item."""
     if isinstance(node, (np.ndarray, _Records)):
         yield from _blocks(node, depth)
         return
-    elif _plain(node):
-        # json.dumps escapes newlines in strings: every "\n" it writes starts a line
-        yield json.dumps(node, indent=1).replace("\n", "\n" + " " * depth)
-        return
-    elif isinstance(node, dict):
-        if any(not isinstance(k, str) for k in node):
-            raise TypeError("object keys must be strings")
-        items = ((json.dumps(k) + ": ", _render(v, depth + 1)) for k, v in node.items())
+    if isinstance(node, dict):
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in node.items())
+        brackets = "{}"
     else:
-        items = (("", _render(v, depth + 1)) for v in node)
-    brackets = "{}" if isinstance(node, dict) else "[]"
+        items, brackets = (("", v) for v in node), "[]"
     inner = "\n" + " " * (depth + 1)
-    sep = brackets[0] + inner
-    for head, pieces in items:
-        yield sep + head
-        yield from pieces
+    sep, piece = brackets[0] + inner, ""
+    for head, value in items:
+        leaf = _LEAF_TEXT.get(type(value))
+        text = leaf(value) if leaf else _text(value, depth + 1)
+        if text is None:  # a container written in pieces
+            yield piece + sep + head
+            yield from _pieces(value, depth + 1)
+            piece = ""
+        elif leaf or not isinstance(value, (dict, list, tuple)):  # a leaf
+            piece += sep + head + text
+        else:  # a container written whole
+            yield piece + sep + head + text
+            piece = ""
         sep = "," + inner
-    yield "\n" + " " * depth + brackets[1]
+    yield piece + "\n" + " " * depth + brackets[1]
 
 
 def _blocks(node, depth):
@@ -278,7 +358,73 @@ def save_report(report, path):
 # --- skeleton ----------------------------------------------------------
 
 
+def _skeleton_columns(obj):
+    """The joints and markers of a skeleton document, each table checked a column
+    at a time by the rules `Joint` and `Marker` check a record by, then built
+    without a second check.
+
+    It raises, naming no location, on whatever it does not take: a table that
+    is not a list of objects, a name that is not a string, a dof that is neither
+    "fixed" nor "spherical" nor a revolute object with an axis, offsets or axes
+    that are not (n, 3) finite numbers, an axis norm off 1 by more than
+    _AXIS_NORM_TOL, limits that are not one [min, max] pair of finite numbers
+    with min <= max per DoF. Valid documents of rarer forms, such as a fixed
+    joint whose dof is an object, are refused too: `load_skeleton` walks a
+    refused document a record at a time.
+    """
+    nodes, marks = obj.get("joints", []), obj.get("markers", [])
+    if not (type(nodes) is type(marks) is list and {dict} >= set(map(type, nodes + marks))):
+        raise ValidationError("not a list of objects")
+    names, parents = [n["name"] for n in nodes], [n.get("parent") for n in nodes]
+    dofs = [n.get("dof", "fixed") for n in nodes]
+    kinds = [d.get("type") if type(d) is dict else d for d in dofs]
+    limits = [n.get("limits", []) for n in nodes]
+    if not (
+        {str} >= set(map(type, names)) and {str, type(None)} >= set(map(type, parents))
+        and all(k in DOF_COUNTS and (k == "revolute") == (type(d) is dict)
+                for d, k in zip(dofs, kinds))
+        and {list} >= set(map(type, limits))
+        and all(not lim or len(lim) == DOF_COUNTS[k] for lim, k in zip(limits, kinds))
+    ):
+        raise ValidationError("unchecked joint fields")
+    offsets = check_array("offset", [n["offset"] for n in nodes], (len(nodes), 3))
+    axes = [d["axis"] for d in dofs if type(d) is dict]
+    if axes:
+        axes = check_array("axis", axes, (len(axes), 3))
+        norms = _axis_norms(axes)
+        if (np.abs(norms - 1.0) > _AXIS_NORM_TOL).any():
+            raise ValidationError("axis norm")
+        axes = iter(axes / norms[:, None])
+    pairs = [p for lim in limits for p in lim]
+    if not ({list} >= set(map(type, pairs)) and {2} >= set(map(len, pairs))):
+        raise ValidationError("unchecked limits")
+    values = [float(check_number("limit", x, "finite")) for p in pairs for x in p]
+    pairs = list(zip(values[::2], values[1::2]))
+    if any(lo > hi for lo, hi in pairs):
+        raise ValidationError("limit min > max")
+    ends = itertools.accumulate(map(len, limits))
+    joints = [
+        _prechecked(Joint, name=name, parent=parent, offset=offset, dof=kind,
+                    axis=next(axes) if kind == "revolute" else None,
+                    limits=tuple(pairs[end - len(lim) : end]), meta=node.get("meta", {}))
+        for node, name, parent, offset, kind, lim, end
+        in zip(nodes, names, parents, offsets, kinds, limits, ends)
+    ]
+    marker_names = [m["name"] for m in marks] + [m["joint"] for m in marks]
+    if not {str} >= set(map(type, marker_names)):
+        raise ValidationError("unchecked marker names")
+    offsets = check_array("offset", [m["offset"] for m in marks], (len(marks), 3)) if marks else []
+    markers = [
+        _prechecked(Marker, name=m["name"], joint=m["joint"], offset=offset)
+        for m, offset in zip(marks, offsets)
+    ]
+    return joints, markers
+
+
 def load_skeleton(path):
+    """A skeleton document, its tables checked by column (`_skeleton_columns`).
+    A document that check refuses is walked a record at a time, through `Joint`
+    and `Marker`, so that the error names the first bad record and its field."""
     obj = _load(path, "skeleton")
     name = _at(path, "/name", _skeleton_name, obj.get("name"))
 
@@ -301,9 +447,11 @@ def load_skeleton(path):
         offset = _at(path, location + "/offset", check_array, "offset", node["offset"], (3,))
         return Marker(name=node["name"], joint=node["joint"], offset=offset)
 
-    joints = _records(path, obj, "joints", joint)
-    markers = _records(path, obj, "markers", marker)
-    return _at(path, "/joints", Skeleton, joints, markers, name)
+    try:
+        tables = _skeleton_columns(obj)
+    except (ValidationError, *_MALFORMED):
+        tables = _records(path, obj, "joints", joint), _records(path, obj, "markers", marker)
+    return _at(path, "/joints", Skeleton, *tables, name)
 
 
 def save_skeleton(skeleton, path):
@@ -453,16 +601,40 @@ def keypoint_motion(frames, labels, fps, skeleton=None):
 # --- correspondence ----------------------------------------------------
 
 
+def _pair_columns(obj):
+    """The pairs of a map document, checked a column at a time by the rules
+    `CorrespondencePair` checks a pair by, then each built once, its weights as
+    floats. It raises, naming no location, on a table that is not a list of
+    objects, a name that is not a string or a weight that is not a number >= 0."""
+    nodes = obj.get("pairs", [])
+    if not (type(nodes) is list and {dict} >= set(map(type, nodes))):
+        raise ValidationError("not a list of objects")
+    humans, robots = [n["human"] for n in nodes], [n["robot"] for n in nodes]
+    if not {str} >= set(map(type, humans + robots)):
+        raise ValidationError("unchecked pair names")
+    position = [n.get("position_weight", 1.0) for n in nodes]
+    orientation = [n.get("orientation_weight", 0.0) for n in nodes]
+    weights = [float(check_number("weight", w, ">= 0")) for w in position + orientation]
+    return [
+        _prechecked(CorrespondencePair, human=h, robot=r, position_weight=p, orientation_weight=o)
+        for h, r, p, o in zip(humans, robots, weights, weights[len(nodes) :])
+    ]
+
+
 def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
-    """Load a marker map; a null scale is derived from the scale chains."""
+    """Load a marker map; a null scale is derived from the scale chains. A pair
+    table `_pair_columns` refuses is walked a pair at a time, each built as
+    written, so that the error names the first bad pair."""
     obj = _load(path, "correspondence")
 
     def pair(node, location):
         weights = node.get("position_weight", 1.0), node.get("orientation_weight", 0.0)
-        CorrespondencePair(node["human"], node["robot"], *weights)  # checks the weights
-        return CorrespondencePair(node["human"], node["robot"], *map(float, weights))
+        return CorrespondencePair(node["human"], node["robot"], *weights)
 
-    pairs = _records(path, obj, "pairs", pair)
+    try:
+        pairs = _pair_columns(obj)
+    except (ValidationError, *_MALFORMED):
+        pairs = _records(path, obj, "pairs", pair)
     scale = obj.get("scale")
     if scale is None:
         chains = obj.get("scale_chains")

@@ -1,9 +1,10 @@
 """SO(3) rotation algebra: conversions, bone alignment, Procrustes.
 
 A Rotation stores a 3x3 orthonormal matrix and exposes lossless views as a
-unit quaternion (w, x, y, z), axis-angle with angle in [0, pi], and the 6D
-continuous representation (first two matrix columns, flattened). All
-operations are pure and all values immutable.
+unit quaternion (w, x, y, z) and as axis-angle with angle in [0, pi]. The 6D
+continuous representation (first two matrix columns, flattened) is taken of
+stacks only, by the pose features. All operations are pure and all values
+immutable.
 
 Each conversion has one body, stacked over leading axes; the Rotation
 view is its one-item case. Conversion, body, and its views and callers:
@@ -14,7 +15,7 @@ view is its one-item case. Conversion, body, and its views and callers:
     rotation vec -> matrix   _exp_stack         from_rotvec, fk, joint limits
     axis, angle -> matrix    _rodrigues_stack   from_axis_angle, fk, bone alignment
     matrix -> XYZ Euler      skeleton._intrinsic_xyz_euler: joint limits
-    matrix -> 6D             _rot6d_stack       as_rot6d, features
+    matrix -> 6D             _rot6d_stack       features
     matrix -> rotation vec   _log_floats: the solver's orientation errors, one matrix at
                              a time on Python floats, ten times cheaper at n <= 4
 
@@ -289,18 +290,12 @@ class Rotation:
     def as_rotvec(self):
         return _rotvec_stack(self.matrix[None])[0]
 
-    def as_rot6d(self):
-        return _rot6d_stack(self.matrix[None])[0]
-
     # -- algebra --------------------------------------------------------
 
     def __matmul__(self, other):
         if isinstance(other, Rotation):
             return Rotation(self.matrix @ other.matrix)
         return NotImplemented
-
-    def apply(self, v):
-        return self.matrix @ np.asarray(v, dtype=float)
 
 
 def _align_stack(t, p):

@@ -23,6 +23,15 @@ def _vector3(name, value):
     return v.reshape(3)
 
 
+def _axis_norms(axes):
+    """The norm of each row of (R, 3) `axes`, from that row's own dot product, so
+    that an axis has the same norm whether it is checked alone or in a stack."""
+    return np.sqrt([a.dot(a) for a in axes])
+
+
+_AXIS_NORM_TOL = 1e-6  # how far from 1 a revolute axis's norm may be before it is scaled to 1
+
+
 def _skeleton_name(name):
     """`name` if it names a skeleton: a string, or None for an unnamed one."""
     if not isinstance(name, (str, type(None))):
@@ -61,8 +70,8 @@ class Joint:
             if self.axis is None:
                 raise ValidationError(f"joint '{self.name}': revolute joint needs an axis")
             ax = _vector3(f"axis of joint '{self.name}'", self.axis)
-            n = np.linalg.norm(ax)
-            if abs(n - 1.0) > 1e-6:
+            (n,) = _axis_norms(ax[None])
+            if abs(n - 1.0) > _AXIS_NORM_TOL:
                 raise ValidationError(f"joint '{self.name}': revolute axis norm {n} != 1")
             object.__setattr__(self, "axis", ax / n)
         name = f"limit of joint '{self.name}'"
@@ -153,9 +162,6 @@ class Skeleton:
 
     def joint(self, name):
         return self.joints[self.index[name]]
-
-    def zero_pose(self):
-        return Pose(np.zeros(3), Rotation.identity(), np.zeros(self.total_dof))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,11 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
+def zero_pose(skeleton):
+    """The rest pose: the root at the origin, unturned, and every joint value 0."""
+    return Pose(np.zeros(3), Rotation.identity(), np.zeros(skeleton.total_dof))
+
+
 def random_rotation(rng):
     v = rng.normal(size=3)
     angle = rng.uniform(0, np.pi * 0.999)
@@ -121,7 +126,7 @@ def twist_free_pose(skeleton, rng, max_angle=0.6):
         ch = children[i]
         if len(ch) == 1:
             t = skeleton.joints[ch[0]].offset
-            target = random_rotation(rng).apply(t)
+            target = random_rotation(rng).matrix @ t
             local = Rotation(_align_stack(t[None], target[None])[0][0])
             values[skeleton.dof_slices[i]] = local.as_rotvec()
         elif len(ch) > 1:

@@ -142,7 +142,7 @@ def test_hand_answer_matches_scipy(monkeypatch, rng):
     hand = two_finger_hand()
     pairs = [CorrespondencePair("-", "a_tip", 1.0), CorrespondencePair("-", "b_tip", 0.5)]
     wrist = (rng.normal(size=3), random_rotation(rng))
-    targets = [wrist[0] + wrist[1].apply(rng.normal(size=3) * 0.05 + [0.1, 0, 0]) for _ in pairs]
+    targets = [wrist[0] + wrist[1].matrix @ (rng.normal(size=3) * 0.05 + [0.1, 0, 0]) for _ in pairs]
     objective = retarget._Objective(hand, pairs, RetargetOptions(reference_weight=0.0))
     points, frames, x0 = np.array(targets), np.zeros((0, 3, 3)), np.zeros(hand.total_dof)
     records = solve_both(

@@ -47,6 +47,8 @@ from retarget_kit import (
 from retarget_kit.errors import ValidationError, check_array
 from retarget_kit.retarget import _Objective, _targets
 
+from conftest import zero_pose
+
 NAN, INF = float("nan"), float("inf")
 
 # Every shape form the package asks for, with a value that has it and one that does not.
@@ -109,7 +111,7 @@ def test_wrong_shape_is_named_before_non_finite_values():
 HUMAN = load_example_skeleton("human_24")
 ROBOT = load_example_skeleton("h1_like_19")
 LABELS = tuple(j.name for j in HUMAN.joints)
-KEYPOINTS = fk(HUMAN, HUMAN.zero_pose()).positions[None]  # (1, 24, 3), no degenerate bone
+KEYPOINTS = fk(HUMAN, zero_pose(HUMAN)).positions[None]  # (1, 24, 3), no degenerate bone
 RNG = np.random.default_rng(0)
 FEATURES = RNG.normal(size=(8, 3))
 CODEBOOK = Codebook.initialize(np.eye(3))
@@ -117,7 +119,7 @@ CODEBOOK = Codebook.initialize(np.eye(3))
 
 def _objective_solve(root):
     corr = load_example_correspondence("human_to_h1", HUMAN, ROBOT)
-    _, rotations, points, frames = _targets(HUMAN, [HUMAN.zero_pose()], corr)
+    _, rotations, points, frames = _targets(HUMAN, [zero_pose(HUMAN)], corr)
     objective = _Objective(ROBOT, corr.pairs, RetargetOptions(max_iterations=1))
     return objective.solve(root, rotations[0], points[0], frames[0], np.zeros(ROBOT.total_dof))
 
@@ -125,7 +127,7 @@ def _objective_solve(root):
 def _smoothed_frame(smooth_to):
     corr = load_example_correspondence("human_to_h1", HUMAN, ROBOT)
     opts = RetargetOptions(max_iterations=1)
-    return retarget_frame(HUMAN, HUMAN.zero_pose(), ROBOT, corr, opts, smooth_to=smooth_to)
+    return retarget_frame(HUMAN, zero_pose(HUMAN), ROBOT, corr, opts, smooth_to=smooth_to)
 
 
 def _trajectory(**arrays):

@@ -24,6 +24,7 @@ from conftest import (
     scalar_procrustes,
     scalar_rodrigues_align,
     twist_free_pose,
+    zero_pose,
 )
 
 
@@ -148,7 +149,7 @@ def bone_direction_errors(skeleton, pose, frame):
 class TestReconstructFrame:
     def test_zero_pose_round_trip(self):
         skel = make_humanlike()
-        pose = reconstruct_frame(skel, keypoints_of(skel, skel.zero_pose()))
+        pose = reconstruct_frame(skel, keypoints_of(skel, zero_pose(skel)))
         assert np.allclose(pose.root_position, 0)
         assert np.allclose(pose.root_orientation.matrix, np.eye(3), atol=1e-9)
         assert np.allclose(pose.joint_values, 0, atol=1e-9)
@@ -163,7 +164,7 @@ class TestReconstructFrame:
     def test_multi_child_procrustes_rotation(self, rng):
         skel = make_humanlike(n_chains=3)
         r0 = random_rotation(rng)
-        kp = keypoints_of(skel, skel.zero_pose())
+        kp = keypoints_of(skel, zero_pose(skel))
         # rigidly rotate everything about the root
         rotated = KeypointFrame(kp.positions @ r0.matrix.T, kp.labels)
         rec = reconstruct_frame(skel, rotated)

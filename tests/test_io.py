@@ -44,7 +44,13 @@ from retarget_kit.io import _render, save_report
 from retarget_kit.rotations import _quat_stack
 from retarget_kit.skeleton import Joint, Marker, Skeleton
 
-from conftest import make_humanlike, random_rotation, scalar_from_quat, twist_free_pose
+from conftest import (
+    make_humanlike,
+    random_rotation,
+    scalar_from_quat,
+    twist_free_pose,
+    zero_pose,
+)
 
 
 def rewrite(path, mutate):
@@ -158,12 +164,72 @@ class TestArrayWriter:
 
     def test_nested_plain_lists(self):
         # Lists holding lists or objects are rendered an item at a time, lists of
-        # scalars (empty ones too) in one json.dumps, at every depth.
+        # scalars (empty ones too) in one encoder pass, at every depth.
         rows = [[1, 2.5, None], [], [[True, "a"], [[]]], ({"k": [1, [2]]}, {}), [{"x": []}]]
         assert_matches_json(rows)
         assert_matches_json({"a": rows, "b": [{"c": rows}], "d": [[], [[]], [[[], [0]]]]})
         assert_matches_json({"array": np.eye(2), "e": [rows, (rows,)], "f": [[-0.0, 1e22]]})
         assert len(list(_render([[1], [2]], 0))) > 1 and len(list(_render([1, 2], 0))) == 1
+
+    def test_non_finite_leaves(self):
+        # json's NaN and Infinity, in a flat container, in a mixed one and alone
+        special = [float("nan"), float("inf"), -float("inf")]
+        assert_matches_json(special)
+        assert_matches_json({"flat": {"a": special[0], "b": special[2]}, "leaves": special[1]})
+        assert_matches_json([special[0], [special[1]], {"c": special[2]}, special[2]])
+        for value in special:
+            assert_matches_json(value)
+
+    def test_numpy_scalar_leaves(self):
+        # A float64 is a float subclass, written as json writes it; an int64 is
+        # refused with the TypeError json raises for it, wherever it sits.
+        floats = [np.float64(0.1), np.float64(-0.0), np.float64(1e22), np.float64(np.nan)]
+        assert_matches_json(floats)
+        assert_matches_json({"a": floats[0], "b": [1.5, floats[1]], "c": {"d": floats[2]}})
+        assert_matches_json([floats[3], [floats[3]], np.eye(2)])
+        with pytest.raises(TypeError) as expected:
+            json.dumps(np.int64(3))
+        for tree in ([np.int64(3)], {"a": np.int64(3)}, {"a": [1], "b": np.int64(3)},
+                     [[np.int64(3)]], np.int64(3)):
+            with pytest.raises(TypeError) as e:
+                "".join(_render(tree, 0))
+            assert str(e.value) == str(expected.value)
+
+    def test_flat_containers_at_depth(self):
+        # Lists, tuples and objects of scalars, empty ones too, at depths 0 to 3
+        flat = [[1, -2.5, None, True, False, "s"], (3, 4.0), {"k": 1, "v": "x"}, [], {}, ()]
+        for item in flat:
+            tree = item
+            for depth in range(4):  # the item at `depth`, in a list or an object with a leaf
+                assert_matches_json(tree)
+                tree = [0.5, tree] if depth % 2 else {"d": tree, "leaf": "x"}
+
+    def test_strings_that_need_escapes(self):
+        text = ['"quoted"', "back\\slash", "new\nline\ttab\r", "\x00\x1f\x7f", "é\u2028😀", ""]
+        assert_matches_json(text)
+        assert_matches_json({key: key for key in text})
+        assert_matches_json({"mixed": [text, {"k": text[2]}], text[0]: text[3]})
+
+    def test_per_frame_item(self):
+        # An object mixing scalars and objects of scalars, as a report's per_frame
+        # items do, alone and in a list, next to an array.
+        item = {"objective": 0.25, "iterations": 4, "converged": True, "termination": "converged",
+                "damping": 1e-3, "position_residuals": {"l_knee": 0.01, "r_knee": float("nan")},
+                "orientation_residuals": {}, "note": None}
+        assert_matches_json(item)
+        assert_matches_json({"frames": 2, "per_frame": [item, item], "array": np.ones((2, 2))})
+        # written a frame at a time: no piece holds more than one frame's text
+        pieces = list(_render([item] * 30, 0))
+        assert len(pieces) > 30 and max(map(len, pieces)) < len(json.dumps(item, indent=1))
+
+    @pytest.mark.parametrize(
+        "tree",
+        [{1: 2}, {"a": 1, 2.5: "b"}, {None: [1]}, [{"a": [1]}, {(1, 2): 3}], {"a": {True: 1}}],
+        ids=["int", "float", "none", "tuple_in_list", "bool_nested"],
+    )
+    def test_non_string_keys_refused(self, tree):
+        with pytest.raises(TypeError, match="object keys must be strings"):
+            "".join(_render(tree, 0))
 
     def test_string_and_constant_leaves(self):
         assert_matches_json(
@@ -201,8 +267,9 @@ class TestArrayWriter:
         return tree
 
     def test_retarget_report(self, tmp_path, rng, monkeypatch):
-        # A report has no arrays: its `per_frame` list is written a frame per json.dumps,
-        # the rest of it a field per json.dumps; a NaN field too.
+        # A report has no arrays: its `per_frame` list is written a frame at a time,
+        # each frame's objects of residuals in one encoder pass and its other
+        # fields through json's text for their type; a NaN field too.
         tree = self.retarget_report(tmp_path, rng, monkeypatch)
         expected = json.dumps({"format": "report", "version": 1, **tree}, indent=1) + "\n"
         assert (tmp_path / "report.json").read_text() == expected
@@ -359,7 +426,7 @@ class TestFailedWrite:
     @staticmethod
     def fk_inputs(tmp_path):
         skel = make_humanlike(n_chains=2, chain_len=2)
-        traj = JointTrajectory(30.0, [skel.zero_pose()] * 2, skeleton=skel.name)
+        traj = JointTrajectory(30.0, [zero_pose(skel)] * 2, skeleton=skel.name)
         save_skeleton(skel, tmp_path / "skel.skel")
         save_motion(trajectory_motion(traj), tmp_path / "traj.motion")
 
@@ -1346,3 +1413,150 @@ class TestMutatedBundledDocuments:
             load(p)
         except ValidationError:
             pass
+
+
+# --- column-checked loaders --------------------------------------------------
+# A skeleton's joints and markers, and a map's pairs, are checked a column at a
+# time and built without their constructors' checks. What they build must equal,
+# bit for bit, what the constructors build from the same document.
+
+
+def constructed_skeleton(tree):
+    """The skeleton of a document tree, built a record at a time through Joint(...),
+    Marker(...) and Skeleton(...)."""
+    joints = []
+    for node in tree["joints"]:
+        dof, axis = node.get("dof", "fixed"), None
+        if isinstance(dof, dict):
+            dof, axis = dof["type"], dof["axis"]
+        limits = tuple(map(tuple, node.get("limits", [])))
+        joints.append(Joint(node["name"], node.get("parent"), node["offset"], dof, axis, limits,
+                            node.get("meta", {})))
+    markers = [Marker(m["name"], m["joint"], m["offset"]) for m in tree.get("markers", [])]
+    return Skeleton(joints, markers, tree.get("name"))
+
+
+def same(a, b):
+    """Whether a and b are equal, every array among them bit for bit in its dtype and shape."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def assert_same_skeleton(got, want):
+    assert got.name == want.name
+    assert len(got.joints) == len(want.joints) and list(got.markers) == list(want.markers)
+    for g, w in zip(got.joints, want.joints):
+        for field in ("name", "parent", "offset", "dof", "axis", "limits", "meta"):
+            assert same(getattr(g, field), getattr(w, field)), (w.name, field)
+    for g, w in zip(got.markers.values(), want.markers.values()):
+        for field in ("name", "joint", "offset"):
+            assert same(getattr(g, field), getattr(w, field)), (w.name, field)
+    for field in ("dof_slices", "total_dof", "parent_index"):
+        assert getattr(got, field) == getattr(want, field)
+    assert dict(got.index) == dict(want.index)
+    plan, want_plan = vars(got._plan), vars(want._plan)
+    assert plan.keys() == want_plan.keys()
+    for field, value in want_plan.items():
+        assert same(plan[field], value), field
+
+
+NUMBER = st.floats(-2.0, 2.0) | st.integers(-2, 2)
+POINT = st.lists(NUMBER, min_size=3, max_size=3)
+# Unit axes: along a coordinate axis, written with ints or floats, or drawn and
+# normalized, then scaled by up to 0.9e-6, within the norm the loader scales to 1.
+UNIT_AXES = st.one_of(
+    st.sampled_from([[1, 0, 0], [0, -1, 0], [0.0, 0.0, 1.0], [-0.0, 1.0, 0.0]]),
+    st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda v: math.hypot(*v) > 0.1
+        ),
+        st.floats(-9e-7, 9e-7),
+    ).map(lambda d: [x / math.hypot(*d[0]) * (1.0 + d[1]) for x in d[0]]),
+)
+
+
+@st.composite
+def skeleton_trees(draw):
+    """A valid skeleton document tree: fixed, revolute and spherical joints, with and
+    without limits and meta, and markers."""
+    joints = []
+    for i in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["fixed", "revolute", "spherical"]))
+        parent = f"j{draw(st.integers(0, i - 1))}" if i else None
+        node = {"name": f"j{i}", "parent": parent, "offset": draw(POINT)}
+        if kind == "revolute":
+            node["dof"] = {"type": "revolute", "axis": draw(UNIT_AXES)}
+        elif kind == "spherical" or draw(st.booleans()):  # "fixed" is the default
+            node["dof"] = kind
+        count = {"fixed": 0, "revolute": 1, "spherical": 3}[kind]
+        if draw(st.booleans()):
+            pairs = st.lists(NUMBER, min_size=2, max_size=2).map(sorted)
+            node["limits"] = draw(st.lists(pairs, min_size=count, max_size=count))
+        if draw(st.booleans()):
+            node["meta"] = {"note": draw(st.text(max_size=4))}
+        joints.append(node)
+    markers = [
+        {"name": f"m{k}", "joint": f"j{draw(st.integers(0, len(joints) - 1))}",
+         "offset": draw(POINT)}
+        for k in range(draw(st.integers(0, 3)))
+    ]
+    tree = {"format": "skeleton", "version": 1, "name": draw(st.sampled_from([None, "drawn"])),
+            "joints": joints}
+    if markers or draw(st.booleans()):
+        tree["markers"] = markers
+    return tree
+
+
+class TestColumnLoadersMatchConstructors:
+    @pytest.mark.parametrize("name", ["human_24", "h1_like_19", "g1_like_21"])
+    def test_bundled_skeletons(self, name):
+        tree = bundled(name)
+        io._skeleton_columns(tree)  # the column check takes the document, no walk
+        assert_same_skeleton(load_example_skeleton(name), constructed_skeleton(tree))
+
+    @given(skeleton_trees())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_drawn_skeletons(self, tmp_path_factory, tree):
+        p = tmp_path_factory.mktemp("drawn") / "s.skel"
+        p.write_text(json.dumps(tree))
+        tree = json.loads(p.read_text())
+        io._skeleton_columns(tree)
+        assert_same_skeleton(load_skeleton(p), constructed_skeleton(tree))
+
+    def test_a_refused_form_is_walked(self, tmp_path):
+        # A fixed joint whose dof is an object with an axis is valid, but the
+        # column check leaves it to the walk, which builds it through Joint.
+        tree = bundled("h1_like_19")
+        tree["joints"][0]["dof"] = {"type": "fixed", "axis": [0, 0, 1]}
+        with pytest.raises(ValidationError):
+            io._skeleton_columns(tree)
+        p = tmp_path / "s.skel"
+        p.write_text(json.dumps(tree))
+        skel = load_skeleton(p)
+        assert skel.joints[0].dof == "fixed"
+        assert same(skel.joints[0].axis, np.array([0.0, 0.0, 1.0]))
+        for got, want in zip(skel.joints[1:], load_example_skeleton("h1_like_19").joints[1:]):
+            for field in ("name", "parent", "offset", "dof", "axis", "limits"):
+                assert same(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize("name", ["human_to_h1", "human_to_g1"])
+    def test_bundled_maps(self, name):
+        tree = bundled(name)
+        want = [CorrespondencePair(p["human"], p["robot"], float(p.get("position_weight", 1.0)),
+                                   float(p.get("orientation_weight", 0.0)))
+                for p in tree["pairs"]]
+        assert same(io._pair_columns(tree), want)
+
+    def test_pair_weights_loaded_as_floats(self, tmp_path):
+        pairs = [{"human": "a", "robot": "b", "position_weight": 2, "orientation_weight": 0},
+                 {"human": "c", "robot": "d"}]
+        p = tmp_path / "c.map"
+        p.write_text(json.dumps({"format": "correspondence", "version": 1, "scale": 1,
+                                 "pairs": pairs}))
+        got = load_correspondence(p).pairs
+        assert got == (CorrespondencePair("a", "b", 2.0, 0.0), CorrespondencePair("c", "d"))
+        assert {type(w) for q in got for w in (q.position_weight, q.orientation_weight)} == {float}

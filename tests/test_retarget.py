@@ -19,7 +19,13 @@ from retarget_kit.errors import NumericError, ValidationError
 from retarget_kit.retarget import _gauss_newton, _project_to_limits
 from retarget_kit.skeleton import Joint, Skeleton
 
-from conftest import barrier_objective, barrier_rows, make_humanlike, twist_free_pose
+from conftest import (
+    barrier_objective,
+    barrier_rows,
+    make_humanlike,
+    twist_free_pose,
+    zero_pose,
+)
 
 EXACT_OPTS = RetargetOptions(smoothness_weight=0.0, reference_weight=0.0)
 
@@ -61,7 +67,7 @@ class TestRetargetFrame:
         human, robot = load_example_skeleton("human_24"), load_example_skeleton("h1_like_19")
         corr = load_example_correspondence("human_to_h1", human, robot)
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            retarget_frame(human, human.zero_pose(), robot, corr, smooth_to=smooth_to)
+            retarget_frame(human, zero_pose(human), robot, corr, smooth_to=smooth_to)
 
     def test_identity_recovery(self, humanlike, rng):
         pose = twist_free_pose(humanlike, rng)
