@@ -5,10 +5,10 @@ Builds a short synthetic human motion on the bundled 24-joint skeleton,
 projects it to keypoints, reconstructs joint angles, retargets onto both
 bundled robots, and prints tracking metrics plus feature/codebook stats.
 Writes one file of every artifact layout to --out-dir: keypoint and
-trajectory motions, a pose-feature matrix, codebooks inline and with
-binary sidecars, token sequences and a report. One more motion comes from a
-cold-started retarget onto g1_like_21, every frame solved from the zero
-posture, so the solver's longest path is written out too.
+trajectory motions, a pose-feature matrix, codebooks, token sequences and
+a report. One more motion comes from a cold-started retarget onto
+g1_like_21, every frame solved from the zero posture, so the solver's
+longest path is written out too.
 """
 
 import argparse
@@ -123,7 +123,6 @@ def main(argv=None):
         print(f"  quantized {len(tokens)} frames into {used}/{CODEBOOK_SIZE} codebook entries")
         save_tokens(tokens, out_dir / f"{robot_name}.tokens.json")
         save_codebook(cb, out_dir / f"{robot_name}.codebook.json")
-        save_codebook(cb, out_dir / f"{robot_name}.sidecar.codebook.json", binary_sidecar=True)
         summary["robots"][robot_name] = {
             "scale": corr.scale,
             "max_position_residual": max_pos,

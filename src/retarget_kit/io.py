@@ -13,12 +13,10 @@ of its columns; each column is checked whole by `errors.check_array`, which
 refuses NaN and infinity as every loader does, then rendered a block of at
 most _BLOCK_VALUES values' top-level rows a piece (one repr pass per column,
 joined by shape), so a write holds one block's text. The rest of a tree is
-plain: a list or object of scalars is written in one pass of a C encoder
-(`_text`), any other scalar through json's text for its type, and any other
-list or object, such as a report's `per_frame`, an item at a time. Large
-matrices may be stored as a sidecar flat binary of little-endian float64,
-referenced as {"binary": <relative path>, "shape": [rows, cols]} and written
-atomically too. A trajectory is loaded as one array per frame key.
+plain: a list or object of scalars is written in one pass of a C encoder, any
+other scalar through json's text for its type, and any other list or object,
+such as a report's `per_frame`, an item at a time. A matrix is always an
+inline list of rows. A trajectory is loaded as one array per frame key.
 
 Every loader reads its document through `_load`, which checks the header,
 and every saver writes it through `_save`, which writes the header. A
@@ -130,25 +128,9 @@ def _prechecked(cls, **fields):
     return obj
 
 
-def _matrix(node, path, location, base_dir):
-    """Inline list-of-lists matrix or a {"binary", "shape"} sidecar reference."""
-    name = location[1:]
-    if isinstance(node, dict):
-        rel, shape = node.get("binary"), node.get("shape")
-        # sizes are JSON integers: int() would take "3", 3.9 and true
-        if not (isinstance(rel, str) and isinstance(shape, list)
-                and all(type(s) is int for s in shape)):
-            raise ParseError(path, location, "bad sidecar reference")
-        bin_path, shape = Path(base_dir) / rel, tuple(shape)
-        try:
-            flat = np.fromfile(bin_path, dtype="<f8")
-        except OSError as e:
-            raise ParseError(path, location, f"sidecar {rel}: {e}") from None
-        if flat.size != math.prod(shape) or min(shape, default=0) < 0:
-            reason = f"sidecar {rel} holds {flat.size} values, shape {shape}"
-            raise ParseError(path, location, reason)
-        node, name = flat.reshape(shape), f"sidecar {rel}"
-    return _at(path, location, check_array, name, node, (None, None))
+def _matrix(node, path, location):
+    """An inline list-of-lists matrix; anything else is a ParseError at `location`."""
+    return _at(path, location, check_array, location[1:], node, (None, None))
 
 
 def _array(arr, depth):
@@ -200,75 +182,53 @@ _LEAF_TEXT = {  # json's text of a scalar leaf, by its exact type
 @functools.cache
 def _encoder(depth):
     """The C encoder of a list or object of scalars at nesting level `depth`: its
-    items one a line at level depth + 1, the brackets left for `_text` to place."""
+    items one a line at level depth + 1, the brackets left for `_render` to place."""
     return json.JSONEncoder(check_circular=False, separators=(",\n" + " " * (depth + 1), ": "))
 
 
-def _text(node, depth):
-    """json.dumps(node, indent=1) at nesting level `depth` if `node` is a leaf or a
-    list or object of leaves whose types are in _LEAF_TEXT, else None.
+def _render(node, depth):
+    """The pieces of json.dumps(node, indent=1) at nesting level `depth`, byte for byte.
 
-    Such a leaf is written through _LEAF_TEXT and such a container in one pass of
-    its depth's C encoder. Any other leaf goes through an encoder too, which
-    writes a subclass of a scalar type as json does and refuses what json refuses."""
+    A leaf whose type is in _LEAF_TEXT is written through it; any other leaf goes
+    through an encoder, which writes a subclass of a scalar type as json does and
+    refuses what json refuses. A numeric np.ndarray or a `_Records` is written by
+    `_blocks`. A list or object of _LEAF_TEXT leaves is one piece, from one pass of
+    its depth's C encoder. Any other list or object, such as a report's
+    `per_frame`, is written an item at a time: an item whose type is in _LEAF_TEXT
+    joins the piece before it, and any other item is a level deeper in `_render`,
+    so no piece holds more than one container item."""
     leaf = _LEAF_TEXT.get(type(node))
     if leaf:
-        return leaf(node)
+        yield leaf(node)
+        return
     if isinstance(node, dict):
         if not all(map(isinstance, node, itertools.repeat(str))):
             raise TypeError("object keys must be strings")
-        values = node.values()
+        values, brackets = node.values(), "{}"
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in node.items())
     elif isinstance(node, (list, tuple)):
-        values = node
+        values, brackets, items = node, "[]", zip(itertools.repeat(""), node)
     elif isinstance(node, (np.ndarray, _Records)):
-        return None
-    else:
-        return _encoder(0).encode(node)
-    if not _LEAF_TEXT.keys() >= set(map(type, values)):  # an item is not such a leaf
-        return None
-    text = _encoder(depth).encode(node)
-    if len(text) == 2:  # [] or {}
-        return text
-    return text[0] + "\n" + " " * (depth + 1) + text[1:-1] + "\n" + " " * depth + text[-1]
-
-
-def _render(node, depth):
-    """The pieces of json.dumps(node, indent=1) at nesting level `depth`, byte for byte:
-    the one piece of `_text` when it has one, else those of `_pieces`."""
-    text = _text(node, depth)
-    if text is None:
-        yield from _pieces(node, depth)
-    else:
-        yield text
-
-
-def _pieces(node, depth):
-    """`_render`'s pieces of a container `_text` does not write whole. A numeric
-    np.ndarray or a `_Records` is written by `_blocks`; any other container, such
-    as a report's `per_frame`, an item at a time: a leaf joins the piece before
-    it, a container `_text` writes is a piece, and any other container is a
-    level deeper in `_pieces`, so no piece holds more than one container item."""
-    if isinstance(node, (np.ndarray, _Records)):
         yield from _blocks(node, depth)
         return
-    if isinstance(node, dict):
-        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in node.items())
-        brackets = "{}"
     else:
-        items, brackets = (("", v) for v in node), "[]"
+        yield _encoder(0).encode(node)
+        return
     inner = "\n" + " " * (depth + 1)
+    if _LEAF_TEXT.keys() >= set(map(type, values)):  # every item is such a leaf
+        text = _encoder(depth).encode(node)
+        if len(text) > 2:  # not [] or {}
+            text = text[0] + inner + text[1:-1] + "\n" + " " * depth + text[-1]
+        yield text
+        return
     sep, piece = brackets[0] + inner, ""
     for head, value in items:
         leaf = _LEAF_TEXT.get(type(value))
-        text = leaf(value) if leaf else _text(value, depth + 1)
-        if text is None:  # a container written in pieces
+        if leaf:
+            piece += sep + head + leaf(value)
+        else:
             yield piece + sep + head
-            yield from _pieces(value, depth + 1)
-            piece = ""
-        elif leaf or not isinstance(value, (dict, list, tuple)):  # a leaf
-            piece += sep + head + text
-        else:  # a container written whole
-            yield piece + sep + head + text
+            yield from _render(value, depth + 1)
             piece = ""
         sep = "," + inner
     yield piece + "\n" + " " * depth + brackets[1]
@@ -302,19 +262,6 @@ def _blocks(node, depth):
         yield sep + ("," + inner).join(map(row.format, *texts))
         sep = "," + inner
     yield "\n" + " " * depth + "]" if sep[0] == "," else "[]"
-
-
-def _matrix_node(arr, path, key, binary_sidecar):
-    if not binary_sidecar:
-        return np.asarray(arr, dtype=float)
-    rel = f"{Path(path).name}.{key}.bin"
-    bin_path = Path(path).parent / rel
-    try:
-        data = np.ascontiguousarray(check_array(f"array of shape {np.shape(arr)}", arr), "<f8")
-    except ValidationError as e:
-        raise ValidationError(f"cannot write {bin_path}: {e}") from None
-    _atomic_write(bin_path, [data])
-    return {"binary": rel, "shape": list(np.shape(arr))}
 
 
 def _atomic_write(path, chunks):
@@ -668,29 +615,28 @@ def save_correspondence(corr, path):
 
 def load_codebook(path):
     obj = _load(path, "codebook")
-    base = Path(path).parent
-    entries = _matrix(obj.get("entries"), path, "/entries", base)
+    entries = _matrix(obj.get("entries"), path, "/entries")
     epsilon = obj.get("epsilon", DEFAULT_EPSILON)
     decay = obj.get("decay", DEFAULT_DECAY)
     _at(path, "/epsilon", check_number, "epsilon", epsilon, ">= 0")
     _at(path, "/decay", check_number, "decay", decay, "[0, 1]")
     rows = (entries.shape[0],)
     counts = _at(path, "/ema_counts", check_array, "ema_counts", obj.get("ema_counts"), rows)
-    sums = _matrix(obj.get("ema_sums"), path, "/ema_sums", base)
+    sums = _matrix(obj.get("ema_sums"), path, "/ema_sums")
     usage = _at(path, "/usage", check_array, "usage", obj.get("usage"), rows)
     return _at(path, "/", Codebook, entries, counts, sums, float(decay), float(epsilon), usage)
 
 
-def save_codebook(codebook, path, binary_sidecar=False):
+def save_codebook(codebook, path):
     _save(
         path,
         "codebook",
         {
             "decay": float(codebook.decay),
             "epsilon": float(codebook.epsilon),
-            "entries": _matrix_node(codebook.entries, path, "entries", binary_sidecar),
+            "entries": codebook.entries,
             "ema_counts": codebook.ema_counts,
-            "ema_sums": _matrix_node(codebook.ema_sums, path, "ema_sums", binary_sidecar),
+            "ema_sums": codebook.ema_sums,
             "usage": codebook.usage,
         },
     )
@@ -718,13 +664,13 @@ def save_tokens(tokens, path):
 
 def load_feature_matrix(path):
     obj = _load(path, "features")
-    values = _matrix(obj.get("values"), path, "/values", Path(path).parent)
+    values = _matrix(obj.get("values"), path, "/values")
     labels = obj.get("labels")
-    labels = None if labels is None else _at(path, "/labels", tuple, labels)
+    if not isinstance(labels, (list, type(None))):
+        raise ParseError(path, "/labels", f"expected a list of labels, got {labels!r:.40}")
     return _at(path, "/", FeatureMatrix, values, labels)
 
 
-def save_feature_matrix(features, path, binary_sidecar=False):
+def save_feature_matrix(features, path):
     labels = None if features.labels is None else list(features.labels)
-    values = _matrix_node(features.values, path, "values", binary_sidecar)
-    _save(path, "features", {"labels": labels, "values": values})
+    _save(path, "features", {"labels": labels, "values": features.values})

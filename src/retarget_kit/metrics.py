@@ -29,7 +29,7 @@ def _rows(name, x):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n x d feature rows with optional per-row group labels."""
+    """n x d feature rows with optional per-row group labels, a list or tuple."""
 
     values: np.ndarray
     labels: tuple | None = None
@@ -37,8 +37,10 @@ class FeatureMatrix:
     def __post_init__(self):
         v = _rows("feature matrix", self.values)
         object.__setattr__(self, "values", v)
-        if self.labels is not None:
-            labels = tuple(self.labels)
+        labels = self.labels
+        if labels is not None:
+            if not isinstance(labels, (list, tuple)):
+                raise ValidationError(f"group labels must be a list or tuple, got {labels!r:.40}")
             if len(labels) != v.shape[0]:
                 raise ValidationError(f"{len(labels)} labels for {v.shape[0]} feature rows")
             if not all(isinstance(g, (str, Integral)) for g in labels):

@@ -707,6 +707,19 @@ def zero_quaternion(command):
     return bad_input
 
 
+def codebook_entries_a_sidecar_reference(workdir, monkeypatch):
+    """quantize assign on a codebook whose entries an older version wrote as a
+    binary sidecar: a reference to the .bin file next to it, which is refused as
+    any other object where a matrix belongs."""
+    sidecar = {"binary": "bad.json.entries.bin", "shape": [4, 2]}
+    argv, message = malformed_document(
+        "", "cb.json", lambda o: o.update(entries=sidecar),
+        "/entries: entries is not a numeric array",
+    )(workdir, monkeypatch)
+    (workdir / sidecar["binary"]).write_bytes(np.arange(8.0).astype("<f8").tobytes())
+    return argv, message
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "bad_input",
@@ -790,13 +803,11 @@ class TestExitCodes:
                                "/scale_chains: string indices must be integers"),
             malformed_document("features_labels_not_a_list", "a.mat",
                                lambda o: o.update(labels=5),
-                               "/labels: 'int' object is not iterable"),
+                               "/labels: expected a list of labels, got 5"),
             malformed_document("features_label_a_list", "a.mat",
                                lambda o: o.update(labels=[["g"]] * 16),
                                "/: group labels must be strings or integers"),
-            malformed_document("codebook_sidecar_path_a_number", "cb.json",
-                               lambda o: o.update(entries={"binary": 5, "shape": [4, 2]}),
-                               "/entries: bad sidecar reference"),
+            codebook_entries_a_sidecar_reference,
         ]
         + [
             unwritable_output("--out", "missing/rec.motion", "No such file or directory"),

@@ -221,6 +221,8 @@ class TestArrayWriter:
         # written a frame at a time: no piece holds more than one frame's text
         pieces = list(_render([item] * 30, 0))
         assert len(pieces) > 30 and max(map(len, pieces)) < len(json.dumps(item, indent=1))
+        # an item's leaves share a piece: at most 6 pieces an item, not one a leaf
+        assert len(pieces) <= 6 * 30 + 1
 
     @pytest.mark.parametrize(
         "tree",
@@ -304,14 +306,13 @@ class TestArrayWriter:
             save_motion(motion_holding(frames, ["a"]), p)
         assert not p.exists() and no_tmp_files(tmp_path)
 
-    @pytest.mark.parametrize("binary_sidecar", [False, True])
-    def test_non_finite_codebook_refused(self, tmp_path, binary_sidecar):
-        # The constructor refuses the codebook, so no entries sidecar is left behind.
+    def test_non_finite_codebook_refused(self, tmp_path):
+        # The constructor refuses the codebook, so nothing is written.
         cb = Codebook.initialize(np.eye(3))
         p = tmp_path / "cb.json"
         with pytest.raises(ValidationError, match="NaN or infinity"):
             bad = Codebook(cb.entries, cb.ema_counts, cb.ema_sums + np.inf, usage=np.ones(3))
-            save_codebook(bad, p, binary_sidecar=binary_sidecar)
+            save_codebook(bad, p)
         assert list(tmp_path.iterdir()) == []
 
     def test_writer_memory_does_not_grow_with_the_document(self, tmp_path, rng):
@@ -480,11 +481,11 @@ class TestWrittenFileMode:
             motion = keypoint_motion(np.ones((2, 2, 3)), ["a", "b"], 30.0)
             save_motion(motion, tmp_path / "kp.motion")
             cb = Codebook.initialize(rng.normal(size=(4, 2)))
-            save_codebook(cb, tmp_path / "cb.json", binary_sidecar=True)
+            save_codebook(cb, tmp_path / "cb.json")
         finally:
             os.umask(old)
         modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
-        assert len(modes) == 6  # the codebook among them with its two sidecars
+        assert len(modes) == 4
         assert set(modes.values()) == {0o666 & ~umask}
 
     def test_save_never_sets_the_umask(self, tmp_path, rng, monkeypatch):
@@ -495,8 +496,8 @@ class TestWrittenFileMode:
         monkeypatch.setattr(os, "umask", umask)
         save_report({"a": np.ones((3, 2))}, tmp_path / "report.json")
         cb = Codebook.initialize(rng.normal(size=(4, 2)))
-        save_codebook(cb, tmp_path / "cb.json", binary_sidecar=True)
-        assert len(list(tmp_path.iterdir())) == 4 and no_tmp_files(tmp_path)
+        save_codebook(cb, tmp_path / "cb.json")
+        assert len(list(tmp_path.iterdir())) == 2 and no_tmp_files(tmp_path)
 
 
 class TestSkeletonIo:
@@ -1067,45 +1068,6 @@ class TestCodebookIo:
         assert back.decay == 0.97 and back.epsilon == 1e-4
         assert np.array_equal(back.usage, cb.usage)
 
-    def test_round_trip_binary_sidecar(self, tmp_path, rng):
-        cb = Codebook.initialize(rng.normal(size=(16, 6)))
-        p = tmp_path / "cb.json"
-        save_codebook(cb, p, binary_sidecar=True)
-        assert (tmp_path / "cb.json.entries.bin").exists()
-        back = load_codebook(p)
-        assert np.array_equal(back.entries, cb.entries)
-        assert np.array_equal(back.ema_sums, cb.ema_sums)
-
-    def test_sidecar_size_mismatch(self, tmp_path, rng):
-        cb = Codebook.initialize(rng.normal(size=(4, 2)))
-        p = tmp_path / "cb.json"
-        save_codebook(cb, p, binary_sidecar=True)
-        (tmp_path / "cb.json.entries.bin").write_bytes(b"\x00" * 8)
-        with pytest.raises(ParseError):
-            load_codebook(p)
-
-    def test_sidecar_negative_shape(self, tmp_path, rng):
-        cb = Codebook.initialize(rng.normal(size=(4, 2)))
-        p = tmp_path / "cb.json"
-        save_codebook(cb, p, binary_sidecar=True)
-        rewrite(p, lambda o: o["entries"].update(shape=[-4, -2]))  # the right size, 8
-        with pytest.raises(ParseError) as e:
-            load_codebook(p)
-        assert e.value.location == "/entries"
-
-    def test_sidecar_to_missing_directory(self, tmp_path, rng):
-        cb = Codebook.initialize(rng.normal(size=(4, 2)))
-        with pytest.raises(ValidationError, match="cannot write .*cb.json.entries.bin"):
-            save_codebook(cb, tmp_path / "missing" / "cb.json", binary_sidecar=True)
-
-    def test_sidecar_written_atomically(self, tmp_path, rng):
-        cb = Codebook.initialize(rng.normal(size=(4, 2)))
-        (tmp_path / "cb.json.ema_sums.bin").mkdir()  # the rename onto it fails
-        with pytest.raises(ValidationError, match="cannot write .*cb.json.ema_sums.bin"):
-            save_codebook(cb, tmp_path / "cb.json", binary_sidecar=True)
-        assert no_tmp_files(tmp_path)
-        assert not (tmp_path / "cb.json").exists()
-
     def test_tokens_round_trip(self, tmp_path):
         t = TokenSequence([3, 1, 4, 1, 5], downsample_factor=4)
         p = tmp_path / "t.json"
@@ -1135,19 +1097,21 @@ class TestFeatureMatrixIo:
 
     def test_round_trip_with_numpy_integer_labels(self, tmp_path):
         # numpy integer labels were accepted, then refused by json.dumps on save
-        fm = FeatureMatrix(np.ones((4, 2)), labels=np.array([0, 0, 1, 1]))
+        fm = FeatureMatrix(np.ones((4, 2)), labels=list(np.array([0, 0, 1, 1])))
         assert fm.labels == (0, 0, 1, 1) and all(type(g) is int for g in fm.labels)
         p = tmp_path / "f.mat"
         save_feature_matrix(fm, p)
         back = load_feature_matrix(p)
         assert back.labels == fm.labels and np.array_equal(back.values, fm.values)
 
-    def test_binary_sidecar(self, tmp_path, rng):
-        fm = FeatureMatrix(rng.normal(size=(100, 7)))
-        p = tmp_path / "f.mat"
-        save_feature_matrix(fm, p, binary_sidecar=True)
-        back = load_feature_matrix(p)
-        assert np.array_equal(back.values, fm.values)
+    @pytest.mark.parametrize(
+        "labels", ["abcd", dict.fromkeys("abcd"), np.array([0, 0, 1, 1])],
+        ids=["string", "dict", "array"],
+    )
+    def test_labels_must_be_a_list_or_tuple(self, labels):
+        # A string or a dict was taken as one label per character or key.
+        with pytest.raises(ValidationError, match="group labels must be a list or tuple"):
+            FeatureMatrix(np.ones((4, 2)), labels=labels)
 
 
 class TestPackagedAssets:
@@ -1168,8 +1132,8 @@ class TestPackagedAssets:
 # --- malformed documents ---------------------------------------------------
 # Every loader against the shapes a hand-edited file takes: a list of records
 # that is not a list, a record that is not an object, a name that is not a
-# string, a number that does not parse or is past the float range, a broken
-# sidecar reference. Each is a ParseError at the JSON location of the bad value.
+# string, a number that does not parse or is past the float range, an object
+# where a matrix belongs. Each is a ParseError at the JSON location of the bad value.
 
 
 def bundled(name):
@@ -1220,8 +1184,6 @@ def dropping(*keys):
     return mutate
 
 
-SIDECAR = {"binary": 5, "shape": [2, 2]}
-SIX = {"binary": "six.bin"}  # a sidecar of six values, written next to every document
 MALFORMED_DOCUMENTS = [
     pytest.param("skel", setting("joints", value=5), "/joints", id="joints_not_a_list"),
     pytest.param("skel", setting("joints", 0, value="pelvis"), "/joints/0", id="joint_a_string"),
@@ -1280,19 +1242,22 @@ MALFORMED_DOCUMENTS = [
                  id="scale_chains_without_robot"),
     pytest.param("features", setting("labels", value=5), "/labels", id="labels_not_a_list"),
     pytest.param("features", setting("labels", 1, value=["b"]), "/", id="label_a_list"),
-    pytest.param("features", setting("values", value=SIDECAR), "/values",
-                 id="features_sidecar_path_a_number"),
-    pytest.param("codebook", setting("entries", value=SIDECAR), "/entries",
-                 id="codebook_sidecar_path_a_number"),
+    pytest.param("features", setting("labels", value="ab"), "/labels", id="labels_a_string"),
+    pytest.param("features", setting("labels", value={"a": 1, "b": 2}), "/labels",
+                 id="labels_an_object"),
+    # an object where a matrix belongs, as the binary sidecar references of old files
+    pytest.param("features", setting("values", value={"binary": 5, "shape": [2, 2]}), "/values",
+                 id="features_values_an_object"),
+    pytest.param("codebook", setting("entries", value={"binary": 5, "shape": [2, 2]}),
+                 "/entries", id="codebook_entries_an_object"),
     pytest.param("codebook", setting("ema_sums", value={"binary": "s.bin", "shape": 2}),
-                 "/ema_sums", id="codebook_sidecar_shape_a_number"),
-    # int() would take these sizes of SIX's six values as (3, 2), (3, 2) and (1, 6)
-    pytest.param("features", setting("values", value={**SIX, "shape": ["3", 2]}), "/values",
-                 id="features_sidecar_size_a_numeric_string"),
-    pytest.param("codebook", setting("entries", value={**SIX, "shape": [3.9, 2.2]}),
-                 "/entries", id="codebook_sidecar_size_a_float"),
-    pytest.param("codebook", setting("ema_sums", value={**SIX, "shape": [True, 6]}),
-                 "/ema_sums", id="codebook_sidecar_size_a_bool"),
+                 "/ema_sums", id="codebook_ema_sums_an_object"),
+    pytest.param("features", setting("values", value={"binary": "six.bin", "shape": ["3", 2]}),
+                 "/values", id="features_values_an_object_of_string_sizes"),
+    pytest.param("codebook", setting("entries", value={"binary": "six.bin", "shape": [3.9, 2.2]}),
+                 "/entries", id="codebook_entries_an_object_of_float_sizes"),
+    pytest.param("codebook", setting("ema_sums", value={"binary": "six.bin", "shape": [True, 6]}),
+                 "/ema_sums", id="codebook_ema_sums_an_object_of_bool_sizes"),
 ]
 
 
@@ -1311,7 +1276,6 @@ class TestMalformedDocuments:
         mutate(obj)
         p = tmp_path / f"doc.{kind}"
         p.write_text(json.dumps(obj))
-        (tmp_path / SIX["binary"]).write_bytes(np.arange(6.0).astype("<f8").tobytes())
         with pytest.raises(ParseError) as e:
             load(p)
         assert e.value.location == location

@@ -128,9 +128,9 @@ PARAMETERS = {
     ),
     "retarget_sequence": ("human_skeleton", "human_poses", "robot_skeleton", "corr", "opts"),
     "retrieval_ranks": ("text_features", "motion_features", "pool_size", "seed"),
-    "save_codebook": ("codebook", "path", "binary_sidecar"),
+    "save_codebook": ("codebook", "path"),
     "save_correspondence": ("corr", "path"),
-    "save_feature_matrix": ("features", "path", "binary_sidecar"),
+    "save_feature_matrix": ("features", "path"),
     "save_motion": ("motion", "path"),
     "save_report": ("report", "path"),
     "save_skeleton": ("skeleton", "path"),

@@ -31,7 +31,7 @@ def test_shortest_motion_runs(tmp_path, capsys):
     assert "synthetic motion: 8 frames on human_24" in out
     assert out.count("quantized 8 frames into ") == 2
     assert (tmp_path / "demo.report.json").exists()
-    assert len(list(tmp_path.iterdir())) == 17
+    assert len(list(tmp_path.iterdir())) == 11
 
 
 def strict_load(path):
@@ -52,7 +52,7 @@ def test_written_files_hold_only_json_numbers(tmp_path, capsys):
         "--map", str(asset_path("human_to_h1")), "--out", str(tmp_path / "robot.motion"),
         "--report", str(tmp_path / "retarget.report.json"),
     ]) == 0
-    written = [p for p in sorted(tmp_path.iterdir()) if p.suffix != ".bin"]
-    assert len(written) == 15  # the demo's 17 files less its 4 binary sidecars, and 2 more
+    written = sorted(tmp_path.iterdir())
+    assert len(written) == 13  # the demo's 11 files and 2 more
     for path in written:
         assert strict_load(path)["version"] == 1
