@@ -1068,6 +1068,29 @@ class TestCodebookIo:
         assert back.decay == 0.97 and back.epsilon == 1e-4
         assert np.array_equal(back.usage, cb.usage)
 
+    def test_round_trip_every_array(self, tmp_path, rng):
+        # four arrays that differ from each other, so a swapped key would show
+        cb = Codebook(rng.normal(size=(16, 6)), rng.uniform(0, 5, 16), rng.normal(size=(16, 6)),
+                      usage=rng.integers(0, 9, 16))
+        p = tmp_path / "cb.json"
+        save_codebook(cb, p)
+        back = load_codebook(p)
+        for name in ("entries", "ema_counts", "ema_sums", "usage"):
+            assert np.array_equal(getattr(back, name), getattr(cb, name)), name
+
+    def test_save_to_missing_directory(self, tmp_path, rng):
+        cb = Codebook.initialize(rng.normal(size=(4, 2)))
+        with pytest.raises(ValidationError, match="cannot write .*cb.json: No such file"):
+            save_codebook(cb, tmp_path / "missing" / "cb.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_target_refused(self, tmp_path, rng):
+        cb = Codebook.initialize(rng.normal(size=(4, 2)))
+        (tmp_path / "cb.json").mkdir()
+        with pytest.raises(ValidationError, match="cannot write .*cb.json: Is a directory"):
+            save_codebook(cb, tmp_path / "cb.json")
+        assert (tmp_path / "cb.json").is_dir() and no_tmp_files(tmp_path)
+
     def test_tokens_round_trip(self, tmp_path):
         t = TokenSequence([3, 1, 4, 1, 5], downsample_factor=4)
         p = tmp_path / "t.json"
@@ -1103,6 +1126,13 @@ class TestFeatureMatrixIo:
         save_feature_matrix(fm, p)
         back = load_feature_matrix(p)
         assert back.labels == fm.labels and np.array_equal(back.values, fm.values)
+
+    def test_round_trip_without_labels(self, tmp_path, rng):
+        fm = FeatureMatrix(rng.normal(size=(100, 7)))
+        p = tmp_path / "f.mat"
+        save_feature_matrix(fm, p)
+        back = load_feature_matrix(p)
+        assert back.labels is None and np.array_equal(back.values, fm.values)
 
     @pytest.mark.parametrize(
         "labels", ["abcd", dict.fromkeys("abcd"), np.array([0, 0, 1, 1])],
