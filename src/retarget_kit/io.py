@@ -22,10 +22,10 @@ Every loader reads its document through `_load`, which checks the header,
 and every saver writes it through `_save`, which writes the header. A
 malformed field or record, of any type or value, is a ParseError naming the
 file and its JSON location; the rules on a value live in the type built
-from it, and the loaders only attach the location. A skeleton's joints and
-markers and a map's pairs are checked a column at a time by those rules and
-built unchecked; only a table that check refuses is walked a record at a
-time through the types, so that the error names the first bad record.
+from it, and the loaders only attach the location. Every table of records is
+walked a record at a time through those types by `_records`, so that the error
+names the first bad record; a skeleton's joint table is checked a column at a
+time first, and walked only when that check refuses it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .skeleton import (
     JointTrajectory,
     Marker,
     Skeleton,
+    _add_marker,
     _axis_norms,
     _skeleton_name,
 )
@@ -305,22 +306,21 @@ def save_report(report, path):
 # --- skeleton ----------------------------------------------------------
 
 
-def _skeleton_columns(obj):
-    """The joints and markers of a skeleton document, each table checked a column
-    at a time by the rules `Joint` and `Marker` check a record by, then built
-    without a second check.
+def _joint_columns(obj):
+    """The joints of a skeleton document, the table checked a column at a time by
+    the rules `Joint` checks a record by, then built without a second check.
 
     It raises, naming no location, on whatever it does not take: a table that
     is not a list of objects, a name that is not a string, a dof that is neither
     "fixed" nor "spherical" nor a revolute object with an axis, offsets or axes
     that are not (n, 3) finite numbers, an axis norm off 1 by more than
     _AXIS_NORM_TOL, limits that are not one [min, max] pair of finite numbers
-    with min <= max per DoF. Valid documents of rarer forms, such as a fixed
-    joint whose dof is an object, are refused too: `load_skeleton` walks a
-    refused document a record at a time.
+    with min <= max per DoF. Valid tables of rarer forms, such as a fixed joint
+    whose dof is an object, are refused too: `load_skeleton` walks a refused
+    table a record at a time.
     """
-    nodes, marks = obj.get("joints", []), obj.get("markers", [])
-    if not (type(nodes) is type(marks) is list and {dict} >= set(map(type, nodes + marks))):
+    nodes = obj.get("joints", [])
+    if not (type(nodes) is list and {dict} >= set(map(type, nodes))):
         raise ValidationError("not a list of objects")
     names, parents = [n["name"] for n in nodes], [n.get("parent") for n in nodes]
     dofs = [n.get("dof", "fixed") for n in nodes]
@@ -350,28 +350,20 @@ def _skeleton_columns(obj):
     if any(lo > hi for lo, hi in pairs):
         raise ValidationError("limit min > max")
     ends = itertools.accumulate(map(len, limits))
-    joints = [
+    return [
         _prechecked(Joint, name=name, parent=parent, offset=offset, dof=kind,
                     axis=next(axes) if kind == "revolute" else None,
-                    limits=tuple(pairs[end - len(lim) : end]), meta=node.get("meta", {}))
-        for node, name, parent, offset, kind, lim, end
-        in zip(nodes, names, parents, offsets, kinds, limits, ends)
+                    limits=tuple(pairs[end - len(lim) : end]))
+        for name, parent, offset, kind, lim, end
+        in zip(names, parents, offsets, kinds, limits, ends)
     ]
-    marker_names = [m["name"] for m in marks] + [m["joint"] for m in marks]
-    if not {str} >= set(map(type, marker_names)):
-        raise ValidationError("unchecked marker names")
-    offsets = check_array("offset", [m["offset"] for m in marks], (len(marks), 3)) if marks else []
-    markers = [
-        _prechecked(Marker, name=m["name"], joint=m["joint"], offset=offset)
-        for m, offset in zip(marks, offsets)
-    ]
-    return joints, markers
 
 
 def load_skeleton(path):
-    """A skeleton document, its tables checked by column (`_skeleton_columns`).
-    A document that check refuses is walked a record at a time, through `Joint`
-    and `Marker`, so that the error names the first bad record and its field."""
+    """A skeleton document. Its joint table is checked by column (`_joint_columns`),
+    and a table that check refuses is walked a record at a time through `Joint`,
+    so that the error names the first bad joint and its field. The markers are
+    walked through `Marker` and the marker rule of `Skeleton`."""
     obj = _load(path, "skeleton")
     name = _at(path, "/name", _skeleton_name, obj.get("name"))
 
@@ -387,18 +379,19 @@ def load_skeleton(path):
             dof=dof,
             axis=axis,
             limits=tuple(tuple(p) for p in node.get("limits", [])),
-            meta=node.get("meta", {}),
         )
+
+    try:
+        joints = _joint_columns(obj)
+    except (ValidationError, *_MALFORMED):
+        joints = _records(path, obj, "joints", joint)
+    names, markers = {j.name for j in joints}, {}
 
     def marker(node, location):
         offset = _at(path, location + "/offset", check_array, "offset", node["offset"], (3,))
-        return Marker(name=node["name"], joint=node["joint"], offset=offset)
+        return _add_marker(markers, Marker(node["name"], node["joint"], offset), names)
 
-    try:
-        tables = _skeleton_columns(obj)
-    except (ValidationError, *_MALFORMED):
-        tables = _records(path, obj, "joints", joint), _records(path, obj, "markers", marker)
-    return _at(path, "/joints", Skeleton, *tables, name)
+    return _at(path, "/joints", Skeleton, joints, _records(path, obj, "markers", marker), name)
 
 
 def save_skeleton(skeleton, path):
@@ -411,8 +404,6 @@ def save_skeleton(skeleton, path):
             node["dof"] = j.dof
         if j.limits:
             node["limits"] = [[lo, hi] for lo, hi in j.limits]
-        if j.meta:
-            node["meta"] = j.meta
         joints.append(node)
     markers = [
         {"name": m.name, "joint": m.joint, "offset": m.offset}
@@ -470,28 +461,27 @@ _FRAME_KEYS = {  # the keys of a trajectory frame, and the shapes of their colum
 }
 
 
-def _trajectory_columns(frames, path):
-    """(T, 3) root positions, (T, 4) quaternions and (T, DoF) joint values.
+def _trajectory_columns(obj, path):
+    """(T, 3) root positions, (T, 4) quaternions and (T, DoF) joint values of
+    the frames of a trajectory document.
 
     One array per key, checked by the array rule. When one of them fails,
-    the frames are checked in order, so the error names the first bad frame.
+    the frames are walked by `_records`, so the error names the first bad frame.
     """
+    frames = obj["frames"]
     try:
         return [check_array(k, [node[k] for node in frames], s) for k, s in _FRAME_KEYS.items()]
     except (ValidationError, *_MALFORMED):
         pass
-    dof = None
-    for i, node in enumerate(frames):
-        loc = f"/frames/{i}"
-        try:
-            columns = [node[key] for key in _FRAME_KEYS]
-        except _MALFORMED as e:
-            raise ParseError(path, loc, f"bad trajectory frame: {e}") from None
-        for (key, shape), column in zip(_FRAME_KEYS.items(), columns):
-            values = _at(path, loc, check_array, key, column, shape[1:])
-        if dof is not None and len(values) != dof:
-            raise ParseError(path, loc, f"{len(values)} joint values, frame 0 has {dof}")
-        dof = len(values)
+
+    def frame(node, location):
+        for key, shape in _FRAME_KEYS.items():
+            values = check_array(key, node[key], shape[1:])
+        dof = len(frames[0]["joint_values"])  # frame 0 is walked, and passes, first
+        if len(values) != dof:
+            raise ValidationError(f"{len(values)} joint values, frame 0 has {dof}")
+
+    _records(path, obj, "frames", frame)
     raise ParseError(path, "/frames", "inconsistent trajectory frames")
 
 
@@ -508,7 +498,7 @@ def load_motion(path):
         if not isinstance(frames, list) or not frames:
             reason = f"expected a non-empty list of frames, got {frames!r:.40}"
             raise ParseError(path, "/frames", reason)
-        positions, quats, values = _trajectory_columns(frames, path)
+        positions, quats, values = _trajectory_columns(obj, path)
         rotations, zero, why = _matrix_stack(quats)
         if zero.any():
             k = int(np.argmax(zero))
@@ -548,40 +538,16 @@ def keypoint_motion(frames, labels, fps, skeleton=None):
 # --- correspondence ----------------------------------------------------
 
 
-def _pair_columns(obj):
-    """The pairs of a map document, checked a column at a time by the rules
-    `CorrespondencePair` checks a pair by, then each built once, its weights as
-    floats. It raises, naming no location, on a table that is not a list of
-    objects, a name that is not a string or a weight that is not a number >= 0."""
-    nodes = obj.get("pairs", [])
-    if not (type(nodes) is list and {dict} >= set(map(type, nodes))):
-        raise ValidationError("not a list of objects")
-    humans, robots = [n["human"] for n in nodes], [n["robot"] for n in nodes]
-    if not {str} >= set(map(type, humans + robots)):
-        raise ValidationError("unchecked pair names")
-    position = [n.get("position_weight", 1.0) for n in nodes]
-    orientation = [n.get("orientation_weight", 0.0) for n in nodes]
-    weights = [float(check_number("weight", w, ">= 0")) for w in position + orientation]
-    return [
-        _prechecked(CorrespondencePair, human=h, robot=r, position_weight=p, orientation_weight=o)
-        for h, r, p, o in zip(humans, robots, weights, weights[len(nodes) :])
-    ]
-
-
 def load_correspondence(path, human_skeleton=None, robot_skeleton=None):
-    """Load a marker map; a null scale is derived from the scale chains. A pair
-    table `_pair_columns` refuses is walked a pair at a time, each built as
-    written, so that the error names the first bad pair."""
+    """Load a marker map, its pairs walked one at a time through
+    `CorrespondencePair`; a null scale is derived from the scale chains."""
     obj = _load(path, "correspondence")
 
     def pair(node, location):
         weights = node.get("position_weight", 1.0), node.get("orientation_weight", 0.0)
         return CorrespondencePair(node["human"], node["robot"], *weights)
 
-    try:
-        pairs = _pair_columns(obj)
-    except (ValidationError, *_MALFORMED):
-        pairs = _records(path, obj, "pairs", pair)
+    pairs = _records(path, obj, "pairs", pair)
     scale = obj.get("scale")
     if scale is None:
         chains = obj.get("scale_chains")

@@ -74,6 +74,7 @@ class CorrespondencePair:
             )
         for name in ("position_weight", "orientation_weight"):
             check_number(f"{name} of pair {self.human}->{self.robot}", getattr(self, name), ">= 0")
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

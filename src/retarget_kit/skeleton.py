@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -55,7 +55,6 @@ class Joint:
     dof: str = "fixed"
     axis: np.ndarray | None = None
     limits: tuple = ()
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (isinstance(self.name, str) and isinstance(self.parent, (str, type(None)))):
@@ -114,6 +113,17 @@ class Marker:
         object.__setattr__(self, "offset", _vector3(f"offset of marker '{self.name}'", self.offset))
 
 
+def _add_marker(markers, marker, joints):
+    """`marker`, put into the dict `markers` under its name; a ValidationError if
+    `joints` does not hold its joint's name or `markers` already holds its name."""
+    if marker.joint not in joints:
+        raise ValidationError(f"marker '{marker.name}' references unknown joint '{marker.joint}'")
+    if marker.name in markers:
+        raise ValidationError(f"duplicate marker name '{marker.name}'")
+    markers[marker.name] = marker
+    return marker
+
+
 class Skeleton:
     """Joint tree in topological order (parents strictly before children)."""
 
@@ -153,11 +163,7 @@ class Skeleton:
         self._plan = _SkeletonPlan(joints, self.parent_index, self.dof_slices)
         mk = {}
         for m in markers:
-            if m.joint not in seen:
-                raise ValidationError(f"marker '{m.name}' references unknown joint '{m.joint}'")
-            if m.name in mk:
-                raise ValidationError(f"duplicate marker name '{m.name}'")
-            mk[m.name] = m
+            _add_marker(mk, m, seen)
         self.markers = MappingProxyType(mk)
 
     def joint(self, name):
@@ -272,8 +278,7 @@ class _SkeletonPlan:
     tree. Revolute joints come with their value columns, axes, K = hat(axis)
     and K @ K, spherical joints with their (S, 3) value columns. `order`
     lists the joints in level order: the root, then each tree depth in turn,
-    children grouped by the order of their parents; `rank` is its inverse,
-    and `in_level_order` says whether the joints are listed that way.
+    children grouped by the order of their parents; `rank` is its inverse.
     `levels` holds (slice of the depth, its parents) per depth below the
     root, in level-order positions; the parents are a slice whenever they
     are a contiguous run or a single joint, else an index array. The joints
@@ -311,7 +316,6 @@ class _SkeletonPlan:
             order += children[i]
         self.order = np.array(order)
         self.rank = np.argsort(self.order)
-        self.in_level_order = bool(np.all(self.order == np.arange(len(joints))))
         levels, sl = [], slice(0, 1)
         while sl.stop < len(joints):  # the next depth: the children of this one
             sl = slice(sl.stop, sl.stop + sum(len(children[i]) for i in order[sl]))
@@ -390,9 +394,7 @@ def fk(skeleton, pose):
         arrays = _stack_poses(pose, skeleton.total_dof, "skeleton needs")
     plan = skeleton._plan
     pos, rot = _fk_arrays(skeleton, *arrays, plan.fk_buffers(len(arrays[2])))
-    if not plan.in_level_order:
-        pos, rot = pos[plan.rank], rot[plan.rank]
-    pos, rot = pos.swapaxes(0, 1), rot.swapaxes(0, 1)
+    pos, rot = pos[plan.rank].swapaxes(0, 1), rot[plan.rank].swapaxes(0, 1)
     return FkResult(pos[0], rot[0]) if isinstance(pose, Pose) else FkResult(pos, rot)
 
 

@@ -508,7 +508,7 @@ class TestSkeletonIo:
                 Joint("a", "root", [0, 1, 0], dof="spherical", limits=((-1, 1),) * 3),
                 Joint(
                     "b", "a", [0.5, 0, 0], dof="revolute", axis=[0, 0, 1],
-                    limits=((-2, 2),), meta={"note": "elbow"},
+                    limits=((-2, 2),),
                 ),
             ],
             [Marker("tip", "b", [0.1, 0, 0])],
@@ -521,7 +521,6 @@ class TestSkeletonIo:
         assert [j.name for j in back.joints] == ["root", "a", "b"]
         assert back.joint("b").limits == ((-2.0, 2.0),)
         assert np.allclose(back.joint("b").axis, [0, 0, 1])
-        assert back.joint("b").meta == {"note": "elbow"}
         assert np.allclose(back.markers["tip"].offset, [0.1, 0, 0])
 
     def test_byte_identical_rewrites(self, tmp_path):
@@ -530,6 +529,18 @@ class TestSkeletonIo:
         save_skeleton(skel, p1)
         save_skeleton(load_skeleton(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+        for name in ("human_24", "h1_like_19", "g1_like_21"):  # the bundled files, as written
+            save_skeleton(load_example_skeleton(name), p2)
+            assert p2.read_bytes() == asset_path(name).read_bytes(), name
+
+    def test_meta_key_ignored(self, tmp_path):
+        # Older files may hold a free-form "meta" object on a joint; it is not loaded.
+        tree = bundled("h1_like_19")
+        tree["joints"][1]["meta"] = {"note": "hip", "a": [1, 2]}
+        p = tmp_path / "s.skel"
+        p.write_text(json.dumps(tree))
+        save_skeleton(load_skeleton(p), p)
+        assert p.read_bytes() == asset_path("h1_like_19").read_bytes()
 
     def test_bad_format_key(self, tmp_path):
         p = tmp_path / "s.skel"
@@ -767,8 +778,8 @@ class TestTrajectoryLoader:
     @pytest.mark.parametrize(
         "frame, mutate, reason",
         [
-            (5, lambda f: f.pop("joint_values"), "bad trajectory frame: 'joint_values'"),
-            (0, lambda f: f.pop("root_position"), "bad trajectory frame: 'root_position'"),
+            (5, lambda f: f.pop("joint_values"), "missing key 'joint_values'"),
+            (0, lambda f: f.pop("root_position"), "missing key 'root_position'"),
             (3, lambda f: f["joint_values"].pop(), "joint values, frame 0 has"),
             (6, lambda f: f["joint_values"].append(0.0), "joint values, frame 0 has"),
             (4, lambda f: f["joint_values"].__setitem__(2, None), "contains NaN or infinity"),
@@ -1241,6 +1252,12 @@ MALFORMED_DOCUMENTS = [
     pytest.param("skel", setting("markers", 0, value=7), "/markers/0", id="marker_a_number"),
     pytest.param("skel", setting("markers", 0, "joint", value=["l_elbow"]), "/markers/0",
                  id="marker_joint_a_list"),
+    pytest.param("skel", setting("markers", 1, "joint", value="nope"), "/markers/1",
+                 id="marker_joint_unknown"),
+    pytest.param("skel", setting("markers", 2, "name", value="l_wrist"), "/markers/2",
+                 id="marker_name_duplicate"),
+    pytest.param("skel", setting("markers", 0, "offset", value="abc"), "/markers/0/offset",
+                 id="marker_offset_not_numeric"),
     pytest.param("map", setting("pairs", value=4), "/pairs", id="pairs_not_a_list"),
     pytest.param("map", setting("pairs", 0, value="l_knee"), "/pairs/0", id="pair_a_string"),
     pytest.param("map", setting("pairs", 0, "human", value=["l_knee"]), "/pairs/0",
@@ -1410,9 +1427,9 @@ class TestMutatedBundledDocuments:
 
 
 # --- column-checked loaders --------------------------------------------------
-# A skeleton's joints and markers, and a map's pairs, are checked a column at a
-# time and built without their constructors' checks. What they build must equal,
-# bit for bit, what the constructors build from the same document.
+# A skeleton's joints are checked a column at a time and built without Joint's
+# checks. What they build must equal, bit for bit, what the constructors build
+# from the same document; so must a map's pairs, walked through their type.
 
 
 def constructed_skeleton(tree):
@@ -1424,8 +1441,7 @@ def constructed_skeleton(tree):
         if isinstance(dof, dict):
             dof, axis = dof["type"], dof["axis"]
         limits = tuple(map(tuple, node.get("limits", [])))
-        joints.append(Joint(node["name"], node.get("parent"), node["offset"], dof, axis, limits,
-                            node.get("meta", {})))
+        joints.append(Joint(node["name"], node.get("parent"), node["offset"], dof, axis, limits))
     markers = [Marker(m["name"], m["joint"], m["offset"]) for m in tree.get("markers", [])]
     return Skeleton(joints, markers, tree.get("name"))
 
@@ -1444,7 +1460,7 @@ def assert_same_skeleton(got, want):
     assert got.name == want.name
     assert len(got.joints) == len(want.joints) and list(got.markers) == list(want.markers)
     for g, w in zip(got.joints, want.joints):
-        for field in ("name", "parent", "offset", "dof", "axis", "limits", "meta"):
+        for field in ("name", "parent", "offset", "dof", "axis", "limits"):
             assert same(getattr(g, field), getattr(w, field)), (w.name, field)
     for g, w in zip(got.markers.values(), want.markers.values()):
         for field in ("name", "joint", "offset"):
@@ -1476,7 +1492,7 @@ UNIT_AXES = st.one_of(
 @st.composite
 def skeleton_trees(draw):
     """A valid skeleton document tree: fixed, revolute and spherical joints, with and
-    without limits and meta, and markers."""
+    without limits, and markers."""
     joints = []
     for i in range(draw(st.integers(1, 7))):
         kind = draw(st.sampled_from(["fixed", "revolute", "spherical"]))
@@ -1490,8 +1506,6 @@ def skeleton_trees(draw):
         if draw(st.booleans()):
             pairs = st.lists(NUMBER, min_size=2, max_size=2).map(sorted)
             node["limits"] = draw(st.lists(pairs, min_size=count, max_size=count))
-        if draw(st.booleans()):
-            node["meta"] = {"note": draw(st.text(max_size=4))}
         joints.append(node)
     markers = [
         {"name": f"m{k}", "joint": f"j{draw(st.integers(0, len(joints) - 1))}",
@@ -1509,7 +1523,7 @@ class TestColumnLoadersMatchConstructors:
     @pytest.mark.parametrize("name", ["human_24", "h1_like_19", "g1_like_21"])
     def test_bundled_skeletons(self, name):
         tree = bundled(name)
-        io._skeleton_columns(tree)  # the column check takes the document, no walk
+        io._joint_columns(tree)  # the column check takes the joint table, no walk
         assert_same_skeleton(load_example_skeleton(name), constructed_skeleton(tree))
 
     @given(skeleton_trees())
@@ -1518,7 +1532,7 @@ class TestColumnLoadersMatchConstructors:
         p = tmp_path_factory.mktemp("drawn") / "s.skel"
         p.write_text(json.dumps(tree))
         tree = json.loads(p.read_text())
-        io._skeleton_columns(tree)
+        io._joint_columns(tree)
         assert_same_skeleton(load_skeleton(p), constructed_skeleton(tree))
 
     def test_a_refused_form_is_walked(self, tmp_path):
@@ -1527,7 +1541,7 @@ class TestColumnLoadersMatchConstructors:
         tree = bundled("h1_like_19")
         tree["joints"][0]["dof"] = {"type": "fixed", "axis": [0, 0, 1]}
         with pytest.raises(ValidationError):
-            io._skeleton_columns(tree)
+            io._joint_columns(tree)
         p = tmp_path / "s.skel"
         p.write_text(json.dumps(tree))
         skel = load_skeleton(p)
@@ -1543,7 +1557,9 @@ class TestColumnLoadersMatchConstructors:
         want = [CorrespondencePair(p["human"], p["robot"], float(p.get("position_weight", 1.0)),
                                    float(p.get("orientation_weight", 0.0)))
                 for p in tree["pairs"]]
-        assert same(io._pair_columns(tree), want)
+        robot = {"human_to_h1": "h1_like_19", "human_to_g1": "g1_like_21"}[name]
+        human, robot = load_example_skeleton("human_24"), load_example_skeleton(robot)
+        assert same(list(load_example_correspondence(name, human, robot).pairs), want)
 
     def test_pair_weights_loaded_as_floats(self, tmp_path):
         pairs = [{"human": "a", "robot": "b", "position_weight": 2, "orientation_weight": 0},

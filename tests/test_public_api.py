@@ -77,7 +77,7 @@ PARAMETERS = {
     "CorrespondencePair": ("human", "robot", "position_weight", "orientation_weight"),
     "CorrespondenceSet": ("pairs", "scale"),
     "FeatureMatrix": ("values", "labels"),
-    "Joint": ("name", "parent", "offset", "dof", "axis", "limits", "meta"),
+    "Joint": ("name", "parent", "offset", "dof", "axis", "limits"),
     "JointTrajectory": ("fps", "poses", "skeleton"),
     "KeypointFrame": ("positions", "labels"),
     "Marker": ("name", "joint", "offset"),
